@@ -6,17 +6,19 @@
 //! ampc list
 //! ampc run <family> --graph <source> [--model ampc|mpc] [options]
 //! ampc smoke [--scale test|mid|bench]
+//! ampc experiment <name>|all [--scale test|mid|bench] [--out <path>]
 //! ```
 //!
 //! See `README.md` for the option reference, the graph-source grammar
-//! and the JSON report schema. `ampc smoke` is the CI entry point: it
+//! and the JSON report schema. `ampc experiment` regenerates one
+//! reproduced table/figure (or, with `all`, the whole `EXPERIMENTS.md`). `ampc smoke` is the CI entry point: it
 //! runs every registry row on a small instance, validates each output
 //! against the input, checks the AMPC/MPC cross-model equalities, and
 //! syntax-checks every emitted JSON record.
 
 use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::harness_config;
-use ampc_bench::{json, util};
+use ampc_bench::{experiments, json, util};
 use ampc_core::algorithm::{AlgoInput, AlgoOutput, Model};
 use ampc_dht::cost::Network;
 use ampc_dht::store::StoreKind;
@@ -37,6 +39,11 @@ USAGE:
   ampc smoke [--chaos <spec>]        run every registry row on small inputs (CI);
                                      with --chaos, re-run each family under the
                                      schedule and assert digests are unchanged
+  ampc experiment <name>|all         regenerate one reproduced table/figure
+                                     (table1..4, fig3..9, cycle, ablations) as
+                                     markdown on stdout, or all of them into
+                                     --out <path> (default EXPERIMENTS.md);
+                                     --scale as below
 
 RUN OPTIONS:
   --graph <src>        graph source (required), e.g. ok, rmat:12,40000,social,
@@ -52,11 +59,11 @@ RUN OPTIONS:
   --batch on|off       §5.3 batching (AMPC_BATCH equivalent)
   --caching on|off     §5.3 per-machine caching
   --network rdma|tcp   KV transport profile (Table 4)
-  --store flat|sharded|socket  sealed-storage substrate (AMPC_STORE
-                       equivalent; DESIGN.md §12). socket serves sealed
-                       values from shard-server processes over
-                       Unix-domain sockets; outputs, rounds and
-                       CommStats are identical for every value
+  --store flat|socket  sealed-storage substrate (AMPC_STORE equivalent;
+                       DESIGN.md §12). socket serves sealed values from
+                       shard-server processes over Unix-domain sockets;
+                       outputs, rounds and CommStats are identical for
+                       both values
   --threshold <E>      switch-to-in-memory edge threshold
   --walkers <W>        walks: walkers per vertex (default 1)
   --steps <K>          walks: hops per walk (default 8)
@@ -93,7 +100,7 @@ struct Cli {
     flags: HashMap<String, String>,
 }
 
-const VALUE_FLAGS: [&str; 20] = [
+const VALUE_FLAGS: [&str; 21] = [
     "--graph",
     "--model",
     "--machines",
@@ -114,6 +121,7 @@ const VALUE_FLAGS: [&str; 20] = [
     "--dyn-seed",
     "--chaos",
     "--store",
+    "--out",
 ];
 const SWITCHES: [&str; 3] = ["--validate", "--quiet", "--help"];
 
@@ -175,6 +183,7 @@ fn run_cli(args: &[String]) -> Result<(), String> {
         "list" => cmd_list(),
         "run" => cmd_run(&cli),
         "smoke" => cmd_smoke(&cli),
+        "experiment" => cmd_experiment(&cli),
         other => Err(format!("unknown command {other:?} (see ampc --help)")),
     }
 }
@@ -194,6 +203,26 @@ fn cmd_list() -> Result<(), String> {
         "{}",
         util::md_table(&["family", "model", "description"], &rows)
     );
+    Ok(())
+}
+
+/// `ampc experiment <name>|all`: renders one `experiments::SECTIONS`
+/// entry (or the whole `EXPERIMENTS.md` body) to stdout, and to
+/// `--out` when given (`all` defaults it to `EXPERIMENTS.md`).
+fn cmd_experiment(cli: &Cli) -> Result<(), String> {
+    let name = cli.positional.get(1).map_or("", String::as_str);
+    let scale = scale_of(cli)?;
+    let md = match experiments::SECTIONS.iter().find(|s| s.0 == name) {
+        Some((_, _, run)) => run(scale),
+        None if name == "all" => experiments::run_all(scale),
+        None => return Err(format!("unknown experiment {name:?} (see ampc --help)")),
+    };
+    print!("{md}");
+    let default_out = (name == "all").then_some("EXPERIMENTS.md");
+    if let Some(path) = cli.get("--out").or(default_out) {
+        std::fs::write(path, &md).map_err(|e| format!("--out {path}: {e}"))?;
+        eprintln!("[experiment] wrote {path}");
+    }
     Ok(())
 }
 
@@ -405,7 +434,7 @@ fn spec_from_cli(cli: &Cli) -> Result<RunSpec, String> {
         None => None,
         Some(v) => Some(
             StoreKind::parse(v)
-                .ok_or_else(|| format!("--store: expected flat|sharded|socket, got {v:?}"))?,
+                .ok_or_else(|| format!("--store: expected flat|socket, got {v:?}"))?,
         ),
     };
     let opts = DriverOptions {

@@ -15,42 +15,41 @@ pub mod table4;
 
 use ampc_graph::datasets::Scale;
 
-/// A deferred experiment section: produces its markdown body on demand.
-type Section = Box<dyn Fn() -> String>;
+/// One reproduced artifact: its CLI name (`ampc experiment <name>`),
+/// its title, and the function rendering its markdown section.
+pub type Section = (&'static str, &'static str, fn(Scale) -> String);
+
+/// Every reproduced artifact, in `EXPERIMENTS.md` order.
+pub const SECTIONS: [Section; 13] = [
+    ("table1", "Table 1", table1::run),
+    ("table2", "Table 2", table2::run),
+    ("table3", "Table 3", table3::run),
+    ("fig3", "Figure 3", fig3::run),
+    ("fig4", "Figure 4", fig4::run),
+    ("fig5", "Figure 5", runtime_cmp::run_fig5),
+    ("fig6", "Figure 6", runtime_cmp::run_fig6),
+    ("fig7", "Figure 7", runtime_cmp::run_fig7),
+    ("fig8", "Figure 8", fig8::run),
+    ("fig9", "Figure 9", fig9::run),
+    ("table4", "Table 4", table4::run),
+    ("cycle", "1-vs-2-Cycle (§5.6)", cycle::run),
+    ("ablations", "Ablations (extensions)", ablations::run),
+];
 
 /// Runs every experiment and assembles the full `EXPERIMENTS.md` body.
 pub fn run_all(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "# EXPERIMENTS — paper vs. this reproduction\n\n\
-         Generated by `cargo run --release -p ampc-bench --bin run_all` at scale `{scale:?}`\n\
-         (set `AMPC_SCALE=test|mid|bench`). Simulated times come from the fixed cost model\n\
-         of DESIGN.md §6; the claims reproduced are *relative* (who wins, by what factor,\n\
-         where the breakdown mass sits), not absolute seconds. Dataset analogues are\n\
-         synthetic RMAT substitutes (DESIGN.md §1) — every table cites the paper's values\n\
+         Generated by `cargo run --release -p ampc-bench --bin ampc -- experiment all` at\n\
+         scale `{scale:?}` (set `AMPC_SCALE=test|mid|bench`). Simulated times come from the\n\
+         fixed cost model of DESIGN.md §6; the claims reproduced are *relative* (who wins, by\n\
+         what factor, where the breakdown mass sits), not absolute seconds. Dataset analogues\n\
+         are synthetic RMAT substitutes (DESIGN.md §1) — every table cites the paper's values\n\
          alongside ours.\n"
-    ));
-    let sections: Vec<(&str, Section)> = vec![
-        ("Table 1", Box::new(move || table1::run(scale))),
-        ("Table 2", Box::new(move || table2::run(scale))),
-        ("Table 3", Box::new(move || table3::run(scale))),
-        ("Figure 3", Box::new(move || fig3::run(scale))),
-        ("Figure 4", Box::new(move || fig4::run(scale))),
-        ("Figure 5", Box::new(move || runtime_cmp::run_fig5(scale))),
-        ("Figure 6", Box::new(move || runtime_cmp::run_fig6(scale))),
-        ("Figure 7", Box::new(move || runtime_cmp::run_fig7(scale))),
-        ("Figure 8", Box::new(move || fig8::run(scale))),
-        ("Figure 9", Box::new(move || fig9::run(scale))),
-        ("Table 4", Box::new(move || table4::run(scale))),
-        ("1-vs-2-Cycle (§5.6)", Box::new(move || cycle::run(scale))),
-        (
-            "Ablations (extensions)",
-            Box::new(move || ablations::run(scale)),
-        ),
-    ];
-    for (name, f) in sections {
-        eprintln!("[run_all] running {name} ...");
-        out.push_str(&f());
+    );
+    for (_, title, run) in SECTIONS {
+        eprintln!("[experiment] running {title} ...");
+        out.push_str(&run(scale));
     }
     out
 }

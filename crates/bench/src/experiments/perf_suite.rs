@@ -2,30 +2,28 @@
 //!
 //! The paper's practical claim (§5, "Theory meets Practice") is that
 //! constant-adaptive-round algorithms are fast in *wall-clock* terms,
-//! not just round counts — so the harness tracks the wall-clock of
-//! representative kernels the same way it tracks reproduced figures.
-//! Each kernel runs twice on identical inputs:
+//! not just round counts — so the harness tracks representative kernels
+//! the same way it tracks reproduced figures. Each row is one
+//! measurement under the flat sealed store and the persistent pool:
+//! absolute best-of-N `wall_ns` plus the deterministic fields (rounds,
+//! round trips, queries, bytes, peak generation bytes, output digest)
+//! that `--check` compares exactly. The suite emits `BENCH_perf.json`,
+//! the trajectory file the CI perf gate re-measures against; speed on
+//! the flat path itself is judged by the repo benchmark
+//! (`BENCHMARK.json`), which reports absolute end-to-end numbers.
 //!
-//! * **baseline** — the pre-flat storage layout (`AMPC_STORE=sharded`:
-//!   64 shards, two hashes per read) under the pre-pool executor (one
-//!   fresh OS thread per machine per round);
-//! * **current** — the flat sealed layout (dense direct-index or
-//!   open-addressed, `len`/`size_bytes` cached at seal) under the
-//!   persistent pool / inline executor.
+//! Three kinds of row additionally time a **live** second path on the
+//! same input, assert the two outputs byte-identical, and record
+//! `baseline_wall_ns` / `speedup_vs_baseline`:
 //!
-//! The suite *asserts* the two modes produce identical outputs, round
-//! counts and `CommStats` — the flat layout and the pool are wall-clock
-//! optimizations, never semantic changes — and emits `BENCH_perf.json`
-//! (wall-clock, rounds, round trips, peak generation bytes per kernel),
-//! the trajectory file future performance PRs are judged against.
-//!
-//! On top of the A/B rows the suite measures **real-wire rows**
-//! (`*-socket`): the same kernels under `AMPC_STORE=socket`, where
-//! every sealed generation lives in shard-server processes reached
-//! over Unix-domain sockets (DESIGN.md §12). Those rows pin the
-//! substrate-equivalence contract at perf scale and feed the
-//! `calibration` note that puts measured wire latency next to the §6
-//! simulated cost constants.
+//! * `mpc-recompute` — maintained `dyn-cc` vs MPC recompute per batch;
+//! * `no-fault` — `dyn-cc` under a seeded chaos schedule vs fault-free;
+//! * `in-memory-flat` — the **real-wire rows** (`*-socket`): the same
+//!   kernels under `AMPC_STORE=socket`, where every sealed generation
+//!   lives in shard-server processes reached over Unix-domain sockets
+//!   (DESIGN.md §12). Those rows pin the substrate-equivalence contract
+//!   at perf scale and feed the `calibration` note that puts measured
+//!   wire latency next to the §6 simulated cost constants.
 
 use crate::registry::{self, AlgoParams};
 use crate::util::{cycle_config, cycle_sizes, harness_config, load, secs, speedup, Md};
@@ -36,14 +34,14 @@ use ampc_graph::gen;
 use ampc_runtime::{AmpcConfig, Job, JobReport};
 use std::time::Instant;
 
-/// One kernel's measurements in one mode.
+/// One timed run of a kernel.
 struct ModeResult {
     wall_ns: u64,
     report: JobReport,
     /// Order-sensitive digest of the kernel's full output.
     output_digest: u64,
     /// DHT value bytes cloned during this run (the `ampc_dht::probe`
-    /// delta): cache inserts and owned-value reads. The probe counter
+    /// delta): cache inserts and hot-key promotions. The probe counter
     /// is process-global, so this is only meaningful when nothing else
     /// touches a DHT concurrently — true in the `perf_suite` binary,
     /// not under the parallel test harness.
@@ -56,7 +54,8 @@ struct ModeResult {
     wire_bytes: u64,
 }
 
-/// One kernel's baseline-vs-current comparison.
+/// One tracked row: a kernel's measurement, plus the live path it was
+/// timed against if it has one.
 pub struct KernelPerf {
     /// Kernel name (`cc`, `mis`, `mm`, `mis-uncached`, `walks`,
     /// `walks-uncached`, `pointer-chase`, `batch-write`,
@@ -65,10 +64,8 @@ pub struct KernelPerf {
     pub name: &'static str,
     /// Input description.
     pub input: String,
-    /// Wall-clock of the current (flat + pool) configuration.
+    /// Best-of-3 wall-clock of the measured run.
     pub wall_ns: u64,
-    /// Wall-clock of the baseline (sharded + spawn) configuration.
-    pub baseline_wall_ns: u64,
     /// Rounds that touched the KV store.
     pub kv_rounds: usize,
     /// Shuffle stages.
@@ -81,49 +78,80 @@ pub struct KernelPerf {
     pub kv_bytes: u64,
     /// Largest sealed generation any round read.
     pub peak_generation_bytes: u64,
-    /// Digest of the kernel output (identical across modes by
-    /// construction — the suite asserts it).
+    /// Digest of the kernel output (identical across repetitions and,
+    /// for rows with a baseline, across the two paths — the suite
+    /// asserts both).
     pub output_digest: u64,
-    /// DHT value bytes cloned in the current (flat + pool) mode, from
-    /// the allocation probe. Informational in the trajectory (never
+    /// DHT value bytes cloned during the measured run, from the
+    /// allocation probe. Informational in the trajectory (never
     /// gated exactly — see [`clone_free_violations`] for the kernels
     /// pinned at zero by the binary).
     pub bytes_cloned: u64,
-    /// Real transport request frames during the current-mode run —
+    /// Real transport request frames during the measured run —
     /// nonzero only for the `*-socket` rows, where together with
     /// `wire_bytes` it feeds the DESIGN.md §6 calibration note.
     pub wire_requests: u64,
-    /// Real transport bytes (sent + received) during the current-mode
-    /// run.
+    /// Real transport bytes (sent + received) during the measured run.
     pub wire_bytes: u64,
-    /// What `baseline_wall_ns` measures: `"sharded+spawn"` for the
-    /// storage-layout/executor A/B rows, `"mpc-recompute"` for the
-    /// batch-dynamic maintained-vs-recompute comparison, `"no-fault"`
-    /// for the chaos-recovery overhead row, `"in-memory-flat"` for the
-    /// real-wire socket-substrate rows (DESIGN.md §12).
-    pub baseline: &'static str,
+    /// The live path this row was also timed against, as `(label,
+    /// wall_ns)`: `"mpc-recompute"` for the batch-dynamic
+    /// maintained-vs-recompute comparison, `"no-fault"` for the
+    /// chaos-recovery overhead row, `"in-memory-flat"` for the
+    /// real-wire socket-substrate rows (DESIGN.md §12). `None` for a
+    /// plain measurement.
+    pub baseline: Option<(&'static str, u64)>,
+}
+
+impl KernelPerf {
+    /// Assembles a row from its measured run.
+    fn new(
+        name: &'static str,
+        input: String,
+        run: ModeResult,
+        baseline: Option<(&'static str, u64)>,
+    ) -> Self {
+        let kv = run.report.kv_comm();
+        KernelPerf {
+            name,
+            input,
+            wall_ns: run.wall_ns,
+            kv_rounds: run.report.num_kv_rounds(),
+            shuffles: run.report.num_shuffles(),
+            round_trips: run.report.kv_round_trips(),
+            queries: kv.queries,
+            kv_bytes: kv.kv_bytes(),
+            peak_generation_bytes: run.report.peak_generation_bytes(),
+            output_digest: run.output_digest,
+            bytes_cloned: run.bytes_cloned,
+            wire_requests: run.wire_requests,
+            wire_bytes: run.wire_bytes,
+            baseline,
+        }
+    }
+
+    /// `baseline_wall_ns / wall_ns`, for rows that have a baseline.
+    fn speedup_vs_baseline(&self) -> Option<f64> {
+        self.baseline
+            .map(|(_, base_ns)| base_ns as f64 / self.wall_ns.max(1) as f64)
+    }
 }
 
 // Output digests come from `AlgoOutput::digest` (the same fold the
 // suite always used, now shared with the CLI's run records), so the
 // figures tracked in `BENCH_perf.json` stay comparable.
 
-/// Runs `kernel` once under `store` with the given executor policy,
-/// measuring wall-clock plus the allocation-probe and wire-metrics
-/// deltas. The historical A/B pairs `StoreKind::Sharded`+spawn
-/// (baseline) against `StoreKind::Flat`+pool (current); the socket
-/// rows pair `StoreKind::Socket`+pool against flat.
-fn run_mode<F>(cfg: &AmpcConfig, store: StoreKind, spawn: bool, kernel: &F) -> ModeResult
+/// Runs `kernel` once under `store`, measuring wall-clock plus the
+/// allocation-probe and wire-metrics deltas.
+fn run_mode<F>(cfg: &AmpcConfig, store: StoreKind, kernel: &F) -> ModeResult
 where
     F: Fn(&AmpcConfig) -> (JobReport, u64),
 {
-    let cfg = cfg.with_legacy_spawn(spawn);
     ampc_dht::store::force_store(Some(store));
     ampc_dht::socket::ensure_if_active();
     let cloned_before = ampc_dht::probe::bytes_cloned();
     let wire_before = ampc_dht::wire_metrics();
     let start = Instant::now();
-    let (report, output_digest) = kernel(&cfg);
+    let (report, output_digest) = kernel(cfg);
     let wall_ns = start.elapsed().as_nanos() as u64;
     let wire_after = ampc_dht::wire_metrics();
     let bytes_cloned = ampc_dht::probe::bytes_cloned() - cloned_before;
@@ -139,19 +167,19 @@ where
     }
 }
 
-/// Timing repetitions per mode: wall-clock is the minimum over these
+/// Timing repetitions per run: wall-clock is the minimum over these
 /// (the standard way to strip scheduler noise from a single-machine
-/// benchmark); the equivalence assertions run on every repetition.
+/// benchmark); the determinism assertion runs on every repetition.
 const REPS: usize = 3;
 
-/// Best-of-[`REPS`] for one mode, asserting all repetitions agree.
-fn best_of<F>(cfg: &AmpcConfig, store: StoreKind, spawn: bool, kernel: &F) -> ModeResult
+/// Best-of-[`REPS`] under `store`, asserting all repetitions agree.
+fn best_of<F>(cfg: &AmpcConfig, store: StoreKind, kernel: &F) -> ModeResult
 where
     F: Fn(&AmpcConfig) -> (JobReport, u64),
 {
-    let mut best = run_mode(cfg, store, spawn, kernel);
+    let mut best = run_mode(cfg, store, kernel);
     for _ in 1..REPS {
-        let next = run_mode(cfg, store, spawn, kernel);
+        let next = run_mode(cfg, store, kernel);
         assert_eq!(
             next.output_digest, best.output_digest,
             "kernel output not deterministic across repetitions"
@@ -163,125 +191,55 @@ where
     best
 }
 
-/// Runs one kernel in both modes, asserting observational equivalence.
+/// One plain row: the kernel under the flat store, no baseline.
 fn measure<F>(name: &'static str, input: String, cfg: &AmpcConfig, kernel: F) -> KernelPerf
 where
     F: Fn(&AmpcConfig) -> (JobReport, u64),
 {
-    let baseline = best_of(cfg, StoreKind::Sharded, true, &kernel);
-    let current = best_of(cfg, StoreKind::Flat, false, &kernel);
-    // The acceptance contract: same outputs, same round structure, same
-    // communication — old vs new differ only in wall-clock.
-    assert_eq!(
-        current.output_digest, baseline.output_digest,
-        "{name}: outputs differ between flat and sharded layouts"
-    );
-    assert_eq!(
-        current.report.num_kv_rounds(),
-        baseline.report.num_kv_rounds(),
-        "{name}: KV round counts differ"
-    );
-    assert_eq!(
-        current.report.num_shuffles(),
-        baseline.report.num_shuffles(),
-        "{name}: shuffle counts differ"
-    );
-    assert_eq!(
-        current.report.kv_comm(),
-        baseline.report.kv_comm(),
-        "{name}: CommStats differ between layouts"
-    );
-    assert_eq!(
-        current.report.peak_generation_bytes(),
-        baseline.report.peak_generation_bytes(),
-        "{name}: peak generation bytes differ"
-    );
-    KernelPerf {
-        name,
-        input,
-        wall_ns: current.wall_ns,
-        baseline_wall_ns: baseline.wall_ns,
-        kv_rounds: current.report.num_kv_rounds(),
-        shuffles: current.report.num_shuffles(),
-        round_trips: current.report.kv_round_trips(),
-        queries: current.report.kv_comm().queries,
-        kv_bytes: current.report.kv_comm().kv_bytes(),
-        peak_generation_bytes: current.report.peak_generation_bytes(),
-        output_digest: current.output_digest,
-        bytes_cloned: current.bytes_cloned,
-        wire_requests: current.wire_requests,
-        wire_bytes: current.wire_bytes,
-        baseline: "sharded+spawn",
-    }
+    KernelPerf::new(name, input, best_of(cfg, StoreKind::Flat, &kernel), None)
 }
 
 /// Runs one kernel under the socket substrate against the in-memory
 /// flat store — the real-wire rows (DESIGN.md §12). The full §12
-/// contract is asserted on every repetition: identical outputs, round
-/// structure, CommStats and peak generation bytes; only wall-clock may
-/// differ, and the wall-clock *difference* divided by the measured
-/// wire traffic is what calibrates the §6 simulated cost constants.
+/// contract is asserted: identical outputs, round structure, CommStats
+/// and peak generation bytes; only wall-clock may differ, and the
+/// wall-clock *difference* divided by the measured wire traffic is
+/// what calibrates the §6 simulated cost constants.
 fn measure_socket<F>(name: &'static str, input: String, cfg: &AmpcConfig, kernel: F) -> KernelPerf
 where
     F: Fn(&AmpcConfig) -> (JobReport, u64),
 {
-    let flat = best_of(cfg, StoreKind::Flat, false, &kernel);
-    let socket = best_of(cfg, StoreKind::Socket, false, &kernel);
+    let flat = best_of(cfg, StoreKind::Flat, &kernel);
+    let socket = best_of(cfg, StoreKind::Socket, &kernel);
+    let observed = |m: &ModeResult| {
+        (
+            m.output_digest,
+            m.report.num_kv_rounds(),
+            m.report.num_shuffles(),
+            m.report.kv_comm(),
+            m.report.peak_generation_bytes(),
+        )
+    };
     assert_eq!(
-        socket.output_digest, flat.output_digest,
-        "{name}: outputs differ between socket and in-memory substrates"
-    );
-    assert_eq!(
-        socket.report.num_kv_rounds(),
-        flat.report.num_kv_rounds(),
-        "{name}: KV round counts differ under the socket substrate"
-    );
-    assert_eq!(
-        socket.report.num_shuffles(),
-        flat.report.num_shuffles(),
-        "{name}: shuffle counts differ under the socket substrate"
-    );
-    assert_eq!(
-        socket.report.kv_comm(),
-        flat.report.kv_comm(),
-        "{name}: CommStats differ under the socket substrate"
-    );
-    assert_eq!(
-        socket.report.peak_generation_bytes(),
-        flat.report.peak_generation_bytes(),
-        "{name}: peak generation bytes differ under the socket substrate"
+        observed(&socket),
+        observed(&flat),
+        "{name}: (digest, KV rounds, shuffles, CommStats, peak generation bytes) differ \
+         between the socket and in-memory substrates"
     );
     assert!(
         socket.wire_requests > 0,
         "{name}: socket run issued no wire requests — the substrate was not engaged"
     );
-    KernelPerf {
-        name,
-        input,
-        wall_ns: socket.wall_ns,
-        baseline_wall_ns: flat.wall_ns,
-        kv_rounds: socket.report.num_kv_rounds(),
-        shuffles: socket.report.num_shuffles(),
-        round_trips: socket.report.kv_round_trips(),
-        queries: socket.report.kv_comm().queries,
-        kv_bytes: socket.report.kv_comm().kv_bytes(),
-        peak_generation_bytes: socket.report.peak_generation_bytes(),
-        output_digest: socket.output_digest,
-        bytes_cloned: socket.bytes_cloned,
-        wire_requests: socket.wire_requests,
-        wire_bytes: socket.wire_bytes,
-        baseline: "in-memory-flat",
-    }
+    KernelPerf::new(name, input, socket, Some(("in-memory-flat", flat.wall_ns)))
 }
 
 /// Runs two *different* kernels (or the same kernel under two
-/// configurations, folded into the closures) on the same input in the
-/// current (flat + pool) configuration, pinning their outputs
-/// byte-identical — the maintained-vs-recompute comparison of the
-/// batch-dynamic family, and the chaos-vs-no-fault recovery-overhead
-/// row. `baseline_label` names what `baseline_wall_ns` measures in the
-/// emitted trajectory. Reported round/CommStats figures are the
-/// *current* kernel's.
+/// configurations, folded into the closures) on the same input under
+/// the flat store, pinning their outputs byte-identical — the
+/// maintained-vs-recompute comparison of the batch-dynamic family, and
+/// the chaos-vs-no-fault recovery-overhead row. `baseline_label` names
+/// what `baseline_wall_ns` measures in the emitted trajectory. Reported
+/// round/CommStats figures are the *current* kernel's.
 fn measure_vs<C, B>(
     name: &'static str,
     input: String,
@@ -294,29 +252,13 @@ where
     C: Fn(&AmpcConfig) -> (JobReport, u64),
     B: Fn(&AmpcConfig) -> (JobReport, u64),
 {
-    let base = best_of(cfg, StoreKind::Flat, false, &baseline);
-    let cur = best_of(cfg, StoreKind::Flat, false, &current);
+    let base = best_of(cfg, StoreKind::Flat, &baseline);
+    let cur = best_of(cfg, StoreKind::Flat, &current);
     assert_eq!(
         cur.output_digest, base.output_digest,
         "{name}: maintained and recomputed outputs differ"
     );
-    KernelPerf {
-        name,
-        input,
-        wall_ns: cur.wall_ns,
-        baseline_wall_ns: base.wall_ns,
-        kv_rounds: cur.report.num_kv_rounds(),
-        shuffles: cur.report.num_shuffles(),
-        round_trips: cur.report.kv_round_trips(),
-        queries: cur.report.kv_comm().queries,
-        kv_bytes: cur.report.kv_comm().kv_bytes(),
-        peak_generation_bytes: cur.report.peak_generation_bytes(),
-        output_digest: cur.output_digest,
-        bytes_cloned: cur.bytes_cloned,
-        wire_requests: cur.wire_requests,
-        wire_bytes: cur.wire_bytes,
-        baseline: baseline_label,
-    }
+    KernelPerf::new(name, input, cur, Some((baseline_label, base.wall_ns)))
 }
 
 /// The pointer-chase substrate kernel: one KV round writes a scrambled
@@ -368,10 +310,8 @@ fn pointer_chase(cfg: &AmpcConfig, n: usize, steps: usize) -> (JobReport, u64) {
 /// The batched-write substrate kernel: one KV round in which every
 /// machine issues its whole chunk as a single `put_many` batch (the
 /// KV-Write pattern of every AMPC kernel), then a read-back round over
-/// a sample. The write path is the measurement target: the flat
-/// store's `put_many_from` groups the batch by stripe via a counting
-/// sort over indices (each value moves once, one lock per touched
-/// stripe), while the sharded baseline locks once per key.
+/// a sample. The write path is the measurement target: one append per
+/// pair into the writer's stripe logs, then one seal.
 fn batch_write(cfg: &AmpcConfig, n: usize) -> (JobReport, u64) {
     let mut job = Job::new(*cfg);
     let mut dht: Dht<u64> = Dht::new();
@@ -423,62 +363,35 @@ pub fn measure_all(scale: Scale) -> Vec<KernelPerf> {
         }
     };
     let ampc = |family: &'static str, params: AlgoParams| via_registry(family, Model::Ampc, params);
-    out.push(measure(
-        "cc",
-        input.clone(),
-        &cfg,
-        ampc("cc", AlgoParams::default()),
-    ));
-    out.push(measure(
-        "mis",
-        input.clone(),
-        &cfg,
-        ampc("mis", AlgoParams::default()),
-    ));
-    out.push(measure(
-        "mm",
-        input.clone(),
-        &cfg,
-        ampc("mm", AlgoParams::default()),
-    ));
-    out.push(measure(
-        "mis-uncached",
-        input.clone(),
-        &cfg.with_caching(false),
-        ampc("mis", AlgoParams::default()),
-    ));
-    out.push(measure(
-        "walks",
-        format!("{input}, 8 hops"),
-        &cfg,
-        ampc(
+    let walk = |walkers_per_node, steps| AlgoParams {
+        walkers_per_node,
+        steps,
+        ..Default::default()
+    };
+    let uncached = cfg.with_caching(false);
+    for (name, hops, cfg, family, params) in [
+        ("cc", "", cfg, "cc", AlgoParams::default()),
+        ("mis", "", cfg, "mis", AlgoParams::default()),
+        ("mm", "", cfg, "mm", AlgoParams::default()),
+        ("mis-uncached", "", uncached, "mis", AlgoParams::default()),
+        ("walks", ", 8 hops", cfg, "walks", walk(1, 8)),
+        (
+            "walks-uncached",
+            ", 4x32 hops",
+            uncached,
             "walks",
-            AlgoParams {
-                walkers_per_node: 1,
-                steps: 8,
-                ..Default::default()
-            },
+            walk(4, 32),
         ),
-    ));
-    out.push(measure(
-        "walks-uncached",
-        format!("{input}, 4x32 hops"),
-        &cfg.with_caching(false),
-        ampc(
-            "walks",
-            AlgoParams {
-                walkers_per_node: 4,
-                steps: 32,
-                ..Default::default()
-            },
-        ),
-    ));
+    ] {
+        let input = format!("{input}{hops}");
+        out.push(measure(name, input, &cfg, ampc(family, params)));
+    }
 
     // The batch-dynamic connectivity family, tracked two ways: the
-    // maintained kernel under the storage-layout A/B like every other
-    // kernel, and — the figure the subsystem exists for — amortized
-    // cost per batch of maintenance vs recompute-from-scratch (both in
-    // the current configuration, per-epoch labels asserted identical).
+    // maintained kernel as a plain row like every other kernel, and —
+    // the figure the subsystem exists for — amortized cost per batch of
+    // maintenance vs recompute-from-scratch (per-epoch labels asserted
+    // identical).
     let (dyn_batches, dyn_ops) = match scale {
         Scale::Test => (4, 64),
         Scale::Mid => (8, 256),
@@ -545,8 +458,7 @@ pub fn measure_all(scale: Scale) -> Vec<KernelPerf> {
     ));
 
     // The write-side substrate kernel: `put_many` batches dominated by
-    // the stripe-grouped batched write path (vs one lock per key in the
-    // sharded baseline).
+    // the stripe-log append path and the seal.
     let write_n = match scale {
         Scale::Test => 1 << 12,
         Scale::Mid => 1 << 21,
@@ -605,15 +517,23 @@ pub fn measure_all(scale: Scale) -> Vec<KernelPerf> {
 }
 
 /// Serializes the measurements as the `BENCH_perf.json` trajectory
-/// entry.
+/// entry. `baseline`, `baseline_wall_ns` and `speedup_vs_baseline`
+/// appear only on rows that were timed against a live second path.
 pub fn to_json(scale: Scale, kernels: &[KernelPerf]) -> String {
     let mut rows = Vec::new();
     for k in kernels {
+        let baseline = k.baseline.zip(k.speedup_vs_baseline()).map_or_else(
+            String::new,
+            |((label, base_ns), speedup)| {
+                format!(
+                    "      \"baseline\": \"{label}\",\n      \"baseline_wall_ns\": {base_ns},\n      \
+                     \"speedup_vs_baseline\": {speedup:.3},\n"
+                )
+            },
+        );
         rows.push(format!(
             "    {{\n      \"name\": \"{}\",\n      \"input\": \"{}\",\n      \
-             \"baseline\": \"{}\",\n      \
-             \"wall_ns\": {},\n      \"baseline_wall_ns\": {},\n      \
-             \"speedup_vs_baseline\": {:.3},\n      \"kv_rounds\": {},\n      \
+             \"wall_ns\": {},\n{baseline}      \"kv_rounds\": {},\n      \
              \"shuffles\": {},\n      \"round_trips\": {},\n      \
              \"queries\": {},\n      \"kv_bytes\": {},\n      \
              \"peak_generation_bytes\": {},\n      \"bytes_cloned\": {},\n      \
@@ -621,10 +541,7 @@ pub fn to_json(scale: Scale, kernels: &[KernelPerf]) -> String {
              \"output_digest\": {}\n    }}",
             k.name,
             k.input,
-            k.baseline,
             k.wall_ns,
-            k.baseline_wall_ns,
-            k.baseline_wall_ns as f64 / k.wall_ns.max(1) as f64,
             k.kv_rounds,
             k.shuffles,
             k.round_trips,
@@ -640,7 +557,6 @@ pub fn to_json(scale: Scale, kernels: &[KernelPerf]) -> String {
     format!(
         "{{\n  \"suite\": \"perf\",\n  \"scale\": \"{scale:?}\",\n  \
          \"ampc_threads\": {},\n  \"baselines\": {{\
-         \"sharded+spawn\": \"AMPC_STORE=sharded + spawn-per-machine executor\", \
          \"mpc-recompute\": \"MPC recompute-from-scratch per update batch\", \
          \"no-fault\": \"same kernel without the chaos fault schedule\", \
          \"in-memory-flat\": \"AMPC_STORE=flat in-process store (socket rows)\"}},\n  \
@@ -663,9 +579,12 @@ pub fn to_json(scale: Scale, kernels: &[KernelPerf]) -> String {
 fn calibration_json(kernels: &[KernelPerf]) -> String {
     let rows: Vec<String> = kernels
         .iter()
-        .filter(|k| k.baseline == "in-memory-flat")
-        .map(|k| {
-            let delta = k.wall_ns.saturating_sub(k.baseline_wall_ns);
+        .filter_map(|k| match k.baseline {
+            Some(("in-memory-flat", flat_ns)) => Some((k, flat_ns)),
+            _ => None,
+        })
+        .map(|(k, flat_ns)| {
+            let delta = k.wall_ns.saturating_sub(flat_ns);
             format!(
                 "{{\"name\": \"{}\", \"wire_requests\": {}, \"wire_bytes\": {}, \
                  \"wall_delta_ns\": {}, \"ns_per_request\": {:.1}, \"ns_per_byte\": {:.3}}}",
@@ -762,11 +681,14 @@ fn exact_fields(
 /// The perf-regression gate: re-measures the suite **at the scale the
 /// committed trajectory records** and compares. Deterministic fields
 /// (rounds, shuffles, round trips, queries, bytes, digests) must match
-/// exactly; the wall-clock `speedup_vs_baseline` may not fall below
-/// `committed * (1 - tolerance)` (wall-clock is machine-dependent, so
-/// the tolerance is deliberately loose — the equivalence *assertions*
-/// inside the measurement are what guard correctness, and they abort
-/// the process on violation). `committed` is the file's content.
+/// exactly. Rows timed against a live baseline additionally keep a
+/// floor: their `speedup_vs_baseline` may not fall below `committed *
+/// (1 - tolerance)` (wall-clock is machine-dependent, so the tolerance
+/// is deliberately loose — the equivalence *assertions* inside the
+/// measurement are what guard correctness, and they abort the process
+/// on violation). Plain rows carry absolute `wall_ns` only and are not
+/// wall-clock gated here — speed on the flat path is the repo
+/// benchmark's job. `committed` is the file's content.
 pub fn check_against(committed: &str, tolerance: f64) -> Result<CheckReport, String> {
     let doc = crate::json::parse_json(committed)
         .map_err(|e| format!("committed trajectory does not parse: {e}"))?;
@@ -799,14 +721,24 @@ pub fn check_against(committed: &str, tolerance: f64) -> Result<CheckReport, Str
             continue;
         };
         exact_fields(name, entry, f, &mut failures);
-        let committed_speedup = entry
-            .get("speedup_vs_baseline")
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| {
-                failures.push(format!("{name}: committed entry lacks speedup_vs_baseline"));
-                0.0
-            });
-        let fresh_speedup = f.baseline_wall_ns as f64 / f.wall_ns.max(1) as f64;
+        let committed_speedup = entry.get("speedup_vs_baseline").and_then(|v| v.as_f64());
+        let (Some(committed_speedup), Some(fresh_speedup)) =
+            (committed_speedup, f.speedup_vs_baseline())
+        else {
+            if committed_speedup.is_some() != f.baseline.is_some() {
+                failures.push(format!(
+                    "{name}: baseline presence changed — regenerate BENCH_perf.json"
+                ));
+            }
+            table.push(vec![
+                name.to_string(),
+                "—".into(),
+                "—".into(),
+                "—".into(),
+                "exact fields only".into(),
+            ]);
+            continue;
+        };
         let floor = committed_speedup * (1.0 - tolerance);
         let ok = fresh_speedup >= floor;
         if !ok {
@@ -839,9 +771,10 @@ pub fn check_against(committed: &str, tolerance: f64) -> Result<CheckReport, Str
         "perf_suite --check — fresh run vs committed BENCH_perf.json",
     );
     md.para(&format!(
-        "Scale `{scale:?}` (from the committed trajectory), speedup tolerance {:.0}%. \
-         Deterministic fields (rounds, round trips, queries, bytes, digests) must match \
-         exactly; equivalence assertions ran on every measurement.",
+        "Scale `{scale:?}` (from the committed trajectory), speedup tolerance {:.0}% on \
+         rows with a live baseline. Deterministic fields (rounds, round trips, queries, \
+         bytes, digests) must match exactly on every row; equivalence assertions ran on \
+         every measurement.",
         tolerance * 100.0
     ));
     md.table(&["kernel", "committed", "fresh", "floor", "status"], &table);
@@ -865,22 +798,31 @@ pub fn run(scale: Scale) -> (String, Vec<KernelPerf>) {
     let mut md = Md::new();
     md.heading(
         2,
-        "perf_suite — kernel wall-clock, flat sealed store + pool vs sharded + spawn",
+        "perf_suite — kernel wall-clock under the flat sealed store + pool",
     );
     md.para(&format!(
-        "Scale `{scale:?}`, `AMPC_THREADS={}`. Outputs, round counts and CommStats are \
-         asserted identical between the two configurations; only wall-clock may differ.",
+        "Scale `{scale:?}`, `AMPC_THREADS={}`. Rows with a baseline were also timed on \
+         that live path, with outputs asserted byte-identical; only wall-clock may differ.",
         ampc_dht::ampc_threads()
     ));
     let rows: Vec<Vec<String>> = kernels
         .iter()
         .map(|k| {
+            let (label, base_s, ratio) = match k.baseline {
+                Some((label, base_ns)) => (
+                    label.to_string(),
+                    secs(base_ns),
+                    speedup(base_ns, k.wall_ns),
+                ),
+                None => ("—".into(), "—".into(), "—".into()),
+            };
             vec![
                 k.name.to_string(),
                 k.input.clone(),
-                secs(k.baseline_wall_ns),
                 secs(k.wall_ns),
-                speedup(k.baseline_wall_ns, k.wall_ns),
+                label,
+                base_s,
+                ratio,
                 format!("{}+{}", k.kv_rounds, k.shuffles),
                 k.round_trips.to_string(),
                 crate::util::bytes(k.peak_generation_bytes),
@@ -892,8 +834,9 @@ pub fn run(scale: Scale) -> (String, Vec<KernelPerf>) {
         &[
             "kernel",
             "input",
-            "sharded+spawn s",
-            "flat+pool s",
+            "wall s",
+            "baseline",
+            "baseline s",
             "speedup",
             "rounds (kv+shuffle)",
             "round trips",
@@ -909,12 +852,13 @@ pub fn run(scale: Scale) -> (String, Vec<KernelPerf>) {
 mod tests {
     use super::*;
 
-    /// `run_mode` flips the process-global sealed-layout override, so
-    /// any two tests that measure concurrently could corrupt each
-    /// other's "sharded baseline" windows (the equivalence assertions
-    /// would still hold — the layouts are observationally identical —
-    /// but the sharded path would silently go unexercised). Every
-    /// measuring test serializes on this lock.
+    /// `run_mode` flips the process-global store override, so any two
+    /// tests that measure concurrently could corrupt each other's
+    /// flat/socket windows (the equivalence assertions would still
+    /// hold — the substrates are observationally identical — but a
+    /// socket row could silently run in memory and trip its
+    /// wire-traffic assertion). Every measuring test serializes on
+    /// this lock.
     static MEASURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// The suite's equivalence assertions must hold at test scale (this
@@ -936,7 +880,7 @@ mod tests {
         // traffic), and feeding the §6 calibration note.
         let socket_rows: Vec<_> = kernels
             .iter()
-            .filter(|k| k.baseline == "in-memory-flat")
+            .filter(|k| matches!(k.baseline, Some(("in-memory-flat", _))))
             .collect();
         assert_eq!(socket_rows.len(), 3);
         for row in &socket_rows {
@@ -947,6 +891,11 @@ mod tests {
         assert!(json.contains("\"calibration\""));
         assert!(json.contains("\"ns_per_request\""));
         assert!(json.contains("\"tcp_latency_ns\": 60000"));
+        // Only the live-baseline rows (3 socket + recompute + no-fault)
+        // carry a baseline; the rest are one absolute measurement.
+        assert_eq!(kernels.iter().filter(|k| k.baseline.is_some()).count(), 5);
+        assert_eq!(json.matches("\"speedup_vs_baseline\"").count(), 5);
+        assert_eq!(json.matches("\"baseline_wall_ns\"").count(), 5);
         // The socket MIS row and the in-memory MIS row computed the
         // same set (§12: substrates are observationally identical).
         let mis = kernels.iter().find(|k| k.name == "mis").unwrap();
@@ -984,8 +933,8 @@ mod tests {
     }
 
     /// The regression gate passes against a trajectory the same build
-    /// just produced, and flags tampered digests, lost kernels and
-    /// speedup collapses.
+    /// just produced, and flags tampered digests, lost kernels, a
+    /// baseline that appeared or vanished, and corrupt JSON.
     #[test]
     fn check_mode_self_consistency_and_tamper_detection() {
         let _guard = MEASURE_LOCK.lock().unwrap();
@@ -1017,7 +966,21 @@ mod tests {
             .iter()
             .any(|f| f.contains("missing from the committed")));
 
-        // An absurd committed speedup trips the tolerance floor.
+        // A row that lost its committed baseline must be regenerated.
+        let mis_socket = kernels.iter().find(|k| k.name == "mis-socket").unwrap();
+        let speedup_line = format!(
+            "      \"speedup_vs_baseline\": {:.3},\n",
+            mis_socket.speedup_vs_baseline().unwrap()
+        );
+        let stripped = committed.replacen(&speedup_line, "", 1);
+        assert_ne!(stripped, committed);
+        let bad = check_against(&stripped, 0.9).unwrap();
+        assert!(bad
+            .failures
+            .iter()
+            .any(|f| f.contains("baseline presence changed")));
+
+        // Corrupt JSON is an error, not a pass.
         let inflated = committed.replace(
             "\"speedup_vs_baseline\": ",
             "\"speedup_vs_baseline\": 9e9; ",

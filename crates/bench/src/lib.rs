@@ -1,8 +1,9 @@
 //! # ampc-bench — the reproduction harness
 //!
-//! One module (and one binary) per table/figure of the paper's
-//! evaluation; `run_all` regenerates everything into `EXPERIMENTS.md`.
-//! See DESIGN.md §4 for the experiment index.
+//! One module per table/figure of the paper's evaluation, all driven
+//! from the [`experiments::SECTIONS`] table: `ampc experiment <name>`
+//! regenerates one, `ampc experiment all` everything into
+//! `EXPERIMENTS.md`. See DESIGN.md §4 for the experiment index.
 //!
 //! The [`registry`] names every kernel family × model backend behind
 //! the `AmpcAlgorithm` trait, and the `ampc` binary composes any of

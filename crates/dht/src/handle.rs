@@ -159,17 +159,11 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
         }
     }
 
-    /// Mounts a read-through cache: `get_through`/`get_many_through`
-    /// answer repeats locally (counted as cache hits) and only miss
+    /// Mounts a read-through cache: [`Self::get_many_through_with`]
+    /// answers repeats locally (counted as cache hits) and only miss
     /// traffic reaches the DHT.
     pub fn mount_cache(&mut self, cache: DenseCache<V>) {
         self.cache = Some(cache);
-    }
-
-    /// Remaining queries before the budget is exhausted.
-    #[inline]
-    pub fn remaining_budget(&self) -> u64 {
-        self.budget.saturating_sub(self.stats.queries)
     }
 
     /// True if at least one more query is allowed.
@@ -178,9 +172,8 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
         self.stats.queries < self.budget
     }
 
-    /// The batched-read core behind [`Self::get_many`],
-    /// [`Self::get_many_into`] and [`Self::try_get_many`]: one
-    /// accounted batch (or per-key round trips with batching off),
+    /// The batched-read core behind [`Self::get_many`] and
+    /// [`Self::get_many_into`]: one accounted batch (or per-key round trips with batching off),
     /// `f` called once per key in key order with a reference carrying
     /// the **generation lifetime** `'a`. Hot-key replicas never serve
     /// this path — their references cannot outlive a visit — which is
@@ -404,105 +397,24 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
         });
     }
 
-    /// Budget-enforcing batch lookup: the whole batch is rejected with
-    /// [`BudgetExhausted`] if it does not fit in the remaining budget
-    /// (batches are all-or-nothing round trips).
-    pub fn try_get_many(&mut self, keys: &[u64]) -> Result<Vec<Option<&'a V>>, BudgetExhausted> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.remaining_budget() < keys.len() as u64 {
-            return Err(BudgetExhausted);
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        self.read_batch_with(keys, &mut |_, v| out.push(v));
-        Ok(out)
-    }
-
-    /// Read-through lookup against the mounted cache: a hit is answered
-    /// locally (counted in [`CommStats::cache_hits`], no budget use); a
-    /// miss queries the DHT and populates the cache. Without a mounted
-    /// cache this is `get` + clone.
+    /// The read-through batch lookup against the mounted cache: cached
+    /// keys (and repeats within the batch) are answered locally as
+    /// cache hits (counted in [`CommStats::cache_hits`], no budget
+    /// use); the distinct misses go to the DHT in **one** accounted
+    /// batch, whose responses populate the cache. Matches sequential
+    /// single-key semantics exactly — a repeated key costs one query
+    /// however it arrives — so the batching toggle changes only the
+    /// round-trip accounting. (A repeat of a key the store turns out
+    /// not to hold is still counted as a hit at scan time; all
+    /// workspace kernels look up keys they previously wrote.)
     ///
-    /// Returns an owned value, which costs a second clone on top of the
-    /// cache-insert one; kernels on the hot path should prefer
-    /// [`Self::get_through_ref`] (single clone per miss, none for the
-    /// caller).
-    pub fn get_through(&mut self, key: u64) -> Option<V> {
-        let v = self.get_through_ref(key);
-        if let Some(v) = v {
-            probe::record_clone(v.size_bytes()); // the caller-side clone
-        }
-        v.cloned()
-    }
-
-    /// Reference-serving read-through lookup: a cache hit is served
-    /// from the cache, a miss is fetched, inserted into the cache with
-    /// **one** clone, and served to the caller as the generation's own
-    /// reference — no caller-side clone at all. Accounting is identical
-    /// to [`Self::get_through`].
-    pub fn get_through_ref(&mut self, key: u64) -> Option<&V> {
-        let mut cache = match self.cache.take() {
-            None => return self.get(key).map(|v| -> &V { v }),
-            Some(c) => c,
-        };
-        if cache.get(key).is_some() {
-            self.stats.cache_hits += 1;
-            self.cache = Some(cache);
-            return self.cache.as_ref().and_then(|c| c.get(key));
-        }
-        let fetched = self.get(key);
-        if let Some(v) = fetched {
-            probe::record_clone(v.size_bytes());
-            cache.put(key, v.clone()); // the single per-miss clone
-        }
-        self.cache = Some(cache);
-        fetched.map(|v| -> &V { v })
-    }
-
-    /// Read-through batch lookup: cached keys (and repeats within the
-    /// batch) are answered locally as cache hits; the distinct misses go
-    /// to the DHT in **one** accounted batch, whose responses populate
-    /// the cache. Matches the sequential single-key semantics exactly —
-    /// a repeated key costs one query however it arrives — so the
-    /// batching toggle changes only the round-trip accounting. (A
-    /// repeat of a key the store turns out not to hold is still counted
-    /// as a hit at scan time; all workspace kernels look up keys they
-    /// previously wrote.)
-    pub fn get_many_through(&mut self, keys: &[u64]) -> Vec<Option<V>> {
-        let mut out = Vec::new();
-        self.get_many_through_into(keys, &mut out);
-        out
-    }
-
-    /// [`Self::get_many_through`] into a caller-owned buffer: `out` is
-    /// cleared and refilled with one `Option<V>` per key. Accounting
-    /// (queries, cache hits, batches) is identical; lockstep kernels
-    /// reuse the buffer across hops. Costs one caller-side clone per
-    /// key on top of [`Self::get_many_through_with`]'s single
-    /// cache-insert clone per miss — hot paths that only *read* the
-    /// values should use the visitor form directly.
-    pub fn get_many_through_into(&mut self, keys: &[u64], out: &mut Vec<Option<V>>) {
-        out.clear();
-        out.reserve(keys.len());
-        self.get_many_through_with(keys, |_, v| {
-            if let Some(v) = v {
-                probe::record_clone(v.size_bytes()); // the caller-side clone
-            }
-            out.push(v.cloned());
-        });
-    }
-
-    /// The reference-serving read-through batch at the bottom of the
-    /// `get_many_through*` family: `f` is called once per key, in key
-    /// order, with the index and the value — a cache reference for
-    /// hits, the generation's own reference for misses. Each *present
-    /// miss* is cloned exactly once (into the mounted cache); the
-    /// caller is never handed an owned copy it didn't ask for. With no
-    /// cache mounted this is a plain batch served straight from the
-    /// generation — zero clones. Accounting (queries, cache hits,
-    /// batches, bytes) is identical to [`Self::get_many_through`] by
-    /// construction, which the `CommStats` regression tests pin.
+    /// `f` is called once per key, in key order, with the index and
+    /// the value — a cache reference for hits, the generation's own
+    /// reference for misses. Each *present miss* is cloned exactly once
+    /// (into the mounted cache); the caller is never handed an owned
+    /// copy. With no cache mounted this is a plain batch served
+    /// straight from the generation — zero clones, same accounting as
+    /// [`Self::get_many_into`].
     pub fn get_many_through_with(&mut self, keys: &[u64], mut f: impl FnMut(usize, Option<&V>)) {
         if keys.is_empty() {
             return;
@@ -578,11 +490,11 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     }
 
     /// Writes many pairs in **one accounted batch** (one round trip,
-    /// per-pair writes and bytes). The batch goes through
-    /// [`GenerationWriter::put_many_from`], which locks each stripe
-    /// once instead of once per key — identical per-pair semantics and
-    /// accounting, much less lock traffic. With batching disabled,
-    /// degrades to a loop of [`Self::put`] calls.
+    /// per-pair writes and bytes). The writer is an append log, so
+    /// [`GenerationWriter::put_many_from`] is a plain loop of per-pair
+    /// appends: the batch form changes the *accounting* (one round
+    /// trip), not the per-pair semantics or byte counts. With batching
+    /// disabled, degrades to a loop of [`Self::put`] calls.
     ///
     /// # Panics
     /// Panics if the handle was created read-only and the iterator is
@@ -611,12 +523,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     #[inline]
     pub fn stats(&self) -> &CommStats {
         &self.stats
-    }
-
-    /// Consumes the handle, returning its counters (merged by the runtime
-    /// at the round boundary).
-    pub fn into_stats(self) -> CommStats {
-        self.stats
     }
 }
 
@@ -723,7 +629,6 @@ mod tests {
         h.get(1);
         h.get(2);
         assert!(!h.can_query());
-        assert_eq!(h.remaining_budget(), 0);
     }
 
     #[test]
@@ -734,16 +639,6 @@ mod tests {
         assert_eq!(h.try_get(2), Ok(Some(&20)));
         assert_eq!(h.try_get(3), Err(BudgetExhausted));
         assert_eq!(h.stats().queries, 2, "a rejected query must not be charged");
-    }
-
-    #[test]
-    fn try_get_many_is_all_or_nothing() {
-        let g = gen3();
-        let mut h: MachineHandle<u64> = MachineHandle::new(&g, None).with_budget(4);
-        assert!(h.try_get_many(&[1, 2, 3]).is_ok());
-        assert_eq!(h.try_get_many(&[1, 2]), Err(BudgetExhausted));
-        assert_eq!(h.stats().queries, 3);
-        assert!(h.try_get_many(&[1]).is_ok());
     }
 
     #[test]
@@ -766,13 +661,20 @@ mod tests {
         assert_eq!(h.stats().cache_hits, 2);
     }
 
+    /// Collects one read-through batch into owned values.
+    fn through(h: &mut MachineHandle<u64>, keys: &[u64]) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        h.get_many_through_with(keys, |_, v| out.push(v.copied()));
+        out
+    }
+
     #[test]
     fn mounted_cache_answers_repeats_locally() {
         let g = gen3();
         let mut h: MachineHandle<u64> = MachineHandle::new(&g, None);
         h.mount_cache(DenseCache::unbounded(8));
-        assert_eq!(h.get_through(1), Some(10));
-        assert_eq!(h.get_through(1), Some(10));
+        assert_eq!(through(&mut h, &[1]), vec![Some(10)]);
+        assert_eq!(through(&mut h, &[1]), vec![Some(10)]);
         assert_eq!(h.stats().queries, 1);
         assert_eq!(h.stats().cache_hits, 1);
         assert_eq!(h.stats().batches, 1);
@@ -785,13 +687,13 @@ mod tests {
         h.mount_cache(DenseCache::unbounded(8));
         // 1 repeats within the batch; the second batch repeats across.
         assert_eq!(
-            h.get_many_through(&[1, 2, 1]),
+            through(&mut h, &[1, 2, 1]),
             vec![Some(10), Some(20), Some(10)]
         );
         assert_eq!(h.stats().queries, 2);
         assert_eq!(h.stats().cache_hits, 1);
         assert_eq!(h.stats().batches, 1);
-        assert_eq!(h.get_many_through(&[2, 3]), vec![Some(20), Some(30)]);
+        assert_eq!(through(&mut h, &[2, 3]), vec![Some(20), Some(30)]);
         assert_eq!(h.stats().queries, 3);
         assert_eq!(h.stats().cache_hits, 2);
         assert_eq!(h.stats().batches, 2);
@@ -801,10 +703,7 @@ mod tests {
     fn get_many_through_without_cache_is_plain_batch() {
         let g = gen3();
         let mut h: MachineHandle<u64> = MachineHandle::new(&g, None);
-        assert_eq!(
-            h.get_many_through(&[1, 1, 99]),
-            vec![Some(10), Some(10), None]
-        );
+        assert_eq!(through(&mut h, &[1, 1, 99]), vec![Some(10), Some(10), None]);
         assert_eq!(h.stats().queries, 3);
         assert_eq!(h.stats().cache_hits, 0);
         assert_eq!(h.stats().batches, 1);
@@ -850,9 +749,8 @@ mod tests {
         }
     }
 
-    /// The satellite contract: the reference-serving read-through path
-    /// clones each present miss exactly once (the cache insert) and
-    /// nothing else — not twice as the old owned path did.
+    /// The reference-serving read-through path clones each present miss
+    /// exactly once (the cache insert) and nothing else.
     #[test]
     fn read_through_clones_once_per_miss() {
         let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -877,67 +775,55 @@ mod tests {
         // Second batch: all hits — zero further clones.
         h.get_many_through_with(&[3, 2, 1, 0], |_, v| assert!(v.is_some()));
         assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 4);
-        // Single-key ref path: a miss on a fresh handle costs one.
-        let mut h2: MachineHandle<CloneCounter> = MachineHandle::new(&g, None);
-        h2.mount_cache(DenseCache::unbounded(8));
-        clones.store(0, std::sync::atomic::Ordering::Relaxed);
-        assert!(h2.get_through_ref(5).is_some());
-        assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert!(h2.get_through_ref(5).is_some()); // hit
-        assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
-    /// The `CommStats` regression the satellite asks for: the visitor
-    /// path, the owned path and `get_through` charge *identical*
-    /// queries, bytes, batches and cache hits for the same key
-    /// sequence, with and without a mounted cache.
+    /// The read-through path's documented accounting: a key sequence
+    /// charges *identical* queries, bytes and cache hits whether it
+    /// arrives as batches or one key at a time, and with batching off —
+    /// only the round-trip count differs. Without a cache the batch is
+    /// charged exactly like [`MachineHandle::get_many_into`].
     #[test]
     fn read_through_paths_charge_identical_stats() {
         let g: Generation<Vec<u64>> =
             Generation::from_iter((0..16u64).map(|k| (k, vec![k, k + 1, k + 2])));
         let batches: [&[u64]; 3] = [&[0, 1, 2, 1, 99], &[2, 3, 0], &[5, 5, 5]];
-        let run = |mode: u8, cache: bool| -> CommStats {
-            let mut h: MachineHandle<Vec<u64>> = MachineHandle::new(&g, None);
+        let run = |key_at_a_time: bool, batching: bool, cache: bool| -> CommStats {
+            let mut h: MachineHandle<Vec<u64>> =
+                MachineHandle::new(&g, None).with_batching(batching);
             if cache {
                 h.mount_cache(DenseCache::unbounded(16));
             }
             for keys in batches {
-                match mode {
-                    0 => h.get_many_through_with(keys, |_, _| ()),
-                    1 => {
-                        let mut out = Vec::new();
-                        h.get_many_through_into(keys, &mut out);
-                        assert_eq!(out.len(), keys.len());
+                if key_at_a_time {
+                    for k in keys {
+                        h.get_many_through_with(&[*k], |_, _| ());
                     }
-                    _ => {
-                        let _ = h.get_many_through(keys);
-                    }
+                } else {
+                    h.get_many_through_with(keys, |_, _| ());
                 }
             }
             *h.stats()
         };
         for cache in [true, false] {
-            let visitor = run(0, cache);
-            let into = run(1, cache);
-            let owned = run(2, cache);
-            assert_eq!(visitor, into, "cache={cache}");
-            assert_eq!(visitor, owned, "cache={cache}");
-            assert!(visitor.bytes_read > 0);
+            let batched = run(false, true, cache);
+            assert!(batched.bytes_read > 0);
+            for other in [run(true, true, cache), run(false, false, cache)] {
+                assert_eq!(other.queries, batched.queries, "cache={cache}");
+                assert_eq!(other.bytes_read, batched.bytes_read, "cache={cache}");
+                assert_eq!(other.cache_hits, batched.cache_hits, "cache={cache}");
+                assert_eq!(other.batches, other.queries, "one round trip per key");
+            }
         }
-        // Single-key: `get_through` (owned) vs `get_through_ref`.
-        let single = |owned: bool| -> CommStats {
+        assert_eq!(run(false, true, true).batches, 3);
+        let plain = {
             let mut h: MachineHandle<Vec<u64>> = MachineHandle::new(&g, None);
-            h.mount_cache(DenseCache::unbounded(16));
-            for k in [1u64, 2, 1, 99, 2] {
-                if owned {
-                    let _ = h.get_through(k);
-                } else {
-                    let _ = h.get_through_ref(k);
-                }
+            let mut out = Vec::new();
+            for keys in batches {
+                h.get_many_into(keys, &mut out);
             }
             *h.stats()
         };
-        assert_eq!(single(true), single(false));
+        assert_eq!(run(false, true, false), plain);
     }
 
     /// The fixed-size copy path must charge exactly what the reference

@@ -6,7 +6,7 @@
 //! provides that object for the simulated runtime:
 //!
 //! * [`store::Dht`] — a sequence of **generations**. A generation is
-//!   written through a sharded, lock-striped [`store::GenerationWriter`]
+//!   written through a lock-striped [`store::GenerationWriter`]
 //!   and then **sealed** into an immutable [`store::Generation`] that
 //!   subsequent rounds read without locks. Sealing is exactly the model's
 //!   round boundary, and immutability of past generations is what makes
@@ -15,9 +15,8 @@
 //!   layout — a zero-hash direct-index array for dense `0..n` key
 //!   domains, a single-hash open-addressed table otherwise
 //!   ([`store::ReprKind`]) — with `len`/`size_bytes` cached at seal;
-//!   `AMPC_STORE=sharded` re-enables the historical double-hash sharded
-//!   layout for A/B measurement, and `AMPC_THREADS`
-//!   ([`store::ampc_threads`]) bounds seal-time parallelism.
+//!   `AMPC_THREADS` ([`store::ampc_threads`]) bounds seal-time
+//!   parallelism.
 //! * [`handle::MachineHandle`] — the per-machine access path. All reads
 //!   and writes are metered: the handle counts queries, writes, batched
 //!   round trips and bytes ([`metrics::CommStats`]), **enforces** the
@@ -67,8 +66,8 @@ pub use measured::Measured;
 pub use metrics::CommStats;
 pub use socket::{wire_metrics, SocketCluster, WireMetrics};
 pub use store::{
-    ampc_threads, force_store, force_store_layout, store_kind, Dht, Generation, GenerationWriter,
-    ReprKind, StoreKind, StripeArena,
+    ampc_threads, force_store, store_kind, Dht, Generation, GenerationWriter, ReprKind, StoreKind,
+    StripeArena,
 };
 pub use substrate::{StoreBackend, Substrate};
 pub use wire::Wire;

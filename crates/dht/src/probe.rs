@@ -2,8 +2,7 @@
 //!
 //! The perf suite asserts that converted hot paths stay clone-free:
 //! every place the dht layer clones a stored value (cache inserts,
-//! owned read-through results, hot-key replica promotion) reports the
-//! clone here, and `perf_suite` samples the counter around each kernel
+//! hot-key replica promotion) reports the clone here, and `perf_suite` samples the counter around each kernel
 //! to report `bytes_cloned` and pin the uncached read paths at zero.
 //!
 //! This is an observability counter, **not** part of [`crate::metrics::CommStats`]:

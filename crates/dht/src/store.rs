@@ -21,20 +21,15 @@
 //!   check and one slot read — **zero** hashes.
 //! * [`ReprKind::Open`] — one open-addressed, linearly-probed table for
 //!   everything else. `get` hashes **once** ([`mix64`]) and probes
-//!   flat memory; there is no per-shard indirection and no second hash
-//!   (the pre-flat layout hashed twice: `mix64` to pick a shard, then
-//!   the shard's `FxHashMap` hashed again).
+//!   flat memory; there is no per-shard indirection and no second
+//!   hash.
 //!
-//! The pre-flat shard-of-hashmaps layout is retained as
-//! [`ReprKind::Sharded`] behind the `AMPC_STORE=sharded` knob so the
-//! perf suite can measure old-vs-new on identical workloads and the
-//! regression tests can pin `get`/`get_many` equivalence. All layouts
-//! are observationally identical: same values, same `len`/`size_bytes`,
-//! same communication accounting.
+//! The layouts are observationally identical: same values, same
+//! `len`/`size_bytes`, same communication accounting.
 //!
 //! # Substrates (DESIGN.md §12)
 //!
-//! The physical layouts now live behind the
+//! The physical layouts live behind the
 //! [`crate::substrate::Substrate`] trait. Besides the in-memory
 //! substrates above, `AMPC_STORE=socket` ([`StoreKind::Socket`]) seals
 //! the same flat layout and then **offloads the values to shard-server
@@ -52,11 +47,10 @@
 
 #![allow(unsafe_code)] // disjoint-stripe scatter in the parallel seal; see seal_dense_scatter.
 
-use crate::hasher::{mix64, FxHashMap};
+use crate::hasher::mix64;
 use crate::measured::Measured;
 use crate::substrate::{
-    BitIter, DenseSubstrate, OpenSubstrate, ShardedSubstrate, SocketSubstrate, Substrate,
-    DENSE_MAX_WASTE,
+    BitIter, DenseSubstrate, OpenSubstrate, SocketSubstrate, Substrate, DENSE_MAX_WASTE,
 };
 use crate::wire::Wire;
 use parking_lot::Mutex;
@@ -84,8 +78,7 @@ pub use ampc_knobs::ampc_threads;
 /// the process environment lock).
 const MODE_ENV: u8 = 0;
 const MODE_FLAT: u8 = 1;
-const MODE_SHARDED: u8 = 2;
-const MODE_SOCKET: u8 = 3;
+const MODE_SOCKET: u8 = 2;
 static STORE_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(MODE_ENV);
 
 /// Which substrate [`GenerationWriter::seal`] produces — the
@@ -94,20 +87,17 @@ static STORE_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::ne
 pub enum StoreKind {
     /// The flat in-memory layouts (dense or open) — the default.
     Flat,
-    /// The pre-flat shard-of-hashmaps in-memory baseline.
-    Sharded,
     /// Values in shard-server processes behind Unix-domain sockets.
     Socket,
 }
 
 impl StoreKind {
     /// Parses an `AMPC_STORE` value (case-insensitive). `None` for
-    /// anything that is not `flat`, `sharded` or `socket` — callers
+    /// anything that is not `flat` or `socket` — callers
     /// (the CLI's `--store` flag) reject loudly rather than default.
     pub fn parse(s: &str) -> Option<StoreKind> {
         match s.to_ascii_lowercase().as_str() {
             "flat" => Some(StoreKind::Flat),
-            "sharded" => Some(StoreKind::Sharded),
             "socket" => Some(StoreKind::Socket),
             _ => None,
         }
@@ -118,7 +108,6 @@ impl StoreKind {
     pub fn as_str(self) -> &'static str {
         match self {
             StoreKind::Flat => "flat",
-            StoreKind::Sharded => "sharded",
             StoreKind::Socket => "socket",
         }
     }
@@ -130,7 +119,6 @@ pub fn store_kind() -> StoreKind {
     use std::sync::atomic::Ordering;
     match STORE_MODE.load(Ordering::Relaxed) {
         MODE_FLAT => StoreKind::Flat,
-        MODE_SHARDED => StoreKind::Sharded,
         MODE_SOCKET => StoreKind::Socket,
         _ => {
             let kind = StoreKind::parse(ampc_knobs::ampc_store()).unwrap_or(StoreKind::Flat);
@@ -143,36 +131,17 @@ pub fn store_kind() -> StoreKind {
 /// Overrides the substrate choice at runtime, as `AMPC_STORE` would,
 /// without mutating the process environment: `Some(kind)` forces that
 /// substrate for subsequent seals, `None` re-reads `AMPC_STORE` on next
-/// use. Process-global — intended for the perf suite's A/B runs and the
-/// runtime's `--store` flag, not for concurrent use under live jobs
+/// use. Process-global — intended for the perf suite's socket rows and
+/// the runtime's `--store` flag, not for concurrent use under live jobs
 /// (the substrates are observationally equivalent, so a racing seal
 /// merely picks either one).
 pub fn force_store(kind: Option<StoreKind>) {
     let mode = match kind {
         Some(StoreKind::Flat) => MODE_FLAT,
-        Some(StoreKind::Sharded) => MODE_SHARDED,
         Some(StoreKind::Socket) => MODE_SOCKET,
         None => MODE_ENV,
     };
     STORE_MODE.store(mode, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Historical two-way form of [`force_store`]: `Some(true)` forces the
-/// pre-flat sharded baseline, `Some(false)` the flat layout, `None`
-/// re-reads `AMPC_STORE`. Kept for the perf suite's existing A/B entry
-/// points.
-pub fn force_store_layout(sharded: Option<bool>) {
-    force_store(kind_of_legacy(sharded));
-}
-
-fn kind_of_legacy(sharded: Option<bool>) -> Option<StoreKind> {
-    sharded.map(|s| {
-        if s {
-            StoreKind::Sharded
-        } else {
-            StoreKind::Flat
-        }
-    })
 }
 
 /// One logged write: `(key, writing machine, value)`. Stripes are
@@ -355,7 +324,6 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// Seal dispatch over the process-wide store mode.
     fn seal_current_mode(&self) -> Generation<V> {
         match store_kind() {
-            StoreKind::Sharded => self.seal_sharded_drain(),
             StoreKind::Flat => self.seal_flat(ampc_threads()),
             StoreKind::Socket => self.seal_flat(ampc_threads()).offload_to_socket(),
         }
@@ -635,62 +603,6 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
             size_bytes,
         }
     }
-
-    /// Seals into the pre-flat shard-of-hashmaps layout. Kept so the
-    /// perf suite can A/B the layouts on identical workloads and the
-    /// regression tests can pin read-path equivalence; kernels should
-    /// let [`Self::seal`] pick.
-    pub fn seal_sharded(self) -> Generation<V> {
-        self.seal_sharded_drain()
-    }
-
-    /// Sharded seal body: replays each stripe's log through the
-    /// incremental pre-flat resolution rule (stripe index ≡ shard
-    /// index: both are `mix64(key) % n`).
-    fn seal_sharded_drain(&self) -> Generation<V> {
-        let mut len = 0usize;
-        let mut size_bytes = 0usize;
-        let shards: Vec<FxHashMap<u64, V>> = self
-            .shards
-            .iter()
-            .map(|m| {
-                let mut log = m.lock();
-                let mut resolved: FxHashMap<u64, (u32, V)> = FxHashMap::default();
-                resolved.reserve(log.len());
-                for (k, mach, v) in log.drain(..) {
-                    match resolved.entry(k) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert((mach, v));
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let (prev_machine, prev_value) = e.get();
-                            if self.strict && *prev_machine != mach {
-                                debug_assert!(
-                                    *prev_value == v,
-                                    "conflicting cross-machine writes for key {k} \
-                                     (machines {prev_machine} and {mach}): the §3 \
-                                     determinism contract forbids schedule-dependent values"
-                                );
-                            }
-                            if mach <= *prev_machine {
-                                e.insert((mach, v));
-                            }
-                        }
-                    }
-                }
-                let shard: FxHashMap<u64, V> =
-                    resolved.into_iter().map(|(k, (_, v))| (k, v)).collect();
-                len += shard.len();
-                size_bytes += shard.values().map(|v| 8 + v.size_bytes()).sum::<usize>();
-                shard
-            })
-            .collect();
-        Generation {
-            repr: Repr::Sharded(ShardedSubstrate { shards }),
-            len,
-            size_bytes,
-        }
-    }
 }
 
 impl<V: Measured + Clone + PartialEq + Send + Wire> Default for GenerationWriter<V> {
@@ -699,7 +611,7 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> Default for GenerationWriter
     }
 }
 
-/// Sealed storage: one of the four substrates behind the
+/// Sealed storage: one of the three substrates behind the
 /// [`Substrate`] narrow waist. The enum (rather than a boxed trait
 /// object) keeps every in-memory read statically dispatched — the trait
 /// is the contract, the `match` is the (zero-cost) vtable.
@@ -708,8 +620,6 @@ enum Repr<V> {
     Dense(DenseSubstrate<V>),
     /// Single open-addressed table.
     Open(OpenSubstrate<V>),
-    /// Pre-flat shard-of-hashmaps baseline.
-    Sharded(ShardedSubstrate<V>),
     /// Values in shard-server processes, key index local.
     Socket(SocketSubstrate<V>),
 }
@@ -721,7 +631,6 @@ macro_rules! with_substrate {
         match &$gen.repr {
             Repr::Dense($s) => $body,
             Repr::Open($s) => $body,
-            Repr::Sharded($s) => $body,
             Repr::Socket($s) => $body,
         }
     };
@@ -775,9 +684,9 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     /// Looks a key up. Returns a reference into the sealed store.
     ///
     /// Dense layout: one bounds check, no hash. Open layout: one
-    /// [`mix64`] and a linear probe. Sharded (baseline) layout: the
-    /// historical double hash. Socket substrate: index lookup locally,
-    /// one wire fetch on first touch of a present key (memoized after).
+    /// [`mix64`] and a linear probe. Socket substrate: index lookup
+    /// locally, one wire fetch on first touch of a present key
+    /// (memoized after).
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
         with_substrate!(self, s => s.get(key))
@@ -794,26 +703,6 @@ impl<V: Measured + Clone + Wire> Generation<V> {
         out.clear();
         out.reserve(keys.len());
         with_substrate!(self, s => s.get_batch_with(keys, &mut |_, v| out.push(v)));
-    }
-
-    /// Batched lookup fast path for fixed-size `Copy` values: copies
-    /// each value into `out` (cleared first) instead of collecting
-    /// references, so the caller can reuse one flat scratch buffer
-    /// across hops with no borrow tying it to the generation. Same
-    /// batched pipeline as [`Self::get_many_into`].
-    ///
-    /// # Panics
-    /// When a key is absent — callers use this for keys they wrote
-    /// themselves (the workspace invariant for chase/label tables).
-    pub fn get_many_copied_into(&self, keys: &[u64], out: &mut Vec<V>)
-    where
-        V: Copy,
-    {
-        out.clear();
-        out.reserve(keys.len());
-        with_substrate!(self, s => s.get_batch_with(keys, &mut |_, v| {
-            out.push(*v.expect("get_many_copied_into: key absent"));
-        }));
     }
 
     /// Visitor form of the batched lookup: `f` is called once per key,
@@ -842,10 +731,9 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     /// at every slot index in slot order (`u64::MAX` marks an empty
     /// slot), prefixed by the layout kind. Two generations with equal
     /// fingerprints and equal [`Self::iter`] contents are byte-identical
-    /// in memory layout. Sharded generations report per-shard key sets
-    /// in sorted order (their in-shard layout is not canonical); a
-    /// socket generation's fingerprint equals the flat layout's by
-    /// construction (the key index *is* the flat slot structure).
+    /// in memory layout. A socket generation's fingerprint equals the
+    /// flat layout's by construction (the key index *is* the flat slot
+    /// structure).
     pub fn layout_fingerprint(&self) -> (ReprKind, Vec<u64>) {
         (
             self.repr_kind(),
@@ -854,8 +742,8 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     }
 
     /// Iterates all pairs. Dense generations iterate in ascending key
-    /// order (driven by the occupancy bitmap); other layouts iterate in
-    /// slot/shard order. Socket generations fetch any not-yet-memoized
+    /// order (driven by the occupancy bitmap); open layouts iterate in
+    /// slot order. Socket generations fetch any not-yet-memoized
     /// values first (in bounded per-shard batches), then iterate
     /// locally in the same order as the flat layout they mirror.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
@@ -864,32 +752,17 @@ impl<V: Measured + Clone + Wire> Generation<V> {
 
     /// Moves a flat-sealed generation's values to the socket shard
     /// servers, keeping the key index (and the cached `len`/
-    /// `size_bytes`) local. Sharded and empty generations pass through
-    /// untouched — an empty generation has nothing to serve, so it
-    /// never costs wire traffic.
-    fn offload_to_socket(self) -> Generation<V> {
-        let Generation {
-            repr,
-            len,
-            size_bytes,
-        } = self;
-        if len == 0 {
-            return Generation {
-                repr,
-                len,
-                size_bytes,
+    /// `size_bytes`) local. An empty generation passes through untouched
+    /// — it has nothing to serve, so it never costs wire traffic.
+    fn offload_to_socket(mut self) -> Generation<V> {
+        if self.len > 0 {
+            self.repr = match self.repr {
+                Repr::Dense(d) => Repr::Socket(SocketSubstrate::offload_dense(d.slots, d.occupied)),
+                Repr::Open(o) => Repr::Socket(SocketSubstrate::offload_open(o.slots, o.mask)),
+                socket @ Repr::Socket(_) => socket,
             };
         }
-        let repr = match repr {
-            Repr::Dense(d) => Repr::Socket(SocketSubstrate::offload_dense(d.slots, d.occupied)),
-            Repr::Open(o) => Repr::Socket(SocketSubstrate::offload_open(o.slots, o.mask)),
-            other => other,
-        };
-        Generation {
-            repr,
-            len,
-            size_bytes,
-        }
+        self
     }
 }
 
@@ -968,6 +841,7 @@ impl<V: Measured + Clone> Default for Dht<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn writer_seal_roundtrip() {
@@ -1117,14 +991,14 @@ mod tests {
         assert_eq!(sparse.get(12345), None);
     }
 
-    /// The in-memory layouts must agree on every lookup: dense, sparse
-    /// and shard-colliding adversarial key sets, hits and misses alike.
+    /// The flat layouts must agree with the baseline — a `BTreeMap`
+    /// oracle — on every lookup: dense, sparse and stripe-colliding
+    /// adversarial key sets, hits and misses alike.
     #[test]
     fn flat_layouts_match_sharded_baseline() {
         // Keys that all land in mix64 bucket 0 of the 64 writer stripes
-        // (the adversarial case for the old sharded layout: one shard
-        // holds everything) — and stress one probe neighborhood of the
-        // open table.
+        // (one stripe log holds everything) — and stress one probe
+        // neighborhood of the open table.
         let colliding: Vec<u64> = (0..200_000u64)
             .filter(|&k| mix64(k).is_multiple_of(64))
             .take(500)
@@ -1141,28 +1015,19 @@ mod tests {
                 }
                 w.seal_with_threads(1)
             };
-            let sharded: Generation<u64> = {
-                let w = GenerationWriter::new();
-                for &k in &keys {
-                    w.put(k, mix64(k));
-                }
-                w.seal_sharded()
-            };
-            assert_eq!(sharded.repr_kind(), ReprKind::Sharded);
-            assert_eq!(flat.len(), sharded.len());
-            assert_eq!(flat.size_bytes(), sharded.size_bytes());
+            let oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, mix64(k))).collect();
+            assert_eq!(flat.len(), oracle.len());
+            assert_eq!(flat.size_bytes(), oracle.len() * (8 + 8));
             for &k in &keys {
-                assert_eq!(flat.get(k), sharded.get(k), "key {k}");
+                assert_eq!(flat.get(k), oracle.get(&k), "key {k}");
                 // Probing for absent neighbors must agree too.
                 for probe in [k ^ 1, k.wrapping_add(64), !k] {
-                    assert_eq!(flat.get(probe), sharded.get(probe), "probe {probe}");
+                    assert_eq!(flat.get(probe), oracle.get(&probe), "probe {probe}");
                 }
             }
             let mut a: Vec<(u64, u64)> = flat.iter().map(|(k, v)| (k, *v)).collect();
-            let mut b: Vec<(u64, u64)> = sharded.iter().map(|(k, v)| (k, *v)).collect();
             a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(a, oracle.into_iter().collect::<Vec<_>>());
         }
     }
 
@@ -1198,13 +1063,14 @@ mod tests {
 
     #[test]
     fn store_kind_parse_round_trips() {
-        for kind in [StoreKind::Flat, StoreKind::Sharded, StoreKind::Socket] {
+        for kind in [StoreKind::Flat, StoreKind::Socket] {
             assert_eq!(StoreKind::parse(kind.as_str()), Some(kind));
             assert_eq!(
                 StoreKind::parse(&kind.as_str().to_ascii_uppercase()),
                 Some(kind)
             );
         }
+        assert_eq!(StoreKind::parse("sharded"), None);
         assert_eq!(StoreKind::parse("tcp"), None);
         assert_eq!(StoreKind::parse(""), None);
     }

@@ -1,11 +1,10 @@
 //! The substrate layer: where a sealed generation's data physically
 //! lives (DESIGN.md §12).
 //!
-//! [`crate::Generation`] used to be a closed enum of in-memory layouts.
-//! The [`Substrate`] trait is the redesigned narrow waist extracted
-//! from it: **seal** (building the substrate from resolved pairs),
+//! The [`Substrate`] trait is the narrow waist every sealed-store
+//! implementation satisfies: **seal** (building the substrate from resolved pairs),
 //! **batched reads** ([`Substrate::get_batch_with`] — the single entry
-//! point every `get_many*` handle variant now funnels through),
+//! point every `get_many*` handle variant funnels through),
 //! **batched writes** (the seal input *is* the batch; the lock-striped
 //! [`crate::GenerationWriter`] stays the one write front-end for every
 //! substrate), and the **layout fingerprint** the determinism suites
@@ -14,12 +13,10 @@
 //! demands: outputs, round counts and every `CommStats` field must be
 //! byte-identical whichever substrate serves the reads.
 //!
-//! Four substrates implement the trait:
+//! Three substrates implement the trait:
 //!
 //! * [`DenseSubstrate`] / [`OpenSubstrate`] — the flat in-memory
 //!   layouts (DESIGN.md §5.4), canonical and schedule-independent.
-//! * [`ShardedSubstrate`] — the pre-flat shard-of-hashmaps baseline
-//!   kept for perf A/Bs (`AMPC_STORE=sharded`).
 //! * [`SocketSubstrate`] — values live in **separate shard-server
 //!   processes** reached over Unix-domain sockets
 //!   (`AMPC_STORE=socket`, [`crate::socket`]). The client keeps only
@@ -28,7 +25,7 @@
 //!   by construction, and fetched values are memoized per slot so a
 //!   generation read twice crosses the wire once.
 
-use crate::hasher::{mix64, FxHashMap};
+use crate::hasher::mix64;
 use crate::measured::Measured;
 use crate::socket;
 use crate::wire::{encode_to_vec, Wire};
@@ -43,10 +40,6 @@ pub(crate) const PREFETCH_AHEAD: usize = 16;
 /// an array at most `DENSE_MAX_WASTE` times larger than the entry count
 /// (≥ 50% occupancy).
 pub(crate) const DENSE_MAX_WASTE: usize = 2;
-
-/// Shard count used when a [`ShardedSubstrate`] is sealed directly from
-/// pairs (matches the writer's default stripe count).
-const SEAL_SHARDS: usize = 64;
 
 /// Whether a resolved key set qualifies for the dense direct-index
 /// layout: the largest key must index an array at most
@@ -63,9 +56,6 @@ pub enum ReprKind {
     Dense,
     /// Single open-addressed table; one hash per read.
     Open,
-    /// Pre-flat shard-of-hashmaps (two hashes per read); the
-    /// `AMPC_STORE=sharded` baseline.
-    Sharded,
 }
 
 /// Where a substrate's *values* physically live. Orthogonal to
@@ -332,57 +322,6 @@ impl<V: Measured + Clone + Wire> Substrate<V> for OpenSubstrate<V> {
             self.slots
                 .iter()
                 .filter_map(|s| s.as_ref().map(|(k, v)| (*k, v))),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded (pre-flat baseline)
-// ---------------------------------------------------------------------
-
-/// The pre-flat layout: `mix64` picks a shard, the shard's map hashes
-/// again. Kept behind `AMPC_STORE=sharded` for perf A/Bs.
-pub struct ShardedSubstrate<V> {
-    pub(crate) shards: Vec<FxHashMap<u64, V>>,
-}
-
-impl<V: Measured + Clone + Wire> Substrate<V> for ShardedSubstrate<V> {
-    fn seal_pairs(pairs: Vec<(u64, V)>) -> Self {
-        let mut shards: Vec<FxHashMap<u64, V>> =
-            (0..SEAL_SHARDS).map(|_| FxHashMap::default()).collect();
-        for (k, v) in pairs {
-            shards[(mix64(k) % SEAL_SHARDS as u64) as usize].insert(k, v);
-        }
-        ShardedSubstrate { shards }
-    }
-
-    fn kind(&self) -> ReprKind {
-        ReprKind::Sharded
-    }
-
-    #[inline]
-    fn get(&self, key: u64) -> Option<&V> {
-        self.shards[(mix64(key) % self.shards.len() as u64) as usize].get(&key)
-    }
-
-    fn fingerprint_slots(&self) -> Vec<u64> {
-        // In-shard layout is not canonical: report per-shard key sets in
-        // sorted order with `u64::MAX` shard boundaries.
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut keys: Vec<u64> = shard.keys().copied().collect();
-            keys.sort_unstable();
-            out.extend(keys);
-            out.push(u64::MAX);
-        }
-        out
-    }
-
-    fn iter_pairs<'s>(&'s self) -> Box<dyn Iterator<Item = (u64, &'s V)> + 's> {
-        Box::new(
-            self.shards
-                .iter()
-                .flat_map(|s| s.iter().map(|(&k, v)| (k, v))),
         )
     }
 }
@@ -704,14 +643,13 @@ mod tests {
     fn in_memory_substrates_agree_on_reads() {
         let dense = DenseSubstrate::seal_pairs(pairs(300));
         let open = OpenSubstrate::seal_pairs(pairs(300));
-        let sharded = ShardedSubstrate::seal_pairs(pairs(300));
+        let oracle: std::collections::BTreeMap<u64, u64> = pairs(300).into_iter().collect();
         for k in 0..400u64 {
-            assert_eq!(dense.get(k), open.get(k), "key {k}");
-            assert_eq!(dense.get(k), sharded.get(k), "key {k}");
+            assert_eq!(dense.get(k), oracle.get(&k), "key {k}");
+            assert_eq!(open.get(k), oracle.get(&k), "key {k}");
         }
         assert_eq!(dense.kind(), ReprKind::Dense);
         assert_eq!(open.kind(), ReprKind::Open);
-        assert_eq!(sharded.kind(), ReprKind::Sharded);
         assert_eq!(dense.backend(), StoreBackend::InMemory);
     }
 

@@ -90,13 +90,13 @@ pub const KNOBS: &[KnobSpec] = &[
     },
     KnobSpec {
         name: "AMPC_STORE",
-        accepts: "flat | sharded | socket",
+        accepts: "flat | socket",
         default: "flat",
         doc: "Sealed-generation storage substrate (DESIGN.md §5.4, §12): \
-              the flat dense/open-addressed layout, the pre-flat \
-              shard-of-hashmaps baseline kept for perf A/B runs, or \
-              shard-server processes behind Unix-domain sockets. \
-              Observationally identical outputs in every mode.",
+              the flat dense/open-addressed in-memory layout, or the \
+              same layout with its values served by shard-server \
+              processes behind Unix-domain sockets. Observationally \
+              identical outputs in both modes.",
     },
     KnobSpec {
         name: "AMPC_THREADS",
@@ -166,24 +166,16 @@ pub fn ampc_scale() -> &'static str {
 }
 
 /// `AMPC_STORE`: the requested storage substrate, normalized to
-/// `"flat"`, `"sharded"` or `"socket"` (unset or unrecognized values
-/// default to `"flat"`). The store module caches the resolved mode in
+/// `"flat"` or `"socket"` (unset or unrecognized values default to
+/// `"flat"`). The store module caches the resolved mode in
 /// an atomic (and offers a runtime override); this is only the
 /// environment half. Callers map the token onto their own enum so this
 /// crate stays dependency-free.
 pub fn ampc_store() -> &'static str {
     match raw("AMPC_STORE").map(|v| v.to_ascii_lowercase()).as_deref() {
-        Some("sharded") => "sharded",
         Some("socket") => "socket",
         _ => "flat",
     }
-}
-
-/// `AMPC_STORE`: true when the pre-flat sharded sealed layout is
-/// requested. Historical boolean view of [`ampc_store`], kept for the
-/// perf suite's existing A/B entry points.
-pub fn ampc_store_sharded() -> bool {
-    ampc_store() == "sharded"
 }
 
 /// `AMPC_SOCKET_SHARDS`: how many shard-server processes the socket
@@ -239,9 +231,8 @@ mod tests {
         assert!(ampc_threads() >= 1);
         assert!(matches!(ampc_scale(), "test" | "mid" | "bench"));
         let _ = ampc_batch();
-        let _ = ampc_store_sharded();
         let _ = ampc_hot_keys();
-        assert!(matches!(ampc_store(), "flat" | "sharded" | "socket"));
+        assert!(matches!(ampc_store(), "flat" | "socket"));
         assert!(ampc_socket_shards() >= 1);
         // Chaos is never silently on: only a set, non-empty value
         // yields a spec string for the runtime to parse.

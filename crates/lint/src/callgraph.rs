@@ -23,9 +23,6 @@ pub const BATCHED_REQUESTS: &[&str] = &[
     "get_many_into",
     "get_many_with",
     "get_many_expect_into",
-    "try_get_many",
-    "get_many_through",
-    "get_many_through_into",
     "get_many_through_with",
     "put_many",
 ];

@@ -1,13 +1,17 @@
 //! Seeded chaos schedules: deterministic multi-fault injection.
 //!
-//! [`crate::fault::FaultPlan`] preempts one machine during one stage.
-//! Production conditions — the low-priority batch tier of the paper's
-//! §5.1 serving environment — are messier: several machines die in the
-//! same round, the same machine dies repeatedly, a whole rack stripe
-//! fails together, and DHT request batches time out and are re-sent.
-//! A [`ChaosSpec`] describes such a schedule, either as explicit kill
-//! lists or as seeded random generation, and a [`FaultSchedule`]
-//! materializes it for one job. Everything is a pure function of the
+//! §2 of the paper: *"An important characteristic of the AMPC model is
+//! that it is amenable to fault tolerant implementation … A fault
+//! tolerant implementation of AMPC can be derived by observing that each
+//! DHT can be made fault-tolerant."* The simplest fault is one machine
+//! preempted during one stage — `ChaosSpec::new(seed).with_kill(stage,
+//! machine)`. Production conditions — the low-priority batch tier of
+//! the paper's §5.1 serving environment — are messier: several machines
+//! die in the same round, the same machine dies repeatedly, a whole
+//! rack stripe fails together, and DHT request batches time out and are
+//! re-sent. A [`ChaosSpec`] describes any such schedule, either as
+//! explicit kill lists or as seeded random generation, and a
+//! [`FaultSchedule`] materializes it for one job. Everything is a pure function of the
 //! spec: no wall clock, no ambient randomness (DESIGN.md §3), so the
 //! same spec replays the same faults in the same order on every run.
 //!

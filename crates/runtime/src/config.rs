@@ -7,7 +7,6 @@
 //! `std::env::var` calls out of the rest of the tree.
 
 use crate::chaos::ChaosSpec;
-use crate::fault::FaultPlan;
 use ampc_dht::cost::CostConfig;
 use ampc_dht::store::StoreKind;
 
@@ -16,12 +15,10 @@ pub use ampc_knobs as knobs;
 /// Configuration of a simulated AMPC/MPC execution.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AmpcConfig {
-    /// Optional fault injection: preempt a machine mid-stage and replay
-    /// it (see [`crate::fault`]). `None` disables injection.
-    pub fault: Option<FaultPlan>,
-    /// Optional chaos schedule: seeded multi-fault kills and DHT batch
-    /// drops with retry/backoff (see [`crate::chaos`]). `None` — the
-    /// default unless the `AMPC_CHAOS` knob is set — disables it.
+    /// Optional chaos schedule: explicit or seeded machine kills
+    /// (preempt mid-stage, replay) and DHT batch drops with
+    /// retry/backoff (see [`crate::chaos`]). `None` — the default
+    /// unless the `AMPC_CHAOS` knob is set — disables injection.
     pub chaos: Option<ChaosSpec>,
     /// Number of machines `P`.
     pub num_machines: usize,
@@ -59,10 +56,6 @@ pub struct AmpcConfig {
     /// identical for every value. Defaults to `AMPC_THREADS`, falling
     /// back to the machine's available parallelism.
     pub threads: usize,
-    /// When true, rounds use the pre-pool executor (one fresh OS thread
-    /// per machine per round) instead of the persistent pool. The
-    /// `perf_suite` A/B baseline; never the default.
-    pub legacy_spawn: bool,
     /// Seed for all algorithm randomness (vertex/edge priorities,
     /// sampling). Two runs with equal seeds produce identical outputs.
     pub seed: u64,
@@ -100,7 +93,6 @@ fn chaos_default() -> Option<ChaosSpec> {
 impl Default for AmpcConfig {
     fn default() -> Self {
         AmpcConfig {
-            fault: None,
             chaos: chaos_default(),
             num_machines: 10,
             epsilon: 0.75,
@@ -109,7 +101,6 @@ impl Default for AmpcConfig {
             batching: batching_default(),
             hot_keys: knobs::ampc_hot_keys(),
             threads: ampc_dht::store::ampc_threads(),
-            legacy_spawn: false,
             store: None,
             seed: 0xA3C5,
             // Paper uses 5e7 on billion-edge graphs (~1/1000 of the
@@ -175,31 +166,10 @@ impl AmpcConfig {
         self
     }
 
-    /// Selects the pre-pool spawn-per-machine executor (the `perf_suite`
-    /// baseline).
-    pub fn with_legacy_spawn(mut self, legacy: bool) -> Self {
-        self.legacy_spawn = legacy;
-        self
-    }
-
     /// Forces a sealed-storage substrate for jobs driven under this
     /// configuration (see [`Self::store`]).
     pub fn with_store(mut self, kind: StoreKind) -> Self {
         self.store = Some(kind);
-        self
-    }
-
-    /// The execution policy rounds run under.
-    pub fn exec_policy(&self) -> crate::executor::ExecPolicy {
-        crate::executor::ExecPolicy {
-            threads: self.threads,
-            legacy_spawn: self.legacy_spawn,
-        }
-    }
-
-    /// Arms fault injection for jobs run under this configuration.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
         self
     }
 

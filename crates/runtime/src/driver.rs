@@ -3,7 +3,7 @@
 //!
 //! Before this module existed, all six kernel families (and every MPC
 //! baseline) duplicated the same scaffolding: build a [`Job`] from an
-//! [`AmpcConfig`] (which arms the fault plan), run the algorithm body,
+//! [`AmpcConfig`] (which arms the chaos schedule), run the algorithm body,
 //! call [`Job::into_report`], and — for the truncated query processes —
 //! maintain a round counter, a per-search budget with its `n^ε`
 //! escalation rule, the `O(S)` handle budget derived from it, and the
@@ -26,7 +26,6 @@
 
 use crate::chaos::ChaosSpec;
 use crate::config::AmpcConfig;
-use crate::fault::FaultPlan;
 use crate::job::Job;
 use crate::report::{JobReport, StageKind};
 use ampc_dht::cost::Network;
@@ -43,7 +42,7 @@ pub struct Driven<R> {
     pub wall_ns: u64,
 }
 
-/// Runs `body` inside a fresh [`Job`] under `cfg` (fault plan and all)
+/// Runs `body` inside a fresh [`Job`] under `cfg` (chaos schedule and all)
 /// and finalizes the report — the entry point the registry and the
 /// `ampc` CLI use so that every algorithm shares one code path from
 /// configuration to report.
@@ -177,9 +176,7 @@ pub struct DriverOptions {
     pub data_scale: Option<u64>,
     /// Space exponent ε.
     pub epsilon: Option<f64>,
-    /// Fault injection plan.
-    pub fault: Option<FaultPlan>,
-    /// Chaos schedule (multi-fault kills + DHT drops; `--chaos`).
+    /// Chaos schedule (machine kills + DHT drops; `--chaos`).
     pub chaos: Option<ChaosSpec>,
     /// Sealed-storage substrate (`--store`, mirroring `AMPC_STORE`;
     /// DESIGN.md §12).
@@ -216,9 +213,6 @@ impl DriverOptions {
         }
         if let Some(e) = self.epsilon {
             base.epsilon = e;
-        }
-        if let Some(f) = self.fault {
-            base = base.with_fault(f);
         }
         if let Some(c) = self.chaos {
             base = base.with_chaos(c);

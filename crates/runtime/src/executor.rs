@@ -2,17 +2,14 @@
 //!
 //! Machines are **work items** executed on the persistent
 //! [`crate::pool::WorkerPool`] that the process creates once and reuses
-//! across all rounds of all jobs (the pre-pool executor spawned one
-//! fresh OS thread per machine per round — hundreds of spawns per round
-//! in the 100-machine cycle configurations, pure simulation overhead).
-//! With `AMPC_THREADS=1` (or a single machine) the round runs inline on
-//! the caller thread through the exact same per-machine entry point
-//! that fault injection replays ([`run_one_machine`]), so replays are
-//! byte-identical whichever execution policy produced the original
-//! round. Each machine gets a metered [`MachineHandle`] onto the DHT
-//! plus a local operation counter; the round's outcome carries
-//! per-machine statistics so the cost model can charge the *bottleneck*
-//! machine.
+//! across all rounds of all jobs. With `AMPC_THREADS=1` (or a single
+//! machine) the round runs inline on the caller thread through the
+//! exact same per-machine entry point that fault injection replays
+//! ([`run_one_machine`]), so replays are byte-identical whether the
+//! original round ran inline or on the pool. Each machine gets a
+//! metered [`MachineHandle`] onto the DHT plus a local operation
+//! counter; the round's outcome carries per-machine statistics so the
+//! cost model can charge the *bottleneck* machine.
 
 use crate::pool::WorkerPool;
 use ampc_dht::fault::DropPlan;
@@ -21,45 +18,6 @@ use ampc_dht::measured::Measured;
 use ampc_dht::metrics::CommStats;
 use ampc_dht::store::{Generation, GenerationWriter};
 use ampc_dht::wire::Wire;
-
-/// How a round's machines are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecPolicy {
-    /// Concurrency bound: `1` runs every machine inline on the caller
-    /// thread; anything higher dispatches machines to the persistent
-    /// pool with at most `threads` of them executing at once (the
-    /// submitting thread plus up to `threads - 1` pool workers — see
-    /// [`WorkerPool::run_batch`]).
-    pub threads: usize,
-    /// When true, falls back to the pre-pool executor that spawns one
-    /// scoped OS thread per machine per round. Kept for A/B measurement
-    /// (the `perf_suite` baseline); never the default.
-    pub legacy_spawn: bool,
-}
-
-impl ExecPolicy {
-    /// Run everything inline on the caller thread.
-    pub fn inline() -> Self {
-        ExecPolicy {
-            threads: 1,
-            legacy_spawn: false,
-        }
-    }
-
-    /// The default policy: pool execution with `threads` concurrency.
-    pub fn pooled(threads: usize) -> Self {
-        ExecPolicy {
-            threads,
-            legacy_spawn: false,
-        }
-    }
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy::pooled(ampc_dht::store::ampc_threads())
-    }
-}
 
 /// Per-round execution parameters a machine body runs under, bundled so
 /// the replay entry point ([`run_one_machine`]) provably receives the
@@ -192,22 +150,29 @@ pub struct RoundOutcome<R> {
     pub outputs: Vec<R>,
     /// Per-machine statistics, indexed by machine id.
     pub per_machine: Vec<MachineRoundStats>,
+    /// How many of `outputs` each machine emitted, indexed by machine
+    /// id — bodies need not emit one output per input item, so replay
+    /// splices a victim's outputs by these recorded lengths.
+    pub output_lens: Vec<usize>,
 }
 
 impl<R> RoundOutcome<R> {
     /// Assembles the final outcome from per-machine results in machine
-    /// order (identical for every execution policy).
+    /// order (identical for every thread count).
     fn collect(results: Vec<Option<(Vec<R>, MachineRoundStats)>>) -> Self {
         let mut outputs = Vec::new();
         let mut per_machine = Vec::with_capacity(results.len());
+        let mut output_lens = Vec::with_capacity(results.len());
         for r in results {
             let (out, stats) = r.expect("machine result missing");
+            output_lens.push(out.len());
             outputs.extend(out);
             per_machine.push(stats);
         }
         RoundOutcome {
             outputs,
             per_machine,
+            output_lens,
         }
     }
 }
@@ -217,18 +182,21 @@ impl<R> RoundOutcome<R> {
 /// provided) go into the next generation under construction.
 ///
 /// `spec` carries the per-round execution parameters (query budget,
-/// batching mode, chaos drops, hot-key replication); `policy` selects
-/// inline, pooled or legacy spawn-per-machine execution; `scratch`
-/// lends each machine its persistent buffer arena. Outputs, per-machine
-/// statistics and the sealed result of `write` are identical across
-/// policies — execution policy is a wall-clock knob, never a semantic
-/// one.
+/// batching mode, chaos drops, hot-key replication); `threads` bounds
+/// how many machines execute at once — with one machine or one thread
+/// the round runs inline on the caller thread, otherwise machines are
+/// dispatched to the persistent pool (the submitting thread plus up to
+/// `threads - 1` pool workers — see [`WorkerPool::run_batch`]);
+/// `scratch` lends each machine its persistent buffer arena. Outputs,
+/// per-machine statistics and the sealed result of `write` are
+/// identical for every `threads` value — it is a wall-clock knob, never
+/// a semantic one.
 pub fn run_machines<V, T, R, F>(
     read: &Generation<V>,
     write: Option<&GenerationWriter<V>>,
     chunks: &[Vec<T>],
     spec: RoundSpec,
-    policy: ExecPolicy,
+    threads: usize,
     scratch: &mut RoundScratch,
     body: F,
 ) -> RoundOutcome<R>
@@ -242,24 +210,7 @@ where
     let mut results: Vec<Option<(Vec<R>, MachineRoundStats)>> = (0..p).map(|_| None).collect();
     let arenas = scratch.for_machines(p);
 
-    if policy.legacy_spawn {
-        // The pre-pool baseline, bit-for-bit: one fresh scoped OS
-        // thread per machine per round, even when `p == 1` or
-        // `threads == 1` — exactly what every round paid before the
-        // pool existed.
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for ((machine_id, chunk), arena) in chunks.iter().enumerate().zip(arenas.iter_mut()) {
-                let body = &body;
-                handles.push(scope.spawn(move || {
-                    run_one_machine(machine_id, read, write, chunk, spec, arena, body)
-                }));
-            }
-            for (slot, h) in results.iter_mut().zip(handles) {
-                *slot = Some(h.join().expect("machine thread panicked"));
-            }
-        });
-    } else if p <= 1 || policy.threads <= 1 {
+    if p <= 1 || threads <= 1 {
         // Single machine or single thread: no dispatch at all — run on
         // the caller thread through the replay entry point.
         for (machine_id, ((chunk, slot), arena)) in chunks
@@ -289,7 +240,7 @@ where
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        WorkerPool::global(policy.threads).run_batch(tasks, policy.threads);
+        WorkerPool::global(threads).run_batch(tasks, threads);
     }
 
     RoundOutcome::collect(results)
@@ -298,7 +249,7 @@ where
 /// Runs a single machine's share of a round. This is both the inline
 /// execution path and the replay path used by fault injection —
 /// replaying against the same sealed generation necessarily reproduces
-/// the same result, whichever policy ran the original round.
+/// the same result, whether the original round ran inline or pooled.
 pub fn run_one_machine<V, T, R, F>(
     machine_id: usize,
     read: &Generation<V>,
@@ -336,30 +287,22 @@ mod tests {
     use super::*;
     use crate::partition;
 
-    /// Policies a round must behave identically under.
-    fn policies() -> [ExecPolicy; 3] {
-        [
-            ExecPolicy::inline(),
-            ExecPolicy::pooled(4),
-            ExecPolicy {
-                threads: 4,
-                legacy_spawn: true,
-            },
-        ]
-    }
+    /// Thread counts a round must behave identically under: inline
+    /// and pooled.
+    const THREADS: [usize; 2] = [1, 4];
 
     #[test]
     fn outputs_in_machine_order() {
         let read: Generation<u64> = Generation::from_iter((0..100u64).map(|k| (k, k * 10)));
         let chunks = partition::chunk((0..100u64).collect(), 4);
         let mut scratch = RoundScratch::new();
-        for policy in policies() {
+        for threads in THREADS {
             let outcome = run_machines(
                 &read,
                 None,
                 &chunks,
                 RoundSpec::unbudgeted(),
-                policy,
+                threads,
                 &mut scratch,
                 |ctx, items| {
                     items
@@ -369,7 +312,7 @@ mod tests {
                 },
             );
             let expect: Vec<u64> = (0..100u64).map(|k| k * 10).collect();
-            assert_eq!(outcome.outputs, expect, "{policy:?}");
+            assert_eq!(outcome.outputs, expect, "{threads} threads");
         }
     }
 
@@ -378,13 +321,13 @@ mod tests {
         let read: Generation<u64> = Generation::from_iter((0..40u64).map(|k| (k, k)));
         let chunks = partition::chunk((0..40u64).collect(), 4);
         let mut scratch = RoundScratch::new();
-        for policy in policies() {
+        for threads in THREADS {
             let outcome = run_machines(
                 &read,
                 None,
                 &chunks,
                 RoundSpec::unbudgeted(),
-                policy,
+                threads,
                 &mut scratch,
                 |ctx, items| {
                     for &k in items {
@@ -396,15 +339,15 @@ mod tests {
             );
             assert_eq!(outcome.per_machine.len(), 4);
             for m in &outcome.per_machine {
-                assert_eq!(m.comm.queries, 10, "{policy:?}");
-                assert_eq!(m.ops, 30, "{policy:?}");
+                assert_eq!(m.comm.queries, 10, "{threads} threads");
+                assert_eq!(m.ops, 30, "{threads} threads");
             }
         }
     }
 
     #[test]
     fn writes_visible_after_seal_under_every_policy() {
-        for policy in policies() {
+        for threads in THREADS {
             let read: Generation<u64> = Generation::empty();
             let writer = GenerationWriter::new();
             let chunks = partition::chunk((0..20u64).collect(), 3);
@@ -414,7 +357,7 @@ mod tests {
                 Some(&writer),
                 &chunks,
                 RoundSpec::unbudgeted(),
-                policy,
+                threads,
                 &mut scratch,
                 |ctx, items| {
                     for &k in items {
@@ -424,16 +367,16 @@ mod tests {
                 },
             );
             let sealed = writer.seal();
-            assert_eq!(sealed.len(), 20, "{policy:?}");
-            assert_eq!(sealed.get(7), Some(&8), "{policy:?}");
+            assert_eq!(sealed.len(), 20, "{threads} threads");
+            assert_eq!(sealed.get(7), Some(&8), "{threads} threads");
         }
     }
 
-    /// The pool and the legacy spawn executor must seal byte-identical
+    /// The pool and the inline path must seal byte-identical
     /// generations from racing duplicate writers.
     #[test]
     fn pool_and_spawn_seal_identical_generations() {
-        let run = |policy: ExecPolicy| {
+        let run = |threads: usize| {
             let read: Generation<u64> = Generation::empty();
             let writer = GenerationWriter::new();
             // Every machine writes the shared keys with equal values
@@ -445,7 +388,7 @@ mod tests {
                 Some(&writer),
                 &chunks,
                 RoundSpec::unbudgeted(),
-                policy,
+                threads,
                 &mut scratch,
                 |ctx, items| {
                     for &m in items {
@@ -459,16 +402,10 @@ mod tests {
             );
             writer.seal_with_threads(1)
         };
-        let pooled = run(ExecPolicy::pooled(4));
-        let spawned = run(ExecPolicy {
-            threads: 4,
-            legacy_spawn: true,
-        });
-        let inline = run(ExecPolicy::inline());
-        assert_eq!(pooled.layout_fingerprint(), spawned.layout_fingerprint());
+        let pooled = run(4);
+        let inline = run(1);
         assert_eq!(pooled.layout_fingerprint(), inline.layout_fingerprint());
         let pairs = |g: &Generation<u64>| g.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>();
-        assert_eq!(pairs(&pooled), pairs(&spawned));
         assert_eq!(pairs(&pooled), pairs(&inline));
     }
 
@@ -508,7 +445,7 @@ mod tests {
             None,
             &chunks,
             RoundSpec::unbudgeted(),
-            ExecPolicy::inline(),
+            1,
             &mut scratch,
             body,
         );
@@ -520,7 +457,7 @@ mod tests {
                 batching: false,
                 ..RoundSpec::unbudgeted()
             },
-            ExecPolicy::inline(),
+            1,
             &mut scratch,
             body,
         );
@@ -541,7 +478,7 @@ mod tests {
         let chunks = partition::chunk(vec![0u64, 500], 2);
         let budget = 5u64;
         let mut scratch = RoundScratch::new();
-        for policy in policies() {
+        for threads in THREADS {
             let outcome = run_machines(
                 &read,
                 None,
@@ -550,7 +487,7 @@ mod tests {
                     budget,
                     ..RoundSpec::unbudgeted()
                 },
-                policy,
+                threads,
                 &mut scratch,
                 |ctx, items| {
                     items
@@ -568,9 +505,13 @@ mod tests {
                 },
             );
             // Each machine ran one chain and was cut off after `budget` hops.
-            assert_eq!(outcome.outputs, vec![budget, 500 + budget], "{policy:?}");
+            assert_eq!(
+                outcome.outputs,
+                vec![budget, 500 + budget],
+                "{threads} threads"
+            );
             for m in &outcome.per_machine {
-                assert_eq!(m.comm.queries, budget, "{policy:?}");
+                assert_eq!(m.comm.queries, budget, "{threads} threads");
             }
         }
     }
@@ -586,7 +527,7 @@ mod tests {
                 None,
                 &chunks,
                 RoundSpec::unbudgeted(),
-                ExecPolicy::pooled(4),
+                4,
                 &mut scratch,
                 |ctx, items| {
                     if ctx.machine_id == 2 {

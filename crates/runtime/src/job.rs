@@ -3,7 +3,6 @@
 use crate::chaos::{ChaosSpec, FaultSchedule};
 use crate::config::AmpcConfig;
 use crate::executor::{self, MachineCtx, MachineRoundStats, RoundScratch, RoundSpec};
-use crate::fault::FaultPlan;
 use crate::partition;
 use crate::report::{JobReport, StageKind, StageReport};
 use ampc_dht::measured::Measured;
@@ -17,7 +16,6 @@ use std::time::Instant;
 pub struct Job {
     cfg: AmpcConfig,
     report: JobReport,
-    fault: Option<FaultPlan>,
     chaos: Option<FaultSchedule>,
     stage_index: usize,
     /// True between an [`Self::epoch`] mark and the next KV round: that
@@ -29,27 +27,19 @@ pub struct Job {
 }
 
 impl Job {
-    /// Starts a job under the given configuration (inheriting its fault
-    /// plan and chaos schedule, if any).
+    /// Starts a job under the given configuration (inheriting its
+    /// chaos schedule, if any).
     pub fn new(cfg: AmpcConfig) -> Self {
         let p = cfg.num_machines;
-        let fault = cfg.fault;
         let chaos = cfg.chaos.map(FaultSchedule::new);
         Job {
             cfg,
             report: JobReport::new(p),
-            fault,
             chaos,
             stage_index: 0,
             epoch_kv_pending: false,
             scratch: RoundScratch::new(),
         }
-    }
-
-    /// Arms fault injection.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self
     }
 
     /// Arms a chaos schedule (see [`crate::chaos`]).
@@ -248,7 +238,7 @@ impl Job {
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
     {
         let stage = self.next_stage_index();
-        let policy = self.cfg.exec_policy();
+        let threads = self.cfg.threads;
         let spec = RoundSpec {
             budget,
             batching: self.cfg.batching,
@@ -276,28 +266,19 @@ impl Job {
         // `self` so replay below can borrow both `self` and the arenas).
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut outcome =
-            executor::run_machines(read, write, chunks, spec, policy, &mut scratch, &body);
+            executor::run_machines(read, write, chunks, spec, threads, &mut scratch, &body);
 
         // Fault injection: each victim's first attempt is thrown away
         // and its chunk replayed against the same sealed input, in
         // ascending machine order (deterministic replay order; repeats
         // allowed — a machine killed twice is replayed twice). Victims
-        // come from the legacy single-fault plan plus the chaos
-        // schedule's explicit and seeded kills.
-        let mut victims: Vec<(usize, f64)> = Vec::new();
-        if !chunks.is_empty() {
-            if let Some(f) = self.fault {
-                if f.fires_at(stage) {
-                    victims.push((f.machine % chunks.len(), f.charge_progress()));
-                }
-            }
-            if let Some(c) = self.chaos {
-                for m in c.victims(stage, epoch_first_kv, chunks.len()) {
-                    victims.push((m, c.progress(stage, m)));
-                }
-            }
-            victims.sort_by_key(|v| v.0);
-        }
+        // are the chaos schedule's explicit and seeded kills.
+        let victims: Vec<(usize, f64)> = self.chaos.map_or_else(Vec::new, |c| {
+            c.victims(stage, epoch_first_kv, chunks.len())
+                .into_iter()
+                .map(|m| (m, c.progress(stage, m)))
+                .collect()
+        });
         let mut extra_sim = 0u64;
         let stage_replays = victims.len() as u64;
         for &(victim, progress) in &victims {
@@ -312,12 +293,13 @@ impl Job {
                 scratch.machine(victim),
                 &body,
             );
-            // Splice the replayed outputs over the victim's originals
-            // (length-preserving, so offsets stay valid across victims).
-            let start: usize = (0..victim)
-                .map(|i| chunk_output_len(&outcome, i, chunks))
-                .sum();
-            let len = chunk_output_len(&outcome, victim, chunks);
+            // Splice the replayed outputs over the victim's originals,
+            // located by the per-machine lengths the round recorded.
+            // Replay is deterministic, so the splice preserves length
+            // and the offsets stay valid across victims.
+            let start: usize = outcome.output_lens[..victim].iter().sum();
+            let len = outcome.output_lens[victim];
+            debug_assert_eq!(replayed.len(), len, "replay changed the output count");
             outcome.outputs.splice(start..start + len, replayed);
             extra_sim += wasted + self.machine_time_ns(&stats);
             self.report.replays += 1;
@@ -338,8 +320,7 @@ impl Job {
             comm,
             shuffle_bytes: 0,
             shuffle_bytes_max_machine: 0,
-            // Cached at seal time, so recording it per round is O(1)
-            // (the pre-flat layout re-walked every shard here).
+            // Cached at seal time, so recording it per round is O(1).
             gen_bytes: read.size_bytes() as u64,
             ops,
             sim_ns: self.cfg.cost.stage_overhead_ns + bottleneck + extra_sim,
@@ -405,28 +386,6 @@ impl Job {
     }
 }
 
-/// Output length contributed by machine `i` — valid because bodies emit
-/// one output per input item in all workspace algorithms that enable
-/// fault injection. For variable-arity bodies, fault injection replays
-/// the whole job instead (see integration tests).
-fn chunk_output_len<R, T>(
-    outcome: &executor::RoundOutcome<R>,
-    i: usize,
-    chunks: &[Vec<T>],
-) -> usize {
-    // If total outputs == total inputs, per-machine output length equals
-    // its chunk length (1:1 bodies). Otherwise we cannot attribute:
-    // conservatively treat all outputs as machine 0's when i == 0.
-    let total_in: usize = chunks.iter().map(Vec::len).sum();
-    if outcome.outputs.len() == total_in {
-        chunks[i].len()
-    } else if i == 0 {
-        outcome.outputs.len()
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,10 +445,10 @@ mod tests {
     #[test]
     fn fault_replay_produces_same_outputs() {
         let read: Generation<u64> = Generation::from_iter((0..64u64).map(|k| (k, k * 7)));
-        let run = |fault: Option<FaultPlan>| -> (Vec<u64>, u64) {
+        let run = |kill: Option<ChaosSpec>| -> (Vec<u64>, u64) {
             let mut job = Job::new(AmpcConfig::for_tests());
-            if let Some(f) = fault {
-                job = job.with_fault(f);
+            if let Some(k) = kill {
+                job = job.with_chaos(k);
             }
             let out = job.kv_round("r", &read, None, (0..64u64).collect(), |ctx, items| {
                 items
@@ -501,10 +460,38 @@ mod tests {
             (out, replays)
         };
         let (clean, r0) = run(None);
-        let (faulted, r1) = run(Some(FaultPlan::new(0, 2)));
+        let (faulted, r1) = run(Some(ChaosSpec::new(1).with_kill(0, 2)));
         assert_eq!(clean, faulted);
         assert_eq!(r0, 0);
         assert_eq!(r1, 1);
+    }
+
+    /// Bodies need not emit one output per input: the splice goes by
+    /// the lengths the round recorded, at machine 0 and past it.
+    #[test]
+    fn replay_splices_variable_arity_outputs() {
+        let read: Generation<u64> = Generation::from_iter((0..40u64).map(|k| (k, k * 7)));
+        let run = |kill: Option<(u32, u32)>| -> Vec<u64> {
+            let mut job = Job::new(AmpcConfig::for_tests());
+            if let Some((stage, machine)) = kill {
+                job = job.with_chaos(ChaosSpec::new(1).with_kill(stage, machine));
+            }
+            // Two outputs per multiple of three, none otherwise: the
+            // four machines emit 8, 6, 6 and 8 outputs.
+            job.kv_round("r", &read, None, (0..40u64).collect(), |ctx, items| {
+                let mut out = Vec::new();
+                for &k in items.iter().filter(|&&k| k % 3 == 0) {
+                    let v = *ctx.handle.get(k).unwrap();
+                    out.extend([v, v + 1]);
+                }
+                out
+            })
+        };
+        let clean = run(None);
+        assert_eq!(clean.len(), 28);
+        for machine in 0..4 {
+            assert_eq!(run(Some((0, machine))), clean, "kill at machine {machine}");
+        }
     }
 
     #[test]
@@ -518,7 +505,8 @@ mod tests {
         };
         let mut clean = Job::new(AmpcConfig::for_tests());
         clean.kv_round("r", &read, None, (0..64u64).collect(), body);
-        let mut faulty = Job::new(AmpcConfig::for_tests()).with_fault(FaultPlan::new(0, 1));
+        let mut faulty =
+            Job::new(AmpcConfig::for_tests()).with_chaos(ChaosSpec::new(1).with_kill(0, 1));
         faulty.kv_round("r", &read, None, (0..64u64).collect(), body);
         assert!(faulty.report().sim_ns() > clean.report().sim_ns());
     }

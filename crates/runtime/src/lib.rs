@@ -22,24 +22,24 @@
 //!   [`ampc_dht::MachineHandle`] that carries the machine's id (for
 //!   deterministic duplicate-write resolution), its enforced `O(S)`
 //!   query budget, and the §5.3 batching mode — lookup latency is
-//!   charged per batched round trip, bandwidth per key. The execution
-//!   policy is purely a wall-clock knob: outputs, round counts and
-//!   `CommStats` are identical under every policy, including the
-//!   retained pre-pool spawn-per-machine baseline.
+//!   charged per batched round trip, bandwidth per key. The thread
+//!   count is purely a wall-clock knob: outputs, round counts and
+//!   `CommStats` are identical for every value.
 //! * Every stage appends a [`report::StageReport`]; the final
 //!   [`report::JobReport`] carries everything the benchmark harness needs
 //!   to regenerate the paper's tables and figures: shuffle counts
 //!   (Table 3), bytes shuffled and KV bytes (Figures 3 & 9), per-stage
 //!   simulated time breakdowns (Figures 5–7), and machine-count scaling
 //!   (Figure 8).
-//! * [`fault`] demonstrates the fault-tolerance property of §2: because
+//! * [`chaos`] demonstrates the fault-tolerance property of §2: because
 //!   sealed DHT generations are immutable, replaying a preempted
-//!   machine's work yields byte-identical results. [`chaos`] generalizes
-//!   it to seeded multi-fault **schedules** — several machines per
+//!   machine's work yields byte-identical results. A schedule is one
+//!   explicit kill or a seeded multi-fault mix — several machines per
 //!   stage, repeated kills, correlated stripes, epoch-targeted kills
 //!   for the dynamic kernels, and DHT batch drops retried with capped
-//!   exponential backoff — under the same invariant: outputs stay
-//!   byte-identical, only simulated time and retry counters change.
+//!   exponential backoff — always under the same invariant: outputs
+//!   stay byte-identical, only simulated time and retry counters
+//!   change.
 //! * [`driver`] owns the orchestration kernels used to hand-roll —
 //!   job lifecycle ([`driver::drive`]), truncated-round budget
 //!   bookkeeping ([`driver::AdaptiveRounds`]), config resolution
@@ -59,7 +59,6 @@ pub mod chaos;
 pub mod config;
 pub mod driver;
 pub mod executor;
-pub mod fault;
 pub mod job;
 pub mod partition;
 pub mod pool;

@@ -29,8 +29,7 @@
 //!   `unsafe` in the workspace and is documented at the cast.
 //! * **Panics propagate.** A panicking work item is caught on the
 //!   worker, recorded in its batch, and re-raised on the submitting
-//!   thread after the batch completes — identical observable behavior
-//!   to the old spawn-per-machine executor.
+//!   thread after the batch completes.
 
 #![allow(unsafe_code)] // lifetime erasure for scoped work items; see run_batch.
 

@@ -49,9 +49,8 @@ pub struct StageReport {
     /// Wall-clock time the simulation itself took (informational).
     pub wall_ns: u64,
     /// Machines killed and replayed during this stage by fault
-    /// injection (legacy single-fault plan plus chaos schedules —
-    /// see [`crate::chaos`]). Zero outside fault runs; a machine
-    /// killed twice in one stage counts twice.
+    /// injection (see [`crate::chaos`]). Zero outside fault runs; a
+    /// machine killed twice in one stage counts twice.
     #[serde(default)]
     pub replays: u64,
 }

@@ -4,9 +4,10 @@
 //! schedule — seeded random kills, repeated explicit kills, correlated
 //! stripes, epoch-targeted kills, DHT batch drops with capped-backoff
 //! retries — every kernel family's output is **byte-identical** to the
-//! fault-free run, under both sealed-storage layouts and any executor
-//! thread count. Only simulated time and the new replay/retry counters
-//! may differ, and those are themselves deterministic per seed.
+//! fault-free run, under either sealed-storage substrate (`AMPC_STORE`)
+//! and any executor thread count. Only simulated time and the
+//! replay/retry counters may differ, and those are themselves
+//! deterministic per seed.
 
 use ampc::prelude::*;
 use ampc_core::algorithm::digest_u64s;
@@ -43,6 +44,7 @@ fn families() -> Vec<Family> {
     let g = tiny();
     let weighted = gen::random_weights(&tiny(), 1_000, 7);
     let cycles = gen::two_cycles(200, 11);
+    let one_cycle = gen::single_cycle(4000, 3);
     let dyn_g = tiny();
     let batches = ampc_graph::dynamic::generate_batches(
         &dyn_g,
@@ -89,13 +91,11 @@ fn families() -> Vec<Family> {
         ),
         (
             "one_vs_two",
-            Box::new(move |c: &AmpcConfig| {
-                let r = one_vs_two::ampc_one_vs_two(&cycles, c);
-                (
-                    digest_u64s([matches!(r.answer, CycleAnswer::Two) as u64]),
-                    r.report,
-                )
-            }),
+            Box::new(move |c: &AmpcConfig| cycle_digest(&cycles, c)),
+        ),
+        (
+            "one_vs_two-single",
+            Box::new(move |c: &AmpcConfig| cycle_digest(&one_cycle, c)),
         ),
         (
             "walks",
@@ -126,6 +126,20 @@ fn families() -> Vec<Family> {
             }),
         ),
     ]
+}
+
+/// 1-vs-2-cycle digests the answer *and* the cycle count: the boolean
+/// alone cannot tell a wrong count (3 cycles found in a 2-cycle input)
+/// from the right one.
+fn cycle_digest(g: &CsrGraph, c: &AmpcConfig) -> (u64, JobReport) {
+    let r = one_vs_two::ampc_one_vs_two(g, c);
+    (
+        digest_u64s([
+            matches!(r.answer, CycleAnswer::Two) as u64,
+            r.num_cycles as u64,
+        ]),
+        r.report,
+    )
 }
 
 #[test]
@@ -167,29 +181,23 @@ fn chaos_counters_deterministic_across_layouts_and_threads() {
     let (_, run) = families().remove(0); // mis
     let (clean_digest, _) = run(&cfg());
     let mut fingerprints = Vec::new();
-    for sharded in [false, true] {
-        ampc_dht::store::force_store_layout(Some(sharded));
-        for threads in [1, 2, 8] {
-            let c = cfg().with_threads(threads).with_chaos(schedule());
-            let (digest, report) = run(&c);
-            assert_eq!(
-                digest, clean_digest,
-                "sharded={sharded}, threads={threads}: output changed"
-            );
-            let kv = report.kv_comm();
-            fingerprints.push((
-                report.replays,
-                kv.retries,
-                kv.wasted_batches,
-                kv.backoff_units,
-                report.sim_ns(),
-            ));
-        }
+    for threads in [1, 2, 8] {
+        let c = cfg().with_threads(threads).with_chaos(schedule());
+        let (digest, report) = run(&c);
+        assert_eq!(digest, clean_digest, "threads={threads}: output changed");
+        let kv = report.kv_comm();
+        fingerprints.push((
+            report.replays,
+            kv.retries,
+            kv.wasted_batches,
+            kv.backoff_units,
+            report.sim_ns(),
+        ));
     }
-    ampc_dht::store::force_store_layout(None);
     // Drop decisions hash (seed, machine, batch ordinal); kill rolls
-    // hash (seed, stage, machine). Neither sees the layout or the
-    // thread schedule, so every fingerprint is identical.
+    // hash (seed, stage, machine). Neither sees the layout (whichever
+    // `AMPC_STORE` selects) or the thread schedule, so every
+    // fingerprint is identical.
     assert!(
         fingerprints.iter().all(|f| *f == fingerprints[0]),
         "retry/replay accounting diverged across layouts/threads: {fingerprints:?}"
@@ -265,13 +273,32 @@ fn stripe_schedule_stays_byte_identical() {
 }
 
 #[test]
-fn chaos_composes_with_legacy_fault_plan() {
+fn two_explicit_kills_replay_twice() {
     let g = tiny();
     let clean = mis::ampc_mis(&g, &cfg());
-    let c = cfg()
-        .with_fault(ampc_runtime::fault::FaultPlan::new(2, 0))
-        .with_chaos(ChaosSpec::new(9).with_kill(2, 3));
-    let faulted = mis::ampc_mis(&g, &c);
+    let spec = ChaosSpec::parse("chaos:seed=9:kill=2.0+2.3").unwrap();
+    let faulted = mis::ampc_mis(&g, &cfg().with_chaos(spec));
     assert_eq!(faulted.in_mis, clean.in_mis);
-    assert_eq!(faulted.report.replays, 2, "legacy plan + chaos kill");
+    assert_eq!(faulted.report.replays, 2, "one replay per listed kill");
+}
+
+/// The `Search` body of 1-vs-2-cycle emits two walks per sample, so a
+/// replay must splice by the victim's recorded output length: on a
+/// single cycle, one explicit kill in `Search` (stage 2) — at machine 0
+/// and at a machine past it — still finds exactly one cycle.
+#[test]
+fn one_vs_two_search_kill_keeps_the_cycle_count() {
+    let g = gen::single_cycle(4000, 3);
+    let c = AmpcConfig::for_tests();
+    let clean = one_vs_two::ampc_one_vs_two(&g, &c);
+    assert_eq!(clean.report.stages[2].name, "Search");
+    assert_eq!((clean.answer, clean.num_cycles), (CycleAnswer::One, 1));
+    for machine in [0, 1, 3] {
+        let spec = ChaosSpec::new(1).with_kill(2, machine);
+        let faulted = one_vs_two::ampc_one_vs_two(&g, &c.with_chaos(spec));
+        assert_eq!(faulted.answer, CycleAnswer::One, "kill=2.{machine}");
+        assert_eq!(faulted.num_cycles, 1, "kill=2.{machine}");
+        assert_eq!(faulted.report.replays, 1, "kill=2.{machine}");
+        assert_eq!(faulted.report.stages[2].replays, 1, "kill=2.{machine}");
+    }
 }

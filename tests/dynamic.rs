@@ -3,11 +3,12 @@
 //! The acceptance contract (ISSUE 5): after **every** update batch, the
 //! maintained AMPC labels are byte-identical to the MPC
 //! recompute-from-scratch baseline, across multiple batch schedules and
-//! under **both** sealed storage layouts (flat and `AMPC_STORE=sharded`),
-//! with one DHT-generation epoch per batch.
+//! under **both** sealed storage substrates (flat and
+//! `AMPC_STORE=socket`), with one DHT-generation epoch per batch.
 
 use ampc::prelude::*;
 use ampc_core::dynamic::{ampc_dynamic_cc, validate_dynamic_labels};
+use ampc_dht::store::{force_store, StoreKind};
 use ampc_graph::dynamic::{generate_batches, BatchMix, DynamicSource, UpdateBatch};
 use ampc_graph::gen;
 use ampc_mpc::dynamic::mpc_recompute_cc;
@@ -60,46 +61,46 @@ fn maintained_equals_recompute_on_every_batch_and_schedule() {
     }
 }
 
-/// Both storage layouts, in one test so the process-global layout
-/// override is never racing another layout-sensitive assertion: the
+/// Both storage substrates, in one test so the process-global store
+/// override is never racing another store-sensitive assertion: the
 /// maintained kernel must produce identical labels *and* identical
-/// round structure / communication under the flat and sharded sealed
-/// layouts, on every schedule.
+/// round structure / communication with every epoch's generation held
+/// in memory and held by the socket shard servers, on every schedule.
 #[test]
 fn both_storage_layouts_agree_per_batch() {
     let g = gen::erdos_renyi(250, 380, 7);
     let c = cfg(0xD11B);
     for (name, batches) in schedules(&g) {
-        ampc_dht::store::force_store_layout(Some(false));
+        force_store(Some(StoreKind::Flat));
         let flat = ampc_dynamic_cc(&g, &batches, &c);
-        ampc_dht::store::force_store_layout(Some(true));
-        let sharded = ampc_dynamic_cc(&g, &batches, &c);
-        ampc_dht::store::force_store_layout(None);
+        force_store(Some(StoreKind::Socket));
+        let socket = ampc_dynamic_cc(&g, &batches, &c);
+        force_store(None);
         assert_eq!(
-            flat.labels, sharded.labels,
-            "{name}: labels differ across layouts"
+            flat.labels, socket.labels,
+            "{name}: labels differ across substrates"
         );
         assert_eq!(
             flat.report.kv_comm(),
-            sharded.report.kv_comm(),
-            "{name}: CommStats differ across layouts"
+            socket.report.kv_comm(),
+            "{name}: CommStats differ across substrates"
         );
         assert_eq!(
             flat.report.num_kv_rounds(),
-            sharded.report.num_kv_rounds(),
+            socket.report.num_kv_rounds(),
             "{name}"
         );
         assert_eq!(
             flat.report.num_epochs(),
-            sharded.report.num_epochs(),
+            socket.report.num_epochs(),
             "{name}"
         );
-        // And the sharded-layout labels still match the recompute
-        // baseline (run under the default flat layout).
+        // And the socket-served labels still match the recompute
+        // baseline (run under the ambient store).
         let recomputed = mpc_recompute_cc(&g, &batches, &c);
         assert_eq!(
-            sharded.labels, recomputed.labels,
-            "{name}: sharded vs recompute"
+            socket.labels, recomputed.labels,
+            "{name}: socket vs recompute"
         );
     }
 }

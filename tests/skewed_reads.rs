@@ -4,8 +4,9 @@
 //! The invariant under test: replicating hot keys (`AMPC_HOT_KEYS` /
 //! [`AmpcConfig::with_hot_keys`]) is an execution-strategy optimization
 //! **only** — outputs and `CommStats` are byte-identical with
-//! replication on or off, under both sealed-storage layouts, any
-//! executor thread count, and composed with a seeded chaos schedule.
+//! replication on or off, under either sealed-storage substrate
+//! (`AMPC_STORE`), any executor thread count, and composed with a
+//! seeded chaos schedule.
 //! A replica-served read still charges the queries/bytes a DHT-served
 //! read would; only wall-clock may change.
 
@@ -25,8 +26,8 @@ fn cfg() -> AmpcConfig {
     }
 }
 
-/// Tests here flip the process-global sealed-layout override and read
-/// the process-global clone probe, so they serialize on this lock.
+/// Tests here read the process-global clone probe, so they serialize
+/// on this lock.
 static GLOBAL_STATE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const N: u64 = 1 << 12;
@@ -134,23 +135,17 @@ fn fingerprint(c: &AmpcConfig) -> (u64, usize, u64, ampc_dht::metrics::CommStats
 }
 
 /// Replication is invisible to outputs and accounting across the whole
-/// (layout × threads × capacity) matrix.
+/// (threads × capacity) matrix, under whichever layout the ambient
+/// `AMPC_STORE` selects.
 #[test]
 fn replication_invisible_across_layouts_threads_and_capacities() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
     let reference = fingerprint(&cfg());
-    for sharded in [false, true] {
-        ampc_dht::store::force_store_layout(Some(sharded));
-        for threads in [1, 2, 8] {
-            for hot in [0, 4, 64] {
-                let got = fingerprint(&cfg().with_threads(threads).with_hot_keys(hot));
-                assert_eq!(
-                    got, reference,
-                    "sharded={sharded} threads={threads} hot={hot}"
-                );
-            }
+    for threads in [1, 2, 8] {
+        for hot in [0, 4, 64] {
+            let got = fingerprint(&cfg().with_threads(threads).with_hot_keys(hot));
+            assert_eq!(got, reference, "threads={threads} hot={hot}");
         }
-        ampc_dht::store::force_store_layout(None);
     }
 }
 

@@ -1,22 +1,22 @@
 //! Regression suite for the flat sealed storage layout and the
 //! persistent executor pool (DESIGN.md §5.4).
 //!
-//! The flat layouts (dense direct-index, open-addressed) and the pool
-//! are wall-clock optimizations: this suite pins that they are
-//! *observationally equivalent* to the pre-flat sharded layout and the
-//! spawn-per-machine executor — identical kernel outputs, round counts
-//! and `CommStats` — and that the sealed flat representation is a pure
-//! function of what was written (byte-identical across thread counts
-//! and execution policies).
+//! The flat layouts (dense direct-index, open-addressed), the socket
+//! substrate and the pool are wall-clock choices: this suite pins that
+//! they are *observationally equivalent* — reads agree with a
+//! `BTreeMap` oracle, kernel outputs, round counts and `CommStats` are
+//! identical inline and pooled and under both substrates — and that
+//! the sealed flat representation is a pure function of what was
+//! written (byte-identical across thread counts).
 
 use ampc::prelude::*;
 use ampc_core::one_vs_two;
 use ampc_dht::hasher::mix64;
-use ampc_dht::store::{
-    force_store, Generation, GenerationWriter, ReprKind, StoreBackend, StoreKind,
-};
+use ampc_dht::store::{force_store, Generation, GenerationWriter, StoreBackend, StoreKind};
 use ampc_graph::gen;
+use ampc_runtime::chaos::ChaosSpec;
 use ampc_runtime::JobReport;
+use std::collections::BTreeMap;
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -27,9 +27,10 @@ fn cfg() -> AmpcConfig {
     }
 }
 
-/// `get`/`get_many` pinned against the sharded baseline on adversarial
-/// key sets: mix64-colliding buckets, sparse u64 keys, dense `0..n`
-/// keys — including misses adjacent to every hit.
+/// `get`/`get_many` pinned against a `BTreeMap` oracle on adversarial
+/// key sets: mix64-colliding (one writer stripe holds everything),
+/// sparse u64 keys, dense `0..n` keys — including misses adjacent to
+/// every hit.
 #[test]
 fn flat_get_matches_sharded_on_adversarial_keys() {
     let colliding: Vec<u64> = (0..1_000_000u64)
@@ -45,33 +46,34 @@ fn flat_get_matches_sharded_on_adversarial_keys() {
         ("sparse", sparse),
         ("dense", dense),
     ] {
-        let build = || {
+        let value = |k: u64| vec![k as u32, (k >> 32) as u32];
+        let flat = {
             let w: GenerationWriter<Vec<u32>> = GenerationWriter::new();
             for &k in &keys {
-                w.put(k, vec![k as u32, (k >> 32) as u32]);
+                w.put(k, value(k));
             }
-            w
+            w.seal_with_threads(2)
         };
-        let flat = build().seal_with_threads(2);
-        let sharded = build().seal_sharded();
-        assert_ne!(flat.repr_kind(), ReprKind::Sharded, "{name}");
-        assert_eq!(flat.len(), sharded.len(), "{name}");
-        assert_eq!(flat.size_bytes(), sharded.size_bytes(), "{name}");
+        let oracle: BTreeMap<u64, Vec<u32>> = keys.iter().map(|&k| (k, value(k))).collect();
+        assert_eq!(flat.len(), oracle.len(), "{name}");
+        // Each pair: 8 key bytes + the Vec<u32>'s 8-byte length + 2 × 4.
+        assert_eq!(flat.size_bytes(), oracle.len() * 24, "{name}");
         let mut probes: Vec<u64> = keys.clone();
         probes.extend(keys.iter().flat_map(|&k| [k ^ 1, k.wrapping_add(1), !k]));
         for &p in &probes {
-            assert_eq!(flat.get(p), sharded.get(p), "{name}: key {p}");
+            assert_eq!(flat.get(p), oracle.get(&p), "{name}: key {p}");
         }
         let mut from_flat = Vec::new();
         flat.get_many_into(&probes, &mut from_flat);
         for (p, got) in probes.iter().zip(from_flat) {
-            assert_eq!(got, sharded.get(*p), "{name}: batched key {p}");
+            assert_eq!(got, oracle.get(p), "{name}: batched key {p}");
         }
     }
 }
 
 /// A full kernel must produce identical outputs, rounds and CommStats
-/// under every (storage layout × executor policy) combination.
+/// inline and on the pool at every thread count (the substrate half of
+/// the matrix is `socket_substrate_matches_flat_generations_and_kernels`).
 #[test]
 fn kernels_identical_across_layouts_and_executors() {
     let g = gen::rmat(8, 1_200, gen::RmatParams::SOCIAL, 5);
@@ -99,7 +101,6 @@ fn kernels_identical_across_layouts_and_executors() {
     for (label, c) in [
         ("pool-4", cfg().with_threads(4)),
         ("pool-8", cfg().with_threads(8)),
-        ("spawn", cfg().with_threads(4).with_legacy_spawn(true)),
     ] {
         let got = observe(ampc_core::mis::ampc_mis(&g, &c));
         assert_eq!(got, reference, "{label}");
@@ -178,27 +179,19 @@ fn lockstep_buffers_preserve_single_key_equivalence() {
     assert!(a.batches < b.batches);
 }
 
-/// Fault-injection replays must be byte-identical whichever executor
-/// ran the original round (the replay path is the same inline
+/// Fault-injection replays must be byte-identical whether the original
+/// round ran inline or on the pool (the replay path is the same inline
 /// per-machine entry point the pool dispatches).
 #[test]
 fn fault_replay_identical_under_pool_and_spawn() {
     let g = gen::rmat(7, 700, gen::RmatParams::SOCIAL, 9);
-    let fault = ampc_runtime::fault::FaultPlan::new(1, 2);
-    let run = |c: AmpcConfig| {
-        let out = ampc_core::mis::ampc_mis(&g, &c.with_fault(fault));
-        (out.in_mis, out.report.replays)
-    };
+    let kill = ChaosSpec::new(0xFA17).with_kill(1, 2);
     let clean = ampc_core::mis::ampc_mis(&g, &cfg()).in_mis;
-    let (inline_mis, inline_replays) = run(cfg().with_threads(1));
-    let (pooled_mis, pooled_replays) = run(cfg().with_threads(4));
-    let (spawned_mis, spawned_replays) = run(cfg().with_threads(4).with_legacy_spawn(true));
-    assert_eq!(inline_replays, 1);
-    assert_eq!(pooled_replays, 1);
-    assert_eq!(spawned_replays, 1);
-    assert_eq!(inline_mis, clean);
-    assert_eq!(pooled_mis, clean);
-    assert_eq!(spawned_mis, clean);
+    for threads in [1, 4, 8] {
+        let out = ampc_core::mis::ampc_mis(&g, &cfg().with_threads(threads).with_chaos(kill));
+        assert_eq!(out.report.replays, 1, "{threads} threads");
+        assert_eq!(out.in_mis, clean, "{threads} threads");
+    }
 }
 
 /// `peak_generation_bytes` reads the seal-time cache and matches an
