@@ -19,6 +19,7 @@
 //! [`MatchingOptions::truncated`]; the untruncated single round is the
 //! practical default, as in the paper.
 
+use crate::prim::{ranked_adjacency, FlatAdjacency};
 use crate::priorities::{edge_key, edge_rank, Rank};
 use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::FxHashMap;
@@ -95,6 +96,16 @@ pub fn ampc_matching(g: &CsrGraph, cfg: &AmpcConfig) -> MatchingOutcome {
     )
 }
 
+/// PermuteGraph's host-side work: every vertex's neighbors, sorted by
+/// edge rank.
+///
+/// The sort key is the rank's hash alone: for a fixed `v`,
+/// `edge_key(v, u)` grows with `u`, so the builder's tie-break by
+/// neighbor id is the rank pair's tie-break by edge key.
+pub fn permute_graph(g: &CsrGraph, seed: u64, threads: usize) -> FlatAdjacency {
+    ranked_adjacency(g, |v, u| Some(edge_rank(seed, v, u).0), threads)
+}
+
 /// Runs AMPC maximal matching with explicit options.
 pub fn ampc_matching_with_options(
     g: &CsrGraph,
@@ -119,15 +130,15 @@ pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, opts: MatchingOptions) 
     let seed = cfg.seed;
 
     // ----------------------------------------------------- PermuteGraph
-    let records: Vec<(NodeId, Vec<NodeId>)> = g
-        .nodes()
-        .map(|v| {
-            let mut nbrs: Vec<NodeId> = g.neighbors(v).to_vec();
-            nbrs.sort_unstable_by_key(|&u| edge_rank(seed, v, u));
-            (v, nbrs)
-        })
-        .collect();
-    let buckets = job.shuffle_by_key("PermuteGraph", records, |r| r.0 as u64);
+    // Host-side only vertex ids move; the simulated shuffle
+    // redistributes the full record (id + length-prefixed list).
+    let permuted = permute_graph(g, seed, cfg.threads);
+    let buckets = job.shuffle_by_key_measured(
+        "PermuteGraph",
+        g.nodes().collect(),
+        |&v| v as u64,
+        |&v| 12 + 4 * permuted.list(v).len() as u64,
+    );
 
     // --------------------------------------------------------- KV-Write
     let mut dht: Dht<Vec<NodeId>> = Dht::new();
@@ -137,13 +148,15 @@ pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, opts: MatchingOptions) 
         dht.current(),
         Some(&writer),
         &buckets,
-        |ctx, items: &[(NodeId, Vec<NodeId>)]| {
+        |ctx, items: &[NodeId]| {
             // Independent writes share one accounted round trip (§5.3).
             ctx.handle
-                .put_many(items.iter().map(|(v, nbrs)| (*v as u64, nbrs.clone())));
+                .put_many(items.iter().map(|&v| (v as u64, permuted.list(v).to_vec())));
             Vec::<()>::new()
         },
     );
+    // Freed before the seal allocates the generation it was copied into.
+    drop(permuted);
     dht.push(writer.seal());
 
     // ----------------------------------------------------------- IsInMM

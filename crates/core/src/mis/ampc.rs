@@ -18,7 +18,8 @@
 //! through [`MisOptions::truncated`]; as the paper observes, the
 //! practical configuration resolves everything in a single round.
 
-use crate::priorities::node_rank;
+use crate::prim::{ranked_adjacency, FlatAdjacency};
+use crate::priorities::NodePerm;
 use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::FxHashMap;
 use ampc_dht::store::{Dht, GenerationWriter};
@@ -78,7 +79,18 @@ pub fn ampc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
     )
 }
 
-/// Tri-state per-vertex status in the machine cache.
+/// DirectGraph's host-side work: every vertex's earlier-in-π neighbors
+/// (those that can block it), sorted by rank.
+pub fn direct_graph(g: &CsrGraph, seed: u64, threads: usize) -> FlatAdjacency {
+    let perm = NodePerm::new(seed, g.num_nodes());
+    ranked_adjacency(
+        g,
+        |v, u| Some(perm.pos(u)).filter(|&pu| pu < perm.pos(v)),
+        threads,
+    )
+}
+
+/// Per-vertex status in the machine cache (absent = not yet known).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Status {
     InMis,
@@ -102,25 +114,18 @@ pub fn ampc_mis_with_options(g: &CsrGraph, cfg: &AmpcConfig, opts: MisOptions) -
 pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<bool> {
     let cfg = *job.config();
     let n = g.num_nodes();
-    let seed = cfg.seed;
 
     // ------------------------------------------------------ DirectGraph
-    // One record per vertex: its earlier-in-π neighbors, sorted by rank.
-    let records: Vec<(NodeId, Vec<NodeId>)> = g
-        .nodes()
-        .map(|v| {
-            let rv = node_rank(seed, v);
-            let mut dir: Vec<NodeId> = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| node_rank(seed, u) < rv)
-                .collect();
-            dir.sort_unstable_by_key(|&u| node_rank(seed, u));
-            (v, dir)
-        })
-        .collect();
-    let buckets = job.shuffle_by_key("DirectGraph", records, |r| r.0 as u64);
+    // Per vertex: its earlier-in-π neighbors, sorted by rank. Host-side
+    // only vertex ids move; the simulated shuffle redistributes the full
+    // record (id + length-prefixed directed list).
+    let directed = direct_graph(g, cfg.seed, cfg.threads);
+    let buckets = job.shuffle_by_key_measured(
+        "DirectGraph",
+        g.nodes().collect(),
+        |&v| v as u64,
+        |&v| 12 + 4 * directed.list(v).len() as u64,
+    );
 
     // -------------------------------------------------------- KV-Write
     let mut dht: Dht<Vec<NodeId>> = Dht::new();
@@ -130,14 +135,16 @@ pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<boo
         dht.current(),
         Some(&writer),
         &buckets,
-        |ctx, items: &[(NodeId, Vec<NodeId>)]| {
+        |ctx, items: &[NodeId]| {
             // One accounted batch per machine (§5.3): the writes are
             // independent, so they share a single round trip.
             ctx.handle
-                .put_many(items.iter().map(|(v, dir)| (*v as u64, dir.clone())));
+                .put_many(items.iter().map(|&v| (v as u64, directed.list(v).to_vec())));
             Vec::<()>::new()
         },
     );
+    // Freed before the seal allocates the generation it was copied into.
+    drop(directed);
     dht.push(writer.seal());
 
     // --------------------------------------------------------- IsInMIS

@@ -1,17 +1,15 @@
 //! Sequential lexicographically-first MIS — the oracle.
 
-use crate::priorities::node_rank;
-use ampc_graph::{CsrGraph, NodeId};
+use crate::priorities::NodePerm;
+use ampc_graph::CsrGraph;
 
 /// Computes the lex-first MIS over the permutation defined by `seed`:
 /// process vertices in rank order, adding each whose neighbors are all
 /// still outside the set.
 pub fn greedy_mis(g: &CsrGraph, seed: u64) -> Vec<bool> {
     let n = g.num_nodes();
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.sort_unstable_by_key(|&v| node_rank(seed, v));
     let mut in_mis = vec![false; n];
-    for &v in &order {
+    for v in NodePerm::new(seed, n).order() {
         let blocked = g.neighbors(v).iter().any(|&u| in_mis[u as usize]);
         if !blocked {
             in_mis[v as usize] = true;

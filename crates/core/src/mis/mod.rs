@@ -11,5 +11,7 @@
 pub mod ampc;
 pub mod greedy;
 
-pub use ampc::{ampc_mis, ampc_mis_in_job, ampc_mis_with_options, MisOptions, MisOutcome};
+pub use ampc::{
+    ampc_mis, ampc_mis_in_job, ampc_mis_with_options, direct_graph, MisOptions, MisOutcome,
+};
 pub use greedy::greedy_mis;

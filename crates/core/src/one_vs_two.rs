@@ -16,7 +16,6 @@
 //! possible at small scale — are detected and counted rather than
 //! silently missed.
 
-use crate::priorities::node_rank;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{CsrGraph, NodeId};
@@ -238,10 +237,6 @@ pub fn ampc_one_vs_two_in_job(
     } else {
         CycleAnswer::Two
     };
-    // Sanity: seeded rank machinery stays linked for parity with other
-    // algorithms (unused here beyond determinism checks).
-    let _ = node_rank(cfg.seed, 0);
-
     (answer, num_cycles)
 }
 

@@ -21,16 +21,22 @@
 //! striped path; that is the standard price of an allocation-free
 //! two-pass pack and is far cheaper than the per-hop `Vec` growth it
 //! replaces.
+//!
+//! [`ranked_adjacency`] is the same count → prefix → fill shape over a
+//! graph: the per-vertex rank-sorted neighbor lists DirectGraph and
+//! PermuteGraph store, built once into flat `(offsets, arcs)`.
 
 use ampc_dht::store::ampc_threads;
+use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::pool::WorkerPool;
+use std::ops::Range;
 
 /// Below this many elements the striped paths fall back to a simple
 /// sequential pass (stripe bookkeeping would dominate).
 pub const PAR_MIN: usize = 1 << 16;
 
 /// Splits `0..n` into at most `parts` contiguous, near-equal ranges.
-fn stripe_bounds(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+fn stripe_bounds(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1).min(n.max(1));
     let per = n.div_ceil(parts);
     (0..parts)
@@ -259,10 +265,279 @@ pub fn counting_sort_by_key<T: Copy>(
     }
 }
 
+/// Per-vertex lists in one flat allocation: `list(v)` is
+/// `arcs[offsets[v]..offsets[v + 1]]`.
+#[derive(Clone, Debug)]
+pub struct FlatAdjacency {
+    offsets: Vec<usize>,
+    arcs: Vec<NodeId>,
+}
+
+impl FlatAdjacency {
+    /// The list of vertex `v`.
+    #[inline]
+    pub fn list(&self, v: NodeId) -> &[NodeId] {
+        &self.arcs[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+}
+
+/// A per-arc sort key that packs with the neighbor id into one
+/// primitive whose order is `(key, id)`: a list then sorts as plain
+/// integers, half the width of the `(key, id)` tuple for a `u32` key.
+pub trait ArcKey: Copy {
+    /// The packed `(key, id)` primitive.
+    type Packed: Ord + Copy;
+    /// Packs `self` above the neighbor id `u`.
+    fn pack(self, u: NodeId) -> Self::Packed;
+    /// The neighbor id of a packed pair.
+    fn id(packed: Self::Packed) -> NodeId;
+}
+
+impl ArcKey for u32 {
+    type Packed = u64;
+    #[inline]
+    fn pack(self, u: NodeId) -> u64 {
+        (self as u64) << 32 | u as u64
+    }
+    #[inline]
+    fn id(packed: u64) -> NodeId {
+        packed as NodeId
+    }
+}
+
+impl ArcKey for u64 {
+    type Packed = u128;
+    #[inline]
+    fn pack(self, u: NodeId) -> u128 {
+        (self as u128) << 32 | u as u128
+    }
+    #[inline]
+    fn id(packed: u128) -> NodeId {
+        packed as NodeId
+    }
+}
+
+/// Splits the vertices of a CSR `offsets` array into at most `parts`
+/// contiguous ranges holding near-equal numbers of **arcs**. Skewed
+/// graphs put most arcs on few vertices (the `tw` analogue's largest
+/// list has 31 594 entries against a mean of 90), so equal-vertex
+/// ranges would leave one stripe with most of the work.
+fn arc_balanced_stripes(offsets: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let n = offsets.len() - 1;
+    let arcs = offsets[n];
+    let mut stripes = Vec::with_capacity(parts);
+    let mut start = 0;
+    for i in 1..=parts {
+        let end = if i == parts {
+            n
+        } else {
+            offsets.partition_point(|&o| o < arcs * i / parts).min(n)
+        };
+        if end > start {
+            stripes.push(start..end);
+            start = end;
+        }
+    }
+    stripes
+}
+
+/// Runs `tasks` inline at one thread, over the persistent pool otherwise.
+fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>, threads: usize) {
+    if threads <= 1 {
+        tasks.into_iter().for_each(|task| task());
+    } else {
+        WorkerPool::global(threads).run_batch(tasks, threads);
+    }
+}
+
+/// Builds the ranked adjacency the query-process kernels store in the
+/// DHT (DirectGraph / PermuteGraph, DESIGN.md §11): for every vertex `v`
+/// the neighbors `u` with `key(v, u) = Some(k)`, sorted by `(k, u)`;
+/// neighbors with `key(v, u) = None` are dropped.
+///
+/// `key` runs twice per arc (count, then fill) and must be a pure
+/// function of `(v, u)`. Per vertex the fill [packs](ArcKey) `(k, u)`
+/// into a stripe-local buffer, sorts the primitives and strips the ids
+/// out, so no key is recomputed per comparison. Stripes are contiguous
+/// vertex ranges balanced by arc count, one per thread, each filling
+/// its own disjoint window of the output; the result is therefore the
+/// same for every `threads`, by construction.
+pub fn ranked_adjacency<K: ArcKey>(
+    g: &CsrGraph,
+    key: impl Fn(NodeId, NodeId) -> Option<K> + Sync,
+    threads: usize,
+) -> FlatAdjacency {
+    let n = g.num_nodes();
+    let stripes = arc_balanced_stripes(g.offsets(), threads.max(1));
+    let key = &key;
+
+    // Pass 1: kept arcs per vertex, then the prefix sum.
+    let mut offsets = vec![0usize; n + 1];
+    {
+        let mut rest = &mut offsets[1..];
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
+        for r in &stripes {
+            let (win, tail) = rest.split_at_mut(r.len());
+            rest = tail;
+            let r = r.clone();
+            tasks.push(Box::new(move || {
+                for (slot, v) in win.iter_mut().zip(r) {
+                    let v = v as NodeId;
+                    let kept = g.neighbors(v).iter().filter(|&&u| key(v, u).is_some());
+                    *slot = kept.count();
+                }
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+
+    // Pass 2: every stripe sorts its vertices' lists into its window.
+    let mut arcs = vec![0 as NodeId; offsets[n]];
+    {
+        let offsets = &offsets;
+        let mut rest = arcs.as_mut_slice();
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
+        for r in &stripes {
+            let (mut win, tail) = rest.split_at_mut(offsets[r.end] - offsets[r.start]);
+            rest = tail;
+            let r = r.clone();
+            tasks.push(Box::new(move || {
+                let mut packed: Vec<K::Packed> = Vec::new();
+                for v in r {
+                    let (list, tail) = win.split_at_mut(offsets[v + 1] - offsets[v]);
+                    win = tail;
+                    let v = v as NodeId;
+                    packed.clear();
+                    packed.extend(
+                        g.neighbors(v)
+                            .iter()
+                            .filter_map(|&u| key(v, u).map(|k| k.pack(u))),
+                    );
+                    packed.sort_unstable();
+                    assert_eq!(packed.len(), list.len(), "key({v}, _) is not pure");
+                    for (slot, &p) in list.iter_mut().zip(&packed) {
+                        *slot = K::id(p);
+                    }
+                }
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+    FlatAdjacency { offsets, arcs }
+}
+
+/// The per-vertex closure formulation [`ranked_adjacency`] replaced,
+/// kept as the oracle the builder is tested against: filter, collect,
+/// `sort_unstable_by_key` with the rank recomputed per comparison.
+#[cfg(test)]
+pub(crate) fn ranked_adjacency_oracle<R: Ord>(
+    g: &CsrGraph,
+    keep: impl Fn(NodeId, NodeId) -> bool,
+    rank: impl Fn(NodeId, NodeId) -> R,
+) -> Vec<Vec<NodeId>> {
+    g.nodes()
+        .map(|v| {
+            let mut list: Vec<NodeId> = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| keep(v, u))
+                .collect();
+            list.sort_unstable_by_key(|&u| rank(v, u));
+            list
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matching::ampc_constant::permute_graph;
+    use crate::mis::direct_graph;
+    use crate::priorities::{edge_rank, node_rank, NodePerm};
     use ampc_dht::hasher::mix64;
+    use ampc_graph::gen;
+    use proptest::prelude::*;
+
+    /// The builder's lists as the oracle's `Vec<Vec<_>>`.
+    fn lists(g: &CsrGraph, adj: &FlatAdjacency) -> Vec<Vec<NodeId>> {
+        g.nodes().map(|v| adj.list(v).to_vec()).collect()
+    }
+
+    /// Both kernels' builds, at 1 / 2 / 8 threads, against the closure
+    /// formulation over the rank functions themselves.
+    fn assert_builder_is_exact(g: &CsrGraph, seed: u64) {
+        let directed = ranked_adjacency_oracle(
+            g,
+            |v, u| node_rank(seed, u) < node_rank(seed, v),
+            |_, u| node_rank(seed, u),
+        );
+        let permuted = ranked_adjacency_oracle(g, |_, _| true, |v, u| edge_rank(seed, v, u));
+        for threads in [1, 2, 8] {
+            let by_node = direct_graph(g, seed, threads);
+            assert_eq!(lists(g, &by_node), directed, "node rank, {threads} threads");
+            let by_edge = permute_graph(g, seed, threads);
+            assert_eq!(lists(g, &by_edge), permuted, "edge rank, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn builder_is_exact_on_corner_shapes() {
+        for g in [
+            gen::star(40),
+            gen::path(33),
+            CsrGraph::empty(9),
+            CsrGraph::empty(1),
+            CsrGraph::empty(0),
+        ] {
+            assert_builder_is_exact(&g, 0xA3C5);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn builder_is_exact_on_er_graphs(n in 2usize..200, m in 0usize..1500, seed in 0u64..1000) {
+            assert_builder_is_exact(&gen::erdos_renyi(n, m, seed), seed ^ 0x51);
+        }
+
+        #[test]
+        fn builder_is_exact_on_skewed_rmat(m in 100usize..6000, seed in 0u64..1000) {
+            assert_builder_is_exact(&gen::rmat(9, m, gen::RmatParams::SOCIAL, seed), seed);
+        }
+    }
+
+    #[test]
+    fn builder_breaks_key_ties_by_neighbor_id() {
+        // Forced hash ties: vertices 0..8 share two hashes, so π orders
+        // them by id within a hash and the directed lists follow.
+        let perm = NodePerm::from_hashes([5, 1, 5, 1, 5, 1, 5, 1].into_iter());
+        let g = gen::complete(8);
+        let adj = ranked_adjacency(
+            &g,
+            |v, u| Some(perm.pos(u)).filter(|&pu| pu < perm.pos(v)),
+            2,
+        );
+        assert_eq!(adj.list(6), &[1, 3, 5, 7, 0, 2, 4]);
+        assert_eq!(adj.list(1), &[] as &[NodeId]);
+        // Equal keys outright: the neighbor id alone decides.
+        let flat = ranked_adjacency(&g, |_, _| Some(0u64), 2);
+        assert_eq!(flat.list(3), &[0, 1, 2, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn stripes_balance_arcs_not_vertices() {
+        // One hub holding half the arcs: it gets a stripe of its own.
+        let offsets = [0, 100, 101, 102, 103, 200];
+        assert_eq!(arc_balanced_stripes(&offsets, 2), vec![0..1, 1..5]);
+        assert_eq!(arc_balanced_stripes(&offsets, 1), vec![0..5]);
+        assert_eq!(arc_balanced_stripes(&[0, 0, 0], 4), vec![0..2]);
+        assert!(arc_balanced_stripes(&[0], 4).is_empty());
+    }
 
     #[test]
     fn pack_range_matches_naive_for_every_thread_count() {

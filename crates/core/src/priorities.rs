@@ -24,7 +24,60 @@ pub type Rank = (u64, u64);
 /// The rank of vertex `v` under the permutation seeded by `seed`.
 #[inline]
 pub fn node_rank(seed: u64, v: NodeId) -> Rank {
-    (mix64(seed ^ NODE_SALT ^ ((v as u64) << 1)), v as u64)
+    (node_hash(seed, v), v as u64)
+}
+
+/// The hash component of [`node_rank`].
+#[inline]
+fn node_hash(seed: u64, v: NodeId) -> u64 {
+    mix64(seed ^ NODE_SALT ^ ((v as u64) << 1))
+}
+
+/// The permutation π of `0..n` under a seed, tabulated: every vertex's
+/// index in π.
+///
+/// `perm.pos(u) < perm.pos(v)` is exactly `node_rank(seed, u) <
+/// node_rank(seed, v)`, hash ties included, so a kernel that compares
+/// ranks per arc builds the table once (`n` hashes, one sort) and then
+/// pays one `u32` load per comparison instead of two hashes.
+#[derive(Clone, Debug)]
+pub struct NodePerm {
+    pos: Vec<u32>,
+}
+
+impl NodePerm {
+    /// Tabulates π for the vertices `0..n`.
+    pub fn new(seed: u64, n: usize) -> Self {
+        Self::from_hashes((0..n as NodeId).map(|v| node_hash(seed, v)))
+    }
+
+    /// The permutation ordering vertex `v` by `(hashes[v], v)` — the
+    /// rank order for an arbitrary hash column (tests force ties
+    /// through it).
+    pub(crate) fn from_hashes(hashes: impl Iterator<Item = u64>) -> Self {
+        let mut ranked: Vec<(u64, NodeId)> = hashes.zip(0..).collect();
+        ranked.sort_unstable();
+        let mut pos = vec![0u32; ranked.len()];
+        for (i, &(_, v)) in ranked.iter().enumerate() {
+            pos[v as usize] = i as u32;
+        }
+        NodePerm { pos }
+    }
+
+    /// The index of `v` in π; smaller = earlier.
+    #[inline]
+    pub fn pos(&self, v: NodeId) -> u32 {
+        self.pos[v as usize]
+    }
+
+    /// The vertices in π order (the inverse table).
+    pub fn order(&self) -> Vec<NodeId> {
+        let mut order = vec![0 as NodeId; self.pos.len()];
+        for (v, &p) in self.pos.iter().enumerate() {
+            order[p as usize] = v as NodeId;
+        }
+        order
+    }
 }
 
 /// The canonical `u64` key of the undirected edge `{u, v}`.
@@ -57,6 +110,29 @@ mod tests {
         assert_eq!(a, node_rank(1, 5));
         assert_ne!(a, node_rank(1, 6));
         assert_ne!(a, node_rank(2, 5));
+    }
+
+    #[test]
+    fn node_perm_orders_exactly_like_node_rank() {
+        for seed in [0, 1, 42, u64::MAX] {
+            let n = 500;
+            let perm = NodePerm::new(seed, n);
+            let mut by_rank: Vec<NodeId> = (0..n as NodeId).collect();
+            by_rank.sort_unstable_by_key(|&v| node_rank(seed, v));
+            assert_eq!(perm.order(), by_rank, "seed {seed}");
+            for (i, &v) in by_rank.iter().enumerate() {
+                assert_eq!(perm.pos(v), i as u32);
+            }
+        }
+        assert!(NodePerm::new(7, 0).order().is_empty());
+    }
+
+    #[test]
+    fn node_perm_breaks_hash_ties_by_id() {
+        // Equal hashes order by id, as the `(hash, id)` rank pair does.
+        let perm = NodePerm::from_hashes([9, 3, 9, 3, 3].into_iter());
+        assert_eq!(perm.order(), vec![1, 3, 4, 0, 2]);
+        assert!(perm.pos(1) < perm.pos(3) && perm.pos(0) < perm.pos(2));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! round-trip depth is the walk length, not walkers × steps. A
 //! visit-frequency PageRank estimator is built on top.
 
-use crate::priorities::node_rank;
 use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{Dht, GenerationWriter};
@@ -172,7 +171,6 @@ pub fn pagerank_estimate(
             *v /= total;
         }
     }
-    let _ = node_rank(cfg.seed, 0);
     (visits, out.report)
 }
 

@@ -45,7 +45,6 @@ fn suppression_inventory_is_pinned() {
             "crates/runtime/src/driver.rs",
         ),
         ("no-wall-clock-or-ambient-rng", "crates/runtime/src/job.rs"),
-        ("no-wall-clock-or-ambient-rng", "crates/runtime/src/job.rs"),
         (
             "transitive-unbatched-get",
             "crates/core/src/connectivity/forest_cc.rs",

@@ -11,7 +11,7 @@
 //! decreases below [the threshold] achieves a good tradeoff."*
 
 use ampc_core::mis::MisOutcome;
-use ampc_core::priorities::node_rank;
+use ampc_core::priorities::NodePerm;
 use ampc_dht::measured::Measured;
 use ampc_graph::ops::induced_subgraph;
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
@@ -31,7 +31,7 @@ impl Measured for NodeRecord {
 /// the same seed.
 pub fn mpc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
     let n = g.num_nodes();
-    let seed = cfg.seed;
+    let perm = NodePerm::new(cfg.seed, n);
     let mut job = Job::new(*cfg);
 
     let mut in_mis = vec![false; n];
@@ -42,7 +42,7 @@ pub fn mpc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
     while current.num_edges() > cfg.in_memory_threshold {
         phase += 1;
         assert!(phase <= 200, "rootset MIS failed to converge");
-        let rank = |v: NodeId| node_rank(seed, to_orig[v as usize]);
+        let rank = |v: NodeId| perm.pos(to_orig[v as usize]);
 
         // (1) Local minima — map stage, no shuffle.
         let minima: Vec<NodeId> = job.map_round(
@@ -110,7 +110,7 @@ pub fn mpc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
         (current.num_edges() as u64 + current.num_nodes() as u64 + 1) * 4,
         || {
             let mut order: Vec<NodeId> = current.nodes().collect();
-            order.sort_unstable_by_key(|&v| node_rank(seed, to_orig[v as usize]));
+            order.sort_unstable_by_key(|&v| perm.pos(to_orig[v as usize]));
             let mut local = vec![false; current.num_nodes()];
             for &v in &order {
                 if !current.neighbors(v).iter().any(|&u| local[u as usize]) {

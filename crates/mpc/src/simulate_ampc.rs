@@ -20,7 +20,8 @@
 //! reports both numbers; the gap between them is exactly what batching
 //! can save MPC — and still leaves it far above the AMPC round count.
 
-use ampc_core::priorities::node_rank;
+use ampc_core::mis::direct_graph;
+use ampc_core::prim::FlatAdjacency;
 use ampc_dht::hasher::FxHashMap;
 use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::AmpcConfig;
@@ -48,22 +49,7 @@ pub fn simulated_ampc_mis_shuffles(g: &CsrGraph, cfg: &AmpcConfig) -> u64 {
 /// MPC simulation (see [`SimulatedShuffles`]).
 pub fn simulated_ampc_mis_cost(g: &CsrGraph, cfg: &AmpcConfig) -> SimulatedShuffles {
     let n = g.num_nodes();
-    let seed = cfg.seed;
-    // Directed adjacency: earlier-rank neighbors sorted by rank.
-    let dir: Vec<Vec<NodeId>> = g
-        .nodes()
-        .map(|v| {
-            let rv = node_rank(seed, v);
-            let mut d: Vec<NodeId> = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| node_rank(seed, u) < rv)
-                .collect();
-            d.sort_unstable_by_key(|&u| node_rank(seed, u));
-            d
-        })
-        .collect();
+    let dir = direct_graph(g, cfg.seed, cfg.threads);
 
     let mut worst = SimulatedShuffles {
         single_key: 0,
@@ -84,7 +70,7 @@ pub fn simulated_ampc_mis_cost(g: &CsrGraph, cfg: &AmpcConfig) -> SimulatedShuff
 
 fn evaluate(
     v: NodeId,
-    dir: &[Vec<NodeId>],
+    dir: &FlatAdjacency,
     memo: &mut FxHashMap<NodeId, bool>,
     queries: &mut u64,
     depth: &mut u64,
@@ -100,7 +86,7 @@ fn evaluate(
             stack.pop();
             continue;
         }
-        let nbrs = &dir[x as usize];
+        let nbrs = dir.list(x);
         let mut next_child = None;
         let mut decided = None;
         while *idx < nbrs.len() {

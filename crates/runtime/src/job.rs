@@ -26,6 +26,14 @@ pub struct Job {
     scratch: RoundScratch,
 }
 
+/// Starts a stage's wall clock.
+fn stage_clock() -> Instant {
+    // ampc-lint: allow(no-wall-clock-or-ambient-rng) -- stage wall time is a
+    // reported measurement only, never algorithm input; perf_suite --check
+    // excludes it from the deterministic fields.
+    Instant::now()
+}
+
 impl Job {
     /// Starts a job under the given configuration (inheriting its
     /// chaos schedule, if any).
@@ -93,8 +101,13 @@ impl Job {
     /// Meters a shuffle stage with explicit byte loads: `total_bytes`
     /// across all machines, of which the most loaded machine handles
     /// `max_machine_bytes`. Simulated time = round overhead + the
-    /// bottleneck machine's transfer time.
+    /// bottleneck machine's transfer time. No host work happens here, so
+    /// the stage's wall time is 0.
     pub fn shuffle_metered(&mut self, name: &str, total_bytes: u64, max_machine_bytes: u64) {
+        self.push_shuffle(name, total_bytes, max_machine_bytes, 0);
+    }
+
+    fn push_shuffle(&mut self, name: &str, total_bytes: u64, max_machine_bytes: u64, wall_ns: u64) {
         let _ = self.next_stage_index();
         let sim =
             self.cfg.cost.round_overhead_ns + self.cfg.cost.shuffle_time_ns(max_machine_bytes);
@@ -107,7 +120,7 @@ impl Job {
             gen_bytes: 0,
             ops: 0,
             sim_ns: sim,
-            wall_ns: 0,
+            wall_ns,
             replays: 0,
         });
     }
@@ -145,6 +158,7 @@ impl Job {
         key: impl Fn(&T) -> u64,
         record_bytes: impl Fn(&T) -> u64,
     ) -> Vec<Vec<T>> {
+        let wall = stage_clock();
         let salt = self.cfg.seed ^ (self.stage_index as u64).wrapping_mul(0x9E37);
         let buckets = partition::by_key(items, self.cfg.num_machines, salt, key);
         let per_bytes: Vec<u64> = buckets
@@ -153,7 +167,7 @@ impl Job {
             .collect();
         let total: u64 = per_bytes.iter().sum();
         let max = per_bytes.iter().copied().max().unwrap_or(0);
-        self.shuffle_metered(name, total, max);
+        self.push_shuffle(name, total, max, wall.elapsed().as_nanos() as u64);
         buckets
     }
 
@@ -258,10 +272,7 @@ impl Job {
         // it lost will fail loudly rather than silently read stale
         // data). No-op under the in-memory substrates (DESIGN.md §12).
         ampc_dht::socket::ensure_if_active();
-        // ampc-lint: allow(no-wall-clock-or-ambient-rng) -- stage wall time is a
-        // reported measurement only, never algorithm input; perf_suite --check
-        // excludes it from the deterministic fields.
-        let wall = Instant::now();
+        let wall = stage_clock();
         // Lend the job's persistent arenas to the round (taken out of
         // `self` so replay below can borrow both `self` and the arenas).
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -365,10 +376,7 @@ impl Job {
     /// the AMPC and MPC implementations once the problem is small).
     pub fn local<R>(&mut self, name: &str, ops: u64, f: impl FnOnce() -> R) -> R {
         let _ = self.next_stage_index();
-        // ampc-lint: allow(no-wall-clock-or-ambient-rng) -- stage wall time is a
-        // reported measurement only, never algorithm input; perf_suite --check
-        // excludes it from the deterministic fields.
-        let wall = Instant::now();
+        let wall = stage_clock();
         let out = f();
         self.report.push(StageReport {
             name: name.to_string(),
@@ -416,6 +424,20 @@ mod tests {
             r.stages[0].shuffle_bytes
         );
         assert_eq!(buckets.iter().filter(|b| !b.is_empty()).count(), 1);
+    }
+
+    #[test]
+    fn real_shuffle_reports_wall_time_metered_shuffle_does_not() {
+        let mut job = test_job();
+        let items: Vec<(u64, u64)> = (0..100_000).map(|i| (i, i)).collect();
+        job.shuffle_by_key("partitioned", items, |t| t.0);
+        job.shuffle_balanced("metered", 1_000_000);
+        let r = job.report();
+        assert!(
+            r.stages[0].wall_ns > 0,
+            "partitioning 100k records took time"
+        );
+        assert_eq!(r.stages[1].wall_ns, 0, "no host work to time");
     }
 
     #[test]
