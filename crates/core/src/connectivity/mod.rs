@@ -55,7 +55,7 @@ pub fn ampc_connected_components_in_job(job: &mut Job, g: &CsrGraph) -> Vec<Node
         .collect();
 
     // Spanning forest = MSF under these weights.
-    let forest_internal = crate::msf::dense::dense_msf_loop(job, n, edges.clone(), &cfg);
+    let forest_internal = crate::msf::dense::dense_msf_loop(job, n, edges, &cfg);
     let forest_pairs: Vec<(NodeId, NodeId)> = forest_internal
         .iter()
         .map(|&w| (keyed[w as usize].1, keyed[w as usize].2))

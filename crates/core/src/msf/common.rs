@@ -18,10 +18,22 @@
 //! vertex) → pointer-jump map construction + KV pointer jumping →
 //! contraction (two shuffles), exactly the stage structure whose costs
 //! Figure 7 breaks down and whose shuffle count Table 3 reports as 5.
+//!
+//! **What the host pays for** (DESIGN.md §11). The round takes its edges
+//! strictly ascending in `w` and never sorts. SortGraph's records are one
+//! flat arc table, filled stably so every list is weight-sorted, and
+//! `KV-Write` copies each list out once. A search keeps one cursor per
+//! *expanded* list (`Frontier`) and so pays per arc it pops, not per
+//! arc its vertices own; its pop sequence — and with it every op, query
+//! and byte charged — is that of a heap holding every arc. Contract is
+//! one pass in weight order: the keyed shuffle is metered from `(key,
+//! bytes)` pairs, nothing is moved, and the first edge seen of a
+//! contracted pair is its lightest.
 
-use crate::priorities::node_rank;
+use crate::prim::edge_ordered_adjacency;
+use crate::priorities::{edge_key, node_rank};
 use ampc_dht::cache::DenseCache;
-use ampc_dht::hasher::{FxHashMap, FxHashSet};
+use ampc_dht::hasher::FxHashSet;
 use ampc_dht::measured::Measured;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{NodeId, Weight, WeightedCsrGraph, WeightedEdge, NO_NODE};
@@ -144,6 +156,11 @@ pub struct PrimRoundResult {
 /// internal weight)` sorted by weight.
 type Adj = Vec<(NodeId, u64)>;
 
+/// The two [`Adj`] entries an edge contributes, each with its owner.
+fn adjacency_arcs(e: &ProvEdge) -> [(NodeId, (NodeId, u64)); 2] {
+    [(e.u, (e.v, e.w)), (e.v, (e.u, e.w))]
+}
+
 /// Per-search output: discovered MSF edges + visited vertices.
 struct SearchOut {
     origin: NodeId,
@@ -151,10 +168,28 @@ struct SearchOut {
     visited: Vec<NodeId>,
 }
 
+/// Panics unless `edges` is strictly ascending in `w`: the order every
+/// weight-sorted list, every first-wins dedup and the in-memory Kruskal
+/// finish take from their input instead of re-sorting.
+pub(crate) fn assert_strictly_ascending(edges: &[ProvEdge]) {
+    assert!(
+        edges.windows(2).all(|pair| pair[0].w < pair[1].w),
+        "edges must be strictly ascending in their internal weight"
+    );
+}
+
 /// Runs one §5.5 round over `edges` on `n` current-level vertices.
 ///
 /// `budget` is Algorithm 1's exploration bound (`n^{ε/2}` vertices per
 /// search); `salt` decorrelates the per-round vertex permutation.
+///
+/// # Panics
+/// `edges` must be **strictly ascending in `w`** (what [`distinctify`],
+/// an index weight, and a previous round's `next_edges` all are). The
+/// round never sorts: the stable fill leaves every adjacency list
+/// weight-sorted and Contract keeps the first edge of a contracted pair
+/// as its lightest only under that order, so any other input panics
+/// rather than yield a wrong forest.
 pub fn prim_contract_round(
     job: &mut Job,
     n: usize,
@@ -163,23 +198,21 @@ pub fn prim_contract_round(
     budget: u64,
     salt: u64,
 ) -> PrimRoundResult {
+    assert_strictly_ascending(edges);
     let seed = job.config().seed ^ salt;
 
     // ------------------------------------------------ SortGraph shuffle
-    let mut adj: Vec<Adj> = vec![Vec::new(); n];
-    for e in edges {
-        adj[e.u as usize].push((e.v, e.w));
-        adj[e.v as usize].push((e.u, e.w));
-    }
-    for a in &mut adj {
-        a.sort_unstable_by_key(|&(_, w)| w);
-    }
-    let records: Vec<(NodeId, Adj)> = adj
-        .into_iter()
-        .enumerate()
-        .map(|(v, a)| (v as NodeId, a))
-        .collect();
-    let buckets = job.shuffle_by_key(&format!("SortGraph{tag}"), records, |r| r.0 as u64);
+    // Per vertex: its `(neighbor, weight)` arcs, lightest first — a
+    // stable fill of the weight-ordered edges. Host-side only vertex ids
+    // move; the simulated shuffle redistributes the full record (id +
+    // length-prefixed list of 12-byte arcs).
+    let sorted = edge_ordered_adjacency(n, edges, adjacency_arcs, job.config().threads);
+    let buckets = job.shuffle_by_key_measured(
+        &format!("SortGraph{tag}"),
+        (0..n as NodeId).collect(),
+        |&v| v as u64,
+        |&v| 12 + 12 * sorted.list(v).len() as u64,
+    );
 
     // --------------------------------------------------------- KV-Write
     let mut dht: Dht<Adj> = Dht::new();
@@ -189,13 +222,15 @@ pub fn prim_contract_round(
         dht.current(),
         Some(&writer),
         &buckets,
-        |ctx, items: &[(NodeId, Adj)]| {
+        |ctx, items: &[NodeId]| {
             // Independent writes share one accounted round trip (§5.3).
             ctx.handle
-                .put_many(items.iter().map(|(v, a)| (*v as u64, a.clone())));
+                .put_many(items.iter().map(|&v| (v as u64, sorted.list(v).to_vec())));
             Vec::<()>::new()
         },
     );
+    // Freed before the seal allocates the generation it was copied into.
+    drop(sorted);
     dht.push(writer.seal());
 
     // ------------------------------------------------------- PrimSearch
@@ -314,56 +349,34 @@ pub fn prim_contract_round(
     );
 
     // -------------------------------------------- Contract (2 shuffles)
-    // Flat-primitive frontier selection: pack the indices of the
-    // component-crossing edges (striped over the pool at scale), then
-    // relabel just those.
-    let mut crossing: Vec<u32> = Vec::new();
-    crate::prim::pack_range(
-        edges.len(),
-        |i| {
-            let e = &edges[i];
-            root_of[e.u as usize] != root_of[e.v as usize]
-        },
-        &mut crossing,
-    );
-    let relabeled: Vec<ProvEdge> = crossing
-        .iter()
-        .map(|&i| {
-            let e = &edges[i as usize];
+    // One pass over the edges, lightest first. A component-crossing edge
+    // is a 24-byte record of the keyed shuffle (metered, not moved); the
+    // first edge seen of a contracted pair is its lightest, so it alone
+    // survives — already in weight order, endpoints still root ids.
+    // `seen` holds the pair, not its `edge_key`: the multiplicative
+    // hasher takes a table slot from the key's low bits, which are the
+    // larger root alone, and a few thousand roots would share a few
+    // thousand slots among all pairs.
+    let mut seen: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
+    let mut next_edges: Vec<ProvEdge> = Vec::new();
+    job.shuffle_by_key_metered(
+        &format!("Contract{tag}"),
+        edges.iter().filter_map(|e| {
             let (ru, rv) = (root_of[e.u as usize], root_of[e.v as usize]);
-            ProvEdge {
-                u: ru.min(rv),
-                v: ru.max(rv),
-                w: e.w,
-                ou: e.ou,
-                ov: e.ov,
+            if ru == rv {
+                return None;
             }
-        })
-        .collect();
-    let contracted_buckets = job.shuffle_by_key(&format!("Contract{tag}"), relabeled, |e| {
-        crate::priorities::edge_key(e.u, e.v)
-    });
-    // Dedup: lightest parallel edge per pair.
-    let mut best: FxHashMap<u64, ProvEdge> = FxHashMap::default();
-    for bucket in contracted_buckets {
-        for e in bucket {
-            let key = crate::priorities::edge_key(e.u, e.v);
-            match best.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    if e.w < o.get().w {
-                        o.insert(e);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(vac) => {
-                    vac.insert(e);
-                }
+            let (u, v) = (ru.min(rv), ru.max(rv));
+            if seen.insert((u, v)) {
+                next_edges.push(ProvEdge { u, v, ..*e });
             }
-        }
-    }
+            Some((edge_key(u, v), e.size_bytes() as u64))
+        }),
+    );
     // Compact surviving class ids (roots with at least one edge survive;
     // isolated classes are dropped — their components are fully solved).
     let mut has_edge = vec![false; n];
-    for e in best.values() {
+    for e in &next_edges {
         has_edge[e.u as usize] = true;
         has_edge[e.v as usize] = true;
     }
@@ -379,17 +392,10 @@ pub fn prim_contract_round(
         let r = root_of[v];
         next_id[v] = next_id[r as usize];
     }
-    let mut next_edges: Vec<ProvEdge> = best
-        .into_values()
-        .map(|e| ProvEdge {
-            u: next_id[e.u as usize],
-            v: next_id[e.v as usize],
-            w: e.w,
-            ou: e.ou,
-            ov: e.ov,
-        })
-        .collect();
-    next_edges.sort_unstable_by_key(|e| e.w);
+    for e in &mut next_edges {
+        e.u = next_id[e.u as usize];
+        e.v = next_id[e.v as usize];
+    }
     job.shuffle_balanced(
         &format!("Rebuild{tag}"),
         next_edges.iter().map(|e| e.size_bytes() as u64).sum(),
@@ -406,10 +412,97 @@ pub fn prim_contract_round(
     }
 }
 
+/// The lightest-edge frontier of one Prim search: a k-way merge over
+/// the weight-sorted adjacency lists of the vertices expanded so far,
+/// one cursor per list. Only each list's next unread arc sits in the
+/// heap, so a search pays for the arcs it pops, not for the degree of
+/// what it touches; the lists stay where they are, borrowed from the
+/// sealed generation. Lists ascend in `w` and weights are strict, so the
+/// heads' minimum is the minimum over every unread arc: the pop sequence
+/// is exactly that of a heap holding all of them.
+#[derive(Default)]
+struct Frontier<'a> {
+    lists: Vec<&'a [(NodeId, u64)]>,
+    /// `(w, target, list, position)`: `(w, target)` decides, as in the
+    /// push-all heap — the two copies of an edge whose endpoints are
+    /// both expanded pop smaller target first.
+    heads: BinaryHeap<Reverse<(u64, NodeId, u32, u32)>>,
+}
+
+impl<'a> Frontier<'a> {
+    /// Adds an expanded vertex's list (absent or empty: nothing to add).
+    fn open(&mut self, adj: Option<&'a Adj>) {
+        let Some(adj) = adj else { return };
+        if let Some(&(t, w)) = adj.first() {
+            self.heads.push(Reverse((w, t, self.lists.len() as u32, 0)));
+            self.lists.push(adj);
+        }
+    }
+
+    /// Removes the lightest unread arc, as `(w, target)`.
+    fn pop(&mut self) -> Option<(u64, NodeId)> {
+        let Reverse((w, t, list, pos)) = self.heads.pop()?;
+        if let Some(&(next_t, next_w)) = self.lists[list as usize].get(pos as usize + 1) {
+            self.heads.push(Reverse((next_w, next_t, list, pos + 1)));
+        }
+        Some((w, t))
+    }
+}
+
 /// Algorithm 1's truncated Prim search from `v`. The origin's adjacency
 /// arrives prefetched (`root`) from the machine's batched round-start
 /// lookup; frontier expansions are adaptive and stay single-key.
 fn prim_search<'a>(
+    v: NodeId,
+    root: Option<&'a Adj>,
+    ctx: &mut ampc_runtime::executor::MachineCtx<'a, Adj>,
+    seed: u64,
+    budget: u64,
+) -> SearchOut {
+    let rv = node_rank(seed, v);
+    let mut visited: FxHashSet<NodeId> = FxHashSet::default();
+    visited.insert(v);
+    let mut msf = Vec::new();
+    let mut frontier = Frontier::default();
+    frontier.open(root);
+
+    loop {
+        // Stopping condition (1): explored n^{ε/2} vertices.
+        if visited.len() as u64 >= budget {
+            break;
+        }
+        // Next lightest edge leaving the tree.
+        let Some((w, t)) = frontier.pop() else {
+            break; // (2) component fully explored
+        };
+        ctx.add_ops(1);
+        if !visited.insert(t) {
+            continue;
+        }
+        // Cut property: this edge is in the MSF.
+        msf.push(w);
+        // Stopping condition (3): reached an earlier-in-π vertex.
+        if node_rank(seed, t) < rv {
+            break;
+        }
+        // ampc-lint: allow(no-unbatched-get) -- Prim search frontier: the next adjacency fetched depends on the heap top
+        frontier.open(ctx.handle.get(t as u64));
+    }
+    visited.remove(&v);
+    let mut visited: Vec<NodeId> = visited.into_iter().collect();
+    visited.sort_unstable();
+    SearchOut {
+        origin: v,
+        msf,
+        visited,
+    }
+}
+
+/// The push-all formulation [`prim_search`] replaced, kept as the oracle
+/// it is tested against: every expanded vertex pushes its whole
+/// adjacency onto one heap of `(w, target)`.
+#[cfg(test)]
+fn prim_search_oracle<'a>(
     v: NodeId,
     root: Option<&'a Adj>,
     ctx: &mut ampc_runtime::executor::MachineCtx<'a, Adj>,
@@ -458,7 +551,6 @@ fn prim_search<'a>(
         if node_rank(seed, t) < rv {
             break;
         }
-        // ampc-lint: allow(transitive-unbatched-get) -- Prim search frontier: the next adjacency fetched depends on the heap top
         expand(t, &mut heap, ctx);
     }
     visited.remove(&v);
@@ -474,20 +566,29 @@ fn prim_search<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_graph::gen;
-    use ampc_runtime::AmpcConfig;
+    use ampc_dht::metrics::CommStats;
+    use ampc_dht::store::Generation;
+    use ampc_graph::{gen, CsrGraph};
+    use ampc_runtime::executor::{self, MachineCtx, RoundScratch, RoundSpec};
+    use ampc_runtime::{partition, AmpcConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn distinctify_preserves_order_and_restores() {
+        // deg(u)+deg(v) weights tie often: the endpoints must break them.
         let g = gen::degree_weights(&gen::erdos_renyi(40, 120, 1));
         let d = distinctify(&g);
         assert_eq!(d.edges.len(), g.num_edges());
-        // Internal weights are 0..m and ordered like the originals.
+        // Internal weights are 0..m and strictly ordered like
+        // (original weight, canonical endpoints).
+        let mut ties = 0;
         for w in d.edges.windows(2) {
             let a = (d.orig_w[w[0].w as usize], d.orig_pair[w[0].w as usize]);
             let b = (d.orig_w[w[1].w as usize], d.orig_pair[w[1].w as usize]);
-            let _ = (a, b);
+            assert!(a < b, "{a:?} must precede {b:?}");
+            ties += usize::from(a.0 == b.0);
         }
+        assert!(ties > 0, "the graph was meant to have weight ties");
         let restored = d.restore(d.edges.iter().map(|e| e.w));
         let mut orig = g.edge_vec();
         orig.sort_unstable_by_key(|e| e.key());
@@ -555,6 +656,157 @@ mod tests {
                     "root must be earlier in pi"
                 );
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn round_rejects_edges_out_of_weight_order() {
+        let g = gen::degree_weights(&gen::erdos_renyi(30, 60, 4));
+        let mut edges = distinctify(&g).edges;
+        edges.swap(3, 4);
+        let mut job = Job::new(AmpcConfig::for_tests());
+        prim_contract_round(&mut job, 30, &edges, "", 4, 0);
+    }
+
+    /// What a search is held to, then its machine's `ops` and `CommStats`.
+    type Searched = (Vec<(NodeId, Vec<u64>, Vec<NodeId>)>, Vec<(u64, CommStats)>);
+
+    /// Runs `search` from every origin the way the PrimSearch stage does
+    /// (four machines, origins' lists prefetched in one batch).
+    fn run_searches(
+        read: &Generation<Adj>,
+        origins: &[NodeId],
+        seed: u64,
+        budget: u64,
+        search: impl for<'a> Fn(NodeId, Option<&'a Adj>, &mut MachineCtx<'a, Adj>, u64, u64) -> SearchOut
+            + Sync,
+    ) -> Searched {
+        let chunks = partition::chunk(origins.to_vec(), 4);
+        let outcome = executor::run_machines(
+            read,
+            None,
+            &chunks,
+            RoundSpec::unbudgeted(),
+            1,
+            &mut RoundScratch::new(),
+            |ctx, items: &[NodeId]| {
+                let keys: Vec<u64> = items.iter().map(|&v| v as u64).collect();
+                let mut roots = Vec::with_capacity(items.len());
+                ctx.handle.get_many_into(&keys, &mut roots);
+                items
+                    .iter()
+                    .zip(roots)
+                    .map(|(&v, root)| search(v, root, ctx, seed, budget))
+                    .collect()
+            },
+        );
+        (
+            outcome
+                .outputs
+                .into_iter()
+                .map(|s| (s.origin, s.msf, s.visited))
+                .collect(),
+            outcome
+                .per_machine
+                .iter()
+                .map(|m| (m.ops, m.comm))
+                .collect(),
+        )
+    }
+
+    /// The cursor merge against the push-all oracle on `g`: equal MSF
+    /// edges (in discovery order), visited sets, per-machine ops and
+    /// per-machine communication, for every budget.
+    fn assert_search_is_exact(g: &WeightedCsrGraph, origins: &[NodeId], seed: u64) {
+        let read = sealed_adjacency(&distinctify(g));
+        let root_n = (g.num_nodes() as f64).sqrt().ceil() as u64;
+        for budget in [1, 2, 4, root_n, u64::MAX] {
+            let merged = run_searches(&read, origins, seed, budget, prim_search);
+            let pushed = run_searches(&read, origins, seed, budget, prim_search_oracle);
+            assert_eq!(merged, pushed, "budget {budget}");
+        }
+    }
+
+    /// The generation `KV-Write` seals: every vertex's weight-sorted list.
+    fn sealed_adjacency(d: &Distinct) -> Generation<Adj> {
+        let sorted = edge_ordered_adjacency(d.n, &d.edges, adjacency_arcs, 1);
+        Generation::from_iter((0..d.n as NodeId).map(|v| (v as u64, sorted.list(v).to_vec())))
+    }
+
+    /// `g` with tie-heavy degree weights or with random ones.
+    fn weighted(g: &CsrGraph, ties: u8, seed: u64) -> WeightedCsrGraph {
+        if ties == 1 {
+            gen::degree_weights(g)
+        } else {
+            gen::random_weights(g, 1 << 20, seed)
+        }
+    }
+
+    fn all_nodes(g: &WeightedCsrGraph) -> Vec<NodeId> {
+        (0..g.num_nodes() as NodeId).collect()
+    }
+
+    #[test]
+    fn search_is_exact_on_corner_shapes() {
+        // An isolated vertex among edges; a path; nothing at all.
+        let mut lonely = ampc_graph::GraphBuilder::new(6);
+        for (u, v) in [(0, 1), (1, 2), (4, 5)] {
+            lonely.push_edge(u, v, 0);
+        }
+        for g in [lonely.build(), gen::path(33), CsrGraph::empty(3)] {
+            let g = gen::random_weights(&g, 50, 9);
+            assert_search_is_exact(&g, &all_nodes(&g), 0xA3C5);
+        }
+        // A star: one 10 000-entry list, searched from the hub and from
+        // a few leaves (the oracle pushes the whole list per search).
+        let star = gen::random_weights(&gen::star(10_001), 1_000, 2);
+        let origins: Vec<NodeId> = (0..40).chain([5_000, 10_000]).collect();
+        for seed in [1, 2, 3] {
+            assert_search_is_exact(&star, &origins, seed);
+        }
+    }
+
+    #[test]
+    fn an_edge_between_two_expanded_vertices_pops_twice() {
+        // A triangle, unbounded budget, from the vertex first in π: it
+        // expands a second vertex before the search ends, so the edge
+        // between the two sits in both lists and its second copy pops
+        // as an already-visited target — an op, not an MSF edge.
+        let g = gen::random_weights(&gen::complete(3), 100, 1);
+        let seed = 7;
+        let first = (0..3)
+            .min_by_key(|&v| node_rank(seed, v))
+            .expect("three vertices");
+        assert_search_is_exact(&g, &[first], seed);
+        let read = sealed_adjacency(&distinctify(&g));
+        let (searches, machines) = run_searches(&read, &[first], seed, u64::MAX, prim_search);
+        let (_, msf, visited) = &searches[0];
+        assert_eq!((msf.len(), visited.len()), (2, 2));
+        let pops: u64 = machines.iter().map(|m| m.0).sum();
+        // 6 arcs in the three lists, all of them popped: 2 MSF edges, 4
+        // arcs into visited vertices.
+        assert_eq!(pops, 6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn search_is_exact_on_er_graphs(
+            n in 2usize..120,
+            m in 0usize..600,
+            seed in 0u64..1000,
+            ties in 0u8..2,
+        ) {
+            let g = weighted(&gen::erdos_renyi(n, m, seed), ties, seed);
+            assert_search_is_exact(&g, &all_nodes(&g), seed ^ 0x51);
+        }
+
+        #[test]
+        fn search_is_exact_on_skewed_rmat(m in 100usize..3000, seed in 0u64..1000, ties in 0u8..2) {
+            let g = weighted(&gen::rmat(8, m, gen::RmatParams::SOCIAL, seed), ties, seed);
+            assert_search_is_exact(&g, &all_nodes(&g), seed);
         }
     }
 }

@@ -7,7 +7,9 @@
 //! threshold, where Kruskal finishes — the same "switch to a single
 //! machine" step the paper's implementations use (§5.4, §5.5).
 
-use super::common::{distinctify, prim_contract_round, MsfOutcome, ProvEdge};
+use super::common::{
+    assert_strictly_ascending, distinctify, prim_contract_round, MsfOutcome, ProvEdge,
+};
 use ampc_graph::WeightedCsrGraph;
 use ampc_runtime::{AmpcConfig, Job};
 use ampc_trees::UnionFind;
@@ -28,15 +30,16 @@ pub fn dense_msf(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome {
 // ampc-lint: budget(batched-requests = 3)
 pub fn dense_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<ampc_graph::WeightedEdge> {
     let cfg = *job.config();
-    let d = distinctify(g);
-    let internal = dense_msf_loop(job, d.n, d.edges.clone(), &cfg);
+    let mut d = distinctify(g);
+    let internal = dense_msf_loop(job, d.n, std::mem::take(&mut d.edges), &cfg);
     d.restore(internal)
 }
 
 /// The search-and-contract loop over provenance edges; returns the
 /// internal weights of all MSF edges. Exposed for the other MSF entry
 /// points (Algorithm 2's post-ternarization phase, KKT's recursive
-/// calls, forest connectivity).
+/// calls, forest connectivity). `edges` must be strictly ascending in
+/// `w` (see [`prim_contract_round`]); nothing here re-sorts them.
 pub(crate) fn dense_msf_loop(
     job: &mut Job,
     n: usize,
@@ -67,11 +70,11 @@ pub(crate) fn dense_msf_loop(
     if !edges.is_empty() {
         let ops = (edges.len() as u64 + cur_n as u64 + 1) * 16;
         let more = job.local("InMemoryMSF", ops, || {
-            let mut sorted = edges.clone();
-            sorted.sort_unstable_by_key(|e| e.w);
+            // Kruskal over the edges as they stand: lightest first.
+            assert_strictly_ascending(&edges);
             let mut uf = UnionFind::new(cur_n);
             let mut out = Vec::new();
-            for e in &sorted {
+            for e in &edges {
                 if uf.union(e.u, e.v) {
                     out.push(e.w);
                 }

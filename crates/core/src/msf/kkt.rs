@@ -44,8 +44,8 @@ pub fn kkt_msf(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome {
         hb.push_edge(e.u, e.v, e.w);
     }
     let h = hb.build_weighted();
-    let dh = distinctify(&h);
-    let f_internal = dense_msf_loop(&mut job, dh.n, dh.edges.clone(), cfg);
+    let mut dh = distinctify(&h);
+    let f_internal = dense_msf_loop(&mut job, dh.n, std::mem::take(&mut dh.edges), cfg);
     let forest = dh.restore(f_internal);
 
     // --------------------------------------------- E_L: F-light filter
@@ -69,8 +69,8 @@ pub fn kkt_msf(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome {
         ub.push_edge(e.u, e.v, e.w);
     }
     let u = ub.build_weighted();
-    let du = distinctify(&u);
-    let final_internal = dense_msf_loop(&mut job, du.n, du.edges.clone(), cfg);
+    let mut du = distinctify(&u);
+    let final_internal = dense_msf_loop(&mut job, du.n, std::mem::take(&mut du.edges), cfg);
     let edges = du.restore(final_internal);
 
     MsfOutcome {

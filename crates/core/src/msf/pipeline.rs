@@ -64,8 +64,8 @@ pub fn ampc_msf_algorithm2(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome
     // ("can easily be done in O(1/ε) rounds by sorting", Lemma 3.6).
     job.shuffle_balanced("Ternarize", t.graph.size_bytes() as u64);
 
-    let d = distinctify(&t.graph);
-    let internal = dense_msf_loop(&mut job, d.n, d.edges.clone(), cfg);
+    let mut d = distinctify(&t.graph);
+    let internal = dense_msf_loop(&mut job, d.n, std::mem::take(&mut d.edges), cfg);
 
     // Restore to ternarized-graph edges, then map to original ids and
     // drop dummies (both endpoints from the same original vertex).

@@ -25,6 +25,9 @@
 //! [`ranked_adjacency`] is the same count → prefix → fill shape over a
 //! graph: the per-vertex rank-sorted neighbor lists DirectGraph and
 //! PermuteGraph store, built once into flat `(offsets, arcs)`.
+//! [`edge_ordered_adjacency`] is its counterpart over an edge list
+//! already in list order (the Prim round's weight-sorted SortGraph
+//! records): a stable fill, no sort at all.
 
 use ampc_dht::store::ampc_threads;
 use ampc_graph::{CsrGraph, NodeId};
@@ -266,17 +269,18 @@ pub fn counting_sort_by_key<T: Copy>(
 }
 
 /// Per-vertex lists in one flat allocation: `list(v)` is
-/// `arcs[offsets[v]..offsets[v + 1]]`.
+/// `arcs[offsets[v]..offsets[v + 1]]`. An arc is a bare neighbor id
+/// unless the builder says otherwise.
 #[derive(Clone, Debug)]
-pub struct FlatAdjacency {
+pub struct FlatAdjacency<A = NodeId> {
     offsets: Vec<usize>,
-    arcs: Vec<NodeId>,
+    arcs: Vec<A>,
 }
 
-impl FlatAdjacency {
+impl<A> FlatAdjacency<A> {
     /// The list of vertex `v`.
     #[inline]
-    pub fn list(&self, v: NodeId) -> &[NodeId] {
+    pub fn list(&self, v: NodeId) -> &[A] {
         &self.arcs[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 }
@@ -429,6 +433,73 @@ pub fn ranked_adjacency<K: ArcKey>(
     FlatAdjacency { offsets, arcs }
 }
 
+/// Builds per-vertex arc lists from an **edge list**, every list in edge
+/// order: `arcs(e)` names the two `(owner, arc)` pairs edge `e`
+/// contributes, and `list(v)` holds the arcs owned by `v` in the order
+/// their edges appear in `edges`. An edge list sorted by some key
+/// therefore yields lists sorted by that key with no per-list sort —
+/// the weight-ordered adjacency of the §5.5 Prim round (DESIGN.md §11).
+///
+/// Count → prefix → stable fill. A stable scatter cannot split the
+/// *edges* over threads (one list's slots would interleave across
+/// stripes), so it splits the *vertices*: every stripe streams the
+/// whole edge list and writes only the arcs its contiguous,
+/// arc-balanced vertex range owns, into its own window of the output.
+/// The sequential reads are cheap next to the scattered writes they
+/// divide. The count stays on one thread for the same reason turned
+/// around: its increments land in one small table, the stream is all of
+/// its cost, and every stripe would pay that in full. `arcs` runs once
+/// per edge in the count and once per edge per stripe in the fill, and
+/// must be pure; the result is the same for every `threads`, by
+/// construction.
+///
+/// # Panics
+/// If an arc's owner is not in `0..n`.
+pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
+    n: usize,
+    edges: &[E],
+    arcs: impl Fn(&E) -> [(NodeId, A); 2] + Sync,
+    threads: usize,
+) -> FlatAdjacency<A> {
+    let arcs = &arcs;
+
+    // Pass 1: arcs per vertex, then the prefix sum.
+    let mut offsets = vec![0usize; n + 1];
+    for (v, _) in edges.iter().flat_map(arcs) {
+        offsets[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+
+    // Pass 2: every stripe fills its vertices' lists, in edge order.
+    let mut table = vec![A::default(); offsets[n]];
+    {
+        let offsets = &offsets;
+        let mut rest = table.as_mut_slice();
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        for r in arc_balanced_stripes(offsets, threads.max(1)) {
+            let base = offsets[r.start];
+            let (win, tail) = rest.split_at_mut(offsets[r.end] - base);
+            rest = tail;
+            tasks.push(Box::new(move || {
+                let mut next: Vec<usize> = offsets[r.clone()].iter().map(|&o| o - base).collect();
+                for (v, arc) in edges.iter().flat_map(arcs) {
+                    if let Some(slot) = next.get_mut((v as usize).wrapping_sub(r.start)) {
+                        win[*slot] = arc;
+                        *slot += 1;
+                    }
+                }
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+    FlatAdjacency {
+        offsets,
+        arcs: table,
+    }
+}
+
 /// The per-vertex closure formulation [`ranked_adjacency`] replaced,
 /// kept as the oracle the builder is tested against: filter, collect,
 /// `sort_unstable_by_key` with the rank recomputed per comparison.
@@ -527,6 +598,47 @@ mod tests {
         // Equal keys outright: the neighbor id alone decides.
         let flat = ranked_adjacency(&g, |_, _| Some(0u64), 2);
         assert_eq!(flat.list(3), &[0, 1, 2, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn edge_ordered_lists_keep_edge_order_at_every_thread_count() {
+        for g in [
+            gen::rmat(8, 2_000, gen::RmatParams::SOCIAL, 5),
+            gen::star(40),
+            CsrGraph::empty(7),
+            CsrGraph::empty(0),
+        ] {
+            // The edges in a scrambled order, each tagged with its place.
+            let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.u, e.v)).collect();
+            edges.sort_unstable_by_key(|&(u, v)| mix64(crate::priorities::edge_key(u, v)));
+            let edges: Vec<(NodeId, NodeId, usize)> = edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v))| (u, v, i))
+                .collect();
+            let mut pushed: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); g.num_nodes()];
+            for &(u, v, i) in &edges {
+                pushed[u as usize].push((v, i));
+                pushed[v as usize].push((u, i));
+            }
+            for threads in [1, 2, 8] {
+                let adj = edge_ordered_adjacency(
+                    g.num_nodes(),
+                    &edges,
+                    |&(u, v, i)| [(u, (v, i)), (v, (u, i))],
+                    threads,
+                );
+                for v in g.nodes() {
+                    assert_eq!(adj.list(v), pushed[v as usize], "{threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn edge_ordered_rejects_an_owner_out_of_range() {
+        edge_ordered_adjacency(3, &[(1u32, 3u32)], |&(u, v)| [(u, v), (v, u)], 2);
     }
 
     #[test]

@@ -40,6 +40,7 @@ fn suppression_inventory_is_pinned() {
         ("no-raw-spawn", "crates/dht/src/bin/ampc-shardd.rs"),
         ("no-raw-spawn", "crates/dht/src/socket.rs"),
         ("no-unbatched-get", "crates/core/src/msf/common.rs"),
+        ("no-unbatched-get", "crates/core/src/msf/common.rs"),
         (
             "no-wall-clock-or-ambient-rng",
             "crates/runtime/src/driver.rs",
@@ -62,7 +63,6 @@ fn suppression_inventory_is_pinned() {
             "crates/core/src/matching/ampc_constant.rs",
         ),
         ("transitive-unbatched-get", "crates/core/src/mis/ampc.rs"),
-        ("transitive-unbatched-get", "crates/core/src/msf/common.rs"),
         ("transitive-unbatched-get", "crates/core/src/msf/common.rs"),
         ("transitive-unbatched-get", "crates/core/src/msf/dense.rs"),
     ]

@@ -159,16 +159,45 @@ impl Job {
         record_bytes: impl Fn(&T) -> u64,
     ) -> Vec<Vec<T>> {
         let wall = stage_clock();
-        let salt = self.cfg.seed ^ (self.stage_index as u64).wrapping_mul(0x9E37);
-        let buckets = partition::by_key(items, self.cfg.num_machines, salt, key);
+        let buckets = partition::by_key(items, self.cfg.num_machines, self.shuffle_salt(), key);
         let per_bytes: Vec<u64> = buckets
             .iter()
             .map(|b| b.iter().map(&record_bytes).sum())
             .collect();
+        self.push_shuffle_loads(name, &per_bytes, wall);
+        buckets
+    }
+
+    /// Meters the shuffle [`Self::shuffle_by_key_measured`] would perform
+    /// on records with these `(key, bytes)` pairs — same placement, same
+    /// per-machine loads, same stage — without moving anything: for a
+    /// kernel whose host side needs the loads but not the buckets (the
+    /// Prim round's Contract, DESIGN.md §11). Drawing the pairs is the
+    /// stage's host work and is timed into its `wall_ns`.
+    pub fn shuffle_by_key_metered(
+        &mut self,
+        name: &str,
+        records: impl IntoIterator<Item = (u64, u64)>,
+    ) {
+        let wall = stage_clock();
+        let (p, salt) = (self.cfg.num_machines, self.shuffle_salt());
+        let mut per_bytes = vec![0u64; p];
+        for (key, bytes) in records {
+            per_bytes[partition::machine_of(key, p, salt)] += bytes;
+        }
+        self.push_shuffle_loads(name, &per_bytes, wall);
+    }
+
+    /// Placement salt of a keyed shuffle at the current stage index.
+    fn shuffle_salt(&self) -> u64 {
+        self.cfg.seed ^ (self.stage_index as u64).wrapping_mul(0x9E37)
+    }
+
+    /// Pushes a keyed shuffle's stage from its per-machine byte loads.
+    fn push_shuffle_loads(&mut self, name: &str, per_bytes: &[u64], wall: Instant) {
         let total: u64 = per_bytes.iter().sum();
         let max = per_bytes.iter().copied().max().unwrap_or(0);
         self.push_shuffle(name, total, max, wall.elapsed().as_nanos() as u64);
-        buckets
     }
 
     /// Runs a parallel KV round: `items` are chunked contiguously over
@@ -438,6 +467,42 @@ mod tests {
             "partitioning 100k records took time"
         );
         assert_eq!(r.stages[1].wall_ns, 0, "no host work to time");
+    }
+
+    /// Metering without moving reports what the real shuffle reports, at
+    /// any stage index (the placement salt depends on it).
+    #[test]
+    fn metered_keyed_shuffle_matches_the_real_one() {
+        // Skewed keys, uneven record sizes.
+        let records: Vec<(u64, u64)> = (0..5_000u64).map(|i| (i * i % 997, 8 + i % 40)).collect();
+        for stages_before in [0, 1, 7] {
+            let (mut real, mut metered) = (test_job(), test_job());
+            for job in [&mut real, &mut metered] {
+                for _ in 0..stages_before {
+                    job.shuffle_balanced("earlier", 64);
+                }
+            }
+            real.shuffle_by_key_measured("s", records.clone(), |r| r.0, |r| r.1);
+            metered.shuffle_by_key_metered("s", records.iter().copied());
+            let loads = |job: &Job| {
+                let s = job.report().stages.last().expect("a stage").clone();
+                (
+                    s.name,
+                    s.shuffle_bytes,
+                    s.shuffle_bytes_max_machine,
+                    s.sim_ns,
+                )
+            };
+            assert_eq!(
+                loads(&real),
+                loads(&metered),
+                "after {stages_before} stages"
+            );
+            assert!(
+                loads(&real).2 < loads(&real).1,
+                "more than one machine loaded"
+            );
+        }
     }
 
     #[test]
