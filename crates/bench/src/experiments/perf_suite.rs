@@ -40,12 +40,6 @@ struct ModeResult {
     report: JobReport,
     /// Order-sensitive digest of the kernel's full output.
     output_digest: u64,
-    /// DHT value bytes cloned during this run (the `ampc_dht::probe`
-    /// delta): cache inserts and hot-key promotions. The probe counter
-    /// is process-global, so this is only meaningful when nothing else
-    /// touches a DHT concurrently — true in the `perf_suite` binary,
-    /// not under the parallel test harness.
-    bytes_cloned: u64,
     /// Real transport requests issued during this run (the
     /// `ampc_dht::wire_metrics` delta) — nonzero only under the socket
     /// substrate.
@@ -82,11 +76,6 @@ pub struct KernelPerf {
     /// for rows with a baseline, across the two paths — the suite
     /// asserts both).
     pub output_digest: u64,
-    /// DHT value bytes cloned during the measured run, from the
-    /// allocation probe. Informational in the trajectory (never
-    /// gated exactly — see [`clone_free_violations`] for the kernels
-    /// pinned at zero by the binary).
-    pub bytes_cloned: u64,
     /// Real transport request frames during the measured run —
     /// nonzero only for the `*-socket` rows, where together with
     /// `wire_bytes` it feeds the DESIGN.md §6 calibration note.
@@ -122,7 +111,6 @@ impl KernelPerf {
             kv_bytes: kv.kv_bytes(),
             peak_generation_bytes: run.report.peak_generation_bytes(),
             output_digest: run.output_digest,
-            bytes_cloned: run.bytes_cloned,
             wire_requests: run.wire_requests,
             wire_bytes: run.wire_bytes,
             baseline,
@@ -141,26 +129,23 @@ impl KernelPerf {
 // figures tracked in `BENCH_perf.json` stay comparable.
 
 /// Runs `kernel` once under `store`, measuring wall-clock plus the
-/// allocation-probe and wire-metrics deltas.
+/// wire-metrics delta.
 fn run_mode<F>(cfg: &AmpcConfig, store: StoreKind, kernel: &F) -> ModeResult
 where
     F: Fn(&AmpcConfig) -> (JobReport, u64),
 {
     ampc_dht::store::force_store(Some(store));
     ampc_dht::socket::ensure_if_active();
-    let cloned_before = ampc_dht::probe::bytes_cloned();
     let wire_before = ampc_dht::wire_metrics();
     let start = Instant::now();
     let (report, output_digest) = kernel(cfg);
     let wall_ns = start.elapsed().as_nanos() as u64;
     let wire_after = ampc_dht::wire_metrics();
-    let bytes_cloned = ampc_dht::probe::bytes_cloned() - cloned_before;
     ampc_dht::store::force_store(None);
     ModeResult {
         wall_ns,
         report,
         output_digest,
-        bytes_cloned,
         wire_requests: wire_after.requests - wire_before.requests,
         wire_bytes: (wire_after.bytes_sent + wire_after.bytes_received)
             - (wire_before.bytes_sent + wire_before.bytes_received),
@@ -290,14 +275,18 @@ fn pointer_chase(cfg: &AmpcConfig, n: usize, steps: usize) -> (JobReport, u64) {
         None,
         (0..n as u64).collect(),
         |ctx, items| {
-            // The zero-copy fixed-size fast path: every key was written
-            // this job, so each hop is one `get_many_expect_into` that
-            // copies the successors straight into the machine's scratch
-            // arena (no `Option<&V>` indirection, no per-hop
-            // allocation), then a swap makes them the next hop's keys.
+            // Every key was written this job, so each hop is one
+            // `get_many_with` that copies the successors straight into
+            // the machine's scratch arena (no `Option<&V>` buffer, no
+            // per-hop allocation), then a swap makes them the next
+            // hop's keys.
             let mut cur: Vec<u64> = items.to_vec();
             for _ in 0..steps {
-                ctx.handle.get_many_expect_into(&cur, &mut ctx.scratch.vals);
+                let vals = &mut ctx.scratch.vals;
+                vals.clear();
+                ctx.handle.get_many_with(&cur, |_, v| {
+                    vals.push(*v.expect("every key was written this job"));
+                });
                 std::mem::swap(&mut cur, &mut ctx.scratch.vals);
                 ctx.add_ops(items.len() as u64);
             }
@@ -536,7 +525,7 @@ pub fn to_json(scale: Scale, kernels: &[KernelPerf]) -> String {
              \"wall_ns\": {},\n{baseline}      \"kv_rounds\": {},\n      \
              \"shuffles\": {},\n      \"round_trips\": {},\n      \
              \"queries\": {},\n      \"kv_bytes\": {},\n      \
-             \"peak_generation_bytes\": {},\n      \"bytes_cloned\": {},\n      \
+             \"peak_generation_bytes\": {},\n      \
              \"wire_requests\": {},\n      \"wire_bytes\": {},\n      \
              \"output_digest\": {}\n    }}",
             k.name,
@@ -548,7 +537,6 @@ pub fn to_json(scale: Scale, kernels: &[KernelPerf]) -> String {
             k.queries,
             k.kv_bytes,
             k.peak_generation_bytes,
-            k.bytes_cloned,
             k.wire_requests,
             k.wire_bytes,
             k.output_digest,
@@ -607,33 +595,6 @@ fn calibration_json(kernels: &[KernelPerf]) -> String {
          \"bandwidth_bps\": 250000000}}, \"measured\": [{}]}}",
         rows.join(", ")
     )
-}
-
-/// The kernels whose uncached read paths the zero-copy contract
-/// (DESIGN.md §11) pins at **zero DHT value clones**: pointer-chase
-/// copies fixed-size successors into caller scratch, the uncached
-/// walks serve adjacency by reference through the visitor form, and
-/// the uncached MIS reads roots by reference. (Cached kernels clone
-/// exactly once per cache insert, so they are reported but not
-/// pinned.)
-pub const CLONE_FREE_KERNELS: [&str; 3] = ["pointer-chase", "walks-uncached", "mis-uncached"];
-
-/// Checks the zero-clone pins on [`CLONE_FREE_KERNELS`], returning one
-/// message per violated kernel. Called by the `perf_suite` binary —
-/// not from the measurement itself, because the probe counter is
-/// process-global and the parallel test harness runs other
-/// DHT-touching tests concurrently with the suite's own.
-pub fn clone_free_violations(kernels: &[KernelPerf]) -> Vec<String> {
-    kernels
-        .iter()
-        .filter(|k| CLONE_FREE_KERNELS.contains(&k.name) && k.bytes_cloned > 0)
-        .map(|k| {
-            format!(
-                "{}: uncached read path cloned {} bytes (contract: zero)",
-                k.name, k.bytes_cloned
-            )
-        })
-        .collect()
 }
 
 /// Result of a [`check_against`] comparison: the rendered report and
@@ -826,7 +787,6 @@ pub fn run(scale: Scale) -> (String, Vec<KernelPerf>) {
                 format!("{}+{}", k.kv_rounds, k.shuffles),
                 k.round_trips.to_string(),
                 crate::util::bytes(k.peak_generation_bytes),
-                crate::util::bytes(k.bytes_cloned),
             ]
         })
         .collect();
@@ -841,7 +801,6 @@ pub fn run(scale: Scale) -> (String, Vec<KernelPerf>) {
             "rounds (kv+shuffle)",
             "round trips",
             "peak gen",
-            "cloned",
         ],
         &rows,
     );
@@ -875,7 +834,6 @@ mod tests {
         assert!(json.contains("one-vs-two-cycle"));
         assert!(json.contains("dyn-cc-vs-recompute"));
         assert!(json.contains("chaos-dyn-cc"));
-        assert!(json.contains("\"bytes_cloned\""));
         // The real-wire rows: present, engaged (nonzero transport
         // traffic), and feeding the §6 calibration note.
         let socket_rows: Vec<_> = kernels
@@ -903,14 +861,6 @@ mod tests {
         assert_eq!(mis.output_digest, mis_socket.output_digest);
         assert_eq!(mis.queries, mis_socket.queries);
         assert_eq!(mis.kv_bytes, mis_socket.kv_bytes);
-        // The zero-clone pins themselves are enforced by the binary,
-        // where the process-global probe counter is quiescent; under
-        // the parallel test harness concurrent DHT-touching tests
-        // would make them flaky, so here we only check every pinned
-        // kernel is still measured.
-        for pinned in CLONE_FREE_KERNELS {
-            assert!(kernels.iter().any(|k| k.name == pinned), "{pinned} gone");
-        }
         for k in &kernels {
             assert!(k.queries > 0, "{} did not touch the DHT", k.name);
             assert!(

@@ -112,15 +112,18 @@ pub fn ampc_dynamic_cc_in_job(
             |ctx, items| {
                 // Key and value buffers live in the machine's scratch
                 // arena, so classify reuses them across batches; labels
-                // are fixed-size (`u64`), so the expect path copies
-                // them straight out of the sealed layout — no Option
-                // buffer, no per-batch allocation.
+                // are fixed-size (`u64`), so the visitor copies them
+                // straight out of the sealed layout — no Option buffer,
+                // no per-batch allocation.
                 ctx.scratch.keys.clear();
                 ctx.scratch
                     .keys
                     .extend(items.iter().flat_map(|up| [up.u as u64, up.v as u64]));
                 let (keys, vals) = (&ctx.scratch.keys, &mut ctx.scratch.vals);
-                ctx.handle.get_many_expect_into(keys, vals);
+                vals.clear();
+                ctx.handle.get_many_with(keys, |_, v| {
+                    vals.push(*v.expect("every vertex has a label"));
+                });
                 (0..items.len())
                     .map(|i| (vals[2 * i] as NodeId, vals[2 * i + 1] as NodeId))
                     .collect()

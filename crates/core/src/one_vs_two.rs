@@ -157,19 +157,18 @@ pub fn ampc_one_vs_two_in_job(
             ctx.scratch.keys.extend(items.iter().map(|&s| s as u64));
             {
                 let walks = &mut walks;
-                ctx.handle
-                    .get_many_through_with(&ctx.scratch.keys, |j, nbrs| {
-                        let nbrs = nbrs.expect("2-regular");
-                        let s = items[j];
-                        for &start in nbrs.iter().take(2) {
-                            walks.push(Walk {
-                                origin: s,
-                                prev: s,
-                                cur: start,
-                                steps: 1,
-                            });
-                        }
-                    });
+                ctx.handle.get_many_with(&ctx.scratch.keys, |j, nbrs| {
+                    let nbrs = nbrs.expect("2-regular");
+                    let s = items[j];
+                    for &start in nbrs.iter().take(2) {
+                        walks.push(Walk {
+                            origin: s,
+                            prev: s,
+                            cur: start,
+                            steps: 1,
+                        });
+                    }
+                });
             }
             let mut active: Vec<usize> = (0..walks.len())
                 .filter(|&i| !is_sampled(walks[i].cur))
@@ -186,20 +185,19 @@ pub fn ampc_one_vs_two_in_job(
                     let walks = &mut walks;
                     let next_active = &mut next_active;
                     let active = &active;
-                    ctx.handle
-                        .get_many_through_with(&ctx.scratch.keys, |j, cn| {
-                            let cn = cn.expect("2-regular");
-                            let i = active[j];
-                            let w = &mut walks[i];
-                            let next = if cn[0] == w.prev { cn[1] } else { cn[0] };
-                            w.prev = w.cur;
-                            w.cur = next;
-                            w.steps += 1;
-                            debug_assert!(w.steps <= n as u64 + 1, "walk failed to terminate");
-                            if !is_sampled(w.cur) {
-                                next_active.push(i);
-                            }
-                        });
+                    ctx.handle.get_many_with(&ctx.scratch.keys, |j, cn| {
+                        let cn = cn.expect("2-regular");
+                        let i = active[j];
+                        let w = &mut walks[i];
+                        let next = if cn[0] == w.prev { cn[1] } else { cn[0] };
+                        w.prev = w.cur;
+                        w.cur = next;
+                        w.steps += 1;
+                        debug_assert!(w.steps <= n as u64 + 1, "walk failed to terminate");
+                        if !is_sampled(w.cur) {
+                            next_active.push(i);
+                        }
+                    });
                 }
                 std::mem::swap(&mut active, &mut next_active);
             }

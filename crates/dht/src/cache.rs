@@ -168,95 +168,9 @@ impl<T: Clone> DenseCache<T> {
     }
 }
 
-/// A key must be served from the DHT this many times in one round
-/// before it earns a replica.
-const HOT_PROMOTE_THRESHOLD: u32 = 4;
-
-/// Per-machine replicas of the hottest keys of one round
-/// (`AMPC_HOT_KEYS`).
-///
-/// Skewed read distributions hammer a few keys of a huge sealed
-/// generation; replicating the top-K keys *onto the machine* keeps
-/// those lookups inside a small, cache-resident table. Promotion is
-/// streaming and deterministic: a key is replicated the
-/// `HOT_PROMOTE_THRESHOLD`-th time this machine reads it, first-come
-/// first-served up to `capacity` — a pure function of the machine's
-/// (deterministic) key sequence, never of thread schedule.
-///
-/// Replication is an execution-strategy optimization **only**: a
-/// replica-served read charges exactly the queries/bytes a DHT-served
-/// read would (the model still bills the machine for fetching the
-/// value), so [`crate::metrics::CommStats`] is byte-identical with
-/// replication on or off. The clone taken at promotion is reported to
-/// [`crate::probe`].
-#[derive(Clone, Debug)]
-pub struct HotSet<V> {
-    counts: FxHashMap<u64, u32>,
-    replicas: FxHashMap<u64, V>,
-    capacity: usize,
-}
-
-impl<V: Clone + crate::measured::Measured> HotSet<V> {
-    /// A replica set holding at most `capacity` keys.
-    pub fn new(capacity: usize) -> Self {
-        HotSet {
-            counts: FxHashMap::default(),
-            replicas: FxHashMap::default(),
-            capacity,
-        }
-    }
-
-    /// The replica for `key`, if it earned one.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<&V> {
-        self.replicas.get(&key)
-    }
-
-    /// Counts one DHT-served read of `key`; promotes the key to a
-    /// replica once it crosses the threshold (while capacity lasts).
-    #[inline]
-    pub fn observe(&mut self, key: u64, value: &V) {
-        if self.replicas.len() >= self.capacity {
-            return;
-        }
-        let c = self.counts.entry(key).or_insert(0);
-        *c += 1;
-        if *c >= HOT_PROMOTE_THRESHOLD {
-            crate::probe::record_clone(value.size_bytes());
-            self.replicas.insert(key, value.clone());
-        }
-    }
-
-    /// Number of keys currently replicated (test hook).
-    pub fn replicated(&self) -> usize {
-        self.replicas.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hot_set_promotes_after_threshold() {
-        let mut h: HotSet<u64> = HotSet::new(2);
-        for _ in 0..HOT_PROMOTE_THRESHOLD - 1 {
-            h.observe(7, &70);
-            assert!(h.get(7).is_none());
-        }
-        h.observe(7, &70);
-        assert_eq!(h.get(7), Some(&70));
-        // Capacity: only one more key may be promoted.
-        for _ in 0..HOT_PROMOTE_THRESHOLD {
-            h.observe(8, &80);
-        }
-        for _ in 0..HOT_PROMOTE_THRESHOLD {
-            h.observe(9, &90);
-        }
-        assert_eq!(h.get(8), Some(&80));
-        assert_eq!(h.get(9), None, "capacity 2 reached");
-        assert_eq!(h.replicated(), 2);
-    }
 
     #[test]
     fn basic_get_put() {

@@ -124,11 +124,11 @@ impl CostConfig {
     /// **per byte**. Volumes are scaled by [`Self::data_scale`].
     ///
     /// A round trip is one accounted *batch*
-    /// ([`crate::CommStats::batches`]): a `get_many` of 1000 independent
-    /// keys pays one latency and 1000 keys of bandwidth, while 1000
-    /// dependent single-key lookups pay 1000 latencies — the §5.3
-    /// distinction that makes adaptive *depth*, not query volume, the
-    /// cost of a round. Callers running the single-key baseline pass
+    /// ([`crate::CommStats::batches`]): a `get_many_with` of 1000
+    /// independent keys pays one latency and 1000 keys of bandwidth,
+    /// while 1000 dependent single-key lookups pay 1000 latencies — the
+    /// §5.3 distinction that makes adaptive *depth*, not query volume,
+    /// the cost of a round. Callers running the single-key baseline pass
     /// `queries + writes` (each op is its own round trip there).
     pub fn kv_time_ns(&self, round_trips: u64, bytes: u64) -> u64 {
         let s = self.data_scale as f64;

@@ -5,10 +5,10 @@
 //! low-priority batch tier where requests to the shared key-value
 //! service can time out and must be re-sent. A [`DropPlan`] simulates
 //! that deterministically: every **accounted batch** a
-//! [`crate::MachineHandle`] issues (a `get_many`/`put_many` round trip,
-//! or a single-key op) rolls a seeded hash to decide how many attempts
-//! are dropped before one succeeds. Drops never change what the batch
-//! returns — the simulated store is durable and the retry always
+//! [`crate::MachineHandle`] issues (a `get_many_with`/`put_many` round
+//! trip, or a single-key op) rolls a seeded hash to decide how many
+//! attempts are dropped before one succeeds. Drops never change what
+//! the batch returns — the simulated store is durable and the retry always
 //! re-issues identical keys — so outputs, `queries`, `writes`,
 //! `batches` and byte counters are byte-identical to a fault-free run;
 //! only the new retry counters ([`crate::metrics::CommStats::retries`],

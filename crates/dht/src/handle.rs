@@ -13,8 +13,8 @@
 //!
 //! The paper's practical wins come from machines issuing *batches* of
 //! DHT queries per adaptive step and answering repeats from a
-//! per-machine cache. [`MachineHandle::get_many`] / `put_many` perform
-//! one **accounted batch**: [`CommStats::batches`] counts one round
+//! per-machine cache. [`MachineHandle::get_many_with`] / `put_many`
+//! perform one **accounted batch**: [`CommStats::batches`] counts one round
 //! trip for the whole request while `queries`/`bytes_read` still count
 //! per key — so the cost model can charge latency per batch and
 //! bandwidth per key, and one batch of 1000 independent lookups is
@@ -28,12 +28,11 @@
 //! ([`MachineHandle::mount_cache`]) so kernels whose cached state is
 //! the raw stored value stop hand-rolling cache-then-get logic.
 
-use crate::cache::{DenseCache, HotSet};
+use crate::cache::DenseCache;
 use crate::fault::DropPlan;
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::measured::Measured;
 use crate::metrics::CommStats;
-use crate::probe;
 use crate::store::{Generation, GenerationWriter};
 use crate::wire::Wire;
 
@@ -68,17 +67,11 @@ pub struct MachineHandle<'a, V> {
     /// This machine's id, threaded into every write for deterministic
     /// duplicate-key resolution.
     machine_id: u32,
-    /// When false, `get_many`/`put_many` degrade to per-key round trips
-    /// (the single-key baseline).
+    /// When false, batched reads and `put_many` degrade to per-key
+    /// round trips (the single-key baseline).
     batching: bool,
     /// Optional read-through cache of raw stored values.
     cache: Option<DenseCache<V>>,
-    /// Optional hot-key replica set (`AMPC_HOT_KEYS`): frequently read
-    /// keys get machine-local replicas that serve the reference paths
-    /// without touching the sealed generation. Accounting is identical
-    /// either way — replication is a host-side strategy, not a model
-    /// change (see [`HotSet`]).
-    hot: Option<HotSet<V>>,
     /// Optional chaos drop plan: every accounted batch may be dropped
     /// and re-sent a seeded, capped number of times (counted into the
     /// retry fields of [`CommStats`]; never changes results).
@@ -100,7 +93,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
             machine_id: 0,
             batching: true,
             cache: None,
-            hot: None,
             drops: None,
             batch_ordinal: 0,
         }
@@ -129,15 +121,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// success (DESIGN.md §10). `None` (the default) disables drops.
     pub fn with_chaos_drops(mut self, drops: Option<DropPlan>) -> Self {
         self.drops = drops;
-        self
-    }
-
-    /// Arms hot-key replication with room for `k` replicas (`k = 0`,
-    /// the `AMPC_HOT_KEYS` default, disables it). Served values and
-    /// every [`CommStats`] counter are identical with replication on or
-    /// off; only the host-side memory traffic changes.
-    pub fn with_hot_keys(mut self, k: usize) -> Self {
-        self.hot = (k > 0).then(|| HotSet::new(k));
         self
     }
 
@@ -172,13 +155,10 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
         self.stats.queries < self.budget
     }
 
-    /// The batched-read core behind [`Self::get_many`] and
-    /// [`Self::get_many_into`]: one accounted batch (or per-key round trips with batching off),
-    /// `f` called once per key in key order with a reference carrying
-    /// the **generation lifetime** `'a`. Hot-key replicas never serve
-    /// this path — their references cannot outlive a visit — which is
-    /// exactly the split between this core and
-    /// [`Self::read_batch_hot_with`].
+    /// The one batched-read core, behind every `get_many_*` form: one
+    /// accounted batch (or per-key round trips with batching off), `f`
+    /// called once per key in key order with a reference carrying the
+    /// **generation lifetime** `'a`.
     fn read_batch_with(&mut self, keys: &[u64], f: &mut dyn FnMut(usize, Option<&'a V>)) {
         if keys.is_empty() {
             return;
@@ -210,69 +190,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
             };
             f(i, v);
         });
-        self.stats.bytes_read += bytes_read;
-    }
-
-    /// The short-lived-reference twin of [`Self::read_batch_with`],
-    /// behind [`Self::get_many_with`], [`Self::get_many_expect_into`]
-    /// and the cacheless [`Self::get_many_through_with`] branch:
-    /// identical accounting (the `CommStats` regression tests pin it),
-    /// but references only live for the visit, which lets hot-key
-    /// replicas (`AMPC_HOT_KEYS`) serve repeats from machine-local
-    /// memory at the same charged cost.
-    fn read_batch_hot_with(&mut self, keys: &[u64], f: &mut dyn FnMut(usize, Option<&V>)) {
-        if keys.is_empty() {
-            return;
-        }
-        if !self.batching {
-            for (i, &k) in keys.iter().enumerate() {
-                let v = self.get(k);
-                f(i, v.map(|v| -> &V { v }));
-            }
-            return;
-        }
-        debug_assert!(
-            self.stats.queries.saturating_add(keys.len() as u64) <= self.budget,
-            "machine {} batch of {} keys exceeds its O(S) query budget of {}",
-            self.machine_id,
-            keys.len(),
-            self.budget
-        );
-        self.account_batch();
-        self.stats.queries += keys.len() as u64;
-        let mut bytes_read = 0u64;
-        if let Some(mut hot) = self.hot.take() {
-            for (i, &k) in keys.iter().enumerate() {
-                // A replica hit charges exactly what the DHT read would
-                // — replication never changes CommStats.
-                match hot.get(k) {
-                    Some(v) => {
-                        bytes_read += 8 + v.size_bytes() as u64;
-                        f(i, Some(v));
-                    }
-                    None => match self.read.get(k) {
-                        Some(v) => {
-                            bytes_read += 8 + v.size_bytes() as u64;
-                            hot.observe(k, v);
-                            f(i, Some(v));
-                        }
-                        None => {
-                            bytes_read += 8;
-                            f(i, None);
-                        }
-                    },
-                }
-            }
-            self.hot = Some(hot);
-        } else {
-            self.read.get_many_with(keys, |i, v| {
-                bytes_read += match v {
-                    Some(v) => 8 + v.size_bytes() as u64,
-                    None => 8,
-                };
-                f(i, v.map(|v| -> &V { v }));
-            });
-        }
         self.stats.bytes_read += bytes_read;
     }
 
@@ -321,80 +238,31 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
 
     /// Looks up many keys in **one accounted batch**: a single round
     /// trip ([`CommStats::batches`]), one query and per-key response
-    /// bytes for every key. The keys must be *independent* — none may
-    /// depend on another's response; dependent lookups are separate
-    /// batches, which is exactly what the cost model charges for.
+    /// bytes for every key; `f` is called once per key, in key order,
+    /// with the index and the value — no output buffer at all. The
+    /// keys must be *independent* — none may depend on another's
+    /// response; dependent lookups are separate batches, which is
+    /// exactly what the cost model charges for. References carry the
+    /// generation lifetime, so they may outlive the call.
     ///
     /// With batching disabled, degrades to a loop of [`Self::get`]
-    /// calls: identical keys, bytes and return values, one round trip
-    /// per key.
+    /// calls: identical keys, bytes and values, one round trip per key.
     ///
     /// # Panics
     /// In debug builds, panics if the batch would exceed the `O(S)`
     /// query budget.
-    pub fn get_many(&mut self, keys: &[u64]) -> Vec<Option<&'a V>> {
-        let mut out = Vec::new();
-        self.get_many_into(keys, &mut out);
-        out
+    pub fn get_many_with(&mut self, keys: &[u64], mut f: impl FnMut(usize, Option<&'a V>)) {
+        self.read_batch_with(keys, &mut f);
     }
 
-    /// [`Self::get_many`] into a caller-owned buffer: `out` is cleared
-    /// and refilled with one `Option<&V>` per key. Accounting is
-    /// identical to `get_many` — one batch for the whole request (or
-    /// per-key round trips with batching disabled). Lockstep kernels
-    /// (walks, 1-vs-2-cycle frontiers, MIS/MM root prefetch) reuse one
-    /// buffer across adaptive steps instead of allocating a fresh
-    /// `Vec<Option<&V>>` per hop.
-    ///
-    /// # Panics
-    /// In debug builds, panics if the batch would exceed the `O(S)`
-    /// query budget.
+    /// [`Self::get_many_with`] into a caller-owned buffer: `out` is
+    /// cleared and refilled with one `Option<&V>` per key. Lockstep
+    /// kernels (MIS/MM/MSF root prefetch) reuse one buffer across
+    /// adaptive steps instead of allocating a fresh `Vec` per hop.
     pub fn get_many_into(&mut self, keys: &[u64], out: &mut Vec<Option<&'a V>>) {
         out.clear();
         out.reserve(keys.len());
-        self.read_batch_with(keys, &mut |_, v| out.push(v));
-    }
-
-    /// Visitor form of [`Self::get_many`], the leanest member of the
-    /// batch family: one accounted batch, `f` called once per key in
-    /// key order with the index and the value — no output buffer at
-    /// all. Hot-key replicas may serve repeats, so the references live
-    /// only for the visit (take [`Self::get_many_into`] when the batch
-    /// results must outlive the call). Accounting is identical to
-    /// [`Self::get_many`] by construction.
-    ///
-    /// # Panics
-    /// In debug builds, panics if the batch would exceed the `O(S)`
-    /// query budget.
-    pub fn get_many_with(&mut self, keys: &[u64], mut f: impl FnMut(usize, Option<&V>)) {
-        self.read_batch_hot_with(keys, &mut f);
-    }
-
-    /// Fixed-size fast path of the batch family: **copies** each value
-    /// into the caller's scratch buffer (cleared first) instead of
-    /// collecting `Option<&V>`, so lockstep kernels over `Copy` values
-    /// (chase tables, labels) keep one flat `Vec<V>` alive across hops
-    /// with no borrow tying it to the generation — and no per-hop
-    /// allocation at all. Accounting is *identical* to
-    /// [`Self::get_many_into`] on an all-present batch: one round trip,
-    /// one query and `8 + size` response bytes per key (per-key round
-    /// trips with batching disabled). Hot-key replicas
-    /// ([`Self::with_hot_keys`]) serve from machine-local memory at the
-    /// same charged cost.
-    ///
-    /// # Panics
-    /// When a key is absent — callers use this for tables they wrote
-    /// themselves. In debug builds, also panics if the batch would
-    /// exceed the `O(S)` query budget.
-    pub fn get_many_expect_into(&mut self, keys: &[u64], out: &mut Vec<V>)
-    where
-        V: Copy,
-    {
-        out.clear();
-        out.reserve(keys.len());
-        self.read_batch_hot_with(keys, &mut |_, v| {
-            out.push(*v.expect("get_many_expect_into: key absent"));
-        });
+        self.get_many_with(keys, |_, v| out.push(v));
     }
 
     /// The read-through batch lookup against the mounted cache: cached
@@ -412,18 +280,13 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// the value — a cache reference for hits, the generation's own
     /// reference for misses. Each *present miss* is cloned exactly once
     /// (into the mounted cache); the caller is never handed an owned
-    /// copy. With no cache mounted this is a plain batch served
-    /// straight from the generation — zero clones, same accounting as
-    /// [`Self::get_many_into`].
+    /// copy. With no cache mounted this *is* [`Self::get_many_with`].
     pub fn get_many_through_with(&mut self, keys: &[u64], mut f: impl FnMut(usize, Option<&V>)) {
         if keys.is_empty() {
             return;
         }
         let Some(mut cache) = self.cache.take() else {
-            // No cache mounted: a plain batch (same accounting as
-            // `get_many_into`), served by reference through the
-            // hot-aware core.
-            self.read_batch_hot_with(keys, &mut f);
+            self.get_many_with(keys, f);
             return;
         };
         let mut fetch: Vec<u64> = Vec::new();
@@ -436,15 +299,13 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
                 fetch.push(k);
             }
         }
-        let fetched = self.get_many(&fetch);
         let mut batch: FxHashMap<u64, Option<&'a V>> = FxHashMap::default();
-        for (&k, v) in fetch.iter().zip(&fetched) {
-            batch.insert(k, *v);
+        self.read_batch_with(&fetch, &mut |i, v| {
+            batch.insert(fetch[i], v);
             if let Some(v) = v {
-                probe::record_clone(v.size_bytes());
-                cache.put(k, (*v).clone()); // the single per-miss clone
+                cache.put(fetch[i], v.clone()); // the single per-miss clone
             }
-        }
+        });
         for (i, k) in keys.iter().enumerate() {
             match batch.get(k) {
                 // Miss: the generation's reference, no caller clone.
@@ -550,13 +411,15 @@ mod tests {
     fn get_many_counts_one_batch() {
         let g = gen3();
         let mut h: MachineHandle<u64> = MachineHandle::new(&g, None);
-        let vs = h.get_many(&[1, 2, 99]);
+        let mut vs = Vec::new();
+        h.get_many_into(&[1, 2, 99], &mut vs);
         assert_eq!(vs, vec![Some(&10), Some(&20), None]);
         assert_eq!(h.stats().queries, 3);
         assert_eq!(h.stats().batches, 1);
         assert_eq!(h.stats().bytes_read, 16 + 16 + 8);
         // An empty batch is free.
-        assert!(h.get_many(&[]).is_empty());
+        h.get_many_into(&[], &mut vs);
+        assert!(vs.is_empty());
         assert_eq!(h.stats().batches, 1);
     }
 
@@ -565,8 +428,9 @@ mod tests {
         let g = gen3();
         let mut on: MachineHandle<u64> = MachineHandle::new(&g, None);
         let mut off: MachineHandle<u64> = MachineHandle::new(&g, None).with_batching(false);
-        let a = on.get_many(&[1, 2, 3]);
-        let b = off.get_many(&[1, 2, 3]);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        on.get_many_into(&[1, 2, 3], &mut a);
+        off.get_many_into(&[1, 2, 3], &mut b);
         assert_eq!(a, b);
         assert_eq!(on.stats().queries, off.stats().queries);
         assert_eq!(on.stats().bytes_read, off.stats().bytes_read);
@@ -749,32 +613,48 @@ mod tests {
         }
     }
 
-    /// The reference-serving read-through path clones each present miss
-    /// exactly once (the cache insert) and nothing else.
+    /// The clone budget of the whole read family: the mounted-cache
+    /// read-through clones each present miss exactly once (the cache
+    /// insert); every other read — `get`, `get_many_with`,
+    /// `get_many_into`, the cacheless read-through — clones nothing.
     #[test]
     fn read_through_clones_once_per_miss() {
+        use std::sync::atomic::Ordering::Relaxed;
         let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let g: Generation<CloneCounter> = Generation::from_iter(
             (0..8u64).map(|k| (k, CloneCounter(k, std::sync::Arc::clone(&clones)))),
         );
-        clones.store(0, std::sync::atomic::Ordering::Relaxed);
+        clones.store(0, Relaxed);
 
+        // 4 distinct present keys, one repeat, one absent key.
+        let keys = [0, 1, 2, 3, 1, 99];
         let mut h: MachineHandle<CloneCounter> = MachineHandle::new(&g, None);
-        h.mount_cache(DenseCache::unbounded(8));
-        // 4 distinct present misses, one repeat, one absent key.
         let mut seen = 0usize;
-        h.get_many_through_with(&[0, 1, 2, 3, 1, 99], |_, v| {
+        for &k in &keys {
+            seen += usize::from(h.get(k).is_some());
+        }
+        h.get_many_with(&keys, |_, v| seen += usize::from(v.is_some()));
+        let mut out = Vec::new();
+        h.get_many_into(&keys, &mut out);
+        seen += out.iter().flatten().count();
+        h.get_many_through_with(&keys, |_, v| seen += usize::from(v.is_some()));
+        assert_eq!(seen, 4 * 5);
+        assert_eq!(clones.load(Relaxed), 0, "uncached reads clone nothing");
+
+        h.mount_cache(DenseCache::unbounded(8));
+        let mut seen = 0usize;
+        h.get_many_through_with(&keys, |_, v| {
             seen += usize::from(v.is_some());
         });
         assert_eq!(seen, 5);
         assert_eq!(
-            clones.load(std::sync::atomic::Ordering::Relaxed),
+            clones.load(Relaxed),
             4,
             "one clone per present miss, none for the caller"
         );
         // Second batch: all hits — zero further clones.
         h.get_many_through_with(&[3, 2, 1, 0], |_, v| assert!(v.is_some()));
-        assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 4);
+        assert_eq!(clones.load(Relaxed), 4);
     }
 
     /// The read-through path's documented accounting: a key sequence
@@ -826,62 +706,78 @@ mod tests {
         assert_eq!(run(false, true, false), plain);
     }
 
-    /// The fixed-size copy path must charge exactly what the reference
-    /// path charges on an all-present batch — batching on and off.
+    /// The collapsed read family is one accounting: over key lists
+    /// with repeats and absent keys, a `get` loop, `get_many_with`,
+    /// `get_many_into` and the cacheless `get_many_through_with` hand
+    /// out identical values and charge identical `CommStats` — one
+    /// round trip per list against one per key being the only
+    /// difference — with batching on and off and a drop plan armed.
     #[test]
-    fn expect_path_accounting_matches_get_many_into() {
-        let g: Generation<u64> = Generation::from_iter((0..64u64).map(|k| (k, k * 3)));
-        let keys: Vec<u64> = (0..64u64).rev().collect();
-        for batching in [true, false] {
-            let mut a: MachineHandle<u64> = MachineHandle::new(&g, None).with_batching(batching);
-            let mut refs = Vec::new();
-            a.get_many_into(&keys, &mut refs);
-            let mut b: MachineHandle<u64> = MachineHandle::new(&g, None).with_batching(batching);
-            let mut vals = Vec::new();
-            b.get_many_expect_into(&keys, &mut vals);
-            assert_eq!(a.stats(), b.stats(), "batching={batching}");
-            let copied: Vec<u64> = refs.iter().map(|v| *v.expect("present")).collect();
-            assert_eq!(copied, vals);
-            // Buffer reuse: a second batch refills, never appends.
-            b.get_many_expect_into(&[1, 2], &mut vals);
-            assert_eq!(vals, vec![3, 6]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "key absent")]
-    fn expect_path_panics_on_missing_key() {
-        let g = gen3();
-        let mut h: MachineHandle<u64> = MachineHandle::new(&g, None);
-        let mut out = Vec::new();
-        h.get_many_expect_into(&[1, 99], &mut out);
-    }
-
-    /// Hot-key replication must be invisible in values *and* in every
-    /// CommStats counter — it only changes where the bytes come from.
-    #[test]
-    fn hot_key_replication_is_stats_invisible() {
-        let g: Generation<u64> = Generation::from_iter((0..32u64).map(|k| (k, k + 100)));
-        // A skewed sequence: key 3 is read far past the promotion
-        // threshold, with cold keys interleaved.
-        let keys: Vec<u64> = (0..200u64)
-            .map(|i| if i % 3 == 0 { 3 } else { i % 32 })
-            .collect();
-        let run = |hot: usize| {
-            let mut h: MachineHandle<u64> = MachineHandle::new(&g, None).with_hot_keys(hot);
-            let mut vals = Vec::new();
-            let mut visited = Vec::new();
-            for chunk in keys.chunks(16) {
-                h.get_many_expect_into(chunk, &mut vals);
-                visited.extend(vals.iter().copied());
-                h.get_many_through_with(chunk, |_, v| visited.push(*v.expect("present")));
-            }
-            (visited, *h.stats())
+    fn read_family_agrees_on_values_and_stats() {
+        type Read = fn(&mut MachineHandle<Vec<u64>>, &[u64], &mut Vec<Option<u64>>);
+        let forms: [(&str, Read); 4] = [
+            ("get loop", |h, keys, out| {
+                out.extend(keys.iter().map(|&k| h.get(k).map(|v| v[0])));
+            }),
+            ("get_many_with", |h, keys, out| {
+                h.get_many_with(keys, |_, v| out.push(v.map(|v| v[0])));
+            }),
+            ("get_many_into", |h, keys, out| {
+                let mut refs = Vec::new();
+                h.get_many_into(keys, &mut refs);
+                out.extend(refs.iter().map(|v| v.map(|v| v[0])));
+            }),
+            ("get_many_through_with", |h, keys, out| {
+                h.get_many_through_with(keys, |_, v| out.push(v.map(|v| v[0])));
+            }),
+        ];
+        let g: Generation<Vec<u64>> =
+            Generation::from_iter((0..32u64).map(|k| (k, vec![k + 100; 1 + k as usize % 3])));
+        // Key 3 repeats within and across lists; 99 and 1 << 40 are absent.
+        let lists: [&[u64]; 4] = [&[3, 1, 3, 99, 7], &[], &[3, 3, 3], &[31, 1 << 40, 0, 3]];
+        let total: u64 = lists.iter().map(|l| l.len() as u64).sum();
+        let drops = DropPlan {
+            seed: 5,
+            drop_pm: 400,
+            retry_cap: 3,
         };
-        let (vals_off, stats_off) = run(0);
-        let (vals_on, stats_on) = run(4);
-        assert_eq!(vals_off, vals_on);
-        assert_eq!(stats_off, stats_on);
+        for batching in [true, false] {
+            for plan in [None, Some(drops)] {
+                let run = |read: Read| {
+                    let mut h = MachineHandle::new(&g, None)
+                        .with_machine(2)
+                        .with_batching(batching)
+                        .with_chaos_drops(plan);
+                    let mut out = Vec::new();
+                    for keys in lists {
+                        read(&mut h, keys, &mut out);
+                    }
+                    (out, *h.stats())
+                };
+                let (values, per_key) = run(forms[0].1);
+                assert_eq!(
+                    values[..5],
+                    [Some(103), Some(101), Some(103), None, Some(107)]
+                );
+                assert_eq!((per_key.queries, per_key.batches), (total, total));
+                assert_eq!(per_key.retries > 0, plan.is_some());
+                // Batched: one round trip per non-empty list; the drop
+                // plan rolls per round trip, so the retry fields differ
+                // from the per-key ones and nothing else does.
+                let (_, batched) = run(forms[1].1);
+                if batching {
+                    assert_eq!(batched.batches, 3);
+                    assert_eq!(batched.queries, per_key.queries);
+                    assert_eq!(batched.bytes_read, per_key.bytes_read);
+                }
+                for (name, read) in &forms[1..] {
+                    let what = format!("{name} batching={batching} drops={}", plan.is_some());
+                    let (got, stats) = run(*read);
+                    assert_eq!(got, values, "{what}");
+                    assert_eq!(stats, if batching { batched } else { per_key }, "{what}");
+                }
+            }
+        }
     }
 
     /// Algorithm-1-style truncation: a search loop that explores until

@@ -22,9 +22,9 @@
 //!   round trips and bytes ([`metrics::CommStats`]), **enforces** the
 //!   `O(S)` communication budget of the model
 //!   ([`handle::BudgetExhausted`]), and supports the §5.3 batching
-//!   optimization: `get_many`/`put_many` issue many independent keys as
-//!   one accounted round trip, and a read-through [`cache::DenseCache`]
-//!   can be mounted directly on the handle.
+//!   optimization: `get_many_with`/`put_many` issue many independent
+//!   keys as one accounted round trip, and a read-through
+//!   [`cache::DenseCache`] can be mounted directly on the handle.
 //! * [`cache::DenseCache`] — the per-machine query cache of §5.3's caching
 //!   optimization (*"an array indexed over the vertices that is shared
 //!   between all threads operating on a machine"*), with a compact-map
@@ -52,13 +52,12 @@ pub mod handle;
 pub mod hasher;
 pub mod measured;
 pub mod metrics;
-pub mod probe;
 pub mod socket;
 pub mod store;
 pub mod substrate;
 pub mod wire;
 
-pub use cache::{DenseCache, HotSet};
+pub use cache::DenseCache;
 pub use cost::{CostConfig, Network};
 pub use fault::DropPlan;
 pub use handle::{BudgetExhausted, MachineHandle};

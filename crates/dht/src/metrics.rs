@@ -17,8 +17,8 @@ pub struct CommStats {
     /// Number of key-value pairs written to the DHT.
     pub writes: u64,
     /// Number of accounted round trips to the DHT. A batched request
-    /// (`get_many` / `put_many`) counts as **one** batch no matter how
-    /// many keys it carries; a single-key `get` / `put` is a batch of
+    /// (`get_many_with` / `put_many`) counts as **one** batch no matter
+    /// how many keys it carries; a single-key `get` / `put` is a batch of
     /// one. Always `batches <= queries + writes`. The cost model charges
     /// lookup *latency* per batch and *bandwidth* per key, so adaptive
     /// depth — chains of dependent batches — is what a round costs

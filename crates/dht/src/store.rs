@@ -692,23 +692,12 @@ impl<V: Measured + Clone + Wire> Generation<V> {
         with_substrate!(self, s => s.get(key))
     }
 
-    /// Looks up a batch of keys, appending one `Option<&V>` per key to
-    /// `out` (which is cleared first). The allocation-free counterpart
-    /// of collecting [`Self::get`] results — lockstep kernels reuse one
-    /// buffer across hops instead of allocating a fresh `Vec` per batch.
-    /// In-memory substrates software-pipeline the lookups (slot `i + 16`
-    /// prefetched while slot `i` is read); the socket substrate fetches
-    /// the batch in one wire request per shard.
-    pub fn get_many_into<'a>(&'a self, keys: &[u64], out: &mut Vec<Option<&'a V>>) {
-        out.clear();
-        out.reserve(keys.len());
-        with_substrate!(self, s => s.get_batch_with(keys, &mut |_, v| out.push(v)));
-    }
-
-    /// Visitor form of the batched lookup: `f` is called once per key,
-    /// in key order, with the index and the result — no output buffer
-    /// at all. This is [`Substrate::get_batch_with`], the narrow waist
-    /// every batched read funnels through.
+    /// The batched lookup: `f` is called once per key, in key order,
+    /// with the index and the result — no output buffer at all. This is
+    /// [`Substrate::get_batch_with`], the narrow waist every batched
+    /// read funnels through: in-memory substrates software-pipeline the
+    /// lookups (slot `i + 16` prefetched while slot `i` is read); the
+    /// socket substrate fetches the batch in one wire request per shard.
     pub fn get_many_with<'a>(&'a self, keys: &[u64], mut f: impl FnMut(usize, Option<&'a V>)) {
         with_substrate!(self, s => s.get_batch_with(keys, &mut f));
     }
@@ -995,7 +984,7 @@ mod tests {
     /// oracle — on every lookup: dense, sparse and stripe-colliding
     /// adversarial key sets, hits and misses alike.
     #[test]
-    fn flat_layouts_match_sharded_baseline() {
+    fn flat_layouts_match_btreemap_oracle() {
         // Keys that all land in mix64 bucket 0 of the 64 writer stripes
         // (one stripe log holds everything) — and stress one probe
         // neighborhood of the open table.
@@ -1078,10 +1067,11 @@ mod tests {
     #[test]
     fn get_many_into_reuses_buffer() {
         let g = Generation::from_iter((0..50u64).map(|k| (k, k * 2)));
+        let mut h = crate::handle::MachineHandle::new(&g, None);
         let mut buf = Vec::new();
-        g.get_many_into(&[1, 2, 99], &mut buf);
+        h.get_many_into(&[1, 2, 99], &mut buf);
         assert_eq!(buf, vec![Some(&2), Some(&4), None]);
-        g.get_many_into(&[3], &mut buf);
+        h.get_many_into(&[3], &mut buf);
         assert_eq!(buf, vec![Some(&6)]);
     }
 

@@ -47,7 +47,7 @@ pub const KNOBS: &[KnobSpec] = &[
         accepts: "on | off | 0 | false (case-insensitive)",
         default: "on",
         doc: "The §5.3 batching optimization: machines issue independent \
-              lookups as one accounted get_many/put_many batch. \
+              lookups as one accounted get_many_with/put_many batch. \
               `off`/`0`/`false` selects the single-key baseline \
               (identical outputs, one round trip per key).",
     },
@@ -61,16 +61,6 @@ pub const KNOBS: &[KnobSpec] = &[
               batch drops with capped-backoff retries. Outputs stay \
               byte-identical to a fault-free run; only simulated time \
               and the retry/replay counters change.",
-    },
-    KnobSpec {
-        name: "AMPC_HOT_KEYS",
-        accepts: "a non-negative integer",
-        default: "0 (replication disabled)",
-        doc: "Per-machine hot-key replica capacity (DESIGN.md §11): \
-              keys a machine reads repeatedly in one round are \
-              replicated onto the machine, top-K first-come. An \
-              execution-strategy knob only — outputs and CommStats are \
-              byte-identical for every value.",
     },
     KnobSpec {
         name: "AMPC_SCALE",
@@ -143,15 +133,6 @@ pub fn ampc_batch() -> bool {
 /// construction like `AMPC_BATCH`.
 pub fn ampc_chaos() -> Option<String> {
     raw("AMPC_CHAOS").filter(|v| !v.trim().is_empty())
-}
-
-/// `AMPC_HOT_KEYS`: per-machine hot-key replica capacity. Unset,
-/// malformed, or `0` disables replication. Read per call, captured
-/// into `AmpcConfig` at construction like `AMPC_BATCH`.
-pub fn ampc_hot_keys() -> usize {
-    raw("AMPC_HOT_KEYS")
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0)
 }
 
 /// `AMPC_SCALE`: normalized to `"test"`, `"mid"` or `"bench"`
@@ -231,7 +212,6 @@ mod tests {
         assert!(ampc_threads() >= 1);
         assert!(matches!(ampc_scale(), "test" | "mid" | "bench"));
         let _ = ampc_batch();
-        let _ = ampc_hot_keys();
         assert!(matches!(ampc_store(), "flat" | "socket"));
         assert!(ampc_socket_shards() >= 1);
         // Chaos is never silently on: only a set, non-empty value

@@ -3,7 +3,7 @@
 //!
 //! Nodes are [`crate::symbols`] function ids; edges are resolved call
 //! sites. Calls on the DHT machine handle (`…handle.get(…)`,
-//! `…handle.get_many(…)`, and friends, plus calls through a parameter
+//! `…handle.get_many_with(…)`, and friends, plus calls through a parameter
 //! whose type names `MachineHandle`) are **primitives**, not edges:
 //! they are what reachability terminates on. Every query answers with
 //! a *witness chain* — the `a -> b -> handle.get` path, each step
@@ -19,10 +19,8 @@ pub const PER_KEY_GETS: &[&str] = &["get", "try_get"];
 /// The batched-request handle methods R10 counts: each call site is
 /// one accounted round trip per machine per round (DESIGN.md §5.3).
 pub const BATCHED_REQUESTS: &[&str] = &[
-    "get_many",
-    "get_many_into",
     "get_many_with",
-    "get_many_expect_into",
+    "get_many_into",
     "get_many_through_with",
     "put_many",
 ];
@@ -269,7 +267,7 @@ mod tests {
             fn kernel(ctx: &mut Ctx) { one(ctx); two(ctx); }
             fn one(ctx: &mut Ctx) { shared(ctx); ctx.handle.put_many(x); }
             fn two(ctx: &mut Ctx) { shared(ctx); }
-            fn shared(ctx: &mut Ctx) { ctx.handle.get_many(&k); recur(ctx); }
+            fn shared(ctx: &mut Ctx) { ctx.handle.get_many_with(&k, f); recur(ctx); }
             fn recur(ctx: &mut Ctx) { shared(ctx); }
             "#,
         )]);
@@ -284,10 +282,13 @@ mod tests {
             .iter()
             .map(|c| c.last().unwrap().name.as_str())
             .collect();
-        assert_eq!(names, vec!["handle.get_many", "handle.put_many"]);
-        // The get_many chain goes kernel -> one -> shared.
+        assert_eq!(names, vec!["handle.get_many_with", "handle.put_many"]);
+        // The get_many_with chain goes kernel -> one -> shared.
         let chain: Vec<&str> = sites[0].iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(chain, vec!["kernel", "one", "shared", "handle.get_many"]);
+        assert_eq!(
+            chain,
+            vec!["kernel", "one", "shared", "handle.get_many_with"]
+        );
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: R1,
         summary: "per-key MachineHandle::get/try_get inside a loop in a core kernel; \
-                  batch independent lookups with get_many/get_many_through_with",
+                  batch independent lookups with get_many_with/get_many_into",
     },
     RuleSpec {
         name: R2,
@@ -619,7 +619,7 @@ fn rule_unbatched_get(toks: &[Tok], scopes: &Scopes, rel: &str, out: &mut Vec<Vi
                 col: toks[i + 2].col,
                 message: format!(
                     "per-key `handle.{}()` inside a loop: independent lookups must be \
-                     batched with `get_many`/`get_many_through_with` (one accounted round \
+                     batched with `get_many_with`/`get_many_into` (one accounted round \
                      trip); if the chain is adaptive (each key depends on the previous \
                      value), say so in an allow marker",
                     toks[i + 2].text

@@ -9,7 +9,7 @@
 //! keeps false call-graph edges (and thus false findings) out at the
 //! cost of missing some true ones. Method calls resolve by the method
 //! name under the same policy; [`crate::rules`] special-cases the
-//! `MachineHandle` primitives (`handle.get`, `handle.get_many`, …)
+//! `MachineHandle` primitives (`handle.get`, `handle.get_many_with`, …)
 //! before resolution is consulted.
 
 use crate::parser::{FnItem, ParsedFile};

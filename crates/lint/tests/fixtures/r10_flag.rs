@@ -3,13 +3,13 @@
 
 pub fn alpha_in_job(ctx: &mut MachineCtx<'_, u64>) {
     let keys: Vec<u64> = Vec::new();
-    ctx.handle.get_many(&keys);
+    ctx.handle.get_many_with(&keys, |_, _| ());
 }
 
 // ampc-lint: budget(batched-requests = 1)
 pub fn beta_in_job(ctx: &mut MachineCtx<'_, u64>) {
     let keys: Vec<u64> = Vec::new();
-    ctx.handle.get_many(&keys);
+    ctx.handle.get_many_with(&keys, |_, _| ());
     helper(ctx);
 }
 

@@ -4,7 +4,7 @@
 // ampc-lint: budget(batched-requests = 2)
 pub fn gamma_in_job(ctx: &mut MachineCtx<'_, u64>) {
     let keys: Vec<u64> = Vec::new();
-    ctx.handle.get_many(&keys);
+    ctx.handle.get_many_with(&keys, |_, _| ());
     helper(ctx);
 }
 

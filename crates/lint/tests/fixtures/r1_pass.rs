@@ -3,9 +3,9 @@
 pub fn batched(ctx: &mut Ctx, rounds: &[Vec<u64>]) -> u64 {
     let mut acc = 0;
     for keys in rounds {
-        for v in ctx.handle.get_many(keys) {
-            acc += *v;
-        }
+        ctx.handle.get_many_with(keys, |_, v| {
+            acc += *v.unwrap();
+        });
     }
     acc += *ctx.handle.get(7).unwrap();
     acc

@@ -9,11 +9,10 @@ pub fn kernel(ctx: &mut MachineCtx<'_, u64>, items: &[u64]) -> Vec<u64> {
 
 fn helper_batched(ctx: &mut MachineCtx<'_, u64>, items: &[u64]) -> Vec<u64> {
     let keys: Vec<u64> = items.to_vec();
+    let mut out = Vec::new();
     ctx.handle
-        .get_many(&keys)
-        .into_iter()
-        .map(|v| *v.unwrap())
-        .collect()
+        .get_many_with(&keys, |_, v| out.push(*v.unwrap()));
+    out
 }
 
 fn helper_single(ctx: &mut MachineCtx<'_, u64>, k: u64) -> u64 {

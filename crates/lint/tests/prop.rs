@@ -36,7 +36,7 @@ const FRAGMENTS: &[&str] = &[
     "handle",
     "ctx",
     "get",
-    "get_many",
+    "get_many_with",
     "try_get",
     "put_many",
     "lock",

@@ -32,21 +32,12 @@ pub struct AmpcConfig {
     pub caching: bool,
     /// Whether the §5.3 batching optimization is enabled: machines issue
     /// their independent lookups as one accounted batch
-    /// (`MachineHandle::get_many` / `put_many`), so the cost model
+    /// (`MachineHandle::get_many_with` / `put_many`), so the cost model
     /// charges lookup latency per *batch* instead of per key. Disabling
     /// it (`AMPC_BATCH=off`, or [`Self::with_batching`]) is the
     /// single-key baseline: identical queries, bytes and outputs, one
     /// round trip per key.
     pub batching: bool,
-    /// Per-machine hot-key replica capacity (`AMPC_HOT_KEYS`,
-    /// DESIGN.md §11): keys a machine reads repeatedly within one
-    /// round are replicated onto the machine, top-K first-come, so
-    /// skewed read distributions stop hammering the sealed generation.
-    /// `0` (the default) disables replication. Purely an
-    /// execution-strategy knob: replica-served reads charge identical
-    /// queries/bytes, so outputs and `CommStats` are byte-identical
-    /// for every value.
-    pub hot_keys: usize,
     /// Concurrency of the simulation itself: how many machine bodies
     /// may execute at once. `1` (the forced value under
     /// `AMPC_THREADS=1`) runs every machine inline on the caller
@@ -99,7 +90,6 @@ impl Default for AmpcConfig {
             cost: CostConfig::default(),
             caching: true,
             batching: batching_default(),
-            hot_keys: knobs::ampc_hot_keys(),
             threads: ampc_dht::store::ampc_threads(),
             store: None,
             seed: 0xA3C5,
@@ -148,13 +138,6 @@ impl AmpcConfig {
     /// Enables/disables the §5.3 batching optimization.
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
-        self
-    }
-
-    /// Sets the per-machine hot-key replica capacity (see
-    /// [`Self::hot_keys`]; `0` disables replication).
-    pub fn with_hot_keys(mut self, k: usize) -> Self {
-        self.hot_keys = k;
         self
     }
 

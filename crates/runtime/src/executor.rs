@@ -28,24 +28,20 @@ pub struct RoundSpec {
     /// unenforced).
     pub budget: u64,
     /// Batched round-trip accounting vs the single-key baseline (see
-    /// [`MachineHandle::get_many`]).
+    /// [`MachineHandle::get_many_with`]).
     pub batching: bool,
     /// Chaos DHT fault mode for every machine's handle (retry counters
     /// only — see [`DropPlan`]).
     pub drops: Option<DropPlan>,
-    /// Per-machine hot-key replica capacity (`0` disables; see
-    /// [`ampc_dht::cache::HotSet`]).
-    pub hot_keys: usize,
 }
 
 impl RoundSpec {
-    /// Batched execution with no budget, no chaos, no replication.
+    /// Batched execution with no budget and no chaos.
     pub fn unbudgeted() -> Self {
         RoundSpec {
             budget: u64::MAX,
             batching: true,
             drops: None,
-            hot_keys: 0,
         }
     }
 }
@@ -182,9 +178,9 @@ impl<R> RoundOutcome<R> {
 /// provided) go into the next generation under construction.
 ///
 /// `spec` carries the per-round execution parameters (query budget,
-/// batching mode, chaos drops, hot-key replication); `threads` bounds
-/// how many machines execute at once — with one machine or one thread
-/// the round runs inline on the caller thread, otherwise machines are
+/// batching mode, chaos drops); `threads` bounds how many machines
+/// execute at once — with one machine or one thread the round runs
+/// inline on the caller thread, otherwise machines are
 /// dispatched to the persistent pool (the submitting thread plus up to
 /// `threads - 1` pool workers — see [`WorkerPool::run_batch`]);
 /// `scratch` lends each machine its persistent buffer arena. Outputs,
@@ -269,8 +265,7 @@ where
             .with_budget(spec.budget)
             .with_machine(machine_id as u32)
             .with_batching(spec.batching)
-            .with_chaos_drops(spec.drops)
-            .with_hot_keys(spec.hot_keys),
+            .with_chaos_drops(spec.drops),
         scratch,
         ops: 0,
     };
@@ -375,7 +370,7 @@ mod tests {
     /// The pool and the inline path must seal byte-identical
     /// generations from racing duplicate writers.
     #[test]
-    fn pool_and_spawn_seal_identical_generations() {
+    fn pool_and_inline_seal_identical_generations() {
         let run = |threads: usize| {
             let read: Generation<u64> = Generation::empty();
             let writer = GenerationWriter::new();
@@ -433,11 +428,10 @@ mod tests {
         let chunks = partition::chunk((0..64u64).collect(), 4);
         let body = |ctx: &mut MachineCtx<'_, u64>, items: &[u64]| {
             let keys: Vec<u64> = items.to_vec();
+            let mut out = Vec::new();
             ctx.handle
-                .get_many(&keys)
-                .into_iter()
-                .map(|v| *v.unwrap())
-                .collect::<Vec<u64>>()
+                .get_many_with(&keys, |_, v| out.push(*v.unwrap()));
+            out
         };
         let mut scratch = RoundScratch::new();
         let on = run_machines(

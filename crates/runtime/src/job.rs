@@ -286,7 +286,6 @@ impl Job {
             budget,
             batching: self.cfg.batching,
             drops: self.chaos.and_then(|c| c.drop_plan(stage)),
-            hot_keys: self.cfg.hot_keys,
         };
         // Epoch bookkeeping: the first KV round after an epoch mark is
         // where epoch kills fire; the flag is consumed either way.
@@ -603,11 +602,10 @@ mod tests {
         let read: Generation<u64> = Generation::from_iter((0..256u64).map(|k| (k, k)));
         let body = |ctx: &mut MachineCtx<'_, u64>, items: &[u64]| {
             let keys: Vec<u64> = items.to_vec();
+            let mut out = Vec::new();
             ctx.handle
-                .get_many(&keys)
-                .into_iter()
-                .map(|v| *v.unwrap())
-                .collect::<Vec<u64>>()
+                .get_many_with(&keys, |_, v| out.push(*v.unwrap()));
+            out
         };
         let run = |batching: bool| {
             let mut job = Job::new(AmpcConfig::for_tests().with_batching(batching));

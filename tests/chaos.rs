@@ -12,9 +12,11 @@
 use ampc::prelude::*;
 use ampc_core::algorithm::digest_u64s;
 use ampc_core::one_vs_two::CycleAnswer;
+use ampc_dht::hasher::mix64;
+use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::gen;
 use ampc_runtime::chaos::ChaosSpec;
-use ampc_runtime::JobReport;
+use ampc_runtime::{Job, JobReport};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -125,7 +127,69 @@ fn families() -> Vec<Family> {
                 )
             }),
         ),
+        ("skewed-reads", Box::new(skewed_read_job)),
     ]
+}
+
+/// A read job no kernel family covers: one write round seeds 2^12
+/// values, then one adaptive round of 256 walkers takes six lockstep
+/// `get_many_with` hops whose keys are power-law (the fourth power of
+/// a uniform draw: key 0 alone takes ~1/8 of them), so every batch
+/// repeats keys, and every fourth probe lands past the store. Each
+/// hop's keys derive from the previous hop's values, so a replay that
+/// served anything different would change the digest.
+fn skewed_read_job(cfg: &AmpcConfig) -> (u64, JobReport) {
+    const N: u64 = 1 << 12;
+    let skewed_key = |r: u64| {
+        let u = mix64(r) >> 32;
+        let u2 = (u * u) >> 32;
+        let u4 = (u2 * u2) >> 32;
+        (u4 * N) >> 32
+    };
+    let mut job = Job::new(*cfg);
+    let mut dht: Dht<u64> = Dht::new();
+    let writer = GenerationWriter::new();
+    job.kv_round(
+        "SkewWrite",
+        dht.current(),
+        Some(&writer),
+        (0..N).collect(),
+        |ctx, items: &[u64]| {
+            ctx.handle
+                .put_many(items.iter().map(|&k| (k, mix64(k ^ 0xFEED))));
+            Vec::<()>::new()
+        },
+    );
+    dht.push(writer.seal());
+    let seed = cfg.seed;
+    let acc: Vec<u64> = job.kv_round(
+        "SkewVisit",
+        dht.current(),
+        None,
+        (0..256u64).collect(),
+        |ctx, items| {
+            let mut acc: Vec<u64> = items.iter().map(|&w| w ^ 0x9E37).collect();
+            for hop in 0..6u64 {
+                ctx.scratch.keys.clear();
+                ctx.scratch
+                    .keys
+                    .extend(acc.iter().enumerate().map(|(i, &a)| {
+                        let k = skewed_key(seed ^ a ^ (hop << 20) ^ 0xB0B);
+                        if (i as u64 + hop).is_multiple_of(4) {
+                            k + N
+                        } else {
+                            k
+                        }
+                    }));
+                let acc = &mut acc;
+                ctx.handle.get_many_with(&ctx.scratch.keys, |i, v| {
+                    acc[i] = acc[i].rotate_left(9) ^ v.copied().unwrap_or(0x0DD);
+                });
+            }
+            acc
+        },
+    );
+    (digest_u64s(acc), job.into_report())
 }
 
 /// 1-vs-2-cycle digests the answer *and* the cycle count: the boolean
@@ -178,31 +242,37 @@ fn every_family_byte_identical_under_seeded_schedule() {
 
 #[test]
 fn chaos_counters_deterministic_across_layouts_and_threads() {
-    let (_, run) = families().remove(0); // mis
-    let (clean_digest, _) = run(&cfg());
-    let mut fingerprints = Vec::new();
-    for threads in [1, 2, 8] {
-        let c = cfg().with_threads(threads).with_chaos(schedule());
-        let (digest, report) = run(&c);
-        assert_eq!(digest, clean_digest, "threads={threads}: output changed");
-        let kv = report.kv_comm();
-        fingerprints.push((
-            report.replays,
-            kv.retries,
-            kv.wasted_batches,
-            kv.backoff_units,
-            report.sim_ns(),
-        ));
+    let mut all = families();
+    // mis, and the skewed read job (repeated and absent keys).
+    for (name, run) in [all.remove(0), all.pop().unwrap()] {
+        let (clean_digest, _) = run(&cfg());
+        let mut fingerprints = Vec::new();
+        for threads in [1, 2, 8] {
+            let c = cfg().with_threads(threads).with_chaos(schedule());
+            let (digest, report) = run(&c);
+            assert_eq!(digest, clean_digest, "{name} threads={threads}");
+            let kv = report.kv_comm();
+            fingerprints.push((
+                report.replays,
+                kv.retries,
+                kv.wasted_batches,
+                kv.backoff_units,
+                report.sim_ns(),
+            ));
+        }
+        // Drop decisions hash (seed, machine, batch ordinal); kill rolls
+        // hash (seed, stage, machine). Neither sees the layout (whichever
+        // `AMPC_STORE` selects) or the thread schedule, so every
+        // fingerprint is identical.
+        assert!(
+            fingerprints.iter().all(|f| *f == fingerprints[0]),
+            "{name}: retry/replay accounting diverged across layouts/threads: {fingerprints:?}"
+        );
+        assert!(
+            fingerprints[0].1 > 0,
+            "{name}: schedule never dropped a batch"
+        );
     }
-    // Drop decisions hash (seed, machine, batch ordinal); kill rolls
-    // hash (seed, stage, machine). Neither sees the layout (whichever
-    // `AMPC_STORE` selects) or the thread schedule, so every
-    // fingerprint is identical.
-    assert!(
-        fingerprints.iter().all(|f| *f == fingerprints[0]),
-        "retry/replay accounting diverged across layouts/threads: {fingerprints:?}"
-    );
-    assert!(fingerprints[0].1 > 0, "schedule never dropped a batch");
 }
 
 #[test]

@@ -44,7 +44,6 @@ fn cfg(threads: usize, in_memory_threshold: usize) -> AmpcConfig {
         num_machines: 4,
         in_memory_threshold,
         batching: true,
-        hot_keys: 0,
         chaos: None,
         ..AmpcConfig::default()
     }

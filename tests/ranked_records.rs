@@ -28,7 +28,6 @@ fn cfg(threads: usize) -> AmpcConfig {
         num_machines: 4,
         in_memory_threshold: 500,
         batching: true,
-        hot_keys: 0,
         chaos: None,
         ..AmpcConfig::default()
     }

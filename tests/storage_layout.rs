@@ -27,12 +27,12 @@ fn cfg() -> AmpcConfig {
     }
 }
 
-/// `get`/`get_many` pinned against a `BTreeMap` oracle on adversarial
+/// `get`/`get_many_with` pinned against a `BTreeMap` oracle on adversarial
 /// key sets: mix64-colliding (one writer stripe holds everything),
 /// sparse u64 keys, dense `0..n` keys — including misses adjacent to
 /// every hit.
 #[test]
-fn flat_get_matches_sharded_on_adversarial_keys() {
+fn flat_get_matches_oracle_on_adversarial_keys() {
     let colliding: Vec<u64> = (0..1_000_000u64)
         .filter(|&k| mix64(k) % 64 == 7)
         .take(2_000)
@@ -63,11 +63,10 @@ fn flat_get_matches_sharded_on_adversarial_keys() {
         for &p in &probes {
             assert_eq!(flat.get(p), oracle.get(&p), "{name}: key {p}");
         }
-        let mut from_flat = Vec::new();
-        flat.get_many_into(&probes, &mut from_flat);
-        for (p, got) in probes.iter().zip(from_flat) {
-            assert_eq!(got, oracle.get(p), "{name}: batched key {p}");
-        }
+        flat.get_many_with(&probes, |i, got| {
+            let p = probes[i];
+            assert_eq!(got, oracle.get(&p), "{name}: batched key {p}");
+        });
     }
 }
 
@@ -138,8 +137,8 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
         assert_eq!(socket.get(p), flat.get(p), "key {p}");
     }
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    socket.get_many_into(&probes, &mut a);
-    flat.get_many_into(&probes, &mut b);
+    socket.get_many_with(&probes, |_, v| a.push(v));
+    flat.get_many_with(&probes, |_, v| b.push(v));
     assert_eq!(a, b, "batched gets diverge");
 
     // Kernel level: identical outputs, rounds and CommStats under the
@@ -183,7 +182,7 @@ fn lockstep_buffers_preserve_single_key_equivalence() {
 /// round ran inline or on the pool (the replay path is the same inline
 /// per-machine entry point the pool dispatches).
 #[test]
-fn fault_replay_identical_under_pool_and_spawn() {
+fn fault_replay_identical_inline_and_pooled() {
     let g = gen::rmat(7, 700, gen::RmatParams::SOCIAL, 9);
     let kill = ChaosSpec::new(0xFA17).with_kill(1, 2);
     let clean = ampc_core::mis::ampc_mis(&g, &cfg()).in_mis;
