@@ -6,7 +6,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig8;
 pub mod fig9;
-pub mod perf_suite;
 pub mod runtime_cmp;
 pub mod table1;
 pub mod table2;

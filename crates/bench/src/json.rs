@@ -1,14 +1,14 @@
-//! Minimal JSON utilities for the workload CLI and the perf gate.
+//! Minimal JSON utilities for the workload CLI and the repo benchmark.
 //!
 //! The workspace vendors no JSON crate, so run records are written with
 //! `ampc_runtime::driver::json_string` + format strings, and this
 //! module supplies the other half: a strict RFC 8259 parser. The CLI's
 //! smoke mode (and CI) uses [`validate_json`] to prove every emitted
-//! report actually parses; `perf_suite --check` uses [`parse_json`] to
-//! read the committed `BENCH_perf.json` trajectory back in and compare
-//! fresh measurements against it. Numbers keep their raw token
-//! ([`Json::as_u64`] parses exactly), because the tracked output
-//! digests are full-width `u64` values an `f64` would corrupt.
+//! report actually parses; `benchmark compare` uses [`parse_json`] to
+//! read two `result.json` files (or a committed `BENCH_*.json`) back in
+//! and hold their counts to equality. Numbers keep their raw token
+//! ([`Json::as_u64`] parses exactly), because output digests are
+//! full-width `u64` values an `f64` would corrupt.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -337,19 +337,54 @@ mod tests {
         assert_eq!(doc.get("missing"), None);
     }
 
+    /// The committed trajectory is what `benchmark run` / `trace` wrote:
+    /// each file parses strictly, reports no failed repetition, and names
+    /// every workload of `BENCHMARK.json` with every metric of its kind.
     #[test]
-    fn accepts_the_perf_suite_trajectory_format() {
-        // The committed BENCH_perf.json must parse, and its tracked
-        // digests must survive the round trip exactly.
-        if let Ok(s) = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_perf.json"
-        )) {
-            let doc = parse_json(&s).unwrap();
-            let kernels = doc.get("kernels").unwrap().as_arr().unwrap();
-            assert!(!kernels.is_empty());
-            for k in kernels {
-                assert!(k.get("output_digest").unwrap().as_u64().is_some());
+    fn committed_bench_files_name_every_workload_and_metric() {
+        let read = |file: &str| {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            parse_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
+        };
+        let contract = read("BENCHMARK.json");
+        let names = |key: &str| -> Vec<&str> {
+            let list = contract.get(key).and_then(Json::as_arr).unwrap();
+            let name = |entry| Json::get(entry, "name").and_then(Json::as_str).unwrap();
+            list.iter().map(name).collect()
+        };
+        for (file, kind) in [
+            ("BENCH_perf.json", "end_to_end"),
+            ("BENCH_layers.json", "per_layer"),
+        ] {
+            let doc = read(file);
+            let records = doc.get("workloads").and_then(Json::as_arr).unwrap();
+            let metrics = names(kind);
+            for workload in names("workloads") {
+                let record = records
+                    .iter()
+                    .find(|r| r.get("workload").and_then(Json::as_str) == Some(workload))
+                    .unwrap_or_else(|| panic!("{file} lacks workload {workload}"));
+                assert_eq!(
+                    record.get("failed").and_then(Json::as_u64),
+                    Some(0),
+                    "{file}: {workload} has failed repetitions"
+                );
+                let digest = record.get("counts").and_then(|c| c.get("digest"));
+                assert!(
+                    digest.and_then(Json::as_u64).is_some(),
+                    "{file}: {workload} lacks an exact digest"
+                );
+                for &metric in &metrics {
+                    let value = record
+                        .get("metrics")
+                        .and_then(|m| m.get(metric))
+                        .and_then(|m| m.get("value"));
+                    assert!(
+                        value.and_then(Json::as_f64).is_some(),
+                        "{file}: {workload} lacks {metric}"
+                    );
+                }
             }
         }
     }

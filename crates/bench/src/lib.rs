@@ -8,9 +8,9 @@
 //! The [`registry`] names every kernel family × model backend behind
 //! the `AmpcAlgorithm` trait, and the `ampc` binary composes any of
 //! them with any [`ampc_graph::GraphSource`] and any runtime knob,
-//! emitting JSON run records (checked by [`json`]); `fig3`, `fig8` and
-//! `perf_suite` resolve their kernels through the same registry
-//! (DESIGN.md §7).
+//! emitting JSON run records (checked by [`json`]); `fig3`, `fig8`, the
+//! repo benchmark and the `kernel_records` pins resolve their kernels
+//! through the same registry (DESIGN.md §7).
 //!
 //! Scale is controlled by the `AMPC_SCALE` environment variable:
 //! `test` (seconds), `mid` (default; minutes), `bench` (the full

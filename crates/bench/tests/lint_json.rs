@@ -1,6 +1,6 @@
 //! Cross-checks the `ampc-lint --format=json` report against the
 //! harness's own strict RFC 8259 parser: the CI artifact must parse
-//! under the same machinery that reads `BENCH_perf.json` back in, and
+//! under the same machinery that reads the `BENCH_*.json` files back in, and
 //! its fields must match the live workspace scan.
 
 use ampc_bench::json::parse_json;

@@ -150,8 +150,8 @@ pub enum AlgoOutput {
     DynamicComponents(Vec<Vec<NodeId>>),
 }
 
-/// Order-sensitive digest fold (shared with the perf suite so tracked
-/// digests stay comparable across harness entry points).
+/// Order-sensitive digest fold (one fold for every harness entry point,
+/// so pinned and recorded digests stay comparable).
 fn fold(digest: u64, x: u64) -> u64 {
     mix64(digest ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
@@ -194,9 +194,9 @@ impl AlgoOutput {
         }
     }
 
-    /// Order-sensitive digest of the full output. For the kernels the
-    /// perf suite tracks, this matches the digests recorded in
-    /// `BENCH_perf.json` exactly.
+    /// Order-sensitive digest of the full output: what `ampc run` records,
+    /// the repo benchmark compares across repetitions, and
+    /// `tests/kernel_records.rs` pins.
     pub fn digest(&self) -> u64 {
         match self {
             AlgoOutput::Mis(v) => digest_u64s(v.iter().map(|&b| b as u64)),

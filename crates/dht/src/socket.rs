@@ -239,7 +239,7 @@ static WIRE_BYTES_RECEIVED: AtomicU64 = AtomicU64::new(0);
 static WIRE_RECONNECTS: AtomicU64 = AtomicU64::new(0);
 static WIRE_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-global transport counters, for the perf suite's real-wire
+/// Process-global transport counters, for the repo benchmark's `wire.*`
 /// rows and the engagement assertions in the equivalence tests. These
 /// are *host-side* measurements of the real transport; the model's
 /// [`crate::metrics::CommStats`] never reads them (and must not — the

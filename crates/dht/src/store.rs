@@ -131,8 +131,8 @@ pub fn store_kind() -> StoreKind {
 /// Overrides the substrate choice at runtime, as `AMPC_STORE` would,
 /// without mutating the process environment: `Some(kind)` forces that
 /// substrate for subsequent seals, `None` re-reads `AMPC_STORE` on next
-/// use. Process-global — intended for the perf suite's socket rows and
-/// the runtime's `--store` flag, not for concurrent use under live jobs
+/// use. Process-global — intended for the runtime's `--store` flag and
+/// the substrate-equivalence tests, not for concurrent use under live jobs
 /// (the substrates are observationally equivalent, so a racing seal
 /// merely picks either one).
 pub fn force_store(kind: Option<StoreKind>) {

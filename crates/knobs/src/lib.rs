@@ -64,7 +64,7 @@ pub const KNOBS: &[KnobSpec] = &[
     },
     KnobSpec {
         name: "AMPC_SCALE",
-        accepts: "test | mid | bench",
+        accepts: "test | mid | bench (case-insensitive)",
         default: "mid",
         doc: "How large a dataset analogue the harnesses generate \
               (DESIGN.md §5). Purely an input-size knob.",
@@ -136,10 +136,15 @@ pub fn ampc_chaos() -> Option<String> {
 }
 
 /// `AMPC_SCALE`: normalized to `"test"`, `"mid"` or `"bench"`
-/// (defaulting to `"mid"`). Callers map the token onto their own enum
-/// so this crate stays dependency-free.
+/// (case-insensitive; unset or unrecognized values default to `"mid"`).
+/// Callers map the token onto their own enum so this crate stays
+/// dependency-free.
 pub fn ampc_scale() -> &'static str {
-    match raw("AMPC_SCALE").as_deref() {
+    scale_token(raw("AMPC_SCALE").as_deref())
+}
+
+fn scale_token(value: Option<&str>) -> &'static str {
+    match value.map(str::to_ascii_lowercase).as_deref() {
         Some("test") => "test",
         Some("bench") => "bench",
         _ => "mid",
@@ -204,6 +209,16 @@ mod tests {
             assert!(k.name.starts_with("AMPC_"), "{} lacks the prefix", k.name);
             assert!(!k.doc.is_empty() && !k.accepts.is_empty());
         }
+    }
+
+    #[test]
+    fn scale_ignores_case_like_batch_and_store() {
+        assert_eq!(scale_token(Some("TEST")), "test");
+        assert_eq!(scale_token(Some("Bench")), "bench");
+        assert_eq!(scale_token(Some("test")), "test");
+        assert_eq!(scale_token(Some("MID")), "mid");
+        assert_eq!(scale_token(Some("huge")), "mid");
+        assert_eq!(scale_token(None), "mid");
     }
 
     #[test]

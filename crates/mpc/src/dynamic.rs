@@ -9,9 +9,9 @@
 //! baseline and the maintained AMPC kernel emit canonical min-vertex-id
 //! labels, so the per-epoch labellings are **byte-identical** by
 //! construction — which is what the cross-model equivalence tests and
-//! `perf_suite`'s amortized-cost-per-batch kernel pin, and what makes
-//! the wall-clock gap between the two a pure measure of maintenance vs
-//! recomputation.
+//! `kernel_records::dyn_cc_mpc_recompute_matches_the_maintained_digest`
+//! pin, and what makes the wall-clock gap between the two a pure measure
+//! of maintenance vs recomputation.
 
 use ampc_graph::dynamic::{EdgeSet, UpdateBatch};
 use ampc_graph::{CsrGraph, NodeId};

@@ -55,8 +55,8 @@ pub fn drive<R>(cfg: &AmpcConfig, body: impl FnOnce(&mut Job) -> R) -> Driven<R>
     // seal (a no-op otherwise — DESIGN.md §12).
     ampc_dht::socket::ensure_if_active();
     // ampc-lint: allow(no-wall-clock-or-ambient-rng) -- wall_ns is a reported
-    // measurement only: it never feeds algorithm state, and perf_suite --check
-    // excludes it from the deterministic fields.
+    // measurement only: it never feeds algorithm state, and no pin suite
+    // compares a wall-clock field.
     let start = Instant::now();
     let mut job = Job::new(*cfg);
     let output = body(&mut job);

@@ -29,8 +29,8 @@ pub struct Job {
 /// Starts a stage's wall clock.
 fn stage_clock() -> Instant {
     // ampc-lint: allow(no-wall-clock-or-ambient-rng) -- stage wall time is a
-    // reported measurement only, never algorithm input; perf_suite --check
-    // excludes it from the deterministic fields.
+    // reported measurement only, never algorithm input; no pin suite
+    // compares a wall-clock field.
     Instant::now()
 }
 

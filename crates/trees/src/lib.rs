@@ -14,10 +14,7 @@
 //! * [`flight`] — the F-light / F-heavy edge classification of
 //!   Algorithm 5, combining all of the above;
 //! * [`pointer_jump`] — root finding in directed forests (the
-//!   "PointerJump" stage of the §5.5 MSF implementation);
-//! * [`treap`] — ternary treaps (Appendix A), used by property tests to
-//!   verify the O(log n) height and the Prim-search/subtree-cost bound
-//!   of Lemma A.2.
+//!   "PointerJump" stage of the §5.5 MSF implementation).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -29,7 +26,6 @@ pub mod lca;
 pub mod pointer_jump;
 pub mod rmq;
 pub mod rooting;
-pub mod treap;
 pub mod union_find;
 
 pub use flight::{classify_edges, EdgeClass};

@@ -32,8 +32,8 @@ fn tiny() -> CsrGraph {
 }
 
 /// The schedule most tests run under: seeded kills at 120‰ per
-/// machine-stage plus 80‰ batch drops (same spec the `chaos-dyn-cc`
-/// perf row and the CI chaos-smoke job use).
+/// machine-stage plus 80‰ batch drops (same spec the `kernel_records`
+/// chaos pin and the CI chaos-smoke job use).
 fn schedule() -> ChaosSpec {
     ChaosSpec::parse("chaos:seed=29:rate=120:drop=80").unwrap()
 }
