@@ -125,6 +125,23 @@ const DYN_CC: Pinned = Pinned {
     output_digest: 6727843813695207868,
 };
 
+/// The `dyn-cc` row beyond `Pinned`: total `ops` and the number of
+/// `DynRebuild-*` stages. Any spanning forest labels the graph correctly,
+/// so a drift in the maintained forest moves neither the digest nor a KV
+/// count — only the regions later batches rebuild, and with them these.
+/// Printed at `18e8bee`, before the kernel's host state was rewritten.
+const DYN_CC_WORK: (u64, usize) = (10802256, 8);
+
+fn dyn_cc_work(report: &JobReport) -> (u64, usize) {
+    let ops = report.stages.iter().map(|s| s.ops).sum();
+    let rebuilds = report
+        .stages
+        .iter()
+        .filter(|s| s.name.starts_with("DynRebuild"))
+        .count();
+    (ops, rebuilds)
+}
+
 #[test]
 fn registry_kernels_on_the_ok_mid_analogue_hold_their_pins() {
     let rows: [(&str, &str, bool, AlgoParams, Pinned); 7] = [
@@ -224,7 +241,11 @@ fn registry_kernels_on_the_ok_mid_analogue_hold_their_pins() {
     for (name, family, caching, params, want) in rows {
         let cfg = fixed(harness_config(Scale::Mid)).with_caching(caching);
         check(name, cfg, want, |c| {
-            run_family(family, Model::Ampc, &g, c, &params)
+            let (report, digest) = run_family(family, Model::Ampc, &g, c, &params);
+            if family == "dyn-cc" {
+                assert_eq!(dyn_cc_work(&report), DYN_CC_WORK, "dyn-cc ops, rebuilds");
+            }
+            (report, digest)
         });
     }
 }
@@ -242,6 +263,7 @@ fn dyn_cc_under_chaos_holds_the_fault_free_pin() {
             report.replays > 0 && report.kv_comm().retries > 0,
             "the schedule fired no kill or no drop: nothing was recovered from"
         );
+        assert_eq!(dyn_cc_work(&report), DYN_CC_WORK, "dyn-cc ops, rebuilds");
         (report, digest)
     });
 }

@@ -27,11 +27,11 @@
 //!   are **byte-identical** to recomputation after every batch, which
 //!   is what the cross-model equivalence suites pin.
 
+use ampc_dht::hasher::FxHashSet;
 use ampc_dht::store::{Dht, GenerationWriter, StripeArena};
 use ampc_graph::dynamic::{EdgeSet, UpdateBatch, UpdateKind};
 use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::{AmpcConfig, Job, JobReport};
-use std::collections::{BTreeSet, HashSet};
 
 /// Result of a batch-dynamic connectivity run.
 #[derive(Clone, Debug)]
@@ -76,24 +76,35 @@ pub fn ampc_dynamic_cc_in_job(
     // 64 fresh logs per batch (DESIGN.md §11).
     let arena: StripeArena<u64> = StripeArena::new();
 
-    // Maintained state: the current adjacency (sorted neighbor sets, so
-    // every iteration order — and with it every downstream stat — is
-    // deterministic), the canonical labels, and a spanning forest used
-    // to classify deletions.
-    let mut adj: Vec<BTreeSet<NodeId>> = g
-        .nodes()
-        .map(|u| g.neighbors(u).iter().copied().collect())
-        .collect();
+    // Maintained state: the current adjacency (strictly ascending lists,
+    // so every iteration order — and with it every downstream stat — is
+    // deterministic), the canonical labels, a spanning forest used to
+    // classify deletions (keyed by `forest_key`), and the region index
+    // `rebuild_region` writes.
     let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut forest: HashSet<(NodeId, NodeId)> = HashSet::new();
+    let mut forest: FxHashSet<u64> = FxHashSet::default();
+    let mut index: Vec<u32> = vec![0; n];
 
     // Epoch 0: load the input, solve it, publish generation D1.
     job.epoch("DynInit");
     job.shuffle_balanced("DynLoad", (g.num_arcs() as u64) * 8);
-    let region: Vec<NodeId> = (0..n as NodeId).collect();
-    job.local("DynInitCC", ((n + g.num_arcs()) as u64 + 1) * 8, || {
-        rebuild_region(&region, &adj, &mut labels, &mut forest)
-    });
+    let mut adj: Vec<Vec<NodeId>> =
+        job.local("DynInitCC", ((n + g.num_arcs()) as u64 + 1) * 8, || {
+            // `GraphBuilder` output is already sorted and deduplicated, so
+            // this is a copy; `CsrGraph::from_parts` promises neither.
+            let adj: Vec<Vec<NodeId>> = g
+                .nodes()
+                .map(|u| {
+                    let mut list = g.neighbors(u).to_vec();
+                    list.sort_unstable();
+                    list.dedup();
+                    list
+                })
+                .collect();
+            let region: Vec<NodeId> = (0..n as NodeId).collect();
+            rebuild_region(&region, &adj, &mut index, &mut labels, &mut forest);
+            adj
+        });
     publish(job, &mut dht, "DynPublish-b0", &labels, &arena);
     out.push(labels.clone());
 
@@ -135,7 +146,7 @@ pub fn ampc_dynamic_cc_in_job(
         // inserts joining two components and deletes of forest edges.
         // Intra-component inserts and non-tree deletes are structural
         // no-ops for connectivity.
-        let mut affected: HashSet<NodeId> = HashSet::new();
+        let mut affected: FxHashSet<NodeId> = FxHashSet::default();
         job.local(
             &format!("DynApply-b{b}"),
             (batch.len() as u64 + 1) * 8,
@@ -143,10 +154,19 @@ pub fn ampc_dynamic_cc_in_job(
                 for (up, &(lu, lv)) in batch.iter().zip(&pre_labels) {
                     debug_assert_eq!(lu, labels[up.u as usize], "DHT label drifted from host");
                     debug_assert_eq!(lv, labels[up.v as usize], "DHT label drifted from host");
+                    // `EdgeUpdate`'s fields are public, so an update may
+                    // arrive reversed or as a self-loop: canonicalise and
+                    // skip loops exactly as `EdgeSet` does, or a reversed
+                    // delete would miss its forest key and a loop insert
+                    // would land twice in one list.
+                    if up.u == up.v {
+                        continue;
+                    }
+                    let (u, v) = (up.u.min(up.v), up.u.max(up.v));
                     match up.kind {
                         UpdateKind::Insert => {
-                            if adj[up.u as usize].insert(up.v) {
-                                adj[up.v as usize].insert(up.u);
+                            if insert_sorted(&mut adj[u as usize], v) {
+                                insert_sorted(&mut adj[v as usize], u);
                                 if lu != lv {
                                     affected.insert(lu);
                                     affected.insert(lv);
@@ -154,12 +174,12 @@ pub fn ampc_dynamic_cc_in_job(
                             }
                         }
                         UpdateKind::Delete => {
-                            if adj[up.u as usize].remove(&up.v) {
-                                adj[up.v as usize].remove(&up.u);
+                            if remove_sorted(&mut adj[u as usize], v) {
+                                remove_sorted(&mut adj[v as usize], u);
                                 // A forest edge existed before the batch,
                                 // so both endpoints carry the same
                                 // pre-batch label.
-                                if forest.remove(&(up.u, up.v)) {
+                                if forest.remove(&forest_key(u, v)) {
                                     affected.insert(lu);
                                 }
                             }
@@ -177,12 +197,12 @@ pub fn ampc_dynamic_cc_in_job(
             let region: Vec<NodeId> = (0..n as NodeId)
                 .filter(|&v| affected.contains(&labels[v as usize]))
                 .collect();
-            forest.retain(|&(u, _)| !affected.contains(&labels[u as usize]));
+            forest.retain(|&key| !affected.contains(&labels[(key >> 32) as usize]));
             let induced_arcs: usize = region.iter().map(|&v| adj[v as usize].len()).sum();
             job.local(
                 &format!("DynRebuild-b{b}"),
                 ((region.len() + induced_arcs) as u64 + 1) * 8,
-                || rebuild_region(&region, &adj, &mut labels, &mut forest),
+                || rebuild_region(&region, &adj, &mut index, &mut labels, &mut forest),
             );
         }
 
@@ -220,41 +240,87 @@ fn publish(
     dht.push(writer.seal_recycle(arena));
 }
 
+/// Inserts `x` into the ascending `list`; returns whether it was absent.
+fn insert_sorted(list: &mut Vec<NodeId>, x: NodeId) -> bool {
+    match list.binary_search(&x) {
+        Ok(_) => false,
+        Err(at) => {
+            list.insert(at, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the ascending `list`; returns whether it was present.
+fn remove_sorted(list: &mut Vec<NodeId>, x: NodeId) -> bool {
+    match list.binary_search(&x) {
+        Ok(at) => {
+            list.remove(at);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// The forest's key for the edge `u < v`: `u` high, `v` low. The
+/// multiplicative hasher takes a table slot from the key's low bits,
+/// so those must vary across the set. `rebuild_region` scans `u`
+/// ascending, so a hub `u` adds most of its fan-out while a `v` is
+/// reached from below about once: in the forest of a 16 384-vertex
+/// social rmat graph at most 13 edges share a `v` and 6 245 share a `u`.
+fn forest_key(u: NodeId, v: NodeId) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
+}
+
+/// Union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
+    }
+    x
+}
+
 /// Recomputes the components of `region` (sorted ascending, closed
 /// under `adj`) from scratch: union-find over the induced adjacency,
 /// canonical min-id labels written back into `labels`, and a fresh
-/// spanning forest for the region inserted into `forest`.
+/// spanning forest for the region inserted into `forest`. `index` (one
+/// slot per vertex) maps a region vertex to its position; only the
+/// region's slots are written, so any other slot holds a stale value.
+///
+/// Edges are united in a fixed order — `u` ascending over `region`,
+/// then `v > u` ascending over `u`'s list — because whether an edge
+/// enters the forest depends only on that order, and the forest
+/// decides every later region.
 fn rebuild_region(
     region: &[NodeId],
-    adj: &[BTreeSet<NodeId>],
+    adj: &[Vec<NodeId>],
+    index: &mut [u32],
     labels: &mut [NodeId],
-    forest: &mut HashSet<(NodeId, NodeId)>,
+    forest: &mut FxHashSet<u64>,
 ) {
-    let idx_of = |v: NodeId| -> u32 {
-        region
-            .binary_search(&v)
-            .expect("affected region is closed under adjacency") as u32
-    };
-    let mut parent: Vec<u32> = (0..region.len() as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
     for (i, &u) in region.iter().enumerate() {
-        for &v in &adj[u as usize] {
-            if v <= u {
-                continue; // each undirected edge once, canonically
-            }
-            let (ru, rv) = (find(&mut parent, i as u32), find(&mut parent, idx_of(v)));
+        index[u as usize] = i as u32;
+    }
+    let mut parent: Vec<u32> = (0..region.len() as u32).collect();
+    for (i, &u) in region.iter().enumerate() {
+        let list = &adj[u as usize];
+        // Each undirected edge once, from its smaller endpoint.
+        for &v in &list[list.partition_point(|&v| v <= u)..] {
+            let j = index[v as usize];
+            // A stale slot names some other vertex (or none), so this
+            // holds exactly when `v` is in the region.
+            assert!(
+                region.get(j as usize) == Some(&v),
+                "affected region is closed under adjacency"
+            );
+            let (ru, rv) = (find(&mut parent, i as u32), find(&mut parent, j));
             if ru != rv {
                 // Root the union at the smaller index: the class root
                 // is then always the class's minimum region position.
                 let (lo, hi) = (ru.min(rv), ru.max(rv));
                 parent[hi as usize] = lo;
-                forest.insert((u, v));
+                forest.insert(forest_key(u, v));
             }
         }
     }
@@ -264,6 +330,41 @@ fn rebuild_region(
         let root = find(&mut parent, i as u32);
         labels[u as usize] = region[root as usize];
         debug_assert!(labels[u as usize] <= u);
+    }
+}
+
+/// The `BTreeSet` / `HashSet<(u, v)>` formulation [`rebuild_region`]
+/// replaced, kept as the oracle it is tested against: a binary search
+/// into `region` per arc, `v <= u` skipped arc by arc.
+#[cfg(test)]
+fn rebuild_region_oracle(
+    region: &[NodeId],
+    adj: &[std::collections::BTreeSet<NodeId>],
+    labels: &mut [NodeId],
+    forest: &mut std::collections::HashSet<(NodeId, NodeId)>,
+) {
+    let idx_of = |v: NodeId| -> u32 {
+        region
+            .binary_search(&v)
+            .expect("affected region is closed under adjacency") as u32
+    };
+    let mut parent: Vec<u32> = (0..region.len() as u32).collect();
+    for (i, &u) in region.iter().enumerate() {
+        for &v in &adj[u as usize] {
+            if v <= u {
+                continue;
+            }
+            let (ru, rv) = (find(&mut parent, i as u32), find(&mut parent, idx_of(v)));
+            if ru != rv {
+                let (lo, hi) = (ru.min(rv), ru.max(rv));
+                parent[hi as usize] = lo;
+                forest.insert((u, v));
+            }
+        }
+    }
+    for (i, &u) in region.iter().enumerate() {
+        let root = find(&mut parent, i as u32);
+        labels[u as usize] = region[root as usize];
     }
 }
 
@@ -319,8 +420,10 @@ pub fn validate_dynamic_labels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_graph::dynamic::{generate_batches, BatchMix};
+    use ampc_dht::hasher::mix64;
+    use ampc_graph::dynamic::{generate_batches, BatchMix, EdgeUpdate};
     use ampc_graph::gen;
+    use proptest::prelude::*;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
@@ -364,51 +467,127 @@ mod tests {
         assert_eq!(total, out.report.stages.len());
     }
 
+    fn update(kind: UpdateKind, u: NodeId, v: NodeId) -> EdgeUpdate {
+        EdgeUpdate { kind, u, v }
+    }
+
     #[test]
     fn structural_noops_skip_the_rebuild_stage() {
         // A cycle built as path 0..30 plus the closing edge (0, 29).
         // The deterministic forest build (sorted vertices, sorted
         // neighbors) reaches (28, 29) last, when both sides are already
         // connected — so deleting it is a non-tree delete and must not
-        // trigger DynRebuild.
+        // trigger DynRebuild. Neither may a self-loop insert, which
+        // `EdgeSet` rejects.
         let mut state = EdgeSet::from_graph(&gen::path(30));
         state.insert(0, 29);
         let g = state.snapshot();
-        let batch = vec![ampc_graph::dynamic::EdgeUpdate {
-            kind: UpdateKind::Delete,
-            u: 28,
-            v: 29,
-        }];
-        let out = ampc_dynamic_cc(&g, std::slice::from_ref(&batch), &cfg());
-        assert!(
-            !out.report
-                .stages
-                .iter()
-                .any(|s| s.name.starts_with("DynRebuild")),
-            "non-tree delete must not rebuild"
-        );
-        assert!(out.labels[1].iter().all(|&l| l == 0), "still connected");
-        validate_dynamic_labels(&g, &[batch], &out.labels).unwrap();
+        for up in [
+            update(UpdateKind::Delete, 28, 29),
+            update(UpdateKind::Insert, 5, 5),
+        ] {
+            let batch = vec![up];
+            let out = ampc_dynamic_cc(&g, std::slice::from_ref(&batch), &cfg());
+            assert!(
+                !out.report
+                    .stages
+                    .iter()
+                    .any(|s| s.name.starts_with("DynRebuild")),
+                "{up:?} must not rebuild"
+            );
+            assert!(out.labels[1].iter().all(|&l| l == 0), "still connected");
+            validate_dynamic_labels(&g, &[batch], &out.labels).unwrap();
+        }
     }
 
     #[test]
     fn tree_delete_splits_and_reinsert_merges() {
-        // A path: every edge is a tree edge.
+        // A path: every edge is a tree edge. Endpoints may arrive in
+        // either order.
         let g = gen::path(30);
-        let del = vec![ampc_graph::dynamic::EdgeUpdate {
-            kind: UpdateKind::Delete,
-            u: 10,
-            v: 11,
-        }];
-        let ins = vec![ampc_graph::dynamic::EdgeUpdate {
-            kind: UpdateKind::Insert,
-            u: 10,
-            v: 11,
-        }];
-        let out = ampc_dynamic_cc(&g, &[del.clone(), ins.clone()], &cfg());
-        assert!(out.labels[1][11] == 11 && out.labels[1][10] == 0, "split");
-        assert!(out.labels[2].iter().all(|&l| l == 0), "re-merged");
-        validate_dynamic_labels(&g, &[del, ins], &out.labels).unwrap();
+        for (u, v) in [(10, 11), (11, 10)] {
+            let del = vec![update(UpdateKind::Delete, u, v)];
+            let ins = vec![update(UpdateKind::Insert, u, v)];
+            let out = ampc_dynamic_cc(&g, &[del.clone(), ins.clone()], &cfg());
+            assert!(
+                out.labels[1][11] == 11 && out.labels[1][10] == 0,
+                "split by ({u}, {v})"
+            );
+            assert!(out.labels[2].iter().all(|&l| l == 0), "re-merged");
+            validate_dynamic_labels(&g, &[del, ins], &out.labels).unwrap();
+        }
+    }
+
+    /// `rebuild_region` against the oracle on `g`: a region made of a
+    /// seeded choice of whole components (so it is closed), arbitrary
+    /// stale labels, index slots and pre-existing forest pairs. Both must
+    /// write the same labels and leave the same forest *set*.
+    fn assert_rebuild_matches_oracle(g: &CsrGraph, seed: u64) {
+        use std::collections::{BTreeSet, HashSet};
+        let n = g.num_nodes() as u64;
+        let rand = |i: u64, salt: u64| mix64(seed ^ i.wrapping_mul(0x9E37) ^ salt) % n.max(1);
+        let comp = ampc_graph::stats::connected_components(g).label;
+        let region: Vec<NodeId> = (0..n as NodeId)
+            .filter(|&v| !mix64(seed ^ comp[v as usize] as u64).is_multiple_of(3))
+            .collect();
+        let stale: Vec<NodeId> = (0..n).map(|i| rand(i, 1) as NodeId).collect();
+        let pre: Vec<(NodeId, NodeId)> = (0..n)
+            .map(|i| (rand(i, 2) as NodeId, rand(i, 3) as NodeId))
+            .filter(|&(u, v)| u < v)
+            .collect();
+
+        let sets: Vec<BTreeSet<NodeId>> = g
+            .nodes()
+            .map(|u| g.neighbors(u).iter().copied().collect())
+            .collect();
+        let mut want_labels = stale.clone();
+        let mut want_forest: HashSet<(NodeId, NodeId)> = pre.iter().copied().collect();
+        rebuild_region_oracle(&region, &sets, &mut want_labels, &mut want_forest);
+
+        let lists: Vec<Vec<NodeId>> = g.nodes().map(|u| g.neighbors(u).to_vec()).collect();
+        let mut index: Vec<u32> = stale.clone();
+        let mut labels = stale;
+        let mut forest: FxHashSet<u64> = pre.iter().map(|&(u, v)| forest_key(u, v)).collect();
+        rebuild_region(&region, &lists, &mut index, &mut labels, &mut forest);
+
+        assert_eq!(labels, want_labels, "labels");
+        let mut got: Vec<(NodeId, NodeId)> = forest
+            .iter()
+            .map(|&key| ((key >> 32) as NodeId, key as NodeId))
+            .collect();
+        got.sort_unstable();
+        let mut want: Vec<(NodeId, NodeId)> = want_forest.into_iter().collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "forest");
+    }
+
+    #[test]
+    fn rebuild_matches_oracle_on_corner_shapes() {
+        for g in [
+            gen::star(40),
+            gen::path(33),
+            gen::complete(12),
+            CsrGraph::empty(9),
+            CsrGraph::empty(0),
+        ] {
+            for seed in 0..4 {
+                assert_rebuild_matches_oracle(&g, seed);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn rebuild_matches_oracle_on_er_graphs(n in 2usize..300, m in 0usize..600, seed in 0u64..1000) {
+            assert_rebuild_matches_oracle(&gen::erdos_renyi(n, m, seed), seed);
+        }
+
+        #[test]
+        fn rebuild_matches_oracle_on_skewed_rmat(m in 50usize..3000, seed in 0u64..1000) {
+            assert_rebuild_matches_oracle(&gen::rmat(9, m, gen::RmatParams::SOCIAL, seed), seed);
+        }
     }
 
     #[test]

@@ -463,10 +463,16 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
 ) -> FlatAdjacency<A> {
     let arcs = &arcs;
 
-    // Pass 1: arcs per vertex, then the prefix sum.
+    // Pass 1: arcs per vertex, then the prefix sum. Both passes unpack
+    // an edge's two arcs by hand: whether LLVM scalarises a `flat_map`
+    // over the `[_; 2]` depends on inlining choices elsewhere in the
+    // crate, and when it does not, the fill keeps the array on the stack
+    // and runs ~1.7x slower (`cc-rmat16`).
     let mut offsets = vec![0usize; n + 1];
-    for (v, _) in edges.iter().flat_map(arcs) {
-        offsets[v as usize + 1] += 1;
+    for e in edges {
+        let [(a, _), (b, _)] = arcs(e);
+        offsets[a as usize + 1] += 1;
+        offsets[b as usize + 1] += 1;
     }
     for v in 0..n {
         offsets[v + 1] += offsets[v];
@@ -484,11 +490,16 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
             rest = tail;
             tasks.push(Box::new(move || {
                 let mut next: Vec<usize> = offsets[r.clone()].iter().map(|&o| o - base).collect();
-                for (v, arc) in edges.iter().flat_map(arcs) {
+                let mut place = |(v, arc): (NodeId, A)| {
                     if let Some(slot) = next.get_mut((v as usize).wrapping_sub(r.start)) {
                         win[*slot] = arc;
                         *slot += 1;
                     }
+                };
+                for e in edges {
+                    let [first, second] = arcs(e);
+                    place(first);
+                    place(second);
                 }
             }));
         }

@@ -9,9 +9,13 @@
 use ampc::prelude::*;
 use ampc_core::dynamic::{ampc_dynamic_cc, validate_dynamic_labels};
 use ampc_dht::store::{force_store, StoreKind};
-use ampc_graph::dynamic::{generate_batches, BatchMix, DynamicSource, UpdateBatch};
-use ampc_graph::gen;
+use ampc_graph::dynamic::{
+    generate_batches, BatchMix, DynamicSource, EdgeUpdate, UpdateBatch, UpdateKind,
+};
+use ampc_graph::{gen, GraphBuilder};
 use ampc_mpc::dynamic::mpc_recompute_cc;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn cfg(seed: u64) -> AmpcConfig {
     AmpcConfig {
@@ -119,6 +123,88 @@ fn epochs_seal_one_generation_each_and_are_config_independent() {
     // configuration (machine count, batching, algorithm seed).
     let b = ampc_dynamic_cc(&g, &batches, &cfg(2).with_machines(17).with_batching(false));
     assert_eq!(a.labels, b.labels);
+}
+
+/// Two `k`-cliques, `0..k` and `k..2k`, joined by the one bridge
+/// `(k - 1, k)`.
+fn two_cliques(k: usize) -> CsrGraph {
+    let mut b = GraphBuilder::with_capacity(2 * k, k * k);
+    for side in [0, k] {
+        for i in side..side + k {
+            for j in i + 1..side + k {
+                b.push_edge(i as NodeId, j as NodeId, 0);
+            }
+        }
+    }
+    b.push_edge(k as NodeId - 1, k as NodeId, 0);
+    b.build()
+}
+
+/// `batches` batches of 1–8 updates against `g`, written the way no
+/// generated schedule is: endpoints in either order, self-loops, updates
+/// that are no-ops, an insert and a delete of one edge in one batch, and
+/// deletes of `g`'s own edges — on a path or a star every one a forest
+/// edge, on two cliques the bridge — reinserted a few batches later.
+fn adversarial_stream(g: &CsrGraph, batches: usize, seed: u64) -> Vec<UpdateBatch> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = g.num_nodes() as NodeId;
+    let base: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.u, e.v)).collect();
+    let mut deleted: Vec<(NodeId, NodeId)> = Vec::new();
+    let up = |kind, (u, v): (NodeId, NodeId), flip: bool| {
+        let (u, v) = if flip { (v, u) } else { (u, v) };
+        EdgeUpdate { kind, u, v }
+    };
+    (0..batches)
+        .map(|_| {
+            let len = rng.gen_range(1..=8usize);
+            let mut batch = Vec::with_capacity(len);
+            while batch.len() < len {
+                let pair = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let flip = rng.gen_bool(0.5);
+                match rng.gen_range(0..4u32) {
+                    0 if batch.len() + 2 <= len => {
+                        batch.push(up(UpdateKind::Insert, pair, flip));
+                        batch.push(up(UpdateKind::Delete, pair, !flip));
+                    }
+                    1 => {
+                        let e = base[rng.gen_range(0..base.len())];
+                        batch.push(up(UpdateKind::Delete, e, flip));
+                        deleted.push(e);
+                    }
+                    2 if !deleted.is_empty() => {
+                        let e = deleted.swap_remove(rng.gen_range(0..deleted.len()));
+                        batch.push(up(UpdateKind::Insert, e, flip));
+                    }
+                    _ => {
+                        let kind = if rng.gen_bool(0.5) {
+                            UpdateKind::Insert
+                        } else {
+                            UpdateKind::Delete
+                        };
+                        batch.push(up(kind, pair, flip));
+                    }
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// Thousands of epochs on small bridge-heavy graphs, where almost every
+/// delete splits a component and almost every insert merges two: every
+/// epoch's labels are held to the BFS oracle.
+#[test]
+fn long_adversarial_streams_on_bridge_heavy_graphs() {
+    for (name, g, seed) in [
+        ("path", gen::path(24), 1u64),
+        ("star", gen::star(24), 2),
+        ("two cliques", two_cliques(8), 3),
+    ] {
+        let batches = adversarial_stream(&g, 1000, seed);
+        let out = ampc_dynamic_cc(&g, &batches, &cfg(seed));
+        validate_dynamic_labels(&g, &batches, &out.labels)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
 }
 
 #[test]
