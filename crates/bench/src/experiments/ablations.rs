@@ -3,12 +3,10 @@
 //!
 //! 1. **Prim truncation budget** (Algorithm 1's `n^{ε/2}`, via ε): query
 //!    cost vs contraction factor trade-off.
-//! 2. **KKT sampling on/off** (Algorithm 3): KV query reduction on
-//!    sparse graphs, the point of Theorem 1's `O(m + n log² n)` bound.
-//! 3. **1-vs-2-cycle sampling rate**: queries vs contracted-graph size.
+//! 2. **1-vs-2-cycle sampling rate**: queries vs contracted-graph size.
 
 use crate::util::{harness_config, load_weighted, Md};
-use ampc_core::msf::{ampc_msf, kkt_msf};
+use ampc_core::msf::ampc_msf;
 use ampc_core::one_vs_two::ampc_one_vs_two_with_rate;
 use ampc_graph::datasets::{Dataset, Scale};
 
@@ -38,22 +36,7 @@ pub fn run(scale: Scale) -> String {
         &rows,
     );
 
-    // ---- 2: KKT sampling vs direct pipeline on a sparse graph.
-    let sparse =
-        ampc_graph::gen::degree_weights(&ampc_graph::gen::erdos_renyi(200_000, 400_000, 11));
-    let direct = ampc_msf(&sparse, &cfg);
-    let kkt = kkt_msf(&sparse, &cfg);
-    assert_eq!(direct.edges, kkt.edges, "KKT must agree with the pipeline");
-    md.para(&format!(
-        "**KKT sampling** (Algorithm 3) on a sparse 200k/400k graph: direct pipeline \
-         issued {} KV queries; the KKT route issued {} (its distributed rounds only \
-         touch the sampled subgraph and the near-linear light-edge set). Identical \
-         forests.",
-        direct.report.kv_comm().queries,
-        kkt.report.kv_comm().queries,
-    ));
-
-    // ---- 3: sampling-rate sweep for 1-vs-2-cycle.
+    // ---- 2: sampling-rate sweep for 1-vs-2-cycle.
     let g = ampc_graph::gen::two_cycles(200_000, 3);
     let mut rows = Vec::new();
     for inv in [64u64, 256, 1024, 4096] {

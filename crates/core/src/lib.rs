@@ -12,9 +12,10 @@
 //!   wrappers of Corollary 4.1.
 //! * [`msf`] — minimum spanning forest: Algorithm 1 (TruncatedPrim),
 //!   Algorithm 2 (ternarization), the §5.5 five-shuffle production
-//!   pipeline, the DenseMSF fallback (Proposition 3.1), and the
-//!   Karger–Klein–Tarjan sampling reduction (Algorithm 3 + Appendix B)
-//!   that yields Theorem 1's O(m + n log² n) query bound.
+//!   pipeline and the DenseMSF fallback (Proposition 3.1). Algorithm 3
+//!   (Karger–Klein–Tarjan sampling, Theorem 1's O(m + n log² n) bound)
+//!   is not implemented: §5 never runs it, and its F-light filter does
+//!   not fit one machine's space as a local step.
 //! * [`connectivity`] — connected components from a spanning forest plus
 //!   forest connectivity (Proposition 3.2).
 //! * [`dynamic`] — batch-dynamic connectivity: component labels

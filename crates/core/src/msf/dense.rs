@@ -37,9 +37,9 @@ pub fn dense_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<ampc_graph::
 
 /// The search-and-contract loop over provenance edges; returns the
 /// internal weights of all MSF edges. Exposed for the other MSF entry
-/// points (Algorithm 2's post-ternarization phase, KKT's recursive
-/// calls, forest connectivity). `edges` must be strictly ascending in
-/// `w` (see [`prim_contract_round`]); nothing here re-sorts them.
+/// points (Algorithm 2's post-ternarization phase, forest
+/// connectivity). `edges` must be strictly ascending in `w` (see
+/// [`prim_contract_round`]); nothing here re-sorts them.
 pub(crate) fn dense_msf_loop(
     job: &mut Job,
     n: usize,

@@ -11,17 +11,12 @@
 //! * [`pipeline`] — [`pipeline::ampc_msf`]: the §5.5 production pipeline
 //!   (what Figure 7 measures) and [`pipeline::ampc_msf_algorithm2`]: the
 //!   faithful Algorithm 2 with the ternarization step for sparse graphs.
-//! * [`kkt`] — Algorithm 3: the Karger–Klein–Tarjan sampling reduction
-//!   with F-light filtering (Appendix B), reducing query complexity to
-//!   `O(m + n log² n)` (Theorem 1).
 
 pub mod common;
 pub mod dense;
 pub mod in_memory;
-pub mod kkt;
 pub mod pipeline;
 
 pub use common::MsfOutcome;
 pub use dense::dense_msf;
-pub use kkt::kkt_msf;
 pub use pipeline::{ampc_msf, ampc_msf_algorithm2, ampc_msf_in_job};

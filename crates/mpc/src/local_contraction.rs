@@ -56,7 +56,7 @@ pub fn mpc_connected_components(g: &CsrGraph, cfg: &AmpcConfig) -> CcOutcome {
         );
         // Contract the pointer forest to its roots (tree contraction is
         // part of the 3-shuffle contraction routine).
-        let (roots, _) = find_roots(&parent);
+        let roots = find_roots(&parent);
 
         // 3 shuffles: propose, relabel, rebuild.
         let proposals: Vec<(NodeId, NodeId)> = parent

@@ -6,96 +6,46 @@
 //! depth of this algorithm could be as much as O(n), in practice, the
 //! trees constructed by the algorithm are very shallow (we observed a
 //! maximum query length of 33 over all graphs)."* This module provides
-//! the in-memory primitive plus the same chain-length statistics; the
-//! distributed variant in `ampc-core` issues the queries through the DHT
-//! and inherits the statistics from its metered handle.
+//! the in-memory primitive; the distributed variant in `ampc-core` issues
+//! the queries through the DHT and is charged by its metered handle.
 
-use ampc_graph::NodeId;
-
-/// Statistics of a pointer-jumping pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JumpStats {
-    /// The longest parent chain any vertex followed (the paper observed
-    /// a maximum of 33 on its inputs).
-    pub max_chain: usize,
-    /// Total parent queries performed (without memoization this is the
-    /// quantity a distributed implementation pays for).
-    pub total_queries: u64,
-}
+use ampc_graph::{NodeId, NO_NODE};
 
 /// Resolves the root of every vertex in a directed forest given as a
-/// parent array (`parent[v] == v` marks roots). Uses memoization so the
-/// total work is O(n), while `stats.max_chain` reports the *unmemoized*
-/// chain length — what each distributed search would have paid.
+/// parent array (`parent[v] == v` marks roots). Memoized, so the total
+/// work is O(n).
 ///
 /// # Panics
 /// Panics if the parent pointers contain a cycle.
-pub fn find_roots(parent: &[NodeId]) -> (Vec<NodeId>, JumpStats) {
+pub fn find_roots(parent: &[NodeId]) -> Vec<NodeId> {
     let n = parent.len();
-    let mut root = vec![ampc_graph::NO_NODE; n];
-    let mut depth = vec![0u32; n];
-    let mut stats = JumpStats::default();
+    let mut root = vec![NO_NODE; n];
     let mut chain = Vec::new();
     for s in 0..n as NodeId {
-        if root[s as usize] != ampc_graph::NO_NODE {
+        if root[s as usize] != NO_NODE {
             continue;
         }
         // Walk up until a known root or a self-loop, recording the chain.
         let mut v = s;
         chain.clear();
-        let (r, base_depth) = loop {
-            if root[v as usize] != ampc_graph::NO_NODE {
-                break (root[v as usize], depth[v as usize]);
+        let r = loop {
+            if root[v as usize] != NO_NODE {
+                break root[v as usize];
             }
             let p = parent[v as usize];
             if p == v {
-                break (v, 0);
+                break v;
             }
             chain.push(v);
             assert!(chain.len() <= n, "cycle detected in parent array (via {s})");
             v = p;
         };
         root[v as usize] = r;
-        // Unwind the chain, assigning true (unmemoized) depths.
-        for (i, &u) in chain.iter().rev().enumerate() {
+        for &u in &chain {
             root[u as usize] = r;
-            depth[u as usize] = base_depth + i as u32 + 1;
-            stats.max_chain = stats.max_chain.max(depth[u as usize] as usize);
-        }
-        stats.total_queries += chain.len() as u64 + 1;
-    }
-    (root, stats)
-}
-
-/// The unmemoized chain length from each vertex — the per-search query
-/// count a distributed pointer-jump pays. Used by the MSF pipeline's
-/// accounting.
-pub fn chain_lengths(parent: &[NodeId]) -> Vec<u32> {
-    let n = parent.len();
-    let mut len = vec![u32::MAX; n];
-    let mut chain = Vec::new();
-    for s in 0..n as NodeId {
-        if len[s as usize] != u32::MAX {
-            continue;
-        }
-        let mut v = s;
-        chain.clear();
-        while len[v as usize] == u32::MAX && parent[v as usize] != v {
-            chain.push(v);
-            assert!(chain.len() <= n, "cycle in parent array");
-            v = parent[v as usize];
-        }
-        let base = if parent[v as usize] == v {
-            len[v as usize] = 0;
-            0
-        } else {
-            len[v as usize]
-        };
-        for (i, &u) in chain.iter().rev().enumerate() {
-            len[u as usize] = base + i as u32 + 1;
         }
     }
-    len
+    root
 }
 
 #[cfg(test)]
@@ -106,42 +56,24 @@ mod tests {
     fn resolves_chain() {
         // 4 -> 3 -> 2 -> 1 -> 0 (root)
         let parent = vec![0, 0, 1, 2, 3];
-        let (roots, stats) = find_roots(&parent);
-        assert_eq!(roots, vec![0; 5]);
-        assert_eq!(stats.max_chain, 4);
+        assert_eq!(find_roots(&parent), vec![0; 5]);
     }
 
     #[test]
     fn multiple_trees() {
         let parent = vec![0, 0, 2, 2, 3];
-        let (roots, _) = find_roots(&parent);
-        assert_eq!(roots, vec![0, 0, 2, 2, 2]);
+        assert_eq!(find_roots(&parent), vec![0, 0, 2, 2, 2]);
     }
 
     #[test]
     fn all_roots() {
         let parent: Vec<NodeId> = (0..5).collect();
-        let (roots, stats) = find_roots(&parent);
-        assert_eq!(roots, parent);
-        assert_eq!(stats.max_chain, 0);
+        assert_eq!(find_roots(&parent), parent);
     }
 
     #[test]
     #[should_panic(expected = "cycle")]
     fn detects_cycles() {
         find_roots(&[1, 2, 0]);
-    }
-
-    #[test]
-    fn chain_lengths_exact() {
-        let parent = vec![0, 0, 1, 2, 3];
-        assert_eq!(chain_lengths(&parent), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chain_lengths_branching() {
-        // star rooted at 0: every leaf one hop.
-        let parent = vec![0, 0, 0, 0];
-        assert_eq!(chain_lengths(&parent), vec![0, 1, 1, 1]);
     }
 }

@@ -9,7 +9,7 @@
 //! * [`dht`] — the distributed hash table the AMPC model is built around.
 //! * [`runtime`] — a simulated multi-machine dataflow runtime with shuffle
 //!   and communication accounting.
-//! * [`trees`] — tree-algorithm substrate (union-find, LCA, RMQ, HLD, …).
+//! * [`trees`] — forest primitives: union-find and pointer jumping.
 //! * [`core`] — the paper's AMPC algorithms (MIS, matching, MSF,
 //!   connectivity, 1-vs-2-cycle).
 //! * [`mpc`] — the MPC baselines the paper compares against.

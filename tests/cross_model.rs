@@ -10,7 +10,7 @@ use ampc::prelude::*;
 use ampc_core::matching::{ampc_matching, ampc_matching_loglog, greedy_matching};
 use ampc_core::mis::{ampc_mis, greedy_mis};
 use ampc_core::msf::in_memory::kruskal;
-use ampc_core::msf::{ampc_msf, ampc_msf_algorithm2, kkt_msf};
+use ampc_core::msf::{ampc_msf, ampc_msf_algorithm2};
 use ampc_core::validate;
 use ampc_graph::datasets::Scale;
 
@@ -77,7 +77,6 @@ fn msf_identical_across_all_implementations_and_datasets() {
             "algorithm 2 on {}",
             d.name()
         );
-        assert_eq!(kkt_msf(&g, &c).edges, oracle, "KKT on {}", d.name());
         assert_eq!(
             ampc_mpc::mpc_msf(&g, &c).edges,
             oracle,

@@ -184,14 +184,6 @@ fn algorithm2_outputs_and_charges_are_pinned() {
 }
 
 #[test]
-fn kkt_outputs_and_charges_are_pinned() {
-    check("kkt_msf", &KKT, |i, g, c| {
-        let out = msf::kkt_msf(&weighted(i, g), c);
-        (forest_digest(&out.edges), out.report)
-    });
-}
-
-#[test]
 fn connectivity_outputs_and_charges_are_pinned() {
     check("ampc_connected_components", &CC, |_, g, c| {
         let out = connectivity::ampc_connected_components(g, c);
@@ -347,75 +339,6 @@ const ALGORITHM2: [Pinned; 6] = [
         shuffle_bytes_max_machine: 208720,
         kv: [26517, 9898, 21604, 1165448, 352244, 2034],
         peak_generation_bytes: 245792,
-    },
-];
-
-const KKT: [Pinned; 6] = [
-    Pinned {
-        digest: 15590844293978655294,
-        sim_ns: 256001399349,
-        stages: 32,
-        stage_digest: 226833973786223101,
-        ops: 42858,
-        shuffle_bytes: 322432,
-        shuffle_bytes_max_machine: 89246,
-        kv: [8021, 4184, 5965, 524300, 183304, 390],
-        peak_generation_bytes: 110296,
-    },
-    Pinned {
-        digest: 15590844293978655294,
-        sim_ns: 492001469836,
-        stages: 58,
-        stage_digest: 7034404673490578424,
-        ops: 40087,
-        shuffle_bytes: 331064,
-        shuffle_bytes_max_machine: 96566,
-        kv: [8172, 4260, 6114, 536608, 188424, 395],
-        peak_generation_bytes: 110296,
-    },
-    Pinned {
-        digest: 8689015771376465763,
-        sim_ns: 98000550293,
-        stages: 14,
-        stage_digest: 6597415893407506712,
-        ops: 35822,
-        shuffle_bytes: 143056,
-        shuffle_bytes_max_machine: 39430,
-        kv: [1949, 800, 1561, 221120, 72304, 144],
-        peak_generation_bytes: 67504,
-    },
-    Pinned {
-        digest: 8689015771376465763,
-        sim_ns: 335000751353,
-        stages: 41,
-        stage_digest: 13354543008896434333,
-        ops: 18927,
-        shuffle_bytes: 189936,
-        shuffle_bytes_max_machine: 55344,
-        kv: [3854, 1720, 3042, 296152, 104168, 260],
-        peak_generation_bytes: 67504,
-    },
-    Pinned {
-        digest: 5349569618866933287,
-        sim_ns: 177000782129,
-        stages: 23,
-        stage_digest: 14443486889664352671,
-        ops: 42177,
-        shuffle_bytes: 184504,
-        shuffle_bytes_max_machine: 54608,
-        kv: [4605, 1892, 3683, 303408, 101200, 346],
-        peak_generation_bytes: 74232,
-    },
-    Pinned {
-        digest: 5349569618866933287,
-        sim_ns: 333000906701,
-        stages: 39,
-        stage_digest: 7959769774519146772,
-        ops: 24021,
-        shuffle_bytes: 214916,
-        shuffle_bytes_max_machine: 61286,
-        kv: [7050, 3706, 5245, 352976, 133532, 392],
-        peak_generation_bytes: 74232,
     },
 ];
 
