@@ -9,7 +9,7 @@
 //! the `AmpcAlgorithm` trait, and the `ampc` binary composes any of
 //! them with any [`ampc_graph::GraphSource`] and any runtime knob,
 //! emitting JSON run records (checked by [`json`]); `fig3`, `fig8`, the
-//! repo benchmark and the `kernel_records` pins resolve their kernels
+//! repo benchmark and the `records` pins resolve their kernels
 //! through the same registry (DESIGN.md §7).
 //!
 //! Scale is controlled by the `AMPC_SCALE` environment variable:

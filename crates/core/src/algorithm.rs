@@ -196,7 +196,7 @@ impl AlgoOutput {
 
     /// Order-sensitive digest of the full output: what `ampc run` records,
     /// the repo benchmark compares across repetitions, and
-    /// `tests/kernel_records.rs` pins.
+    /// `crates/bench/tests/records.rs` pins.
     pub fn digest(&self) -> u64 {
         match self {
             AlgoOutput::Mis(v) => digest_u64s(v.iter().map(|&b| b as u64)),

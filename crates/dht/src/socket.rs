@@ -24,6 +24,9 @@
 //! * `DROP_GEN` — no entries; the server frees the generation.
 //! * `PING` / `SHUTDOWN` — health check / orderly exit; response `[1]`.
 //!
+//! A frame whose body is not exactly the entries its `count` promises is
+//! answered with an empty reply and changes nothing on the server.
+//!
 //! Integers are little-endian throughout (the same [`crate::wire`]
 //! codec values use). Blobs are opaque to the server: it never decodes
 //! a value, so one server binary serves every value type.
@@ -162,8 +165,10 @@ pub fn serve_listener(listener: UnixListener) -> std::io::Result<()> {
 }
 
 /// Decodes and executes one request, returning `(reply, shutdown)`.
-/// Malformed frames get an empty reply (the client treats a bad reply
-/// as a transport error and retries).
+/// A frame whose body is not exactly what its header's `count` promises
+/// — truncated, with trailing bytes, or a `count` on an opcode that
+/// takes no entries — gets an empty reply and changes no state (the
+/// client treats a bad reply as a transport error and retries).
 fn handle_request(
     frame: &[u8],
     generations: &mut FxHashMap<u64, FxHashMap<u64, Box<[u8]>>>,
@@ -173,29 +178,24 @@ fn handle_request(
         let opcode = u8::wire_decode(&mut buf)?;
         let generation = u64::wire_decode(&mut buf)?;
         let count = u32::wire_decode(&mut buf)?;
-        Some((opcode, generation, count))
+        Some((opcode, generation, count as usize))
     })();
     let Some((opcode, generation, count)) = parsed else {
         return (Vec::new(), false);
     };
+    let bare = count == 0 && buf.is_empty();
     match opcode {
-        op::LOAD => {
+        op::LOAD if is_load_body(buf, count) => {
             let store = generations.entry(generation).or_default();
-            for _ in 0..count {
-                let Some((key, blob)) = decode_load_entry(&mut buf) else {
-                    return (Vec::new(), false);
-                };
-                store.insert(key, blob);
+            while let Some((key, blob)) = split_load_entry(&mut buf) {
+                store.insert(key, blob.into());
             }
             (vec![1], false)
         }
-        op::GET => {
+        op::GET if count.checked_mul(8) == Some(buf.len()) => {
             let store = generations.get(&generation);
             let mut reply = Vec::new();
-            for _ in 0..count {
-                let Some(key) = u64::wire_decode(&mut buf) else {
-                    return (Vec::new(), false);
-                };
+            while let Some(key) = u64::wire_decode(&mut buf) {
                 match store.and_then(|s| s.get(&key)) {
                     Some(blob) => {
                         reply.push(1);
@@ -207,18 +207,24 @@ fn handle_request(
             }
             (reply, false)
         }
-        op::DROP_GEN => {
+        op::DROP_GEN if bare => {
             generations.remove(&generation);
             (vec![1], false)
         }
-        op::PING => (vec![1], false),
-        op::SHUTDOWN => (vec![1], true),
+        op::PING if bare => (vec![1], false),
+        op::SHUTDOWN if bare => (vec![1], true),
         _ => (Vec::new(), false),
     }
 }
 
-/// One `LOAD` entry: `key u64, len u32, bytes`.
-fn decode_load_entry(buf: &mut &[u8]) -> Option<(u64, Box<[u8]>)> {
+/// Whether `body` is exactly `count` `LOAD` entries: walks the entry
+/// lengths to the end of the frame without copying a blob.
+fn is_load_body(mut body: &[u8], count: usize) -> bool {
+    (0..count).all(|_| split_load_entry(&mut body).is_some()) && body.is_empty()
+}
+
+/// Splits one `LOAD` entry — `key u64, len u32, bytes` — off `buf`.
+fn split_load_entry<'a>(buf: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
     let key = u64::wire_decode(buf)?;
     let len = u32::wire_decode(buf)? as usize;
     if buf.len() < len {
@@ -226,7 +232,7 @@ fn decode_load_entry(buf: &mut &[u8]) -> Option<(u64, Box<[u8]>)> {
     }
     let (blob, rest) = buf.split_at(len);
     *buf = rest;
-    Some((key, blob.to_vec().into_boxed_slice()))
+    Some((key, blob))
 }
 
 // ---------------------------------------------------------------------
@@ -712,6 +718,69 @@ mod tests {
         assert!(after.spawns > before.spawns, "server respawned");
         // …but the crashed server's data is gone, loudly absent.
         assert_eq!(c.get_batch(g1, 0, &[1]), vec![None]);
+    }
+
+    /// A `LOAD` frame holding `entries`.
+    fn load_frame(generation: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
+        let mut frame = request_header(op::LOAD, generation, entries.len() as u32);
+        for (key, blob) in entries {
+            key.wire_encode(&mut frame);
+            (blob.len() as u32).wire_encode(&mut frame);
+            frame.extend_from_slice(blob);
+        }
+        frame
+    }
+
+    const REJECTED: (Vec<u8>, bool) = (Vec::new(), false);
+
+    #[test]
+    fn a_load_that_is_not_exactly_count_entries_stores_nothing() {
+        let mut gens = FxHashMap::default();
+        let frame = load_frame(7, &[(1, b"one"), (2, b"two")]);
+        let mut trailing = frame.clone();
+        trailing.push(0);
+        for bad in [&frame[..frame.len() - 1], &trailing] {
+            assert_eq!(handle_request(bad, &mut gens), REJECTED);
+            assert!(!gens.contains_key(&7), "a rejected LOAD left keys behind");
+        }
+        assert_eq!(handle_request(&frame, &mut gens), (vec![1], false));
+        assert_eq!(gens[&7].len(), 2);
+    }
+
+    #[test]
+    fn a_get_must_carry_exactly_count_keys() {
+        let mut gens = FxHashMap::default();
+        handle_request(&load_frame(3, &[(5, b"v")]), &mut gens);
+        let mut get = request_header(op::GET, 3, 1);
+        5u64.wire_encode(&mut get);
+        let mut junk = get.clone();
+        junk.extend([0; 4]);
+        assert_eq!(handle_request(&junk, &mut gens), REJECTED);
+        assert_eq!(handle_request(&get[..get.len() - 1], &mut gens), REJECTED);
+        let answer = (vec![1, 1, 0, 0, 0, b'v'], false);
+        assert_eq!(handle_request(&get, &mut gens), answer);
+    }
+
+    #[test]
+    fn entry_free_ops_take_no_count_and_no_body() {
+        let mut gens = FxHashMap::default();
+        handle_request(&load_frame(4, &[(1, b"x")]), &mut gens);
+        for opcode in [op::DROP_GEN, op::PING, op::SHUTDOWN] {
+            let mut trailing = request_header(opcode, 4, 0);
+            trailing.push(0);
+            for bad in [request_header(opcode, 4, 1), trailing] {
+                assert_eq!(handle_request(&bad, &mut gens), REJECTED);
+            }
+        }
+        assert!(
+            gens.contains_key(&4),
+            "a rejected DROP_GEN dropped the generation"
+        );
+        let drop = request_header(op::DROP_GEN, 4, 0);
+        assert_eq!(handle_request(&drop, &mut gens), (vec![1], false));
+        assert!(!gens.contains_key(&4));
+        let shutdown = request_header(op::SHUTDOWN, 0, 0);
+        assert_eq!(handle_request(&shutdown, &mut gens), (vec![1], true));
     }
 
     #[test]

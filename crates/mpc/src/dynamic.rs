@@ -9,7 +9,7 @@
 //! baseline and the maintained AMPC kernel emit canonical min-vertex-id
 //! labels, so the per-epoch labellings are **byte-identical** by
 //! construction — which is what the cross-model equivalence tests and
-//! `kernel_records::dyn_cc_mpc_recompute_matches_the_maintained_digest`
+//! `records::dyn_cc_mpc_recompute_matches_the_maintained_digest`
 //! pin, and what makes the wall-clock gap between the two a pure measure
 //! of maintenance vs recomputation.
 

@@ -146,7 +146,7 @@ impl JobReport {
     }
 
     /// Size of the largest sealed generation any KV round read — the
-    /// job's peak DHT storage footprint (pinned by `tests/kernel_records.rs`).
+    /// job's peak DHT storage footprint (pinned by `crates/bench/tests/records.rs`).
     /// O(stages): each stage's figure was cached at seal time.
     pub fn peak_generation_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.gen_bytes).max().unwrap_or(0)

@@ -99,7 +99,7 @@ fn arb_spec_soup() -> impl Strategy<Value = String> {
 }
 
 /// Runs one kernel family under `c`, returning its output digest and
-/// report. Families match the perturbation/chaos integration suites.
+/// report. Families match the chaos integration suite.
 fn run_family(fam: usize, c: &AmpcConfig) -> (u64, JobReport) {
     let tiny = || gen::rmat(8, 1_500, gen::RmatParams::SOCIAL, 42);
     match fam {
