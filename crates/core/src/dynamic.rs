@@ -28,7 +28,7 @@
 //!   is what the cross-model equivalence suites pin.
 
 use ampc_dht::hasher::FxHashSet;
-use ampc_dht::store::{Dht, GenerationWriter, StripeArena};
+use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::dynamic::{EdgeSet, UpdateBatch, UpdateKind};
 use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::{AmpcConfig, Job, JobReport};
@@ -71,10 +71,6 @@ pub fn ampc_dynamic_cc_in_job(
     let n = g.num_nodes();
     let mut out = Vec::with_capacity(batches.len() + 1);
     let mut dht: Dht<u64> = Dht::new();
-    // Stripe-log buffers recycled across epochs: each publish writer
-    // pops the previous seal's (cleared) buffers instead of allocating
-    // 64 fresh logs per batch (DESIGN.md §11).
-    let arena: StripeArena<u64> = StripeArena::new();
 
     // Maintained state: the current adjacency (strictly ascending lists,
     // so every iteration order — and with it every downstream stat — is
@@ -105,7 +101,7 @@ pub fn ampc_dynamic_cc_in_job(
             rebuild_region(&region, &adj, &mut index, &mut labels, &mut forest);
             adj
         });
-    publish(job, &mut dht, "DynPublish-b0", &labels, &arena);
+    publish(job, &mut dht, "DynPublish-b0", &labels);
     out.push(labels.clone());
 
     for (bi, batch) in batches.iter().enumerate() {
@@ -208,24 +204,16 @@ pub fn ampc_dynamic_cc_in_job(
 
         // Publish: every machine writes its slice of the labelling; the
         // sealed generation is this epoch's snapshot.
-        publish(job, &mut dht, &format!("DynPublish-b{b}"), &labels, &arena);
+        publish(job, &mut dht, &format!("DynPublish-b{b}"), &labels);
         out.push(labels.clone());
     }
     out
 }
 
 /// One KV-write round putting the full labelling, sealed into the next
-/// generation. The writer's stripe logs come from (and return to) the
-/// caller's [`StripeArena`], so steady-state epochs reuse buffer
-/// capacity instead of reallocating per publish.
-fn publish(
-    job: &mut Job,
-    dht: &mut Dht<u64>,
-    name: &str,
-    labels: &[NodeId],
-    arena: &StripeArena<u64>,
-) {
-    let writer = GenerationWriter::with_arena(arena);
+/// generation.
+fn publish(job: &mut Job, dht: &mut Dht<u64>, name: &str, labels: &[NodeId]) {
+    let writer = GenerationWriter::new();
     job.kv_round(
         name,
         dht.current(),
@@ -237,7 +225,7 @@ fn publish(
             Vec::<()>::new()
         },
     );
-    dht.push(writer.seal_recycle(arena));
+    dht.push(writer.seal());
 }
 
 /// Inserts `x` into the ascending `list`; returns whether it was absent.

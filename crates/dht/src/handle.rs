@@ -617,13 +617,18 @@ mod tests {
     /// read-through clones each present miss exactly once (the cache
     /// insert); every other read — `get`, `get_many_with`,
     /// `get_many_into`, the cacheless read-through — clones nothing.
+    /// The generation is sealed in memory whatever `AMPC_STORE` says:
+    /// a value decoded off the wire starts a fresh tally, so the probe
+    /// could not see clones made on socket-backed values.
     #[test]
     fn read_through_clones_once_per_miss() {
         use std::sync::atomic::Ordering::Relaxed;
         let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let g: Generation<CloneCounter> = Generation::from_iter(
-            (0..8u64).map(|k| (k, CloneCounter(k, std::sync::Arc::clone(&clones)))),
-        );
+        let w = GenerationWriter::new();
+        for k in 0..8u64 {
+            w.put(k, CloneCounter(k, std::sync::Arc::clone(&clones)));
+        }
+        let g = w.seal_with_threads(1);
         clones.store(0, Relaxed);
 
         // 4 distinct present keys, one repeat, one absent key.

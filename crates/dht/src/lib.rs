@@ -11,10 +11,12 @@
 //!   subsequent rounds read without locks. Sealing is exactly the model's
 //!   round boundary, and immutability of past generations is what makes
 //!   the fault-tolerance story work (a re-executed machine re-reads the
-//!   same values). Sealing flattens the stripes into a single-level
-//!   layout — a zero-hash direct-index array for dense `0..n` key
-//!   domains, a single-hash open-addressed table otherwise
+//!   same values). Sealing flattens the stripes into the one sealed
+//!   layout of [`substrate`] — a zero-hash direct-index array for dense
+//!   `0..n` key domains, a single-hash open-addressed table otherwise
 //!   ([`store::ReprKind`]) — with `len`/`size_bytes` cached at seal;
+//!   under `AMPC_STORE=socket` the values then move to shard-server
+//!   processes ([`socket`]) and only the layout's key index stays.
 //!   `AMPC_THREADS` ([`store::ampc_threads`]) bounds seal-time
 //!   parallelism.
 //! * [`handle::MachineHandle`] — the per-machine access path. All reads
@@ -66,7 +68,6 @@ pub use metrics::CommStats;
 pub use socket::{wire_metrics, SocketCluster, WireMetrics};
 pub use store::{
     ampc_threads, force_store, store_kind, Dht, Generation, GenerationWriter, ReprKind, StoreKind,
-    StripeArena,
 };
-pub use substrate::{StoreBackend, Substrate};
+pub use substrate::StoreBackend;
 pub use wire::Wire;

@@ -25,7 +25,10 @@
 //! * `PING` / `SHUTDOWN` — health check / orderly exit; response `[1]`.
 //!
 //! A frame whose body is not exactly the entries its `count` promises is
-//! answered with an empty reply and changes nothing on the server.
+//! answered with an empty reply and changes nothing on the server. The
+//! client checks replies the same way — `[1]` for `LOAD` and `PING`,
+//! exactly `count` entries and nothing after them for `GET` — and
+//! retries a rejected one like an I/O error.
 //!
 //! Integers are little-endian throughout (the same [`crate::wire`]
 //! codec values use). Blobs are opaque to the server: it never decodes
@@ -127,6 +130,27 @@ fn request_header(opcode: u8, generation: u64, count: u32) -> Vec<u8> {
     out
 }
 
+/// Accepts the one-byte acknowledgement `LOAD` and `PING` answer with.
+fn ack(reply: &[u8]) -> Option<()> {
+    (reply == [1]).then_some(())
+}
+
+/// Parses a `GET` reply for `count` keys: exactly `count` entries, each
+/// `0` (absent) or `1, len: u32, bytes`, then the end of the buffer.
+/// `None` for anything else — truncated, a bad tag, an extra entry or
+/// trailing bytes.
+fn parse_get_reply(reply: &[u8], count: usize) -> Option<Vec<Option<Vec<u8>>>> {
+    let mut buf = reply;
+    let blobs = (0..count)
+        .map(|_| match u8::wire_decode(&mut buf)? {
+            0 => Some(None),
+            1 => split_blob(&mut buf).map(|blob| Some(blob.to_vec())),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    buf.is_empty().then_some(blobs)
+}
+
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
@@ -225,14 +249,15 @@ fn is_load_body(mut body: &[u8], count: usize) -> bool {
 
 /// Splits one `LOAD` entry — `key u64, len u32, bytes` — off `buf`.
 fn split_load_entry<'a>(buf: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
-    let key = u64::wire_decode(buf)?;
+    Some((u64::wire_decode(buf)?, split_blob(buf)?))
+}
+
+/// Splits one length-prefixed blob — `len u32, bytes` — off `buf`.
+fn split_blob<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
     let len = u32::wire_decode(buf)? as usize;
-    if buf.len() < len {
-        return None;
-    }
-    let (blob, rest) = buf.split_at(len);
+    let (blob, rest) = buf.split_at_checked(len)?;
     *buf = rest;
-    Some((key, blob))
+    Some(blob)
 }
 
 // ---------------------------------------------------------------------
@@ -364,28 +389,29 @@ impl Shard {
         result
     }
 
-    /// Sends one request, reconnecting (and respawning a dead server)
-    /// under the capped exponential backoff described in the module
-    /// docs. Panics after `RECONNECT_CAP` failed attempts — a shard
-    /// that stays unreachable is a deployment failure, and limping on
-    /// would silently break the determinism contract.
-    fn request(&self, payload: &[u8]) -> Vec<u8> {
+    /// Sends one request and returns `accept`'s parse of the reply,
+    /// reconnecting (and respawning a dead server) under the capped
+    /// exponential backoff described in the module docs. A reply
+    /// `accept` rejects — the server's empty malformed-frame reply, a
+    /// truncated or garbled one — is retried like an I/O error. Panics
+    /// after `RECONNECT_CAP` failed attempts: a shard that stays
+    /// unreachable is a deployment failure, and limping on would
+    /// silently break the determinism contract.
+    fn request<T>(&self, payload: &[u8], accept: impl Fn(&[u8]) -> Option<T>) -> T {
         WIRE_REQUESTS.fetch_add(1, Ordering::Relaxed);
         WIRE_BYTES_SENT.fetch_add(payload.len() as u64, Ordering::Relaxed);
         for attempt in 0..=RECONNECT_CAP {
-            match self.try_request_once(payload) {
-                Ok(reply) if !reply.is_empty() || payload.first() == Some(&op::GET) => {
+            if let Ok(reply) = self.try_request_once(payload) {
+                if let Some(parsed) = accept(&reply) {
                     WIRE_BYTES_RECEIVED.fetch_add(reply.len() as u64, Ordering::Relaxed);
-                    return reply;
+                    return parsed;
                 }
-                // An empty reply to a non-GET op is the server's
-                // malformed-frame signal; treat it like an I/O error.
-                Ok(_) | Err(_) => {
-                    WIRE_RECONNECTS.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(BACKOFF_UNIT * DropPlan::backoff_units(attempt + 1) as u32);
-                    self.respawn_if_unreachable();
-                }
+                // The stream may be out of step with the server.
+                *self.conn.lock() = None;
             }
+            WIRE_RECONNECTS.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(BACKOFF_UNIT * DropPlan::backoff_units(attempt + 1) as u32);
+            self.respawn_if_unreachable();
         }
         panic!(
             "socket substrate: shard at {} unreachable after {} attempts",
@@ -417,7 +443,7 @@ impl Shard {
         let ping = request_header(op::PING, 0, 0);
         // `request` already retries + respawns; a healthy shard answers
         // on the first attempt.
-        let _ = self.request(&ping);
+        self.request(&ping, ack);
     }
 }
 
@@ -494,8 +520,7 @@ impl SocketCluster {
                 i += 1;
             }
             payload[9..13].copy_from_slice(&count.to_le_bytes());
-            let reply = self.shards[shard].request(&payload);
-            assert_eq!(reply, [1], "socket substrate: shard rejected LOAD");
+            self.shards[shard].request(&payload, ack);
         }
     }
 
@@ -511,25 +536,7 @@ impl SocketCluster {
         for key in keys {
             key.wire_encode(&mut payload);
         }
-        let reply = self.shards[shard].request(&payload);
-        let mut buf = &reply[..];
-        let mut out = Vec::with_capacity(keys.len());
-        for _ in keys {
-            match u8::wire_decode(&mut buf) {
-                Some(0) => out.push(None),
-                Some(1) => {
-                    let len = u32::wire_decode(&mut buf)
-                        .expect("socket substrate: truncated GET reply")
-                        as usize;
-                    assert!(buf.len() >= len, "socket substrate: truncated GET blob");
-                    let (blob, rest) = buf.split_at(len);
-                    buf = rest;
-                    out.push(Some(blob.to_vec()));
-                }
-                _ => panic!("socket substrate: malformed GET reply"),
-            }
-        }
-        out
+        self.shards[shard].request(&payload, |reply| parse_get_reply(reply, keys.len()))
     }
 
     /// Frees a generation on every shard (best-effort; called from the
@@ -781,6 +788,28 @@ mod tests {
         assert!(!gens.contains_key(&4));
         let shutdown = request_header(op::SHUTDOWN, 0, 0);
         assert_eq!(handle_request(&shutdown, &mut gens), (vec![1], true));
+    }
+
+    #[test]
+    fn a_get_reply_must_be_exactly_count_entries() {
+        // Two entries: a present "ab", then an absent key.
+        let reply = [1, 2, 0, 0, 0, b'a', b'b', 0];
+        let parsed = vec![Some(blob(b"ab")), None];
+        assert_eq!(parse_get_reply(&reply, 2), Some(parsed));
+        assert_eq!(parse_get_reply(&[], 0), Some(vec![]));
+        let mut trailing = reply.to_vec();
+        trailing.push(7);
+        let bad_tag = [2, 0];
+        for (bad, count) in [
+            (&reply[..reply.len() - 1], 2), // truncated: the second entry is missing
+            (&reply[..4], 1),               // truncated inside the length prefix
+            (&reply[..6], 1),               // truncated inside the blob
+            (&reply[..], 1),                // an extra entry
+            (&trailing[..], 2),             // trailing bytes
+            (&bad_tag[..], 2),              // a tag that is neither 0 nor 1
+        ] {
+            assert_eq!(parse_get_reply(bad, count), None, "{bad:?} for {count}");
+        }
     }
 
     #[test]

@@ -9,49 +9,34 @@
 //! — which is exactly why a preempted machine can replay its round
 //! against the same inputs (the fault-tolerance property of §2).
 //!
-//! # Sealed layout (DESIGN.md §5.4)
+//! # Sealed layout (DESIGN.md §5.4, §12)
 //!
-//! Sealing **flattens** the lock-striped writer into one of two
-//! single-level layouts, chosen from the key set alone (so the choice is
-//! deterministic):
+//! Sealing resolves the writer's stripe logs and **flattens** them into
+//! the one sealed layout of [`crate::substrate`]: a zero-hash
+//! direct-index array ([`ReprKind::Dense`]) when the keys are a dense
+//! `0..n` domain — the common case, every kernel keys the DHT by vertex
+//! id — and a single-hash open-addressed table ([`ReprKind::Open`])
+//! otherwise, chosen from the key set alone. The layout is
+//! **canonical**: the physical slot assignment is a pure function of
+//! the sealed key-value set, never of thread schedule or seal
+//! parallelism. This module keeps the writer, the seal-time resolution
+//! that feeds the layout, [`Generation`] and [`Dht`]; it never touches
+//! a slot vector, bitmap or mask itself.
 //!
-//! * [`ReprKind::Dense`] — a direct-index array with an occupancy
-//!   bitmap, used when the keys are a dense `0..n` domain (the common
-//!   case: every kernel keys the DHT by vertex id). `get` is one bounds
-//!   check and one slot read — **zero** hashes.
-//! * [`ReprKind::Open`] — one open-addressed, linearly-probed table for
-//!   everything else. `get` hashes **once** ([`mix64`]) and probes
-//!   flat memory; there is no per-shard indirection and no second
-//!   hash.
-//!
-//! The layouts are observationally identical: same values, same
-//! `len`/`size_bytes`, same communication accounting.
-//!
-//! # Substrates (DESIGN.md §12)
-//!
-//! The physical layouts live behind the
-//! [`crate::substrate::Substrate`] trait. Besides the in-memory
-//! substrates above, `AMPC_STORE=socket` ([`StoreKind::Socket`]) seals
-//! the same flat layout and then **offloads the values to shard-server
-//! processes** over Unix-domain sockets ([`crate::socket`]), keeping
-//! only the key index in this process. The socket substrate reports the
-//! same [`ReprKind`] and layout fingerprint as the flat layout it
-//! mirrors; [`Generation::backend`] tells the two apart.
-//!
-//! Both flat layouts are **canonical**: the physical slot assignment is
-//! a pure function of the sealed key-value set, never of thread
-//! schedule or seal parallelism (dense assigns slot `k` to key `k`;
-//! open inserts in ascending key order). `len()` and `size_bytes()` are
-//! computed once at seal time and cached, so the per-round report path
-//! reads them in O(1) instead of re-walking every entry.
+//! Under `AMPC_STORE=socket` ([`StoreKind::Socket`]) the same layout is
+//! sealed and then split: the values go to shard-server processes over
+//! Unix-domain sockets ([`crate::socket`]) and only the key index stays
+//! in this process. A socket generation reports the same [`ReprKind`]
+//! and layout fingerprint as the in-memory one; [`Generation::backend`]
+//! tells the two apart. `len()` and `size_bytes()` are computed once at
+//! seal time and cached, so the per-round report path reads them in
+//! O(1) whatever the backend.
 
 #![allow(unsafe_code)] // disjoint-stripe scatter in the parallel seal; see seal_dense_scatter.
 
 use crate::hasher::mix64;
 use crate::measured::Measured;
-use crate::substrate::{
-    BitIter, DenseSubstrate, OpenSubstrate, SocketSubstrate, Substrate, DENSE_MAX_WASTE,
-};
+use crate::substrate::{dense_eligible, Layout, Offloaded};
 use crate::wire::Wire;
 use parking_lot::Mutex;
 
@@ -149,34 +134,54 @@ pub fn force_store(kind: Option<StoreKind>) {
 /// time, instead of per write.
 type LogEntry<V> = (u64, u32, V);
 
-/// A pool of recycled stripe buffers, so epoch loops (dyn-cc publishes
-/// one generation per batch) reuse the writer's log allocations instead
-/// of growing fresh `Vec`s every epoch. Checked out by
-/// [`GenerationWriter::with_arena`], returned by
-/// [`GenerationWriter::seal_recycle`]. Buffers come back cleared but
-/// with capacity intact; the arena itself is cheap to create and holds
-/// nothing until a seal returns buffers to it.
-pub struct StripeArena<V> {
-    bufs: Mutex<Vec<Vec<LogEntry<V>>>>,
+/// The write-conflict rule: whether a write of `value` by `machine`
+/// replaces `held`, written earlier by `holder`. The lowest machine id
+/// wins, and a machine's later write replaces its own earlier one (one
+/// machine's writes are sequential, so its log order is its issue
+/// order). In `strict` mode two machines writing *different* values
+/// trip a `debug_assert`: workspace algorithms only ever race equal
+/// values, so a conflicting duplicate is a kernel bug.
+fn replaces<V: PartialEq>(
+    strict: bool,
+    key: u64,
+    (holder, held): (u32, &V),
+    (machine, value): (u32, &V),
+) -> bool {
+    if strict && machine != holder {
+        debug_assert!(
+            held == value,
+            "conflicting cross-machine writes for key {key} (machines {holder} and \
+             {machine}): the §3 determinism contract forbids schedule-dependent values"
+        );
+    }
+    machine <= holder
 }
 
-impl<V> StripeArena<V> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        StripeArena {
-            bufs: Mutex::new(Vec::new()),
+/// Resolves one logged write into `slot`, its key's entry in a
+/// key-indexed resolution (held by machine `holder`), keeping `tally` =
+/// (distinct keys, serialized bytes) current.
+#[inline]
+fn place<V: Measured + PartialEq>(
+    strict: bool,
+    slot: &mut Option<V>,
+    holder: &mut u32,
+    (key, machine, value): LogEntry<V>,
+    tally: &mut (usize, usize),
+) {
+    match slot {
+        None => {
+            tally.0 += 1;
+            tally.1 += 8 + value.size_bytes();
+            *holder = machine;
+            *slot = Some(value);
         }
-    }
-
-    /// Number of buffers currently parked in the arena (test hook).
-    pub fn parked(&self) -> usize {
-        self.bufs.lock().len()
-    }
-}
-
-impl<V> Default for StripeArena<V> {
-    fn default() -> Self {
-        Self::new()
+        Some(held) => {
+            if replaces(strict, key, (*holder, held), (machine, &value)) {
+                tally.1 = tally.1 - held.size_bytes() + value.size_bytes();
+                *holder = machine;
+                *held = value;
+            }
+        }
     }
 }
 
@@ -209,28 +214,10 @@ pub struct GenerationWriter<V> {
 impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// New writer with the default shard count.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// New writer with an explicit shard count (must be ≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards >= 1);
         GenerationWriter {
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            strict: true,
-        }
-    }
-
-    /// New writer whose stripe buffers are checked out of `arena`
-    /// (falling back to fresh `Vec`s when the arena runs dry). Pair
-    /// with [`Self::seal_recycle`] to close the loop.
-    pub fn with_arena(arena: &StripeArena<V>) -> Self {
-        let mut pooled = arena.bufs.lock();
-        let shards = (0..DEFAULT_SHARDS)
-            .map(|_| Mutex::new(pooled.pop().unwrap_or_default()))
-            .collect();
-        GenerationWriter {
-            shards,
+            shards: (0..DEFAULT_SHARDS)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
             strict: true,
         }
     }
@@ -304,25 +291,6 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// canonical layout, byte for byte — and the values are then
     /// offloaded to the shard servers.
     pub fn seal(self) -> Generation<V> {
-        self.seal_current_mode()
-    }
-
-    /// [`Self::seal`], returning the drained stripe buffers to `arena`
-    /// for the next epoch's writer. The sealed generation is identical
-    /// to a plain `seal`; only the allocation lifecycle differs.
-    pub fn seal_recycle(self, arena: &StripeArena<V>) -> Generation<V> {
-        let g = self.seal_current_mode();
-        let mut pooled = arena.bufs.lock();
-        pooled.extend(self.shards.into_iter().map(|m| {
-            let mut buf = m.into_inner();
-            buf.clear(); // drained by the seal; belt and braces
-            buf
-        }));
-        g
-    }
-
-    /// Seal dispatch over the process-wide store mode.
-    fn seal_current_mode(&self) -> Generation<V> {
         match store_kind() {
             StoreKind::Flat => self.seal_flat(ampc_threads()),
             StoreKind::Socket => self.seal_flat(ampc_threads()).offload_to_socket(),
@@ -348,11 +316,11 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     ///    (logs may hold duplicates), so the scan only rules layouts
     ///    *out*: if even the logged count cannot justify a dense array,
     ///    no subset of it can.
-    /// 2. Dense-eligible logs scatter into the direct-index array with
-    ///    a `machines` side array carrying write precedence; the true
-    ///    distinct count falls out, and a duplicate-heavy log that
-    ///    turns out sparse is compacted into the open table (the
-    ///    bitmap yields pairs in ascending key order for free).
+    /// 2. Dense-eligible logs scatter into a key-indexed array with a
+    ///    `machines` side array carrying write precedence; the true
+    ///    distinct count falls out, and the layout keeps the array or —
+    ///    for a duplicate-heavy log that turns out sparse — compacts it
+    ///    into the open table.
     /// 3. Sparse logs resolve per stripe by a stable `(key, machine)`
     ///    sort — "last entry of the lowest-machine run" is exactly the
     ///    deterministic winner — then build the open table in ascending
@@ -368,182 +336,94 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
             }
         }
         if logged == 0 {
-            return Generation::empty();
-        }
-        let dense_slots = max_key as usize + 1;
-        if (max_key as usize) < u32::MAX as usize
-            && dense_slots <= logged.saturating_mul(DENSE_MAX_WASTE)
-        {
-            self.seal_dense_scatter(dense_slots, logged, threads)
+            Generation::empty()
+        } else if dense_eligible(logged, max_key) {
+            self.seal_dense_scatter(max_key as usize + 1, logged, threads)
         } else {
-            // distinct ≤ logged, so dense_slots > distinct × waste too:
-            // the layout rule can only choose Open here.
             self.seal_open_sorted(logged)
         }
     }
 
-    /// Dense-path seal: scatter the logs into the direct-index array,
-    /// resolving duplicates via the `machines` precedence array (the
-    /// incremental `machine <= holder` replacement rule, replayed in
-    /// log order). Stripes partition the key space, so whole stripes
-    /// can scatter in parallel: a slot is only ever touched by the
-    /// worker owning its key's stripe. Falls back to the open table
-    /// when the resolved occupancy turns out sparse.
-    fn seal_dense_scatter(
-        &self,
-        dense_slots: usize,
-        logged: usize,
-        threads: usize,
-    ) -> Generation<V> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let words = dense_slots.div_ceil(64);
-        let mut slots: Vec<Option<V>> = vec![None; dense_slots];
-        let mut machines: Vec<u32> = vec![0; dense_slots];
+    /// Dense-path seal: scatter the logs into `resolved`, indexed by
+    /// key over `0..domain`, resolving duplicates via the `machines`
+    /// precedence array (the write-conflict rule, replayed in log
+    /// order); the layout then adopts the array as its slots. Stripes
+    /// partition the key space, so whole stripes can scatter in
+    /// parallel: an entry is only ever touched by the worker owning its
+    /// key's stripe.
+    fn seal_dense_scatter(&self, domain: usize, logged: usize, threads: usize) -> Generation<V> {
+        let mut resolved: Vec<Option<V>> = vec![None; domain];
+        let mut machines: Vec<u32> = vec![0; domain];
         let workers = threads.min(self.shards.len()).max(1);
-        let mut len = 0usize;
-        let occupied: Vec<u64> = if workers > 1 && logged >= PARALLEL_SEAL_MIN {
-            let occupied: Vec<AtomicU64> = (0..words).map(|_| AtomicU64::new(0)).collect();
+        let strict = self.strict;
+        let (len, size_bytes) = if workers > 1 && logged >= PARALLEL_SEAL_MIN {
             struct RawParts<V> {
-                slots: *mut Option<V>,
+                resolved: *mut Option<V>,
                 machines: *mut u32,
             }
             // SAFETY: `RawParts` is shared across scoped workers, but a
             // key lives in exactly one stripe (`shard_of` is a pure
             // function of the key) and each stripe is drained by
-            // exactly one worker, so any slot/machine index is accessed
-            // by at most one thread. The bitmap is atomic because
-            // distinct keys sharing a 64-bit word may live in
-            // different stripes.
-            unsafe impl<V> Sync for RawParts<V> {}
+            // exactly one worker, so any key's entries in `resolved`
+            // and `machines` are accessed by at most one thread. Workers
+            // move values into `resolved` and drop replaced ones, hence
+            // `V: Send`.
+            unsafe impl<V: Send> Sync for RawParts<V> {}
             let parts = RawParts {
-                slots: slots.as_mut_ptr(),
+                resolved: resolved.as_mut_ptr(),
                 machines: machines.as_mut_ptr(),
             };
-            let nstripes = self.shards.len();
             let shards = &self.shards;
-            let strict = self.strict;
             let parts = &parts;
-            let occ = &occupied;
-            len = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
                         scope.spawn(move || {
                             // Worker w owns stripes w, w+W, w+2W, …; the
                             // locks are uncontended (writers are done).
-                            let mut inserted = 0usize;
-                            let mut i = w;
-                            while i < nstripes {
-                                for (k, mach, v) in shards[i].lock().drain(..) {
-                                    let s = k as usize;
-                                    let bit = 1u64 << (s % 64);
-                                    let word = &occ[s / 64];
-                                    // SAFETY: slot `s` belongs to stripe
-                                    // `i`, owned by this worker alone
-                                    // (see RawParts above); the atomic
-                                    // bit is read after this worker's
-                                    // own fetch_or, so same-thread
-                                    // ordering suffices.
-                                    unsafe {
-                                        let slot = &mut *parts.slots.add(s);
-                                        let owner = &mut *parts.machines.add(s);
-                                        if word.load(Ordering::Relaxed) & bit == 0 {
-                                            word.fetch_or(bit, Ordering::Relaxed);
-                                            *slot = Some(v);
-                                            *owner = mach;
-                                            inserted += 1;
-                                        } else {
-                                            if strict && *owner != mach {
-                                                let prev = *owner;
-                                                debug_assert!(
-                                                    slot.as_ref() == Some(&v),
-                                                    "conflicting cross-machine writes for key {k} \
-                                                     (machines {prev} and {mach}): the §3 \
-                                                     determinism contract forbids \
-                                                     schedule-dependent values"
-                                                );
-                                            }
-                                            if mach <= *owner {
-                                                *owner = mach;
-                                                *slot = Some(v);
-                                            }
-                                        }
-                                    }
+                            let mut tally = (0, 0);
+                            for stripe in shards.iter().skip(w).step_by(workers) {
+                                for entry in stripe.lock().drain(..) {
+                                    let s = entry.0 as usize;
+                                    // SAFETY: key `s` belongs to this
+                                    // stripe, owned by this worker alone
+                                    // (see RawParts above).
+                                    let (slot, holder) = unsafe {
+                                        (&mut *parts.resolved.add(s), &mut *parts.machines.add(s))
+                                    };
+                                    place(strict, slot, holder, entry, &mut tally);
                                 }
-                                i += workers;
                             }
-                            inserted
+                            tally
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("seal worker panicked"))
-                    .sum()
-            });
-            occupied.into_iter().map(AtomicU64::into_inner).collect()
+                    .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+            })
         } else {
-            let mut occupied = vec![0u64; words];
+            let mut tally = (0, 0);
             for m in &self.shards {
-                for (k, mach, v) in m.lock().drain(..) {
-                    let s = k as usize;
-                    let bit = 1u64 << (s % 64);
-                    if occupied[s / 64] & bit == 0 {
-                        occupied[s / 64] |= bit;
-                        slots[s] = Some(v);
-                        machines[s] = mach;
-                        len += 1;
-                    } else {
-                        if self.strict && machines[s] != mach {
-                            let prev = machines[s];
-                            debug_assert!(
-                                slots[s].as_ref() == Some(&v),
-                                "conflicting cross-machine writes for key {k} \
-                                 (machines {prev} and {mach}): the §3 determinism \
-                                 contract forbids schedule-dependent values"
-                            );
-                        }
-                        if mach <= machines[s] {
-                            machines[s] = mach;
-                            slots[s] = Some(v);
-                        }
-                    }
+                for entry in m.lock().drain(..) {
+                    let s = entry.0 as usize;
+                    place(
+                        strict,
+                        &mut resolved[s],
+                        &mut machines[s],
+                        entry,
+                        &mut tally,
+                    );
                 }
             }
-            occupied
+            tally
         };
         drop(machines);
-        if dense_slots <= len.saturating_mul(DENSE_MAX_WASTE) {
-            let mut size_bytes = 0usize;
-            for (w, &bits) in occupied.iter().enumerate() {
-                for k in (BitIter {
-                    bits,
-                    base: w as u64 * 64,
-                }) {
-                    size_bytes += 8 + slots[k as usize]
-                        .as_ref()
-                        .expect("bitmap/slot agree")
-                        .size_bytes();
-                }
-            }
-            Generation {
-                repr: Repr::Dense(DenseSubstrate { slots, occupied }),
-                len,
-                size_bytes,
-            }
-        } else {
-            // Duplicate-heavy log: the resolved key set is sparse after
-            // all. The bitmap walks keys in ascending order, which is
-            // exactly the canonical open-table insertion order.
-            let mut pairs: Vec<(u64, V)> = Vec::with_capacity(len);
-            for (w, &bits) in occupied.iter().enumerate() {
-                for k in (BitIter {
-                    bits,
-                    base: w as u64 * 64,
-                }) {
-                    pairs.push((k, slots[k as usize].take().expect("bitmap/slot agree")));
-                }
-            }
-            Self::build_open(pairs)
+        Generation {
+            repr: Repr::Memory(Layout::from_key_indexed(resolved, len)),
+            len,
+            size_bytes,
         }
     }
 
@@ -553,54 +433,34 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// deterministic winner), then build the canonical open table.
     fn seal_open_sorted(&self, logged: usize) -> Generation<V> {
         let mut pairs: Vec<(u64, V)> = Vec::with_capacity(logged);
+        let mut holder = 0u32;
         for m in &self.shards {
             let mut log = m.lock();
             log.sort_by_key(|&(k, mach, _)| (k, mach));
-            let mut cur: Option<LogEntry<V>> = None;
+            // A key lives in one stripe, so only this stripe's previous
+            // pair can share its key.
             for (k, mach, v) in log.drain(..) {
-                match &mut cur {
-                    Some((ck, cm, cv)) if *ck == k => {
-                        if self.strict && mach != *cm {
-                            debug_assert!(
-                                *cv == v,
-                                "conflicting cross-machine writes for key {k} \
-                                 (machines {cm} and {mach}): the §3 determinism \
-                                 contract forbids schedule-dependent values"
-                            );
-                        }
-                        if mach == *cm {
-                            *cv = v;
+                match pairs.last_mut() {
+                    Some((held_key, held)) if *held_key == k => {
+                        if replaces(self.strict, k, (holder, held), (mach, &v)) {
+                            holder = mach;
+                            *held = v;
                         }
                     }
                     _ => {
-                        if let Some((ck, _, cv)) = cur.take() {
-                            pairs.push((ck, cv));
-                        }
-                        cur = Some((k, mach, v));
+                        holder = mach;
+                        pairs.push((k, v));
                     }
                 }
-            }
-            if let Some((ck, _, cv)) = cur.take() {
-                pairs.push((ck, cv));
             }
         }
         // Stripes interleave the key space; the canonical layout wants
         // one global ascending order.
         pairs.sort_unstable_by_key(|&(k, _)| k);
-        Self::build_open(pairs)
-    }
-
-    /// Builds the canonical open-addressed layout from resolved pairs
-    /// in ascending key order (the substrate's canonical seal input:
-    /// capacity keeps load ≤ 50%, insertion order makes the probe
-    /// layout a pure function of the key set).
-    fn build_open(pairs: Vec<(u64, V)>) -> Generation<V> {
-        let len = pairs.len();
-        let size_bytes = pairs.iter().map(|(_, v)| 8 + v.size_bytes()).sum();
         Generation {
-            repr: Repr::Open(OpenSubstrate::seal_pairs(pairs)),
-            len,
-            size_bytes,
+            len: pairs.len(),
+            size_bytes: pairs.iter().map(|(_, v)| 8 + v.size_bytes()).sum(),
+            repr: Repr::Memory(Layout::build(pairs)),
         }
     }
 }
@@ -611,29 +471,12 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> Default for GenerationWriter
     }
 }
 
-/// Sealed storage: one of the three substrates behind the
-/// [`Substrate`] narrow waist. The enum (rather than a boxed trait
-/// object) keeps every in-memory read statically dispatched — the trait
-/// is the contract, the `match` is the (zero-cost) vtable.
+/// Where a sealed generation's values live.
 enum Repr<V> {
-    /// Direct-index array over a dense key domain.
-    Dense(DenseSubstrate<V>),
-    /// Single open-addressed table.
-    Open(OpenSubstrate<V>),
-    /// Values in shard-server processes, key index local.
-    Socket(SocketSubstrate<V>),
-}
-
-/// Statically dispatches a [`Substrate`] method over the concrete
-/// substrate held by a generation.
-macro_rules! with_substrate {
-    ($gen:expr, $s:ident => $body:expr) => {
-        match &$gen.repr {
-            Repr::Dense($s) => $body,
-            Repr::Open($s) => $body,
-            Repr::Socket($s) => $body,
-        }
-    };
+    /// The flat layout, values in this process's memory.
+    Memory(Layout<V>),
+    /// The flat layout's key index here, values in shard servers.
+    Socket(Offloaded<V>),
 }
 
 /// An immutable, sealed generation: reads need no locks.
@@ -649,10 +492,7 @@ impl<V> Generation<V> {
     /// An empty generation.
     pub fn empty() -> Self {
         Generation {
-            repr: Repr::Dense(DenseSubstrate {
-                slots: Vec::new(),
-                occupied: Vec::new(),
-            }),
+            repr: Repr::Memory(Layout::build(Vec::new())),
             len: 0,
             size_bytes: 0,
         }
@@ -671,8 +511,8 @@ impl<V> Generation<V> {
     }
 
     /// Total serialized size of all pairs (cached at seal time — the
-    /// per-round report path reads this in O(1)). Substrate-independent
-    /// by construction: the socket offload copies the flat seal's
+    /// per-round report path reads this in O(1)). Backend-independent
+    /// by construction: the socket offload keeps the in-memory seal's
     /// figure, so simulated accounting never depends on `AMPC_STORE`.
     #[inline]
     pub fn size_bytes(&self) -> usize {
@@ -684,36 +524,47 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     /// Looks a key up. Returns a reference into the sealed store.
     ///
     /// Dense layout: one bounds check, no hash. Open layout: one
-    /// [`mix64`] and a linear probe. Socket substrate: index lookup
+    /// [`mix64`] and a linear probe. Socket backend: index lookup
     /// locally, one wire fetch on first touch of a present key
     /// (memoized after).
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
-        with_substrate!(self, s => s.get(key))
+        match &self.repr {
+            Repr::Memory(layout) => layout.get(key),
+            Repr::Socket(offloaded) => offloaded.get(key),
+        }
     }
 
     /// The batched lookup: `f` is called once per key, in key order,
-    /// with the index and the result — no output buffer at all. This is
-    /// [`Substrate::get_batch_with`], the narrow waist every batched
-    /// read funnels through: in-memory substrates software-pipeline the
-    /// lookups (slot `i + 16` prefetched while slot `i` is read); the
-    /// socket substrate fetches the batch in one wire request per shard.
-    pub fn get_many_with<'a>(&'a self, keys: &[u64], mut f: impl FnMut(usize, Option<&'a V>)) {
-        with_substrate!(self, s => s.get_batch_with(keys, &mut f));
+    /// with the index and the result — no output buffer at all. Every
+    /// batched read funnels through here: in memory the lookups are
+    /// software-pipelined (slot `i + 16` prefetched while slot `i` is
+    /// read); the socket backend fetches the batch in one wire request
+    /// per shard.
+    pub fn get_many_with<'a>(&'a self, keys: &[u64], f: impl FnMut(usize, Option<&'a V>)) {
+        match &self.repr {
+            Repr::Memory(layout) => layout.get_many_with(keys, f),
+            Repr::Socket(offloaded) => offloaded.get_many_with(keys, f),
+        }
     }
 
     /// Which physical layout this generation sealed into. A
     /// socket-backed generation reports the layout of its local key
-    /// index (the flat layout it mirrors); see [`Self::backend`].
+    /// index; see [`Self::backend`].
     pub fn repr_kind(&self) -> ReprKind {
-        with_substrate!(self, s => s.kind())
+        match &self.repr {
+            Repr::Memory(layout) => layout.kind(),
+            Repr::Socket(offloaded) => offloaded.index().kind(),
+        }
     }
 
     /// Where this generation's values physically live: in this
-    /// process's memory, or in shard-server processes behind the
-    /// socket substrate (DESIGN.md §12).
+    /// process's memory, or in shard-server processes (DESIGN.md §12).
     pub fn backend(&self) -> StoreBackend {
-        with_substrate!(self, s => s.backend())
+        match &self.repr {
+            Repr::Memory(_) => StoreBackend::InMemory,
+            Repr::Socket(_) => StoreBackend::Socket,
+        }
     }
 
     /// The physical slot layout, for determinism tests: the key stored
@@ -721,34 +572,41 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     /// slot), prefixed by the layout kind. Two generations with equal
     /// fingerprints and equal [`Self::iter`] contents are byte-identical
     /// in memory layout. A socket generation's fingerprint equals the
-    /// flat layout's by construction (the key index *is* the flat slot
+    /// in-memory one by construction (its key index *is* the slot
     /// structure).
     pub fn layout_fingerprint(&self) -> (ReprKind, Vec<u64>) {
-        (
-            self.repr_kind(),
-            with_substrate!(self, s => s.fingerprint_slots()),
-        )
+        let slots = match &self.repr {
+            Repr::Memory(layout) => layout.fingerprint(),
+            Repr::Socket(offloaded) => offloaded.index().fingerprint(),
+        };
+        (self.repr_kind(), slots)
     }
 
     /// Iterates all pairs. Dense generations iterate in ascending key
     /// order (driven by the occupancy bitmap); open layouts iterate in
     /// slot order. Socket generations fetch any not-yet-memoized
     /// values first (in bounded per-shard batches), then iterate
-    /// locally in the same order as the flat layout they mirror.
+    /// locally in the same order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        with_substrate!(self, s => s.iter_pairs())
+        let (memory, socket) = match &self.repr {
+            Repr::Memory(layout) => (Some(layout.iter()), None),
+            Repr::Socket(offloaded) => (None, Some(offloaded.iter())),
+        };
+        memory
+            .into_iter()
+            .flatten()
+            .chain(socket.into_iter().flatten())
     }
 
-    /// Moves a flat-sealed generation's values to the socket shard
+    /// Moves an in-memory generation's values to the socket shard
     /// servers, keeping the key index (and the cached `len`/
     /// `size_bytes`) local. An empty generation passes through untouched
     /// — it has nothing to serve, so it never costs wire traffic.
     fn offload_to_socket(mut self) -> Generation<V> {
         if self.len > 0 {
             self.repr = match self.repr {
-                Repr::Dense(d) => Repr::Socket(SocketSubstrate::offload_dense(d.slots, d.occupied)),
-                Repr::Open(o) => Repr::Socket(SocketSubstrate::offload_open(o.slots, o.mask)),
-                socket @ Repr::Socket(_) => socket,
+                Repr::Memory(layout) => Repr::Socket(Offloaded::new(layout)),
+                socket => socket,
             };
         }
         self
@@ -759,7 +617,7 @@ impl<V: Measured + Clone + Wire> Generation<V> {
 /// path for `D0`).
 impl<V: Measured + Clone + PartialEq + Send + Wire> FromIterator<(u64, V)> for Generation<V> {
     fn from_iter<I: IntoIterator<Item = (u64, V)>>(items: I) -> Self {
-        let w = GenerationWriter::with_shards(DEFAULT_SHARDS);
+        let w = GenerationWriter::new();
         for (k, v) in items {
             w.put(k, v);
         }
@@ -934,31 +792,6 @@ mod tests {
         let _ = w.seal();
     }
 
-    /// Arena-recycled writers must seal identically to fresh ones, and
-    /// the drained stripe buffers must actually come back.
-    #[test]
-    fn arena_recycles_stripe_buffers() {
-        let arena: StripeArena<u64> = StripeArena::new();
-        let fresh = {
-            let w = GenerationWriter::new();
-            for k in 0..300u64 {
-                w.put(k, k * 7);
-            }
-            w.seal()
-        };
-        for epoch in 0..3 {
-            let w = GenerationWriter::with_arena(&arena);
-            for k in 0..300u64 {
-                w.put(k, k * 7);
-            }
-            let g = w.seal_recycle(&arena);
-            assert_eq!(g.layout_fingerprint(), fresh.layout_fingerprint());
-            assert_eq!(g.len(), fresh.len());
-            assert_eq!(g.size_bytes(), fresh.size_bytes());
-            assert_eq!(arena.parked(), DEFAULT_SHARDS, "epoch {epoch}");
-        }
-    }
-
     /// Dense 0..n keys must select the direct-index layout; sparse u64
     /// keys must fall back to the single open-addressed table.
     #[test]
@@ -978,11 +811,19 @@ mod tests {
             assert_eq!(gappy.get(2 * k + 1), None);
         }
         assert_eq!(sparse.get(12345), None);
+        // Dense iteration walks the bitmap: ascending key order.
+        let keys: Vec<u64> = gappy.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, (0..1000u64).map(|k| 2 * k).collect::<Vec<_>>());
+        // Four keys reaching 129 would need 130 slots > 2 × 4: open.
+        let short = Generation::from_iter([(4u64, 40u64), (0, 0), (129, 1290), (64, 640)]);
+        assert_eq!(short.repr_kind(), ReprKind::Open);
     }
 
-    /// The flat layouts must agree with the baseline — a `BTreeMap`
-    /// oracle — on every lookup: dense, sparse and stripe-colliding
-    /// adversarial key sets, hits and misses alike.
+    /// Every read of a sealed generation must agree with a `BTreeMap`
+    /// oracle — dense, sparse and stripe-colliding adversarial key
+    /// sets, each in memory and offloaded to the shard servers, hits
+    /// and misses alike — and its slot layout must be the canonical
+    /// build of the oracle's pairs wherever the values live.
     #[test]
     fn flat_layouts_match_btreemap_oracle() {
         // Keys that all land in mix64 bucket 0 of the 64 writer stripes
@@ -996,58 +837,48 @@ mod tests {
             .map(|k| k.wrapping_mul(0xDEAD_BEEF_1234_5679) | 1 << 63)
             .collect();
         let dense: Vec<u64> = (0..500u64).collect();
-        for keys in [colliding, sparse, dense] {
-            let flat: Generation<u64> = {
+        for (keys, kind) in [
+            (colliding, ReprKind::Open),
+            (sparse, ReprKind::Open),
+            (dense, ReprKind::Dense),
+        ] {
+            let oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, mix64(k))).collect();
+            let pairs: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+            let canonical = (kind, Layout::build(pairs.clone()).fingerprint());
+            // Absent neighbors probe the same slots as the keys.
+            let probes: Vec<u64> = keys
+                .iter()
+                .flat_map(|&k| [k, k ^ 1, k.wrapping_add(64), !k])
+                .collect();
+            let expected: Vec<Option<&u64>> = probes.iter().map(|k| oracle.get(k)).collect();
+            let seal = || {
                 let w = GenerationWriter::new();
                 for &k in &keys {
                     w.put(k, mix64(k));
                 }
                 w.seal_with_threads(1)
             };
-            let oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, mix64(k))).collect();
-            assert_eq!(flat.len(), oracle.len());
-            assert_eq!(flat.size_bytes(), oracle.len() * (8 + 8));
-            for &k in &keys {
-                assert_eq!(flat.get(k), oracle.get(&k), "key {k}");
-                // Probing for absent neighbors must agree too.
-                for probe in [k ^ 1, k.wrapping_add(64), !k] {
-                    assert_eq!(flat.get(probe), oracle.get(&probe), "probe {probe}");
-                }
+            for (g, backend) in [
+                (seal(), StoreBackend::InMemory),
+                (seal().offload_to_socket(), StoreBackend::Socket),
+            ] {
+                assert_eq!(g.backend(), backend);
+                assert_eq!(g.layout_fingerprint(), canonical, "{backend:?}");
+                assert_eq!(g.len(), oracle.len());
+                assert_eq!(g.size_bytes(), oracle.len() * (8 + 8));
+                let mut batched = Vec::new();
+                g.get_many_with(&probes, |i, v| {
+                    assert_eq!(i, batched.len());
+                    batched.push(v);
+                });
+                assert_eq!(batched, expected, "{backend:?}");
+                let single: Vec<Option<&u64>> = probes.iter().map(|&k| g.get(k)).collect();
+                assert_eq!(single, expected, "{backend:?}");
+                let mut seen: Vec<(u64, u64)> = g.iter().map(|(k, v)| (k, *v)).collect();
+                seen.sort_unstable();
+                assert_eq!(seen, pairs, "{backend:?}");
             }
-            let mut a: Vec<(u64, u64)> = flat.iter().map(|(k, v)| (k, *v)).collect();
-            a.sort_unstable();
-            assert_eq!(a, oracle.into_iter().collect::<Vec<_>>());
         }
-    }
-
-    /// A socket-mode seal must be observationally identical to the flat
-    /// seal it offloaded: same layout fingerprint, same lookups, same
-    /// iteration, same cached `len`/`size_bytes` — with the values
-    /// demonstrably living behind the wire.
-    #[test]
-    fn socket_mode_seal_matches_flat() {
-        let build = || {
-            let w: GenerationWriter<u64> = GenerationWriter::new();
-            for k in 0..400u64 {
-                w.put(k, mix64(k));
-            }
-            w
-        };
-        let flat = build().seal_with_threads(1);
-        force_store(Some(StoreKind::Socket));
-        let socket = build().seal();
-        force_store(None);
-        assert_eq!(socket.backend(), StoreBackend::Socket);
-        assert_eq!(flat.backend(), StoreBackend::InMemory);
-        assert_eq!(socket.layout_fingerprint(), flat.layout_fingerprint());
-        assert_eq!(socket.len(), flat.len());
-        assert_eq!(socket.size_bytes(), flat.size_bytes());
-        for k in 0..500u64 {
-            assert_eq!(socket.get(k), flat.get(k), "key {k}");
-        }
-        let a: Vec<(u64, u64)> = socket.iter().map(|(k, v)| (k, *v)).collect();
-        let b: Vec<(u64, u64)> = flat.iter().map(|(k, v)| (k, *v)).collect();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1081,20 +912,6 @@ mod tests {
         assert_eq!(g.len(), 77);
         let recomputed: usize = g.iter().map(|(_, v)| 8 + v.size_bytes()).sum();
         assert_eq!(g.size_bytes(), recomputed);
-    }
-
-    #[test]
-    fn dense_iter_is_key_ordered() {
-        let g = Generation::from_iter([(4u64, 40u64), (0, 0), (129, 1290), (64, 640)]);
-        // 4 keys with max 129: 130 slots > 2*4, so this is Open — make a
-        // genuinely dense one instead.
-        assert_eq!(g.repr_kind(), ReprKind::Open);
-        let g = Generation::from_iter((0..130u64).map(|k| (k, k * 10)));
-        assert_eq!(g.repr_kind(), ReprKind::Dense);
-        let keys: Vec<u64> = g.iter().map(|(k, _)| k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
     }
 
     /// The §3 stress test: many machines racing duplicate keys under two
