@@ -72,7 +72,6 @@ pub(crate) fn forest_cc_in_job(
         round += 1;
         assert!(round <= 48, "ForestConnectivity failed to converge");
         let budget = cfg.prim_budget(cur_n.max(2));
-        // ampc-lint: allow(transitive-unbatched-get) -- each contraction round's Prim searches are adaptive walks (DESIGN.md §5.3)
         let r = prim_contract_round(
             job,
             cur_n,

@@ -207,7 +207,6 @@ pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, opts: MatchingOptions) 
                     .zip(roots)
                     .map(|(&v, root)| {
                         let root = root.map(|l| l.as_slice()).unwrap_or(&[]);
-                        // ampc-lint: allow(transitive-unbatched-get) -- vertex processing opens edges adaptively; each probe depends on the previous verdict
                         (v, m.vertex_process(v, root, ctx, budget))
                     })
                     .collect()
@@ -320,7 +319,6 @@ impl<'r> Machine<'r> {
             return Some(NO_NODE); // isolated vertex
         }
         for &u in nbrs {
-            // ampc-lint: allow(transitive-unbatched-get) -- edge verdicts are opened one at a time; the next query depends on this one
             match self.edge_process(v, u, ctx, budget, &mut queries, &mut lists) {
                 None => return None, // truncated
                 Some(true) => {
@@ -353,6 +351,9 @@ impl<'r> Machine<'r> {
         *queries += 1;
         let l = ctx
             .handle
+            // ampc-lint: allow(no-unbatched-get) -- adaptive edge opening (the
+            // edge query process of §4.2): which endpoint is fetched next depends
+            // on the verdicts already read; capped by `queries` against the budget.
             .get(v as u64)
             .map(|l| l.as_slice())
             .unwrap_or(&[]);
@@ -484,7 +485,6 @@ impl<'r> Machine<'r> {
                     }
                     None => {
                         // Recurse into (x, y).
-                        // ampc-lint: allow(transitive-unbatched-get) -- recursive edge opening: the child pair is known only after the parent resolves
                         match open(self, x, y, ctx, queries, lists) {
                             Some(child) => {
                                 stack.push(child);

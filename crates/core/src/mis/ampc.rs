@@ -193,7 +193,6 @@ pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<boo
                         let root = root.map(|l| l.as_slice()).unwrap_or(&[]);
                         (
                             v,
-                            // ampc-lint: allow(transitive-unbatched-get) -- LubyMIS evaluation walks earlier-in-π neighbors adaptively (budget-capped)
                             evaluate(v, root, ctx, &mut cache, resolved_ro, budget, opts.caching),
                         )
                     })

@@ -252,7 +252,6 @@ pub fn prim_contract_round(
             items
                 .iter()
                 .zip(roots)
-                // ampc-lint: allow(transitive-unbatched-get) -- Prim search frontier: the next adjacency fetched depends on the heap top
                 .map(|(&v, root)| prim_search(v, root, ctx, seed, budget))
                 .collect()
         },

@@ -61,7 +61,6 @@ pub(crate) fn dense_msf_loop(
             format!("-r{round}")
         };
         let budget = cfg.prim_budget(cur_n.max(2));
-        // ampc-lint: allow(transitive-unbatched-get) -- each contraction round's Prim searches are adaptive walks (DESIGN.md §5.3)
         let r = prim_contract_round(job, cur_n, &edges, &tag, budget, round as u64);
         msf.extend(r.msf_internal);
         edges = r.next_edges;

@@ -375,6 +375,9 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
             };
             let shards = &self.shards;
             let parts = &parts;
+            // ampc-lint: allow(no-raw-spawn) -- ampc-dht sits below ampc-runtime
+            // and cannot reach its WorkerPool; the worker count is capped by
+            // `ampc_threads()`, so AMPC_THREADS=1 takes the serial branch.
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {

@@ -1,5 +1,6 @@
 //! The workspace call graph and the reachability queries behind the
-//! interprocedural rules (DESIGN.md §9, R8/R10).
+//! call-graph rules (DESIGN.md §9: R1 `no-unbatched-get`, R8
+//! `query-budget`).
 //!
 //! Nodes are [`crate::symbols`] function ids; edges are resolved call
 //! sites. Calls on the DHT machine handle (`…handle.get(…)`,
@@ -12,11 +13,12 @@
 
 use crate::parser::CallSite;
 use crate::symbols::{FnId, SymbolTable};
+use std::collections::VecDeque;
 
-/// The per-key handle lookups R1/R8 police.
+/// The per-key handle lookups R1 polices.
 pub const PER_KEY_GETS: &[&str] = &["get", "try_get"];
 
-/// The batched-request handle methods R10 counts: each call site is
+/// The batched-request handle methods R8 counts: each call site is
 /// one accounted round trip per machine per round (DESIGN.md §5.3).
 pub const BATCHED_REQUESTS: &[&str] = &[
     "get_many_with",
@@ -27,14 +29,16 @@ pub const BATCHED_REQUESTS: &[&str] = &[
 
 /// One step of a witness chain: a function entered (located at its
 /// declaration) or, as the final step, the primitive call site itself.
+/// An R1 chain starts at the loop: its first step is the function that
+/// holds the loop, located at the in-loop call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChainStep {
     /// Function name, or `handle.<method>` for the terminal primitive.
     pub name: String,
     /// Workspace-relative file.
     pub file: String,
-    /// 1-based line (declaration line for functions, call-site line
-    /// for the terminal primitive).
+    /// 1-based line (declaration line for functions entered, call-site
+    /// line for the terminal primitive and for an R1 chain's loop).
     pub line: u32,
 }
 
@@ -100,51 +104,63 @@ impl<'a> CallGraph<'a> {
         CallGraph { sym, edges }
     }
 
-    /// For every function, the shortest witness chain from its body to
-    /// a per-key `handle.get`/`try_get`, or `None` when it cannot reach
-    /// one. The chain starts with the function itself and ends at the
-    /// primitive call site.
-    pub fn per_key_get_witnesses(&self) -> Vec<Option<Vec<ChainStep>>> {
+    /// The per-key `handle.get`/`try_get` sites that run once per loop
+    /// iteration, as `(owner, get, witness chain)`. `loop_site` decides
+    /// which calls count as loop sites. A get is reported when it is a
+    /// loop site itself (empty chain), or when a forward BFS over the
+    /// edges of every loop site reaches its function. The chain is then
+    /// the shortest one: the loop's function (at the in-loop call),
+    /// each function entered (at its declaration), and the get.
+    /// Deterministic: functions, calls and edges are visited in order.
+    pub(crate) fn gets_under_loops(
+        &self,
+        loop_site: impl Fn(FnId, &CallSite) -> bool,
+    ) -> Vec<(FnId, &'a CallSite, Vec<ChainStep>)> {
         let sym = self.sym;
         let mut witness: Vec<Option<Vec<ChainStep>>> = vec![None; sym.fns.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for (id, f) in sym.fns.iter().enumerate() {
-            if let Some(call) =
-                f.item.calls.iter().find(|c| {
-                    PER_KEY_GETS.contains(&c.callee.as_str()) && is_handle_call(sym, id, c)
-                })
-            {
-                witness[id] = Some(vec![
-                    fn_step(sym, id),
-                    ChainStep {
-                        name: format!("handle.{}", call.callee),
-                        file: sym.rel_of(id).to_string(),
-                        line: call.line,
-                    },
-                ]);
-                queue.push_back(id);
-            }
-        }
-        // Reverse-BFS: shortest chains, deterministic because fns and
-        // their edges are visited in id order.
-        let mut callers: Vec<Vec<FnId>> = vec![Vec::new(); sym.fns.len()];
+        let mut queue = VecDeque::new();
         for (id, es) in self.edges.iter().enumerate() {
-            for &(_, callee) in es {
-                callers[callee].push(id);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            let w = witness[id].clone().unwrap();
-            for &caller in &callers[id] {
-                if witness[caller].is_none() {
-                    let mut chain = vec![fn_step(sym, caller)];
-                    chain.extend(w.iter().cloned());
-                    witness[caller] = Some(chain);
-                    queue.push_back(caller);
+            for &(ci, callee) in es {
+                let call = &sym.fns[id].item.calls[ci];
+                if witness[callee].is_none() && loop_site(id, call) {
+                    let at_loop = ChainStep {
+                        line: call.line,
+                        ..fn_step(sym, id)
+                    };
+                    witness[callee] = Some(vec![at_loop, fn_step(sym, callee)]);
+                    queue.push_back(callee);
                 }
             }
         }
-        witness
+        while let Some(id) = queue.pop_front() {
+            for &(_, callee) in &self.edges[id] {
+                if witness[callee].is_none() {
+                    let mut chain = witness[id].clone().unwrap_or_default();
+                    chain.push(fn_step(sym, callee));
+                    witness[callee] = Some(chain);
+                    queue.push_back(callee);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (id, f) in sym.fns.iter().enumerate() {
+            for call in &f.item.calls {
+                if !PER_KEY_GETS.contains(&call.callee.as_str()) || !is_handle_call(sym, id, call) {
+                    continue;
+                }
+                let chain = if loop_site(id, call) {
+                    Vec::new()
+                } else if let Some(w) = &witness[id] {
+                    let mut chain = w.clone();
+                    chain.push(handle_step(sym, id, call));
+                    chain
+                } else {
+                    continue;
+                };
+                out.push((id, call, chain));
+            }
+        }
+        out
     }
 
     /// Enumerates the batched-request sites reachable from `from`
@@ -178,11 +194,7 @@ impl<'a> CallGraph<'a> {
         for (ci, call) in f.item.calls.iter().enumerate() {
             if BATCHED_REQUESTS.contains(&call.callee.as_str()) && is_handle_call(sym, id, call) {
                 let mut chain = path.clone();
-                chain.push(ChainStep {
-                    name: format!("handle.{}", call.callee),
-                    file: sym.rel_of(id).to_string(),
-                    line: call.line,
-                });
+                chain.push(handle_step(sym, id, call));
                 out.push(chain);
             }
             while let Some(&&(eci, callee)) = edge_iter.peek() {
@@ -208,6 +220,15 @@ fn fn_step(sym: &SymbolTable, id: FnId) -> ChainStep {
     }
 }
 
+/// The terminal `handle.<method>` step for a primitive call in `owner`.
+fn handle_step(sym: &SymbolTable, owner: FnId, call: &CallSite) -> ChainStep {
+    ChainStep {
+        name: format!("handle.{}", call.callee),
+        file: sym.rel_of(owner).to_string(),
+        line: call.line,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,12 +244,17 @@ mod tests {
         )
     }
 
+    /// Every in-loop call is a loop site.
+    fn in_loop(_: FnId, call: &CallSite) -> bool {
+        call.in_loop
+    }
+
     #[test]
     fn transitive_get_witness_spans_files() {
         let sym = graph_of(&[
             (
                 "crates/core/src/a.rs",
-                "pub fn kernel(ctx: &mut Ctx) { helper(ctx); }",
+                "pub fn kernel(ctx: &mut Ctx) {\n for v in 0..2 { helper(ctx); }\n}",
             ),
             (
                 "crates/core/src/b.rs",
@@ -236,15 +262,17 @@ mod tests {
             ),
         ]);
         let cg = CallGraph::build(&sym);
-        let w = cg.per_key_get_witnesses();
-        let kernel = sym
-            .fns
-            .iter()
-            .position(|f| f.item.name == "kernel")
-            .unwrap();
-        let chain = w[kernel].as_ref().expect("kernel reaches handle.get");
+        let gets = cg.gets_under_loops(in_loop);
+        assert_eq!(gets.len(), 1, "one get, reported once");
+        let (owner, _, chain) = &gets[0];
+        assert_eq!(sym.fns[*owner].item.name, "helper", "reported at the get");
         let names: Vec<&str> = chain.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["kernel", "helper", "handle.get"]);
+        assert_eq!(
+            (chain[0].file.as_str(), chain[0].line),
+            ("crates/core/src/a.rs", 2),
+            "the chain starts at the loop's call"
+        );
         assert_eq!(chain[2].file, "crates/core/src/b.rs");
     }
 
@@ -252,11 +280,13 @@ mod tests {
     fn handle_param_type_counts_as_primitive_receiver() {
         let sym = graph_of(&[(
             "crates/core/src/a.rs",
-            "fn probe(h: &mut MachineHandle<V>) { h.try_get(9); }",
+            "fn probe(h: &mut MachineHandle<V>) { loop { h.try_get(9); } }",
         )]);
         let cg = CallGraph::build(&sym);
-        let w = cg.per_key_get_witnesses();
-        assert!(w[0].is_some());
+        let gets = cg.gets_under_loops(in_loop);
+        assert_eq!(gets.len(), 1);
+        assert_eq!(gets[0].1.callee, "try_get");
+        assert!(gets[0].2.is_empty(), "a get in its own loop needs no chain");
     }
 
     #[test]
@@ -294,12 +324,11 @@ mod tests {
     #[test]
     fn unresolved_and_ambiguous_calls_make_no_edges() {
         let sym = graph_of(&[
-            ("crates/a/src/x.rs", "fn go() { mystery(); }"),
-            ("crates/b/src/y.rs", "fn mystery() { h.get(1); }"),
+            ("crates/a/src/x.rs", "fn go() { loop { mystery(); } }"),
+            ("crates/b/src/y.rs", "fn mystery() { handle.get(1); }"),
             ("crates/c/src/z.rs", "fn mystery() {}"),
         ]);
         let cg = CallGraph::build(&sym);
-        let go = sym.fns.iter().position(|f| f.item.name == "go").unwrap();
-        assert!(cg.per_key_get_witnesses()[go].is_none());
+        assert!(cg.gets_under_loops(in_loop).is_empty());
     }
 }

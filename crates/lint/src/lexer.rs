@@ -19,9 +19,9 @@ pub enum TokKind {
     Punct(char),
     /// A `//…` or `/*…*/` comment, text preserved verbatim.
     Comment,
-    /// A string/char/numeric literal. Numeric literals keep their text
-    /// (the stripe-lock-order rule compares literal indices); string and
-    /// char contents are dropped (no rule may read them as code).
+    /// A string/char/numeric literal. Numeric literals keep their text;
+    /// string and char contents are dropped (no rule may read them as
+    /// code).
     Literal,
 }
 

@@ -9,11 +9,11 @@
 //! runs. Three layers: a comment/string-aware lexer ([`lexer`]), an
 //! item-level parser ([`parser`]) feeding a workspace symbol table
 //! ([`symbols`]) and call graph ([`callgraph`]), and a rule engine
-//! ([`rules`]) that runs per-file lexical rules (R1–R7) plus
-//! interprocedural rules (R8–R11) over every `.rs` file under
-//! `crates/`, `tests/`, `src/` and `examples/` at once, reporting
-//! violations with file:line spans and — for the interprocedural
-//! family — witness call chains.
+//! ([`rules`]) that runs eight rules — six per-file lexical ones
+//! (R2–R7) and two on the call graph (R1, R8) — over every `.rs` file
+//! under `crates/`, `tests/`, `src/` and `examples/` at once, reporting
+//! violations with file:line spans and — for the call-graph rules —
+//! witness call chains.
 //!
 //! The rules, their invariants, the suppression-marker grammar and the
 //! `budget(batched-requests = N)` annotation grammar are documented in
@@ -40,8 +40,7 @@ use std::path::{Path, PathBuf};
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Number of `.rs` files scanned (parsed into the workspace symbol
-    /// table — with `--changed-only` this still counts every file,
-    /// because interprocedural rules need the whole workspace).
+    /// table).
     pub files_scanned: usize,
     /// All surviving violations, ordered by (file, line, col).
     pub violations: Vec<Violation>,
@@ -156,18 +155,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// [`SCAN_ROOTS`] is parsed into one symbol table, rules scoped by path
 /// as DESIGN.md §9 specifies.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    lint_workspace_filtered(root, None)
-}
-
-/// Like [`lint_workspace`], but when `only_files` is given, violations
-/// and suppressions are reported only for those workspace-relative
-/// paths. The *whole* workspace is still parsed — the interprocedural
-/// rules need every potential callee — so a changed-only run is a
-/// report filter, not a soundness trade.
-pub fn lint_workspace_filtered(
-    root: &Path,
-    only_files: Option<&BTreeSet<String>>,
-) -> io::Result<Report> {
     let linter = linter_for_root(root);
     let mut sources: Vec<(String, String)> = Vec::new();
     for path in workspace_files(root)? {
@@ -184,49 +171,15 @@ pub fn lint_workspace_filtered(
         .map(|(r, s)| (r.as_str(), s.as_str()))
         .collect();
     let WorkspaceReport {
-        mut violations,
-        mut suppressions,
+        violations,
+        suppressions,
     } = linter.check_sources(&refs);
-    if let Some(only) = only_files {
-        violations.retain(|v| only.contains(&v.file));
-        suppressions.retain(|s| only.contains(&s.file));
-    }
     Ok(Report {
         files_scanned: sources.len(),
         suppressed: suppressions.len(),
         violations,
         suppressions,
     })
-}
-
-/// The files `git` considers changed relative to `base` (plus untracked
-/// files), as workspace-relative paths — the `--changed-only` file set.
-pub fn changed_files(root: &Path, base: &str) -> io::Result<BTreeSet<String>> {
-    let mut out = BTreeSet::new();
-    for args in [
-        vec!["diff", "--name-only", base],
-        vec!["ls-files", "--others", "--exclude-standard"],
-    ] {
-        let cmd = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(&args)
-            .output()?;
-        if !cmd.status.success() {
-            return Err(io::Error::other(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&cmd.stderr).trim()
-            )));
-        }
-        for line in String::from_utf8_lossy(&cmd.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                out.insert(line.replace('\\', "/"));
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Renders the report as human-readable text: one `file:line:col`

@@ -1,26 +1,22 @@
 //! The `ampc-lint` command-line front end.
 //!
 //! ```text
-//! ampc-lint [--root DIR] [--format text|json] [--json-out FILE]
-//!           [--changed-only[=BASE]] [--list-rules]
+//! ampc-lint [--root DIR] [--format text|json] [--json-out FILE] [--list-rules]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
 //! `--json-out FILE` writes the JSON report to a file *in addition* to
 //! the chosen stdout format — the shape CI wants (text in the log, JSON
-//! uploaded as an artifact) in one invocation. `--changed-only`
-//! restricts the *report* to files `git` considers changed relative to
-//! `BASE` (default `HEAD`, untracked files included); the whole
-//! workspace is still parsed, so interprocedural findings in changed
-//! files keep their cross-file witness chains.
+//! uploaded as an artifact) in one invocation. The whole workspace is
+//! always linted: a finding may sit in a file the last edit did not
+//! touch (a get in an unchanged helper that a new loop now reaches).
 
-use ampc_lint::{changed_files, lint_workspace_filtered, render_json, render_text, rules};
+use ampc_lint::{lint_workspace, render_json, render_text, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> String {
-    "usage: ampc-lint [--root DIR] [--format text|json] [--json-out FILE] \
-     [--changed-only[=BASE]] [--list-rules]\n\
+    "usage: ampc-lint [--root DIR] [--format text|json] [--json-out FILE] [--list-rules]\n\
      exit codes: 0 clean, 1 violations, 2 usage/io error"
         .to_string()
 }
@@ -29,7 +25,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = "text".to_string();
     let mut json_out: Option<PathBuf> = None;
-    let mut changed_base: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |name: &str| -> Result<String, String> {
@@ -54,19 +49,6 @@ fn main() -> ExitCode {
                 Ok(v) => json_out = Some(PathBuf::from(v)),
                 Err(e) => return fail(&e),
             },
-            "--changed-only" => {
-                // The base is optional: `--changed-only` alone means
-                // HEAD, so `take` (which would swallow the next
-                // argument) is not used here.
-                let base = arg
-                    .strip_prefix("--changed-only=")
-                    .unwrap_or("HEAD")
-                    .to_string();
-                if base.is_empty() {
-                    return fail("--changed-only= needs a base revision");
-                }
-                changed_base = Some(base);
-            }
             "--list-rules" => {
                 for r in rules::RULES {
                     println!("{:<32} {}", r.name, r.summary);
@@ -81,14 +63,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let only = match changed_base {
-        Some(base) => match changed_files(&root, &base) {
-            Ok(set) => Some(set),
-            Err(e) => return fail(&format!("cannot list changed files: {e}")),
-        },
-        None => None,
-    };
-    let report = match lint_workspace_filtered(&root, only.as_ref()) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => return fail(&format!("cannot lint {}: {e}", root.display())),
     };

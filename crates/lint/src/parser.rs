@@ -1,10 +1,11 @@
 //! A lightweight item-level parser for Rust source, built on the
 //! [`crate::lexer`] token stream.
 //!
-//! The interprocedural rules (R8–R11, DESIGN.md §9) need to see
-//! *function boundaries* — which `fn` wraps which call — not just token
-//! shapes. This module extracts exactly that and nothing more: `fn`
-//! items (free functions, inherent/trait methods, nested fns) and
+//! The call-graph rules (R1 and R8, DESIGN.md §9) and R2's per-function
+//! name binding need to see *function boundaries* — which `fn` wraps
+//! which call — not just token shapes. This module extracts exactly
+//! that and nothing more: `fn` items (free functions, inherent/trait
+//! methods, nested fns) and
 //! *named closures* (`let f = |…| …`), each with its parameter list,
 //! body token range, and the call expressions the body performs, with
 //! per-call loop context computed relative to the owning item's body.
@@ -122,14 +123,16 @@ pub fn parse_source(rel: &str, src: &str) -> ParsedFile {
     parse_tokens(rel, crate::lexer::lex(src))
 }
 
-fn next_code(toks: &[Tok], i: usize) -> Option<usize> {
+/// Index of the first non-comment token after `i`.
+pub(crate) fn next_code(toks: &[Tok], i: usize) -> Option<usize> {
     toks[i + 1..]
         .iter()
         .position(|t| t.kind != TokKind::Comment)
         .map(|off| i + 1 + off)
 }
 
-fn prev_code(toks: &[Tok], i: usize) -> Option<usize> {
+/// Index of the last non-comment token before `i`.
+pub(crate) fn prev_code(toks: &[Tok], i: usize) -> Option<usize> {
     toks[..i].iter().rposition(|t| t.kind != TokKind::Comment)
 }
 
@@ -458,7 +461,7 @@ fn type_text(toks: &[Tok], code: &[usize]) -> String {
 /// Loop-context flags for `toks[start..=end]`, computed with fresh
 /// scope stacks so the flags are relative to this body: index `k` in
 /// the result corresponds to token `start + k`.
-pub fn loop_flags_in(toks: &[Tok], start: usize, end: usize) -> Vec<bool> {
+fn loop_flags_in(toks: &[Tok], start: usize, end: usize) -> Vec<bool> {
     let mut flags = vec![false; end + 1 - start];
     let mut braces: Vec<bool> = Vec::new();
     let mut parens: Vec<bool> = Vec::new();
@@ -502,9 +505,9 @@ pub fn loop_flags_in(toks: &[Tok], start: usize, end: usize) -> Vec<bool> {
     flags
 }
 
-/// Iterator adapters whose callback runs once per element (mirrors the
-/// per-file rule engine's notion of "inside a loop").
-pub const ITER_ADAPTERS: &[&str] = &[
+/// Iterator adapters whose callback runs once per element: a call in
+/// one counts as "inside a loop".
+const ITER_ADAPTERS: &[&str] = &[
     "map",
     "for_each",
     "filter",
@@ -517,9 +520,10 @@ pub const ITER_ADAPTERS: &[&str] = &[
     "try_for_each",
 ];
 
-/// Distinguishes loop-`for` from `impl Trait for Type` and HRTB
-/// `for<'a>` (same heuristic as the per-file engine).
-fn is_loop_for(toks: &[Tok], i: usize) -> bool {
+/// Distinguishes loop-`for` (token `i`) from `impl Trait for Type` and
+/// HRTB `for<'a>`: the latter two are preceded by a type position
+/// (ident, `>`, `)`, `]`) or followed by `<`.
+pub(crate) fn is_loop_for(toks: &[Tok], i: usize) -> bool {
     if next_code(toks, i).is_some_and(|j| toks[j].is_punct('<')) {
         return false;
     }

@@ -6,34 +6,33 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `no-unbatched-get` (R1) | kernels issue DHT lookups as accounted batches (§5.3) |
+//! | `no-unbatched-get` (R1) | a per-key DHT lookup repeats per loop iteration only when it is adaptive (§5.3) |
 //! | `no-unordered-iteration` (R2) | deterministic paths never observe randomized map order (§3) |
 //! | `no-wall-clock-or-ambient-rng` (R3) | outputs are pure functions of input + seed (§3) |
 //! | `no-raw-spawn` (R4) | all parallelism flows through the persistent pool (§5.4) |
 //! | `safety-comments` (R5) | every `unsafe` carries its proof obligation |
 //! | `env-knob-registry` (R6) | all `AMPC_*` knobs live in `ampc-knobs` |
 //! | `design-doc-refs` (R7) | design-doc section references resolve |
-//! | `transitive-unbatched-get` (R8) | R1 across function boundaries (§5.3) |
-//! | `nondeterminism-taint` (R9) | hash-order values never reach outputs (§3) |
-//! | `query-budget` (R10) | kernels declare and meet their batched-request budget (§5.3) |
-//! | `stripe-lock-order` (R11) | multi-stripe locks acquire in ascending index (§5.4) |
+//! | `query-budget` (R8) | kernels declare and meet their batched-request budget (§5.3) |
 //!
-//! R1–R7 are per-file and lexical (token shapes over [`crate::lexer`]
-//! output). R8–R11 are **interprocedural**: they run on the workspace
+//! R2–R7 are per-file and lexical (token shapes over [`crate::lexer`]
+//! output). R1 and R8 run on the workspace
 //! [`crate::symbols::SymbolTable`] and [`crate::callgraph::CallGraph`]
-//! built from every file at once, and every finding carries a witness
+//! built from every file at once, and their findings carry a witness
 //! call chain (`a -> b -> handle.get`, each step with a `file:line`
 //! span). All rules are heuristics, not type checkers: false positives
 //! are handled by the suppression grammar — `// ampc-lint:
 //! allow(<rule>) -- <why>` on the flagged line or the line directly
-//! above, justification mandatory — and kernel query budgets are
-//! declared with `// ampc-lint: budget(batched-requests = N)` above
-//! the `*_in_job` item they describe.
+//! above, justification mandatory, and a marker that silences nothing
+//! is itself a finding — and kernel query budgets are declared with
+//! `// ampc-lint: budget(batched-requests = N)` above the `*_in_job`
+//! item they describe.
 
-use crate::callgraph::{is_handle_call, render_chain, CallGraph, ChainStep};
+use crate::callgraph::{render_chain, CallGraph, ChainStep};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::parser::{self, ParsedFile};
+use crate::parser::{self, is_loop_for, next_code, prev_code, CallSite, ParsedFile};
 use crate::symbols::{FnId, SymbolTable};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A rule's identity and one-line summary (`--list-rules`, docs tests).
@@ -60,22 +59,19 @@ pub const R6: &str = "env-knob-registry";
 /// R7 name.
 pub const R7: &str = "design-doc-refs";
 /// R8 name.
-pub const R8: &str = "transitive-unbatched-get";
-/// R9 name.
-pub const R9: &str = "nondeterminism-taint";
-/// R10 name.
-pub const R10: &str = "query-budget";
-/// R11 name.
-pub const R11: &str = "stripe-lock-order";
-/// The meta-rule for malformed suppression markers (not suppressible).
+pub const R8: &str = "query-budget";
+/// The meta-rule for malformed or stale suppression markers (not
+/// suppressible).
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 
 /// Every enforceable rule, in R-number order.
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: R1,
-        summary: "per-key MachineHandle::get/try_get inside a loop in a core kernel; \
-                  batch independent lookups with get_many_with/get_many_into",
+        summary: "a per-key MachineHandle::get/try_get that runs once per loop iteration \
+                  in kernel code — in the loop itself or in a function the loop calls; \
+                  reported at the get with the witness chain from the loop. Batch \
+                  independent lookups with get_many_with/get_many_into",
     },
     RuleSpec {
         name: R2,
@@ -89,13 +85,13 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: R4,
-        summary: "raw std::thread spawn outside runtime/src/pool.rs; use the \
-                  persistent WorkerPool",
+        summary: "raw std::thread spawn/Builder/scope outside runtime/src/pool.rs; \
+                  use the persistent WorkerPool",
     },
     RuleSpec {
         name: R5,
-        summary: "an unsafe block/fn/impl without a `// SAFETY:` comment on it or \
-                  within the three lines above",
+        summary: "an unsafe block/fn/impl without a `// SAFETY:` comment on its line \
+                  or in the comment block directly above",
     },
     RuleSpec {
         name: R6,
@@ -109,25 +105,9 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: R8,
-        summary: "a loop calls a function that transitively performs a per-key \
-                  MachineHandle::get/try_get — R1 across function boundaries, \
-                  reported with the witness call chain",
-    },
-    RuleSpec {
-        name: R9,
-        summary: "a value derived from std HashMap/HashSet iteration flows into a \
-                  digest/AlgoOutput/put sink, tracked through returns and calls",
-    },
-    RuleSpec {
-        name: R10,
         summary: "a *_in_job kernel without a `budget(batched-requests = N)` \
                   annotation, or whose reachable batched-request sites do not \
                   match the declared budget",
-    },
-    RuleSpec {
-        name: R11,
-        summary: "multi-stripe lock acquisition in crates/dht that cannot be shown \
-                  to follow ascending stripe index (deadlock freedom, §5.4)",
     },
 ];
 
@@ -144,9 +124,9 @@ pub struct Violation {
     pub col: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Witness call chain for interprocedural findings (empty for the
-    /// per-file rules): function steps at their declarations, ending
-    /// at the decisive call site.
+    /// Witness call chain for call-graph findings (empty otherwise):
+    /// the steps from the site that explains the finding to the
+    /// decisive call.
     pub chain: Vec<ChainStep>,
 }
 
@@ -196,11 +176,14 @@ pub struct Linter {
 struct Marker {
     rule: &'static str,
     line: u32,
+    col: u32,
     /// First code line following the marker's comment block, if it
     /// directly abuts one (no blank lines in between).
     target: Option<u32>,
     /// Mandatory justification text.
     justification: String,
+    /// Set once the marker silences a violation.
+    used: bool,
 }
 
 /// A parsed `budget(batched-requests = N)` annotation; binds to the
@@ -213,17 +196,52 @@ struct BudgetMarker {
     tok: usize,
 }
 
-/// Lexical scopes each token sits in, from one brace/paren-matching
-/// pre-pass.
-struct Scopes {
-    /// Token is inside a `for`/`while`/`loop` body or an iterator-
-    /// adapter callback (`.map(..)`, `.for_each(..)`, …).
-    in_loop: Vec<bool>,
-    /// Token is inside a `#[cfg(test)]` module or `#[test]` function.
-    in_test: Vec<bool>,
+/// Which lines of one file hold comments and which hold code — shared
+/// by the marker parser (marker targets) and R5 (`SAFETY:` blocks).
+struct Lines {
+    /// Line covered by a comment (block comments cover every line they
+    /// span) → whether a comment there mentions `SAFETY:`.
+    comment: BTreeMap<u32, bool>,
+    /// Lines holding at least one code token.
+    code: BTreeSet<u32>,
 }
 
-/// Map-iteration methods R2/R9 flag.
+impl Lines {
+    fn of(toks: &[Tok]) -> Lines {
+        let mut lines = Lines {
+            comment: BTreeMap::new(),
+            code: BTreeSet::new(),
+        };
+        for t in toks {
+            if t.kind == TokKind::Comment {
+                let span = t.text.matches('\n').count() as u32;
+                let safety = t.text.contains("SAFETY:");
+                for l in t.line..=t.line + span {
+                    *lines.comment.entry(l).or_insert(false) |= safety;
+                }
+            } else {
+                lines.code.insert(t.line);
+            }
+        }
+        lines
+    }
+
+    fn comment_only(&self, l: u32) -> bool {
+        self.comment.contains_key(&l) && !self.code.contains(&l)
+    }
+
+    /// The first code line after the comment-only lines following
+    /// `line`, if they abut one (no blank line in between).
+    fn target_of(&self, line: u32) -> Option<u32> {
+        let mut l = line + 1;
+        while self.comment_only(l) {
+            l += 1;
+        }
+        self.code.contains(&l).then_some(l)
+    }
+}
+
+/// Map-iteration methods R2 flags.
 const MAP_ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
@@ -238,7 +256,7 @@ const MAP_ITER_METHODS: &[&str] = &[
 
 /// Identifiers that mark an iteration as order-insensitive (the result
 /// cannot depend on visit order) or explicitly ordered, exempting it
-/// from R2/R9 when they appear in the same statement.
+/// from R2 when they appear in the same statement.
 const ORDER_SAFE_SINKS: &[&str] = &[
     "BTreeMap",
     "BTreeSet",
@@ -259,20 +277,10 @@ const ORDER_SAFE_SINKS: &[&str] = &[
     "is_empty",
 ];
 
-/// Deterministic-output sinks R9 protects: order-sensitive digests,
-/// algorithm outputs, and DHT writes.
-const TAINT_SINKS: &[&str] = &[
-    "digest",
-    "digest_u64s",
-    "put",
-    "put_many",
-    "put_many_from",
-    "put_from",
-];
-
-/// Collection methods a live lock guard may escape a loop through
-/// (multi-stripe acquisition, R11).
-const GUARD_ESCAPES: &[&str] = &["push", "extend", "insert"];
+/// Report order: (file, line, col, rule).
+fn by_position(a: &Violation, b: &Violation) -> Ordering {
+    (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
+}
 
 impl Linter {
     /// A linter whose R7 section set is `sections`.
@@ -281,7 +289,7 @@ impl Linter {
     }
 
     /// Lints one source file in isolation — the fixture entry point.
-    /// Interprocedural rules see a one-file workspace, so single-file
+    /// The call-graph rules see a one-file workspace, so single-file
     /// helper chains still resolve.
     pub fn check_source(&self, rel_path: &str, src: &str) -> FileReport {
         let ws = self.check_sources(&[(rel_path, src)]);
@@ -291,75 +299,92 @@ impl Linter {
         }
     }
 
-    /// Lints a set of files as one workspace: per-file rules R1–R7,
-    /// then the interprocedural rules R8–R11 over the symbol table and
-    /// call graph, then suppression.
+    /// Lints a set of files as one workspace: the per-file rules R2–R7,
+    /// then R1 and R8 over the symbol table and call graph, then
+    /// suppression.
     pub fn check_sources(&self, files: &[(&str, &str)]) -> WorkspaceReport {
         let parsed: Vec<ParsedFile> = files
             .iter()
             .map(|(rel, src)| parser::parse_tokens(rel, lex(src)))
             .collect();
-        let scopes: Vec<Scopes> = parsed.iter().map(|p| compute_scopes(&p.toks)).collect();
+        let in_test: Vec<Vec<bool>> = parsed.iter().map(|p| test_flags(&p.toks)).collect();
 
         let mut raw: Vec<Violation> = Vec::new();
         let mut markers: BTreeMap<String, Vec<Marker>> = BTreeMap::new();
         let mut budgets: Vec<Vec<BudgetMarker>> = Vec::new();
-        for (fi, pf) in parsed.iter().enumerate() {
+        for (pf, in_test) in parsed.iter().zip(&in_test) {
             let rel = pf.rel.as_str();
             let toks = &pf.toks;
-            let (mk, bd) = collect_markers(toks, rel, &mut raw);
+            let lines = Lines::of(toks);
+            let (mk, bd) = collect_markers(toks, &lines, rel, &mut raw);
             markers.insert(rel.to_string(), mk);
             budgets.push(bd);
 
-            if in_kernel_scope(rel) {
-                rule_unbatched_get(toks, &scopes[fi], rel, &mut raw);
-            }
             if is_deterministic_path(rel) {
-                rule_unordered_iteration(toks, &scopes[fi], rel, &mut raw);
+                rule_unordered_iteration(pf, in_test, &mut raw);
             }
             if !rel.starts_with("crates/bench") {
                 rule_wall_clock_rng(toks, rel, &mut raw);
             }
             if rel != "crates/runtime/src/pool.rs" {
-                rule_raw_spawn(toks, rel, &mut raw);
+                rule_raw_spawn(toks, in_test, rel, &mut raw);
             }
-            rule_safety_comments(toks, rel, &mut raw);
+            rule_safety_comments(toks, &lines, rel, &mut raw);
             if !rel.starts_with("crates/knobs/src") {
                 rule_env_knob_registry(toks, rel, &mut raw);
             }
             rule_design_doc_refs(toks, rel, &self.sections, &mut raw);
         }
 
-        // ------------------------------------------- interprocedural
+        // ------------------------------------------------- call graph
         let sym = SymbolTable::build(parsed);
         let cg = CallGraph::build(&sym);
-        rule_transitive_get(&sym, &cg, &scopes, &mut raw);
-        rule_nondeterminism_taint(&sym, &scopes, &mut raw);
+        rule_unbatched_get(&sym, &cg, &in_test, &mut raw);
         rule_query_budget(&sym, &cg, &budgets, &mut raw);
-        rule_stripe_lock_order(&sym, &mut raw);
 
         // Apply suppressions: a marker silences matching violations on
         // its own line and on the code line its comment block abuts.
+        raw.sort_by(by_position);
+        raw.dedup();
         let mut report = WorkspaceReport::default();
         for v in raw {
-            let marker = markers.get(&v.file).and_then(|ms| {
-                ms.iter()
+            let marker = markers.get_mut(&v.file).and_then(|ms| {
+                ms.iter_mut()
                     .find(|m| m.rule == v.rule && (m.line == v.line || m.target == Some(v.line)))
             });
             match marker {
-                Some(m) => report.suppressions.push(SuppressionEntry {
-                    rule: v.rule,
-                    file: v.file,
-                    line: v.line,
-                    justification: m.justification.clone(),
-                }),
+                Some(m) => {
+                    m.used = true;
+                    report.suppressions.push(SuppressionEntry {
+                        rule: v.rule,
+                        file: v.file,
+                        line: v.line,
+                        justification: m.justification.clone(),
+                    });
+                }
                 None => report.violations.push(v),
             }
         }
-        report.violations.sort_by(|a, b| {
-            (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
-        });
-        report.violations.dedup();
+        // A marker that silences nothing justifies nothing: the code it
+        // sat beside moved or changed, and the exception went stale.
+        for (file, ms) in &markers {
+            for m in ms.iter().filter(|m| !m.used) {
+                report.violations.push(Violation {
+                    rule: BAD_SUPPRESSION,
+                    file: file.clone(),
+                    line: m.line,
+                    col: m.col,
+                    message: format!(
+                        "`allow({})` silences nothing: no `{}` finding on this line or \
+                         the code line its comment block abuts; delete the marker or \
+                         move it to the finding it justifies",
+                        m.rule, m.rule
+                    ),
+                    chain: Vec::new(),
+                });
+            }
+        }
+        report.violations.sort_by(by_position);
         report
             .suppressions
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -367,15 +392,15 @@ impl Linter {
     }
 }
 
-/// Kernel-code scope for R1/R8: the AMPC kernels plus the facade and
+/// Kernel-code scope for R1: the AMPC kernels plus the facade and
 /// the examples that demonstrate them.
 fn in_kernel_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/src") || rel.starts_with("src/") || rel.starts_with("examples/")
 }
 
 /// The paths whose code must be schedule- and process-independent
-/// (R2/R9 scope): everything that runs between input and output
-/// digest, plus the facade and the examples built on it.
+/// (R2 scope): everything that runs between input and output digest,
+/// plus the facade and the examples built on it.
 fn is_deterministic_path(rel: &str) -> bool {
     [
         "crates/core/src",
@@ -390,21 +415,14 @@ fn is_deterministic_path(rel: &str) -> bool {
     .any(|p| rel.starts_with(p))
 }
 
-/// R10 scope: the kernel crates whose `*_in_job` bodies carry budgets.
+/// R8 scope: the kernel crates whose `*_in_job` bodies carry budgets.
 fn in_budget_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/src") || rel.starts_with("crates/mpc/src")
 }
 
-/// One pass of brace/paren matching that classifies every token as
-/// inside/outside loop bodies and test-only code.
-fn compute_scopes(toks: &[Tok]) -> Scopes {
-    if toks.is_empty() {
-        return Scopes {
-            in_loop: Vec::new(),
-            in_test: Vec::new(),
-        };
-    }
-    let in_loop = parser::loop_flags_in(toks, 0, toks.len() - 1);
+/// One pass of brace/paren matching that marks every token inside a
+/// `#[cfg(test)]` module or `#[test]` function.
+fn test_flags(toks: &[Tok]) -> Vec<bool> {
     let mut in_test = vec![false; toks.len()];
     let mut braces: Vec<bool> = Vec::new();
     let mut parens = 0usize;
@@ -431,7 +449,7 @@ fn compute_scopes(toks: &[Tok]) -> Scopes {
             _ => {}
         }
     }
-    Scopes { in_loop, in_test }
+    in_test
 }
 
 /// `#[cfg(test)]` or `#[test]` starting at the `#` token `i`.
@@ -451,35 +469,6 @@ fn is_test_attr(toks: &[Tok], i: usize) -> bool {
     shape(&["#", "[", "test", "]"]) || shape(&["#", "[", "cfg", "(", "test", ")", "]"])
 }
 
-fn next_code(toks: &[Tok], i: usize) -> Option<usize> {
-    toks[i + 1..]
-        .iter()
-        .position(|t| t.kind != TokKind::Comment)
-        .map(|off| i + 1 + off)
-}
-
-fn prev_code(toks: &[Tok], i: usize) -> Option<usize> {
-    toks[..i].iter().rposition(|t| t.kind != TokKind::Comment)
-}
-
-/// Distinguishes loop-`for` from `impl Trait for Type` and HRTB
-/// `for<'a>`: the latter two are preceded by a type position (ident,
-/// `>`, `)`, `]`) or followed by `<`.
-fn is_loop_for(toks: &[Tok], i: usize) -> bool {
-    if next_code(toks, i).is_some_and(|j| toks[j].is_punct('<')) {
-        return false;
-    }
-    match prev_code(toks, i) {
-        Some(j) => {
-            !(toks[j].kind == TokKind::Ident
-                || toks[j].is_punct('>')
-                || toks[j].is_punct(')')
-                || toks[j].is_punct(']'))
-        }
-        None => true,
-    }
-}
-
 /// Parses `// ampc-lint: …` markers: `allow(<rule>) -- <justification>`
 /// suppressions and `budget(batched-requests = N)` annotations.
 /// Malformed markers (missing justification, unknown rule name, bad
@@ -487,31 +476,12 @@ fn is_loop_for(toks: &[Tok], i: usize) -> bool {
 /// are themselves unsuppressible.
 fn collect_markers(
     toks: &[Tok],
+    lines: &Lines,
     rel: &str,
     out: &mut Vec<Violation>,
 ) -> (Vec<Marker>, Vec<BudgetMarker>) {
     let mut markers = Vec::new();
     let mut budgets = Vec::new();
-    // Line occupancy maps for computing each marker's target line.
-    let mut comment_lines: BTreeSet<u32> = BTreeSet::new();
-    let mut code_lines: BTreeSet<u32> = BTreeSet::new();
-    for t in toks {
-        if t.kind == TokKind::Comment {
-            let span = t.text.matches('\n').count() as u32;
-            for l in t.line..=t.line + span {
-                comment_lines.insert(l);
-            }
-        } else {
-            code_lines.insert(t.line);
-        }
-    }
-    let target_of = |marker_line: u32| -> Option<u32> {
-        let mut l = marker_line + 1;
-        while comment_lines.contains(&l) && !code_lines.contains(&l) {
-            l += 1;
-        }
-        code_lines.contains(&l).then_some(l)
-    };
     for (ti, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Comment {
             continue;
@@ -586,8 +556,10 @@ fn collect_markers(
                 markers.push(Marker {
                     rule: spec.name,
                     line: t.line,
-                    target: target_of(t.line),
+                    col: t.col,
+                    target: lines.target_of(t.line),
                     justification: j.to_string(),
+                    used: false,
                 });
             }
             _ => bad(
@@ -599,34 +571,46 @@ fn collect_markers(
     (markers, budgets)
 }
 
-/// R1: `handle.get(` / `handle.try_get(` lexically inside a loop (or an
-/// iterator-adapter callback) in a core kernel. Dependent, adaptive
-/// probe chains — the lookups that *define* AMPC — are expected to
-/// carry an allow marker explaining why the next key depends on the
-/// previous value.
-fn rule_unbatched_get(toks: &[Tok], scopes: &Scopes, rel: &str, out: &mut Vec<Violation>) {
-    for i in 0..toks.len().saturating_sub(3) {
-        if toks[i].is_ident("handle")
-            && toks[i + 1].is_punct('.')
-            && (toks[i + 2].is_ident("get") || toks[i + 2].is_ident("try_get"))
-            && toks[i + 3].is_punct('(')
-            && scopes.in_loop[i]
-        {
-            out.push(Violation {
-                rule: R1,
-                file: rel.to_string(),
-                line: toks[i + 2].line,
-                col: toks[i + 2].col,
-                message: format!(
-                    "per-key `handle.{}()` inside a loop: independent lookups must be \
-                     batched with `get_many_with`/`get_many_into` (one accounted round \
-                     trip); if the chain is adaptive (each key depends on the previous \
-                     value), say so in an allow marker",
-                    toks[i + 2].text
-                ),
-                chain: Vec::new(),
-            });
-        }
+/// R1: a per-key `handle.get`/`try_get` that runs once per loop
+/// iteration — it sits in a loop (or iterator-adapter callback) of its
+/// own body, or its function is reachable through the call graph from
+/// an in-loop call. A loop site counts when it is in kernel scope and
+/// outside test code. The finding sits **at the get**, so the allow
+/// marker that justifies an adaptive chain (each key depends on the
+/// previous value — the lookups that *define* AMPC) sits next to the
+/// query it justifies, once, however many loops reach it.
+fn rule_unbatched_get(
+    sym: &SymbolTable,
+    cg: &CallGraph<'_>,
+    in_test: &[Vec<bool>],
+    out: &mut Vec<Violation>,
+) {
+    let loop_site = |id: FnId, call: &CallSite| {
+        call.in_loop && in_kernel_scope(sym.rel_of(id)) && !in_test[sym.fns[id].file][call.tok]
+    };
+    for (id, call, chain) in cg.gets_under_loops(loop_site) {
+        let get = format!("handle.{}()", call.callee);
+        let message = if chain.is_empty() {
+            format!("per-key `{get}` inside a loop")
+        } else {
+            format!(
+                "per-key `{get}` runs once per iteration of a loop that reaches it ({})",
+                render_chain(&chain)
+            )
+        };
+        out.push(Violation {
+            rule: R1,
+            file: sym.rel_of(id).to_string(),
+            line: call.line,
+            col: call.col,
+            message: format!(
+                "{message}: independent lookups must be batched with \
+                 `get_many_with`/`get_many_into` (one accounted round trip); if the \
+                 chain is adaptive (each key depends on the previous value), say so \
+                 in an allow marker at the get"
+            ),
+            chain,
+        });
     }
 }
 
@@ -687,40 +671,54 @@ fn hash_bound_names(toks: &[Tok], lo: usize, hi: usize) -> BTreeSet<String> {
 
 /// R2: iteration over a std `HashMap`/`HashSet` in a deterministic-path
 /// crate. Two passes: bind names whose declared type or constructor is
-/// a std hash collection, then flag iteration sites over those names
-/// unless the same statement ends in an order-insensitive sink or a
-/// `sort*` call follows within three lines. `FxHashMap`/`FxHashSet`
-/// (fixed seed, canonicalized by every consumer) are exempt by name;
-/// test-only code is exempt by scope.
-fn rule_unordered_iteration(toks: &[Tok], scopes: &Scopes, rel: &str, out: &mut Vec<Violation>) {
-    let bound = hash_bound_names(toks, 0, toks.len());
-    if bound.is_empty() {
+/// a std hash collection — per `fn` item, from the `fn` keyword to the
+/// end of the body, so parameters count and a name bound in one
+/// function says nothing about another — then flag iteration sites over
+/// those names unless the same statement ends in an order-insensitive
+/// sink or a `sort*` call follows within three lines. `FxHashMap`/
+/// `FxHashSet` (fixed seed, canonicalized by every consumer) are exempt
+/// by name; test-only code is exempt by scope.
+fn rule_unordered_iteration(pf: &ParsedFile, in_test: &[bool], out: &mut Vec<Violation>) {
+    let toks = &pf.toks;
+    // `owner[i]`: the innermost fn item whose `fn … { … }` span holds
+    // token `i` (items are in body order, so nested ones overwrite).
+    let mut owner: Vec<Option<usize>> = vec![None; toks.len()];
+    let mut bound: Vec<BTreeSet<String>> = Vec::new();
+    for f in pf.fns.iter().filter(|f| !f.is_closure) {
+        owner[f.intro_tok..=f.body.1].fill(Some(bound.len()));
+        bound.push(hash_bound_names(toks, f.intro_tok, f.body.1 + 1));
+    }
+    if bound.iter().all(BTreeSet::is_empty) {
         return;
     }
 
-    let flag = |i: usize, what: &str, out: &mut Vec<Violation>| {
+    let flag = |i: usize, out: &mut Vec<Violation>| {
         out.push(Violation {
             rule: R2,
-            file: rel.to_string(),
+            file: pf.rel.clone(),
             line: toks[i].line,
             col: toks[i].col,
             message: format!(
-                "iteration over std hash collection `{what}`: visit order is \
+                "iteration over std hash collection `{}`: visit order is \
                  randomized per process, which diverges outputs across runs and \
                  machines; collect-and-sort, use a BTree collection, or justify \
-                 with an allow marker"
+                 with an allow marker",
+                toks[i].text
             ),
             chain: Vec::new(),
         });
     };
 
     for i in 0..toks.len() {
-        if scopes.in_test[i] {
+        let Some(names) = owner[i].map(|o| &bound[o]) else {
+            continue;
+        };
+        if in_test[i] || names.is_empty() {
             continue;
         }
         // `name.iter()` / `.keys()` / `.drain()` / …
         if toks[i].kind == TokKind::Ident
-            && bound.contains(&toks[i].text)
+            && names.contains(&toks[i].text)
             && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
             && toks
                 .get(i + 2)
@@ -728,7 +726,7 @@ fn rule_unordered_iteration(toks: &[Tok], scopes: &Scopes, rel: &str, out: &mut 
             && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
             && !statement_is_order_safe(toks, i)
         {
-            flag(i, &toks[i].text, out);
+            flag(i, out);
         }
         // `for pat in [&mut] name …`
         if toks[i].is_ident("for") && is_loop_for(toks, i) {
@@ -737,7 +735,7 @@ fn rule_unordered_iteration(toks: &[Tok], scopes: &Scopes, rel: &str, out: &mut 
             let mut safe = false;
             while j < toks.len() && !toks[j].is_punct('{') {
                 if toks[j].kind == TokKind::Ident {
-                    if bound.contains(&toks[j].text) {
+                    if names.contains(&toks[j].text) {
                         hit.get_or_insert(j);
                     }
                     if ORDER_SAFE_SINKS.contains(&toks[j].text.as_str()) {
@@ -747,7 +745,7 @@ fn rule_unordered_iteration(toks: &[Tok], scopes: &Scopes, rel: &str, out: &mut 
                 j += 1;
             }
             if let (Some(h), false) = (hit, safe) {
-                flag(h, &toks[h].text, out);
+                flag(h, out);
             }
         }
     }
@@ -816,25 +814,31 @@ fn rule_wall_clock_rng(toks: &[Tok], rel: &str, out: &mut Vec<Violation>) {
     }
 }
 
-/// R4: `thread::spawn` / `thread::Builder` anywhere but the persistent
-/// pool. One spawn path means one place to enforce naming, panic
-/// propagation and the `AMPC_THREADS` cap.
-fn rule_raw_spawn(toks: &[Tok], rel: &str, out: &mut Vec<Violation>) {
+/// R4: `thread::spawn` / `thread::Builder` / `thread::scope` anywhere
+/// but the persistent pool and test code. One spawn path means one
+/// place to enforce naming, panic propagation and the `AMPC_THREADS`
+/// cap.
+fn rule_raw_spawn(toks: &[Tok], in_test: &[bool], rel: &str, out: &mut Vec<Violation>) {
     for i in 0..toks.len().saturating_sub(3) {
         if toks[i].is_ident("thread")
             && toks[i + 1].is_punct(':')
             && toks[i + 2].is_punct(':')
-            && (toks[i + 3].is_ident("spawn") || toks[i + 3].is_ident("Builder"))
+            && ["spawn", "Builder", "scope"]
+                .iter()
+                .any(|m| toks[i + 3].is_ident(m))
+            && !in_test[i]
         {
             out.push(Violation {
                 rule: R4,
                 file: rel.to_string(),
                 line: toks[i + 3].line,
                 col: toks[i + 3].col,
-                message: "raw std::thread spawn: all worker parallelism must flow \
-                          through runtime's persistent WorkerPool (runtime/src/pool.rs) \
-                          so AMPC_THREADS=1 really means inline"
-                    .to_string(),
+                message: format!(
+                    "raw `std::thread::{}`: all worker parallelism must flow \
+                     through runtime's persistent WorkerPool (runtime/src/pool.rs) \
+                     so AMPC_THREADS=1 really means inline",
+                    toks[i + 3].text
+                ),
                 chain: Vec::new(),
             });
         }
@@ -844,38 +848,15 @@ fn rule_raw_spawn(toks: &[Tok], rel: &str, out: &mut Vec<Violation>) {
 /// R5: every `unsafe` keyword must carry a `// SAFETY:` comment — on
 /// the same line, or anywhere in the contiguous comment block that
 /// directly precedes it (no code or blank lines in between).
-fn rule_safety_comments(toks: &[Tok], rel: &str, out: &mut Vec<Violation>) {
-    // line -> (has a comment, that comment mentions SAFETY:). Block
-    // comments mark every line they span.
-    let mut comment_lines: BTreeMap<u32, bool> = BTreeMap::new();
-    let mut code_lines: BTreeSet<u32> = BTreeSet::new();
-    for t in toks {
-        if t.kind == TokKind::Comment {
-            let span = t.text.matches('\n').count() as u32;
-            let has = t.text.contains("SAFETY:");
-            for l in t.line..=t.line + span {
-                *comment_lines.entry(l).or_insert(false) |= has;
-            }
-        } else {
-            code_lines.insert(t.line);
-        }
-    }
+fn rule_safety_comments(toks: &[Tok], lines: &Lines, rel: &str, out: &mut Vec<Violation>) {
     for t in toks {
         if !t.is_ident("unsafe") {
             continue;
         }
-        let mut documented = comment_lines.get(&t.line) == Some(&true);
+        let mut documented = lines.comment.get(&t.line) == Some(&true);
         let mut l = t.line.saturating_sub(1);
-        while !documented && l >= 1 {
-            match comment_lines.get(&l) {
-                Some(has) if !code_lines.contains(&l) => {
-                    documented = *has;
-                    if *has {
-                        break;
-                    }
-                }
-                _ => break,
-            }
+        while !documented && l >= 1 && lines.comment_only(l) {
+            documented = lines.comment[&l];
             l -= 1;
         }
         if !documented {
@@ -964,377 +945,7 @@ fn rule_design_doc_refs(
     }
 }
 
-/// R8: a loop (or iterator-adapter callback) in kernel scope calls a
-/// function that **transitively** reaches a per-key `handle.get`/
-/// `try_get` — the helper-function hole R1's lexical pattern cannot
-/// see. Direct `handle.get` in a loop stays R1's finding; R8 fires
-/// only through at least one call edge, and reports the witness chain.
-fn rule_transitive_get(
-    sym: &SymbolTable,
-    cg: &CallGraph<'_>,
-    scopes: &[Scopes],
-    out: &mut Vec<Violation>,
-) {
-    let witnesses = cg.per_key_get_witnesses();
-    for (id, f) in sym.fns.iter().enumerate() {
-        let rel = sym.rel_of(id);
-        if !in_kernel_scope(rel) {
-            continue;
-        }
-        for call in &f.item.calls {
-            if !call.in_loop || scopes[f.file].in_test[call.tok] {
-                continue;
-            }
-            if is_handle_call(sym, id, call) {
-                continue; // direct primitive: R1's territory
-            }
-            let Some(callee) = sym.resolve(id, &call.callee) else {
-                continue;
-            };
-            let Some(w) = witnesses[callee].as_ref() else {
-                continue;
-            };
-            out.push(Violation {
-                rule: R8,
-                file: rel.to_string(),
-                line: call.line,
-                col: call.col,
-                message: format!(
-                    "`{}` is called inside a loop and transitively performs a per-key \
-                     `handle.get` ({}): batch independent lookups before the loop, or \
-                     justify the adaptive chain with an allow marker",
-                    call.callee,
-                    render_chain(w)
-                ),
-                chain: w.clone(),
-            });
-        }
-    }
-}
-
-/// The provenance of a tainted value: the hash-iteration source first,
-/// then each function the taint flowed through (at its declaration).
-type TaintChain = Vec<ChainStep>;
-
-/// R9: values derived from std `HashMap`/`HashSet` iteration must not
-/// flow into deterministic-output sinks (`digest*`, `AlgoOutput`
-/// constructors, DHT `put*`), tracked through local bindings, function
-/// returns, and calls. Heuristic data flow over names: a binding whose
-/// initializer contains a tainted name, an unordered hash iteration,
-/// or a call to a taint-returning function becomes tainted itself.
-fn rule_nondeterminism_taint(sym: &SymbolTable, scopes: &[Scopes], out: &mut Vec<Violation>) {
-    // Fixpoint over function summaries (does `f` return tainted data?).
-    let mut returns: Vec<Option<TaintChain>> = vec![None; sym.fns.len()];
-    loop {
-        let mut changed = false;
-        for id in 0..sym.fns.len() {
-            if !is_deterministic_path(sym.rel_of(id)) || returns[id].is_some() {
-                continue;
-            }
-            let analysis = taint_in_fn(sym, id, &returns);
-            if analysis.returns.is_some() {
-                returns[id] = analysis.returns;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Sink pass.
-    for id in 0..sym.fns.len() {
-        let rel = sym.rel_of(id);
-        if !is_deterministic_path(rel) {
-            continue;
-        }
-        let analysis = taint_in_fn(sym, id, &returns);
-        if analysis.tainted.is_empty() && returns.iter().all(|r| r.is_none()) {
-            continue;
-        }
-        let f = &sym.fns[id];
-        let toks = &sym.files[f.file].toks;
-        for call in &f.item.calls {
-            if scopes[f.file].in_test[call.tok] {
-                continue;
-            }
-            let is_sink = TAINT_SINKS.contains(&call.callee.as_str())
-                || call.path.iter().any(|s| s == "AlgoOutput");
-            if !is_sink {
-                continue;
-            }
-            // Argument range: the parens after the callee.
-            let Some(open) = next_code(toks, call.tok) else {
-                continue;
-            };
-            let Some(close) = match_paren(toks, open) else {
-                continue;
-            };
-            let arg_taint = (open + 1..close).find_map(|i| {
-                if toks[i].kind != TokKind::Ident {
-                    return None;
-                }
-                if let Some(chain) = analysis.tainted.get(&toks[i].text) {
-                    return Some(chain.clone());
-                }
-                // A call to a taint-returning function inside the args.
-                if next_code(toks, i).is_some_and(|j| toks[j].is_punct('(')) {
-                    if let Some(g) = sym.resolve(id, &toks[i].text) {
-                        if let Some(chain) = returns[g].as_ref() {
-                            let mut c = chain.clone();
-                            c.push(fn_decl_step(sym, g));
-                            return Some(c);
-                        }
-                    }
-                }
-                None
-            });
-            if let Some(mut chain) = arg_taint {
-                chain.push(ChainStep {
-                    name: call.callee.clone(),
-                    file: rel.to_string(),
-                    line: call.line,
-                });
-                out.push(Violation {
-                    rule: R9,
-                    file: rel.to_string(),
-                    line: call.line,
-                    col: call.col,
-                    message: format!(
-                        "value derived from std hash-collection iteration reaches \
-                         deterministic sink `{}` ({}): canonicalize (sort) before the \
-                         sink, use an ordered collection, or justify with an allow \
-                         marker",
-                        call.callee,
-                        render_chain(&chain)
-                    ),
-                    chain,
-                });
-            }
-        }
-    }
-}
-
-struct FnTaint {
-    /// Locally tainted names with their provenance.
-    tainted: BTreeMap<String, TaintChain>,
-    /// Set when the function's return value is tainted.
-    returns: Option<TaintChain>,
-}
-
-fn fn_decl_step(sym: &SymbolTable, id: FnId) -> ChainStep {
-    ChainStep {
-        name: sym.fns[id].item.name.clone(),
-        file: sym.rel_of(id).to_string(),
-        line: sym.fns[id].item.line,
-    }
-}
-
-/// Matches the paren opened at token `open`.
-fn match_paren(toks: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match t.kind {
-            TokKind::Punct('(') => depth += 1,
-            TokKind::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Local taint analysis over one function body (see
-/// [`rule_nondeterminism_taint`]).
-fn taint_in_fn(sym: &SymbolTable, id: FnId, returns: &[Option<TaintChain>]) -> FnTaint {
-    let f = &sym.fns[id];
-    let toks = &sym.files[f.file].toks;
-    let rel = sym.rel_of(id);
-    let (bs, be) = f.item.body;
-    let bound = hash_bound_names(toks, bs, be + 1);
-    let mut tainted: BTreeMap<String, TaintChain> = BTreeMap::new();
-
-    let source_step = |name: &str, line: u32| -> TaintChain {
-        vec![ChainStep {
-            name: format!("hash-iter({name})"),
-            file: rel.to_string(),
-            line,
-        }]
-    };
-
-    // `for pat in name` over a hash-bound collection taints the
-    // pattern's bindings (unless the header drains order-safely).
-    for i in bs..=be {
-        if !toks[i].is_ident("for") || !is_loop_for(toks, i) {
-            continue;
-        }
-        let mut j = i + 1;
-        let mut in_kw: Option<usize> = None;
-        let mut hit: Option<usize> = None;
-        let mut safe = false;
-        while j <= be && !toks[j].is_punct('{') {
-            if toks[j].kind == TokKind::Ident {
-                if toks[j].is_ident("in") && in_kw.is_none() {
-                    in_kw = Some(j);
-                } else if in_kw.is_some() && bound.contains(&toks[j].text) {
-                    hit.get_or_insert(j);
-                } else if ORDER_SAFE_SINKS.contains(&toks[j].text.as_str()) {
-                    safe = true;
-                }
-            }
-            j += 1;
-        }
-        if let (Some(h), Some(in_kw), false) = (hit, in_kw, safe) {
-            let chain = source_step(&toks[h].text, toks[h].line);
-            for t in &toks[i + 1..in_kw] {
-                if t.kind == TokKind::Ident && !t.is_ident("mut") {
-                    tainted.insert(t.text.clone(), chain.clone());
-                }
-            }
-        }
-    }
-
-    // `let name = <expr>;` bindings: propagate taint from unordered
-    // hash iteration, tainted names, and taint-returning calls. A few
-    // passes reach a local fixpoint (chains of bindings).
-    for _ in 0..3 {
-        let mut changed = false;
-        for i in bs..=be {
-            if !toks[i].is_ident("let") {
-                continue;
-            }
-            let Some(mut n) = next_code(toks, i) else {
-                continue;
-            };
-            if toks[n].is_ident("mut") {
-                match next_code(toks, n) {
-                    Some(n2) => n = n2,
-                    None => continue,
-                }
-            }
-            if toks[n].kind != TokKind::Ident || tainted.contains_key(&toks[n].text) {
-                continue;
-            }
-            // Find the `=` and the end of the statement.
-            let Some(eq) = (n..=be).find(|&j| toks[j].is_punct('=')) else {
-                continue;
-            };
-            let end = statement_end(toks, eq, be);
-            if let Some(chain) = expr_taint(sym, id, toks, eq + 1, end, &bound, &tainted, returns) {
-                tainted.insert(toks[n].text.clone(), chain);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Return taint: explicit `return <expr>` or the body's trailing
-    // expression.
-    let mut ret: Option<TaintChain> = None;
-    for i in bs..=be {
-        if toks[i].is_ident("return") {
-            let end = statement_end(toks, i, be);
-            if let Some(chain) = expr_taint(sym, id, toks, i + 1, end, &bound, &tainted, returns) {
-                ret = Some(chain);
-                break;
-            }
-        }
-    }
-    if ret.is_none() && be > bs {
-        // Trailing expression: tokens after the last top-level `;`.
-        let mut depth = 0i32;
-        let mut last_semi = bs;
-        for (i, t) in toks.iter().enumerate().take(be).skip(bs + 1) {
-            match t.kind {
-                TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                TokKind::Punct(';') if depth == 0 => last_semi = i,
-                _ => {}
-            }
-        }
-        ret = expr_taint(sym, id, toks, last_semi + 1, be, &bound, &tainted, returns);
-    }
-    FnTaint {
-        tainted,
-        returns: ret,
-    }
-}
-
-/// First `;` at delimiter depth 0 after `from`, or `hi`.
-fn statement_end(toks: &[Tok], from: usize, hi: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().take(hi + 1).skip(from) {
-        match t.kind {
-            TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => {
-                if depth == 0 {
-                    return i;
-                }
-                depth -= 1;
-            }
-            TokKind::Punct(';') if depth == 0 => return i,
-            _ => {}
-        }
-    }
-    hi
-}
-
-/// Taint of the expression `toks[lo..hi]`: an unordered hash-iteration
-/// chain, a tainted name, or a call to a taint-returning function.
-#[allow(clippy::too_many_arguments)]
-fn expr_taint(
-    sym: &SymbolTable,
-    id: FnId,
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    bound: &BTreeSet<String>,
-    tainted: &BTreeMap<String, TaintChain>,
-    returns: &[Option<TaintChain>],
-) -> Option<TaintChain> {
-    let rel = sym.rel_of(id);
-    for i in lo..hi.min(toks.len()) {
-        if toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        // Unordered iteration over a hash-bound name.
-        if bound.contains(&toks[i].text)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|t| MAP_ITER_METHODS.contains(&t.text.as_str()))
-            && !statement_is_order_safe(toks, i)
-        {
-            return Some(vec![ChainStep {
-                name: format!("hash-iter({})", toks[i].text),
-                file: rel.to_string(),
-                line: toks[i].line,
-            }]);
-        }
-        // A name already known to be tainted.
-        if let Some(chain) = tainted.get(&toks[i].text) {
-            return Some(chain.clone());
-        }
-        // A call to a taint-returning function.
-        if next_code(toks, i).is_some_and(|j| toks[j].is_punct('(')) {
-            if let Some(g) = sym.resolve(id, &toks[i].text) {
-                if let Some(chain) = returns[g].as_ref() {
-                    let mut c = chain.clone();
-                    c.push(fn_decl_step(sym, g));
-                    return Some(c);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// R10: every `*_in_job` kernel in the kernel crates declares its
+/// R8: every `*_in_job` kernel in the kernel crates declares its
 /// per-round batched-request budget with `// ampc-lint:
 /// budget(batched-requests = N)`, and the number of batched-request
 /// sites statically reachable from its body (transitively, through
@@ -1393,7 +1004,7 @@ fn rule_query_budget(
         }
         let Some(budget) = budget else {
             out.push(Violation {
-                rule: R10,
+                rule: R8,
                 file: rel.to_string(),
                 line: f.item.line,
                 col: f.item.col,
@@ -1423,7 +1034,7 @@ fn rule_query_budget(
             sites.last().cloned().unwrap_or_default()
         };
         out.push(Violation {
-            rule: R10,
+            rule: R8,
             file: rel.to_string(),
             line: f.item.line,
             col: f.item.col,
@@ -1438,319 +1049,4 @@ fn rule_query_budget(
             chain,
         });
     }
-}
-
-/// R11: multi-stripe lock acquisition order in `crates/dht`. The
-/// deadlock-freedom argument (DESIGN.md §5.4) is that stripe locks are
-/// only ever held one at a time, or acquired in ascending stripe
-/// index. Two shapes are policed, per function body:
-///
-/// 1. a second indexed `.lock()` on the same receiver while a prior
-///    stripe guard is still live (not yet dropped or out of scope),
-///    unless both indices are integer literals in ascending order;
-/// 2. an indexed `.lock()` inside a loop whose guard *escapes* the
-///    iteration (pushed/collected into a longer-lived collection),
-///    unless the surrounding evidence shows ascending order — the
-///    loop iterates a literal range, or a `sort*` call precedes it.
-fn rule_stripe_lock_order(sym: &SymbolTable, out: &mut Vec<Violation>) {
-    for (id, f) in sym.fns.iter().enumerate() {
-        let rel = sym.rel_of(id);
-        if !rel.starts_with("crates/dht/src") {
-            continue;
-        }
-        let toks = &sym.files[f.file].toks;
-        let (bs, be) = f.item.body;
-        // Indexed lock sites: `<recv> [ idx ] . lock (`.
-        struct LockSite {
-            tok: usize,
-            open: usize,
-            close: usize,
-            recv: Option<String>,
-            line: u32,
-            col: u32,
-        }
-        let mut sites = Vec::new();
-        for i in bs..=be {
-            if !toks[i].is_ident("lock") {
-                continue;
-            }
-            let callish = next_code(toks, i).is_some_and(|j| toks[j].is_punct('('));
-            let dot = prev_code(toks, i).filter(|&j| toks[j].is_punct('.'));
-            let Some(dot) = dot else { continue };
-            if !callish {
-                continue;
-            }
-            let Some(close) = prev_code(toks, dot).filter(|&j| toks[j].is_punct(']')) else {
-                continue;
-            };
-            // Match the bracket backwards.
-            let mut depth = 0i32;
-            let mut open = None;
-            for j in (bs..=close).rev() {
-                match toks[j].kind {
-                    TokKind::Punct(']') => depth += 1,
-                    TokKind::Punct('[') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            open = Some(j);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let Some(open) = open else { continue };
-            let recv = prev_code(toks, open)
-                .filter(|&j| toks[j].kind == TokKind::Ident)
-                .map(|j| toks[j].text.clone());
-            sites.push(LockSite {
-                tok: i,
-                open,
-                close,
-                recv,
-                line: toks[i].line,
-                col: toks[i].col,
-            });
-        }
-        if sites.is_empty() {
-            continue;
-        }
-        let loop_flags = parser::loop_flags_in(toks, bs, be);
-        let literal_index = |s: &LockSite| -> Option<u64> {
-            let inner: Vec<usize> = (s.open + 1..s.close)
-                .filter(|&j| toks[j].kind != TokKind::Comment)
-                .collect();
-            match inner[..] {
-                [j] if toks[j].kind == TokKind::Literal => toks[j].text.parse::<u64>().ok(),
-                _ => None,
-            }
-        };
-        // Shape 1: overlapping guards.
-        for s1 in &sites {
-            // Guard binding: a `let` starts the statement (no `;`/brace
-            // between it and the lock).
-            let mut let_tok = None;
-            for j in (bs..s1.open).rev() {
-                if toks[j].is_punct(';') || toks[j].is_punct('{') || toks[j].is_punct('}') {
-                    break;
-                }
-                if toks[j].is_ident("let") {
-                    let_tok = Some(j);
-                    break;
-                }
-            }
-            let Some(let_tok) = let_tok else { continue };
-            let Some(mut n) = next_code(toks, let_tok) else {
-                continue;
-            };
-            if toks[n].is_ident("mut") {
-                match next_code(toks, n) {
-                    Some(n2) => n = n2,
-                    None => continue,
-                }
-            }
-            if toks[n].kind != TokKind::Ident {
-                continue;
-            }
-            let guard = toks[n].text.clone();
-            // Live range: end of statement to end of the enclosing
-            // block, shortened by an explicit drop(guard).
-            let stmt_end = statement_end(toks, s1.tok, be);
-            let scope_end = enclosing_block_end(toks, bs, be, let_tok);
-            let mut live_end = scope_end;
-            for j in stmt_end..scope_end {
-                if toks[j].is_ident("drop")
-                    && next_code(toks, j).is_some_and(|k| toks[k].is_punct('('))
-                    && toks.get(j + 2).is_some_and(|t| t.is_ident(&guard))
-                {
-                    live_end = j;
-                    break;
-                }
-            }
-            for s2 in &sites {
-                if s2.tok <= stmt_end || s2.tok >= live_end || s2.recv != s1.recv {
-                    continue;
-                }
-                let ascending = matches!(
-                    (literal_index(s1), literal_index(s2)),
-                    (Some(i1), Some(i2)) if i2 > i1
-                );
-                if !ascending {
-                    out.push(Violation {
-                        rule: R11,
-                        file: rel.to_string(),
-                        line: s2.line,
-                        col: s2.col,
-                        message: format!(
-                            "stripe lock acquired while guard `{guard}` (line {}) is \
-                             still live: multi-stripe acquisition must follow ascending \
-                             stripe index (DESIGN.md §5.4) — reorder, drop the first \
-                             guard, or justify with an allow marker",
-                            s1.line
-                        ),
-                        chain: vec![
-                            ChainStep {
-                                name: format!("first lock (guard `{guard}`)"),
-                                file: rel.to_string(),
-                                line: s1.line,
-                            },
-                            ChainStep {
-                                name: "second lock while guard live".to_string(),
-                                file: rel.to_string(),
-                                line: s2.line,
-                            },
-                        ],
-                    });
-                }
-            }
-        }
-        // Shape 2: guards escaping a loop iteration.
-        for s in &sites {
-            if !loop_flags[s.tok - bs] {
-                continue;
-            }
-            let escapes = nearest_enclosing_call(toks, bs, s.tok)
-                .map(|name| GUARD_ESCAPES.contains(&name.as_str()))
-                .unwrap_or(false)
-                || guard_escapes_via_binding(toks, bs, be, s.open, s.tok);
-            if !escapes {
-                continue;
-            }
-            if ascending_evidence(toks, bs, s.tok) {
-                continue;
-            }
-            out.push(Violation {
-                rule: R11,
-                file: rel.to_string(),
-                line: s.line,
-                col: s.col,
-                message: "stripe lock guard escapes its loop iteration (multi-stripe \
-                          acquisition) without ascending-order evidence: iterate a \
-                          literal range or sort the stripe indices first (DESIGN.md \
-                          §5.4), or justify with an allow marker"
-                    .to_string(),
-                chain: vec![ChainStep {
-                    name: "escaping stripe lock".to_string(),
-                    file: rel.to_string(),
-                    line: s.line,
-                }],
-            });
-        }
-    }
-}
-
-/// The close index of the innermost brace block containing `at`
-/// (searching within `[bs, be]`), or `be`.
-fn enclosing_block_end(toks: &[Tok], bs: usize, be: usize, at: usize) -> usize {
-    let mut stack = Vec::new();
-    for (j, t) in toks.iter().enumerate().take(be + 1).skip(bs) {
-        match t.kind {
-            TokKind::Punct('{') => stack.push(j),
-            TokKind::Punct('}') => {
-                if let Some(open) = stack.pop() {
-                    if open <= at && at <= j {
-                        return j;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    be
-}
-
-/// The name of the innermost call whose parens enclose `at` (excluding
-/// the call `at` itself begins), if any.
-fn nearest_enclosing_call(toks: &[Tok], bs: usize, at: usize) -> Option<String> {
-    let mut stack: Vec<usize> = Vec::new();
-    for (j, t) in toks.iter().enumerate().take(at).skip(bs) {
-        match t.kind {
-            TokKind::Punct('(') => stack.push(j),
-            TokKind::Punct(')') => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    let open = *stack.last()?;
-    let name_idx = prev_code(toks, open)?;
-    (toks[name_idx].kind == TokKind::Ident).then(|| toks[name_idx].text.clone())
-}
-
-/// True when the lock statement binds a guard that later (within the
-/// enclosing block) appears as an argument of a `push`/`extend`/
-/// `insert` call.
-fn guard_escapes_via_binding(toks: &[Tok], bs: usize, be: usize, open: usize, at: usize) -> bool {
-    let mut let_tok = None;
-    for j in (bs..open).rev() {
-        if toks[j].is_punct(';') || toks[j].is_punct('{') || toks[j].is_punct('}') {
-            break;
-        }
-        if toks[j].is_ident("let") {
-            let_tok = Some(j);
-            break;
-        }
-    }
-    let Some(let_tok) = let_tok else {
-        return false;
-    };
-    let Some(mut n) = next_code(toks, let_tok) else {
-        return false;
-    };
-    if toks[n].is_ident("mut") {
-        match next_code(toks, n) {
-            Some(n2) => n = n2,
-            None => return false,
-        }
-    }
-    if toks[n].kind != TokKind::Ident {
-        return false;
-    }
-    let guard = &toks[n].text;
-    let stmt_end = statement_end(toks, at, be);
-    let scope_end = enclosing_block_end(toks, bs, be, let_tok);
-    for j in stmt_end..scope_end {
-        if toks[j].kind == TokKind::Ident
-            && GUARD_ESCAPES.contains(&toks[j].text.as_str())
-            && next_code(toks, j).is_some_and(|k| toks[k].is_punct('('))
-        {
-            if let Some(close) = next_code(toks, j).and_then(|k| match_paren(toks, k)) {
-                let open_p = next_code(toks, j).unwrap();
-                if (open_p + 1..close).any(|k| toks[k].is_ident(guard)) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Ascending-order evidence for an escaping in-loop lock at `at`: the
-/// nearest preceding `for` header iterates a range (`lo..hi` ascends),
-/// or some `sort*` call precedes the site in this body.
-fn ascending_evidence(toks: &[Tok], bs: usize, at: usize) -> bool {
-    for t in &toks[bs..at] {
-        if t.kind == TokKind::Ident && t.text.starts_with("sort") {
-            return true;
-        }
-    }
-    // Nearest preceding `for … {`: look for a `..` range in the header.
-    let mut for_tok = None;
-    for j in (bs..at).rev() {
-        if toks[j].is_ident("for") && is_loop_for(toks, j) {
-            for_tok = Some(j);
-            break;
-        }
-    }
-    let Some(for_tok) = for_tok else {
-        return false;
-    };
-    let mut j = for_tok;
-    while j < at && !toks[j].is_punct('{') {
-        if toks[j].is_punct('.') && toks.get(j + 1).is_some_and(|t| t.is_punct('.')) {
-            return true;
-        }
-        j += 1;
-    }
-    false
 }

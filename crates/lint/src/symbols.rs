@@ -8,7 +8,7 @@
 //! nothing at all when the name is ambiguous across crates, which
 //! keeps false call-graph edges (and thus false findings) out at the
 //! cost of missing some true ones. Method calls resolve by the method
-//! name under the same policy; [`crate::rules`] special-cases the
+//! name under the same policy; [`crate::callgraph`] special-cases the
 //! `MachineHandle` primitives (`handle.get`, `handle.get_many_with`, …)
 //! before resolution is consulted.
 

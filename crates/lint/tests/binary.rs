@@ -1,5 +1,5 @@
 //! Binary-level acceptance tests: `ampc-lint` must exit nonzero on
-//! every positive fixture (one per rule R1–R11) and exit zero on a
+//! every positive fixture (one per rule R1–R8) and exit zero on a
 //! clean tree, with well-formed JSON output — including witness chains
 //! and per-rule counts — either way.
 
@@ -10,8 +10,8 @@ use std::process::Command;
 /// file at `rel`, plus a DESIGN.md that defines §1/§3/§5.3/§5.4/§9.
 fn mini_workspace(name: &str, rel: &str, src: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    // Wipe leftovers from a previous run: the git-based test mutates
-    // its workspace, and a stale repo makes the assertions meaningless.
+    // Wipe leftovers from a previous run: a stale file would be linted
+    // too and make the assertions meaningless.
     let _ = std::fs::remove_dir_all(&root);
     let file = root.join(rel);
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
@@ -77,21 +77,6 @@ fn exits_nonzero_on_every_positive_fixture() {
             include_str!("fixtures/r8_flag.rs"),
         ),
         (
-            "r9",
-            "crates/core/src/f.rs",
-            include_str!("fixtures/r9_flag.rs"),
-        ),
-        (
-            "r10",
-            "crates/core/src/f.rs",
-            include_str!("fixtures/r10_flag.rs"),
-        ),
-        (
-            "r11",
-            "crates/dht/src/f.rs",
-            include_str!("fixtures/r11_flag.rs"),
-        ),
-        (
             "badsup",
             "crates/core/src/f.rs",
             include_str!("fixtures/bad_suppression_flag.rs"),
@@ -152,15 +137,12 @@ fn json_carries_witness_chains_and_rule_counts() {
     let root = mini_workspace(
         "pos-chain",
         "crates/core/src/f.rs",
-        include_str!("fixtures/r8_flag.rs"),
+        include_str!("fixtures/r1_flag.rs"),
     );
     let out = run_lint(&root, &["--format=json"]);
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        json.contains("\"rule\": \"transitive-unbatched-get\""),
-        "{json}"
-    );
+    assert!(json.contains("\"rule\": \"no-unbatched-get\""), "{json}");
     assert!(
         json.contains("\"chain\": [") && json.contains("\"name\": \"helper\""),
         "the witness chain must be machine-readable: {json}"
@@ -170,7 +152,7 @@ fn json_carries_witness_chains_and_rule_counts() {
         "terminal primitive step: {json}"
     );
     assert!(
-        json.contains("\"rule_counts\"") && json.contains("\"transitive-unbatched-get\": 1"),
+        json.contains("\"rule_counts\"") && json.contains("\"no-unbatched-get\": 4"),
         "{json}"
     );
 }
@@ -180,7 +162,7 @@ fn text_output_renders_the_witness_line() {
     let root = mini_workspace(
         "pos-witness",
         "crates/core/src/f.rs",
-        include_str!("fixtures/r8_flag.rs"),
+        include_str!("fixtures/r1_flag.rs"),
     );
     let out = run_lint(&root, &[]);
     assert_eq!(out.status.code(), Some(1));
@@ -191,92 +173,32 @@ fn text_output_renders_the_witness_line() {
     );
 }
 
-/// `--changed-only` still parses the whole workspace (interprocedural
-/// rules need every file) but reports findings only in files changed
-/// relative to the git base. Skips silently when git is unavailable.
 #[test]
-fn changed_only_filters_to_the_git_diff() {
-    let root = mini_workspace(
-        "changed-only",
-        "crates/core/src/clean.rs",
-        include_str!("fixtures/r1_pass.rs"),
-    );
-    let git = |args: &[&str]| {
-        Command::new("git")
-            .arg("-C")
-            .arg(&root)
-            .args(args)
-            .env("GIT_AUTHOR_NAME", "t")
-            .env("GIT_AUTHOR_EMAIL", "t@t")
-            .env("GIT_COMMITTER_NAME", "t")
-            .env("GIT_COMMITTER_EMAIL", "t@t")
-            .output()
-    };
-    let Ok(init) = git(&["init", "-q"]) else {
-        eprintln!("git unavailable; skipping");
-        return;
-    };
-    if !init.status.success() {
-        eprintln!("git init failed; skipping");
-        return;
-    }
-    // Base commit also contains a violating file: it must NOT be
-    // reported, because it is not part of the diff.
-    let old = root.join("crates/core/src/old.rs");
-    std::fs::write(&old, include_str!("fixtures/r3_flag.rs")).unwrap();
-    assert!(git(&["add", "-A"]).unwrap().status.success());
-    assert!(git(&["commit", "-q", "-m", "base"])
-        .unwrap()
-        .status
-        .success());
-
-    // Unchanged tree: clean under --changed-only even though old.rs flags.
-    let out = run_lint(&root, &["--changed-only"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "pre-existing findings are out of scope: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let full = run_lint(&root, &[]);
-    assert_eq!(full.status.code(), Some(1), "full run still sees old.rs");
-
-    // A new (untracked) violating file is in scope.
-    let fresh = root.join("crates/core/src/fresh.rs");
-    std::fs::write(&fresh, include_str!("fixtures/r6_flag.rs")).unwrap();
-    let out = run_lint(&root, &["--changed-only=HEAD"]);
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fresh.rs"), "{text}");
-    assert!(
-        !text.contains("old.rs"),
-        "unchanged file must stay filtered out: {text}"
-    );
-}
-
-#[test]
-fn list_rules_names_all_eleven() {
+fn list_rules_names_all_eight() {
     let out = Command::new(env!("CARGO_BIN_EXE_ampc-lint"))
         .arg("--list-rules")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "no-unbatched-get",
-        "no-unordered-iteration",
-        "no-wall-clock-or-ambient-rng",
-        "no-raw-spawn",
-        "safety-comments",
-        "env-knob-registry",
-        "design-doc-refs",
-        "transitive-unbatched-get",
-        "nondeterminism-taint",
-        "query-budget",
-        "stripe-lock-order",
-    ] {
-        assert!(text.contains(rule), "missing {rule} in:\n{text}");
-    }
+    let listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        listed,
+        vec![
+            "no-unbatched-get",
+            "no-unordered-iteration",
+            "no-wall-clock-or-ambient-rng",
+            "no-raw-spawn",
+            "safety-comments",
+            "env-knob-registry",
+            "design-doc-refs",
+            "query-budget",
+        ],
+        "{text}"
+    );
 }
 
 #[test]

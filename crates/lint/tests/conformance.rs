@@ -1,9 +1,9 @@
 //! The rule-engine fixture suite: one must-flag and one must-pass
-//! snippet per rule R1–R7, plus the suppression-grammar fixtures. Each
+//! snippet per rule R1–R8, plus the suppression-grammar fixtures. Each
 //! fixture is scanned under a synthetic workspace-relative path because
 //! rule scope is path-based (DESIGN.md §9).
 
-use ampc_lint::rules::{Linter, BAD_SUPPRESSION, R1, R10, R11, R2, R3, R4, R5, R6, R7, R8, R9};
+use ampc_lint::rules::{Linter, BAD_SUPPRESSION, R1, R2, R3, R4, R5, R6, R7, R8};
 use std::collections::BTreeSet;
 
 fn linter() -> Linter {
@@ -25,10 +25,31 @@ fn run(rel: &str, src: &str) -> (Vec<&'static str>, usize) {
 
 const CORE: &str = "crates/core/src/fixture.rs";
 
+/// R1 asserts the witness chains, not just the rule names: the chain
+/// is part of the finding's contract.
 #[test]
 fn r1_flags_per_key_gets_in_loops() {
-    let (rules, _) = run(CORE, include_str!("fixtures/r1_flag.rs"));
-    assert_eq!(rules, vec![R1, R1], "loop body and .map() callback");
+    let report = linter().check_source(CORE, include_str!("fixtures/r1_flag.rs"));
+    let at: Vec<(&str, u32)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(
+        at,
+        vec![(R1, 9), (R1, 11), (R1, 13), (R1, 22)],
+        "loop body, .map() callback, comment-split receiver, helper's get"
+    );
+    assert!(report.violations[..3].iter().all(|v| v.chain.is_empty()));
+    let v = &report.violations[3];
+    let steps: Vec<(&str, u32)> = v.chain.iter().map(|s| (s.name.as_str(), s.line)).collect();
+    assert_eq!(
+        steps,
+        vec![("chase", 16), ("helper", 21), ("handle.get", 22)],
+        "witness: the loop's call, the helper, the get"
+    );
+    assert!(v.chain.iter().all(|s| s.file == CORE));
+    assert!(
+        v.message.contains("helper") && v.message.contains("->"),
+        "rendered chain belongs in the message: {}",
+        v.message
+    );
 }
 
 #[test]
@@ -39,17 +60,113 @@ fn r1_passes_batched_and_straightline_gets() {
 }
 
 #[test]
+fn r1_witnesses_cross_file_chains() {
+    let files = [
+        (
+            "crates/core/src/kernel.rs",
+            "pub fn kernel(ctx: &mut Ctx) { for v in 0..4 { step(ctx, v); } }",
+        ),
+        (
+            "crates/core/src/helpers.rs",
+            "pub fn step(ctx: &mut Ctx, v: u64) -> u64 { probe(ctx, v) }\n\
+             fn probe(ctx: &mut Ctx, v: u64) -> u64 { *ctx.handle.get(v).unwrap() }",
+        ),
+    ];
+    let report = linter().check_sources(&files);
+    let [v] = &report.violations[..] else {
+        panic!("one finding, at the get: {:?}", report.violations);
+    };
+    assert_eq!(
+        (v.rule, v.file.as_str(), v.line),
+        (R1, "crates/core/src/helpers.rs", 2)
+    );
+    let names: Vec<&str> = v.chain.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, vec!["kernel", "step", "probe", "handle.get"]);
+    assert_eq!(v.chain[0].file, "crates/core/src/kernel.rs");
+    assert!(v.chain[1..]
+        .iter()
+        .all(|s| s.file == "crates/core/src/helpers.rs"));
+}
+
+/// The get's own body has no loop, so the in-body check cannot see it;
+/// only the call-graph half of R1 does, and its finding carries the chain.
+#[test]
+fn r8_catches_helper_wrapped_get_that_r1_misses() {
+    let src = "pub fn kernel(ctx: &mut Ctx, items: &[u64]) -> Vec<u64> {\n\
+               let mut out = Vec::new();\n\
+               for &v in items { out.push(helper(ctx, v)); }\n\
+               out\n\
+               }\n\
+               fn helper(ctx: &mut Ctx, v: u64) -> u64 { *ctx.handle.get(v).unwrap() }\n";
+    let report = linter().check_source(CORE, src);
+    let [v] = &report.violations[..] else {
+        panic!("one finding, at the helper's get: {:?}", report.violations);
+    };
+    assert_eq!((v.rule, v.line), (R1, 6));
+    let steps: Vec<(&str, u32)> = v.chain.iter().map(|s| (s.name.as_str(), s.line)).collect();
+    assert_eq!(
+        steps,
+        vec![("kernel", 3), ("helper", 6), ("handle.get", 6)],
+        "witness chain"
+    );
+}
+
+/// A batching helper called once per round, a get-reaching helper
+/// called outside any loop, and the same helper looped over in a test.
+#[test]
+fn r8_passes_batched_helpers_and_out_of_loop_calls() {
+    let src = "pub fn kernel(ctx: &mut Ctx, rounds: &[Vec<u64>]) -> u64 {\n\
+               let mut acc = 0;\n\
+               for keys in rounds { acc += batched(ctx, keys); }\n\
+               acc + single(ctx, 7)\n\
+               }\n\
+               fn batched(ctx: &mut Ctx, keys: &[u64]) -> u64 {\n\
+               let mut s = 0;\n\
+               ctx.handle.get_many_with(keys, |_, v| s += *v.unwrap());\n\
+               s\n\
+               }\n\
+               fn single(ctx: &mut Ctx, k: u64) -> u64 { *ctx.handle.get(k).unwrap() }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               use super::*;\n\
+               #[test]\n\
+               fn loops_in_tests_are_exempt() { for k in 0..3 { single(&mut ctx(), k); } }\n\
+               }\n";
+    let (rules, n) = run(CORE, src);
+    assert!(rules.is_empty(), "unexpected: {rules:?}");
+    assert_eq!(n, 0);
+}
+
+#[test]
 fn r2_flags_unordered_iteration() {
     let (rules, _) = run(CORE, include_str!("fixtures/r2_flag.rs"));
-    assert!(
-        rules.iter().filter(|r| **r == R2).count() >= 2,
-        "for-loop and .keys() chains must both flag: {rules:?}"
+    assert_eq!(
+        rules,
+        vec![R2, R2, R2, R2],
+        "for-loop, .keys() chain, digest input, helper's return value"
     );
 }
 
 #[test]
 fn r2_passes_sorted_sinks_fx_and_tests() {
     let (rules, _) = run(CORE, include_str!("fixtures/r2_pass.rs"));
+    assert!(rules.is_empty(), "unexpected: {rules:?}");
+}
+
+/// Hash-typed names bind per fn item: the std `HashSet` parameter `m`
+/// of the first two functions says nothing about the Fx `m` of the third.
+#[test]
+fn r9_passes_sorted_counted_and_fx_collections() {
+    let src = "pub fn sorted(m: &HashSet<u64>) -> Vec<u64> {\n\
+               let mut v: Vec<u64> = m.iter().copied().collect();\n\
+               v.sort_unstable();\n\
+               v\n\
+               }\n\
+               pub fn counted(m: &HashSet<u64>) -> usize { m.len() }\n\
+               pub fn fx_is_exempt(m: &FxHashMap<u64, u64>) -> Vec<u64> {\n\
+               m.values().copied().collect()\n\
+               }\n";
+    let (rules, _) = run(CORE, src);
     assert!(rules.is_empty(), "unexpected: {rules:?}");
 }
 
@@ -82,7 +199,11 @@ fn r3_passes_in_bench() {
 #[test]
 fn r4_flags_raw_spawns() {
     let (rules, _) = run(CORE, include_str!("fixtures/r4_flag.rs"));
-    assert_eq!(rules, vec![R4, R4], "spawn and Builder");
+    assert_eq!(
+        rules,
+        vec![R4, R4, R4],
+        "spawn, Builder and scope; not the test"
+    );
 }
 
 #[test]
@@ -150,8 +271,8 @@ fn malformed_markers_flag_and_do_not_suppress() {
     assert_eq!(suppressed, 0);
     assert_eq!(
         rules.iter().filter(|r| **r == BAD_SUPPRESSION).count(),
-        2,
-        "missing justification + unknown rule: {rules:?}"
+        3,
+        "missing justification + unknown rule + silences nothing: {rules:?}"
     );
     assert!(
         rules.contains(&R3),
@@ -163,78 +284,23 @@ fn malformed_markers_flag_and_do_not_suppress() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Interprocedural rules R8–R11. These assert the witness chains, not
-// just the rule names: the chain is part of the finding's contract.
-// ---------------------------------------------------------------------------
-
 #[test]
-fn r8_catches_helper_wrapped_get_that_r1_misses() {
+fn r8_flags_missing_annotation_and_undercounted_budget() {
     let report = linter().check_source(CORE, include_str!("fixtures/r8_flag.rs"));
-    let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
-    assert!(rules.contains(&R8), "R8 must fire: {rules:?}");
+    let r8: Vec<_> = report.violations.iter().filter(|v| v.rule == R8).collect();
+    assert_eq!(r8.len(), 2, "alpha (missing) and beta (mismatch): {r8:?}");
+    assert!(r8[0].message.contains("alpha_in_job") && r8[0].message.contains("lacks"));
     assert!(
-        !rules.contains(&R1),
-        "lexical R1 cannot see through the helper — if it starts to, \
-         R8's charter needs revisiting: {rules:?}"
-    );
-    let v = report.violations.iter().find(|v| v.rule == R8).unwrap();
-    let names: Vec<&str> = v.chain.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, vec!["helper", "handle.get"], "witness chain");
-    assert!(v.chain.iter().all(|s| s.file == CORE && s.line > 0));
-    assert!(
-        v.message.contains("helper") && v.message.contains("->"),
-        "rendered chain belongs in the message: {}",
-        v.message
-    );
-}
-
-#[test]
-fn r8_passes_batched_helpers_and_out_of_loop_calls() {
-    let (rules, n) = run(CORE, include_str!("fixtures/r8_pass.rs"));
-    assert!(rules.is_empty(), "unexpected: {rules:?}");
-    assert_eq!(n, 0);
-}
-
-#[test]
-fn r9_flags_direct_and_helper_routed_hash_order_flows() {
-    let report = linter().check_source(CORE, include_str!("fixtures/r9_flag.rs"));
-    let r9: Vec<_> = report.violations.iter().filter(|v| v.rule == R9).collect();
-    assert_eq!(r9.len(), 2, "direct flow and flow through scramble()");
-    let direct: Vec<&str> = r9[0].chain.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(direct, vec!["hash-iter(m)", "digest"]);
-    let routed: Vec<&str> = r9[1].chain.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(
-        routed,
-        vec!["hash-iter(s)", "scramble", "digest"],
-        "the taint summary must name the helper it flowed through"
-    );
-}
-
-#[test]
-fn r9_passes_sorted_counted_and_fx_collections() {
-    let report = linter().check_source(CORE, include_str!("fixtures/r9_pass.rs"));
-    let r9: Vec<_> = report.violations.iter().filter(|v| v.rule == R9).collect();
-    assert!(r9.is_empty(), "unexpected: {r9:?}");
-}
-
-#[test]
-fn r10_flags_missing_annotation_and_undercounted_budget() {
-    let report = linter().check_source(CORE, include_str!("fixtures/r10_flag.rs"));
-    let r10: Vec<_> = report.violations.iter().filter(|v| v.rule == R10).collect();
-    assert_eq!(r10.len(), 2, "alpha (missing) and beta (mismatch): {r10:?}");
-    assert!(r10[0].message.contains("alpha_in_job") && r10[0].message.contains("lacks"));
-    assert!(
-        r10[0].chain.is_empty(),
+        r8[0].chain.is_empty(),
         "nothing to witness when unannotated"
     );
     assert!(
-        r10[1].message.contains("budget(batched-requests = 1)")
-            && r10[1].message.contains("2 batched-request site(s)"),
+        r8[1].message.contains("budget(batched-requests = 1)")
+            && r8[1].message.contains("2 batched-request site(s)"),
         "{}",
-        r10[1].message
+        r8[1].message
     );
-    let names: Vec<&str> = r10[1].chain.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = r8[1].chain.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(
         names,
         vec!["beta_in_job", "helper", "handle.put_many"],
@@ -243,76 +309,13 @@ fn r10_flags_missing_annotation_and_undercounted_budget() {
 }
 
 #[test]
-fn r10_passes_matching_budgets_including_zero() {
-    let (rules, n) = run(CORE, include_str!("fixtures/r10_pass.rs"));
+fn r8_passes_matching_budgets_including_zero() {
+    let (rules, n) = run(CORE, include_str!("fixtures/r8_pass.rs"));
     assert!(rules.is_empty(), "unexpected: {rules:?}");
     assert_eq!(
         n, 0,
         "budget annotations are declarations, not suppressions"
     );
-}
-
-const DHT: &str = "crates/dht/src/fixture.rs";
-
-#[test]
-fn r11_flags_descending_overlap_and_escaping_guards() {
-    let report = linter().check_source(DHT, include_str!("fixtures/r11_flag.rs"));
-    let r11: Vec<_> = report.violations.iter().filter(|v| v.rule == R11).collect();
-    assert_eq!(
-        r11.len(),
-        2,
-        "overlapping descending + escaping guard: {r11:?}"
-    );
-    assert!(r11[0].message.contains("still live"));
-    assert_eq!(r11[0].chain.len(), 2, "both lock sites in the witness");
-    assert!(r11[1].message.contains("escapes its loop iteration"));
-}
-
-#[test]
-fn r11_passes_ascending_dropped_range_and_sorted_patterns() {
-    let report = linter().check_source(DHT, include_str!("fixtures/r11_pass.rs"));
-    let r11: Vec<_> = report.violations.iter().filter(|v| v.rule == R11).collect();
-    assert!(r11.is_empty(), "unexpected: {r11:?}");
-}
-
-#[test]
-fn r11_is_scoped_to_the_dht_crate() {
-    let report = linter().check_source(
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/r11_flag.rs"),
-    );
-    assert!(
-        report.violations.iter().all(|v| v.rule != R11),
-        "R11 polices crates/dht only"
-    );
-}
-
-#[test]
-fn r8_witnesses_cross_file_chains() {
-    let files = [
-        (
-            "crates/core/src/kernel.rs",
-            "pub fn kernel(ctx: &mut Ctx) { for v in 0..4 { step(ctx, v); } }",
-        ),
-        (
-            "crates/core/src/helpers.rs",
-            "pub fn step(ctx: &mut Ctx, v: u64) -> u64 { probe(ctx, v) }\n\
-             fn probe(ctx: &mut Ctx, v: u64) -> u64 { *ctx.handle.get(v).unwrap() }",
-        ),
-    ];
-    let report = linter().check_sources(&files);
-    let v = report
-        .violations
-        .iter()
-        .find(|v| v.rule == R8)
-        .expect("cross-file R8");
-    let names: Vec<&str> = v.chain.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, vec!["step", "probe", "handle.get"]);
-    assert_eq!(v.file, "crates/core/src/kernel.rs");
-    assert!(v
-        .chain
-        .iter()
-        .all(|s| s.file == "crates/core/src/helpers.rs"));
 }
 
 #[test]

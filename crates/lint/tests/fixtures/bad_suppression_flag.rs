@@ -1,6 +1,7 @@
 // Fixture for the bad-suppression meta-rule: a marker without a
-// justification, and one naming an unknown rule. Both must flag, and
-// neither silences the violation it decorates.
+// justification, one naming an unknown rule, and a justified one that
+// silences nothing. All three must flag, and neither of the first two
+// silences the violation it decorates.
 use std::time::Instant;
 
 pub fn unjustified(f: impl FnOnce()) -> u128 {
@@ -13,4 +14,9 @@ pub fn unjustified(f: impl FnOnce()) -> u128 {
 pub fn unknown_rule() {
     // ampc-lint: allow(no-such-rule) -- confidently wrong.
     std::thread::spawn(|| {});
+}
+
+pub fn stale() -> u64 {
+    // ampc-lint: allow(no-raw-spawn) -- the spawn this justified is gone.
+    40 + 2
 }

@@ -1,5 +1,6 @@
-// Positive fixture for R4 (no-raw-spawn): raw std::thread spawns
-// outside runtime/src/pool.rs.
+// Positive fixture for R4 (no-raw-spawn): raw std::thread spawns and a
+// scoped-thread block outside runtime/src/pool.rs. The same scope in
+// test code is out of scope.
 pub fn fan_out(n: usize) {
     let handles: Vec<_> = (0..n).map(|_| std::thread::spawn(|| {})).collect();
     let named = std::thread::Builder::new().name("rogue".into());
@@ -7,4 +8,17 @@ pub fn fan_out(n: usize) {
         h.join().unwrap();
     }
     drop(named);
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn scoped_threads_in_tests_are_fine() {
+        std::thread::scope(|s| {
+            s.spawn(|| {});
+        });
+    }
 }

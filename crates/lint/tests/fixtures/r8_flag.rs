@@ -1,15 +1,19 @@
-//! R8 must-flag fixture: the helper wrapping hides the per-key get
-//! from lexical R1 — only the call graph sees it. This is also the
-//! R8-catches/R1-misses regression pin.
+//! R8 (query-budget) must-flag fixture: a kernel with no budget
+//! annotation, and one whose declared budget undercounts the sites
+//! reachable via a helper.
 
-pub fn kernel(ctx: &mut MachineCtx<'_, u64>, items: &[u64]) -> Vec<u64> {
-    let mut out = Vec::new();
-    for &v in items {
-        out.push(helper(ctx, v));
-    }
-    out
+pub fn alpha_in_job(ctx: &mut MachineCtx<'_, u64>) {
+    let keys: Vec<u64> = Vec::new();
+    ctx.handle.get_many_with(&keys, |_, _| ());
 }
 
-fn helper(ctx: &mut MachineCtx<'_, u64>, v: u64) -> u64 {
-    *ctx.handle.get(v).unwrap()
+// ampc-lint: budget(batched-requests = 1)
+pub fn beta_in_job(ctx: &mut MachineCtx<'_, u64>) {
+    let keys: Vec<u64> = Vec::new();
+    ctx.handle.get_many_with(&keys, |_, _| ());
+    helper(ctx);
+}
+
+fn helper(ctx: &mut MachineCtx<'_, u64>) {
+    ctx.handle.put_many(Vec::new());
 }

@@ -1,20 +1,20 @@
-//! R8 must-pass fixture: helpers that batch, helpers that get outside
-//! any loop, and a get-reaching helper called outside loop context.
+//! R8 (query-budget) must-pass fixture: declared budgets matching the
+//! statically reachable batched-request sites, including a zero-budget
+//! baseline.
 
-pub fn kernel(ctx: &mut MachineCtx<'_, u64>, items: &[u64]) -> Vec<u64> {
-    let mut out = helper_batched(ctx, items);
-    out.push(helper_single(ctx, 3));
-    out
+// ampc-lint: budget(batched-requests = 2)
+pub fn gamma_in_job(ctx: &mut MachineCtx<'_, u64>) {
+    let keys: Vec<u64> = Vec::new();
+    ctx.handle.get_many_with(&keys, |_, _| ());
+    helper(ctx);
 }
 
-fn helper_batched(ctx: &mut MachineCtx<'_, u64>, items: &[u64]) -> Vec<u64> {
-    let keys: Vec<u64> = items.to_vec();
-    let mut out = Vec::new();
-    ctx.handle
-        .get_many_with(&keys, |_, v| out.push(*v.unwrap()));
-    out
+fn helper(ctx: &mut MachineCtx<'_, u64>) {
+    ctx.handle.put_many(Vec::new());
 }
 
-fn helper_single(ctx: &mut MachineCtx<'_, u64>, k: u64) -> u64 {
-    *ctx.handle.get(k).unwrap()
+// ampc-lint: budget(batched-requests = 0)
+pub fn delta_in_job(job: &mut Job) {
+    let x = job.rounds();
+    let _ = x;
 }

@@ -39,6 +39,12 @@ fn suppression_inventory_is_pinned() {
     let mut expected: Vec<(String, String)> = [
         ("no-raw-spawn", "crates/dht/src/bin/ampc-shardd.rs"),
         ("no-raw-spawn", "crates/dht/src/socket.rs"),
+        ("no-raw-spawn", "crates/dht/src/store.rs"),
+        (
+            "no-unbatched-get",
+            "crates/core/src/matching/ampc_constant.rs",
+        ),
+        ("no-unbatched-get", "crates/core/src/mis/ampc.rs"),
         ("no-unbatched-get", "crates/core/src/msf/common.rs"),
         ("no-unbatched-get", "crates/core/src/msf/common.rs"),
         (
@@ -46,25 +52,6 @@ fn suppression_inventory_is_pinned() {
             "crates/runtime/src/driver.rs",
         ),
         ("no-wall-clock-or-ambient-rng", "crates/runtime/src/job.rs"),
-        (
-            "transitive-unbatched-get",
-            "crates/core/src/connectivity/forest_cc.rs",
-        ),
-        (
-            "transitive-unbatched-get",
-            "crates/core/src/matching/ampc_constant.rs",
-        ),
-        (
-            "transitive-unbatched-get",
-            "crates/core/src/matching/ampc_constant.rs",
-        ),
-        (
-            "transitive-unbatched-get",
-            "crates/core/src/matching/ampc_constant.rs",
-        ),
-        ("transitive-unbatched-get", "crates/core/src/mis/ampc.rs"),
-        ("transitive-unbatched-get", "crates/core/src/msf/common.rs"),
-        ("transitive-unbatched-get", "crates/core/src/msf/dense.rs"),
     ]
     .iter()
     .map(|(r, f)| (r.to_string(), f.to_string()))
