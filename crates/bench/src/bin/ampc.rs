@@ -26,7 +26,7 @@ use ampc_graph::datasets::Scale;
 use ampc_graph::dynamic::{BatchMix, DynamicSource};
 use ampc_graph::{CsrGraph, GraphSource, WeightedCsrGraph};
 use ampc_runtime::chaos::ChaosSpec;
-use ampc_runtime::driver::{json_string, Driven, DriverOptions, RunSummary};
+use ampc_runtime::driver::{json_string, Driven, RunSummary};
 use ampc_runtime::AmpcConfig;
 use std::collections::HashMap;
 
@@ -56,7 +56,6 @@ RUN OPTIONS:
   --scale test|mid|bench  analogue scale for named datasets + cost calibration
                        (default: AMPC_SCALE env, else mid)
   --threads <T>        simulation executor threads (AMPC_THREADS equivalent)
-  --batch on|off       §5.3 batching (AMPC_BATCH equivalent)
   --caching on|off     §5.3 per-machine caching
   --network rdma|tcp   KV transport profile (Table 4)
   --store flat|socket  sealed-storage substrate (AMPC_STORE equivalent;
@@ -100,14 +99,13 @@ struct Cli {
     flags: HashMap<String, String>,
 }
 
-const VALUE_FLAGS: [&str; 21] = [
+const VALUE_FLAGS: [&str; 20] = [
     "--graph",
     "--model",
     "--machines",
     "--seed",
     "--scale",
     "--threads",
-    "--batch",
     "--caching",
     "--network",
     "--threshold",
@@ -420,36 +418,37 @@ fn spec_from_cli(cli: &Cli) -> Result<RunSpec, String> {
         &mut params,
     )?;
     let scale = scale_of(cli)?;
-    let network = match cli.get("--network") {
-        None => None,
-        Some("rdma") => Some(Network::Rdma),
-        Some("tcp") => Some(Network::Tcp),
+    // Each flag overrides one field of the scale's harness config.
+    let mut cfg = harness_config(scale);
+    if let Some(p) = cli.parse_num("--machines")? {
+        cfg = cfg.with_machines(p);
+    }
+    if let Some(s) = cli.parse_num("--seed")? {
+        cfg = cfg.with_seed(s);
+    }
+    if let Some(t) = cli.parse_num("--threads")? {
+        cfg = cfg.with_threads(t);
+    }
+    if let Some(c) = cli.parse_toggle("--caching")? {
+        cfg = cfg.with_caching(c);
+    }
+    match cli.get("--network") {
+        None => {}
+        Some("rdma") => cfg.cost.network = Network::Rdma,
+        Some("tcp") => cfg.cost.network = Network::Tcp,
         Some(v) => return Err(format!("--network: expected rdma|tcp, got {v:?}")),
-    };
-    let chaos = match cli.get("--chaos") {
-        None => None,
-        Some(v) => Some(ChaosSpec::parse(v).map_err(|e| format!("--chaos: {e}"))?),
-    };
-    let store = match cli.get("--store") {
-        None => None,
-        Some(v) => Some(
-            StoreKind::parse(v)
-                .ok_or_else(|| format!("--store: expected flat|socket, got {v:?}"))?,
-        ),
-    };
-    let opts = DriverOptions {
-        machines: cli.parse_num("--machines")?,
-        seed: cli.parse_num("--seed")?,
-        threads: cli.parse_num("--threads")?,
-        batching: cli.parse_toggle("--batch")?,
-        caching: cli.parse_toggle("--caching")?,
-        network,
-        in_memory_threshold: cli.parse_num("--threshold")?,
-        chaos,
-        store,
-        ..Default::default()
-    };
-    let cfg = opts.apply(harness_config(scale));
+    }
+    if let Some(t) = cli.parse_num("--threshold")? {
+        cfg.in_memory_threshold = t;
+    }
+    if let Some(v) = cli.get("--chaos") {
+        cfg = cfg.with_chaos(ChaosSpec::parse(v).map_err(|e| format!("--chaos: {e}"))?);
+    }
+    if let Some(v) = cli.get("--store") {
+        let kind = StoreKind::parse(v)
+            .ok_or_else(|| format!("--store: expected flat|socket, got {v:?}"))?;
+        cfg = cfg.with_store(kind);
+    }
     if let Some(w) = cli.parse_num("--walkers")? {
         params.walkers_per_node = w;
     }

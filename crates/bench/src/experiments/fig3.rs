@@ -1,15 +1,15 @@
 //! Figure 3 — bytes shuffled by the AMPC and MPC MIS implementations,
 //! plus the AMPC algorithm's total KV-store communication and (beyond
-//! the paper's bars) its charged KV *round trips* under the §5.3
-//! batching optimization vs the single-key baseline.
+//! the paper's bars) its charged KV *round trips* under §5.3 batching
+//! next to `queries + writes`, what one round trip per op would charge.
 
 use crate::registry;
 use crate::util::{bytes, harness_config, load, Md};
 use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
 
-/// Runs the experiment, returning a markdown section. All three runs
-/// per dataset resolve through the algorithm registry — the same
+/// Runs the experiment, returning a markdown section. Both runs per
+/// dataset resolve through the algorithm registry — the same
 /// CLI-to-kernel code path as `ampc run mis`.
 pub fn run(scale: Scale) -> String {
     let cfg = harness_config(scale);
@@ -19,28 +19,17 @@ pub fn run(scale: Scale) -> String {
     for d in Dataset::REAL_WORLD {
         let g = load(d, scale);
         let input = AlgoInput::Unweighted(&g);
-        let a = registry::run_family("mis", Model::Ampc, &input, &cfg.with_batching(true))
-            .expect("mis is registered");
-        let single = registry::run_family("mis", Model::Ampc, &input, &cfg.with_batching(false))
-            .expect("mis is registered");
+        let a = registry::run_family("mis", Model::Ampc, &input, &cfg).expect("mis is registered");
         let m =
             registry::run_family("mis", Model::Mpc, &input, &cfg).expect("mpc mis is registered");
         let a_shuf = a.report.shuffle_bytes();
         let a_kv = a.report.kv_comm().kv_bytes();
         let a_rt = a.report.kv_round_trips();
-        let s_rt = single.report.kv_round_trips();
+        // One op per round trip: every query and write pays its own.
+        let s_rt = a.report.kv_comm().network_ops();
         let m_shuf = m.report.shuffle_bytes();
         always_less &= a_shuf < m_shuf;
         batching_always_wins &= a_rt < s_rt;
-        // The acceptance claim the figure prints: batching must not
-        // change outputs (checked in release too — the bench binaries
-        // are the runs that actually make the claim).
-        assert_eq!(
-            a.output,
-            single.output,
-            "batched MIS diverged on {}",
-            d.name()
-        );
         rows.push(vec![
             d.name(),
             bytes(a_shuf),

@@ -20,49 +20,25 @@ pub fn run(scale: Scale) -> String {
     let base = harness_config(scale);
     let mut rows = Vec::new();
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    let mut batch_savings: Vec<(String, f64, u64, u64)> = Vec::new();
     for d in Dataset::REAL_WORLD {
         let g = load(d, scale);
         let input = AlgoInput::Unweighted(&g);
         let mut row = vec![d.name()];
         let mut t1 = 0u64;
         let mut t100 = 0u64;
-        let mut batched_p100 = None;
         for &p in &MACHINES {
-            // Batching pinned on: the scaling table is about the batched
-            // pipeline regardless of the AMPC_BATCH environment.
-            let cfg = base.with_machines(p).with_batching(true);
-            let report = registry::run_family("mis", Model::Ampc, &input, &cfg)
+            let t = registry::run_family("mis", Model::Ampc, &input, &base.with_machines(p))
                 .expect("mis is registered")
-                .report;
-            let t = report.sim_ns();
+                .report
+                .sim_ns();
             if p == 1 {
                 t1 = t;
             }
             if p == 100 {
                 t100 = t;
-                batched_p100 = Some(report);
             }
             row.push(secs(t));
         }
-        // The single-key baseline at P=100: same queries and bytes, one
-        // charged round trip per op instead of per batch (§5.3).
-        let single = registry::run_family(
-            "mis",
-            Model::Ampc,
-            &input,
-            &base.with_machines(100).with_batching(false),
-        )
-        .expect("mis is registered")
-        .report;
-        let batched = batched_p100.expect("MACHINES contains 100");
-        row.push(secs(single.sim_ns()));
-        batch_savings.push((
-            d.name(),
-            single.sim_ns() as f64 / batched.sim_ns().max(1) as f64,
-            batched.kv_round_trips(),
-            single.kv_round_trips(),
-        ));
         speedups.push((d.name(), t1 as f64 / t100.max(1) as f64));
         rows.push(row);
     }
@@ -74,7 +50,6 @@ pub fn run(scale: Scale) -> String {
     );
     let header: Vec<String> = std::iter::once("Dataset".to_string())
         .chain(MACHINES.iter().map(|p| format!("P={p}")))
-        .chain(std::iter::once("P=100 single-key".to_string()))
         .collect();
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     md.table(&header_refs, &rows);
@@ -88,16 +63,6 @@ pub fn run(scale: Scale) -> String {
          that \"we do not obtain linear speedup … due to saturating the network \
          bandwidth when querying the key-value store\".",
         summary.join(", ")
-    ));
-    let batching: Vec<String> = batch_savings
-        .iter()
-        .map(|(n, s, rt, srt)| format!("{n}: {s:.2}x ({rt} vs {srt} round trips)"))
-        .collect();
-    md.para(&format!(
-        "Per-batch latency accounting (§5.3): at P=100 the batched pipeline beats the \
-         single-key baseline by {} — strictly fewer charged round trips for identical \
-         queries, bytes and outputs.",
-        batching.join(", ")
     ));
     md.finish()
 }

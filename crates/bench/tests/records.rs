@@ -103,7 +103,7 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// field but the store overwritten.
 fn fixed(mut cfg: AmpcConfig, threads: usize) -> AmpcConfig {
     (cfg.chaos, cfg.store) = (None, None);
-    cfg.with_batching(true).with_threads(threads)
+    cfg.with_threads(threads)
 }
 
 /// Holds every row to its pin at each of [`THREADS`]. A mismatch prints

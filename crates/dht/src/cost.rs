@@ -90,20 +90,6 @@ impl Default for CostConfig {
 }
 
 impl CostConfig {
-    /// The default configuration with the given transport.
-    pub fn with_network(network: Network) -> Self {
-        CostConfig {
-            network,
-            ..Default::default()
-        }
-    }
-
-    /// Disables both AMPC optimizations (Figure 4's "Unoptimized" bar).
-    pub fn unoptimized(mut self) -> Self {
-        self.multithreading = false;
-        self
-    }
-
     /// Effective latency of one lookup after latency hiding.
     #[inline]
     pub fn effective_lookup_latency_ns(&self) -> f64 {
@@ -128,8 +114,7 @@ impl CostConfig {
     /// independent keys pays one latency and 1000 keys of bandwidth,
     /// while 1000 dependent single-key lookups pay 1000 latencies — the
     /// §5.3 distinction that makes adaptive *depth*, not query volume,
-    /// the cost of a round. Callers running the single-key baseline pass
-    /// `queries + writes` (each op is its own round trip there).
+    /// the cost of a round.
     pub fn kv_time_ns(&self, round_trips: u64, bytes: u64) -> u64 {
         let s = self.data_scale as f64;
         let latency = self.effective_lookup_latency_ns() * round_trips as f64 * s;
@@ -190,15 +175,21 @@ mod tests {
 
     #[test]
     fn tcp_slower_than_rdma() {
-        let rdma = CostConfig::with_network(Network::Rdma);
-        let tcp = CostConfig::with_network(Network::Tcp);
+        let rdma = CostConfig::default();
+        let tcp = CostConfig {
+            network: Network::Tcp,
+            ..Default::default()
+        };
         assert!(tcp.kv_time_ns(1000, 0) > rdma.kv_time_ns(1000, 0));
     }
 
     #[test]
     fn multithreading_hides_latency() {
         let on = CostConfig::default();
-        let off = CostConfig::default().unoptimized();
+        let off = CostConfig {
+            multithreading: false,
+            ..Default::default()
+        };
         assert!(on.kv_time_ns(1_000_000, 0) < off.kv_time_ns(1_000_000, 0));
         let ratio = off.kv_time_ns(1_000_000, 0) as f64 / on.kv_time_ns(1_000_000, 0) as f64;
         let cfg = CostConfig::default();

@@ -18,11 +18,8 @@
 //! trip for the whole request while `queries`/`bytes_read` still count
 //! per key — so the cost model can charge latency per batch and
 //! bandwidth per key, and one batch of 1000 independent lookups is
-//! distinguishable from 1000 dependent ones. Constructing the handle
-//! with batching disabled (the `AMPC_BATCH=off` baseline) degrades
-//! every batched call to a loop of single-key operations — identical
-//! keys, bytes and values, one batch per key — so outputs and byte
-//! counts are comparable across the two modes by construction.
+//! distinguishable from 1000 dependent ones. The single-key `get` /
+//! `try_get` are the adaptive reads: one round trip per key.
 //!
 //! A read-through [`DenseCache`] can be mounted directly on the handle
 //! ([`MachineHandle::mount_cache`]) so kernels whose cached state is
@@ -67,9 +64,6 @@ pub struct MachineHandle<'a, V> {
     /// This machine's id, threaded into every write for deterministic
     /// duplicate-key resolution.
     machine_id: u32,
-    /// When false, batched reads and `put_many` degrade to per-key
-    /// round trips (the single-key baseline).
-    batching: bool,
     /// Optional read-through cache of raw stored values.
     cache: Option<DenseCache<V>>,
     /// Optional chaos drop plan: every accounted batch may be dropped
@@ -91,7 +85,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
             stats: CommStats::default(),
             budget: u64::MAX,
             machine_id: 0,
-            batching: true,
             cache: None,
             drops: None,
             batch_ordinal: 0,
@@ -107,12 +100,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// Sets the machine id carried by writes.
     pub fn with_machine(mut self, machine_id: u32) -> Self {
         self.machine_id = machine_id;
-        self
-    }
-
-    /// Enables or disables batched accounting (default: enabled).
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -156,17 +143,10 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     }
 
     /// The one batched-read core, behind every `get_many_*` form: one
-    /// accounted batch (or per-key round trips with batching off), `f`
-    /// called once per key in key order with a reference carrying the
-    /// **generation lifetime** `'a`.
+    /// accounted batch, `f` called once per key in key order with a
+    /// reference carrying the **generation lifetime** `'a`.
     fn read_batch_with(&mut self, keys: &[u64], f: &mut dyn FnMut(usize, Option<&'a V>)) {
         if keys.is_empty() {
-            return;
-        }
-        if !self.batching {
-            for (i, &k) in keys.iter().enumerate() {
-                f(i, self.get(k));
-            }
             return;
         }
         debug_assert!(
@@ -245,9 +225,6 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// exactly what the cost model charges for. References carry the
     /// generation lifetime, so they may outlive the call.
     ///
-    /// With batching disabled, degrades to a loop of [`Self::get`]
-    /// calls: identical keys, bytes and values, one round trip per key.
-    ///
     /// # Panics
     /// In debug builds, panics if the batch would exceed the `O(S)`
     /// query budget.
@@ -271,10 +248,10 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// use); the distinct misses go to the DHT in **one** accounted
     /// batch, whose responses populate the cache. Matches sequential
     /// single-key semantics exactly — a repeated key costs one query
-    /// however it arrives — so the batching toggle changes only the
-    /// round-trip accounting. (A repeat of a key the store turns out
-    /// not to hold is still counted as a hit at scan time; all
-    /// workspace kernels look up keys they previously wrote.)
+    /// however it arrives, so batch shape changes only the round-trip
+    /// accounting. (A repeat of a key the store turns out not to hold
+    /// is still counted as a hit at scan time; all workspace kernels
+    /// look up keys they previously wrote.)
     ///
     /// `f` is called once per key, in key order, with the index and
     /// the value — a cache reference for hits, the generation's own
@@ -354,19 +331,12 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// per-pair writes and bytes). The writer is an append log, so
     /// [`GenerationWriter::put_many_from`] is a plain loop of per-pair
     /// appends: the batch form changes the *accounting* (one round
-    /// trip), not the per-pair semantics or byte counts. With batching
-    /// disabled, degrades to a loop of [`Self::put`] calls.
+    /// trip), not the per-pair semantics or byte counts.
     ///
     /// # Panics
     /// Panics if the handle was created read-only and the iterator is
     /// non-empty.
     pub fn put_many(&mut self, pairs: impl IntoIterator<Item = (u64, V)>) {
-        if !self.batching {
-            for (k, v) in pairs {
-                self.put(k, v);
-            }
-            return;
-        }
         let mut iter = pairs.into_iter();
         let Some(first) = iter.next() else {
             return; // an empty batch is free (and legal on a read-only handle)
@@ -421,21 +391,6 @@ mod tests {
         h.get_many_into(&[], &mut vs);
         assert!(vs.is_empty());
         assert_eq!(h.stats().batches, 1);
-    }
-
-    #[test]
-    fn batching_off_degrades_to_single_key() {
-        let g = gen3();
-        let mut on: MachineHandle<u64> = MachineHandle::new(&g, None);
-        let mut off: MachineHandle<u64> = MachineHandle::new(&g, None).with_batching(false);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        on.get_many_into(&[1, 2, 3], &mut a);
-        off.get_many_into(&[1, 2, 3], &mut b);
-        assert_eq!(a, b);
-        assert_eq!(on.stats().queries, off.stats().queries);
-        assert_eq!(on.stats().bytes_read, off.stats().bytes_read);
-        assert_eq!(on.stats().batches, 1);
-        assert_eq!(off.stats().batches, 3);
     }
 
     #[test]
@@ -664,17 +619,16 @@ mod tests {
 
     /// The read-through path's documented accounting: a key sequence
     /// charges *identical* queries, bytes and cache hits whether it
-    /// arrives as batches or one key at a time, and with batching off —
-    /// only the round-trip count differs. Without a cache the batch is
+    /// arrives as batches or one key at a time — only the round-trip
+    /// count differs. Without a cache the batch is
     /// charged exactly like [`MachineHandle::get_many_into`].
     #[test]
     fn read_through_paths_charge_identical_stats() {
         let g: Generation<Vec<u64>> =
             Generation::from_iter((0..16u64).map(|k| (k, vec![k, k + 1, k + 2])));
         let batches: [&[u64]; 3] = [&[0, 1, 2, 1, 99], &[2, 3, 0], &[5, 5, 5]];
-        let run = |key_at_a_time: bool, batching: bool, cache: bool| -> CommStats {
-            let mut h: MachineHandle<Vec<u64>> =
-                MachineHandle::new(&g, None).with_batching(batching);
+        let run = |key_at_a_time: bool, cache: bool| -> CommStats {
+            let mut h: MachineHandle<Vec<u64>> = MachineHandle::new(&g, None);
             if cache {
                 h.mount_cache(DenseCache::unbounded(16));
             }
@@ -690,16 +644,15 @@ mod tests {
             *h.stats()
         };
         for cache in [true, false] {
-            let batched = run(false, true, cache);
+            let batched = run(false, cache);
             assert!(batched.bytes_read > 0);
-            for other in [run(true, true, cache), run(false, false, cache)] {
-                assert_eq!(other.queries, batched.queries, "cache={cache}");
-                assert_eq!(other.bytes_read, batched.bytes_read, "cache={cache}");
-                assert_eq!(other.cache_hits, batched.cache_hits, "cache={cache}");
-                assert_eq!(other.batches, other.queries, "one round trip per key");
-            }
+            let single = run(true, cache);
+            assert_eq!(single.queries, batched.queries, "cache={cache}");
+            assert_eq!(single.bytes_read, batched.bytes_read, "cache={cache}");
+            assert_eq!(single.cache_hits, batched.cache_hits, "cache={cache}");
+            assert_eq!(single.batches, single.queries, "one round trip per key");
         }
-        assert_eq!(run(false, true, true).batches, 3);
+        assert_eq!(run(false, true).batches, 3);
         let plain = {
             let mut h: MachineHandle<Vec<u64>> = MachineHandle::new(&g, None);
             let mut out = Vec::new();
@@ -708,7 +661,7 @@ mod tests {
             }
             *h.stats()
         };
-        assert_eq!(run(false, true, false), plain);
+        assert_eq!(run(false, false), plain);
     }
 
     /// The collapsed read family is one accounting: over key lists
@@ -716,7 +669,7 @@ mod tests {
     /// `get_many_into` and the cacheless `get_many_through_with` hand
     /// out identical values and charge identical `CommStats` — one
     /// round trip per list against one per key being the only
-    /// difference — with batching on and off and a drop plan armed.
+    /// difference — with and without a drop plan armed.
     #[test]
     fn read_family_agrees_on_values_and_stats() {
         type Read = fn(&mut MachineHandle<Vec<u64>>, &[u64], &mut Vec<Option<u64>>);
@@ -746,41 +699,36 @@ mod tests {
             drop_pm: 400,
             retry_cap: 3,
         };
-        for batching in [true, false] {
-            for plan in [None, Some(drops)] {
-                let run = |read: Read| {
-                    let mut h = MachineHandle::new(&g, None)
-                        .with_machine(2)
-                        .with_batching(batching)
-                        .with_chaos_drops(plan);
-                    let mut out = Vec::new();
-                    for keys in lists {
-                        read(&mut h, keys, &mut out);
-                    }
-                    (out, *h.stats())
-                };
-                let (values, per_key) = run(forms[0].1);
-                assert_eq!(
-                    values[..5],
-                    [Some(103), Some(101), Some(103), None, Some(107)]
-                );
-                assert_eq!((per_key.queries, per_key.batches), (total, total));
-                assert_eq!(per_key.retries > 0, plan.is_some());
-                // Batched: one round trip per non-empty list; the drop
-                // plan rolls per round trip, so the retry fields differ
-                // from the per-key ones and nothing else does.
-                let (_, batched) = run(forms[1].1);
-                if batching {
-                    assert_eq!(batched.batches, 3);
-                    assert_eq!(batched.queries, per_key.queries);
-                    assert_eq!(batched.bytes_read, per_key.bytes_read);
+        for plan in [None, Some(drops)] {
+            let run = |read: Read| {
+                let mut h = MachineHandle::new(&g, None)
+                    .with_machine(2)
+                    .with_chaos_drops(plan);
+                let mut out = Vec::new();
+                for keys in lists {
+                    read(&mut h, keys, &mut out);
                 }
-                for (name, read) in &forms[1..] {
-                    let what = format!("{name} batching={batching} drops={}", plan.is_some());
-                    let (got, stats) = run(*read);
-                    assert_eq!(got, values, "{what}");
-                    assert_eq!(stats, if batching { batched } else { per_key }, "{what}");
-                }
+                (out, *h.stats())
+            };
+            let (values, per_key) = run(forms[0].1);
+            assert_eq!(
+                values[..5],
+                [Some(103), Some(101), Some(103), None, Some(107)]
+            );
+            assert_eq!((per_key.queries, per_key.batches), (total, total));
+            assert_eq!(per_key.retries > 0, plan.is_some());
+            // Batched: one round trip per non-empty list; the drop
+            // plan rolls per round trip, so the retry fields differ
+            // from the per-key ones and nothing else does.
+            let (_, batched) = run(forms[1].1);
+            assert_eq!(batched.batches, 3);
+            assert_eq!(batched.queries, per_key.queries);
+            assert_eq!(batched.bytes_read, per_key.bytes_read);
+            for (name, read) in &forms[1..] {
+                let what = format!("{name} drops={}", plan.is_some());
+                let (got, stats) = run(*read);
+                assert_eq!(got, values, "{what}");
+                assert_eq!(stats, batched, "{what}");
             }
         }
     }

@@ -69,16 +69,12 @@ impl CommStats {
         self.queries + self.writes
     }
 
-    /// Charged round trips: batches if any were recorded, otherwise
-    /// (for stats produced before batching, e.g. deserialized old
-    /// reports) every network op is its own round trip.
+    /// Charged round trips: the accounted batches. Every handle op
+    /// accounts its batch, so this is zero exactly when no op crossed
+    /// the network.
     #[inline]
     pub fn round_trips(&self) -> u64 {
-        if self.batches > 0 || self.network_ops() == 0 {
-            self.batches
-        } else {
-            self.network_ops()
-        }
+        self.batches
     }
 
     /// Fraction of lookups served by the cache, in `[0, 1]`.
@@ -140,24 +136,6 @@ mod tests {
         assert_eq!(b.retries, 12);
         assert_eq!(b.wasted_batches, 2);
         assert_eq!(b.backoff_units, 18);
-    }
-
-    #[test]
-    fn round_trips_falls_back_to_ops_without_batches() {
-        let old = CommStats {
-            queries: 7,
-            writes: 3,
-            ..Default::default()
-        };
-        assert_eq!(old.round_trips(), 10);
-        let batched = CommStats {
-            queries: 7,
-            writes: 3,
-            batches: 2,
-            ..Default::default()
-        };
-        assert_eq!(batched.round_trips(), 2);
-        assert_eq!(CommStats::default().round_trips(), 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * **discoverability** — [`all`] enumerates every knob with its
 //!   accepted values and default, so docs, `--help` text and the CI
 //!   smoke matrix can never silently drift from the code;
-//! * **one parse** — each knob has exactly one parser, so `AMPC_BATCH=off`
-//!   cannot mean "off" to one crate and "malformed, use default" to
+//! * **one parse** — each knob has exactly one parser, so `AMPC_STORE=Socket`
+//!   cannot mean "socket" to one crate and "malformed, use default" to
 //!   another;
 //! * **determinism auditing** — the environment is ambient mutable
 //!   state; keeping all reads in one dependency-free leaf crate makes
@@ -42,15 +42,6 @@ pub struct KnobSpec {
 /// this table against the accessor set below so the registry cannot
 /// rot.
 pub const KNOBS: &[KnobSpec] = &[
-    KnobSpec {
-        name: "AMPC_BATCH",
-        accepts: "on | off | 0 | false (case-insensitive)",
-        default: "on",
-        doc: "The §5.3 batching optimization: machines issue independent \
-              lookups as one accounted get_many_with/put_many batch. \
-              `off`/`0`/`false` selects the single-key baseline \
-              (identical outputs, one round trip per key).",
-    },
     KnobSpec {
         name: "AMPC_CHAOS",
         accepts: "a chaos spec string (`chaos:seed=S[:rate=R][:drop=D]\
@@ -115,22 +106,12 @@ pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// `AMPC_BATCH`: true unless the value says `off`/`0`/`false`
-/// (case-insensitive). Read per call (cheap, and lets tests flip it
-/// between jobs); the resolved value is captured into `AmpcConfig` at
-/// construction, so a running job never re-reads the environment.
-pub fn ampc_batch() -> bool {
-    match raw("AMPC_BATCH") {
-        Some(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        None => true,
-    }
-}
-
 /// `AMPC_CHAOS`: the raw chaos spec string, if set and non-empty. The
 /// grammar is owned by `ampc_runtime::chaos::ChaosSpec::parse` (this
 /// crate stays dependency-free and does not parse it); unset or empty
-/// means chaos disabled. Read per call, captured into `AmpcConfig` at
-/// construction like `AMPC_BATCH`.
+/// means chaos disabled. Read per call (cheap, and lets tests flip it
+/// between jobs); the resolved value is captured into `AmpcConfig` at
+/// construction, so a running job never re-reads the environment.
 pub fn ampc_chaos() -> Option<String> {
     raw("AMPC_CHAOS").filter(|v| !v.trim().is_empty())
 }
@@ -226,7 +207,6 @@ mod tests {
         // CI may set these; only assert the unset-or-valid contract.
         assert!(ampc_threads() >= 1);
         assert!(matches!(ampc_scale(), "test" | "mid" | "bench"));
-        let _ = ampc_batch();
         assert!(matches!(ampc_store(), "flat" | "socket"));
         assert!(ampc_socket_shards() >= 1);
         // Chaos is never silently on: only a set, non-empty value

@@ -30,14 +30,6 @@ pub struct AmpcConfig {
     pub cost: CostConfig,
     /// Whether the per-machine caching optimization (§5.3) is enabled.
     pub caching: bool,
-    /// Whether the §5.3 batching optimization is enabled: machines issue
-    /// their independent lookups as one accounted batch
-    /// (`MachineHandle::get_many_with` / `put_many`), so the cost model
-    /// charges lookup latency per *batch* instead of per key. Disabling
-    /// it (`AMPC_BATCH=off`, or [`Self::with_batching`]) is the
-    /// single-key baseline: identical queries, bytes and outputs, one
-    /// round trip per key.
-    pub batching: bool,
     /// Concurrency of the simulation itself: how many machine bodies
     /// may execute at once. `1` (the forced value under
     /// `AMPC_THREADS=1`) runs every machine inline on the caller
@@ -65,13 +57,6 @@ pub struct AmpcConfig {
     pub in_memory_threshold: usize,
 }
 
-/// Default batching mode: on, unless the `AMPC_BATCH` environment knob
-/// says `off`/`0`/`false` (the CI knob that keeps the single-key
-/// baseline exercised). Read via the [`knobs`] registry.
-fn batching_default() -> bool {
-    knobs::ampc_batch()
-}
-
 /// Default chaos schedule: the `AMPC_CHAOS` environment knob, parsed by
 /// [`ChaosSpec::parse`] (a `chaos:` spec string or a bare seed). Unset,
 /// empty, or malformed values disable chaos — the env default must
@@ -89,7 +74,6 @@ impl Default for AmpcConfig {
             epsilon: 0.75,
             cost: CostConfig::default(),
             caching: true,
-            batching: batching_default(),
             threads: ampc_dht::store::ampc_threads(),
             store: None,
             seed: 0xA3C5,
@@ -132,12 +116,6 @@ impl AmpcConfig {
     /// Enables/disables the caching optimization.
     pub fn with_caching(mut self, caching: bool) -> Self {
         self.caching = caching;
-        self
-    }
-
-    /// Enables/disables the §5.3 batching optimization.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -220,12 +198,10 @@ mod tests {
         let cfg = AmpcConfig::default()
             .with_machines(3)
             .with_seed(9)
-            .with_caching(false)
-            .with_batching(false);
+            .with_caching(false);
         assert_eq!(cfg.num_machines, 3);
         assert_eq!(cfg.seed, 9);
         assert!(!cfg.caching);
-        assert!(!cfg.batching);
     }
 
     #[test]

@@ -15,20 +15,14 @@
 //! * [`AdaptiveRounds`] — the round/budget bookkeeping of the truncated
 //!   multi-round query processes (§4.2 / \[19\]): round cap, budget
 //!   escalation, stage tags, handle budgets.
-//! * [`DriverOptions`] — config resolution: one place where CLI flags
-//!   and environment knobs (`AMPC_THREADS`, `AMPC_BATCH`, machine
-//!   count, network profile, seed, scale calibration) are folded over a
-//!   base configuration.
 //! * [`RunSummary`] — report finalization into the flat,
 //!   machine-readable record the `ampc` workload CLI and the harness
 //!   emit as JSON (hand-rolled writer: the workspace vendors no JSON
 //!   serializer).
 
-use crate::chaos::ChaosSpec;
 use crate::config::AmpcConfig;
 use crate::job::Job;
 use crate::report::{JobReport, StageKind};
-use ampc_dht::cost::Network;
 use std::time::Instant;
 
 /// The finalized record of one driven run.
@@ -153,77 +147,6 @@ impl AdaptiveRounds {
     }
 }
 
-/// Config resolution: optional overrides folded over a base
-/// [`AmpcConfig`] in one place, so the CLI, the registry and the figure
-/// harnesses stop each re-implementing flag/env wiring.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DriverOptions {
-    /// Machine count `P`.
-    pub machines: Option<usize>,
-    /// Algorithm seed.
-    pub seed: Option<u64>,
-    /// Simulation execution threads (see [`AmpcConfig::threads`]).
-    pub threads: Option<usize>,
-    /// §5.3 batching toggle.
-    pub batching: Option<bool>,
-    /// §5.3 caching toggle.
-    pub caching: Option<bool>,
-    /// KV transport profile (Table 4).
-    pub network: Option<Network>,
-    /// Switch-to-in-memory threshold.
-    pub in_memory_threshold: Option<usize>,
-    /// Cost-model calibration factor (DESIGN.md §6).
-    pub data_scale: Option<u64>,
-    /// Space exponent ε.
-    pub epsilon: Option<f64>,
-    /// Chaos schedule (machine kills + DHT drops; `--chaos`).
-    pub chaos: Option<ChaosSpec>,
-    /// Sealed-storage substrate (`--store`, mirroring `AMPC_STORE`;
-    /// DESIGN.md §12).
-    pub store: Option<ampc_dht::store::StoreKind>,
-}
-
-impl DriverOptions {
-    /// Applies the set overrides to `base`, leaving everything else
-    /// untouched (including `base`'s own env-derived defaults).
-    pub fn apply(&self, mut base: AmpcConfig) -> AmpcConfig {
-        if let Some(p) = self.machines {
-            base = base.with_machines(p);
-        }
-        if let Some(s) = self.seed {
-            base = base.with_seed(s);
-        }
-        if let Some(t) = self.threads {
-            base = base.with_threads(t);
-        }
-        if let Some(b) = self.batching {
-            base = base.with_batching(b);
-        }
-        if let Some(c) = self.caching {
-            base = base.with_caching(c);
-        }
-        if let Some(n) = self.network {
-            base.cost.network = n;
-        }
-        if let Some(t) = self.in_memory_threshold {
-            base.in_memory_threshold = t;
-        }
-        if let Some(d) = self.data_scale {
-            base.cost.data_scale = d;
-        }
-        if let Some(e) = self.epsilon {
-            base.epsilon = e;
-        }
-        if let Some(c) = self.chaos {
-            base = base.with_chaos(c);
-        }
-        if let Some(s) = self.store {
-            base = base.with_store(s);
-        }
-        base
-    }
-}
-
 /// Flat, machine-readable summary of one run — what the `ampc` CLI
 /// emits per run and what the registry equivalence suite diffs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -241,7 +164,7 @@ pub struct RunSummary {
     pub local_stages: usize,
     /// Total KV queries.
     pub queries: u64,
-    /// Charged KV round trips (per batch under §5.3 batching).
+    /// Charged KV round trips (one per accounted batch, §5.3).
     pub round_trips: u64,
     /// KV bytes moved (read + written).
     pub kv_bytes: u64,
@@ -449,23 +372,6 @@ mod tests {
         assert_eq!(round_handle_budget(u64::MAX, 100), u64::MAX);
         assert_eq!(round_handle_budget(5, 0), 5);
         assert_eq!(round_handle_budget(5, 7), 35);
-    }
-
-    #[test]
-    fn options_apply_overrides_only_whats_set() {
-        let base = AmpcConfig::for_tests();
-        let opts = DriverOptions {
-            machines: Some(7),
-            seed: Some(99),
-            network: Some(Network::Tcp),
-            ..Default::default()
-        };
-        let cfg = opts.apply(base);
-        assert_eq!(cfg.num_machines, 7);
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.cost.network, Network::Tcp);
-        assert_eq!(cfg.in_memory_threshold, base.in_memory_threshold);
-        assert_eq!(cfg.caching, base.caching);
     }
 
     #[test]

@@ -27,20 +27,16 @@ pub struct RoundSpec {
     /// Per-machine query budget (`O(S)` in the model; `u64::MAX` means
     /// unenforced).
     pub budget: u64,
-    /// Batched round-trip accounting vs the single-key baseline (see
-    /// [`MachineHandle::get_many_with`]).
-    pub batching: bool,
     /// Chaos DHT fault mode for every machine's handle (retry counters
     /// only — see [`DropPlan`]).
     pub drops: Option<DropPlan>,
 }
 
 impl RoundSpec {
-    /// Batched execution with no budget and no chaos.
+    /// No budget and no chaos.
     pub fn unbudgeted() -> Self {
         RoundSpec {
             budget: u64::MAX,
-            batching: true,
             drops: None,
         }
     }
@@ -178,7 +174,7 @@ impl<R> RoundOutcome<R> {
 /// provided) go into the next generation under construction.
 ///
 /// `spec` carries the per-round execution parameters (query budget,
-/// batching mode, chaos drops); `threads` bounds how many machines
+/// chaos drops); `threads` bounds how many machines
 /// execute at once — with one machine or one thread the round runs
 /// inline on the caller thread, otherwise machines are
 /// dispatched to the persistent pool (the submitting thread plus up to
@@ -264,7 +260,6 @@ where
         handle: MachineHandle::new(read, write)
             .with_budget(spec.budget)
             .with_machine(machine_id as u32)
-            .with_batching(spec.batching)
             .with_chaos_drops(spec.drops),
         scratch,
         ops: 0,
@@ -420,48 +415,6 @@ mod tests {
         let (b, sb) = run_one_machine(0, &read, None, &chunk, spec, scratch.machine(0), &body);
         assert_eq!(a, b);
         assert_eq!(sa.comm, sb.comm);
-    }
-
-    #[test]
-    fn batched_round_counts_fewer_round_trips() {
-        let read: Generation<u64> = Generation::from_iter((0..64u64).map(|k| (k, k)));
-        let chunks = partition::chunk((0..64u64).collect(), 4);
-        let body = |ctx: &mut MachineCtx<'_, u64>, items: &[u64]| {
-            let keys: Vec<u64> = items.to_vec();
-            let mut out = Vec::new();
-            ctx.handle
-                .get_many_with(&keys, |_, v| out.push(*v.unwrap()));
-            out
-        };
-        let mut scratch = RoundScratch::new();
-        let on = run_machines(
-            &read,
-            None,
-            &chunks,
-            RoundSpec::unbudgeted(),
-            1,
-            &mut scratch,
-            body,
-        );
-        let off = run_machines(
-            &read,
-            None,
-            &chunks,
-            RoundSpec {
-                batching: false,
-                ..RoundSpec::unbudgeted()
-            },
-            1,
-            &mut scratch,
-            body,
-        );
-        assert_eq!(on.outputs, off.outputs);
-        for (a, b) in on.per_machine.iter().zip(&off.per_machine) {
-            assert_eq!(a.comm.queries, b.comm.queries);
-            assert_eq!(a.comm.bytes_read, b.comm.bytes_read);
-            assert_eq!(a.comm.batches, 1);
-            assert_eq!(b.comm.batches, b.comm.queries);
-        }
     }
 
     /// The `O(S)` budget is enforced at the handle: an Algorithm-1-style

@@ -284,7 +284,6 @@ impl Job {
         let threads = self.cfg.threads;
         let spec = RoundSpec {
             budget,
-            batching: self.cfg.batching,
             drops: self.chaos.and_then(|c| c.drop_plan(stage)),
         };
         // Epoch bookkeeping: the first KV round after an epoch mark is
@@ -595,37 +594,6 @@ mod tests {
             Job::new(AmpcConfig::for_tests()).with_chaos(ChaosSpec::new(1).with_kill(0, 1));
         faulty.kv_round("r", &read, None, (0..64u64).collect(), body);
         assert!(faulty.report().sim_ns() > clean.report().sim_ns());
-    }
-
-    #[test]
-    fn batching_lowers_round_trips_and_time_only() {
-        let read: Generation<u64> = Generation::from_iter((0..256u64).map(|k| (k, k)));
-        let body = |ctx: &mut MachineCtx<'_, u64>, items: &[u64]| {
-            let keys: Vec<u64> = items.to_vec();
-            let mut out = Vec::new();
-            ctx.handle
-                .get_many_with(&keys, |_, v| out.push(*v.unwrap()));
-            out
-        };
-        let run = |batching: bool| {
-            let mut job = Job::new(AmpcConfig::for_tests().with_batching(batching));
-            let out = job.kv_round("r", &read, None, (0..256u64).collect(), body);
-            (out, job.into_report())
-        };
-        let (out_on, rep_on) = run(true);
-        let (out_off, rep_off) = run(false);
-        assert_eq!(out_on, out_off);
-        let (on, off) = (rep_on.kv_comm(), rep_off.kv_comm());
-        assert_eq!(on.queries, off.queries);
-        assert_eq!(on.bytes_read, off.bytes_read);
-        assert!(
-            on.batches < off.batches,
-            "{} vs {}",
-            on.batches,
-            off.batches
-        );
-        assert_eq!(off.batches, off.queries);
-        assert!(rep_on.sim_ns() < rep_off.sim_ns());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   machine's DHT traffic is metered through an
 //!   [`ampc_dht::MachineHandle`] that carries the machine's id (for
 //!   deterministic duplicate-write resolution), its enforced `O(S)`
-//!   query budget, and the §5.3 batching mode — lookup latency is
-//!   charged per batched round trip, bandwidth per key. The thread
+//!   query budget — lookup latency is charged per batched round trip
+//!   (§5.3), bandwidth per key. The thread
 //!   count is purely a wall-clock knob: outputs, round counts and
 //!   `CommStats` are identical for every value.
 //! * Every stage appends a [`report::StageReport`]; the final
@@ -42,8 +42,7 @@
 //!   change.
 //! * [`driver`] owns the orchestration kernels used to hand-roll —
 //!   job lifecycle ([`driver::drive`]), truncated-round budget
-//!   bookkeeping ([`driver::AdaptiveRounds`]), config resolution
-//!   ([`driver::DriverOptions`]) and report flattening
+//!   bookkeeping ([`driver::AdaptiveRounds`]) and report flattening
 //!   ([`driver::RunSummary`]) — so every algorithm behind the
 //!   `AmpcAlgorithm` trait shares one code path from configuration to
 //!   finished report (DESIGN.md §7).

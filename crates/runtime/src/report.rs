@@ -152,9 +152,8 @@ impl JobReport {
         self.stages.iter().map(|s| s.gen_bytes).max().unwrap_or(0)
     }
 
-    /// Charged KV round trips across all stages: one per batch under
-    /// the §5.3 batching optimization, one per key in the single-key
-    /// baseline. This is what lookup latency is billed on.
+    /// Charged KV round trips across all stages, one per accounted
+    /// batch (§5.3). This is what lookup latency is billed on.
     pub fn kv_round_trips(&self) -> u64 {
         self.kv_comm().round_trips()
     }

@@ -130,10 +130,7 @@ fn msf_pipeline_reports_all_expected_stages() {
 #[test]
 fn random_walk_extension_is_metered() {
     let g = gen::rmat(10, 8_000, gen::RmatParams::SOCIAL, 8);
-    // Batching pinned on: the round-trip assertions below are about the
-    // batched pipeline and must hold even under AMPC_BATCH=off.
-    let c = cfg().with_batching(true);
-    let out = ampc_core::walks::ampc_random_walks(&g, &c, 1, 16);
+    let out = ampc_core::walks::ampc_random_walks(&g, &cfg(), 1, 16);
     // 16 hops per walker, one lookup each (minus dead ends) — answered
     // either by the network or the handle-mounted §5.3 cache.
     let kv = out.report.kv_comm();
@@ -155,49 +152,55 @@ fn random_walk_extension_is_metered() {
     assert_eq!(out.report.num_shuffles(), 1);
 }
 
-#[test]
-fn batching_preserves_bytes_and_cuts_round_trips() {
-    // The §5.3 batched pipeline vs the single-key baseline: identical
-    // queries and bytes (the toggle only changes how round trips are
-    // accounted), strictly fewer charged round trips, cheaper simulated
-    // time.
-    let g = gen::rmat(11, 20_000, gen::RmatParams::SOCIAL, 11);
-    let on_cfg = cfg().with_batching(true);
-    let off_cfg = cfg().with_batching(false);
-    let on = ampc_mis(&g, &on_cfg);
-    let off = ampc_mis(&g, &off_cfg);
-    assert_eq!(on.in_mis, off.in_mis);
-    let (a, b) = (on.report.kv_comm(), off.report.kv_comm());
-    assert_eq!(a.queries, b.queries);
-    assert_eq!(a.writes, b.writes);
-    assert_eq!(a.bytes_read, b.bytes_read);
-    assert_eq!(a.bytes_written, b.bytes_written);
-    assert_eq!(b.batches, b.network_ops(), "baseline: one trip per op");
-    assert!(a.batches < b.batches, "{} vs {}", a.batches, b.batches);
-    assert!(a.batches <= a.queries + a.writes);
-    assert!(
-        on.report.sim_ns() < off.report.sim_ns(),
-        "per-batch latency accounting must be cheaper: {} vs {}",
-        on.report.sim_ns(),
-        off.report.sim_ns()
-    );
-}
-
+/// The invariant [`CommStats::round_trips`] relies on, checked per
+/// stage over every kernel × model pair with caching on and off: no
+/// stage charges more round trips than it has network ops, and a stage
+/// charges none exactly when no op crossed the network.
+///
+/// [`CommStats::round_trips`]: ampc_dht::metrics::CommStats::round_trips
 #[test]
 fn every_kernel_respects_batches_leq_ops() {
+    use ampc_core::algorithm::{self as ampc_alg, InputKind};
+    use ampc_mpc::algorithms as mpc_alg;
     let g = gen::rmat(10, 10_000, gen::RmatParams::SOCIAL, 12);
-    let c = cfg();
-    let reports = vec![
-        ampc_mis(&g, &c).report,
-        ampc_matching(&g, &c).report,
-        ampc_core::connectivity::ampc_connected_components(&g, &c).report,
-        ampc_core::walks::ampc_random_walks(&g, &c, 1, 8).report,
-        ampc_msf(&gen::degree_weights(&g), &c).report,
+    let w = gen::degree_weights(&g);
+    let cycles = gen::two_cycles(600, 3);
+    let kernels: [Box<dyn AmpcAlgorithm>; 14] = [
+        Box::new(ampc_alg::AmpcMis),
+        Box::new(mpc_alg::MpcMis),
+        Box::new(ampc_alg::AmpcMatching),
+        Box::new(mpc_alg::MpcMatching),
+        Box::new(ampc_alg::AmpcMsf),
+        Box::new(mpc_alg::MpcMsf),
+        Box::new(ampc_alg::AmpcConnectivity),
+        Box::new(mpc_alg::MpcConnectivity),
+        Box::new(ampc_alg::AmpcOneVsTwo::default()),
+        Box::new(mpc_alg::MpcOneVsTwo),
+        Box::new(ampc_alg::AmpcWalks::default()),
+        Box::new(mpc_alg::MpcWalks::default()),
+        Box::new(ampc_alg::AmpcDynamicCc::default()),
+        Box::new(mpc_alg::MpcDynamicCc::default()),
     ];
-    for r in reports {
-        let kv = r.kv_comm();
-        assert!(kv.batches <= kv.network_ops());
-        assert!(kv.batches > 0);
-        assert_eq!(r.kv_round_trips(), kv.batches);
+    for caching in [true, false] {
+        let c = cfg().with_caching(caching);
+        for alg in &kernels {
+            let input = match alg.input_kind() {
+                InputKind::Unweighted => AlgoInput::Unweighted(&g),
+                InputKind::Weighted => AlgoInput::Weighted(&w),
+                InputKind::CycleUnion => AlgoInput::Unweighted(&cycles),
+            };
+            let r = ampc_runtime::driver::drive(&c, |job| alg.run(job, &input)).report;
+            let what = format!("{}/{} caching={caching}", alg.name(), alg.model().token());
+            for s in &r.stages {
+                let (batches, ops) = (s.comm.batches, s.comm.network_ops());
+                assert!(batches <= ops, "{what} {}: {batches} > {ops}", s.name);
+                assert_eq!(batches == 0, ops == 0, "{what} {}", s.name);
+            }
+            let kv = r.kv_comm();
+            assert_eq!(r.kv_round_trips(), kv.batches, "{what}");
+            if alg.model() == Model::Ampc {
+                assert!(kv.batches > 0, "{what}");
+            }
+        }
     }
 }

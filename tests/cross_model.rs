@@ -124,48 +124,6 @@ fn results_invariant_under_machine_count() {
     }
 }
 
-/// The §5.3 batching toggle is an accounting change, not an algorithm
-/// change: batched and single-key execution of MIS, MM and CC must
-/// produce identical outputs and identical bytes, with batches bounded
-/// by queries.
-#[test]
-fn batched_and_single_key_execution_identical() {
-    for d in Dataset::REAL_WORLD {
-        let g = d.generate(Scale::Test, 6);
-        let on = cfg().with_batching(true);
-        let off = cfg().with_batching(false);
-
-        let mis_on = ampc_mis(&g, &on);
-        let mis_off = ampc_mis(&g, &off);
-        assert_eq!(mis_on.in_mis, mis_off.in_mis, "MIS on {}", d.name());
-
-        let mm_on = ampc_matching(&g, &on);
-        let mm_off = ampc_matching(&g, &off);
-        assert_eq!(mm_on.partner, mm_off.partner, "MM on {}", d.name());
-
-        let cc_on = ampc_core::connectivity::ampc_connected_components(&g, &on);
-        let cc_off = ampc_core::connectivity::ampc_connected_components(&g, &off);
-        assert_eq!(cc_on.label, cc_off.label, "CC on {}", d.name());
-
-        for (name, a, b) in [
-            ("MIS", mis_on.report.kv_comm(), mis_off.report.kv_comm()),
-            ("MM", mm_on.report.kv_comm(), mm_off.report.kv_comm()),
-            ("CC", cc_on.report.kv_comm(), cc_off.report.kv_comm()),
-        ] {
-            assert_eq!(a.bytes_read, b.bytes_read, "{name} bytes on {}", d.name());
-            assert_eq!(a.queries, b.queries, "{name} queries on {}", d.name());
-            assert!(a.batches <= a.queries + a.writes, "{name} on {}", d.name());
-            assert!(
-                a.batches < b.batches,
-                "{name} on {}: batching must cut round trips ({} vs {})",
-                d.name(),
-                a.batches,
-                b.batches
-            );
-        }
-    }
-}
-
 #[test]
 fn different_seeds_give_different_but_valid_outputs() {
     let g = Dataset::Orkut.generate(Scale::Test, 4);

@@ -120,8 +120,8 @@ fn epochs_seal_one_generation_each_and_are_config_independent() {
     assert_eq!(a.report.num_kv_rounds(), batches.len() * 2 + 1);
 
     // Labels are a function of the graph + schedule, not of the runtime
-    // configuration (machine count, batching, algorithm seed).
-    let b = ampc_dynamic_cc(&g, &batches, &cfg(2).with_machines(17).with_batching(false));
+    // configuration (machine count, algorithm seed).
+    let b = ampc_dynamic_cc(&g, &batches, &cfg(2).with_machines(17));
     assert_eq!(a.labels, b.labels);
 }
 

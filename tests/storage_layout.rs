@@ -10,7 +10,6 @@
 //! written (byte-identical across thread counts).
 
 use ampc::prelude::*;
-use ampc_core::one_vs_two;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{force_store, Generation, GenerationWriter, StoreBackend, StoreKind};
 use ampc_graph::gen;
@@ -161,21 +160,6 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
         assert_eq!(got, reference, "socket, {threads} threads");
     }
     force_store(None);
-}
-
-/// Lockstep kernels using the buffer-reusing batched lookups must be
-/// unaffected by the batching toggle in everything but round trips.
-#[test]
-fn lockstep_buffers_preserve_single_key_equivalence() {
-    let g = gen::two_cycles(600, 3);
-    let on = one_vs_two::ampc_one_vs_two(&g, &cfg().with_batching(true));
-    let off = one_vs_two::ampc_one_vs_two(&g, &cfg().with_batching(false));
-    assert_eq!(on.answer, off.answer);
-    assert_eq!(on.num_cycles, off.num_cycles);
-    let (a, b) = (on.report.kv_comm(), off.report.kv_comm());
-    assert_eq!(a.queries, b.queries);
-    assert_eq!(a.bytes_read, b.bytes_read);
-    assert!(a.batches < b.batches);
 }
 
 /// Fault-injection replays must be byte-identical whether the original
