@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! ampc list
-//! ampc run <family> --graph <source> [--model ampc|mpc] [options]
+//! ampc run <family>[/<variant>] --graph <source> [--model ampc|mpc] [options]
 //! ampc smoke [--scale test|mid|bench]
 //! ampc experiment <name>|all [--scale test|mid|bench] [--out <path>]
 //! ```
@@ -19,7 +19,7 @@
 use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::harness_config;
 use ampc_bench::{experiments, json, util};
-use ampc_core::algorithm::{AlgoInput, AlgoOutput, Model};
+use ampc_core::algorithm::{AlgoInput, AlgoOutput, InputKind, Model};
 use ampc_dht::cost::Network;
 use ampc_dht::store::StoreKind;
 use ampc_graph::datasets::Scale;
@@ -34,8 +34,12 @@ const USAGE: &str = "\
 ampc — the AMPC workload runner
 
 USAGE:
-  ampc list                          show all registered algorithms
-  ampc run <family> --graph <src>    run one algorithm on one graph
+  ampc list                          show every registry row
+  ampc run <row> --graph <src>       run one registry row on one graph: a
+                                     family (mis, mm, msf, cc, one-vs-two,
+                                     walks, dyn-cc) or an AMPC-only variant
+                                     (mis/truncated, mm/truncated, mm/loglog,
+                                     msf/algorithm2, cc/forest)
   ampc smoke [--chaos <spec>]        run every registry row on small inputs (CI);
                                      with --chaos, re-run each family under the
                                      schedule and assert digests are unchanged
@@ -51,11 +55,11 @@ RUN OPTIONS:
                        dynamic families also accept
                        dyn:<base>:batches=B:ops=K[:mix=churn|insert|delete][:seed=S]
   --model ampc|mpc     model backend (default ampc)
-  --machines <P>       machine count (default: harness config for the scale)
+  --machines <P>       machine count, >= 1 (default: harness config for the scale)
   --seed <S>           algorithm seed
   --scale test|mid|bench  analogue scale for named datasets + cost calibration
                        (default: AMPC_SCALE env, else mid)
-  --threads <T>        simulation executor threads (AMPC_THREADS equivalent)
+  --threads <T>        simulation executor threads, >= 1 (AMPC_THREADS equivalent)
   --caching on|off     §5.3 per-machine caching
   --network rdma|tcp   KV transport profile (Table 4)
   --store flat|socket  sealed-storage substrate (AMPC_STORE equivalent;
@@ -321,9 +325,15 @@ impl LoadedGraph {
 }
 
 fn load_for(spec: &RunSpec) -> Result<LoadedGraph, String> {
-    let entry = registry::lookup(spec.family, spec.model).expect("spec came from the registry");
-    Ok(match entry.input_kind(&spec.params) {
-        ampc_core::algorithm::InputKind::Weighted => {
+    let entry = registry::lookup(spec.family, spec.model).ok_or_else(|| {
+        format!(
+            "{} has no {} row (see ampc list)",
+            spec.family,
+            spec.model.token()
+        )
+    })?;
+    Ok(match entry.input {
+        InputKind::Weighted => {
             LoadedGraph::Weighted(spec.source.load_weighted(spec.scale, util::GRAPH_SEED)?)
         }
         _ => LoadedGraph::Unweighted(spec.source.load(spec.scale, util::GRAPH_SEED)?),
@@ -421,12 +431,18 @@ fn spec_from_cli(cli: &Cli) -> Result<RunSpec, String> {
     // Each flag overrides one field of the scale's harness config.
     let mut cfg = harness_config(scale);
     if let Some(p) = cli.parse_num("--machines")? {
+        if p == 0 {
+            return Err("--machines: need at least one machine".into());
+        }
         cfg = cfg.with_machines(p);
     }
     if let Some(s) = cli.parse_num("--seed")? {
         cfg = cfg.with_seed(s);
     }
     if let Some(t) = cli.parse_num("--threads")? {
+        if t == 0 {
+            return Err("--threads: need at least one executor thread".into());
+        }
         cfg = cfg.with_threads(t);
     }
     if let Some(c) = cli.parse_toggle("--caching")? {
@@ -704,4 +720,32 @@ fn cmd_smoke(cli: &Cli) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(args: &str) -> Result<RunSpec, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        spec_from_cli(&Cli::parse(&args)?)
+    }
+
+    #[test]
+    fn run_rejects_zero_machines_and_threads() {
+        assert!(spec("run mis --graph er:20,40 --machines 1 --threads 1").is_ok());
+        for flag in ["--machines", "--threads"] {
+            let err = spec(&format!("run mis --graph er:20,40 {flag} 0"))
+                .err()
+                .expect("zero is rejected");
+            assert!(err.starts_with(flag) && !err.contains('\n'), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_resolves_variant_rows() {
+        let row = spec("run Matching/LogLog --graph er:20,40").map(|s| s.family);
+        assert_eq!(row, Ok("mm/loglog"));
+        assert!(spec("run mis/loglog --graph er:20,40").is_err());
+    }
 }

@@ -5,9 +5,10 @@
 //!    cost vs contraction factor trade-off.
 //! 2. **1-vs-2-cycle sampling rate**: queries vs contracted-graph size.
 
+use super::run_row;
+use crate::registry::{self, AlgoParams};
 use crate::util::{harness_config, load_weighted, Md};
-use ampc_core::msf::ampc_msf;
-use ampc_core::one_vs_two::ampc_one_vs_two_with_rate;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
 
 /// Runs the ablations, returning a markdown section.
@@ -22,7 +23,7 @@ pub fn run(scale: Scale) -> String {
     for eps in [0.4, 0.6, 0.75, 0.9] {
         let mut c = cfg;
         c.epsilon = eps;
-        let out = ampc_msf(&w, &c);
+        let out = run_row("msf", Model::Ampc, AlgoInput::Weighted(&w), &c);
         rows.push(vec![
             format!("{eps}"),
             c.prim_budget(w.num_nodes()).to_string(),
@@ -40,11 +41,17 @@ pub fn run(scale: Scale) -> String {
     let g = ampc_graph::gen::two_cycles(200_000, 3);
     let mut rows = Vec::new();
     for inv in [64u64, 256, 1024, 4096] {
-        let out = ampc_one_vs_two_with_rate(&g, &cfg, inv);
+        let params = AlgoParams {
+            sample_inv: inv,
+            ..Default::default()
+        };
+        let input = AlgoInput::Unweighted(&g);
+        let out = registry::run_family_with("one-vs-two", Model::Ampc, &input, &cfg, &params)
+            .expect("a cycle pair is 2-regular");
         rows.push(vec![
             format!("1/{inv}"),
             out.report.kv_comm().queries.to_string(),
-            out.num_cycles.to_string(),
+            out.output.size().to_string(),
         ]);
     }
     md.para("**1-vs-2-cycle sampling rate** (2x200000): lower rates mean fewer, longer walks — same total queries, smaller contracted instance; the paper picked 1/1024.");

@@ -5,10 +5,10 @@
 //! algorithm shrinks the cycle ~2.59–3x per iteration and needs 4–9
 //! iterations (12–27 shuffles); AMPC needs a single shuffle.
 
+use super::run_row;
 use crate::util::{cycle_config, secs, speedup, Md};
-use ampc_core::one_vs_two::ampc_one_vs_two;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::Scale;
-use ampc_mpc::local_contraction::mpc_one_vs_two;
 
 /// Runs the experiment, returning a markdown section.
 pub fn run(scale: Scale) -> String {
@@ -18,9 +18,12 @@ pub fn run(scale: Scale) -> String {
     let mut speedups = Vec::new();
     for &k in ks {
         let g = ampc_graph::gen::two_cycles(k, 5);
-        let a = ampc_one_vs_two(&g, &cfg);
-        let (answer, m_rep) = mpc_one_vs_two(&g, &cfg);
-        assert_eq!(answer, a.answer, "models disagree at k={k}");
+        let a = run_row("one-vs-two", Model::Ampc, AlgoInput::Unweighted(&g), &cfg);
+        let m = run_row("one-vs-two", Model::Mpc, AlgoInput::Unweighted(&g), &cfg);
+        // Either model answers `One` exactly when it found one cycle.
+        let one = (a.output.size() == 1, m.output.size() == 1);
+        assert_eq!(one.0, one.1, "models disagree at k={k}");
+        let m_rep = m.report;
         let iters = m_rep.num_shuffles() / 3;
         let shrink = if iters > 0 {
             (2.0 * k as f64 / cfg.in_memory_threshold as f64).powf(1.0 / iters as f64)

@@ -71,9 +71,9 @@ pub fn run(scale: Scale) -> String {
     ));
     md.para(&format!(
         "Round-trip accounting (§5.3): lookup latency is charged per *batch*, bandwidth \
-         per key. The batched pipeline issues **{}** fewer charged round trips than the \
-         single-key baseline (identical queries, bytes and outputs — the toggle changes \
-         only how round trips are counted), because independent lookups — KV writes, \
+         per key. The batched pipeline issues **{}** fewer charged round trips than a \
+         mapping of one op per round trip would be charged for the same run (`queries + \
+         writes`, the single-key column), because independent lookups — KV writes, \
          per-vertex root fetches — share a round trip while only dependent (adaptive) \
          queries pay their own latency.",
         if batching_always_wins {

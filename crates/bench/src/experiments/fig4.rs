@@ -4,24 +4,18 @@
 //! gives 1.26–2.59x over unoptimized, caching alone 1.47–3.99x, and
 //! caching cuts KV bytes by 1.96–12.2x.
 
+use super::run_row;
 use crate::util::{harness_config, load, secs, Md};
-use ampc_core::mis::{ampc_mis_with_options, MisOptions};
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_graph::CsrGraph;
 use ampc_runtime::AmpcConfig;
 
 fn run_variant(g: &CsrGraph, cfg: &AmpcConfig, caching: bool, mt: bool) -> (u64, u64) {
-    let mut c = *cfg;
+    let mut c = cfg.with_caching(caching);
     c.cost.multithreading = mt;
-    let out = ampc_mis_with_options(
-        g,
-        &c,
-        MisOptions {
-            caching,
-            truncated: false,
-        },
-    );
-    (out.report.sim_ns(), out.report.kv_comm().kv_bytes())
+    let report = run_row("mis", Model::Ampc, AlgoInput::Unweighted(g), &c).report;
+    (report.sim_ns(), report.kv_comm().kv_bytes())
 }
 
 /// Runs the experiment, returning a markdown section.

@@ -5,10 +5,9 @@
 //! in terms of the total amount of communication with respect to the
 //! number of edges."*
 
+use super::run_row;
 use crate::util::{bytes, harness_config, load, load_weighted, Md};
-use ampc_core::matching::ampc_matching;
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
 
 /// Runs the experiment, returning a markdown section.
@@ -20,9 +19,13 @@ pub fn run(scale: Scale) -> String {
         let g = load(d, scale);
         let w = load_weighted(d, scale);
         let m = g.num_edges() as u64;
-        let mis = ampc_mis(&g, &cfg).report.kv_comm().kv_bytes();
-        let mm = ampc_matching(&g, &cfg).report.kv_comm().kv_bytes();
-        let msf = ampc_msf(&w, &cfg).report.kv_comm().kv_bytes();
+        let kv_bytes = |family, input| {
+            let report = run_row(family, Model::Ampc, input, &cfg).report;
+            report.kv_comm().kv_bytes()
+        };
+        let mis = kv_bytes("mis", AlgoInput::Unweighted(&g));
+        let mm = kv_bytes("mm", AlgoInput::Unweighted(&g));
+        let msf = kv_bytes("msf", AlgoInput::Weighted(&w));
         for (i, v) in [mis, mm, msf].into_iter().enumerate() {
             ratios[i].push(v as f64 / m as f64);
         }

@@ -12,7 +12,11 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
+use crate::registry;
+use ampc_core::algorithm::{AlgoInput, AlgoOutput, Model};
 use ampc_graph::datasets::Scale;
+use ampc_runtime::driver::Driven;
+use ampc_runtime::AmpcConfig;
 
 /// One reproduced artifact: its CLI name (`ampc experiment <name>`),
 /// its title, and the function rendering its markdown section.
@@ -51,4 +55,16 @@ pub fn run_all(scale: Scale) -> String {
         out.push_str(&run(scale));
     }
     out
+}
+
+/// Runs a registry row with default parameters. The experiments name
+/// only rows that exist, on inputs they accept.
+fn run_row(
+    family: &str,
+    model: Model,
+    input: AlgoInput<'_>,
+    cfg: &AmpcConfig,
+) -> Driven<AlgoOutput> {
+    registry::run_family(family, model, &input, cfg)
+        .unwrap_or_else(|e| panic!("{family}/{}: {e}", model.token()))
 }

@@ -6,12 +6,17 @@
 //! 2.06–3.24x the search, for large ones the search dominates by
 //! 1.38–1.43x; in MSF the contraction stages carry the largest share.
 
+use super::run_row;
 use crate::util::{harness_config, load, load_weighted, secs, speedup, Md};
-use ampc_core::matching::ampc_matching;
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
-use ampc_runtime::JobReport;
+use ampc_runtime::{AmpcConfig, JobReport};
+
+/// `family`'s AMPC and MPC reports on one input.
+fn both(family: &str, input: AlgoInput<'_>, cfg: &AmpcConfig) -> (JobReport, JobReport) {
+    let report = |model| run_row(family, model, input, cfg).report;
+    (report(Model::Ampc), report(Model::Mpc))
+}
 
 /// Sums the simulated time of stages whose name starts with any prefix.
 fn group(r: &JobReport, prefixes: &[&str]) -> u64 {
@@ -64,11 +69,8 @@ pub fn run_fig5(scale: Scale) -> String {
         .iter()
         .map(|&d| {
             let g = load(d, scale);
-            (
-                d.name(),
-                ampc_mis(&g, &cfg).report,
-                ampc_mpc::mpc_mis(&g, &cfg).report,
-            )
+            let (ampc, mpc) = both("mis", AlgoInput::Unweighted(&g), &cfg);
+            (d.name(), ampc, mpc)
         })
         .collect();
     section(
@@ -91,11 +93,8 @@ pub fn run_fig6(scale: Scale) -> String {
         .iter()
         .map(|&d| {
             let g = load(d, scale);
-            (
-                d.name(),
-                ampc_matching(&g, &cfg).report,
-                ampc_mpc::mpc_matching(&g, &cfg).report,
-            )
+            let (ampc, mpc) = both("mm", AlgoInput::Unweighted(&g), &cfg);
+            (d.name(), ampc, mpc)
         })
         .collect();
     section(
@@ -118,11 +117,8 @@ pub fn run_fig7(scale: Scale) -> String {
         .iter()
         .map(|&d| {
             let w = load_weighted(d, scale);
-            (
-                d.name(),
-                ampc_msf(&w, &cfg).report,
-                ampc_mpc::mpc_msf(&w, &cfg).report,
-            )
+            let (ampc, mpc) = both("msf", AlgoInput::Weighted(&w), &cfg);
+            (d.name(), ampc, mpc)
         })
         .collect();
     section(

@@ -1,13 +1,12 @@
 //! Table 1 — round-complexity summary: the theory column from the paper
 //! next to the rounds our implementations actually used.
 
+use super::run_row;
 use crate::util::{harness_config, load, load_weighted, Md};
-use ampc_core::matching::{ampc_matching, ampc_matching_loglog};
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
-use ampc_core::one_vs_two::ampc_one_vs_two;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_runtime::JobReport;
+use AlgoInput::{Unweighted, Weighted};
 
 fn rounds(r: &JobReport) -> String {
     format!(
@@ -24,32 +23,31 @@ pub fn run(scale: Scale) -> String {
     let g = load(d, scale);
     let w = load_weighted(d, scale);
 
-    let mis = ampc_mis(&g, &cfg);
-    let mm = ampc_matching(&g, &cfg);
-    let mm_ll = ampc_matching_loglog(&g, &cfg);
-    let msf = ampc_msf(&w, &cfg);
-    let cc = ampc_core::connectivity::ampc_connected_components(&g, &cfg);
-    let cyc = ampc_one_vs_two(&ampc_graph::gen::two_cycles(100_000, 1), &cfg);
+    let cycles = ampc_graph::gen::two_cycles(100_000, 1);
+    // Every row is a registry row, Table 1's theory variant included.
+    let report = |family: &str, input| run_row(family, Model::Ampc, input, &cfg).report;
+    let mis = report("mis", Unweighted(&g));
+    let mm = report("mm", Unweighted(&g));
+    let mm_ll = report("mm/loglog", Unweighted(&g));
+    let msf = report("msf", Weighted(&w));
+    let cc = report("cc", Unweighted(&g));
+    let cyc = report("one-vs-two", Unweighted(&cycles));
 
     let rows = vec![
-        vec!["Connectivity".into(), "O(1)".into(), rounds(&cc.report)],
-        vec!["MSF".into(), "O(1)".into(), rounds(&msf.report)],
+        vec!["Connectivity".into(), "O(1)".into(), rounds(&cc)],
+        vec!["MSF".into(), "O(1)".into(), rounds(&msf)],
         vec![
             "Matching (O(m + n^{1+eps}) space)".into(),
             "O(1)".into(),
-            rounds(&mm.report),
+            rounds(&mm),
         ],
         vec![
             "Matching (O~(m + n) space)".into(),
             "O(log log n)".into(),
-            rounds(&mm_ll.report),
+            rounds(&mm_ll),
         ],
-        vec!["MIS [19]".into(), "O(1)".into(), rounds(&mis.report)],
-        vec![
-            "1-vs-2-Cycle [19]".into(),
-            "O(1)".into(),
-            rounds(&cyc.report),
-        ],
+        vec!["MIS [19]".into(), "O(1)".into(), rounds(&mis)],
+        vec!["1-vs-2-Cycle [19]".into(), "O(1)".into(), rounds(&cyc)],
     ];
 
     let mut md = Md::new();

@@ -1,10 +1,9 @@
 //! Table 3 — number of shuffles (costly rounds) per algorithm and
 //! dataset, plus the §5.3 note on simulating AMPC in MPC.
 
+use super::run_row;
 use crate::util::{harness_config, load, load_weighted, Md};
-use ampc_core::matching::ampc_matching;
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_mpc::simulate_ampc::simulated_ampc_mis_shuffles;
 
@@ -23,12 +22,17 @@ pub fn run(scale: Scale) -> String {
     for d in Dataset::REAL_WORLD {
         let g = load(d, scale);
         let w = load_weighted(d, scale);
-        let a_mis = ampc_mis(&g, &cfg).report.num_shuffles();
-        let a_mm = ampc_matching(&g, &cfg).report.num_shuffles();
-        let a_msf = ampc_msf(&w, &cfg).report.num_shuffles();
-        let m_mis = ampc_mpc::mpc_mis(&g, &cfg).report.num_shuffles();
-        let m_mm = ampc_mpc::mpc_matching(&g, &cfg).report.num_shuffles();
-        let m_msf = ampc_mpc::mpc_msf(&w, &cfg).report.num_shuffles();
+        let (g, w) = (AlgoInput::Unweighted(&g), AlgoInput::Weighted(&w));
+        let shuffles = |family, model, input| {
+            let report = run_row(family, model, input, &cfg).report;
+            report.num_shuffles()
+        };
+        let a_mis = shuffles("mis", Model::Ampc, g);
+        let a_mm = shuffles("mm", Model::Ampc, g);
+        let a_msf = shuffles("msf", Model::Ampc, w);
+        let m_mis = shuffles("mis", Model::Mpc, g);
+        let m_mm = shuffles("mm", Model::Mpc, g);
+        let m_msf = shuffles("msf", Model::Mpc, w);
         rows.push(vec![
             d.name(),
             a_mis.to_string(),

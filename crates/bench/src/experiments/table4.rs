@@ -5,12 +5,11 @@
 //! latency-bound walks), MIS less (1.50–1.85x); both still beat MPC
 //! (MIS MPC 2.30–3.04x slower than RDMA-AMPC; 2-cycle MPC 3.40–9.87x).
 
+use super::run_row;
 use crate::util::{cycle_config, harness_config, load, Md};
-use ampc_core::mis::ampc_mis;
-use ampc_core::one_vs_two::ampc_one_vs_two;
+use ampc_core::algorithm::{AlgoInput, Model};
 use ampc_dht::cost::Network;
 use ampc_graph::datasets::{Dataset, Scale};
-use ampc_mpc::local_contraction::mpc_one_vs_two;
 use ampc_runtime::AmpcConfig;
 
 fn with_net(cfg: &AmpcConfig, n: Network) -> AmpcConfig {
@@ -36,14 +35,13 @@ pub fn run(scale: Scale) -> String {
     let mut rows = Vec::new();
     for &k in ks {
         let g = ampc_graph::gen::two_cycles(k, 5);
-        let rdma = ampc_one_vs_two(&g, &with_net(&ccfg, Network::Rdma))
-            .report
-            .sim_ns();
-        let tcp = ampc_one_vs_two(&g, &with_net(&ccfg, Network::Tcp))
-            .report
-            .sim_ns();
-        let (_, mpc) = mpc_one_vs_two(&g, &ccfg);
-        let mpc = mpc.sim_ns();
+        let sim = |model, c: &AmpcConfig| {
+            let report = run_row("one-vs-two", model, AlgoInput::Unweighted(&g), c).report;
+            report.sim_ns()
+        };
+        let rdma = sim(Model::Ampc, &with_net(&ccfg, Network::Rdma));
+        let tcp = sim(Model::Ampc, &with_net(&ccfg, Network::Tcp));
+        let mpc = sim(Model::Mpc, &ccfg);
         if tcp >= mpc {
             tcp_not_faster.push(format!("2-cycle 2x{k}"));
         }
@@ -64,9 +62,13 @@ pub fn run(scale: Scale) -> String {
     let mut rows = Vec::new();
     for d in Dataset::REAL_WORLD {
         let g = load(d, scale);
-        let rdma = ampc_mis(&g, &with_net(&cfg, Network::Rdma)).report.sim_ns();
-        let tcp = ampc_mis(&g, &with_net(&cfg, Network::Tcp)).report.sim_ns();
-        let mpc = ampc_mpc::mpc_mis(&g, &cfg).report.sim_ns();
+        let sim = |model, c: &AmpcConfig| {
+            let report = run_row("mis", model, AlgoInput::Unweighted(&g), c).report;
+            report.sim_ns()
+        };
+        let rdma = sim(Model::Ampc, &with_net(&cfg, Network::Rdma));
+        let tcp = sim(Model::Ampc, &with_net(&cfg, Network::Tcp));
+        let mpc = sim(Model::Mpc, &cfg);
         if tcp >= mpc {
             tcp_not_faster.push(format!("MIS {}", d.name()));
         }

@@ -5,12 +5,12 @@
 //! regenerates one, `ampc experiment all` everything into
 //! `EXPERIMENTS.md`. See DESIGN.md §4 for the experiment index.
 //!
-//! The [`registry`] names every kernel family × model backend behind
-//! the `AmpcAlgorithm` trait, and the `ampc` binary composes any of
-//! them with any [`ampc_graph::GraphSource`] and any runtime knob,
-//! emitting JSON run records (checked by [`json`]); `fig3`, `fig8`, the
-//! repo benchmark and the `records` pins resolve their kernels
-//! through the same registry (DESIGN.md §7).
+//! The [`registry`] is the one way to run a kernel: every family × model
+//! backend, plus the theory variants, as rows of plain data. The `ampc`
+//! binary composes any row with any [`ampc_graph::GraphSource`] and any
+//! runtime knob, emitting JSON run records (checked by [`json`]); the
+//! experiments, the repo benchmark and the `records` pins run the same
+//! rows (DESIGN.md §7).
 //!
 //! Scale is controlled by the `AMPC_SCALE` environment variable:
 //! `test` (seconds), `mid` (default; minutes), `bench` (the full

@@ -1,18 +1,28 @@
-//! The algorithm registry: every kernel family × model backend the
-//! workspace implements, addressable by name.
+//! The algorithm registry: every kernel the workspace runs, one row per
+//! `family[/variant]` × model, addressable by name.
 //!
-//! The registry is the composition point the tentpole refactor builds
-//! toward: the `ampc` workload CLI, the figure harnesses and the
-//! equivalence test suite all resolve algorithms here and run them
-//! through `ampc_runtime::driver::drive`, so there is **one** code path
-//! from a (family, model, graph, config) request to a finished
-//! [`Driven`] run record — the paper's fixed experiment menu becomes an
-//! any-algorithm × any-graph matrix.
+//! A row is plain data — family, model, the input it takes, a one-line
+//! summary and a `fn` that calls the kernel's one `*_in_job` body — and
+//! [`RegistryEntry::run`] drives it with `ampc_runtime::driver::drive`.
+//! That is the only way to run a kernel: the `ampc` CLI, the
+//! experiments, the examples, the integration tests and the repo
+//! benchmark all resolve rows here, so every run yields the same
+//! [`Driven`] record (DESIGN.md §7). Besides the seven families under
+//! both models, the theory variants the paper's Table 1 lists next to
+//! the production kernels are rows too, AMPC only.
 
-use ampc_core::algorithm::{self, AlgoInput, AlgoOutput, AmpcAlgorithm, InputKind, Model};
-use ampc_graph::dynamic::BatchMix;
+use ampc_core::algorithm::{
+    validate_family, validate_walks_shape, AlgoInput, AlgoOutput, InputKind, Model,
+};
+use ampc_core::connectivity::{self, forest_cc::forest_cc_in_job};
+use ampc_core::dynamic::{ampc_dynamic_cc_in_job, validate_dynamic_labels};
+use ampc_core::msf::in_memory::kruskal;
+use ampc_core::one_vs_two::{ampc_one_vs_two_in_job, CycleAnswer};
+use ampc_core::{matching, mis, msf, walks};
+use ampc_graph::dynamic::{generate_batches, BatchMix, UpdateBatch, DEFAULT_SCHEDULE_SEED};
+use ampc_graph::{CsrGraph, WeightedCsrGraph};
 use ampc_runtime::driver::{drive, Driven};
-use ampc_runtime::AmpcConfig;
+use ampc_runtime::{AmpcConfig, Job};
 
 /// Tunables for the parameterized families (walks, 1-vs-2-cycle,
 /// batch-dynamic connectivity); ignored by the others.
@@ -36,179 +46,299 @@ pub struct AlgoParams {
 
 impl Default for AlgoParams {
     fn default() -> Self {
-        let dyn_defaults = algorithm::AmpcDynamicCc::default();
         AlgoParams {
             walkers_per_node: 1,
             steps: 8,
             sample_inv: 1024,
-            dyn_batches: dyn_defaults.batches,
-            dyn_ops: dyn_defaults.ops,
-            dyn_mix: dyn_defaults.mix,
-            dyn_seed: dyn_defaults.schedule_seed,
+            dyn_batches: 4,
+            dyn_ops: 64,
+            dyn_mix: BatchMix::Churn,
+            dyn_seed: DEFAULT_SCHEDULE_SEED,
         }
     }
 }
 
-/// One registry row: a family name, a model backend, and a factory.
+impl AlgoParams {
+    /// The dyn-cc update schedule these parameters describe over `g`:
+    /// both dyn-cc rows and their validation regenerate the same batches.
+    fn schedule(&self, g: &CsrGraph) -> Vec<UpdateBatch> {
+        generate_batches(
+            g,
+            self.dyn_batches,
+            self.dyn_ops,
+            self.dyn_mix,
+            self.dyn_seed,
+        )
+    }
+}
+
+/// One registry row.
 pub struct RegistryEntry {
-    /// Canonical family name (`"mis"`, `"mm"`, `"msf"`, `"cc"`,
-    /// `"one-vs-two"`, `"walks"`).
+    /// The row's name: a canonical family (`"mis"`, `"mm"`, `"msf"`,
+    /// `"cc"`, `"one-vs-two"`, `"walks"`, `"dyn-cc"`), or
+    /// `family/variant` for a theory variant (`"mm/loglog"`).
     pub family: &'static str,
-    /// Which model backend the row provides.
+    /// Which model backend the row runs.
     pub model: Model,
+    /// The input the row takes.
+    pub input: InputKind,
     /// One-line description for `ampc list`.
     pub summary: &'static str,
-    build: fn(&AlgoParams) -> Box<dyn AmpcAlgorithm>,
+    /// Calls the kernel's body; [`RegistryEntry::run`] checks the input
+    /// first.
+    pub run: fn(&mut Job, &AlgoInput<'_>, &AlgoParams) -> AlgoOutput,
 }
 
 impl RegistryEntry {
-    /// Instantiates the algorithm with the given parameters.
-    pub fn build(&self, params: &AlgoParams) -> Box<dyn AmpcAlgorithm> {
-        (self.build)(params)
-    }
-
-    /// What input the algorithm requires.
-    pub fn input_kind(&self, params: &AlgoParams) -> InputKind {
-        self.build(params).input_kind()
-    }
-
-    /// Checks the input, then runs the algorithm through the driver —
-    /// the single CLI-to-kernel code path.
+    /// Checks the input, then drives the row: the one way to run a
+    /// kernel.
     pub fn run(
         &self,
         input: &AlgoInput<'_>,
         cfg: &AmpcConfig,
         params: &AlgoParams,
     ) -> Result<Driven<AlgoOutput>, String> {
-        let alg = self.build(params);
-        input.satisfies(alg.input_kind())?;
-        Ok(drive(cfg, |job| alg.run(job, input)))
+        input.satisfies(self.input)?;
+        Ok(drive(cfg, |job| (self.run)(job, input, params)))
     }
 
-    /// Validates an output produced by [`Self::run`].
+    /// Validates an output of [`Self::run`]: the shared family validator,
+    /// plus the walk shape and the dyn-cc epoch replay that `params` fix.
     pub fn validate(
         &self,
         input: &AlgoInput<'_>,
         output: &AlgoOutput,
         params: &AlgoParams,
     ) -> Result<(), String> {
-        self.build(params).validate(input, output)
+        match output {
+            AlgoOutput::Walks(_) => {
+                validate_walks_shape(input, output, params.walkers_per_node, params.steps)?
+            }
+            // Replaying every epoch subsumes the family check of epoch 0.
+            AlgoOutput::DynamicComponents(labels) => {
+                let g = input.structure();
+                return validate_dynamic_labels(g, &params.schedule(g), labels);
+            }
+            _ => {}
+        }
+        validate_family(self.family, input, output)
     }
 }
 
-/// All registered algorithms: seven kernel families × two model
-/// backends.
-pub const ENTRIES: [RegistryEntry; 14] = [
+/// The weighted graph of a row whose input kind is `Weighted`.
+fn weighted<'g>(input: &AlgoInput<'g>) -> &'g WeightedCsrGraph {
+    input
+        .weighted()
+        .expect("RegistryEntry::run checked the input kind")
+}
+
+/// Every row: each family under both models, each AMPC theory variant of
+/// Table 1 after its family.
+pub const ENTRIES: [RegistryEntry; 19] = [
     RegistryEntry {
         family: "mis",
         model: Model::Ampc,
+        input: InputKind::Unweighted,
         summary: "maximal independent set, 1 shuffle + recursive query process (Fig. 1)",
-        build: |_| Box::new(algorithm::AmpcMis),
+        run: |job, input, _| AlgoOutput::Mis(mis::ampc_mis_in_job(job, input.structure(), false)),
     },
     RegistryEntry {
         family: "mis",
         model: Model::Mpc,
+        input: InputKind::Unweighted,
         summary: "rootset MIS, 2 shuffles per phase (Fig. 2)",
-        build: |_| Box::new(ampc_mpc::algorithms::MpcMis),
+        run: |job, input, _| AlgoOutput::Mis(ampc_mpc::mpc_mis_in_job(job, input.structure())),
+    },
+    RegistryEntry {
+        family: "mis/truncated",
+        model: Model::Ampc,
+        input: InputKind::Unweighted,
+        summary: "MIS by the n^eps-truncated multi-round query process of [19]",
+        run: |job, input, _| AlgoOutput::Mis(mis::ampc_mis_in_job(job, input.structure(), true)),
     },
     RegistryEntry {
         family: "mm",
         model: Model::Ampc,
+        input: InputKind::Unweighted,
         summary: "maximal matching via the vertex query process (§4.2, §5.4)",
-        build: |_| Box::new(algorithm::AmpcMatching),
+        run: |job, input, _| {
+            AlgoOutput::Matching(matching::ampc_matching_in_job(
+                job,
+                input.structure(),
+                false,
+            ))
+        },
     },
     RegistryEntry {
         family: "mm",
         model: Model::Mpc,
+        input: InputKind::Unweighted,
         summary: "rootset maximal matching (§5.4 baseline)",
-        build: |_| Box::new(ampc_mpc::algorithms::MpcMatching),
+        run: |job, input, _| {
+            AlgoOutput::Matching(ampc_mpc::mpc_matching_in_job(job, input.structure()))
+        },
+    },
+    RegistryEntry {
+        family: "mm/truncated",
+        model: Model::Ampc,
+        input: InputKind::Unweighted,
+        summary: "maximal matching by the n^eps-truncated vertex process (Lemma 4.7)",
+        run: |job, input, _| {
+            AlgoOutput::Matching(matching::ampc_matching_in_job(job, input.structure(), true))
+        },
+    },
+    RegistryEntry {
+        family: "mm/loglog",
+        model: Model::Ampc,
+        input: InputKind::Unweighted,
+        summary: "O(log log n)-round maximal matching by edge sampling (Algorithm 4)",
+        run: |job, input, _| {
+            AlgoOutput::Matching(matching::ampc_matching_loglog_in_job(
+                job,
+                input.structure(),
+            ))
+        },
     },
     RegistryEntry {
         family: "msf",
         model: Model::Ampc,
+        input: InputKind::Weighted,
         summary: "minimum spanning forest, the §5.5 production pipeline",
-        build: |_| Box::new(algorithm::AmpcMsf),
+        run: |job, input, _| AlgoOutput::Forest(msf::ampc_msf_in_job(job, weighted(input))),
     },
     RegistryEntry {
         family: "msf",
         model: Model::Mpc,
+        input: InputKind::Weighted,
         summary: "Boruvka MSF with red/blue contraction (§5.5 baseline)",
-        build: |_| Box::new(ampc_mpc::algorithms::MpcMsf),
+        run: |job, input, _| AlgoOutput::Forest(ampc_mpc::mpc_msf_in_job(job, weighted(input))),
+    },
+    RegistryEntry {
+        family: "msf/algorithm2",
+        model: Model::Ampc,
+        input: InputKind::Weighted,
+        summary: "MSF that ternarizes sparse graphs first (Algorithm 2)",
+        run: |job, input, _| {
+            AlgoOutput::Forest(msf::ampc_msf_algorithm2_in_job(job, weighted(input)))
+        },
     },
     RegistryEntry {
         family: "cc",
         model: Model::Ampc,
+        input: InputKind::Unweighted,
         summary: "connected components = random-weight MSF + forest connectivity (Thm. 1)",
-        build: |_| Box::new(algorithm::AmpcConnectivity),
+        run: |job, input, _| {
+            AlgoOutput::Components(connectivity::ampc_connected_components_in_job(
+                job,
+                input.structure(),
+            ))
+        },
     },
     RegistryEntry {
         family: "cc",
         model: Model::Mpc,
+        input: InputKind::Unweighted,
         summary: "CC-LocalContraction (§5.6 baseline)",
-        build: |_| Box::new(ampc_mpc::algorithms::MpcConnectivity),
+        run: |job, input, _| {
+            AlgoOutput::Components(ampc_mpc::mpc_connected_components_in_job(
+                job,
+                input.structure(),
+            ))
+        },
+    },
+    RegistryEntry {
+        family: "cc/forest",
+        model: Model::Ampc,
+        input: InputKind::Weighted,
+        summary: "forest connectivity (Prop. 3.2) on the input's Kruskal forest",
+        run: |job, input, _| {
+            // The forest is built host-side, outside the job: only forest
+            // connectivity is metered.
+            let forest: Vec<_> = kruskal(weighted(input))
+                .iter()
+                .map(|e| (e.u, e.v))
+                .collect();
+            AlgoOutput::Components(forest_cc_in_job(job, input.num_nodes(), &forest))
+        },
     },
     RegistryEntry {
         family: "one-vs-two",
         model: Model::Ampc,
+        input: InputKind::CycleUnion,
         summary: "1-vs-2-cycle by sampled bidirectional search (§5.6)",
-        build: |p| {
-            Box::new(algorithm::AmpcOneVsTwo {
-                sample_inv: p.sample_inv,
-            })
+        run: |job, input, p| {
+            let (answer, num_cycles) = ampc_one_vs_two_in_job(job, input.structure(), p.sample_inv);
+            AlgoOutput::Cycles { answer, num_cycles }
         },
     },
     RegistryEntry {
         family: "one-vs-two",
         model: Model::Mpc,
+        input: InputKind::CycleUnion,
         summary: "1-vs-2-cycle answered by CC-LocalContraction",
-        build: |_| Box::new(ampc_mpc::algorithms::MpcOneVsTwo),
+        run: |job, input, _| {
+            let label = ampc_mpc::mpc_connected_components_in_job(job, input.structure());
+            // Canonical labels name each cycle by its smallest vertex.
+            let num_cycles = label
+                .iter()
+                .enumerate()
+                .filter(|&(v, &l)| l as usize == v)
+                .count();
+            AlgoOutput::Cycles {
+                answer: CycleAnswer::of(num_cycles),
+                num_cycles,
+            }
+        },
     },
     RegistryEntry {
         family: "walks",
         model: Model::Ampc,
+        input: InputKind::Unweighted,
         summary: "random walks: one KV round of adaptive depth = walk length (§5.7)",
-        build: |p| {
-            Box::new(algorithm::AmpcWalks {
-                walkers_per_node: p.walkers_per_node,
-                steps: p.steps,
-            })
+        run: |job, input, p| {
+            let g = input.structure();
+            AlgoOutput::Walks(walks::ampc_random_walks_in_job(
+                job,
+                g,
+                p.walkers_per_node,
+                p.steps,
+            ))
         },
     },
     RegistryEntry {
         family: "walks",
         model: Model::Mpc,
+        input: InputKind::Unweighted,
         summary: "random walks: one shuffle per hop (the §5.7 separation baseline)",
-        build: |p| {
-            Box::new(ampc_mpc::algorithms::MpcWalks {
-                walkers_per_node: p.walkers_per_node,
-                steps: p.steps,
-            })
+        run: |job, input, p| {
+            let g = input.structure();
+            AlgoOutput::Walks(ampc_mpc::mpc_random_walks_in_job(
+                job,
+                g,
+                p.walkers_per_node,
+                p.steps,
+            ))
         },
     },
     RegistryEntry {
         family: "dyn-cc",
         model: Model::Ampc,
+        input: InputKind::Unweighted,
         summary: "batch-dynamic connectivity: labels maintained, one DHT epoch per batch",
-        build: |p| {
-            Box::new(algorithm::AmpcDynamicCc {
-                batches: p.dyn_batches,
-                ops: p.dyn_ops,
-                mix: p.dyn_mix,
-                schedule_seed: p.dyn_seed,
-            })
+        run: |job, input, p| {
+            let g = input.structure();
+            AlgoOutput::DynamicComponents(ampc_dynamic_cc_in_job(job, g, &p.schedule(g)))
         },
     },
     RegistryEntry {
         family: "dyn-cc",
         model: Model::Mpc,
+        input: InputKind::Unweighted,
         summary: "batch-dynamic connectivity: full recompute from scratch per batch",
-        build: |p| {
-            Box::new(ampc_mpc::algorithms::MpcDynamicCc {
-                batches: p.dyn_batches,
-                ops: p.dyn_ops,
-                mix: p.dyn_mix,
-                schedule_seed: p.dyn_seed,
-            })
+        run: |job, input, p| {
+            let g = input.structure();
+            let batches = p.schedule(g);
+            AlgoOutput::DynamicComponents(ampc_mpc::mpc_recompute_cc_in_job(job, g, &batches))
         },
     },
 ];
@@ -216,19 +346,31 @@ pub const ENTRIES: [RegistryEntry; 14] = [
 /// The canonical family names, in registry order.
 pub const FAMILIES: [&str; 7] = ["mis", "mm", "msf", "cc", "one-vs-two", "walks", "dyn-cc"];
 
-/// Resolves a user-supplied family name (aliases included) to its
-/// canonical form.
+/// Resolves a user-supplied row name, `family[/variant]` with aliases on
+/// the family part, to its canonical form.
 pub fn canonical_family(name: &str) -> Option<&'static str> {
-    match name.to_ascii_lowercase().as_str() {
-        "mis" => Some("mis"),
-        "mm" | "matching" | "maximal-matching" => Some("mm"),
-        "msf" | "mst" => Some("msf"),
-        "cc" | "connectivity" | "components" => Some("cc"),
-        "one-vs-two" | "1v2" | "1-vs-2" | "cycle" | "one-vs-two-cycle" => Some("one-vs-two"),
-        "walks" | "walk" | "random-walks" => Some("walks"),
-        "dyn-cc" | "dyncc" | "dynamic-cc" | "dynamic-connectivity" => Some("dyn-cc"),
-        _ => None,
-    }
+    let name = name.to_ascii_lowercase();
+    let (family, variant) = match name.split_once('/') {
+        Some((family, variant)) => (family, Some(variant)),
+        None => (name.as_str(), None),
+    };
+    let family = match family {
+        "mis" => "mis",
+        "mm" | "matching" | "maximal-matching" => "mm",
+        "msf" | "mst" => "msf",
+        "cc" | "connectivity" | "components" => "cc",
+        "one-vs-two" | "1v2" | "1-vs-2" | "cycle" | "one-vs-two-cycle" => "one-vs-two",
+        "walks" | "walk" | "random-walks" => "walks",
+        "dyn-cc" | "dyncc" | "dynamic-cc" | "dynamic-connectivity" => "dyn-cc",
+        _ => return None,
+    };
+    let Some(variant) = variant else {
+        return Some(family);
+    };
+    ENTRIES
+        .iter()
+        .map(|e| e.family)
+        .find(|row| row.split_once('/') == Some((family, variant)))
 }
 
 /// Looks up the registry row for `(family, model)`, aliases accepted.
@@ -239,8 +381,7 @@ pub fn lookup(family: &str, model: Model) -> Option<&'static RegistryEntry> {
         .find(|e| e.family == family && e.model == model)
 }
 
-/// Convenience: resolve and run in one step (the figure harnesses'
-/// entry point).
+/// Convenience: resolve and run in one step with default parameters.
 pub fn run_family(
     family: &str,
     model: Model,
@@ -283,7 +424,14 @@ mod tests {
                 );
             }
         }
-        assert_eq!(ENTRIES.len(), FAMILIES.len() * 2);
+        // Each family under both models, plus the five AMPC variants.
+        assert_eq!(ENTRIES.len(), FAMILIES.len() * 2 + 5);
+        for e in &ENTRIES {
+            let family = e.family.split('/').next().unwrap_or_default();
+            assert!(FAMILIES.contains(&family), "{}", e.family);
+            let found = lookup(e.family, e.model).map(|f| f.family);
+            assert_eq!(found, Some(e.family), "{}/{}", e.family, e.model.token());
+        }
     }
 
     #[test]
@@ -293,6 +441,10 @@ mod tests {
         assert_eq!(canonical_family("components"), Some("cc"));
         assert_eq!(canonical_family("dynamic-cc"), Some("dyn-cc"));
         assert_eq!(canonical_family("nope"), None);
+        assert_eq!(canonical_family("Matching/LogLog"), Some("mm/loglog"));
+        assert_eq!(canonical_family("components/forest"), Some("cc/forest"));
+        assert_eq!(canonical_family("mis/loglog"), None);
+        assert!(lookup("mm/loglog", Model::Mpc).is_none());
     }
 
     #[test]
@@ -321,8 +473,9 @@ mod tests {
         let g = gen::erdos_renyi(30, 60, 1);
         let input = AlgoInput::Unweighted(&g);
         let cfg = AmpcConfig::for_tests();
-        // MSF needs a weighted graph.
+        // MSF and forest connectivity need a weighted graph.
         assert!(run_family("msf", Model::Ampc, &input, &cfg).is_err());
+        assert!(run_family("cc/forest", Model::Ampc, &input, &cfg).is_err());
         // A non-2-regular graph is rejected by one-vs-two.
         assert!(run_family("one-vs-two", Model::Ampc, &input, &cfg).is_err());
         // MIS runs fine.

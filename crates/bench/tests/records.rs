@@ -17,9 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::{cycle_config, harness_config, load, md_table, GRAPH_SEED};
-use ampc_core::algorithm::{digest_u64s, AlgoInput, AlgoOutput, Model};
-use ampc_core::msf::in_memory::kruskal;
-use ampc_core::{connectivity, msf};
+use ampc_core::algorithm::{digest_u64s, AlgoInput, InputKind, Model};
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_graph::{gen, CsrGraph, WeightedCsrGraph};
@@ -147,12 +145,15 @@ macro_rules! suites {
 }
 
 suites! {
-    mis_outputs_and_charges_are_pinned: small_rows("mis");
-    matching_outputs_and_charges_are_pinned: small_rows("mm");
-    msf_outputs_and_charges_are_pinned: small_rows("msf");
-    algorithm2_outputs_and_charges_are_pinned: small_rows("algorithm2");
-    connectivity_outputs_and_charges_are_pinned: small_rows("cc");
-    forest_cc_outputs_and_charges_are_pinned: small_rows("forest_cc");
+    mis_outputs_and_charges_are_pinned: small_rows("mis", "mis");
+    matching_outputs_and_charges_are_pinned: small_rows("mm", "mm");
+    msf_outputs_and_charges_are_pinned: small_rows("msf", "msf");
+    algorithm2_outputs_and_charges_are_pinned: small_rows("algorithm2", "msf/algorithm2");
+    connectivity_outputs_and_charges_are_pinned: small_rows("cc", "cc");
+    forest_cc_outputs_and_charges_are_pinned: small_rows("forest_cc", "cc/forest");
+    truncated_mis_outputs_and_charges_are_pinned: small_rows("mis/truncated", "mis/truncated");
+    truncated_matching_outputs_and_charges_are_pinned: small_rows("mm/truncated", "mm/truncated");
+    loglog_matching_outputs_and_charges_are_pinned: small_rows("mm/loglog", "mm/loglog");
     registry_kernels_on_the_ok_mid_analogue_hold_their_pins: ok_mid_rows();
     one_vs_two_cycle_at_p100_holds_its_pin: cycle_rows();
     // The sealed read path alone: a scrambled successor function, every
@@ -203,15 +204,16 @@ fn run(family: &str, model: Model, input: AlgoInput, c: &AmpcConfig, p: AlgoPara
 /// every MSF / CC family runs at least two distributed rounds.
 const PRIM_THRESHOLDS: [usize; 2] = [500, 10];
 
-/// `family` on three small graphs and 4 machines: MIS and matching at the
-/// default threshold, the MSF / CC families at both [`PRIM_THRESHOLDS`].
-fn small_rows(family: &'static str) -> Vec<Row> {
+/// Registry row `family` on three small graphs and 4 machines, as rows
+/// named `{name}/{graph}/t{threshold}`: the MIS and matching rows at the
+/// default threshold, the MSF / CC rows at both [`PRIM_THRESHOLDS`].
+fn small_rows(name: &'static str, family: &'static str) -> Vec<Row> {
     let graphs = [
         ("rmat10", gen::rmat(10, 8_000, gen::RmatParams::SOCIAL, 3)),
         ("er400", gen::erdos_renyi(400, 3_000, 11)),
         ("er900", gen::erdos_renyi(900, 2_500, 12)),
     ];
-    let prim = !matches!(family, "mis" | "mm");
+    let prim = family.starts_with("msf") || family.starts_with("cc");
     let mut rows = Vec::new();
     for (i, (graph, g)) in graphs.into_iter().enumerate() {
         // Tie-heavy weights on the skewed graph, random ones on the other two.
@@ -225,27 +227,18 @@ fn small_rows(family: &'static str) -> Vec<Row> {
             cfg.in_memory_threshold = t;
             let inputs = inputs.clone();
             let run = move |c: &AmpcConfig| small(family, &inputs.0, &inputs.1, c);
-            rows.push(row(format!("{family}/{graph}/t{t}"), cfg, run));
+            rows.push(row(format!("{name}/{graph}/t{t}"), cfg, run));
         }
     }
     rows
 }
 
 fn small(family: &str, g: &CsrGraph, wg: &WeightedCsrGraph, c: &AmpcConfig) -> Run {
-    let (digest, report) = match family {
-        "msf" => run(family, Model::Ampc, Weighted(wg), c, <_>::default()),
-        "algorithm2" => {
-            let out = msf::ampc_msf_algorithm2(wg, c);
-            (AlgoOutput::Forest(out.edges).digest(), out.report)
-        }
-        "forest_cc" => {
-            // A spanning forest of the graph, in Kruskal's output order.
-            let forest: Vec<_> = kruskal(wg).iter().map(|e| (e.u, e.v)).collect();
-            let out = connectivity::forest_cc(g.num_nodes(), &forest, c);
-            (AlgoOutput::Components(out.label).digest(), out.report)
-        }
-        _ => run(family, Model::Ampc, Unweighted(g), c, <_>::default()),
+    let input = match registry::lookup(family, Model::Ampc).map(|e| e.input) {
+        Some(InputKind::Weighted) => Weighted(wg),
+        _ => Unweighted(g),
     };
+    let (digest, report) = run(family, Model::Ampc, input, c, <_>::default());
     let t = c.in_memory_threshold;
     let second = |n: &str| n.ends_with("-r2") || n.ends_with("-fc2");
     let one_round = t == PRIM_THRESHOLDS[1] && !report.stages.iter().any(|s| second(&s.name));
@@ -380,6 +373,15 @@ const PINS: &str = "
 | forest_cc/er400/t10    | 12415529030749286451 | 159000168269 | 19     | 9557709931069373042  | 1839     | 30352   | 8948        | 2052    | 852    | 1650    | 66772     | 22176   | 145   | 15976    | 8         | 10       | 0        |
 | forest_cc/er900/t500   | 8571818490149098678  | 80000339450  | 10     | 16376373030977338921 | 4816     | 64080   | 16504       | 4503    | 1800   | 3615    | 147288    | 46704   | 348   | 35904    | 4         | 5        | 0        |
 | forest_cc/er900/t10    | 8571818490149098678  | 159000358623 | 19     | 10935560119415755567 | 4306     | 67000   | 17698       | 4690    | 1888   | 3770    | 152832    | 48992   | 355   | 35904    | 8         | 10       | 0        |
+| mis/truncated/rmat10/t500 | 15953650136978639557 | 17000193307  | 3      | 6697106500637843023  | 2155     | 36136   | 9348        | 1634    | 1024   | 618     | 79332     | 40232   | 89    | 40232    | 2         | 1        | 0        |
+| mis/truncated/er400/t500  | 9711216576291673329  | 17000091165  | 3      | 13872087013967793847 | 1400     | 16620   | 4760        | 958     | 400    | 566     | 35392     | 18220   | 116   | 18220    | 2         | 1        | 0        |
+| mis/truncated/er900/t500  | 18144619370847960462 | 17000107487  | 3      | 12821031241509385093 | 2469     | 20776   | 5320        | 1761    | 900    | 869     | 42204     | 24376   | 153   | 24376    | 2         | 1        | 0        |
+| mm/truncated/rmat10/t500  | 609034232174119995   | 17000404813  | 3      | 10493892727369676906 | 1807     | 59984   | 15780       | 2185    | 1024   | 1169    | 218312    | 64080   | 2717  | 64080    | 2         | 1        | 0        |
+| mm/truncated/er400/t500   | 7222381998748056742  | 17000210778  | 3      | 3320643073610854677  | 1887     | 28440   | 8072        | 1526    | 400    | 1134    | 116684    | 30040   | 1735  | 30040    | 2         | 1        | 0        |
+| mm/truncated/er900/t500   | 6757947392582864843  | 17000223348  | 3      | 10216600198708597355 | 2948     | 30752   | 7912        | 2775    | 900    | 1883    | 110828    | 34352   | 2669  | 34352    | 2         | 1        | 0        |
+| mm/loglog/rmat10/t500     | 609034232174119995   | 62000068568  | 6      | 9100430723819368455  | 4656     | 63912   | 15978       | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 4        | 0        |
+| mm/loglog/er400/t500      | 7222381998748056742  | 31000059104  | 3      | 14275959555535333545 | 11824    | 47280   | 11820       | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 2        | 0        |
+| mm/loglog/er900/t500      | 6757947392582864843  | 31000049884  | 3      | 16624265631577748885 | 9980     | 39904   | 9976        | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 2        | 0        |
 | cc/ok-mid              | 12836948064979459057 | 179855957310 | 20     | 6673416924920222776  | 44727    | 3725112 | 465478      | 12533   | 4352   | 10417   | 20756416  | 1896304 | 792   | 1806080  | 8         | 10       | 0        |
 | mis/ok-mid             | 13521415645796549998 | 18485736312  | 3      | 3000479513471479513  | 9439     | 320128  | 36756       | 5857    | 2048   | 3829    | 1400972   | 328320  | 227   | 328320   | 2         | 1        | 0        |
 | mm/ok-mid              | 5088117128787151530  | 21666520249  | 3      | 6404929982127974896  | 14221    | 615680  | 68900       | 10114   | 2048   | 8086    | 5663652   | 623872  | 18783 | 623872   | 2         | 1        | 0        |

@@ -1,26 +1,19 @@
-//! The [`AmpcAlgorithm`] trait: one interface over every kernel family.
+//! The kernel-neutral vocabulary every registry row speaks: which model
+//! a row simulates ([`Model`]), what input it consumes ([`InputKind`],
+//! [`AlgoInput`]), what it returns ([`AlgoOutput`]) and the validators
+//! both models share ([`validate_family`], [`validate_walks_shape`]).
 //!
-//! The paper evaluates a fixed menu of algorithms (Table 3) on a fixed
-//! harness; this trait is what lets the workspace compose *any*
-//! registered algorithm with *any* graph source and *any* runtime
-//! configuration instead. An implementation names itself, declares what
-//! input it consumes ([`InputKind`]), runs inside a caller-provided
-//! [`Job`] (the driver owns config resolution, fault wiring and report
-//! finalization — see `ampc_runtime::driver`), and can validate its own
-//! output against the input.
-//!
-//! The AMPC implementations of all six kernel families live here as
-//! thin adapters over the in-job kernel entry points
-//! (`ampc_mis_in_job` & co.); the MPC baselines implement the same
-//! trait from the `ampc-mpc` crate, which is how the figure harnesses
-//! and the `ampc` CLI treat the two models uniformly.
+//! A kernel exports exactly one body, `*_in_job(job, …)`, which appends
+//! stages to a caller-provided [`ampc_runtime::Job`]. The registry in
+//! `ampc-bench` wraps each body in a row of plain data — family, model,
+//! input kind and a `fn` that calls the body — and runs it through
+//! `ampc_runtime::driver::drive`: the one path from a request to a
+//! finished run record.
 
 use crate::one_vs_two::CycleAnswer;
-use crate::{connectivity, matching, mis, msf, one_vs_two, validate, walks};
+use crate::{matching, validate};
 use ampc_dht::hasher::mix64;
-use ampc_graph::dynamic::{generate_batches, BatchMix};
 use ampc_graph::{CsrGraph, NodeId, WeightedCsrGraph, WeightedEdge, NO_NODE};
-use ampc_runtime::Job;
 
 /// Which model backend an implementation simulates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -222,34 +215,13 @@ impl AlgoOutput {
     }
 }
 
-/// One algorithm implementation, runnable by the driver against any
-/// satisfying input.
-pub trait AmpcAlgorithm: Sync {
-    /// The kernel family name (`"mis"`, `"mm"`, `"msf"`, `"cc"`,
-    /// `"one-vs-two"`, `"walks"`).
-    fn name(&self) -> &'static str;
-
-    /// Which model backend this implementation simulates.
-    fn model(&self) -> Model;
-
-    /// What input the implementation requires.
-    fn input_kind(&self) -> InputKind;
-
-    /// Runs the algorithm inside `job`. The caller (normally
-    /// `ampc_runtime::driver::drive`) owns the job's lifecycle; `run`
-    /// only appends stages. Implementations may assume
-    /// `input.satisfies(self.input_kind())` holds — the driver-facing
-    /// callers check it first.
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput;
-
-    /// Checks `output` against `input`, returning a human-readable
-    /// reason on failure.
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String>;
-}
-
-/// Shared validators, so the AMPC and MPC implementations of one family
-/// agree on what "correct" means.
-fn validate_family(family: &str, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
+/// The shared validator, so the AMPC and MPC rows of one family agree on
+/// what "correct" means. `family` names the row in error messages.
+pub fn validate_family(
+    family: &str,
+    input: &AlgoInput<'_>,
+    output: &AlgoOutput,
+) -> Result<(), String> {
     let g = input.structure();
     match output {
         AlgoOutput::Mis(in_mis) => {
@@ -294,11 +266,7 @@ fn validate_family(family: &str, input: &AlgoInput<'_>, output: &AlgoOutput) -> 
         }
         AlgoOutput::Cycles { answer, .. } => {
             let truth = ampc_graph::stats::connected_components(g).num_components;
-            let expect = if truth == 1 {
-                CycleAnswer::One
-            } else {
-                CycleAnswer::Two
-            };
+            let expect = CycleAnswer::of(truth);
             if *answer != expect {
                 return Err(format!(
                     "{family}: answered {answer:?} but the instance has {truth} cycle(s)"
@@ -326,7 +294,7 @@ fn validate_family(family: &str, input: &AlgoInput<'_>, output: &AlgoOutput) -> 
         AlgoOutput::DynamicComponents(epochs) => {
             // The family validator sees the input but not the update
             // schedule: it checks the shape and the initial epoch. The
-            // trait impls (which know the schedule) replay every batch
+            // registry (which knows the schedule) replays every batch
             // through `crate::dynamic::validate_dynamic_labels`.
             if epochs.is_empty() {
                 return Err(format!("{family}: no label epochs"));
@@ -345,273 +313,9 @@ fn validate_family(family: &str, input: &AlgoInput<'_>, output: &AlgoOutput) -> 
     }
 }
 
-// --------------------------------------------------------------------
-// AMPC implementations: thin adapters over the in-job kernel entry
-// points.
-// --------------------------------------------------------------------
-
-/// AMPC MIS (Figure 1; Proposition 4.2). Caching follows the job
-/// configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AmpcMis;
-
-impl AmpcAlgorithm for AmpcMis {
-    fn name(&self) -> &'static str {
-        "mis"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::Unweighted
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        let opts = mis::MisOptions {
-            caching: job.config().caching,
-            ..Default::default()
-        };
-        AlgoOutput::Mis(mis::ampc_mis_in_job(job, input.structure(), opts))
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        validate_family(self.name(), input, output)
-    }
-}
-
-/// AMPC maximal matching (§4.2, §5.4). Caching follows the job
-/// configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AmpcMatching;
-
-impl AmpcAlgorithm for AmpcMatching {
-    fn name(&self) -> &'static str {
-        "mm"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::Unweighted
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        let opts = matching::MatchingOptions {
-            caching: job.config().caching,
-            ..Default::default()
-        };
-        AlgoOutput::Matching(matching::ampc_matching_in_job(job, input.structure(), opts))
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        validate_family(self.name(), input, output)
-    }
-}
-
-/// AMPC MSF — the §5.5 production pipeline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AmpcMsf;
-
-impl AmpcAlgorithm for AmpcMsf {
-    fn name(&self) -> &'static str {
-        "msf"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::Weighted
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        let w = input.weighted().expect("driver checked input kind");
-        AlgoOutput::Forest(msf::ampc_msf_in_job(job, w))
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        validate_family(self.name(), input, output)
-    }
-}
-
-/// AMPC connected components (Theorem 1: random-weight MSF + forest
-/// connectivity).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AmpcConnectivity;
-
-impl AmpcAlgorithm for AmpcConnectivity {
-    fn name(&self) -> &'static str {
-        "cc"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::Unweighted
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        AlgoOutput::Components(connectivity::ampc_connected_components_in_job(
-            job,
-            input.structure(),
-        ))
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        validate_family(self.name(), input, output)
-    }
-}
-
-/// AMPC 1-vs-2-cycle (§5.6) at a configurable inverse sampling rate.
-#[derive(Clone, Copy, Debug)]
-pub struct AmpcOneVsTwo {
-    /// Inverse sampling rate (paper: 1024).
-    pub sample_inv: u64,
-}
-
-impl Default for AmpcOneVsTwo {
-    fn default() -> Self {
-        AmpcOneVsTwo { sample_inv: 1024 }
-    }
-}
-
-impl AmpcAlgorithm for AmpcOneVsTwo {
-    fn name(&self) -> &'static str {
-        "one-vs-two"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::CycleUnion
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        let (answer, num_cycles) =
-            one_vs_two::ampc_one_vs_two_in_job(job, input.structure(), self.sample_inv);
-        AlgoOutput::Cycles { answer, num_cycles }
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        validate_family(self.name(), input, output)
-    }
-}
-
-/// AMPC random walks (§5.7): `walkers_per_node × n` walks of `steps`
-/// hops, all inside one KV round.
-#[derive(Clone, Copy, Debug)]
-pub struct AmpcWalks {
-    /// Walkers started per vertex.
-    pub walkers_per_node: usize,
-    /// Hops per walk.
-    pub steps: usize,
-}
-
-impl Default for AmpcWalks {
-    fn default() -> Self {
-        AmpcWalks {
-            walkers_per_node: 1,
-            steps: 8,
-        }
-    }
-}
-
-impl AmpcAlgorithm for AmpcWalks {
-    fn name(&self) -> &'static str {
-        "walks"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::Unweighted
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        AlgoOutput::Walks(walks::ampc_random_walks_in_job(
-            job,
-            input.structure(),
-            self.walkers_per_node,
-            self.steps,
-        ))
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        validate_walks_shape(input, output, self.walkers_per_node, self.steps)?;
-        validate_family(self.name(), input, output)
-    }
-}
-
-/// AMPC batch-dynamic connectivity: component labels *maintained*
-/// across a seeded schedule of edge-update batches (one DHT-generation
-/// epoch per batch; see [`crate::dynamic`]). The update schedule is
-/// regenerated deterministically from the input graph and these
-/// parameters, so the AMPC (maintained) and MPC (recompute) backends
-/// consume identical batches by construction.
-#[derive(Clone, Copy, Debug)]
-pub struct AmpcDynamicCc {
-    /// Number of update batches.
-    pub batches: usize,
-    /// Updates per batch.
-    pub ops: usize,
-    /// Insert/delete composition of the schedule.
-    pub mix: BatchMix,
-    /// Schedule seed (decoupled from the algorithm seed).
-    pub schedule_seed: u64,
-}
-
-impl Default for AmpcDynamicCc {
-    fn default() -> Self {
-        AmpcDynamicCc {
-            batches: 4,
-            ops: 64,
-            mix: BatchMix::Churn,
-            schedule_seed: ampc_graph::dynamic::DEFAULT_SCHEDULE_SEED,
-        }
-    }
-}
-
-impl AmpcAlgorithm for AmpcDynamicCc {
-    fn name(&self) -> &'static str {
-        "dyn-cc"
-    }
-    fn model(&self) -> Model {
-        Model::Ampc
-    }
-    fn input_kind(&self) -> InputKind {
-        InputKind::Unweighted
-    }
-    fn run(&self, job: &mut Job, input: &AlgoInput<'_>) -> AlgoOutput {
-        let g = input.structure();
-        let batches = generate_batches(g, self.batches, self.ops, self.mix, self.schedule_seed);
-        AlgoOutput::DynamicComponents(crate::dynamic::ampc_dynamic_cc_in_job(job, g, &batches))
-    }
-    fn validate(&self, input: &AlgoInput<'_>, output: &AlgoOutput) -> Result<(), String> {
-        // `validate_dynamic_output` subsumes the family validator's
-        // shape + epoch-0 checks (it replays every epoch against the
-        // oracle), so the generic pass is not repeated here.
-        validate_dynamic_output(
-            input,
-            output,
-            self.batches,
-            self.ops,
-            self.mix,
-            self.schedule_seed,
-        )
-    }
-}
-
-/// Full per-epoch validation for a dynamic-connectivity output:
-/// regenerates the schedule from the parameters and pins every epoch's
-/// labels to the oracle. Shared by the AMPC and MPC trait impls so both
-/// models validate under the same rule.
-pub fn validate_dynamic_output(
-    input: &AlgoInput<'_>,
-    output: &AlgoOutput,
-    batches: usize,
-    ops: usize,
-    mix: BatchMix,
-    schedule_seed: u64,
-) -> Result<(), String> {
-    let AlgoOutput::DynamicComponents(labels) = output else {
-        return Err("dyn-cc: wrong output kind".into());
-    };
-    let g = input.structure();
-    let schedule = generate_batches(g, batches, ops, mix, schedule_seed);
-    crate::dynamic::validate_dynamic_labels(g, &schedule, labels)
-}
-
-/// Walk-shape check shared by both walks backends (AMPC and the MPC
+/// Walk-shape check shared by both walks rows (AMPC and the MPC
 /// shuffle-per-hop baseline): `walkers_per_node × n` walks, each of
-/// length `steps + 1`. Kept in one place so the two models always
-/// validate under the same rule.
+/// length `steps + 1`.
 pub fn validate_walks_shape(
     input: &AlgoInput<'_>,
     output: &AlgoOutput,
@@ -631,41 +335,13 @@ pub fn validate_walks_shape(
     Ok(())
 }
 
-/// Validates output for an arbitrary implementation of a known family —
-/// exposed for the MPC-side impls so both models share one notion of
-/// correctness.
-pub fn validate_output(
-    family: &str,
-    input: &AlgoInput<'_>,
-    output: &AlgoOutput,
-) -> Result<(), String> {
-    validate_family(family, input, output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walks::ampc_random_walks_in_job;
     use ampc_graph::gen;
     use ampc_runtime::driver::drive;
     use ampc_runtime::AmpcConfig;
-
-    fn cfg() -> AmpcConfig {
-        AmpcConfig::for_tests()
-    }
-
-    #[test]
-    fn trait_run_matches_direct_mis() {
-        let g = gen::erdos_renyi(120, 360, 3);
-        let c = cfg();
-        let direct = mis::ampc_mis(&g, &c);
-        let alg = AmpcMis;
-        let input = AlgoInput::Unweighted(&g);
-        let driven = drive(&c, |job| alg.run(job, &input));
-        assert_eq!(driven.output, AlgoOutput::Mis(direct.in_mis));
-        assert_eq!(driven.report.num_shuffles(), direct.report.num_shuffles());
-        assert_eq!(driven.report.sim_ns(), direct.report.sim_ns());
-        alg.validate(&input, &driven.output).unwrap();
-    }
 
     #[test]
     fn input_kind_checks() {
@@ -706,23 +382,21 @@ mod tests {
         let g = gen::path(4);
         let input = AlgoInput::Unweighted(&g);
         let bad = AlgoOutput::Components(vec![0, 0, 1, 1]);
-        assert!(validate_output("cc", &input, &bad).is_err());
+        assert!(validate_family("cc", &input, &bad).is_err());
     }
 
     #[test]
     fn walks_validation_checks_shape() {
         let g = gen::erdos_renyi(20, 60, 5);
-        let alg = AmpcWalks {
-            walkers_per_node: 1,
-            steps: 3,
-        };
         let input = AlgoInput::Unweighted(&g);
-        let driven = drive(&cfg(), |job| alg.run(job, &input));
-        alg.validate(&input, &driven.output).unwrap();
-        let AlgoOutput::Walks(mut w) = driven.output else {
-            unreachable!()
-        };
-        w[0].pop();
-        assert!(alg.validate(&input, &AlgoOutput::Walks(w)).is_err());
+        let cfg = AmpcConfig::for_tests();
+        let walks = drive(&cfg, |job| ampc_random_walks_in_job(job, &g, 1, 3)).output;
+        let mut out = AlgoOutput::Walks(walks);
+        validate_walks_shape(&input, &out, 1, 3).unwrap();
+        validate_family("walks", &input, &out).unwrap();
+        if let AlgoOutput::Walks(w) = &mut out {
+            w[0].pop();
+        }
+        assert!(validate_walks_shape(&input, &out, 1, 3).is_err());
     }
 }

@@ -11,39 +11,15 @@
 
 use crate::msf::common::{prim_contract_round, ProvEdge};
 use ampc_graph::{NodeId, NO_NODE};
-use ampc_runtime::{AmpcConfig, Job, JobReport};
+use ampc_runtime::Job;
 use ampc_trees::UnionFind;
 
-/// Result of a connectivity computation.
-#[derive(Clone, Debug)]
-pub struct CcOutcome {
-    /// `label[v]` = the smallest original vertex in `v`'s component (the
-    /// same canonical labelling the BFS oracle produces).
-    pub label: Vec<NodeId>,
-    /// Execution record.
-    pub report: JobReport,
-}
-
-/// Labels the components of a forest (given by its edge list over
-/// `0..n`) in O(1/ε) contraction rounds.
-pub fn forest_cc(n: usize, forest_edges: &[(NodeId, NodeId)], cfg: &AmpcConfig) -> CcOutcome {
-    let mut job = Job::new(*cfg);
-    let label = forest_cc_in_job(&mut job, n, forest_edges, cfg);
-    CcOutcome {
-        label,
-        report: job.into_report(),
-    }
-}
-
-/// [`forest_cc`] running inside an existing job (used by the
-/// connectivity pipeline to produce one flat report).
+/// The ForestConnectivity body (registry row `cc/forest`, and the last
+/// step of `cc`): labels the components of a forest, given by its edge
+/// list over `0..n`, in O(1/ε) contraction rounds.
 // ampc-lint: budget(batched-requests = 3)
-pub(crate) fn forest_cc_in_job(
-    job: &mut Job,
-    n: usize,
-    forest_edges: &[(NodeId, NodeId)],
-    cfg: &AmpcConfig,
-) -> Vec<NodeId> {
+pub fn forest_cc_in_job(job: &mut Job, n: usize, forest_edges: &[(NodeId, NodeId)]) -> Vec<NodeId> {
+    let cfg = *job.config();
     assert!(
         forest_edges.len() < n.max(1),
         "a forest has fewer than n edges"
@@ -141,22 +117,7 @@ pub(crate) fn forest_cc_in_job(
 
     // Canonicalize: within-component minimum. One more sweep makes the
     // labelling exactly the BFS oracle's (min-id representative).
-    canonicalize(n, forest_edges, final_label)
-}
-
-/// Rewrites labels so each component is represented by its minimum
-/// vertex id (labels were already consistent per component).
-fn canonicalize(n: usize, edges: &[(NodeId, NodeId)], label: Vec<NodeId>) -> Vec<NodeId> {
-    let mut min_of: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
-    for v in 0..n as NodeId {
-        let l = label[v as usize];
-        min_of
-            .entry(l)
-            .and_modify(|m| *m = (*m).min(v))
-            .or_insert(v);
-    }
-    let _ = edges;
-    (0..n).map(|v| min_of[&label[v]]).collect()
+    super::canonical_labels(&final_label)
 }
 
 #[cfg(test)]
@@ -164,17 +125,22 @@ mod tests {
     use super::*;
     use crate::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
+    }
+
+    fn run(n: usize, edges: &[(NodeId, NodeId)], c: &AmpcConfig) -> Driven<Vec<NodeId>> {
+        drive(c, |job| forest_cc_in_job(job, n, edges))
     }
 
     #[test]
     fn labels_path_forest() {
         let g = gen::path(30);
         let edges: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.u, e.v)).collect();
-        let out = forest_cc(30, &edges, &cfg());
-        assert!(out.label.iter().all(|&l| l == 0));
+        assert!(run(30, &edges, &cfg()).output.iter().all(|&l| l == 0));
     }
 
     #[test]
@@ -189,11 +155,11 @@ mod tests {
         }
         let g = b.build();
         let edges: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.u, e.v)).collect();
-        let out = forest_cc(12, &edges, &cfg());
-        assert!(validate::is_correct_components(&g, &out.label));
-        assert_eq!(out.label[0], 0);
-        assert_eq!(out.label[7], 6);
-        assert_eq!(out.label[11], 11);
+        let label = run(12, &edges, &cfg()).output;
+        assert!(validate::is_correct_components(&g, &label));
+        assert_eq!(label[0], 0);
+        assert_eq!(label[7], 6);
+        assert_eq!(label[11], 11);
     }
 
     #[test]
@@ -202,8 +168,8 @@ mod tests {
         let edges: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.u, e.v)).collect();
         let mut c = cfg();
         c.in_memory_threshold = 50;
-        let out = forest_cc(3000, &edges, &c);
-        assert!(out.label.iter().all(|&l| l == 0));
+        let out = run(3000, &edges, &c);
+        assert!(out.output.iter().all(|&l| l == 0));
         assert!(out.report.num_shuffles() > 0);
     }
 
@@ -211,6 +177,6 @@ mod tests {
     #[should_panic(expected = "fewer than n edges")]
     fn rejects_non_forest_edge_count() {
         let edges: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 0)];
-        forest_cc(3, &edges, &cfg());
+        run(3, &edges, &cfg());
     }
 }

@@ -31,33 +31,7 @@ use ampc_dht::hasher::FxHashSet;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::dynamic::{EdgeSet, UpdateBatch, UpdateKind};
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::{AmpcConfig, Job, JobReport};
-
-/// Result of a batch-dynamic connectivity run.
-#[derive(Clone, Debug)]
-pub struct DynamicCcOutcome {
-    /// `labels[0]` labels the initial graph; `labels[i + 1]` labels the
-    /// graph after batch `i`. Every entry is canonical (min vertex id
-    /// per component).
-    pub labels: Vec<Vec<NodeId>>,
-    /// Execution record (one epoch per entry of `labels`).
-    pub report: JobReport,
-}
-
-/// Runs batch-dynamic connectivity standalone (see
-/// [`ampc_dynamic_cc_in_job`]).
-pub fn ampc_dynamic_cc(
-    g: &CsrGraph,
-    batches: &[UpdateBatch],
-    cfg: &AmpcConfig,
-) -> DynamicCcOutcome {
-    let mut job = Job::new(*cfg);
-    let labels = ampc_dynamic_cc_in_job(&mut job, g, batches);
-    DynamicCcOutcome {
-        labels,
-        report: job.into_report(),
-    }
-}
+use ampc_runtime::Job;
 
 /// The in-job kernel body: maintains component labels across `batches`,
 /// one epoch (= one sealed DHT generation) per batch, returning the
@@ -359,9 +333,8 @@ fn rebuild_region_oracle(
 /// Checks that `labels` is exactly the canonical per-epoch labelling of
 /// `initial` evolved by `batches`: `labels[0]` against the initial
 /// graph and `labels[i + 1]` against the state after batch `i`, each
-/// byte-identical to the BFS oracle. Shared by the AMPC (maintained)
-/// and MPC (recompute) trait impls so both models validate under the
-/// same rule.
+/// byte-identical to the BFS oracle. The registry validates both dyn-cc
+/// rows (maintained and recompute) with it.
 pub fn validate_dynamic_labels(
     initial: &CsrGraph,
     batches: &[UpdateBatch],
@@ -411,10 +384,15 @@ mod tests {
     use ampc_dht::hasher::mix64;
     use ampc_graph::dynamic::{generate_batches, BatchMix, EdgeUpdate};
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
     use proptest::prelude::*;
 
-    fn cfg() -> AmpcConfig {
-        AmpcConfig::for_tests()
+    /// The maintained labels of every epoch, under the test config.
+    fn run(g: &CsrGraph, batches: &[UpdateBatch]) -> Driven<Vec<Vec<NodeId>>> {
+        drive(&AmpcConfig::for_tests(), |job| {
+            ampc_dynamic_cc_in_job(job, g, batches)
+        })
     }
 
     #[test]
@@ -426,8 +404,8 @@ mod tests {
         ] {
             let g = gen::erdos_renyi(120, 150, seed); // sparse: many components
             let batches = generate_batches(&g, 5, 30, mix, seed);
-            let out = ampc_dynamic_cc(&g, &batches, &cfg());
-            validate_dynamic_labels(&g, &batches, &out.labels)
+            let out = run(&g, &batches);
+            validate_dynamic_labels(&g, &batches, &out.output)
                 .unwrap_or_else(|e| panic!("{mix:?}: {e}"));
         }
     }
@@ -436,8 +414,8 @@ mod tests {
     fn one_epoch_per_batch_one_generation_each() {
         let g = gen::erdos_renyi(80, 120, 9);
         let batches = generate_batches(&g, 4, 20, BatchMix::Churn, 9);
-        let out = ampc_dynamic_cc(&g, &batches, &cfg());
-        assert_eq!(out.labels.len(), 5);
+        let out = run(&g, &batches);
+        assert_eq!(out.output.len(), 5);
         assert_eq!(out.report.num_epochs(), 5, "DynInit + one per batch");
         // Every epoch publishes exactly one generation (one KV-write
         // stage named DynPublish-*).
@@ -475,7 +453,7 @@ mod tests {
             update(UpdateKind::Insert, 5, 5),
         ] {
             let batch = vec![up];
-            let out = ampc_dynamic_cc(&g, std::slice::from_ref(&batch), &cfg());
+            let out = run(&g, std::slice::from_ref(&batch));
             assert!(
                 !out.report
                     .stages
@@ -483,8 +461,8 @@ mod tests {
                     .any(|s| s.name.starts_with("DynRebuild")),
                 "{up:?} must not rebuild"
             );
-            assert!(out.labels[1].iter().all(|&l| l == 0), "still connected");
-            validate_dynamic_labels(&g, &[batch], &out.labels).unwrap();
+            assert!(out.output[1].iter().all(|&l| l == 0), "still connected");
+            validate_dynamic_labels(&g, &[batch], &out.output).unwrap();
         }
     }
 
@@ -496,13 +474,13 @@ mod tests {
         for (u, v) in [(10, 11), (11, 10)] {
             let del = vec![update(UpdateKind::Delete, u, v)];
             let ins = vec![update(UpdateKind::Insert, u, v)];
-            let out = ampc_dynamic_cc(&g, &[del.clone(), ins.clone()], &cfg());
+            let out = run(&g, &[del.clone(), ins.clone()]);
             assert!(
-                out.labels[1][11] == 11 && out.labels[1][10] == 0,
+                out.output[1][11] == 11 && out.output[1][10] == 0,
                 "split by ({u}, {v})"
             );
-            assert!(out.labels[2].iter().all(|&l| l == 0), "re-merged");
-            validate_dynamic_labels(&g, &[del, ins], &out.labels).unwrap();
+            assert!(out.output[2].iter().all(|&l| l == 0), "re-merged");
+            validate_dynamic_labels(&g, &[del, ins], &out.output).unwrap();
         }
     }
 
@@ -582,19 +560,19 @@ mod tests {
     fn empty_graph_and_empty_batches() {
         let g = CsrGraph::empty(6);
         let batches = vec![Vec::new(), Vec::new()];
-        let out = ampc_dynamic_cc(&g, &batches, &cfg());
-        assert_eq!(out.labels.len(), 3);
-        for l in &out.labels {
+        let out = run(&g, &batches);
+        assert_eq!(out.output.len(), 3);
+        for l in &out.output {
             assert_eq!(*l, (0..6).collect::<Vec<NodeId>>());
         }
-        validate_dynamic_labels(&g, &batches, &out.labels).unwrap();
+        validate_dynamic_labels(&g, &batches, &out.output).unwrap();
     }
 
     #[test]
     fn validator_rejects_wrong_epochs() {
         let g = gen::path(5);
         let batches = generate_batches(&g, 2, 3, BatchMix::Churn, 4);
-        let mut labels = ampc_dynamic_cc(&g, &batches, &cfg()).labels;
+        let mut labels = run(&g, &batches).output;
         assert!(validate_dynamic_labels(&g, &batches, &labels[..2]).is_err());
         // A truncated epoch is an Err, not a panic.
         let mut short = labels.clone();

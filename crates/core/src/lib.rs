@@ -23,18 +23,19 @@
 //!   per batch, byte-identical to recomputation after every batch.
 //! * [`one_vs_two`] — the O(1)-round 1-vs-2-cycle algorithm (§5.6).
 //! * [`validate`] — result checkers used across the test suites.
-//! * [`algorithm`] — the [`AmpcAlgorithm`] trait that exposes every
-//!   kernel family (and, from `ampc-mpc`, every baseline) through one
-//!   driver-composable interface: name, input requirements, in-job
-//!   `run`, output validation.
+//! * [`algorithm`] — the vocabulary every registry row speaks: model,
+//!   input kind, [`AlgoInput`] / [`AlgoOutput`] and the validators the
+//!   AMPC and MPC rows share.
 //! * [`priorities`] — the shared random priorities: AMPC and MPC
 //!   implementations seeded identically compute the *same* lex-first
 //!   MIS/matching and the same (unique) MSF, which is the paper's own
 //!   cross-validation strategy and ours.
 //!
-//! Every algorithm returns its result together with the
-//! [`ampc_runtime::JobReport`] that the benchmark harness turns into the
-//! paper's tables and figures.
+//! Every kernel exports exactly one public entry point, `*_in_job(job,
+//! …)`: it appends stages to a caller-provided [`ampc_runtime::Job`] and
+//! returns its output. The `ampc-bench` registry runs each body as a row
+//! of plain data, and the finished [`ampc_runtime::JobReport`] is what
+//! the harness turns into the paper's tables and figures.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -51,4 +52,4 @@ pub mod priorities;
 pub mod validate;
 pub mod walks;
 
-pub use algorithm::{AlgoInput, AlgoOutput, AmpcAlgorithm, InputKind, Model};
+pub use algorithm::{AlgoInput, AlgoOutput, InputKind, Model};

@@ -15,9 +15,9 @@
 //!    that is finished, or … not searched yet."*
 //!
 //! The n^ε-truncated multi-round variant (Lemma 4.7: O(1/ε) rounds of
-//! truncated vertex processes empty the graph) is available through
-//! [`MatchingOptions::truncated`]; the untruncated single round is the
-//! practical default, as in the paper.
+//! truncated vertex processes empty the graph) is the `truncated` flag of
+//! [`ampc_matching_in_job`] (registry row `mm/truncated`); the untruncated
+//! single round is the practical default, as in the paper.
 
 use crate::prim::{ranked_adjacency, FlatAdjacency};
 use crate::priorities::{edge_key, edge_rank, Rank};
@@ -27,41 +27,7 @@ use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
 use ampc_runtime::driver::AdaptiveRounds;
 use ampc_runtime::executor::MachineCtx;
-use ampc_runtime::{AmpcConfig, Job, JobReport};
-
-/// Options for the AMPC matching run.
-#[derive(Clone, Copy, Debug)]
-pub struct MatchingOptions {
-    /// Enable the per-machine caching optimization (§5.4).
-    pub caching: bool,
-    /// Use the n^ε-truncated multi-round vertex process (Lemma 4.7).
-    pub truncated: bool,
-}
-
-impl Default for MatchingOptions {
-    fn default() -> Self {
-        MatchingOptions {
-            caching: true,
-            truncated: false,
-        }
-    }
-}
-
-/// Result of an AMPC matching run.
-#[derive(Clone, Debug)]
-pub struct MatchingOutcome {
-    /// Partner per vertex (`NO_NODE` = unmatched).
-    pub partner: Vec<NodeId>,
-    /// Execution record.
-    pub report: JobReport,
-}
-
-impl MatchingOutcome {
-    /// The matching as sorted vertex pairs.
-    pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        super::pairs_from_partners(&self.partner)
-    }
-}
+use ampc_runtime::Job;
 
 /// Per-vertex cache state (§5.4's three-valued cache).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,27 +41,6 @@ enum VState {
     FinishedUpTo(NodeId),
 }
 
-/// Runs AMPC maximal matching with the configuration's defaults.
-///
-/// ```
-/// use ampc_core::{matching, validate};
-/// use ampc_runtime::AmpcConfig;
-///
-/// let g = ampc_graph::gen::erdos_renyi(80, 200, 3);
-/// let out = matching::ampc_matching(&g, &AmpcConfig::for_tests());
-/// assert!(validate::is_maximal_matching(&g, &out.pairs()));
-/// ```
-pub fn ampc_matching(g: &CsrGraph, cfg: &AmpcConfig) -> MatchingOutcome {
-    ampc_matching_with_options(
-        g,
-        cfg,
-        MatchingOptions {
-            caching: cfg.caching,
-            ..Default::default()
-        },
-    )
-}
-
 /// PermuteGraph's host-side work: every vertex's neighbors, sorted by
 /// edge rank.
 ///
@@ -106,26 +51,25 @@ pub fn permute_graph(g: &CsrGraph, seed: u64, threads: usize) -> FlatAdjacency {
     ranked_adjacency(g, |v, u| Some(edge_rank(seed, v, u).0), threads)
 }
 
-/// Runs AMPC maximal matching with explicit options.
-pub fn ampc_matching_with_options(
-    g: &CsrGraph,
-    cfg: &AmpcConfig,
-    opts: MatchingOptions,
-) -> MatchingOutcome {
-    let mut job = Job::new(*cfg);
-    let partner = ampc_matching_in_job(&mut job, g, opts);
-    MatchingOutcome {
-        partner,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job kernel body: runs AMPC maximal matching inside a
-/// caller-provided [`Job`] (the [`crate::algorithm::AmpcAlgorithm`]
-/// entry point), returning the partner array.
+/// The kernel body: AMPC maximal matching inside a caller-provided
+/// [`Job`], returning the partner array. Caching follows
+/// `job.config().caching`; `truncated` runs the `n^ε`-truncated
+/// multi-round vertex process (registry row `mm/truncated`).
+///
+/// ```
+/// use ampc_core::{matching, validate};
+/// use ampc_runtime::{driver::drive, AmpcConfig};
+///
+/// let g = ampc_graph::gen::erdos_renyi(80, 200, 3);
+/// let cfg = AmpcConfig::for_tests();
+/// let out = drive(&cfg, |job| matching::ampc_matching_in_job(job, &g, false));
+/// let pairs = matching::pairs_from_partners(&out.output);
+/// assert!(validate::is_maximal_matching(&g, &pairs));
+/// ```
 // ampc-lint: budget(batched-requests = 2)
-pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, opts: MatchingOptions) -> Vec<NodeId> {
+pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, truncated: bool) -> Vec<NodeId> {
     let cfg = *job.config();
+    let caching = cfg.caching;
     let n = g.num_nodes();
     let seed = cfg.seed;
 
@@ -164,7 +108,7 @@ pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, opts: MatchingOptions) 
     let mut resolved = vec![0u8; n];
     let mut partner = vec![NO_NODE; n];
     let mut pending: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut rounds = AdaptiveRounds::new(if opts.truncated {
+    let mut rounds = AdaptiveRounds::new(if truncated {
         cfg.search_budget(n)
     } else {
         u64::MAX
@@ -183,13 +127,13 @@ pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, opts: MatchingOptions) 
             |ctx, items| {
                 let mut m = Machine {
                     seed,
-                    vcache: if opts.caching {
+                    vcache: if caching {
                         DenseCache::unbounded(n)
                     } else {
                         DenseCache::disabled()
                     },
                     ecache: FxHashMap::default(),
-                    caching: opts.caching,
+                    caching,
                     resolved: resolved_ro,
                     partner: partner_ro,
                 };
@@ -512,11 +456,18 @@ impl<'r> Machine<'r> {
 mod tests {
     use super::*;
     use crate::matching::greedy::greedy_matching;
+    use crate::matching::pairs_from_partners;
     use crate::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
+    }
+
+    fn run(g: &CsrGraph, c: &AmpcConfig, truncated: bool) -> Driven<Vec<NodeId>> {
+        drive(c, |job| ampc_matching_in_job(job, g, truncated))
     }
 
     #[test]
@@ -524,9 +475,12 @@ mod tests {
         for seed in 0..8 {
             let g = gen::erdos_renyi(100, 280, seed);
             let c = cfg().with_seed(seed * 31 + 2);
-            let out = ampc_matching(&g, &c);
-            assert_eq!(out.partner, greedy_matching(&g, c.seed), "seed {seed}");
-            assert!(validate::is_maximal_matching(&g, &out.pairs()));
+            let partner = run(&g, &c, false).output;
+            assert!(validate::is_maximal_matching(
+                &g,
+                &pairs_from_partners(&partner)
+            ));
+            assert_eq!(partner, greedy_matching(&g, c.seed), "seed {seed}");
         }
     }
 
@@ -534,53 +488,28 @@ mod tests {
     fn matches_greedy_on_skewed_graph() {
         let g = gen::rmat(9, 5_000, gen::RmatParams::SOCIAL, 7);
         let c = cfg();
-        let out = ampc_matching(&g, &c);
-        assert_eq!(out.partner, greedy_matching(&g, c.seed));
+        assert_eq!(run(&g, &c, false).output, greedy_matching(&g, c.seed));
     }
 
     #[test]
     fn single_shuffle_like_table3() {
         let g = gen::erdos_renyi(80, 200, 1);
-        let out = ampc_matching(&g, &cfg());
-        assert_eq!(out.report.num_shuffles(), 1);
+        assert_eq!(run(&g, &cfg(), false).report.num_shuffles(), 1);
     }
 
     #[test]
     fn truncated_variant_converges() {
         let g = gen::erdos_renyi(150, 500, 3);
-        let c = cfg();
-        let out = ampc_matching_with_options(
-            &g,
-            &c,
-            MatchingOptions {
-                caching: true,
-                truncated: true,
-            },
-        );
-        assert_eq!(out.partner, greedy_matching(&g, c.seed));
+        let c = cfg().with_caching(true);
+        assert_eq!(run(&g, &c, true).output, greedy_matching(&g, c.seed));
     }
 
     #[test]
     fn no_cache_still_correct() {
         let g = gen::erdos_renyi(80, 240, 5);
-        let c = cfg();
-        let cached = ampc_matching_with_options(
-            &g,
-            &c,
-            MatchingOptions {
-                caching: true,
-                truncated: false,
-            },
-        );
-        let uncached = ampc_matching_with_options(
-            &g,
-            &c,
-            MatchingOptions {
-                caching: false,
-                truncated: false,
-            },
-        );
-        assert_eq!(cached.partner, uncached.partner);
+        let cached = run(&g, &cfg().with_caching(true), false);
+        let uncached = run(&g, &cfg().with_caching(false), false);
+        assert_eq!(cached.output, uncached.output);
         assert!(
             uncached.report.kv_comm().queries > cached.report.kv_comm().queries,
             "cache should reduce queries"
@@ -590,19 +519,17 @@ mod tests {
     #[test]
     fn deterministic_across_machine_counts() {
         let g = gen::erdos_renyi(120, 420, 8);
-        let a = ampc_matching(&g, &cfg().with_machines(2));
-        let b = ampc_matching(&g, &cfg().with_machines(9));
-        assert_eq!(a.partner, b.partner);
+        let a = run(&g, &cfg().with_machines(2), false);
+        let b = run(&g, &cfg().with_machines(9), false);
+        assert_eq!(a.output, b.output);
     }
 
     #[test]
     fn empty_and_single_edge() {
         let g = CsrGraph::empty(4);
-        let out = ampc_matching(&g, &cfg());
-        assert!(out.partner.iter().all(|&p| p == NO_NODE));
+        assert!(run(&g, &cfg(), false).output.iter().all(|&p| p == NO_NODE));
 
         let g = ampc_graph::GraphBuilder::new(2).add_edge(0, 1).build();
-        let out = ampc_matching(&g, &cfg());
-        assert_eq!(out.partner, vec![1, 0]);
+        assert_eq!(run(&g, &cfg(), false).output, vec![1, 0]);
     }
 }

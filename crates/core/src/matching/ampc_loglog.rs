@@ -18,16 +18,15 @@
 use crate::priorities::edge_rank;
 use ampc_graph::ops::induced_subgraph;
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
-use ampc_runtime::{AmpcConfig, Job};
+use ampc_runtime::Job;
 
-use super::MatchingOutcome;
-
-/// Runs Algorithm 4. Returns the same lex-first matching as the other
-/// implementations, in O(log log Δ) phases.
-pub fn ampc_matching_loglog(g: &CsrGraph, cfg: &AmpcConfig) -> MatchingOutcome {
+/// The kernel body of Algorithm 4 (registry row `mm/loglog`): the same
+/// lex-first matching as the other implementations, in O(log log Δ)
+/// phases, returned as the partner array.
+// ampc-lint: budget(batched-requests = 0)
+pub fn ampc_matching_loglog_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
     let n = g.num_nodes();
-    let seed = cfg.seed;
-    let mut job = Job::new(*cfg);
+    let seed = job.config().seed;
 
     let delta = g.max_degree().max(2) as f64;
     let threshold = (10.0 * (n.max(2) as f64).ln()).ceil() as usize;
@@ -99,10 +98,7 @@ pub fn ampc_matching_loglog(g: &CsrGraph, cfg: &AmpcConfig) -> MatchingOutcome {
 
     debug_assert_eq!(current.num_edges(), 0, "Algorithm 4 must empty the graph");
 
-    MatchingOutcome {
-        partner,
-        report: job.into_report(),
-    }
+    partner
 }
 
 /// Greedy maximal matching of the sampled edges by rank — the MIS of the
@@ -132,11 +128,18 @@ fn greedy_mm_via_line_graph_mis(
 mod tests {
     use super::*;
     use crate::matching::greedy::greedy_matching;
+    use crate::matching::pairs_from_partners;
     use crate::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
+    }
+
+    fn run(g: &CsrGraph, c: &AmpcConfig) -> Driven<Vec<NodeId>> {
+        drive(c, |job| ampc_matching_loglog_in_job(job, g))
     }
 
     #[test]
@@ -144,8 +147,8 @@ mod tests {
         for seed in 0..6 {
             let g = gen::erdos_renyi(120, 500, seed);
             let c = cfg().with_seed(seed + 11);
-            let out = ampc_matching_loglog(&g, &c);
-            assert_eq!(out.partner, greedy_matching(&g, c.seed), "seed {seed}");
+            let partner = run(&g, &c).output;
+            assert_eq!(partner, greedy_matching(&g, c.seed), "seed {seed}");
         }
     }
 
@@ -153,18 +156,18 @@ mod tests {
     fn maximal_on_skewed_graphs() {
         let g = gen::rmat(10, 10_000, gen::RmatParams::SOCIAL, 2);
         let c = cfg();
-        let out = ampc_matching_loglog(&g, &c);
+        let partner = run(&g, &c).output;
         assert!(validate::is_maximal_matching(
             &g,
-            &crate::matching::pairs_from_partners(&out.partner)
+            &pairs_from_partners(&partner)
         ));
-        assert_eq!(out.partner, greedy_matching(&g, c.seed));
+        assert_eq!(partner, greedy_matching(&g, c.seed));
     }
 
     #[test]
     fn phase_count_is_loglog() {
         let g = gen::rmat(10, 10_000, gen::RmatParams::SOCIAL, 2);
-        let out = ampc_matching_loglog(&g, &cfg());
+        let out = run(&g, &cfg());
         // ⌈log2 log2 Δ⌉ + 1 phases, 2 shuffles per phase; Δ < 2^16 so at
         // most 5 phases here.
         assert!(
@@ -177,7 +180,6 @@ mod tests {
     #[test]
     fn handles_empty_graph() {
         let g = CsrGraph::empty(5);
-        let out = ampc_matching_loglog(&g, &cfg());
-        assert!(out.partner.iter().all(|&p| p == NO_NODE));
+        assert!(run(&g, &cfg()).output.iter().all(|&p| p == NO_NODE));
     }
 }

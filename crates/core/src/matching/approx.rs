@@ -14,16 +14,17 @@
 
 use crate::priorities::edge_rank;
 use ampc_graph::{CsrGraph, NodeId, WeightedCsrGraph, NO_NODE};
+use ampc_runtime::driver::drive;
 use ampc_runtime::AmpcConfig;
 
-use super::ampc_constant::ampc_matching;
+use super::ampc_constant::ampc_matching_in_job;
 
 /// A 2-approximate minimum vertex cover: the matched endpoints of the
 /// AMPC maximal matching.
 pub fn approx_vertex_cover(g: &CsrGraph, cfg: &AmpcConfig) -> Vec<NodeId> {
-    let out = ampc_matching(g, cfg);
+    let partner = drive(cfg, |job| ampc_matching_in_job(job, g, false)).output;
     let mut cover = Vec::new();
-    for (v, &p) in out.partner.iter().enumerate() {
+    for (v, &p) in partner.iter().enumerate() {
         if p != NO_NODE {
             cover.push(v as NodeId);
         }

@@ -5,9 +5,9 @@
 //! no incident edge earlier in π is matched. Outputs are therefore
 //! identical across the sequential oracle ([`greedy::greedy_matching`]),
 //! the O(1)-round AMPC algorithm
-//! ([`ampc_constant::ampc_matching`], Theorem 2 part 2), the
+//! ([`ampc_constant::ampc_matching_in_job`], Theorem 2 part 2), the
 //! O(log log n)-round subsampled algorithm
-//! ([`ampc_loglog::ampc_matching_loglog`], Algorithm 4 — which computes
+//! ([`ampc_loglog::ampc_matching_loglog_in_job`], Algorithm 4 — which computes
 //! the same matching because union-of-phase-matchings equals the global
 //! greedy matching over π), and the MPC rootset baseline in `ampc-mpc`.
 //!
@@ -18,11 +18,8 @@ pub mod ampc_loglog;
 pub mod approx;
 pub mod greedy;
 
-pub use ampc_constant::{
-    ampc_matching, ampc_matching_in_job, ampc_matching_with_options, MatchingOptions,
-    MatchingOutcome,
-};
-pub use ampc_loglog::ampc_matching_loglog;
+pub use ampc_constant::ampc_matching_in_job;
+pub use ampc_loglog::ampc_matching_loglog_in_job;
 pub use greedy::greedy_matching;
 
 use ampc_graph::{NodeId, NO_NODE};

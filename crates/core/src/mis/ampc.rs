@@ -14,9 +14,10 @@
 //!    multithreading (modeled in the cost config) hides lookup latency.
 //!
 //! The truncated multi-round variant of \[19\] (each round re-runs
-//! unresolved vertices with an `n^ε`-times larger budget) is available
-//! through [`MisOptions::truncated`]; as the paper observes, the
-//! practical configuration resolves everything in a single round.
+//! unresolved vertices with an `n^ε`-times larger budget) is the
+//! `truncated` flag of [`ampc_mis_in_job`] (registry row `mis/truncated`);
+//! as the paper observes, the practical configuration resolves everything
+//! in a single round.
 
 use crate::prim::{ranked_adjacency, FlatAdjacency};
 use crate::priorities::NodePerm;
@@ -26,58 +27,7 @@ use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::driver::AdaptiveRounds;
 use ampc_runtime::executor::MachineCtx;
-use ampc_runtime::{AmpcConfig, Job, JobReport};
-
-/// Options for the AMPC MIS run (Figure 4's ablation axes).
-#[derive(Clone, Copy, Debug)]
-pub struct MisOptions {
-    /// Enable the per-machine caching optimization (§5.3).
-    pub caching: bool,
-    /// Use the theoretically-truncated multi-round query process of
-    /// \[19\] instead of a single unbounded round.
-    pub truncated: bool,
-}
-
-impl Default for MisOptions {
-    fn default() -> Self {
-        MisOptions {
-            caching: true,
-            truncated: false,
-        }
-    }
-}
-
-/// Result of an AMPC MIS run.
-#[derive(Clone, Debug)]
-pub struct MisOutcome {
-    /// Membership per vertex.
-    pub in_mis: Vec<bool>,
-    /// Execution record for the harness.
-    pub report: JobReport,
-}
-
-/// Runs AMPC MIS with the configuration's defaults (caching per
-/// `cfg.caching`, single-round query process).
-///
-/// ```
-/// use ampc_core::{mis, validate};
-/// use ampc_runtime::AmpcConfig;
-///
-/// let g = ampc_graph::gen::erdos_renyi(100, 300, 7);
-/// let out = mis::ampc_mis(&g, &AmpcConfig::for_tests());
-/// assert!(validate::is_maximal_independent_set(&g, &out.in_mis));
-/// assert_eq!(out.report.num_shuffles(), 1); // Table 3
-/// ```
-pub fn ampc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
-    ampc_mis_with_options(
-        g,
-        cfg,
-        MisOptions {
-            caching: cfg.caching,
-            ..Default::default()
-        },
-    )
-}
+use ampc_runtime::Job;
 
 /// DirectGraph's host-side work: every vertex's earlier-in-π neighbors
 /// (those that can block it), sorted by rank.
@@ -97,23 +47,25 @@ enum Status {
     NotInMis,
 }
 
-/// Runs AMPC MIS with explicit options.
-pub fn ampc_mis_with_options(g: &CsrGraph, cfg: &AmpcConfig, opts: MisOptions) -> MisOutcome {
-    let mut job = Job::new(*cfg);
-    let in_mis = ampc_mis_in_job(&mut job, g, opts);
-    MisOutcome {
-        in_mis,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job kernel body: runs AMPC MIS inside a caller-provided
-/// [`Job`] (the [`crate::algorithm::AmpcAlgorithm`] entry point —
-/// config resolution and report finalization belong to the driver).
+/// The kernel body: AMPC MIS inside a caller-provided [`Job`]. Caching
+/// follows `job.config().caching`; `truncated` runs the multi-round query
+/// process of \[19\] (registry row `mis/truncated`) instead of one
+/// unbounded round.
+///
+/// ```
+/// use ampc_core::{mis, validate};
+/// use ampc_runtime::{driver::drive, AmpcConfig};
+///
+/// let g = ampc_graph::gen::erdos_renyi(100, 300, 7);
+/// let out = drive(&AmpcConfig::for_tests(), |job| mis::ampc_mis_in_job(job, &g, false));
+/// assert!(validate::is_maximal_independent_set(&g, &out.output));
+/// assert_eq!(out.report.num_shuffles(), 1); // Table 3
+/// ```
 // ampc-lint: budget(batched-requests = 3)
-pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<bool> {
+pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, truncated: bool) -> Vec<bool> {
     let cfg = *job.config();
     let n = g.num_nodes();
+    let caching = cfg.caching;
 
     // ------------------------------------------------------ DirectGraph
     // Per vertex: its earlier-in-π neighbors, sorted by rank. Host-side
@@ -154,7 +106,7 @@ pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<boo
     // round, consulting statuses resolved in earlier rounds.
     let mut resolved: Vec<u8> = vec![0; n]; // 0 unknown, 1 in, 2 out
     let mut pending: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut rounds = AdaptiveRounds::new(if opts.truncated {
+    let mut rounds = AdaptiveRounds::new(if truncated {
         cfg.search_budget(n)
     } else {
         u64::MAX
@@ -170,7 +122,7 @@ pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<boo
             pending.clone(),
             handle_budget,
             |ctx, items| {
-                let mut cache: DenseCache<Status> = if opts.caching {
+                let mut cache: DenseCache<Status> = if caching {
                     DenseCache::unbounded(n)
                 } else {
                     DenseCache::disabled()
@@ -193,7 +145,7 @@ pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, opts: MisOptions) -> Vec<boo
                         let root = root.map(|l| l.as_slice()).unwrap_or(&[]);
                         (
                             v,
-                            evaluate(v, root, ctx, &mut cache, resolved_ro, budget, opts.caching),
+                            evaluate(v, root, ctx, &mut cache, resolved_ro, budget, caching),
                         )
                     })
                     .collect()
@@ -358,9 +310,15 @@ mod tests {
     use crate::mis::greedy::greedy_mis;
     use crate::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
+    }
+
+    fn run(g: &CsrGraph, c: &AmpcConfig, truncated: bool) -> Driven<Vec<bool>> {
+        drive(c, |job| ampc_mis_in_job(job, g, truncated))
     }
 
     #[test]
@@ -368,9 +326,9 @@ mod tests {
         for seed in 0..8 {
             let g = gen::erdos_renyi(120, 360, seed);
             let c = cfg().with_seed(seed * 13 + 5);
-            let out = ampc_mis(&g, &c);
-            assert_eq!(out.in_mis, greedy_mis(&g, c.seed), "seed {seed}");
-            assert!(validate::is_maximal_independent_set(&g, &out.in_mis));
+            let in_mis = run(&g, &c, false).output;
+            assert_eq!(in_mis, greedy_mis(&g, c.seed), "seed {seed}");
+            assert!(validate::is_maximal_independent_set(&g, &in_mis));
         }
     }
 
@@ -378,15 +336,14 @@ mod tests {
     fn matches_greedy_on_skewed_graph() {
         let g = gen::rmat(10, 8_000, gen::RmatParams::SOCIAL, 3);
         let c = cfg();
-        let out = ampc_mis(&g, &c);
-        assert_eq!(out.in_mis, greedy_mis(&g, c.seed));
+        assert_eq!(run(&g, &c, false).output, greedy_mis(&g, c.seed));
     }
 
     #[test]
     fn uses_one_shuffle_and_two_kv_rounds() {
         // Table 3: the AMPC MIS uses a single shuffle.
         let g = gen::erdos_renyi(100, 250, 1);
-        let out = ampc_mis(&g, &cfg());
+        let out = run(&g, &cfg(), false);
         assert_eq!(out.report.num_shuffles(), 1);
         assert_eq!(out.report.num_kv_rounds(), 2); // KV-Write + IsInMIS
     }
@@ -394,24 +351,9 @@ mod tests {
     #[test]
     fn no_cache_still_correct_but_more_queries() {
         let g = gen::erdos_renyi(150, 600, 2);
-        let c = cfg();
-        let cached = ampc_mis_with_options(
-            &g,
-            &c,
-            MisOptions {
-                caching: true,
-                truncated: false,
-            },
-        );
-        let uncached = ampc_mis_with_options(
-            &g,
-            &c,
-            MisOptions {
-                caching: false,
-                truncated: false,
-            },
-        );
-        assert_eq!(cached.in_mis, uncached.in_mis);
+        let cached = run(&g, &cfg().with_caching(true), false);
+        let uncached = run(&g, &cfg().with_caching(false), false);
+        assert_eq!(cached.output, uncached.output);
         let qc = cached.report.kv_comm().queries;
         let qu = uncached.report.kv_comm().queries;
         assert!(qu > qc, "uncached should query more: {qu} vs {qc}");
@@ -420,39 +362,30 @@ mod tests {
     #[test]
     fn truncated_variant_converges_and_matches() {
         let g = gen::erdos_renyi(200, 800, 4);
-        let c = cfg();
-        let out = ampc_mis_with_options(
-            &g,
-            &c,
-            MisOptions {
-                caching: true,
-                truncated: true,
-            },
-        );
-        assert_eq!(out.in_mis, greedy_mis(&g, c.seed));
+        let c = cfg().with_caching(true);
+        assert_eq!(run(&g, &c, true).output, greedy_mis(&g, c.seed));
     }
 
     #[test]
     fn isolated_vertices_always_in() {
         let g = CsrGraph::empty(7);
-        let out = ampc_mis(&g, &cfg());
-        assert!(out.in_mis.iter().all(|&b| b));
+        assert!(run(&g, &cfg(), false).output.iter().all(|&b| b));
     }
 
     #[test]
     fn deterministic_across_machine_counts() {
         let g = gen::erdos_renyi(150, 500, 9);
-        let a = ampc_mis(&g, &cfg().with_machines(2));
-        let b = ampc_mis(&g, &cfg().with_machines(7));
-        assert_eq!(a.in_mis, b.in_mis);
+        let a = run(&g, &cfg().with_machines(2), false);
+        let b = run(&g, &cfg().with_machines(7), false);
+        assert_eq!(a.output, b.output);
     }
 
     #[test]
     fn star_takes_leaves_or_center() {
         let g = gen::star(20);
-        let out = ampc_mis(&g, &cfg());
-        let count = out.in_mis.iter().filter(|&&b| b).count();
-        if out.in_mis[0] {
+        let in_mis = run(&g, &cfg(), false).output;
+        let count = in_mis.iter().filter(|&&b| b).count();
+        if in_mis[0] {
             assert_eq!(count, 1);
         } else {
             assert_eq!(count, 19);

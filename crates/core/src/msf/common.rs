@@ -37,26 +37,9 @@ use ampc_dht::hasher::FxHashSet;
 use ampc_dht::measured::Measured;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{NodeId, Weight, WeightedCsrGraph, WeightedEdge, NO_NODE};
-use ampc_runtime::{Job, JobReport};
+use ampc_runtime::Job;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Result of an AMPC MSF run.
-#[derive(Clone, Debug)]
-pub struct MsfOutcome {
-    /// The minimum spanning forest, as original-graph edges with
-    /// original weights, sorted.
-    pub edges: Vec<WeightedEdge>,
-    /// Execution record.
-    pub report: JobReport,
-}
-
-impl MsfOutcome {
-    /// Total weight of the forest.
-    pub fn total_weight(&self) -> u128 {
-        self.edges.iter().map(|e| e.w as u128).sum()
-    }
-}
 
 /// An edge at some contraction level: current endpoints plus the
 /// original edge it descends from. `w` is the *internal* strict weight

@@ -1,4 +1,10 @@
-//! DenseMSF — Proposition 3.1 (\[19\]'s algorithm, as iterated here).
+//! DenseMSF — Proposition 3.1 (\[19\]'s algorithm, as iterated here) —
+//! and [`ampc_msf_in_job`], the §5.5 production pipeline Figure 7
+//! measures, which is this loop: *"We empirically found that
+//! implementing a single search procedure on the graph without
+//! ternarization is sufficient to shrink it to a very small size"*, and
+//! at the default threshold the loop almost always runs exactly one
+//! distributed round before the in-memory finish.
 //!
 //! The loop: run a truncated-Prim + contraction round
 //! ([`crate::msf::common::prim_contract_round`]); each round shrinks the
@@ -7,28 +13,26 @@
 //! threshold, where Kruskal finishes — the same "switch to a single
 //! machine" step the paper's implementations use (§5.4, §5.5).
 
-use super::common::{
-    assert_strictly_ascending, distinctify, prim_contract_round, MsfOutcome, ProvEdge,
-};
-use ampc_graph::WeightedCsrGraph;
+use super::common::{assert_strictly_ascending, distinctify, prim_contract_round, ProvEdge};
+use ampc_graph::{WeightedCsrGraph, WeightedEdge};
 use ampc_runtime::{AmpcConfig, Job};
 use ampc_trees::UnionFind;
 
-/// Computes the MSF with the iterated dense routine.
-pub fn dense_msf(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome {
-    let mut job = Job::new(*cfg);
-    let edges = dense_msf_in_job(&mut job, g);
-    MsfOutcome {
-        edges,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job kernel body: runs the iterated dense MSF inside a
-/// caller-provided [`Job`] (the [`crate::algorithm::AmpcAlgorithm`]
-/// entry point), returning the MSF edges in canonical order.
+/// The kernel body of the §5.5 production pipeline (registry row `msf`):
+/// sort → KV write → Prim search → pointer jump → contract ×2 →
+/// in-memory finish, returning the MSF edges in canonical order.
+///
+/// ```
+/// use ampc_core::msf;
+/// use ampc_runtime::{driver::drive, AmpcConfig};
+///
+/// let g = ampc_graph::gen::degree_weights(&ampc_graph::gen::erdos_renyi(60, 150, 1));
+/// let out = drive(&AmpcConfig::for_tests(), |job| msf::ampc_msf_in_job(job, &g));
+/// // The unique MSF, identical to Kruskal's:
+/// assert_eq!(out.output, msf::in_memory::kruskal(&g));
+/// ```
 // ampc-lint: budget(batched-requests = 3)
-pub fn dense_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<ampc_graph::WeightedEdge> {
+pub fn ampc_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<WeightedEdge> {
     let cfg = *job.config();
     let mut d = distinctify(g);
     let internal = dense_msf_loop(job, d.n, std::mem::take(&mut d.edges), &cfg);
@@ -94,17 +98,22 @@ mod tests {
     use super::*;
     use crate::msf::in_memory::kruskal;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
+    }
+
+    fn run(g: &WeightedCsrGraph, c: &AmpcConfig) -> Driven<Vec<WeightedEdge>> {
+        drive(c, |job| ampc_msf_in_job(job, g))
     }
 
     #[test]
     fn matches_kruskal_on_random_graphs() {
         for seed in 0..6 {
             let g = gen::random_weights(&gen::erdos_renyi(150, 450, seed), 10_000, seed);
-            let out = dense_msf(&g, &cfg().with_seed(seed + 3));
-            assert_eq!(out.edges, kruskal(&g), "seed {seed}");
+            let forest = run(&g, &cfg().with_seed(seed + 3)).output;
+            assert_eq!(forest, kruskal(&g), "seed {seed}");
         }
     }
 
@@ -112,12 +121,11 @@ mod tests {
     fn matches_kruskal_with_degree_weights_and_ties() {
         // deg(u)+deg(v) weights have many ties: exercises tie-breaking.
         let g = gen::degree_weights(&gen::rmat(9, 6_000, gen::RmatParams::SOCIAL, 4));
-        let out = dense_msf(&g, &cfg());
-        assert_eq!(out.total_weight(), {
-            let k = kruskal(&g);
-            k.iter().map(|e| e.w as u128).sum::<u128>()
-        });
-        assert_eq!(out.edges, kruskal(&g));
+        let forest = run(&g, &cfg()).output;
+        let k = kruskal(&g);
+        let weight = |f: &[WeightedEdge]| f.iter().map(|e| e.w as u128).sum::<u128>();
+        assert_eq!(weight(&forest), weight(&k));
+        assert_eq!(forest, k);
     }
 
     #[test]
@@ -126,8 +134,8 @@ mod tests {
         let g = gen::random_weights(&gen::erdos_renyi(400, 1600, 9), 100_000, 9);
         let mut c = cfg();
         c.in_memory_threshold = 10;
-        let out = dense_msf(&g, &c);
-        assert_eq!(out.edges, kruskal(&g));
+        let out = run(&g, &c);
+        assert_eq!(out.output, kruskal(&g));
         assert!(
             out.report.num_shuffles() >= 10,
             "expected >= 2 rounds of 5 shuffles, got {}",
@@ -138,8 +146,8 @@ mod tests {
     #[test]
     fn small_graph_goes_straight_to_memory() {
         let g = gen::degree_weights(&gen::path(10));
-        let out = dense_msf(&g, &cfg());
-        assert_eq!(out.edges.len(), 9);
+        let out = run(&g, &cfg());
+        assert_eq!(out.output.len(), 9);
         assert_eq!(out.report.num_shuffles(), 0);
     }
 
@@ -148,8 +156,8 @@ mod tests {
         let g = gen::random_weights(&gen::two_cycles(30, 2), 500, 2);
         let mut c = cfg();
         c.in_memory_threshold = 5;
-        let out = dense_msf(&g, &c);
-        assert_eq!(out.edges, kruskal(&g));
-        assert_eq!(out.edges.len(), 58); // 2 * (30 - 1)
+        let forest = run(&g, &c).output;
+        assert_eq!(forest, kruskal(&g));
+        assert_eq!(forest.len(), 58); // 2 * (30 - 1)
     }
 }

@@ -19,7 +19,7 @@
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::{AmpcConfig, Job, JobReport};
+use ampc_runtime::Job;
 use ampc_trees::UnionFind;
 
 /// The answer to a 1-vs-2-cycle instance.
@@ -31,49 +31,32 @@ pub enum CycleAnswer {
     Two,
 }
 
-/// Result of the AMPC 1-vs-2-cycle run.
-#[derive(Clone, Debug)]
-pub struct CycleOutcome {
-    /// The answer.
-    pub answer: CycleAnswer,
-    /// Number of cycles actually found (≥ 1).
-    pub num_cycles: usize,
-    /// Execution record.
-    pub report: JobReport,
+impl CycleAnswer {
+    /// The answer for an instance with `num_cycles` cycles.
+    pub fn of(num_cycles: usize) -> Self {
+        if num_cycles == 1 {
+            CycleAnswer::One
+        } else {
+            CycleAnswer::Two
+        }
+    }
 }
 
 const SAMPLE_SALT: u64 = 0x1b52_c1c1;
 
-/// Runs the sampling-based 1-vs-2-cycle algorithm at the paper's
-/// sampling rate (1/1024).
+/// The kernel body (registry row `one-vs-two`): answers the instance
+/// inside a caller-provided [`Job`] at inverse sampling rate `sample_inv`
+/// (the paper's: 1024), returning the answer and the cycle count found.
 ///
 /// ```
-/// use ampc_core::one_vs_two::{ampc_one_vs_two, CycleAnswer};
-/// use ampc_runtime::AmpcConfig;
+/// use ampc_core::one_vs_two::{ampc_one_vs_two_in_job, CycleAnswer};
+/// use ampc_runtime::{driver::drive, AmpcConfig};
 ///
 /// let two = ampc_graph::gen::two_cycles(500, 9);
-/// let out = ampc_one_vs_two(&two, &AmpcConfig::for_tests());
-/// assert_eq!(out.answer, CycleAnswer::Two);
+/// let out = drive(&AmpcConfig::for_tests(), |job| ampc_one_vs_two_in_job(job, &two, 1024));
+/// assert_eq!(out.output.0, CycleAnswer::Two);
 /// assert_eq!(out.report.num_shuffles(), 1);
 /// ```
-pub fn ampc_one_vs_two(g: &CsrGraph, cfg: &AmpcConfig) -> CycleOutcome {
-    ampc_one_vs_two_with_rate(g, cfg, 1024)
-}
-
-/// [`ampc_one_vs_two`] with an explicit inverse sampling rate.
-pub fn ampc_one_vs_two_with_rate(g: &CsrGraph, cfg: &AmpcConfig, sample_inv: u64) -> CycleOutcome {
-    let mut job = Job::new(*cfg);
-    let (answer, num_cycles) = ampc_one_vs_two_in_job(&mut job, g, sample_inv);
-    CycleOutcome {
-        answer,
-        num_cycles,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job kernel body (the [`crate::algorithm::AmpcAlgorithm`]
-/// entry point): answers the instance inside a caller-provided [`Job`],
-/// returning the answer and the cycle count found.
 // ampc-lint: budget(batched-requests = 3)
 pub fn ampc_one_vs_two_in_job(
     job: &mut Job,
@@ -230,21 +213,22 @@ pub fn ampc_one_vs_two_in_job(
         (uf.num_components() + extra, covered)
     });
 
-    let answer = if num_cycles == 1 {
-        CycleAnswer::One
-    } else {
-        CycleAnswer::Two
-    };
-    (answer, num_cycles)
+    (CycleAnswer::of(num_cycles), num_cycles)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
+    }
+
+    fn run(g: &CsrGraph, c: &AmpcConfig, sample_inv: u64) -> Driven<(CycleAnswer, usize)> {
+        drive(c, |job| ampc_one_vs_two_in_job(job, g, sample_inv))
     }
 
     #[test]
@@ -254,12 +238,12 @@ mod tests {
             let two = gen::two_cycles(2000, seed);
             let c = cfg().with_seed(seed + 7);
             assert_eq!(
-                ampc_one_vs_two(&one, &c).answer,
+                run(&one, &c, 1024).output.0,
                 CycleAnswer::One,
                 "seed {seed}"
             );
             assert_eq!(
-                ampc_one_vs_two(&two, &c).answer,
+                run(&two, &c, 1024).output.0,
                 CycleAnswer::Two,
                 "seed {seed}"
             );
@@ -269,28 +253,26 @@ mod tests {
     #[test]
     fn counts_cycles_exactly_when_all_sampled_covered() {
         let g = gen::two_cycles(500, 3);
-        let out = ampc_one_vs_two_with_rate(&g, &cfg(), 16);
-        assert_eq!(out.num_cycles, 2);
+        assert_eq!(run(&g, &cfg(), 16).output.1, 2);
     }
 
     #[test]
     fn single_shuffle_total() {
         let g = gen::single_cycle(1000, 1);
-        let out = ampc_one_vs_two(&g, &cfg());
-        assert_eq!(out.report.num_shuffles(), 1);
+        assert_eq!(run(&g, &cfg(), 1024).report.num_shuffles(), 1);
     }
 
     #[test]
     fn tiny_cycles_work() {
         let g = gen::single_cycle(5, 2);
-        assert_eq!(ampc_one_vs_two(&g, &cfg()).answer, CycleAnswer::One);
+        assert_eq!(run(&g, &cfg(), 1024).output.0, CycleAnswer::One);
         let g = gen::two_cycles(3, 2);
-        assert_eq!(ampc_one_vs_two(&g, &cfg()).answer, CycleAnswer::Two);
+        assert_eq!(run(&g, &cfg(), 1024).output.0, CycleAnswer::Two);
     }
 
     #[test]
     #[should_panic(expected = "2-regular")]
     fn rejects_non_cycle_inputs() {
-        ampc_one_vs_two(&gen::path(10), &cfg());
+        run(&gen::path(10), &cfg(), 1024);
     }
 }

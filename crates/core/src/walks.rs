@@ -15,38 +15,12 @@ use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::{AmpcConfig, Job, JobReport};
+use ampc_runtime::Job;
 
-/// Result of a batch of random walks.
-#[derive(Clone, Debug)]
-pub struct WalkOutcome {
-    /// The walks: `walks[i]` is the vertex sequence of walker `i`
-    /// (length `steps + 1`, including the start).
-    pub walks: Vec<Vec<NodeId>>,
-    /// Execution record.
-    pub report: JobReport,
-}
-
-/// Runs `walkers_per_node × n` independent random walks of `steps` hops
-/// each, all inside a single KV round. Walks at a dead end (isolated
-/// vertex) stay put. Deterministic given the seed.
-pub fn ampc_random_walks(
-    g: &CsrGraph,
-    cfg: &AmpcConfig,
-    walkers_per_node: usize,
-    steps: usize,
-) -> WalkOutcome {
-    let mut job = Job::new(*cfg);
-    let walks = ampc_random_walks_in_job(&mut job, g, walkers_per_node, steps);
-    WalkOutcome {
-        walks,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job kernel body (the [`crate::algorithm::AmpcAlgorithm`]
-/// entry point): runs the walks inside a caller-provided [`Job`],
-/// returning one vertex sequence per walker.
+/// The kernel body (registry row `walks`): `walkers_per_node × n`
+/// independent random walks of `steps` hops each, all inside a single KV
+/// round, returning one vertex sequence per walker. Walks at a dead end
+/// (isolated vertex) stay put. Deterministic given the seed.
 // ampc-lint: budget(batched-requests = 2)
 pub fn ampc_random_walks_in_job(
     job: &mut Job,
@@ -146,20 +120,15 @@ pub fn ampc_random_walks_in_job(
     walks
 }
 
-/// Visit-frequency PageRank estimate from random walks with restarts:
-/// walkers teleport with probability `1 - damping` (realized by chopping
-/// walks into segments). Returns unnormalized visit counts per vertex.
-pub fn pagerank_estimate(
-    g: &CsrGraph,
-    cfg: &AmpcConfig,
-    walkers_per_node: usize,
-    steps: usize,
-    damping: f64,
-) -> (Vec<f64>, JobReport) {
+/// Visit-frequency PageRank estimate from the random walks of an
+/// `n`-vertex graph (what [`ampc_random_walks_in_job`] returns), with
+/// restarts: walkers teleport with probability `1 - damping` (realized by
+/// chopping walks into segments). Returns visit mass per vertex,
+/// normalized to sum to 1.
+pub fn pagerank_estimate(n: usize, walks: &[Vec<NodeId>], damping: f64) -> Vec<f64> {
     assert!((0.0..1.0).contains(&damping), "damping must be in [0, 1)");
-    let out = ampc_random_walks(g, cfg, walkers_per_node, steps);
-    let mut visits = vec![0f64; g.num_nodes()];
-    for walk in &out.walks {
+    let mut visits = vec![0f64; n];
+    for walk in walks {
         for (i, &v) in walk.iter().enumerate() {
             // Probability the walk survives i hops without teleporting.
             visits[v as usize] += damping.powi(i as i32);
@@ -171,24 +140,30 @@ pub fn pagerank_estimate(
             *v /= total;
         }
     }
-    (visits, out.report)
+    visits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::for_tests()
     }
 
+    fn run(g: &CsrGraph, c: &AmpcConfig, walkers: usize, steps: usize) -> Driven<Vec<Vec<NodeId>>> {
+        drive(c, |job| ampc_random_walks_in_job(job, g, walkers, steps))
+    }
+
     #[test]
     fn walks_follow_edges() {
         let g = gen::erdos_renyi(60, 200, 3);
-        let out = ampc_random_walks(&g, &cfg(), 1, 8);
-        assert_eq!(out.walks.len(), 60);
-        for walk in &out.walks {
+        let walks = run(&g, &cfg(), 1, 8).output;
+        assert_eq!(walks.len(), 60);
+        for walk in &walks {
             assert_eq!(walk.len(), 9);
             for w in walk.windows(2) {
                 assert!(
@@ -202,7 +177,7 @@ mod tests {
     #[test]
     fn single_kv_search_round() {
         let g = gen::erdos_renyi(40, 120, 1);
-        let out = ampc_random_walks(&g, &cfg(), 2, 4);
+        let out = run(&g, &cfg(), 2, 4);
         assert_eq!(out.report.num_shuffles(), 1);
         assert_eq!(out.report.num_kv_rounds(), 2); // KV-Write + Walk
     }
@@ -210,18 +185,17 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = gen::erdos_renyi(50, 150, 2);
-        let a = ampc_random_walks(&g, &cfg(), 1, 6);
-        let b = ampc_random_walks(&g, &cfg(), 1, 6);
-        assert_eq!(a.walks, b.walks);
-        let c = ampc_random_walks(&g, &cfg().with_seed(99), 1, 6);
-        assert_ne!(a.walks, c.walks);
+        let a = run(&g, &cfg(), 1, 6).output;
+        let b = run(&g, &cfg(), 1, 6).output;
+        assert_eq!(a, b);
+        let c = run(&g, &cfg().with_seed(99), 1, 6).output;
+        assert_ne!(a, c);
     }
 
     #[test]
     fn isolated_vertices_stay_put() {
         let g = CsrGraph::empty(3);
-        let out = ampc_random_walks(&g, &cfg(), 1, 5);
-        for (v, walk) in out.walks.iter().enumerate() {
+        for (v, walk) in run(&g, &cfg(), 1, 5).output.iter().enumerate() {
             assert!(walk.iter().all(|&x| x as usize == v));
         }
     }
@@ -230,7 +204,8 @@ mod tests {
     fn pagerank_favors_hubs() {
         // Star: the center should collect by far the most visit mass.
         let g = gen::star(50);
-        let (pr, _) = pagerank_estimate(&g, &cfg(), 4, 10, 0.85);
+        let walks = run(&g, &cfg(), 4, 10).output;
+        let pr = pagerank_estimate(g.num_nodes(), &walks, 0.85);
         let center = pr[0];
         for &leaf in &pr[1..] {
             assert!(center > 5.0 * leaf, "center {center} vs leaf {leaf}");
@@ -242,7 +217,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "damping")]
     fn rejects_bad_damping() {
-        let g = gen::path(4);
-        pagerank_estimate(&g, &cfg(), 1, 2, 1.5);
+        pagerank_estimate(4, &[], 1.5);
     }
 }

@@ -130,6 +130,9 @@ impl GraphSource {
                 let log_n: u32 = parts[0]
                     .parse()
                     .map_err(|_| format!("rmat: bad LOG_N {:?}", parts[0]))?;
+                if log_n > 31 {
+                    return Err(format!("rmat: LOG_N {log_n} is above 31 (u32 node ids)"));
+                }
                 let m: usize = parts[1]
                     .parse()
                     .map_err(|_| format!("rmat: bad M {:?}", parts[1]))?;
@@ -167,11 +170,19 @@ impl GraphSource {
             }
             "cycle" => {
                 need_args("cycle")?;
-                Ok(GraphSource::Cycle(parse_nums(args, 1, "cycle")?[0]))
+                let n = parse_nums(args, 1, "cycle")?[0];
+                if n < 3 {
+                    return Err(format!("cycle: N = {n}, but a cycle needs 3 vertices"));
+                }
+                Ok(GraphSource::Cycle(n))
             }
             "pair" => {
                 need_args("pair")?;
-                Ok(GraphSource::CyclePair(parse_nums(args, 1, "pair")?[0]))
+                let k = parse_nums(args, 1, "pair")?[0];
+                if k < 3 {
+                    return Err(format!("pair: K = {k}, but a cycle needs 3 vertices"));
+                }
+                Ok(GraphSource::CyclePair(k))
             }
             "path" => {
                 need_args("path")?;
@@ -349,6 +360,24 @@ mod tests {
                 GraphSource::parse(bad).is_err(),
                 "{bad:?} should be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn rejects_sizes_the_generators_cannot_build() {
+        for bad in [
+            "cycle:0",
+            "cycle:2",
+            "pair:1",
+            "pair:2",
+            "rmat:32,100",
+            "rmat:33,100",
+        ] {
+            let err = GraphSource::parse(bad).expect_err(bad);
+            assert!(!err.contains('\n'), "{bad}: {err}");
+        }
+        for good in ["cycle:3", "pair:3", "rmat:31,10"] {
+            assert!(GraphSource::parse(good).is_ok(), "{good}");
         }
     }
 

@@ -10,18 +10,19 @@
 //! MM algorithms since each phase … only shrinks the number of vertices
 //! by a constant factor"* (11–28 phases on the paper's inputs).
 
-use ampc_core::msf::common::{distinctify, MsfOutcome, ProvEdge};
+use ampc_core::msf::common::{distinctify, ProvEdge};
 use ampc_dht::hasher::{mix64, FxHashMap};
 use ampc_dht::measured::Measured;
-use ampc_graph::{NodeId, WeightedCsrGraph, NO_NODE};
-use ampc_runtime::{AmpcConfig, Job};
+use ampc_graph::{NodeId, WeightedCsrGraph, WeightedEdge, NO_NODE};
+use ampc_runtime::Job;
 use ampc_trees::UnionFind;
 
-/// Runs Borůvka MSF. Produces the same (unique) forest as the AMPC
-/// pipeline and Kruskal.
-pub fn mpc_msf(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome {
+/// The Borůvka MSF body (registry row `msf`, model `mpc`): the same
+/// (unique) forest as the AMPC pipeline and Kruskal.
+// ampc-lint: budget(batched-requests = 0)
+pub fn mpc_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<WeightedEdge> {
+    let cfg = *job.config();
     let d = distinctify(g);
-    let mut job = Job::new(*cfg);
 
     let mut edges = d.edges.clone();
     let mut cur_n = d.n;
@@ -167,18 +168,17 @@ pub fn mpc_msf(g: &WeightedCsrGraph, cfg: &AmpcConfig) -> MsfOutcome {
     msf.sort_unstable();
     msf.dedup();
 
-    MsfOutcome {
-        edges: d.restore(msf),
-        report: job.into_report(),
-    }
+    d.restore(msf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc_core::msf::ampc_msf_in_job;
     use ampc_core::msf::in_memory::kruskal;
-    use ampc_core::msf::{ampc_msf, dense_msf};
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         let mut c = AmpcConfig::for_tests();
@@ -186,12 +186,20 @@ mod tests {
         c
     }
 
+    fn mpc(g: &WeightedCsrGraph, c: &AmpcConfig) -> Driven<Vec<WeightedEdge>> {
+        drive(c, |job| mpc_msf_in_job(job, g))
+    }
+
+    fn ampc(g: &WeightedCsrGraph, c: &AmpcConfig) -> Driven<Vec<WeightedEdge>> {
+        drive(c, |job| ampc_msf_in_job(job, g))
+    }
+
     #[test]
     fn matches_kruskal() {
         for seed in 0..5 {
             let g = gen::random_weights(&gen::erdos_renyi(150, 600, seed), 99_999, seed);
-            let out = mpc_msf(&g, &cfg().with_seed(seed));
-            assert_eq!(out.edges, kruskal(&g), "seed {seed}");
+            let forest = mpc(&g, &cfg().with_seed(seed)).output;
+            assert_eq!(forest, kruskal(&g), "seed {seed}");
         }
     }
 
@@ -199,19 +207,16 @@ mod tests {
     fn same_forest_as_ampc_pipeline() {
         let g = gen::degree_weights(&gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 3));
         let c = cfg();
-        let a = ampc_msf(&g, &c);
-        let b = mpc_msf(&g, &c);
-        assert_eq!(a.edges, b.edges);
-        let _ = dense_msf(&g, &c);
+        assert_eq!(ampc(&g, &c).output, mpc(&g, &c).output);
     }
 
     #[test]
     fn three_shuffles_per_phase_and_more_phases_than_ampc() {
         let g = gen::degree_weights(&gen::erdos_renyi(400, 2_000, 9));
         let c = cfg();
-        let out = mpc_msf(&g, &c);
+        let out = mpc(&g, &c);
         assert_eq!(out.report.num_shuffles() % 3, 0);
-        let ampc = ampc_msf(&g, &c);
+        let ampc = ampc(&g, &c);
         assert!(
             out.report.num_shuffles() > ampc.report.num_shuffles(),
             "Boruvka {} vs AMPC {}",
@@ -223,7 +228,6 @@ mod tests {
     #[test]
     fn disconnected_inputs() {
         let g = gen::random_weights(&gen::two_cycles(60, 1), 500, 1);
-        let out = mpc_msf(&g, &cfg());
-        assert_eq!(out.edges, kruskal(&g));
+        assert_eq!(mpc(&g, &cfg()).output, kruskal(&g));
     }
 }

@@ -4,7 +4,7 @@
 //! rerun static connectivity — there is no adaptive store to maintain
 //! state in between. This module does exactly that: after every batch
 //! it materializes the current edge set and runs
-//! [`crate::mpc_connected_components`] (CC-LocalContraction) on it,
+//! [`crate::mpc_connected_components_in_job`] (CC-LocalContraction) on it,
 //! paying the full O(n + m) shuffle pipeline per batch. Both the static
 //! baseline and the maintained AMPC kernel emit canonical min-vertex-id
 //! labels, so the per-epoch labellings are **byte-identical** by
@@ -15,49 +15,23 @@
 
 use ampc_graph::dynamic::{EdgeSet, UpdateBatch};
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::{AmpcConfig, Job, JobReport};
+use ampc_runtime::Job;
 
-/// Result of a recompute-from-scratch dynamic connectivity run.
-#[derive(Clone, Debug)]
-pub struct RecomputeCcOutcome {
-    /// `labels[0]` labels the initial graph; `labels[i + 1]` labels the
-    /// graph after batch `i` (canonical min-id labels throughout).
-    pub labels: Vec<Vec<NodeId>>,
-    /// Execution record (one epoch per entry of `labels`).
-    pub report: JobReport,
-}
-
-/// Runs the baseline standalone (see [`mpc_recompute_cc_in_job`]).
-pub fn mpc_recompute_cc(
-    g: &CsrGraph,
-    batches: &[UpdateBatch],
-    cfg: &AmpcConfig,
-) -> RecomputeCcOutcome {
-    let mut job = Job::new(*cfg);
-    let labels = mpc_recompute_cc_in_job(&mut job, g, batches);
-    RecomputeCcOutcome {
-        labels,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job baseline body: applies each batch to the reference
-/// [`EdgeSet`] state machine, rebuilds the graph, and reruns the static
-/// MPC connectivity pipeline from scratch — one epoch per batch.
+/// The recompute baseline body (registry row `dyn-cc`, model `mpc`):
+/// applies each batch to the reference [`EdgeSet`] state machine,
+/// rebuilds the graph, and reruns the static MPC connectivity body from
+/// scratch in the same job — one epoch per batch.
 // ampc-lint: budget(batched-requests = 0)
 pub fn mpc_recompute_cc_in_job(
     job: &mut Job,
     g: &CsrGraph,
     batches: &[UpdateBatch],
 ) -> Vec<Vec<NodeId>> {
-    let cfg = *job.config();
     let mut out = Vec::with_capacity(batches.len() + 1);
     let mut state = EdgeSet::from_graph(g);
 
     job.epoch("RecomputeInit");
-    let first = crate::mpc_connected_components(g, &cfg);
-    job.absorb(first.report);
-    out.push(first.label);
+    out.push(crate::mpc_connected_components_in_job(job, g));
 
     for (bi, batch) in batches.iter().enumerate() {
         let b = bi + 1;
@@ -70,9 +44,7 @@ pub fn mpc_recompute_cc_in_job(
                 state.snapshot()
             },
         );
-        let run = crate::mpc_connected_components(&snapshot, &cfg);
-        job.absorb(run.report);
-        out.push(run.label);
+        out.push(crate::mpc_connected_components_in_job(job, &snapshot));
     }
     out
 }
@@ -80,9 +52,11 @@ pub fn mpc_recompute_cc_in_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_core::dynamic::validate_dynamic_labels;
+    use ampc_core::dynamic::{ampc_dynamic_cc_in_job, validate_dynamic_labels};
     use ampc_graph::dynamic::{generate_batches, BatchMix};
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         let mut c = AmpcConfig::for_tests();
@@ -90,12 +64,20 @@ mod tests {
         c
     }
 
+    fn recompute(g: &CsrGraph, batches: &[UpdateBatch]) -> Driven<Vec<Vec<NodeId>>> {
+        drive(&cfg(), |job| mpc_recompute_cc_in_job(job, g, batches))
+    }
+
+    fn maintained(g: &CsrGraph, batches: &[UpdateBatch]) -> Driven<Vec<Vec<NodeId>>> {
+        drive(&cfg(), |job| ampc_dynamic_cc_in_job(job, g, batches))
+    }
+
     #[test]
     fn recompute_labels_match_oracle_every_batch() {
         let g = gen::erdos_renyi(100, 140, 6);
         let batches = generate_batches(&g, 4, 25, BatchMix::Churn, 6);
-        let out = mpc_recompute_cc(&g, &batches, &cfg());
-        validate_dynamic_labels(&g, &batches, &out.labels).unwrap();
+        let out = recompute(&g, &batches);
+        validate_dynamic_labels(&g, &batches, &out.output).unwrap();
         assert_eq!(out.report.num_epochs(), 5);
     }
 
@@ -104,9 +86,8 @@ mod tests {
         for seed in [1u64, 13] {
             let g = gen::erdos_renyi(90, 130, seed);
             let batches = generate_batches(&g, 5, 30, BatchMix::Churn, seed);
-            let base = mpc_recompute_cc(&g, &batches, &cfg());
-            let maintained = ampc_core::dynamic::ampc_dynamic_cc(&g, &batches, &cfg());
-            assert_eq!(base.labels, maintained.labels, "seed {seed}");
+            let (base, kept) = (recompute(&g, &batches), maintained(&g, &batches));
+            assert_eq!(base.output, kept.output, "seed {seed}");
         }
     }
 
@@ -114,8 +95,8 @@ mod tests {
     fn recompute_pays_shuffles_every_batch() {
         let g = gen::erdos_renyi(120, 200, 2);
         let batches = generate_batches(&g, 3, 10, BatchMix::Churn, 2);
-        let out = mpc_recompute_cc(&g, &batches, &cfg());
-        let maintained = ampc_core::dynamic::ampc_dynamic_cc(&g, &batches, &cfg());
+        let out = recompute(&g, &batches);
+        let maintained = maintained(&g, &batches);
         // The separation the subsystem exists to show: recomputation
         // shuffles per batch; maintenance shuffles only at setup.
         assert!(out.report.num_shuffles() >= 4 * maintained.report.num_shuffles());

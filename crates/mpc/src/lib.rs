@@ -22,9 +22,9 @@
 //! * [`dynamic`] — recompute-from-scratch batch-dynamic connectivity:
 //!   the full static pipeline rerun after every update batch, the
 //!   baseline the maintained AMPC kernel is pinned byte-identical to.
-//! * [`algorithms`] — every baseline exposed through the
-//!   [`ampc_core::algorithm::AmpcAlgorithm`] trait, so the driver,
-//!   registry and `ampc` CLI compose the two models uniformly.
+//!
+//! Each baseline exports one body, `mpc_*_in_job(job, …)`, which the
+//! `ampc-bench` registry runs as its family's row with model `mpc`.
 //!
 //! All baselines share randomness with their AMPC counterparts (the
 //! priorities of `ampc-core::priorities`), so MIS/MM outputs are
@@ -34,7 +34,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod algorithms;
 pub mod boruvka;
 pub mod dynamic;
 pub mod local_contraction;
@@ -43,8 +42,9 @@ pub mod mm_rootset;
 pub mod simulate_ampc;
 pub mod walks;
 
-pub use boruvka::mpc_msf;
-pub use local_contraction::mpc_connected_components;
-pub use mis_rootset::mpc_mis;
-pub use mm_rootset::mpc_matching;
-pub use walks::mpc_random_walks;
+pub use boruvka::mpc_msf_in_job;
+pub use dynamic::mpc_recompute_cc_in_job;
+pub use local_contraction::mpc_connected_components_in_job;
+pub use mis_rootset::mpc_mis_in_job;
+pub use mm_rootset::mpc_matching_in_job;
+pub use walks::mpc_random_walks_in_job;

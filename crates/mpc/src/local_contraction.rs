@@ -8,18 +8,21 @@
 //! graph, which requires 3 shuffles. The MPC algorithm uses 4–9
 //! iterations across all cycle inputs (12–27 shuffles)."*
 
-use ampc_core::connectivity::CcOutcome;
+use ampc_core::connectivity::canonical_labels;
 use ampc_dht::hasher::mix64;
 use ampc_graph::ops::contract;
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
-use ampc_runtime::{AmpcConfig, Job};
+use ampc_runtime::Job;
 use ampc_trees::pointer_jump::find_roots;
 use ampc_trees::UnionFind;
 
-/// Connected components via iterated local min-hash contractions.
-pub fn mpc_connected_components(g: &CsrGraph, cfg: &AmpcConfig) -> CcOutcome {
+/// The CC-LocalContraction body (registry rows `cc` and `one-vs-two`,
+/// model `mpc`): connected components via iterated local min-hash
+/// contractions, in canonical min-id labels.
+// ampc-lint: budget(batched-requests = 0)
+pub fn mpc_connected_components_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
+    let cfg = *job.config();
     let n = g.num_nodes();
-    let mut job = Job::new(*cfg);
 
     let mut current = g.clone();
     // current-level id → original representative (min original id seen).
@@ -142,43 +145,16 @@ pub fn mpc_connected_components(g: &CsrGraph, cfg: &AmpcConfig) -> CcOutcome {
         }
     }
     // Canonicalize: all members of a component share its minimum id.
-    let mut min_of: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
-    for v in 0..n as NodeId {
-        let l = label[v as usize];
-        min_of
-            .entry(l)
-            .and_modify(|m| *m = (*m).min(v))
-            .or_insert(v);
-    }
-    let label: Vec<NodeId> = (0..n).map(|v| min_of[&label[v]]).collect();
-
-    CcOutcome {
-        label,
-        report: job.into_report(),
-    }
-}
-
-/// Answers 1-vs-2-cycle with the connectivity baseline.
-pub fn mpc_one_vs_two(
-    g: &CsrGraph,
-    cfg: &AmpcConfig,
-) -> (ampc_core::one_vs_two::CycleAnswer, ampc_runtime::JobReport) {
-    let out = mpc_connected_components(g, cfg);
-    let distinct: std::collections::HashSet<NodeId> = out.label.iter().copied().collect();
-    let answer = if distinct.len() == 1 {
-        ampc_core::one_vs_two::CycleAnswer::One
-    } else {
-        ampc_core::one_vs_two::CycleAnswer::Two
-    };
-    (answer, out.report)
+    canonical_labels(&label)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_core::one_vs_two::CycleAnswer;
     use ampc_core::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         let mut c = AmpcConfig::for_tests();
@@ -186,31 +162,38 @@ mod tests {
         c
     }
 
+    fn run(g: &CsrGraph, c: &AmpcConfig) -> Driven<Vec<NodeId>> {
+        drive(c, |job| mpc_connected_components_in_job(job, g))
+    }
+
     #[test]
     fn labels_match_bfs() {
         for seed in 0..5 {
             let g = gen::erdos_renyi(200, 260, seed);
-            let out = mpc_connected_components(&g, &cfg().with_seed(seed));
-            assert!(
-                validate::is_correct_components(&g, &out.label),
-                "seed {seed}"
-            );
+            let label = run(&g, &cfg().with_seed(seed)).output;
+            assert!(validate::is_correct_components(&g, &label), "seed {seed}");
         }
     }
 
     #[test]
     fn cycle_instances() {
-        let one = gen::single_cycle(3000, 2);
-        let two = gen::two_cycles(1500, 2);
-        let c = cfg();
-        assert_eq!(mpc_one_vs_two(&one, &c).0, CycleAnswer::One);
-        assert_eq!(mpc_one_vs_two(&two, &c).0, CycleAnswer::Two);
+        // Canonical labels name each cycle by its smallest vertex.
+        let cycles = |g: &CsrGraph| {
+            let label = run(g, &cfg()).output;
+            label
+                .iter()
+                .enumerate()
+                .filter(|&(v, &l)| l as usize == v)
+                .count()
+        };
+        assert_eq!(cycles(&gen::single_cycle(3000, 2)), 1);
+        assert_eq!(cycles(&gen::two_cycles(1500, 2)), 2);
     }
 
     #[test]
     fn three_shuffles_per_iteration() {
         let g = gen::single_cycle(2000, 4);
-        let out = mpc_connected_components(&g, &cfg());
+        let out = run(&g, &cfg());
         assert_eq!(out.report.num_shuffles() % 3, 0);
         assert!(out.report.num_shuffles() >= 6);
     }
@@ -222,8 +205,7 @@ mod tests {
         let g = gen::single_cycle(20_000, 8);
         let mut c = cfg();
         c.in_memory_threshold = 100;
-        let out = mpc_connected_components(&g, &c);
-        let iters = out.report.num_shuffles() / 3;
+        let iters = run(&g, &c).report.num_shuffles() / 3;
         assert!(
             (3..=12).contains(&iters),
             "expected a handful of iterations, got {iters}"
@@ -234,7 +216,6 @@ mod tests {
     fn skewed_graph_with_many_components() {
         let g =
             ampc_graph::datasets::Dataset::ClueWeb.generate(ampc_graph::datasets::Scale::Test, 3);
-        let out = mpc_connected_components(&g, &cfg());
-        assert!(validate::is_correct_components(&g, &out.label));
+        assert!(validate::is_correct_components(&g, &run(&g, &cfg()).output));
     }
 }

@@ -10,12 +10,11 @@
 //! *"switching to an in-memory algorithm once the number of edges …
 //! decreases below [the threshold] achieves a good tradeoff."*
 
-use ampc_core::mis::MisOutcome;
 use ampc_core::priorities::NodePerm;
 use ampc_dht::measured::Measured;
 use ampc_graph::ops::induced_subgraph;
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
-use ampc_runtime::{AmpcConfig, Job};
+use ampc_runtime::Job;
 
 /// Record shuffled in the mark/remove joins: a vertex and its adjacency.
 struct NodeRecord(NodeId, Vec<NodeId>);
@@ -26,13 +25,14 @@ impl Measured for NodeRecord {
     }
 }
 
-/// Runs the rootset MPC MIS. Identical output to
-/// [`ampc_core::mis::ampc_mis`] and [`ampc_core::mis::greedy_mis`] under
-/// the same seed.
-pub fn mpc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
+/// The rootset MPC MIS body (registry row `mis`, model `mpc`). Identical
+/// output to [`ampc_core::mis::ampc_mis_in_job`] and
+/// [`ampc_core::mis::greedy_mis`] under the same seed.
+// ampc-lint: budget(batched-requests = 0)
+pub fn mpc_mis_in_job(job: &mut Job, g: &CsrGraph) -> Vec<bool> {
+    let cfg = *job.config();
     let n = g.num_nodes();
     let perm = NodePerm::new(cfg.seed, n);
-    let mut job = Job::new(*cfg);
 
     let mut in_mis = vec![false; n];
     let mut current = g.clone();
@@ -126,18 +126,17 @@ pub fn mpc_mis(g: &CsrGraph, cfg: &AmpcConfig) -> MisOutcome {
         }
     }
 
-    MisOutcome {
-        in_mis,
-        report: job.into_report(),
-    }
+    in_mis
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_core::mis::{ampc_mis, greedy_mis};
+    use ampc_core::mis::{ampc_mis_in_job, greedy_mis};
     use ampc_core::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         let mut c = AmpcConfig::for_tests();
@@ -145,29 +144,36 @@ mod tests {
         c
     }
 
+    fn mpc(g: &CsrGraph, c: &AmpcConfig) -> Driven<Vec<bool>> {
+        drive(c, |job| mpc_mis_in_job(job, g))
+    }
+
+    fn ampc(g: &CsrGraph, c: &AmpcConfig) -> Driven<Vec<bool>> {
+        drive(c, |job| ampc_mis_in_job(job, g, false))
+    }
+
     #[test]
     fn identical_to_greedy_and_ampc() {
         for seed in 0..6 {
             let g = gen::erdos_renyi(150, 500, seed);
             let c = cfg().with_seed(seed * 3 + 1);
-            let mpc = mpc_mis(&g, &c);
-            assert_eq!(mpc.in_mis, greedy_mis(&g, c.seed), "greedy, seed {seed}");
-            let ampc = ampc_mis(&g, &c);
-            assert_eq!(mpc.in_mis, ampc.in_mis, "ampc, seed {seed}");
+            let in_mis = mpc(&g, &c).output;
+            assert_eq!(in_mis, greedy_mis(&g, c.seed), "greedy, seed {seed}");
+            assert_eq!(in_mis, ampc(&g, &c).output, "ampc, seed {seed}");
         }
     }
 
     #[test]
     fn maximal_on_skewed_graph() {
         let g = gen::rmat(10, 8_000, gen::RmatParams::SOCIAL, 2);
-        let out = mpc_mis(&g, &cfg());
-        assert!(validate::is_maximal_independent_set(&g, &out.in_mis));
+        let in_mis = mpc(&g, &cfg()).output;
+        assert!(validate::is_maximal_independent_set(&g, &in_mis));
     }
 
     #[test]
     fn uses_two_shuffles_per_phase() {
         let g = gen::erdos_renyi(200, 1500, 4);
-        let out = mpc_mis(&g, &cfg());
+        let out = mpc(&g, &cfg());
         assert_eq!(out.report.num_shuffles() % 2, 0);
         assert!(
             out.report.num_shuffles() >= 4,
@@ -181,8 +187,6 @@ mod tests {
         // Table 3's headline comparison.
         let g = gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 8);
         let c = cfg();
-        let mpc = mpc_mis(&g, &c);
-        let ampc = ampc_mis(&g, &c);
-        assert!(mpc.report.num_shuffles() > ampc.report.num_shuffles());
+        assert!(mpc(&g, &c).report.num_shuffles() > ampc(&g, &c).report.num_shuffles());
     }
 }

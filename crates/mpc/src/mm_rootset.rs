@@ -8,18 +8,19 @@
 //! Two shuffles per phase, same output as the AMPC matching under a
 //! shared seed.
 
-use ampc_core::matching::MatchingOutcome;
 use ampc_core::priorities::edge_rank;
 use ampc_graph::ops::induced_subgraph;
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
-use ampc_runtime::{AmpcConfig, Job};
+use ampc_runtime::Job;
 
-/// Runs the rootset MPC matching. Identical output to
-/// [`ampc_core::matching::ampc_matching`] under the same seed.
-pub fn mpc_matching(g: &CsrGraph, cfg: &AmpcConfig) -> MatchingOutcome {
+/// The rootset MPC matching body (registry row `mm`, model `mpc`).
+/// Identical output to [`ampc_core::matching::ampc_matching_in_job`]
+/// under the same seed.
+// ampc-lint: budget(batched-requests = 0)
+pub fn mpc_matching_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
+    let cfg = *job.config();
     let n = g.num_nodes();
     let seed = cfg.seed;
-    let mut job = Job::new(*cfg);
 
     let mut partner = vec![NO_NODE; n];
     let mut current = g.clone();
@@ -117,18 +118,17 @@ pub fn mpc_matching(g: &CsrGraph, cfg: &AmpcConfig) -> MatchingOutcome {
         partner[ov as usize] = ou;
     }
 
-    MatchingOutcome {
-        partner,
-        report: job.into_report(),
-    }
+    partner
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_core::matching::{ampc_matching, greedy_matching};
+    use ampc_core::matching::{ampc_matching_in_job, greedy_matching, pairs_from_partners};
     use ampc_core::validate;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
     fn cfg() -> AmpcConfig {
         let mut c = AmpcConfig::for_tests();
@@ -136,33 +136,36 @@ mod tests {
         c
     }
 
+    fn mpc(g: &CsrGraph, c: &AmpcConfig) -> Driven<Vec<NodeId>> {
+        drive(c, |job| mpc_matching_in_job(job, g))
+    }
+
     #[test]
     fn identical_to_greedy_and_ampc() {
         for seed in 0..6 {
             let g = gen::erdos_renyi(140, 460, seed);
             let c = cfg().with_seed(seed * 5 + 3);
-            let mpc = mpc_matching(&g, &c);
-            assert_eq!(
-                mpc.partner,
-                greedy_matching(&g, c.seed),
-                "greedy, seed {seed}"
-            );
-            let ampc = ampc_matching(&g, &c);
-            assert_eq!(mpc.partner, ampc.partner, "ampc, seed {seed}");
+            let partner = mpc(&g, &c).output;
+            assert_eq!(partner, greedy_matching(&g, c.seed), "greedy, seed {seed}");
+            let ampc = drive(&c, |job| ampc_matching_in_job(job, &g, false)).output;
+            assert_eq!(partner, ampc, "ampc, seed {seed}");
         }
     }
 
     #[test]
     fn maximal_on_skewed_graph() {
         let g = gen::rmat(10, 9_000, gen::RmatParams::SOCIAL, 5);
-        let out = mpc_matching(&g, &cfg());
-        assert!(validate::is_maximal_matching(&g, &out.pairs()));
+        let partner = mpc(&g, &cfg()).output;
+        assert!(validate::is_maximal_matching(
+            &g,
+            &pairs_from_partners(&partner)
+        ));
     }
 
     #[test]
     fn two_shuffles_per_phase() {
         let g = gen::erdos_renyi(200, 1200, 7);
-        let out = mpc_matching(&g, &cfg());
+        let out = mpc(&g, &cfg());
         assert_eq!(out.report.num_shuffles() % 2, 0);
         assert!(out.report.num_shuffles() >= 4);
     }

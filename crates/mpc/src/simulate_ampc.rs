@@ -124,15 +124,18 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_core::mis::ampc_mis;
+    use ampc_core::mis::ampc_mis_in_job;
     use ampc_graph::gen;
+    use ampc_runtime::driver::drive;
 
     #[test]
     fn needs_far_more_shuffles_than_native_ampc() {
         let g = gen::rmat(11, 30_000, gen::RmatParams::SOCIAL, 1);
         let cfg = AmpcConfig::for_tests();
         let sim = simulated_ampc_mis_shuffles(&g, &cfg);
-        let native = ampc_mis(&g, &cfg).report.num_shuffles() as u64;
+        let native = drive(&cfg, |job| ampc_mis_in_job(job, &g, false))
+            .report
+            .num_shuffles() as u64;
         assert!(
             sim > 50 * native,
             "simulation should be dramatically worse: {sim} vs {native}"
@@ -156,7 +159,9 @@ mod tests {
         assert!(cost.batched >= 1);
         // ...but cannot beat the dependent chain, which still dwarfs the
         // single shuffle the native AMPC implementation needs.
-        let native = ampc_mis(&g, &cfg).report.num_shuffles() as u64;
+        let native = drive(&cfg, |job| ampc_mis_in_job(job, &g, false))
+            .report
+            .num_shuffles() as u64;
         assert!(
             cost.batched > native,
             "dependent depth {} should exceed native {native}",

@@ -13,31 +13,15 @@
 //! produce **identical** walks under equal seeds — the workspace's
 //! cross-model validation strategy (DESIGN.md §3).
 
-use ampc_core::walks::WalkOutcome;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::Generation;
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::{AmpcConfig, Job};
+use ampc_runtime::Job;
 
-/// Runs `walkers_per_node × n` random walks of `steps` hops with one
-/// shuffle per hop. Identical walks to
-/// [`ampc_core::walks::ampc_random_walks`] under the same seed.
-pub fn mpc_random_walks(
-    g: &CsrGraph,
-    cfg: &AmpcConfig,
-    walkers_per_node: usize,
-    steps: usize,
-) -> WalkOutcome {
-    let mut job = Job::new(*cfg);
-    let walks = mpc_random_walks_in_job(&mut job, g, walkers_per_node, steps);
-    WalkOutcome {
-        walks,
-        report: job.into_report(),
-    }
-}
-
-/// The in-job baseline body (the `AmpcAlgorithm` entry point): one
-/// shuffle per hop, walkers regrouped by their current vertex.
+/// The shuffle-per-hop walks body (registry row `walks`, model `mpc`):
+/// `walkers_per_node × n` walks of `steps` hops, one shuffle per hop,
+/// walkers regrouped by their current vertex. Identical walks to
+/// [`ampc_core::walks::ampc_random_walks_in_job`] under the same seed.
 // ampc-lint: budget(batched-requests = 0)
 pub fn mpc_random_walks_in_job(
     job: &mut Job,
@@ -109,20 +93,27 @@ pub fn mpc_random_walks_in_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_core::walks::ampc_random_walks;
+    use ampc_core::walks::ampc_random_walks_in_job;
     use ampc_graph::gen;
+    use ampc_runtime::driver::{drive, Driven};
+    use ampc_runtime::AmpcConfig;
 
-    fn cfg() -> AmpcConfig {
-        AmpcConfig::for_tests()
+    fn mpc(g: &CsrGraph, walkers: usize, steps: usize) -> Driven<Vec<Vec<NodeId>>> {
+        let cfg = AmpcConfig::for_tests();
+        drive(&cfg, |job| mpc_random_walks_in_job(job, g, walkers, steps))
+    }
+
+    fn ampc(g: &CsrGraph, walkers: usize, steps: usize) -> Driven<Vec<Vec<NodeId>>> {
+        let cfg = AmpcConfig::for_tests();
+        drive(&cfg, |job| ampc_random_walks_in_job(job, g, walkers, steps))
     }
 
     #[test]
     fn identical_to_ampc_walks() {
         let g = gen::erdos_renyi(60, 200, 3);
         for (w, s) in [(1, 6), (2, 4)] {
-            let a = ampc_random_walks(&g, &cfg(), w, s);
-            let m = mpc_random_walks(&g, &cfg(), w, s);
-            assert_eq!(a.walks, m.walks, "walkers={w} steps={s}");
+            let (a, m) = (ampc(&g, w, s).output, mpc(&g, w, s).output);
+            assert_eq!(a, m, "walkers={w} steps={s}");
         }
     }
 
@@ -130,18 +121,15 @@ mod tests {
     fn one_shuffle_per_hop() {
         let g = gen::erdos_renyi(40, 120, 1);
         let steps = 5;
-        let m = mpc_random_walks(&g, &cfg(), 1, steps);
-        assert_eq!(m.report.num_shuffles(), steps);
+        assert_eq!(mpc(&g, 1, steps).report.num_shuffles(), steps);
         // vs the AMPC kernel's single shuffle.
-        let a = ampc_random_walks(&g, &cfg(), 1, steps);
-        assert_eq!(a.report.num_shuffles(), 1);
+        assert_eq!(ampc(&g, 1, steps).report.num_shuffles(), 1);
     }
 
     #[test]
     fn dead_ends_stay_put() {
         let g = CsrGraph::empty(4);
-        let m = mpc_random_walks(&g, &cfg(), 1, 3);
-        for (v, walk) in m.walks.iter().enumerate() {
+        for (v, walk) in mpc(&g, 1, 3).output.iter().enumerate() {
             assert!(walk.iter().all(|&x| x as usize == v));
         }
     }

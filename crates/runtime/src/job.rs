@@ -73,13 +73,6 @@ impl Job {
         self.report
     }
 
-    /// Absorbs the stages of a sub-job's report (used when an algorithm
-    /// invokes another one, e.g. MSF → ForestConnectivity).
-    pub fn absorb(&mut self, sub: JobReport) {
-        self.stage_index += sub.stages.len();
-        self.report.absorb(sub);
-    }
-
     fn next_stage_index(&mut self) -> usize {
         let i = self.stage_index;
         self.stage_index += 1;
@@ -616,17 +609,5 @@ mod tests {
         // 4 machines × 1 item each, each cut off after 3 hops.
         assert_eq!(out, vec![3, 3, 3, 3]);
         assert_eq!(job.report().stages[0].comm.queries, 4 * 3);
-    }
-
-    #[test]
-    fn absorb_advances_stage_counter() {
-        let mut outer = test_job();
-        let mut inner = test_job();
-        inner.shuffle_balanced("inner", 10);
-        outer.absorb(inner.into_report());
-        outer.shuffle_balanced("outer", 10);
-        let r = outer.into_report();
-        assert_eq!(r.stages.len(), 2);
-        assert_eq!(r.stages[0].name, "inner");
     }
 }

@@ -43,9 +43,9 @@
 //! * [`driver`] owns the orchestration kernels used to hand-roll —
 //!   job lifecycle ([`driver::drive`]), truncated-round budget
 //!   bookkeeping ([`driver::AdaptiveRounds`]) and report flattening
-//!   ([`driver::RunSummary`]) — so every algorithm behind the
-//!   `AmpcAlgorithm` trait shares one code path from configuration to
-//!   finished report (DESIGN.md §7).
+//!   ([`driver::RunSummary`]) — so every kernel body, run from its
+//!   registry row in `ampc-bench`, shares one code path from
+//!   configuration to finished report (DESIGN.md §7).
 //!
 //! Simulated time is deterministic given the job's [`config::AmpcConfig`]
 //! and is the primary "running time" in all reproduced figures; see

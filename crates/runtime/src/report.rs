@@ -181,19 +181,6 @@ impl JobReport {
         self.stages.push(stage);
     }
 
-    /// Merges another report's stages after this one's (used when an
-    /// algorithm delegates to a sub-algorithm and wants one flat
-    /// report).
-    pub fn absorb(&mut self, other: JobReport) {
-        let offset = self.stages.len();
-        self.epochs.extend(other.epochs.into_iter().map(|mut m| {
-            m.first_stage += offset;
-            m
-        }));
-        self.stages.extend(other.stages);
-        self.replays += other.replays;
-    }
-
     /// Multi-line human-readable summary.
     pub fn summary(&self) -> String {
         use std::fmt::Write;
@@ -267,40 +254,6 @@ mod tests {
         assert_eq!(r.breakdown()[1], ("b".into(), 20));
         assert_eq!(r.stage_sim_ns("c"), 30);
         assert_eq!(r.peak_generation_bytes(), 40);
-    }
-
-    #[test]
-    fn absorb_concatenates() {
-        let mut a = JobReport::new(2);
-        a.push(stage("x", StageKind::Local, 5));
-        let mut b = JobReport::new(2);
-        b.push(stage("y", StageKind::Local, 7));
-        b.replays = 3;
-        a.absorb(b);
-        assert_eq!(a.stages.len(), 2);
-        assert_eq!(a.replays, 3);
-    }
-
-    #[test]
-    fn absorb_offsets_epoch_marks() {
-        let mut a = JobReport::new(2);
-        a.push(stage("x", StageKind::Local, 5));
-        let mut b = JobReport::new(2);
-        b.epochs.push(EpochMark {
-            name: "e1".into(),
-            first_stage: 0,
-        });
-        b.push(stage("y", StageKind::Local, 7));
-        b.epochs.push(EpochMark {
-            name: "e2".into(),
-            first_stage: 1,
-        });
-        b.push(stage("z", StageKind::Local, 7));
-        a.absorb(b);
-        assert_eq!(a.num_epochs(), 2);
-        assert_eq!(a.epochs[0].first_stage, 1);
-        assert_eq!(a.epoch_stage_range(0), 1..2);
-        assert_eq!(a.epoch_stage_range(1), 2..3);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! ```
 
 use ampc::prelude::*;
+use ampc_bench::registry::run_family;
 use ampc_graph::{GraphBuilder, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,30 +62,40 @@ fn main() {
     let cfg = AmpcConfig::default();
 
     // 1) Constant-round MSF.
-    let forest = msf::ampc_msf(&graph, &cfg);
+    let forest = run_family("msf", Model::Ampc, &AlgoInput::Weighted(&graph), &cfg)
+        .expect("a weighted input");
+    let AlgoOutput::Forest(mut edges) = forest.output else {
+        unreachable!("the msf row returns a forest")
+    };
     println!(
         "MSF: {} edges in {} shuffles (sim {})",
-        forest.edges.len(),
+        edges.len(),
         forest.report.num_shuffles(),
         ampc_dht::cost::format_ns(forest.report.sim_ns()),
     );
 
     // 2) The "simple sorting step": cut the k-1 heaviest forest edges.
-    let mut edges = forest.edges.clone();
     edges.sort_unstable_by_key(|e| e.w);
-    let kept: Vec<(NodeId, NodeId)> = edges
-        .iter()
-        .take(edges.len().saturating_sub(k - 1))
-        .map(|e| (e.u, e.v))
-        .collect();
+    edges.truncate(edges.len().saturating_sub(k - 1));
 
-    // 3) Forest connectivity labels the clusters.
-    let clusters = connectivity::forest_cc(n, &kept, &cfg);
-    let mut sizes: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-    for &l in &clusters.label {
-        *sizes.entry(l).or_insert(0) += 1;
+    // 3) Forest connectivity labels the clusters: the `cc/forest` row on
+    //    the kept edges, which are their own minimum spanning forest.
+    let mut b = GraphBuilder::with_capacity(n, edges.len());
+    for e in &edges {
+        b.push_edge(e.u, e.v, e.w);
     }
-    let mut sizes: Vec<usize> = sizes.into_values().collect();
+    let kept = b.build_weighted();
+    let clusters = run_family("cc/forest", Model::Ampc, &AlgoInput::Weighted(&kept), &cfg)
+        .expect("a weighted input");
+    let AlgoOutput::Components(label) = clusters.output else {
+        unreachable!("the cc/forest row returns labels")
+    };
+    // Labels are vertex ids, so cluster sizes count into a dense table.
+    let mut sizes = vec![0usize; n];
+    for &l in &label {
+        sizes[l as usize] += 1;
+    }
+    sizes.retain(|&s| s > 0);
     sizes.sort_unstable_by_key(|&s| std::cmp::Reverse(s));
     println!("single-linkage cut at k = {k}: cluster sizes {sizes:?}");
 

@@ -8,10 +8,10 @@
 //! ```
 
 use ampc::prelude::*;
-use ampc_core::one_vs_two::{ampc_one_vs_two, CycleAnswer};
+use ampc_bench::registry::run_family;
+use ampc_core::one_vs_two::CycleAnswer;
 use ampc_dht::cost::format_ns;
 use ampc_graph::gen::CyclePair;
-use ampc_mpc::local_contraction::mpc_one_vs_two;
 
 fn main() {
     let cfg = AmpcConfig::default();
@@ -28,21 +28,31 @@ fn main() {
                 CyclePair::Two => CycleAnswer::Two,
             };
 
-            let a = ampc_one_vs_two(&g, &cfg);
-            assert_eq!(a.answer, truth, "AMPC wrong on k={k} {variant:?}");
+            // Both models through their registry rows; each must be right.
+            let [a, m] = [Model::Ampc, Model::Mpc].map(|model| {
+                let run = run_family("one-vs-two", model, &AlgoInput::Unweighted(&g), &cfg)
+                    .expect("a 2-regular input");
+                let AlgoOutput::Cycles { answer, .. } = run.output else {
+                    unreachable!("the one-vs-two rows return a cycle answer")
+                };
+                assert_eq!(
+                    answer,
+                    truth,
+                    "{} wrong on k={k} {variant:?}",
+                    model.token()
+                );
+                run.report
+            });
 
-            let (m_ans, m_rep) = mpc_one_vs_two(&g, &cfg);
-            assert_eq!(m_ans, truth, "MPC wrong on k={k} {variant:?}");
-
-            let speedup = m_rep.sim_ns() as f64 / a.report.sim_ns() as f64;
+            let speedup = m.sim_ns() as f64 / a.sim_ns() as f64;
             println!(
                 "{:>9} {:>6} | {:>9} {:>12} | {:>9} {:>12} | {:>7.2}x",
                 k,
                 format!("{truth:?}"),
-                a.report.num_shuffles(),
-                format_ns(a.report.sim_ns()),
-                m_rep.num_shuffles(),
-                format_ns(m_rep.sim_ns()),
+                a.num_shuffles(),
+                format_ns(a.sim_ns()),
+                m.num_shuffles(),
+                format_ns(m.sim_ns()),
                 speedup,
             );
         }

@@ -8,8 +8,15 @@
 //! ```
 
 use ampc::prelude::*;
+use ampc_bench::registry::run_family;
 use ampc_core::matching::approx;
 use ampc_dht::cost::format_ns;
+use ampc_runtime::driver::Driven;
+
+/// `family`'s row under `model` on `graph`.
+fn run(family: &str, model: Model, graph: &CsrGraph, cfg: &AmpcConfig) -> Driven<AlgoOutput> {
+    run_family(family, model, &AlgoInput::Unweighted(graph), cfg).expect("a registered row")
+}
 
 fn main() {
     // A mid-size Orkut-like RMAT graph — big enough that the MPC
@@ -27,20 +34,20 @@ fn main() {
     let cfg = AmpcConfig::default();
 
     // ---------------- MIS: AMPC vs MPC ----------------
-    let ampc_out = mis::ampc_mis(&graph, &cfg);
-    let mpc_out = ampc_mpc::mpc_mis(&graph, &cfg);
+    let ampc_out = run("mis", Model::Ampc, &graph, &cfg);
+    let mpc_out = run("mis", Model::Mpc, &graph, &cfg);
     assert_eq!(
-        ampc_out.in_mis, mpc_out.in_mis,
+        ampc_out.output, mpc_out.output,
         "same seed => same lex-first MIS across models"
     );
     println!("\nMIS (both models computed the identical set):");
     print_compare(&ampc_out.report, &mpc_out.report);
 
     // ---------------- Maximal matching ----------------
-    let ampc_mm = matching::ampc_matching(&graph, &cfg);
-    let mpc_mm = ampc_mpc::mpc_matching(&graph, &cfg);
-    assert_eq!(ampc_mm.partner, mpc_mm.partner);
-    println!("\nMaximal matching ({} pairs):", ampc_mm.pairs().len());
+    let ampc_mm = run("mm", Model::Ampc, &graph, &cfg);
+    let mpc_mm = run("mm", Model::Mpc, &graph, &cfg);
+    assert_eq!(ampc_mm.output, mpc_mm.output);
+    println!("\nMaximal matching ({} pairs):", ampc_mm.output.size());
     print_compare(&ampc_mm.report, &mpc_mm.report);
 
     // ---------------- Derived analytics ----------------

@@ -14,7 +14,9 @@
 //!   connectivity, 1-vs-2-cycle).
 //! * [`mpc`] — the MPC baselines the paper compares against.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour.
+//! Every kernel exports one body, `*_in_job(job, …)`; whole families run
+//! through their rows in `ampc_bench::registry`. See
+//! `examples/quickstart.rs` for a five-minute tour.
 
 pub use ampc_core as core;
 pub use ampc_dht as dht;
@@ -27,14 +29,15 @@ pub use ampc_trees as trees;
 ///
 /// ```
 /// use ampc::prelude::*;
+/// use ampc::runtime::driver::drive;
 ///
 /// let graph = ampc::graph::gen::rmat(10, 4_000, ampc::graph::gen::RmatParams::SOCIAL, 7);
 /// let cfg = AmpcConfig::default();
-/// let out = mis::ampc_mis(&graph, &cfg);
+/// let out = drive(&cfg, |job| mis::ampc_mis_in_job(job, &graph, false));
 /// assert_eq!(out.report.num_shuffles(), 1);
 /// ```
 pub mod prelude {
-    pub use ampc_core::algorithm::{AlgoInput, AlgoOutput, AmpcAlgorithm, Model};
+    pub use ampc_core::algorithm::{AlgoInput, AlgoOutput, Model};
     pub use ampc_core::{connectivity, dynamic, matching, mis, msf, one_vs_two, walks};
     pub use ampc_dht::cost::{CostConfig, Network};
     pub use ampc_graph::{datasets::Dataset, CsrGraph, NodeId, WeightedCsrGraph};

@@ -2,11 +2,12 @@
 //! itself be trustworthy.
 
 use ampc::prelude::*;
-use ampc_core::matching::ampc_matching;
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
+use ampc_bench::registry::{self, run_family, run_family_with, AlgoParams};
+use ampc_core::algorithm::InputKind;
 use ampc_dht::cost::Network;
 use ampc_graph::gen;
+use ampc_runtime::driver::Driven;
+use AlgoInput::{Unweighted, Weighted};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -16,16 +17,22 @@ fn cfg() -> AmpcConfig {
     }
 }
 
+/// `family`'s AMPC row on `input` under `c`.
+fn run(family: &str, input: AlgoInput<'_>, c: &AmpcConfig) -> Driven<AlgoOutput> {
+    run_family(family, Model::Ampc, &input, c).expect("a registered row on an input it accepts")
+}
+
 #[test]
 fn kv_bytes_scale_roughly_linearly_with_edges() {
     // Figure 9's premise: KV communication is near-linear in m.
     let small = gen::rmat(10, 10_000, gen::RmatParams::SOCIAL, 1);
     let large = gen::rmat(13, 80_000, gen::RmatParams::SOCIAL, 1);
     let c = cfg();
-    let b_small =
-        ampc_mis(&small, &c).report.kv_comm().kv_bytes() as f64 / small.num_edges() as f64;
-    let b_large =
-        ampc_mis(&large, &c).report.kv_comm().kv_bytes() as f64 / large.num_edges() as f64;
+    let per_edge = |g: &CsrGraph| {
+        let bytes = run("mis", Unweighted(g), &c).report.kv_comm().kv_bytes();
+        bytes as f64 / g.num_edges() as f64
+    };
+    let (b_small, b_large) = (per_edge(&small), per_edge(&large));
     let ratio = b_large / b_small;
     assert!(
         (0.3..3.0).contains(&ratio),
@@ -36,9 +43,9 @@ fn kv_bytes_scale_roughly_linearly_with_edges() {
 #[test]
 fn caching_reduces_queries_not_correctness() {
     let g = gen::rmat(11, 20_000, gen::RmatParams::SOCIAL, 2);
-    let with = ampc_mis(&g, &cfg().with_caching(true));
-    let without = ampc_mis(&g, &cfg().with_caching(false));
-    assert_eq!(with.in_mis, without.in_mis);
+    let with = run("mis", Unweighted(&g), &cfg().with_caching(true));
+    let without = run("mis", Unweighted(&g), &cfg().with_caching(false));
+    assert_eq!(with.output, without.output);
     let qw = with.report.kv_comm().queries;
     let qo = without.report.kv_comm().queries;
     assert!(qw < qo, "caching must cut queries: {qw} vs {qo}");
@@ -52,9 +59,9 @@ fn tcp_slower_than_rdma_same_everything_else() {
     rdma_cfg.cost.network = Network::Rdma;
     let mut tcp_cfg = cfg();
     tcp_cfg.cost.network = Network::Tcp;
-    let rdma = ampc_mis(&g, &rdma_cfg);
-    let tcp = ampc_mis(&g, &tcp_cfg);
-    assert_eq!(rdma.in_mis, tcp.in_mis);
+    let rdma = run("mis", Unweighted(&g), &rdma_cfg);
+    let tcp = run("mis", Unweighted(&g), &tcp_cfg);
+    assert_eq!(rdma.output, tcp.output);
     assert_eq!(
         rdma.report.kv_comm(),
         tcp.report.kv_comm(),
@@ -66,8 +73,8 @@ fn tcp_slower_than_rdma_same_everything_else() {
 #[test]
 fn more_machines_same_totals_lower_bottleneck() {
     let g = gen::rmat(11, 30_000, gen::RmatParams::SOCIAL, 4);
-    let a = ampc_mis(&g, &cfg().with_machines(2));
-    let b = ampc_mis(&g, &cfg().with_machines(16));
+    let a = run("mis", Unweighted(&g), &cfg().with_machines(2));
+    let b = run("mis", Unweighted(&g), &cfg().with_machines(16));
     // Totals (bytes, queries modulo caching boundaries) comparable; the
     // simulated time must improve with parallelism.
     assert!(b.report.sim_ns() < a.report.sim_ns());
@@ -80,8 +87,8 @@ fn matching_kv_traffic_exceeds_mis() {
     // same graph (full adjacency + two-endpoint edge processes).
     let g = gen::rmat(11, 25_000, gen::RmatParams::SOCIAL, 5);
     let c = cfg();
-    let mis = ampc_mis(&g, &c).report.kv_comm().kv_bytes();
-    let mm = ampc_matching(&g, &c).report.kv_comm().kv_bytes();
+    let mis = run("mis", Unweighted(&g), &c).report.kv_comm().kv_bytes();
+    let mm = run("mm", Unweighted(&g), &c).report.kv_comm().kv_bytes();
     assert!(mm > mis, "MM bytes {mm} should exceed MIS bytes {mis}");
 }
 
@@ -91,7 +98,7 @@ fn shuffle_bytes_match_data_actually_moved() {
     // is its directed adjacency; totals must match the graph's arcs.
     let g = gen::erdos_renyi(200, 800, 6);
     let c = cfg();
-    let out = ampc_mis(&g, &c);
+    let out = run("mis", Unweighted(&g), &c);
     let s = &out.report.stages[0];
     assert_eq!(s.name, "DirectGraph");
     // Each directed arc appears in exactly one record: at least 4 bytes
@@ -107,7 +114,7 @@ fn msf_pipeline_reports_all_expected_stages() {
     let w = gen::degree_weights(&gen::erdos_renyi(500, 3_000, 7));
     let mut c = cfg();
     c.in_memory_threshold = 100;
-    let out = ampc_msf(&w, &c);
+    let out = run("msf", Weighted(&w), &c);
     for prefix in [
         "SortGraph",
         "KV-Write",
@@ -130,7 +137,12 @@ fn msf_pipeline_reports_all_expected_stages() {
 #[test]
 fn random_walk_extension_is_metered() {
     let g = gen::rmat(10, 8_000, gen::RmatParams::SOCIAL, 8);
-    let out = ampc_core::walks::ampc_random_walks(&g, &cfg(), 1, 16);
+    let p = AlgoParams {
+        steps: 16,
+        ..Default::default()
+    };
+    let out =
+        run_family_with("walks", Model::Ampc, &Unweighted(&g), &cfg(), &p).expect("registered");
     // 16 hops per walker, one lookup each (minus dead ends) — answered
     // either by the network or the handle-mounted §5.3 cache.
     let kv = out.report.kv_comm();
@@ -153,44 +165,29 @@ fn random_walk_extension_is_metered() {
 }
 
 /// The invariant [`CommStats::round_trips`] relies on, checked per
-/// stage over every kernel × model pair with caching on and off: no
-/// stage charges more round trips than it has network ops, and a stage
-/// charges none exactly when no op crossed the network.
+/// stage over every registry row with caching on and off: no stage
+/// charges more round trips than it has network ops, and a stage charges
+/// none exactly when no op crossed the network.
 ///
 /// [`CommStats::round_trips`]: ampc_dht::metrics::CommStats::round_trips
 #[test]
 fn every_kernel_respects_batches_leq_ops() {
-    use ampc_core::algorithm::{self as ampc_alg, InputKind};
-    use ampc_mpc::algorithms as mpc_alg;
     let g = gen::rmat(10, 10_000, gen::RmatParams::SOCIAL, 12);
     let w = gen::degree_weights(&g);
     let cycles = gen::two_cycles(600, 3);
-    let kernels: [Box<dyn AmpcAlgorithm>; 14] = [
-        Box::new(ampc_alg::AmpcMis),
-        Box::new(mpc_alg::MpcMis),
-        Box::new(ampc_alg::AmpcMatching),
-        Box::new(mpc_alg::MpcMatching),
-        Box::new(ampc_alg::AmpcMsf),
-        Box::new(mpc_alg::MpcMsf),
-        Box::new(ampc_alg::AmpcConnectivity),
-        Box::new(mpc_alg::MpcConnectivity),
-        Box::new(ampc_alg::AmpcOneVsTwo::default()),
-        Box::new(mpc_alg::MpcOneVsTwo),
-        Box::new(ampc_alg::AmpcWalks::default()),
-        Box::new(mpc_alg::MpcWalks::default()),
-        Box::new(ampc_alg::AmpcDynamicCc::default()),
-        Box::new(mpc_alg::MpcDynamicCc::default()),
-    ];
     for caching in [true, false] {
         let c = cfg().with_caching(caching);
-        for alg in &kernels {
-            let input = match alg.input_kind() {
-                InputKind::Unweighted => AlgoInput::Unweighted(&g),
-                InputKind::Weighted => AlgoInput::Weighted(&w),
-                InputKind::CycleUnion => AlgoInput::Unweighted(&cycles),
+        for e in &registry::ENTRIES {
+            let input = match e.input {
+                InputKind::Unweighted => Unweighted(&g),
+                InputKind::Weighted => Weighted(&w),
+                InputKind::CycleUnion => Unweighted(&cycles),
             };
-            let r = ampc_runtime::driver::drive(&c, |job| alg.run(job, &input)).report;
-            let what = format!("{}/{} caching={caching}", alg.name(), alg.model().token());
+            let r = e
+                .run(&input, &c, &AlgoParams::default())
+                .expect("accepted")
+                .report;
+            let what = format!("{}/{} caching={caching}", e.family, e.model.token());
             for s in &r.stages {
                 let (batches, ops) = (s.comm.batches, s.comm.network_ops());
                 assert!(batches <= ops, "{what} {}: {batches} > {ops}", s.name);
@@ -198,7 +195,8 @@ fn every_kernel_respects_batches_leq_ops() {
             }
             let kv = r.kv_comm();
             assert_eq!(r.kv_round_trips(), kv.batches, "{what}");
-            if alg.model() == Model::Ampc {
+            // Algorithm 4 runs on shuffles and local steps alone.
+            if e.model == Model::Ampc && e.family != "mm/loglog" {
                 assert!(kv.batches > 0, "{what}");
             }
         }

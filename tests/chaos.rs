@@ -10,13 +10,16 @@
 //! deterministic per seed.
 
 use ampc::prelude::*;
+use ampc_bench::registry::{run_family_with, AlgoParams};
 use ampc_core::algorithm::digest_u64s;
 use ampc_core::one_vs_two::CycleAnswer;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::gen;
 use ampc_runtime::chaos::ChaosSpec;
+use ampc_runtime::driver::Driven;
 use ampc_runtime::{Job, JobReport};
+use AlgoInput::{Unweighted, Weighted};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -38,6 +41,27 @@ fn schedule() -> ChaosSpec {
     ChaosSpec::parse("chaos:seed=29:rate=120:drop=80").unwrap()
 }
 
+/// The dyn-cc schedule the suite runs: 3 churn batches of 40.
+fn dynamic() -> AlgoParams {
+    AlgoParams {
+        dyn_batches: 3,
+        dyn_ops: 40,
+        dyn_seed: 11,
+        ..Default::default()
+    }
+}
+
+/// `family`'s AMPC row on `input` under `c`.
+fn run(family: &str, input: AlgoInput<'_>, c: &AmpcConfig, p: &AlgoParams) -> Driven<AlgoOutput> {
+    run_family_with(family, Model::Ampc, &input, c, p).expect("a registered row")
+}
+
+/// A run's output digest (for one-vs-two: the cycle count, so a wrong
+/// count in a right answer shows) and its report.
+fn digested(d: Driven<AlgoOutput>) -> (u64, JobReport) {
+    (d.output.digest(), d.report)
+}
+
 /// One kernel family: name plus a runner returning the output digest
 /// and the finished report under the given config.
 type Family = (&'static str, Box<dyn Fn(&AmpcConfig) -> (u64, JobReport)>);
@@ -47,84 +71,44 @@ fn families() -> Vec<Family> {
     let weighted = gen::random_weights(&tiny(), 1_000, 7);
     let cycles = gen::two_cycles(200, 11);
     let one_cycle = gen::single_cycle(4000, 3);
-    let dyn_g = tiny();
-    let batches = ampc_graph::dynamic::generate_batches(
-        &dyn_g,
-        3,
-        40,
-        ampc_graph::dynamic::BatchMix::Churn,
-        11,
-    );
-    let g1 = g.clone();
-    let g2 = g.clone();
-    let g3 = g.clone();
-    let g4 = g.clone();
+    let p = AlgoParams::default();
+    let walks = AlgoParams { steps: 6, ..p };
+    let (g1, g2, g3, g4, dyn_g) = (g.clone(), g.clone(), g.clone(), g.clone(), g);
     vec![
         (
             "mis",
-            Box::new(move |c: &AmpcConfig| {
-                let r = mis::ampc_mis(&g1, c);
-                (digest_u64s(r.in_mis.iter().map(|&b| b as u64)), r.report)
-            }),
+            Box::new(move |c: &AmpcConfig| digested(run("mis", Unweighted(&g1), c, &p))),
         ),
         (
             "matching",
-            Box::new(move |c: &AmpcConfig| {
-                let r = matching::ampc_matching(&g2, c);
-                (digest_u64s(r.partner.iter().map(|&x| x as u64)), r.report)
-            }),
+            Box::new(move |c: &AmpcConfig| digested(run("mm", Unweighted(&g2), c, &p))),
         ),
         (
             "msf",
-            Box::new(move |c: &AmpcConfig| {
-                let r = msf::ampc_msf(&weighted, c);
-                (
-                    digest_u64s(r.edges.iter().flat_map(|e| [e.u as u64, e.v as u64, e.w])),
-                    r.report,
-                )
-            }),
+            Box::new(move |c: &AmpcConfig| digested(run("msf", Weighted(&weighted), c, &p))),
         ),
         (
             "connectivity",
-            Box::new(move |c: &AmpcConfig| {
-                let r = connectivity::ampc_connected_components(&g3, c);
-                (digest_u64s(r.label.iter().map(|&x| x as u64)), r.report)
-            }),
+            Box::new(move |c: &AmpcConfig| digested(run("cc", Unweighted(&g3), c, &p))),
         ),
         (
             "one_vs_two",
-            Box::new(move |c: &AmpcConfig| cycle_digest(&cycles, c)),
+            Box::new(move |c: &AmpcConfig| digested(run("one-vs-two", Unweighted(&cycles), c, &p))),
         ),
         (
             "one_vs_two-single",
-            Box::new(move |c: &AmpcConfig| cycle_digest(&one_cycle, c)),
+            Box::new(move |c: &AmpcConfig| {
+                digested(run("one-vs-two", Unweighted(&one_cycle), c, &p))
+            }),
         ),
         (
             "walks",
-            Box::new(move |c: &AmpcConfig| {
-                let r = walks::ampc_random_walks(&g4, c, 1, 6);
-                (
-                    digest_u64s(
-                        r.walks
-                            .iter()
-                            .flat_map(|walk| walk.iter().map(|&v| v as u64 + 1).chain([0])),
-                    ),
-                    r.report,
-                )
-            }),
+            Box::new(move |c: &AmpcConfig| digested(run("walks", Unweighted(&g4), c, &walks))),
         ),
         (
             "dynamic",
             Box::new(move |c: &AmpcConfig| {
-                let r = dynamic::ampc_dynamic_cc(&dyn_g, &batches, c);
-                (
-                    digest_u64s(
-                        r.labels
-                            .iter()
-                            .flat_map(|epoch| epoch.iter().map(|&x| x as u64)),
-                    ),
-                    r.report,
-                )
+                digested(run("dyn-cc", Unweighted(&dyn_g), c, &dynamic()))
             }),
         ),
         ("skewed-reads", Box::new(skewed_read_job)),
@@ -190,20 +174,6 @@ fn skewed_read_job(cfg: &AmpcConfig) -> (u64, JobReport) {
         },
     );
     (digest_u64s(acc), job.into_report())
-}
-
-/// 1-vs-2-cycle digests the answer *and* the cycle count: the boolean
-/// alone cannot tell a wrong count (3 cycles found in a 2-cycle input)
-/// from the right one.
-fn cycle_digest(g: &CsrGraph, c: &AmpcConfig) -> (u64, JobReport) {
-    let r = one_vs_two::ampc_one_vs_two(g, c);
-    (
-        digest_u64s([
-            matches!(r.answer, CycleAnswer::Two) as u64,
-            r.num_cycles as u64,
-        ]),
-        r.report,
-    )
 }
 
 #[test]
@@ -291,15 +261,16 @@ fn different_seeds_charge_different_overhead() {
 #[test]
 fn repeated_explicit_kills_replay_twice() {
     let g = tiny();
-    let clean = mis::ampc_mis(&g, &cfg());
+    let p = AlgoParams::default();
+    let clean = run("mis", Unweighted(&g), &cfg(), &p);
     // Stage 2 is the IsInMIS KV round; kill machine 1 there twice and
     // machine 6 (wraps to 6 % 4 = 2) once.
     let spec = ChaosSpec::new(0xD0)
         .with_kill(2, 1)
         .with_kill(2, 1)
         .with_kill(2, 6);
-    let faulted = mis::ampc_mis(&g, &cfg().with_chaos(spec));
-    assert_eq!(faulted.in_mis, clean.in_mis);
+    let faulted = run("mis", Unweighted(&g), &cfg().with_chaos(spec), &p);
+    assert_eq!(faulted.output, clean.output);
     assert_eq!(faulted.report.replays, 3, "two repeats + one wrapped kill");
     assert_eq!(faulted.report.stages[2].replays, 3);
     assert!(faulted.report.sim_ns() > clean.report.sim_ns());
@@ -308,15 +279,18 @@ fn repeated_explicit_kills_replay_twice() {
 #[test]
 fn epoch_kill_fires_inside_its_epoch() {
     let g = tiny();
-    let batches =
-        ampc_graph::dynamic::generate_batches(&g, 3, 40, ampc_graph::dynamic::BatchMix::Churn, 11);
-    let clean = dynamic::ampc_dynamic_cc(&g, &batches, &cfg());
+    let clean = run("dyn-cc", Unweighted(&g), &cfg(), &dynamic());
     // Kill machine 0 at the first KV round of epoch 1 (the second
     // update batch): recovery replays the partition against the last
     // sealed generation, mid-stream.
     let spec = ChaosSpec::new(0xE1).with_epoch_kill(1, 0);
-    let faulted = dynamic::ampc_dynamic_cc(&g, &batches, &cfg().with_chaos(spec));
-    assert_eq!(faulted.labels, clean.labels);
+    let faulted = run(
+        "dyn-cc",
+        Unweighted(&g),
+        &cfg().with_chaos(spec),
+        &dynamic(),
+    );
+    assert_eq!(faulted.output, clean.output);
     assert_eq!(faulted.report.replays, 1);
     let range = faulted.report.epoch_stage_range(1);
     let in_epoch: u64 = faulted.report.stages[range].iter().map(|s| s.replays).sum();
@@ -328,12 +302,13 @@ fn epoch_kill_fires_inside_its_epoch() {
 #[test]
 fn stripe_schedule_stays_byte_identical() {
     let g = tiny();
-    let clean = connectivity::ampc_connected_components(&g, &cfg());
+    let p = AlgoParams::default();
+    let clean = run("cc", Unweighted(&g), &cfg(), &p);
     // Correlated stripe-wide failures: when a stripe group fires, every
     // machine in it dies together.
     let spec = ChaosSpec::seeded(0x57).with_rate(300).with_stripe(2);
-    let faulted = connectivity::ampc_connected_components(&g, &cfg().with_chaos(spec));
-    assert_eq!(faulted.label, clean.label);
+    let faulted = run("cc", Unweighted(&g), &cfg().with_chaos(spec), &p);
+    assert_eq!(faulted.output, clean.output);
     assert!(faulted.report.replays > 0, "a 300‰ stripe rate must fire");
     // Whole-group kills: each firing stage's replay count is a multiple
     // of its group size (2 machines per group at stripe=2, P=4).
@@ -345,10 +320,11 @@ fn stripe_schedule_stays_byte_identical() {
 #[test]
 fn two_explicit_kills_replay_twice() {
     let g = tiny();
-    let clean = mis::ampc_mis(&g, &cfg());
+    let p = AlgoParams::default();
+    let clean = run("mis", Unweighted(&g), &cfg(), &p);
     let spec = ChaosSpec::parse("chaos:seed=9:kill=2.0+2.3").unwrap();
-    let faulted = mis::ampc_mis(&g, &cfg().with_chaos(spec));
-    assert_eq!(faulted.in_mis, clean.in_mis);
+    let faulted = run("mis", Unweighted(&g), &cfg().with_chaos(spec), &p);
+    assert_eq!(faulted.output, clean.output);
     assert_eq!(faulted.report.replays, 2, "one replay per listed kill");
 }
 
@@ -360,14 +336,18 @@ fn two_explicit_kills_replay_twice() {
 fn one_vs_two_search_kill_keeps_the_cycle_count() {
     let g = gen::single_cycle(4000, 3);
     let c = AmpcConfig::for_tests();
-    let clean = one_vs_two::ampc_one_vs_two(&g, &c);
+    let p = AlgoParams::default();
+    let one = AlgoOutput::Cycles {
+        answer: CycleAnswer::One,
+        num_cycles: 1,
+    };
+    let clean = run("one-vs-two", Unweighted(&g), &c, &p);
     assert_eq!(clean.report.stages[2].name, "Search");
-    assert_eq!((clean.answer, clean.num_cycles), (CycleAnswer::One, 1));
+    assert_eq!(clean.output, one);
     for machine in [0, 1, 3] {
         let spec = ChaosSpec::new(1).with_kill(2, machine);
-        let faulted = one_vs_two::ampc_one_vs_two(&g, &c.with_chaos(spec));
-        assert_eq!(faulted.answer, CycleAnswer::One, "kill=2.{machine}");
-        assert_eq!(faulted.num_cycles, 1, "kill=2.{machine}");
+        let faulted = run("one-vs-two", Unweighted(&g), &c.with_chaos(spec), &p);
+        assert_eq!(faulted.output, one, "kill=2.{machine}");
         assert_eq!(faulted.report.replays, 1, "kill=2.{machine}");
         assert_eq!(faulted.report.stages[2].replays, 1, "kill=2.{machine}");
     }

@@ -14,13 +14,13 @@
 //!   identical replay/retry counters and simulated time.
 
 use ampc::prelude::*;
-use ampc_core::algorithm::digest_u64s;
-use ampc_core::one_vs_two::CycleAnswer;
+use ampc_bench::registry::{self, AlgoParams};
 use ampc_graph::gen;
 use ampc_runtime::chaos::ChaosSpec;
 use ampc_runtime::JobReport;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use AlgoInput::{Unweighted, Weighted};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -98,69 +98,32 @@ fn arb_spec_soup() -> impl Strategy<Value = String> {
     })
 }
 
-/// Runs one kernel family under `c`, returning its output digest and
-/// report. Families match the chaos integration suite.
+/// Runs one kernel family's AMPC row under `c`, returning its output
+/// digest and report. Families match the chaos integration suite.
 fn run_family(fam: usize, c: &AmpcConfig) -> (u64, JobReport) {
-    let tiny = || gen::rmat(8, 1_500, gen::RmatParams::SOCIAL, 42);
-    match fam {
-        0 => {
-            let r = mis::ampc_mis(&tiny(), c);
-            (digest_u64s(r.in_mis.iter().map(|&b| b as u64)), r.report)
-        }
-        1 => {
-            let r = matching::ampc_matching(&tiny(), c);
-            (digest_u64s(r.partner.iter().map(|&x| x as u64)), r.report)
-        }
-        2 => {
-            let g = gen::random_weights(&tiny(), 1_000, 7);
-            let r = msf::ampc_msf(&g, c);
-            (
-                digest_u64s(r.edges.iter().flat_map(|e| [e.u as u64, e.v as u64, e.w])),
-                r.report,
-            )
-        }
-        3 => {
-            let r = connectivity::ampc_connected_components(&tiny(), c);
-            (digest_u64s(r.label.iter().map(|&x| x as u64)), r.report)
-        }
-        4 => {
-            let r = one_vs_two::ampc_one_vs_two(&gen::two_cycles(200, 11), c);
-            (
-                digest_u64s([matches!(r.answer, CycleAnswer::Two) as u64]),
-                r.report,
-            )
-        }
-        5 => {
-            let r = walks::ampc_random_walks(&tiny(), c, 1, 6);
-            (
-                digest_u64s(
-                    r.walks
-                        .iter()
-                        .flat_map(|walk| walk.iter().map(|&v| v as u64 + 1).chain([0])),
-                ),
-                r.report,
-            )
-        }
+    let tiny = gen::rmat(8, 1_500, gen::RmatParams::SOCIAL, 42);
+    let weighted = gen::random_weights(&tiny, 1_000, 7);
+    let cycles = gen::two_cycles(200, 11);
+    let p = AlgoParams::default();
+    let (family, input, p) = match fam {
+        0 => ("mis", Unweighted(&tiny), p),
+        1 => ("mm", Unweighted(&tiny), p),
+        2 => ("msf", Weighted(&weighted), p),
+        3 => ("cc", Unweighted(&tiny), p),
+        4 => ("one-vs-two", Unweighted(&cycles), p),
+        5 => ("walks", Unweighted(&tiny), AlgoParams { steps: 6, ..p }),
         _ => {
-            let g = tiny();
-            let batches = ampc_graph::dynamic::generate_batches(
-                &g,
-                3,
-                40,
-                ampc_graph::dynamic::BatchMix::Churn,
-                11,
-            );
-            let r = dynamic::ampc_dynamic_cc(&g, &batches, c);
-            (
-                digest_u64s(
-                    r.labels
-                        .iter()
-                        .flat_map(|epoch| epoch.iter().map(|&x| x as u64)),
-                ),
-                r.report,
-            )
+            let dynamic = AlgoParams {
+                dyn_batches: 3,
+                dyn_ops: 40,
+                dyn_seed: 11,
+                ..p
+            };
+            ("dyn-cc", Unweighted(&tiny), dynamic)
         }
-    }
+    };
+    let d = registry::run_family_with(family, Model::Ampc, &input, c, &p).expect("registered");
+    (d.output.digest(), d.report)
 }
 
 proptest! {

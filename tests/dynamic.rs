@@ -7,13 +7,14 @@
 //! `AMPC_STORE=socket`), with one DHT-generation epoch per batch.
 
 use ampc::prelude::*;
-use ampc_core::dynamic::{ampc_dynamic_cc, validate_dynamic_labels};
+use ampc_core::dynamic::{ampc_dynamic_cc_in_job, validate_dynamic_labels};
 use ampc_dht::store::{force_store, StoreKind};
 use ampc_graph::dynamic::{
     generate_batches, BatchMix, DynamicSource, EdgeUpdate, UpdateBatch, UpdateKind,
 };
 use ampc_graph::{gen, GraphBuilder};
-use ampc_mpc::dynamic::mpc_recompute_cc;
+use ampc_mpc::dynamic::mpc_recompute_cc_in_job;
+use ampc_runtime::driver::{drive, Driven};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,6 +25,17 @@ fn cfg(seed: u64) -> AmpcConfig {
         seed,
         ..AmpcConfig::default()
     }
+}
+
+/// The maintained AMPC kernel over a generated or hand-made stream (the
+/// registry's dyn-cc rows only generate theirs).
+fn maintained(g: &CsrGraph, batches: &[UpdateBatch], c: &AmpcConfig) -> Driven<Vec<Vec<NodeId>>> {
+    drive(c, |job| ampc_dynamic_cc_in_job(job, g, batches))
+}
+
+/// The MPC recompute-per-batch baseline's labels over the same stream.
+fn recomputed(g: &CsrGraph, batches: &[UpdateBatch], c: &AmpcConfig) -> Vec<Vec<NodeId>> {
+    drive(c, |job| mpc_recompute_cc_in_job(job, g, batches)).output
 }
 
 /// The schedules the contract is pinned on: different mixes, batch
@@ -50,17 +62,17 @@ fn maintained_equals_recompute_on_every_batch_and_schedule() {
     let g = gen::rmat(8, 900, gen::RmatParams::SOCIAL, 5);
     let c = cfg(0xD11A);
     for (name, batches) in schedules(&g) {
-        let maintained = ampc_dynamic_cc(&g, &batches, &c);
-        let recomputed = mpc_recompute_cc(&g, &batches, &c);
+        let maintained = maintained(&g, &batches, &c);
+        let recomputed = recomputed(&g, &batches, &c);
         assert_eq!(
-            maintained.labels.len(),
+            maintained.output.len(),
             batches.len() + 1,
             "{name}: one labelling per epoch"
         );
-        for (epoch, (a, b)) in maintained.labels.iter().zip(&recomputed.labels).enumerate() {
+        for (epoch, (a, b)) in maintained.output.iter().zip(&recomputed).enumerate() {
             assert_eq!(a, b, "{name}: epoch {epoch} labels differ");
         }
-        validate_dynamic_labels(&g, &batches, &maintained.labels)
+        validate_dynamic_labels(&g, &batches, &maintained.output)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
@@ -76,12 +88,12 @@ fn both_storage_layouts_agree_per_batch() {
     let c = cfg(0xD11B);
     for (name, batches) in schedules(&g) {
         force_store(Some(StoreKind::Flat));
-        let flat = ampc_dynamic_cc(&g, &batches, &c);
+        let flat = maintained(&g, &batches, &c);
         force_store(Some(StoreKind::Socket));
-        let socket = ampc_dynamic_cc(&g, &batches, &c);
+        let socket = maintained(&g, &batches, &c);
         force_store(None);
         assert_eq!(
-            flat.labels, socket.labels,
+            flat.output, socket.output,
             "{name}: labels differ across substrates"
         );
         assert_eq!(
@@ -101,11 +113,8 @@ fn both_storage_layouts_agree_per_batch() {
         );
         // And the socket-served labels still match the recompute
         // baseline (run under the ambient store).
-        let recomputed = mpc_recompute_cc(&g, &batches, &c);
-        assert_eq!(
-            socket.labels, recomputed.labels,
-            "{name}: socket vs recompute"
-        );
+        let recomputed = recomputed(&g, &batches, &c);
+        assert_eq!(socket.output, recomputed, "{name}: socket vs recompute");
     }
 }
 
@@ -113,7 +122,7 @@ fn both_storage_layouts_agree_per_batch() {
 fn epochs_seal_one_generation_each_and_are_config_independent() {
     let g = gen::erdos_renyi(150, 260, 3);
     let batches = generate_batches(&g, 5, 60, BatchMix::Churn, 44);
-    let a = ampc_dynamic_cc(&g, &batches, &cfg(1));
+    let a = maintained(&g, &batches, &cfg(1));
     // One classify round per batch, one publish per epoch: kv rounds =
     // (batches * 2) + 1 initial publish.
     assert_eq!(a.report.num_epochs(), 6);
@@ -121,8 +130,8 @@ fn epochs_seal_one_generation_each_and_are_config_independent() {
 
     // Labels are a function of the graph + schedule, not of the runtime
     // configuration (machine count, algorithm seed).
-    let b = ampc_dynamic_cc(&g, &batches, &cfg(2).with_machines(17));
-    assert_eq!(a.labels, b.labels);
+    let b = maintained(&g, &batches, &cfg(2).with_machines(17));
+    assert_eq!(a.output, b.output);
 }
 
 /// Two `k`-cliques, `0..k` and `k..2k`, joined by the one bridge
@@ -201,8 +210,8 @@ fn long_adversarial_streams_on_bridge_heavy_graphs() {
         ("two cliques", two_cliques(8), 3),
     ] {
         let batches = adversarial_stream(&g, 1000, seed);
-        let out = ampc_dynamic_cc(&g, &batches, &cfg(seed));
-        validate_dynamic_labels(&g, &batches, &out.labels)
+        let out = maintained(&g, &batches, &cfg(seed));
+        validate_dynamic_labels(&g, &batches, &out.output)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
@@ -213,8 +222,8 @@ fn dynamic_source_end_to_end() {
     let inst = spec
         .generate(ampc_graph::datasets::Scale::Test, 20)
         .unwrap();
-    let maintained = ampc_dynamic_cc(&inst.initial, &inst.batches, &cfg(9));
-    let recomputed = mpc_recompute_cc(&inst.initial, &inst.batches, &cfg(9));
-    assert_eq!(maintained.labels, recomputed.labels);
-    validate_dynamic_labels(&inst.initial, &inst.batches, &maintained.labels).unwrap();
+    let maintained = maintained(&inst.initial, &inst.batches, &cfg(9));
+    let recomputed = recomputed(&inst.initial, &inst.batches, &cfg(9));
+    assert_eq!(maintained.output, recomputed);
+    validate_dynamic_labels(&inst.initial, &inst.batches, &maintained.output).unwrap();
 }

@@ -7,11 +7,11 @@
 //! simulated time goes up (the wasted attempt is paid for).
 
 use ampc::prelude::*;
-use ampc_core::matching::ampc_matching;
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
+use ampc_bench::registry::{run_family, run_family_with, AlgoParams};
 use ampc_graph::gen;
 use ampc_runtime::chaos::ChaosSpec;
+use ampc_runtime::driver::Driven;
+use AlgoInput::{Unweighted, Weighted};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -26,16 +26,21 @@ fn kill(stage: usize, machine: u32) -> ChaosSpec {
     ChaosSpec::new(0xFA17).with_kill(stage as u32, machine)
 }
 
+/// `family`'s row under `model` on `input`, default parameters.
+fn run(family: &str, model: Model, input: AlgoInput<'_>, c: &AmpcConfig) -> Driven<AlgoOutput> {
+    run_family(family, model, &input, c).expect("a registered row")
+}
+
 #[test]
 fn mis_survives_preemption_in_every_stage() {
     let g = gen::rmat(10, 9_000, gen::RmatParams::SOCIAL, 2);
-    let clean = ampc_mis(&g, &cfg());
+    let clean = run("mis", Model::Ampc, Unweighted(&g), &cfg());
     for stage in 0..clean.report.stages.len() {
         for machine in [0, 3] {
             let c = cfg().with_chaos(kill(stage, machine));
-            let faulted = ampc_mis(&g, &c);
+            let faulted = run("mis", Model::Ampc, Unweighted(&g), &c);
             assert_eq!(
-                faulted.in_mis, clean.in_mis,
+                faulted.output, clean.output,
                 "stage {stage}, machine {machine}"
             );
         }
@@ -45,32 +50,32 @@ fn mis_survives_preemption_in_every_stage() {
 #[test]
 fn matching_survives_preemption() {
     let g = gen::erdos_renyi(300, 1200, 4);
-    let clean = ampc_matching(&g, &cfg());
+    let clean = run("mm", Model::Ampc, Unweighted(&g), &cfg());
     for stage in 0..clean.report.stages.len() {
         let c = cfg().with_chaos(kill(stage, 1));
-        let faulted = ampc_matching(&g, &c);
-        assert_eq!(faulted.partner, clean.partner, "stage {stage}");
+        let faulted = run("mm", Model::Ampc, Unweighted(&g), &c);
+        assert_eq!(faulted.output, clean.output, "stage {stage}");
     }
 }
 
 #[test]
 fn msf_survives_preemption() {
     let g = gen::degree_weights(&gen::erdos_renyi(400, 2_000, 6));
-    let clean = ampc_msf(&g, &cfg());
+    let clean = run("msf", Model::Ampc, Weighted(&g), &cfg());
     for stage in [0, 1, 2, 3] {
         let c = cfg().with_chaos(kill(stage, 2));
-        let faulted = ampc_msf(&g, &c);
-        assert_eq!(faulted.edges, clean.edges, "stage {stage}");
+        let faulted = run("msf", Model::Ampc, Weighted(&g), &c);
+        assert_eq!(faulted.output, clean.output, "stage {stage}");
     }
 }
 
 #[test]
 fn replay_is_counted_and_charged() {
     let g = gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 3);
-    let clean = ampc_mis(&g, &cfg());
+    let clean = run("mis", Model::Ampc, Unweighted(&g), &cfg());
     // Stage 2 is the IsInMIS KV round (the expensive one).
     let c = cfg().with_chaos(kill(2, 0));
-    let faulted = ampc_mis(&g, &c);
+    let faulted = run("mis", Model::Ampc, Unweighted(&g), &c);
     assert_eq!(faulted.report.replays, 1);
     assert_eq!(clean.report.replays, 0);
     assert!(
@@ -82,9 +87,16 @@ fn replay_is_counted_and_charged() {
 #[test]
 fn dyn_cc_survives_preemption_across_layouts_and_threads() {
     let g = gen::erdos_renyi(300, 420, 9);
-    let batches =
-        ampc_graph::dynamic::generate_batches(&g, 3, 48, ampc_graph::dynamic::BatchMix::Churn, 11);
-    let clean = dynamic::ampc_dynamic_cc(&g, &batches, &cfg());
+    let p = AlgoParams {
+        dyn_batches: 3,
+        dyn_ops: 48,
+        dyn_seed: 11,
+        ..Default::default()
+    };
+    let dyn_cc = |c: &AmpcConfig| {
+        run_family_with("dyn-cc", Model::Ampc, &Unweighted(&g), c, &p).expect("registered")
+    };
+    let clean = dyn_cc(&cfg());
     assert_eq!(clean.report.replays, 0);
     // Preempt during a mid-stream epoch's classify round and during the
     // final epoch, at 1/8 executor threads (the AMPC_THREADS axis; the
@@ -104,9 +116,9 @@ fn dyn_cc_survives_preemption_across_layouts_and_threads() {
     for threads in [1, 8] {
         for &stage in &probe {
             let c = cfg().with_threads(threads).with_chaos(kill(stage, 2));
-            let faulted = dynamic::ampc_dynamic_cc(&g, &batches, &c);
+            let faulted = dyn_cc(&c);
             assert_eq!(
-                faulted.labels, clean.labels,
+                faulted.output, clean.output,
                 "stage {stage}, threads={threads}"
             );
             assert_eq!(faulted.report.replays, 1);
@@ -118,8 +130,8 @@ fn dyn_cc_survives_preemption_across_layouts_and_threads() {
 #[test]
 fn mpc_baseline_also_survives_preemption() {
     let g = gen::erdos_renyi(300, 1_500, 8);
-    let clean = ampc_mpc::mpc_mis(&g, &cfg());
+    let clean = run("mis", Model::Mpc, Unweighted(&g), &cfg());
     let c = cfg().with_chaos(kill(0, 1));
-    let faulted = ampc_mpc::mpc_mis(&g, &c);
-    assert_eq!(faulted.in_mis, clean.in_mis);
+    let faulted = run("mis", Model::Mpc, Unweighted(&g), &c);
+    assert_eq!(faulted.output, clean.output);
 }

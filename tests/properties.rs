@@ -3,10 +3,11 @@
 //! Each property exercises an invariant the paper's correctness
 //! arguments rest on, on arbitrary inputs rather than fixed seeds.
 
-use ampc_core::matching::{ampc_matching, greedy_matching, pairs_from_partners};
-use ampc_core::mis::{ampc_mis, greedy_mis};
+use ampc_bench::registry::{run_family, run_family_with, AlgoParams};
+use ampc_core::algorithm::{AlgoInput, AlgoOutput, Model};
+use ampc_core::matching::{greedy_matching, pairs_from_partners};
+use ampc_core::mis::greedy_mis;
 use ampc_core::msf::in_memory::kruskal;
-use ampc_core::msf::{ampc_msf, ampc_msf_algorithm2};
 use ampc_core::validate;
 use ampc_graph::ops::{line_graph, ternarize};
 use ampc_graph::stats::connected_components;
@@ -31,6 +32,13 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u
     })
 }
 
+/// `family`'s AMPC row on `input`.
+fn output(family: &str, input: AlgoInput<'_>, c: &AmpcConfig) -> AlgoOutput {
+    run_family(family, Model::Ampc, &input, c)
+        .expect("a registered row on an input it accepts")
+        .output
+}
+
 fn build(n: usize, pairs: &[(u32, u32)]) -> ampc_graph::CsrGraph {
     let mut b = GraphBuilder::new(n);
     for &(u, v) in pairs {
@@ -46,18 +54,22 @@ proptest! {
     fn mis_is_maximal_and_matches_oracle((n, pairs) in arb_graph(120, 400), seed in 0u64..1000) {
         let g = build(n, &pairs);
         let c = cfg(seed);
-        let out = ampc_mis(&g, &c);
-        prop_assert!(validate::is_maximal_independent_set(&g, &out.in_mis));
-        prop_assert_eq!(out.in_mis, greedy_mis(&g, seed));
+        let AlgoOutput::Mis(in_mis) = output("mis", AlgoInput::Unweighted(&g), &c) else {
+            unreachable!("the mis row returns a set")
+        };
+        prop_assert!(validate::is_maximal_independent_set(&g, &in_mis));
+        prop_assert_eq!(in_mis, greedy_mis(&g, seed));
     }
 
     #[test]
     fn matching_is_maximal_and_matches_oracle((n, pairs) in arb_graph(100, 300), seed in 0u64..1000) {
         let g = build(n, &pairs);
         let c = cfg(seed);
-        let out = ampc_matching(&g, &c);
-        prop_assert!(validate::is_maximal_matching(&g, &out.pairs()));
-        prop_assert_eq!(out.partner, greedy_matching(&g, seed));
+        let AlgoOutput::Matching(partner) = output("mm", AlgoInput::Unweighted(&g), &c) else {
+            unreachable!("the mm row returns partners")
+        };
+        prop_assert!(validate::is_maximal_matching(&g, &pairs_from_partners(&partner)));
+        prop_assert_eq!(partner, greedy_matching(&g, seed));
     }
 
     #[test]
@@ -65,16 +77,16 @@ proptest! {
         let g = build(n, &pairs);
         let w = gen::random_weights(&g, 1_000, seed);
         let c = cfg(seed);
-        let out = ampc_msf(&w, &c);
-        prop_assert_eq!(out.edges, kruskal(&w));
+        let forest = output("msf", AlgoInput::Weighted(&w), &c);
+        prop_assert_eq!(forest, AlgoOutput::Forest(kruskal(&w)));
     }
 
     #[test]
     fn algorithm2_equals_kruskal((n, pairs) in arb_graph(70, 200), seed in 0u64..1000) {
         let g = build(n, &pairs);
         let w = gen::random_weights(&g, 500, seed);
-        let out = ampc_msf_algorithm2(&w, &cfg(seed));
-        prop_assert_eq!(out.edges, kruskal(&w));
+        let forest = output("msf/algorithm2", AlgoInput::Weighted(&w), &cfg(seed));
+        prop_assert_eq!(forest, AlgoOutput::Forest(kruskal(&w)));
     }
 
     #[test]
@@ -98,8 +110,11 @@ proptest! {
     #[test]
     fn connectivity_matches_bfs((n, pairs) in arb_graph(100, 160), seed in 0u64..1000) {
         let g = build(n, &pairs);
-        let out = ampc_core::connectivity::ampc_connected_components(&g, &cfg(seed));
-        prop_assert!(validate::is_correct_components(&g, &out.label));
+        let out = output("cc", AlgoInput::Unweighted(&g), &cfg(seed));
+        let AlgoOutput::Components(label) = out else {
+            unreachable!("the cc row returns labels")
+        };
+        prop_assert!(validate::is_correct_components(&g, &label));
     }
 
     #[test]
@@ -146,16 +161,22 @@ proptest! {
         let g = build(n, &pairs);
         let w = gen::random_weights(&g, 1, seed); // every weight = 1
         let c = cfg(seed);
-        let k = kruskal(&w);
-        prop_assert_eq!(ampc_msf(&w, &c).edges, k.clone());
-        prop_assert_eq!(ampc_msf_algorithm2(&w, &c).edges, k);
+        let k = AlgoOutput::Forest(kruskal(&w));
+        for family in ["msf", "msf/algorithm2"] {
+            prop_assert_eq!(output(family, AlgoInput::Weighted(&w), &c), k.clone(), "{}", family);
+        }
     }
 
     #[test]
     fn random_walks_stay_on_edges((n, pairs) in arb_graph(50, 120), seed in 0u64..1000) {
         let g = build(n, &pairs);
-        let out = ampc_core::walks::ampc_random_walks(&g, &cfg(seed), 1, 5);
-        for walk in &out.walks {
+        let p = AlgoParams { steps: 5, ..Default::default() };
+        let input = AlgoInput::Unweighted(&g);
+        let out = run_family_with("walks", Model::Ampc, &input, &cfg(seed), &p).expect("registered");
+        let AlgoOutput::Walks(walks) = out.output else {
+            unreachable!("the walks row returns walks")
+        };
+        for walk in &walks {
             for w in walk.windows(2) {
                 prop_assert!(w[0] == w[1] || g.has_edge(w[0], w[1]));
             }
@@ -169,9 +190,11 @@ proptest! {
         // every edge of the graph.
         let g = build(n, &pairs);
         let c = cfg(seed);
-        let mis = ampc_mis(&g, &c).in_mis;
-        let mm = ampc_matching(&g, &c);
-        prop_assert!(mm.pairs().len() * 2 <= g.num_nodes());
+        let AlgoOutput::Mis(mis) = output("mis", AlgoInput::Unweighted(&g), &c) else {
+            unreachable!("the mis row returns a set")
+        };
+        let mm = output("mm", AlgoInput::Unweighted(&g), &c);
+        prop_assert!(mm.size() * 2 <= g.num_nodes());
         // A maximal independent set is a dominating set.
         for v in g.nodes() {
             let dominated = mis[v as usize]
@@ -311,9 +334,18 @@ proptest! {
         seed in 0u64..500,
     ) {
         let g = build(n, &pairs);
-        let batches = generate_batches(&g, 3, 20, BatchMix::Churn, seed);
-        let a = ampc_core::dynamic::ampc_dynamic_cc(&g, &batches, &cfg(seed));
-        let m = ampc_mpc::dynamic::mpc_recompute_cc(&g, &batches, &cfg(seed));
-        prop_assert_eq!(a.labels, m.labels, "maintained vs recompute, seed {}", seed);
+        let p = AlgoParams {
+            dyn_batches: 3,
+            dyn_ops: 20,
+            dyn_mix: BatchMix::Churn,
+            dyn_seed: seed,
+            ..Default::default()
+        };
+        let [a, m] = [Model::Ampc, Model::Mpc].map(|model| {
+            run_family_with("dyn-cc", model, &AlgoInput::Unweighted(&g), &cfg(seed), &p)
+                .expect("registered")
+                .output
+        });
+        prop_assert_eq!(a, m, "maintained vs recompute, seed {}", seed);
     }
 }

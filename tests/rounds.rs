@@ -7,11 +7,10 @@
 //! MM) or 3 (MSF, CC) shuffles per phase over O(log n)-many phases.
 
 use ampc::prelude::*;
-use ampc_core::matching::ampc_matching;
-use ampc_core::mis::ampc_mis;
-use ampc_core::msf::ampc_msf;
-use ampc_core::one_vs_two::ampc_one_vs_two;
+use ampc_bench::registry::run_family;
 use ampc_graph::datasets::Scale;
+use ampc_runtime::JobReport;
+use AlgoInput::{Unweighted, Weighted};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -21,14 +20,21 @@ fn cfg() -> AmpcConfig {
     }
 }
 
+/// The report of registry row `family` under `model` on `input`.
+fn report(family: &str, model: Model, input: AlgoInput<'_>) -> JobReport {
+    run_family(family, model, &input, &cfg())
+        .expect("a registered row on an input it accepts")
+        .report
+}
+
 #[test]
 fn ampc_mis_single_shuffle_all_datasets() {
     for d in Dataset::REAL_WORLD {
         let g = d.generate(Scale::Test, 1);
-        let out = ampc_mis(&g, &cfg());
-        assert_eq!(out.report.num_shuffles(), 1, "{}", d.name());
+        let r = report("mis", Model::Ampc, Unweighted(&g));
+        assert_eq!(r.num_shuffles(), 1, "{}", d.name());
         // Figure 1's three steps: shuffle + KV-write + IsInMIS.
-        assert_eq!(out.report.stages.len(), 3, "{}", d.name());
+        assert_eq!(r.stages.len(), 3, "{}", d.name());
     }
 }
 
@@ -36,8 +42,8 @@ fn ampc_mis_single_shuffle_all_datasets() {
 fn ampc_mm_single_shuffle_all_datasets() {
     for d in Dataset::REAL_WORLD {
         let g = d.generate(Scale::Test, 1);
-        let out = ampc_matching(&g, &cfg());
-        assert_eq!(out.report.num_shuffles(), 1, "{}", d.name());
+        let r = report("mm", Model::Ampc, Unweighted(&g));
+        assert_eq!(r.num_shuffles(), 1, "{}", d.name());
     }
 }
 
@@ -45,8 +51,7 @@ fn ampc_mm_single_shuffle_all_datasets() {
 fn ampc_msf_five_shuffles_per_distributed_round() {
     for d in Dataset::REAL_WORLD {
         let g = d.generate_weighted(Scale::Test, 1);
-        let out = ampc_msf(&g, &cfg());
-        let s = out.report.num_shuffles();
+        let s = report("msf", Model::Ampc, Weighted(&g)).num_shuffles();
         assert!(s.is_multiple_of(5) && s > 0, "{}: {} shuffles", d.name(), s);
     }
 }
@@ -54,83 +59,43 @@ fn ampc_msf_five_shuffles_per_distributed_round() {
 #[test]
 fn ampc_one_vs_two_single_shuffle() {
     let g = ampc_graph::gen::two_cycles(3_000, 1);
-    let out = ampc_one_vs_two(&g, &cfg());
-    assert_eq!(out.report.num_shuffles(), 1);
+    let r = report("one-vs-two", Model::Ampc, Unweighted(&g));
+    assert_eq!(r.num_shuffles(), 1);
 }
 
 #[test]
 fn mpc_baselines_pay_logarithmically_many_shuffles() {
     let g = Dataset::Twitter.generate(Scale::Test, 1);
-    let c = cfg();
-    let mis = ampc_mpc::mpc_mis(&g, &c);
-    let mm = ampc_mpc::mpc_matching(&g, &c);
-    assert!(
-        mis.report.num_shuffles() >= 4,
-        "MIS: {}",
-        mis.report.num_shuffles()
-    );
-    assert_eq!(mis.report.num_shuffles() % 2, 0);
-    assert!(
-        mm.report.num_shuffles() >= 4,
-        "MM: {}",
-        mm.report.num_shuffles()
-    );
+    let mis = report("mis", Model::Mpc, Unweighted(&g)).num_shuffles();
+    let mm = report("mm", Model::Mpc, Unweighted(&g)).num_shuffles();
+    assert!(mis >= 4, "MIS: {mis}");
+    assert_eq!(mis % 2, 0);
+    assert!(mm >= 4, "MM: {mm}");
 
     let w = Dataset::Twitter.generate_weighted(Scale::Test, 1);
-    let msf = ampc_mpc::mpc_msf(&w, &c);
-    assert_eq!(msf.report.num_shuffles() % 3, 0);
+    let msf = report("msf", Model::Mpc, Weighted(&w)).num_shuffles();
+    assert_eq!(msf % 3, 0);
     // Borůvka needs more phases than rootset MIS (Table 3's pattern:
     // 33–84 shuffles vs 8–14).
-    assert!(
-        msf.report.num_shuffles() > mis.report.num_shuffles(),
-        "Boruvka {} vs rootset {}",
-        msf.report.num_shuffles(),
-        mis.report.num_shuffles()
-    );
+    assert!(msf > mis, "Boruvka {msf} vs rootset {mis}");
 }
 
 #[test]
 fn ampc_beats_mpc_on_shuffles_everywhere() {
     for d in Dataset::REAL_WORLD {
         let g = d.generate(Scale::Test, 6);
-        let c = cfg();
-        let a = ampc_mis(&g, &c).report.num_shuffles();
-        let m = ampc_mpc::mpc_mis(&g, &c).report.num_shuffles();
+        let a = report("mis", Model::Ampc, Unweighted(&g)).num_shuffles();
+        let m = report("mis", Model::Mpc, Unweighted(&g)).num_shuffles();
         assert!(a < m, "{}: AMPC {a} vs MPC {m}", d.name());
     }
 }
 
 #[test]
 fn truncated_theory_variants_use_constant_rounds() {
-    use ampc_core::matching::{ampc_matching_with_options, MatchingOptions};
-    use ampc_core::mis::{ampc_mis_with_options, MisOptions};
     let g = Dataset::Orkut.generate(Scale::Test, 8);
-    let c = cfg();
-    let mis = ampc_mis_with_options(
-        &g,
-        &c,
-        MisOptions {
-            caching: true,
-            truncated: true,
-        },
-    );
-    // O(1/ε) IsInMIS rounds: generous constant bound.
-    assert!(
-        mis.report.num_kv_rounds() <= 10,
-        "{}",
-        mis.report.num_kv_rounds()
-    );
-    let mm = ampc_matching_with_options(
-        &g,
-        &c,
-        MatchingOptions {
-            caching: true,
-            truncated: true,
-        },
-    );
-    assert!(
-        mm.report.num_kv_rounds() <= 10,
-        "{}",
-        mm.report.num_kv_rounds()
-    );
+    for family in ["mis/truncated", "mm/truncated"] {
+        // O(1/ε) query rounds: generous constant bound.
+        let rounds = report(family, Model::Ampc, Unweighted(&g)).num_kv_rounds();
+        assert!(rounds <= 10, "{family}: {rounds}");
+    }
 }

@@ -1,15 +1,16 @@
-//! Workspace smoke test: one tiny end-to-end job per algorithm family
-//! (MIS, maximal matching, MSF, connectivity, 1-vs-2-cycle), asserting
-//! the cross-model equality invariant of DESIGN.md §3 — AMPC and MPC
-//! consume the same seeded priorities, so their outputs must be
-//! *identical* (the paper's own validation strategy, §5.3). Inputs are
-//! far below every dataset analogue so the whole suite finishes in
-//! about a second; `cross_model` covers the full analogues.
+//! Workspace smoke test: one tiny end-to-end job per algorithm family,
+//! the family's AMPC and MPC registry rows on the same input, each output
+//! validated, asserting the cross-model equality invariant of DESIGN.md
+//! §3 — AMPC and MPC consume the same seeded priorities, so their outputs
+//! must be *identical* (the paper's own validation strategy, §5.3).
+//! Inputs are far below every dataset analogue so the whole suite
+//! finishes in about a second; `cross_model` covers the full analogues.
 
 use ampc::prelude::*;
-use ampc_core::one_vs_two::CycleAnswer;
-use ampc_core::validate;
+use ampc_bench::registry::{self, AlgoParams};
 use ampc_graph::gen;
+use ampc_runtime::driver::Driven;
+use AlgoInput::{Unweighted, Weighted};
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -24,72 +25,69 @@ fn tiny() -> CsrGraph {
     gen::rmat(8, 1_500, gen::RmatParams::SOCIAL, 42)
 }
 
+/// `family`'s AMPC and MPC rows on `input`, each output validated.
+fn both(family: &str, input: AlgoInput<'_>, p: &AlgoParams) -> [Driven<AlgoOutput>; 2] {
+    [Model::Ampc, Model::Mpc].map(|model| {
+        let entry = registry::lookup(family, model).expect("registered");
+        let run = entry
+            .run(&input, &cfg(), p)
+            .expect("an input the row accepts");
+        let what = format!("{family}/{}", model.token());
+        entry
+            .validate(&input, &run.output, p)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        run
+    })
+}
+
 #[test]
 fn smoke_mis() {
     let g = tiny();
-    let c = cfg();
-    let a = mis::ampc_mis(&g, &c);
-    let m = ampc_mpc::mpc_mis(&g, &c);
-    assert_eq!(a.in_mis, m.in_mis, "AMPC and MPC disagree on the MIS");
-    assert!(validate::is_maximal_independent_set(&g, &a.in_mis));
+    let [a, m] = both("mis", Unweighted(&g), &AlgoParams::default());
+    assert_eq!(a.output, m.output, "AMPC and MPC disagree on the MIS");
 }
 
 #[test]
 fn smoke_matching() {
     let g = tiny();
-    let c = cfg();
-    let a = matching::ampc_matching(&g, &c);
-    let m = ampc_mpc::mpc_matching(&g, &c);
-    assert_eq!(
-        a.partner, m.partner,
-        "AMPC and MPC disagree on the matching"
-    );
-    assert!(validate::is_maximal_matching(&g, &a.pairs()));
+    let [a, m] = both("mm", Unweighted(&g), &AlgoParams::default());
+    assert_eq!(a.output, m.output, "AMPC and MPC disagree on the matching");
 }
 
 #[test]
 fn smoke_msf() {
     let g = gen::random_weights(&tiny(), 1_000, 7);
-    let c = cfg();
-    let a = msf::ampc_msf(&g, &c);
-    let m = ampc_mpc::mpc_msf(&g, &c);
-    assert_eq!(a.edges, m.edges, "AMPC and MPC disagree on the MSF");
+    let [a, m] = both("msf", Weighted(&g), &AlgoParams::default());
+    assert_eq!(a.output, m.output, "AMPC and MPC disagree on the MSF");
 }
 
 #[test]
 fn smoke_connectivity() {
     let g = tiny();
-    let c = cfg();
-    let a = connectivity::ampc_connected_components(&g, &c);
-    let m = ampc_mpc::mpc_connected_components(&g, &c);
+    let [a, m] = both("cc", Unweighted(&g), &AlgoParams::default());
     assert_eq!(
-        a.label, m.label,
+        a.output, m.output,
         "AMPC and MPC disagree on component labels"
     );
-    assert!(validate::is_correct_components(&g, &a.label));
 }
 
 #[test]
 fn smoke_one_vs_two_cycle() {
-    let c = cfg();
-    for (g, truth) in [
-        (gen::single_cycle(400, 11), CycleAnswer::One),
-        (gen::two_cycles(200, 11), CycleAnswer::Two),
-    ] {
-        let a = one_vs_two::ampc_one_vs_two(&g, &c);
-        let (m, _) = ampc_mpc::local_contraction::mpc_one_vs_two(&g, &c);
-        assert_eq!(a.answer, truth);
-        assert_eq!(m, truth, "AMPC and MPC disagree on 1-vs-2-cycle");
+    // Validation holds each model's answer to the instance's truth.
+    for g in [gen::single_cycle(400, 11), gen::two_cycles(200, 11)] {
+        both("one-vs-two", Unweighted(&g), &AlgoParams::default());
     }
 }
 
 #[test]
 fn smoke_walks() {
     let g = tiny();
-    let c = cfg();
-    let a = ampc_core::walks::ampc_random_walks(&g, &c, 1, 6);
-    let m = ampc_mpc::mpc_random_walks(&g, &c, 1, 6);
-    assert_eq!(a.walks, m.walks, "AMPC and MPC disagree on the walks");
+    let p = AlgoParams {
+        steps: 6,
+        ..Default::default()
+    };
+    let [a, m] = both("walks", Unweighted(&g), &p);
+    assert_eq!(a.output, m.output, "AMPC and MPC disagree on the walks");
     // The §5.7 separation: AMPC pays one shuffle, MPC one per hop.
     assert_eq!(a.report.num_shuffles(), 1);
     assert_eq!(m.report.num_shuffles(), 6);
@@ -98,17 +96,19 @@ fn smoke_walks() {
 #[test]
 fn smoke_dynamic_connectivity() {
     let g = tiny();
-    let c = cfg();
-    let batches =
-        ampc_graph::dynamic::generate_batches(&g, 3, 40, ampc_graph::dynamic::BatchMix::Churn, 11);
-    let a = dynamic::ampc_dynamic_cc(&g, &batches, &c);
-    let m = ampc_mpc::dynamic::mpc_recompute_cc(&g, &batches, &c);
+    let p = AlgoParams {
+        dyn_batches: 3,
+        dyn_ops: 40,
+        dyn_seed: 11,
+        ..Default::default()
+    };
+    let [a, m] = both("dyn-cc", Unweighted(&g), &p);
     // The subsystem's contract: maintained labels byte-identical to
-    // recompute-from-scratch after every batch.
+    // recompute-from-scratch after every batch (validation replays every
+    // epoch against the oracle).
     assert_eq!(
-        a.labels, m.labels,
+        a.output, m.output,
         "maintained and recomputed labels disagree"
     );
-    dynamic::validate_dynamic_labels(&g, &batches, &a.labels).unwrap();
     assert_eq!(a.report.num_epochs(), 4, "DynInit + one epoch per batch");
 }

@@ -10,11 +10,12 @@
 //! written (byte-identical across thread counts).
 
 use ampc::prelude::*;
+use ampc_bench::registry::run_family;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{force_store, Generation, GenerationWriter, StoreBackend, StoreKind};
 use ampc_graph::gen;
 use ampc_runtime::chaos::ChaosSpec;
-use ampc_runtime::JobReport;
+use ampc_runtime::driver::Driven;
 use std::collections::BTreeMap;
 
 fn cfg() -> AmpcConfig {
@@ -24,6 +25,11 @@ fn cfg() -> AmpcConfig {
         seed: 0xF1A7,
         ..AmpcConfig::default()
     }
+}
+
+/// The MIS registry row on `g`.
+fn mis(g: &CsrGraph, c: &AmpcConfig) -> Driven<AlgoOutput> {
+    run_family("mis", Model::Ampc, &AlgoInput::Unweighted(g), c).expect("registered")
 }
 
 /// `get`/`get_many_with` pinned against a `BTreeMap` oracle on adversarial
@@ -77,7 +83,7 @@ fn kernels_identical_across_layouts_and_executors() {
     let g = gen::rmat(8, 1_200, gen::RmatParams::SOCIAL, 5);
     #[derive(PartialEq, Debug)]
     struct Obs {
-        in_mis: Vec<bool>,
+        output: AlgoOutput,
         kv_rounds: usize,
         shuffles: usize,
         queries: u64,
@@ -85,8 +91,8 @@ fn kernels_identical_across_layouts_and_executors() {
         batches: u64,
         peak_gen: u64,
     }
-    let observe = |r: ampc_core::mis::MisOutcome| Obs {
-        in_mis: r.in_mis,
+    let observe = |r: Driven<AlgoOutput>| Obs {
+        output: r.output,
         kv_rounds: r.report.num_kv_rounds(),
         shuffles: r.report.num_shuffles(),
         queries: r.report.kv_comm().queries,
@@ -95,12 +101,12 @@ fn kernels_identical_across_layouts_and_executors() {
         peak_gen: r.report.peak_generation_bytes(),
     };
     // Reference: flat store, inline execution.
-    let reference = observe(ampc_core::mis::ampc_mis(&g, &cfg().with_threads(1)));
+    let reference = observe(mis(&g, &cfg().with_threads(1)));
     for (label, c) in [
         ("pool-4", cfg().with_threads(4)),
         ("pool-8", cfg().with_threads(8)),
     ] {
-        let got = observe(ampc_core::mis::ampc_mis(&g, &c));
+        let got = observe(mis(&g, &c));
         assert_eq!(got, reference, "{label}");
     }
 }
@@ -142,9 +148,9 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
 
     // Kernel level: identical outputs, rounds and CommStats under the
     // socket substrate at every thread count (the §3 contract).
-    let observe = |r: ampc_core::mis::MisOutcome| {
+    let observe = |r: Driven<AlgoOutput>| {
         (
-            r.in_mis,
+            r.output,
             r.report.num_kv_rounds(),
             r.report.num_shuffles(),
             r.report.kv_comm(),
@@ -153,10 +159,10 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
     };
     let g = gen::rmat(8, 1_200, gen::RmatParams::SOCIAL, 5);
     force_store(Some(StoreKind::Flat));
-    let reference = observe(ampc_core::mis::ampc_mis(&g, &cfg().with_threads(1)));
+    let reference = observe(mis(&g, &cfg().with_threads(1)));
     force_store(Some(StoreKind::Socket));
     for threads in [1usize, 2, 8] {
-        let got = observe(ampc_core::mis::ampc_mis(&g, &cfg().with_threads(threads)));
+        let got = observe(mis(&g, &cfg().with_threads(threads)));
         assert_eq!(got, reference, "socket, {threads} threads");
     }
     force_store(None);
@@ -169,11 +175,11 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
 fn fault_replay_identical_inline_and_pooled() {
     let g = gen::rmat(7, 700, gen::RmatParams::SOCIAL, 9);
     let kill = ChaosSpec::new(0xFA17).with_kill(1, 2);
-    let clean = ampc_core::mis::ampc_mis(&g, &cfg()).in_mis;
+    let clean = mis(&g, &cfg()).output;
     for threads in [1, 4, 8] {
-        let out = ampc_core::mis::ampc_mis(&g, &cfg().with_threads(threads).with_chaos(kill));
+        let out = mis(&g, &cfg().with_threads(threads).with_chaos(kill));
         assert_eq!(out.report.replays, 1, "{threads} threads");
-        assert_eq!(out.in_mis, clean, "{threads} threads");
+        assert_eq!(out.output, clean, "{threads} threads");
     }
 }
 
@@ -182,7 +188,7 @@ fn fault_replay_identical_inline_and_pooled() {
 #[test]
 fn peak_generation_bytes_is_tracked() {
     let g = gen::rmat(7, 900, gen::RmatParams::SOCIAL, 2);
-    let out = ampc_core::mis::ampc_mis(&g, &cfg());
+    let out = mis(&g, &cfg());
     let peak = out.report.peak_generation_bytes();
     assert!(peak > 0);
     // The MIS writes each vertex's directed adjacency once: the peak
@@ -203,16 +209,4 @@ fn peak_generation_bytes_is_tracked() {
         sealed.size_bytes() as u64
     };
     assert_eq!(peak, expected);
-}
-
-/// Sub-reports absorbed across algorithm boundaries keep carrying the
-/// generation-size column.
-#[test]
-fn absorbed_reports_preserve_gen_bytes() {
-    let g = gen::rmat(7, 500, gen::RmatParams::SOCIAL, 4);
-    let out = ampc_core::connectivity::ampc_connected_components(&g, &cfg());
-    let report: &JobReport = &out.report;
-    assert!(report.peak_generation_bytes() > 0);
-    let max_stage = report.stages.iter().map(|s| s.gen_bytes).max().unwrap();
-    assert_eq!(report.peak_generation_bytes(), max_stage);
 }
