@@ -30,23 +30,13 @@
 //! records): a stable fill, no sort at all.
 
 use ampc_dht::store::ampc_threads;
+use ampc_graph::stripes::{arc_balanced_stripes, stripe_bounds};
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::pool::WorkerPool;
-use std::ops::Range;
+use ampc_runtime::pool::run_tasks;
 
 /// Below this many elements the striped paths fall back to a simple
 /// sequential pass (stripe bookkeeping would dominate).
 pub const PAR_MIN: usize = 1 << 16;
-
-/// Splits `0..n` into at most `parts` contiguous, near-equal ranges.
-fn stripe_bounds(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.max(1).min(n.max(1));
-    let per = n.div_ceil(parts);
-    (0..parts)
-        .map(|i| (i * per).min(n)..((i + 1) * per).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
 
 /// Fills `out` with the indices `i` in `0..n` where `pred(i)` holds, in
 /// ascending order, reusing `out`'s capacity. The striped replacement
@@ -81,7 +71,7 @@ pub fn pack_range_with_threads(
                 Box::new(move || *c = r.filter(|&i| pred(i)).count()) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        WorkerPool::global(threads).run_batch(tasks, threads);
+        run_tasks(tasks, threads);
     }
     let total: usize = counts.iter().sum();
     out.resize(total, 0);
@@ -97,7 +87,7 @@ pub fn pack_range_with_threads(
             }
         }));
     }
-    WorkerPool::global(threads).run_batch(tasks, threads);
+    run_tasks(tasks, threads);
 }
 
 /// Fills `out` with copies of the elements of `src` satisfying `pred`,
@@ -137,7 +127,7 @@ pub fn filter_into_with_threads<T>(
                     as Box<dyn FnOnce() + Send>
             })
             .collect();
-        WorkerPool::global(threads).run_batch(tasks, threads);
+        run_tasks(tasks, threads);
     }
     let total: usize = counts.iter().sum();
     out.resize(total, src[0]);
@@ -153,7 +143,7 @@ pub fn filter_into_with_threads<T>(
             }
         }));
     }
-    WorkerPool::global(threads).run_batch(tasks, threads);
+    run_tasks(tasks, threads);
 }
 
 /// Splits `src` into `yes` (elements satisfying `pred`) and `no` (the
@@ -205,7 +195,7 @@ pub fn partition_into_with_threads<T>(
                     as Box<dyn FnOnce() + Send>
             })
             .collect();
-        WorkerPool::global(threads).run_batch(tasks, threads);
+        run_tasks(tasks, threads);
     }
     let total_yes: usize = counts.iter().sum();
     yes.resize(total_yes, src[0]);
@@ -231,7 +221,7 @@ pub fn partition_into_with_threads<T>(
             }
         }));
     }
-    WorkerPool::global(threads).run_batch(tasks, threads);
+    run_tasks(tasks, threads);
 }
 
 /// Stable counting sort of `src` by a small integer key (`key(t) <
@@ -318,39 +308,6 @@ impl ArcKey for u64 {
     #[inline]
     fn id(packed: u128) -> NodeId {
         packed as NodeId
-    }
-}
-
-/// Splits the vertices of a CSR `offsets` array into at most `parts`
-/// contiguous ranges holding near-equal numbers of **arcs**. Skewed
-/// graphs put most arcs on few vertices (the `tw` analogue's largest
-/// list has 31 594 entries against a mean of 90), so equal-vertex
-/// ranges would leave one stripe with most of the work.
-fn arc_balanced_stripes(offsets: &[usize], parts: usize) -> Vec<Range<usize>> {
-    let n = offsets.len() - 1;
-    let arcs = offsets[n];
-    let mut stripes = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 1..=parts {
-        let end = if i == parts {
-            n
-        } else {
-            offsets.partition_point(|&o| o < arcs * i / parts).min(n)
-        };
-        if end > start {
-            stripes.push(start..end);
-            start = end;
-        }
-    }
-    stripes
-}
-
-/// Runs `tasks` inline at one thread, over the persistent pool otherwise.
-fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>, threads: usize) {
-    if threads <= 1 {
-        tasks.into_iter().for_each(|task| task());
-    } else {
-        WorkerPool::global(threads).run_batch(tasks, threads);
     }
 }
 
@@ -650,16 +607,6 @@ mod tests {
     #[should_panic]
     fn edge_ordered_rejects_an_owner_out_of_range() {
         edge_ordered_adjacency(3, &[(1u32, 3u32)], |&(u, v)| [(u, v), (v, u)], 2);
-    }
-
-    #[test]
-    fn stripes_balance_arcs_not_vertices() {
-        // One hub holding half the arcs: it gets a stripe of its own.
-        let offsets = [0, 100, 101, 102, 103, 200];
-        assert_eq!(arc_balanced_stripes(&offsets, 2), vec![0..1, 1..5]);
-        assert_eq!(arc_balanced_stripes(&offsets, 1), vec![0..5]);
-        assert_eq!(arc_balanced_stripes(&[0, 0, 0], 4), vec![0..2]);
-        assert!(arc_balanced_stripes(&[0], 4).is_empty());
     }
 
     #[test]

@@ -1,13 +1,23 @@
 //! Mutable edge-list accumulator that finalizes into CSR form.
 //!
-//! The builder canonicalizes undirected edges, removes self-loops and
-//! duplicates (keeping the lightest copy of parallel weighted edges), and
-//! produces sorted adjacency lists. All generators and file readers in
-//! this crate construct graphs through it.
+//! The builder removes self-loops and duplicates (keeping the lightest
+//! copy of parallel weighted edges) and produces sorted adjacency
+//! lists. All generators and file readers in this crate construct
+//! graphs through it.
+//!
+//! The build is count → prefix → fill (DESIGN.md §11): count the arcs
+//! of every list, prefix-sum the counts into list windows, then let
+//! every arc-balanced vertex stripe stream the edges, fill the lists it
+//! owns, and sort and dedup each of them in place. A list's content
+//! depends on the edge multiset alone and its window on the prefix sum
+//! alone, so the graph is the same for every thread count.
 
 use crate::csr::CsrGraph;
+use crate::stripes::arc_balanced_stripes;
 use crate::weighted::WeightedCsrGraph;
 use crate::{NodeId, Weight};
+use ampc_knobs::ampc_threads;
+use ampc_runtime::pool::run_tasks;
 
 /// Accumulates edges and finalizes into [`CsrGraph`] /
 /// [`WeightedCsrGraph`].
@@ -15,7 +25,6 @@ use crate::{NodeId, Weight};
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(NodeId, NodeId, Weight)>,
-    keep_loops: bool,
     directed: bool,
 }
 
@@ -25,7 +34,19 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             edges: Vec::new(),
-            keep_loops: false,
+            directed: false,
+        }
+    }
+
+    /// A builder over edges already known to be in range (the striped
+    /// generators fill their edge buffer in place).
+    pub(crate) fn from_edges(n: usize, edges: Vec<(NodeId, NodeId, Weight)>) -> Self {
+        debug_assert!(edges
+            .iter()
+            .all(|&(u, v, _)| (u as usize) < n && (v as usize) < n));
+        GraphBuilder {
+            n,
+            edges,
             directed: false,
         }
     }
@@ -105,27 +126,121 @@ impl GraphBuilder {
 
     /// Finalizes into an unweighted CSR graph.
     pub fn build(self) -> CsrGraph {
-        let (csr, _) = self.finish();
-        csr
+        self.build_with_threads(ampc_threads())
     }
 
     /// Finalizes into a weighted CSR graph.
     pub fn build_weighted(self) -> WeightedCsrGraph {
-        let (csr, weights) = self.finish();
-        WeightedCsrGraph::from_parts(csr, weights)
+        self.build_weighted_with_threads(ampc_threads())
     }
 
-    fn finish(self) -> (CsrGraph, Vec<Weight>) {
+    /// [`GraphBuilder::build`] over `threads` stripes: the same graph
+    /// for every value.
+    pub(crate) fn build_with_threads(self, threads: usize) -> CsrGraph {
+        let (offsets, targets) = self.lists::<NodeId>(threads);
+        CsrGraph::from_parts(offsets, targets, !self.directed)
+    }
+
+    /// [`GraphBuilder::build_weighted`] over `threads` stripes.
+    fn build_weighted_with_threads(self, threads: usize) -> WeightedCsrGraph {
+        let (offsets, arcs) = self.lists::<(NodeId, Weight)>(threads);
+        let targets = arcs.iter().map(|&(t, _)| t).collect();
+        let weights = arcs.iter().map(|&(_, w)| w).collect();
+        WeightedCsrGraph::from_parts(
+            CsrGraph::from_parts(offsets, targets, !self.directed),
+            weights,
+        )
+    }
+
+    /// The CSR `(offsets, arcs)` of the accumulated edges: loops
+    /// dropped, undirected edges mirrored, every list sorted with one
+    /// arc per target (the least, so the lightest weight).
+    fn lists<A: Entry>(&self, threads: usize) -> (Vec<usize>, Vec<A>) {
+        let (n, edges, directed) = (self.n, self.edges.as_slice(), self.directed);
+
+        // Count: arcs per list, loops dropped, then the prefix sum.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v, _) in edges {
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                if !directed {
+                    offsets[v as usize + 1] += 1;
+                }
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+
+        // Fill, sort, dedup: every stripe streams all the edges, places
+        // the arcs its vertex range owns into its own window, then
+        // sorts and dedups each of its lists. `ends[v]` is list `v`'s
+        // fill cursor, then the end of its deduplicated prefix. Both
+        // buffers are allocated here, so pool workers grow no malloc
+        // arena of their own.
+        let mut table = vec![A::default(); offsets[n]];
+        let mut ends = offsets[..n].to_vec();
+        {
+            let offsets = &offsets;
+            let (mut rest, mut ends_rest) = (table.as_mut_slice(), ends.as_mut_slice());
+            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+            for r in arc_balanced_stripes(offsets, threads.max(1)) {
+                let base = offsets[r.start];
+                let (win, tail) = rest.split_at_mut(offsets[r.end] - base);
+                rest = tail;
+                let (ends, tail) = ends_rest.split_at_mut(r.len());
+                ends_rest = tail;
+                tasks.push(Box::new(move || {
+                    let mut place = |owner: NodeId, target: NodeId, w: Weight| {
+                        if let Some(end) = ends.get_mut((owner as usize).wrapping_sub(r.start)) {
+                            win[*end - base] = A::new(target, w);
+                            *end += 1;
+                        }
+                    };
+                    for &(u, v, w) in edges {
+                        if u != v {
+                            place(u, v, w);
+                            if !directed {
+                                place(v, u, w);
+                            }
+                        }
+                    }
+                    for (end, &start) in ends.iter_mut().zip(&offsets[r]) {
+                        let list = &mut win[start - base..*end - base];
+                        list.sort_unstable();
+                        *end = start + dedup_targets(list);
+                    }
+                }));
+            }
+            run_tasks(tasks, threads);
+        }
+
+        // Compact: slide every deduplicated list down over the dropped
+        // copies before it, in place.
+        let mut len = 0;
+        for (v, &end) in ends.iter().enumerate() {
+            let start = std::mem::replace(&mut offsets[v], len);
+            table.copy_within(start..end, len);
+            len += end - start;
+        }
+        offsets[n] = len;
+        table.truncate(len);
+        table.shrink_to_fit();
+        (offsets, table)
+    }
+
+    /// The global-sort build the striped [`GraphBuilder::lists`]
+    /// replaced, kept as the oracle it is tested against: canonicalise,
+    /// sort all `(u, v, w)` triples, dedup, scatter, sort every list.
+    #[cfg(test)]
+    pub(crate) fn finish_oracle(self) -> (CsrGraph, Vec<Weight>) {
         let GraphBuilder {
             n,
             mut edges,
-            keep_loops,
             directed,
         } = self;
 
-        if !keep_loops {
-            edges.retain(|&(u, v, _)| u != v);
-        }
+        edges.retain(|&(u, v, _)| u != v);
         if !directed {
             for e in edges.iter_mut() {
                 if e.0 > e.1 {
@@ -133,12 +248,9 @@ impl GraphBuilder {
                 }
             }
         }
-        // Sort by (u, v, w) so duplicates are adjacent with the lightest
-        // copy first, then dedup by endpoints.
         edges.sort_unstable();
         edges.dedup_by_key(|&mut (u, v, _)| (u, v));
 
-        // Counting sort into CSR. For undirected graphs, mirror every edge.
         let mut degree = vec![0usize; n];
         for &(u, v, _) in &edges {
             degree[u as usize] += 1;
@@ -168,9 +280,6 @@ impl GraphBuilder {
                 cursor[v as usize] += 1;
             }
         }
-        // Adjacency lists are sorted by construction for the `u` side but
-        // the mirrored `v` side entries arrive in `u`-order, which is also
-        // sorted. Each vertex's list interleaves both, so sort per vertex.
         for v in 0..n {
             let lo = offsets[v];
             let hi = offsets[v + 1];
@@ -189,9 +298,53 @@ impl GraphBuilder {
     }
 }
 
+/// One entry of a list under construction: a bare target, or a target
+/// with its weight. Lists sort by the whole entry, so the first entry
+/// of a target is its lightest.
+trait Entry: Copy + Ord + Default + Send + Sync {
+    fn new(target: NodeId, w: Weight) -> Self;
+    fn target(self) -> NodeId;
+}
+
+impl Entry for NodeId {
+    #[inline]
+    fn new(target: NodeId, _: Weight) -> Self {
+        target
+    }
+    #[inline]
+    fn target(self) -> NodeId {
+        self
+    }
+}
+
+impl Entry for (NodeId, Weight) {
+    #[inline]
+    fn new(target: NodeId, w: Weight) -> Self {
+        (target, w)
+    }
+    #[inline]
+    fn target(self) -> NodeId {
+        self.0
+    }
+}
+
+/// Moves the first entry of every run of equal targets of the sorted
+/// `list` to its front, in order, and returns how many there are.
+fn dedup_targets<A: Entry>(list: &mut [A]) -> usize {
+    let mut kept = 0;
+    for i in 0..list.len() {
+        if kept == 0 || list[kept - 1].target() != list[i].target() {
+            list[kept] = list[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn removes_self_loops_and_duplicates() {
@@ -255,5 +408,42 @@ mod tests {
     fn extend_edges_works() {
         let g = GraphBuilder::new(3).extend_edges([(0, 1), (1, 2)]).build();
         assert_eq!(g.num_edges(), 2);
+    }
+
+    /// Random edge lists over `0..n` with loops and parallel copies of
+    /// different weights; weights from a small range so equal-weight
+    /// copies occur too.
+    fn arb_edges() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId, Weight)>)> {
+        (1usize..60).prop_flat_map(|n| {
+            let edges =
+                proptest::collection::vec((0..n as NodeId, 0..n as NodeId, 0..8 as Weight), 0..400);
+            (Just(n), edges)
+        })
+    }
+
+    fn builder(n: usize, edges: &[(NodeId, NodeId, Weight)], directed: bool) -> GraphBuilder {
+        let b = GraphBuilder::new(n).extend_weighted(edges.iter().copied());
+        if directed {
+            b.directed()
+        } else {
+            b
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn striped_build_equals_the_global_sort_oracle((n, edges) in arb_edges(), directed in 0u8..2) {
+            let directed = directed == 1;
+            let (csr, weights) = builder(n, &edges, directed).finish_oracle();
+            let oracle = WeightedCsrGraph::from_parts(csr.clone(), weights);
+            for threads in [1, 2, 3, 8] {
+                let g = builder(n, &edges, directed).build_with_threads(threads);
+                prop_assert_eq!(&g, &csr, "unweighted, {} threads", threads);
+                let w = builder(n, &edges, directed).build_weighted_with_threads(threads);
+                prop_assert_eq!(&w, &oracle, "weighted, {} threads", threads);
+            }
+        }
     }
 }

@@ -243,7 +243,22 @@ pub fn versus_diameter(ours: DiameterEstimate, paper: usize, paper_exact: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::SIZE_BUDGET;
     use crate::stats;
+
+    #[test]
+    fn every_analogue_fits_the_size_budget() {
+        for d in Dataset::REAL_WORLD {
+            for scale in [Scale::Test, Scale::Mid, Scale::Bench] {
+                let (log_n, m, _) = d.recipe(scale).unwrap();
+                assert!(
+                    1usize << log_n <= SIZE_BUDGET && m <= SIZE_BUDGET,
+                    "{}",
+                    d.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn names_match_paper() {

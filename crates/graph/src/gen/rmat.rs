@@ -7,8 +7,11 @@
 //! [`crate::datasets`].
 
 use crate::builder::GraphBuilder;
+use crate::stripes::stripe_bounds;
 use crate::CsrGraph;
 use crate::NodeId;
+use ampc_knobs::ampc_threads;
+use ampc_runtime::pool::run_tasks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,52 +73,162 @@ impl RmatParams {
 /// edge count is slightly below `m`, mirroring how real RMAT inputs are
 /// produced and then symmetrized (§5.2 of the paper symmetrizes its
 /// directed inputs the same way).
+///
+/// Sampling is striped over `ampc_threads()` contiguous ranges of edge
+/// indices, each starting its generator at its first edge's offset in
+/// the one seeded stream, so the graph is the same for every thread
+/// count (DESIGN.md §1).
 pub fn rmat(log_n: u32, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
-    params.validate();
-    assert!(log_n <= 31, "log_n must fit in u32 node ids");
-    let n = 1usize << log_n;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity(n, m);
-
-    // Noise added to quadrant probabilities at each level ("smoothing"),
-    // the standard fix that avoids exactly repeating degree patterns.
-    for _ in 0..m {
-        let (u, v) = sample_edge(log_n, &params, &mut rng);
-        builder.push_edge(u, v, 0);
-    }
-    builder.build()
+    rmat_with_threads(log_n, m, params, seed, ampc_threads())
 }
 
+/// [`rmat`] over `threads` stripes: the same graph for every value.
+fn rmat_with_threads(
+    log_n: u32,
+    m: usize,
+    params: RmatParams,
+    seed: u64,
+    threads: usize,
+) -> CsrGraph {
+    params.validate();
+    assert!(log_n <= 31, "log_n must fit in u32 node ids");
+    let draws_per_edge = DRAWS_PER_LEVEL * log_n as u64;
+    let mut edges = vec![(0, 0, 0); m];
+    {
+        let mut rest = edges.as_mut_slice();
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        for r in stripe_bounds(m, threads) {
+            let (win, tail) = rest.split_at_mut(r.len());
+            rest = tail;
+            tasks.push(Box::new(move || {
+                let mut rng = stream_at(seed, (r.start as u64).wrapping_mul(draws_per_edge));
+                for slot in win {
+                    let (u, v) = sample_edge(log_n, &params, &mut rng);
+                    *slot = (u, v, 0);
+                }
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+    GraphBuilder::from_edges(1 << log_n, edges).build_with_threads(threads)
+}
+
+/// Generator draws per level of [`sample_edge`]: four noise factors and
+/// the quadrant pick, one `next_u64` each.
+const DRAWS_PER_LEVEL: u64 = 5;
+
+/// The vendored `SmallRng` (SplitMix64) as it stands after `draws`
+/// draws from `SmallRng::seed_from_u64(seed)`: every draw adds the
+/// same constant γ to the state, so the state after `k` draws is
+/// `seed + k·γ` (wrapping) and any stripe of the stream can start
+/// anywhere.
+fn stream_at(seed: u64, draws: u64) -> SmallRng {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    SmallRng::seed_from_u64(seed.wrapping_add(draws.wrapping_mul(GAMMA)))
+}
+
+/// One edge: `log_n` levels, each choosing a quadrant with probability
+/// proportional to its noisy weight. Per-level multiplicative noise in
+/// `[0.95, 1.05]` ("smoothing") is the standard fix that avoids exactly
+/// repeating degree patterns. The quadrant is the number of cumulative
+/// weights `r` reaches, `q ∈ 0..4`, whose high bit extends `u` and low
+/// bit `v`; no branch to mispredict.
 fn sample_edge(log_n: u32, p: &RmatParams, rng: &mut SmallRng) -> (NodeId, NodeId) {
     let mut u: NodeId = 0;
     let mut v: NodeId = 0;
     for _ in 0..log_n {
-        u <<= 1;
-        v <<= 1;
-        // Per-level multiplicative noise in [0.95, 1.05].
         let na = p.a * rng.gen_range(0.95..1.05);
         let nb = p.b * rng.gen_range(0.95..1.05);
         let nc = p.c * rng.gen_range(0.95..1.05);
         let nd = p.d * rng.gen_range(0.95..1.05);
         let total = na + nb + nc + nd;
         let r: f64 = rng.gen_range(0.0..total);
-        if r < na {
-            // top-left: no bits set
-        } else if r < na + nb {
-            v |= 1;
-        } else if r < na + nb + nc {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        let q = (r >= na) as NodeId + (r >= na + nb) as NodeId + (r >= na + nb + nc) as NodeId;
+        u = u << 1 | q >> 1;
+        v = v << 1 | q & 1;
     }
     (u, v)
+}
+
+/// The sequential generator striped sampling replaced, kept as the
+/// oracle it is tested against: one generator drawn in edge order, the
+/// quadrant picked by an `if / else` chain, and the global-sort build.
+#[cfg(test)]
+fn rmat_oracle(log_n: u32, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
+    params.validate();
+    let n = 1usize << log_n;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut builder = GraphBuilder::with_capacity(n, m);
+    for _ in 0..m {
+        let mut u: NodeId = 0;
+        let mut v: NodeId = 0;
+        for _ in 0..log_n {
+            u <<= 1;
+            v <<= 1;
+            let na = params.a * rng.gen_range(0.95..1.05);
+            let nb = params.b * rng.gen_range(0.95..1.05);
+            let nc = params.c * rng.gen_range(0.95..1.05);
+            let nd = params.d * rng.gen_range(0.95..1.05);
+            let total = na + nb + nc + nd;
+            let r: f64 = rng.gen_range(0.0..total);
+            if r < na {
+                // top-left: no bits set
+            } else if r < na + nb {
+                v |= 1;
+            } else if r < na + nb + nc {
+                u |= 1;
+            } else {
+                u |= 1;
+                v |= 1;
+            }
+        }
+        builder.push_edge(u, v, 0);
+    }
+    builder.finish_oracle().0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn stream_at_equals_seeding_then_drawing() {
+        for seed in [0, 1, 0xDEAD_BEEF, u64::MAX - 3, u64::MAX] {
+            let mut drawn = SmallRng::seed_from_u64(seed);
+            for k in 0..300u64 {
+                let mut at = stream_at(seed, k);
+                let mut ahead = drawn.clone();
+                assert_eq!(at.next_u64(), ahead.next_u64(), "seed {seed}, k {k}");
+                drawn.next_u64();
+            }
+        }
+        // An offset whose product with γ wraps many times over: stepping
+        // one more draw from there lands where the next offset starts.
+        let k = u64::MAX / 3;
+        let mut at = stream_at(7, k);
+        at.next_u64();
+        assert_eq!(at.next_u64(), stream_at(7, k + 1).next_u64());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn striped_rmat_equals_the_sequential_oracle(
+            log_n in 1u32..13,
+            m in 0usize..20_000,
+            family in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let params = [RmatParams::SOCIAL, RmatParams::WEB, RmatParams::UNIFORM][family];
+            let oracle = rmat_oracle(log_n, m, params, seed);
+            for threads in [1, 2, 3, 8] {
+                let g = rmat_with_threads(log_n, m, params, seed, threads);
+                prop_assert_eq!(&g, &oracle, "{} threads", threads);
+            }
+        }
+    }
 
     #[test]
     fn generates_requested_scale() {

@@ -44,6 +44,7 @@ pub mod io;
 pub mod ops;
 pub mod source;
 pub mod stats;
+pub mod stripes;
 pub mod weighted;
 
 pub use builder::GraphBuilder;

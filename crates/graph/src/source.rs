@@ -20,11 +20,20 @@
 //!
 //! Weighted inputs (MSF) are derived with the paper's §5.2 rule
 //! `w(u, v) = deg(u) + deg(v)` via [`GraphSource::load_weighted`].
+//!
+//! Every generated source is checked against [`SIZE_BUDGET`] when it is
+//! parsed, so an oversized argument is a one-line `Err`, not an abort
+//! on a huge allocation. `file:` sources are sized by their contents
+//! and are not checked here.
 
 use crate::datasets::{Dataset, Scale};
 use crate::gen::{self, RmatParams};
 use crate::weighted::WeightedCsrGraph;
 use crate::{io, CsrGraph};
+
+/// The most vertices, and separately the most edges, a generated source
+/// may build: 2^28 edges fit in ≈ 4 GiB under [`crate::GraphBuilder`].
+pub const SIZE_BUDGET: usize = 1 << 28;
 
 /// A parsed graph source (see the module docs for the grammar).
 #[derive(Clone, Debug, PartialEq)]
@@ -96,6 +105,49 @@ fn parse_nums<T: std::str::FromStr>(args: &str, want: usize, what: &str) -> Resu
 impl GraphSource {
     /// Parses a source string (see the module docs for the grammar).
     pub fn parse(s: &str) -> Result<GraphSource, String> {
+        let src = Self::parse_unchecked(s)?;
+        src.check_size()?;
+        Ok(src)
+    }
+
+    /// Rejects a generated source that would build more than
+    /// [`SIZE_BUDGET`] vertices or edges (counted with `checked_*`
+    /// arithmetic, so an overflowing product is rejected too).
+    fn check_size(&self) -> Result<(), String> {
+        let twice = |k: usize| k.checked_mul(2);
+        let (nodes, edges) = match *self {
+            GraphSource::Dataset(Dataset::TwoCycles(k)) | GraphSource::CyclePair(k) => {
+                (twice(k), twice(k))
+            }
+            GraphSource::Dataset(_) | GraphSource::File(_) => return Ok(()),
+            GraphSource::Rmat { log_n, m, .. } => (1usize.checked_shl(log_n), Some(m)),
+            GraphSource::ErdosRenyi { n, m } | GraphSource::ChungLu { n, m, .. } => {
+                (Some(n), Some(m))
+            }
+            GraphSource::Cycle(n)
+            | GraphSource::Path(n)
+            | GraphSource::Star(n)
+            | GraphSource::Tree(n) => (Some(n), Some(n)),
+            GraphSource::Complete(n) => {
+                (Some(n), n.checked_mul(n.saturating_sub(1)).map(|e| e / 2))
+            }
+            GraphSource::Grid(r, c) => (r.checked_mul(c), r.checked_mul(c).and_then(twice)),
+        };
+        let within = |x: Option<usize>| x.is_some_and(|x| x <= SIZE_BUDGET);
+        if within(nodes) && within(edges) {
+            return Ok(());
+        }
+        let show =
+            |x: Option<usize>| x.map_or_else(|| "overflowing".to_string(), |x| x.to_string());
+        Err(format!(
+            "{}: {} vertices and {} edges, over the size budget of {SIZE_BUDGET} each",
+            self.describe(),
+            show(nodes),
+            show(edges)
+        ))
+    }
+
+    fn parse_unchecked(s: &str) -> Result<GraphSource, String> {
         let s = s.trim();
         let (head, args) = match s.split_once(':') {
             Some((h, a)) => (h.to_ascii_lowercase(), a),
@@ -376,8 +428,42 @@ mod tests {
             let err = GraphSource::parse(bad).expect_err(bad);
             assert!(!err.contains('\n'), "{bad}: {err}");
         }
-        for good in ["cycle:3", "pair:3", "rmat:31,10"] {
+        for good in ["cycle:3", "pair:3", "rmat:28,10"] {
             assert!(GraphSource::parse(good).is_ok(), "{good}");
+        }
+    }
+
+    #[test]
+    fn sizes_over_the_budget_are_one_line_errors() {
+        for bad in [
+            "er:5,1000000000",
+            "grid:100000x100000",
+            "complete:100000",
+            "rmat:29,10",
+            "rmat:20,268435457",
+            "chung-lu:300000000,10",
+            "path:268435457",
+            "pair:134217729",
+            "two-cycles:134217729",
+            "grid:18446744073709551615x2",
+        ] {
+            let err = GraphSource::parse(bad).expect_err(bad);
+            assert!(
+                err.contains("size budget") && !err.contains('\n'),
+                "{bad}: {err}"
+            );
+        }
+        for good in [
+            "rmat:28,268435456",
+            "complete:23170",
+            "grid:8192x16384",
+            "pair:134217728",
+            "er:268435456,268435456",
+        ] {
+            assert!(GraphSource::parse(good).is_ok(), "{good}");
+        }
+        for d in Dataset::REAL_WORLD {
+            assert!(GraphSource::parse(&d.name()).is_ok(), "{}", d.name());
         }
     }
 

@@ -213,6 +213,19 @@ impl WorkerPool {
     }
 }
 
+/// Runs `tasks` to completion: inline, in order, at `threads <= 1`;
+/// otherwise over the [process-wide pool](WorkerPool::global) with at
+/// most `threads` of them at once. The one entry point the striped
+/// builders outside the executor use (`ampc_core::prim`, the
+/// `ampc_graph` generators and CSR builder).
+pub fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>, threads: usize) {
+    if threads <= 1 {
+        tasks.into_iter().for_each(|task| task());
+    } else {
+        WorkerPool::global(threads).run_batch(tasks, threads);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
