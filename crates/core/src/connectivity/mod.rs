@@ -9,7 +9,7 @@
 
 pub mod forest_cc;
 
-use crate::msf::common::ProvEdge;
+use crate::prim::hash_ranked_edges;
 use crate::priorities::edge_key;
 use ampc_dht::hasher::mix64;
 use ampc_graph::{CsrGraph, NodeId, NO_NODE};
@@ -22,30 +22,15 @@ pub fn ampc_connected_components_in_job(job: &mut Job, g: &CsrGraph) -> Vec<Node
     let cfg = *job.config();
     let n = g.num_nodes();
 
-    // Random distinct weights: rank edges by a hash of their identity.
-    let mut keyed: Vec<(u64, NodeId, NodeId)> = g
-        .edges()
-        .map(|e| (mix64(cfg.seed ^ edge_key(e.u, e.v)), e.u, e.v))
-        .collect();
-    keyed.sort_unstable();
-    let edges: Vec<ProvEdge> = keyed
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, u, v))| ProvEdge {
-            u,
-            v,
-            w: i as u64,
-            ou: u,
-            ov: v,
-        })
-        .collect();
+    // Random distinct weights: every edge's rank under a hash of its
+    // identity, striped with no global sort (DESIGN.md §11).
+    let edges = hash_ranked_edges(g, |u, v| mix64(cfg.seed ^ edge_key(u, v)), cfg.threads);
 
-    // Spanning forest = MSF under these weights.
-    let forest_internal = crate::msf::dense::dense_msf_loop(job, n, edges, &cfg);
-    let forest_pairs: Vec<(NodeId, NodeId)> = forest_internal
-        .iter()
-        .map(|&w| (keyed[w as usize].1, keyed[w as usize].2))
-        .collect();
+    // Spanning forest = MSF under these weights, in rank order. Its
+    // edges carry their original endpoints, so nothing keeps the ranking
+    // alive past the first round that consumes it.
+    let forest = crate::msf::dense::dense_msf_loop(job, n, edges, &cfg);
+    let forest_pairs: Vec<(NodeId, NodeId)> = forest.iter().map(|e| (e.ou, e.ov)).collect();
 
     // Forest connectivity (Proposition 3.2).
     forest_cc::forest_cc_in_job(job, n, &forest_pairs)

@@ -26,17 +26,19 @@
 //! *expanded* list (`Frontier`) and so pays per arc it pops, not per
 //! arc its vertices own; its pop sequence — and with it every op, query
 //! and byte charged — is that of a heap holding every arc. Contract is
-//! one pass in weight order: the keyed shuffle is metered from `(key,
-//! bytes)` pairs, nothing is moved, and the first edge seen of a
-//! contracted pair is its lightest.
+//! a striped pass over the weight-ordered edges: the keyed shuffle is
+//! metered from per-machine loads, nothing is moved, and of a contracted
+//! pair the edge with the smallest index, its lightest, survives.
 
-use crate::prim::edge_ordered_adjacency;
+use crate::prim::{edge_ordered_adjacency, PAR_MIN};
 use crate::priorities::{edge_key, node_rank};
 use ampc_dht::cache::DenseCache;
-use ampc_dht::hasher::FxHashSet;
+use ampc_dht::hasher::{FxHashMap, FxHashSet};
 use ampc_dht::measured::Measured;
 use ampc_dht::store::{Dht, GenerationWriter};
+use ampc_graph::stripes::stripe_bounds;
 use ampc_graph::{NodeId, Weight, WeightedCsrGraph, WeightedEdge, NO_NODE};
+use ampc_runtime::pool::run_tasks;
 use ampc_runtime::Job;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,7 +46,7 @@ use std::collections::BinaryHeap;
 /// An edge at some contraction level: current endpoints plus the
 /// original edge it descends from. `w` is the *internal* strict weight
 /// (a dense rank, see [`distinctify`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProvEdge {
     /// Current-level endpoint.
     pub u: NodeId,
@@ -331,30 +333,16 @@ pub fn prim_contract_round(
     );
 
     // -------------------------------------------- Contract (2 shuffles)
-    // One pass over the edges, lightest first. A component-crossing edge
-    // is a 24-byte record of the keyed shuffle (metered, not moved); the
-    // first edge seen of a contracted pair is its lightest, so it alone
-    // survives — already in weight order, endpoints still root ids.
-    // `seen` holds the pair, not its `edge_key`: the multiplicative
-    // hasher takes a table slot from the key's low bits, which are the
-    // larger root alone, and a few thousand roots would share a few
-    // thousand slots among all pairs.
-    let mut seen: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
+    // A component-crossing edge is a 24-byte record of the keyed shuffle
+    // (metered, not moved); of a contracted pair only the first edge in
+    // weight order, its lightest, survives, endpoints still root ids.
+    let (machines, threads) = (job.config().num_machines, job.config().threads);
     let mut next_edges: Vec<ProvEdge> = Vec::new();
-    job.shuffle_by_key_metered(
-        &format!("Contract{tag}"),
-        edges.iter().filter_map(|e| {
-            let (ru, rv) = (root_of[e.u as usize], root_of[e.v as usize]);
-            if ru == rv {
-                return None;
-            }
-            let (u, v) = (ru.min(rv), ru.max(rv));
-            if seen.insert((u, v)) {
-                next_edges.push(ProvEdge { u, v, ..*e });
-            }
-            Some((edge_key(u, v), e.size_bytes() as u64))
-        }),
-    );
+    job.shuffle_by_key_metered(&format!("Contract{tag}"), |machine_of| {
+        let (kept, loads) = contract(edges, &root_of, machine_of, machines, threads);
+        next_edges = kept;
+        loads
+    });
     // Compact surviving class ids (roots with at least one edge survive;
     // isolated classes are dropped — their components are fully solved).
     let mut has_edge = vec![false; n];
@@ -392,6 +380,97 @@ pub fn prim_contract_round(
         root_of,
         next_id,
     }
+}
+
+/// A root pair `(min, max)` mapped to the index of its first edge and
+/// the bytes of all its edges.
+type PairEdges = FxHashMap<(NodeId, NodeId), (usize, u64)>;
+
+/// Contract's host pass, striped (DESIGN.md §11): of the edges crossing
+/// classes of `root_of`, the first of every root pair in edge order,
+/// relabelled to the pair and still in edge order, and every machine's
+/// byte load when each crossing edge is a record keyed by its pair.
+///
+/// Every stripe of the edges maps each pair it meets to its first index
+/// there and the bytes of its edges there; the merge keeps the smallest
+/// index of every pair and sums its bytes. Both equal the one-pass
+/// result for every `threads`. A pair's records all land on the machine
+/// of its key, so the loads are summed per pair and placed once per
+/// pair. Pairs are keyed as pairs, not by their `edge_key`: the
+/// multiplicative hasher takes a table slot from the key's low bits,
+/// which are the larger root alone, and a few thousand roots would
+/// share a few thousand slots among all pairs.
+fn contract(
+    edges: &[ProvEdge],
+    root_of: &[NodeId],
+    machine_of: &(dyn Fn(u64) -> usize + Sync),
+    machines: usize,
+    threads: usize,
+) -> (Vec<ProvEdge>, Vec<u64>) {
+    let parts = if edges.len() < PAR_MIN { 1 } else { threads };
+    let stripes = stripe_bounds(edges.len(), parts);
+    let mut found: Vec<PairEdges> = stripes.iter().map(|_| PairEdges::default()).collect();
+    {
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
+            .into_iter()
+            .zip(found.iter_mut())
+            .map(|(r, pairs)| {
+                Box::new(move || {
+                    for (i, e) in edges[r.clone()].iter().enumerate() {
+                        let (ru, rv) = (root_of[e.u as usize], root_of[e.v as usize]);
+                        if ru != rv {
+                            let pair = (ru.min(rv), ru.max(rv));
+                            pairs.entry(pair).or_insert((r.start + i, 0)).1 +=
+                                e.size_bytes() as u64;
+                        }
+                    }
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        run_tasks(tasks, threads);
+    }
+    let mut found = found.into_iter();
+    let mut pairs = found.next().unwrap_or_default();
+    for later in found {
+        for (pair, (i, bytes)) in later {
+            let at = pairs.entry(pair).or_insert((i, 0));
+            at.0 = at.0.min(i);
+            at.1 += bytes;
+        }
+    }
+    let mut loads = vec![0; machines];
+    let mut kept: Vec<(usize, (NodeId, NodeId))> = Vec::with_capacity(pairs.len());
+    for ((u, v), (i, bytes)) in pairs {
+        loads[machine_of(edge_key(u, v))] += bytes;
+        kept.push((i, (u, v)));
+    }
+    kept.sort_unstable();
+    let kept = kept
+        .into_iter()
+        .map(|(i, (u, v))| ProvEdge { u, v, ..edges[i] })
+        .collect();
+    (kept, loads)
+}
+
+/// The one-pass Contract [`contract`] replaced, kept as the oracle it is
+/// tested against: a hash set of the pairs seen so far, in edge order.
+/// Returns the kept edges and every crossing edge's `(key, bytes)`.
+#[cfg(test)]
+fn contract_oracle(edges: &[ProvEdge], root_of: &[NodeId]) -> (Vec<ProvEdge>, Vec<(u64, u64)>) {
+    let mut seen: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
+    let (mut kept, mut records) = (Vec::new(), Vec::new());
+    for e in edges {
+        let (ru, rv) = (root_of[e.u as usize], root_of[e.v as usize]);
+        if ru == rv {
+            continue;
+        }
+        let (u, v) = (ru.min(rv), ru.max(rv));
+        if seen.insert((u, v)) {
+            kept.push(ProvEdge { u, v, ..*e });
+        }
+        records.push((edge_key(u, v), e.size_bytes() as u64));
+    }
+    (kept, records)
 }
 
 /// The lightest-edge frontier of one Prim search: a k-way merge over
@@ -649,6 +728,87 @@ mod tests {
         edges.swap(3, 4);
         let mut job = Job::new(AmpcConfig::for_tests());
         prim_contract_round(&mut job, 30, &edges, "", 4, 0);
+    }
+
+    /// A stage's name and its keyed-shuffle loads.
+    fn shuffle_loads(job: &Job, stage: usize) -> (String, u64, u64) {
+        let s = &job.report().stages[stage];
+        (s.name.clone(), s.shuffle_bytes, s.shuffle_bytes_max_machine)
+    }
+
+    #[test]
+    fn striped_contract_matches_the_one_pass_oracle_over_several_rounds() {
+        // Above `PAR_MIN` edges, so round 1's Contract stripes.
+        let g = gen::random_weights(
+            &gen::rmat(13, 110_000, gen::RmatParams::SOCIAL, 3),
+            1 << 20,
+            3,
+        );
+        let d = distinctify(&g);
+        assert!(d.edges.len() > PAR_MIN, "{} edges", d.edges.len());
+        for threads in [1, 2, 8] {
+            let cfg = AmpcConfig::for_tests().with_threads(threads);
+            let mut job = Job::new(cfg);
+            let (mut edges, mut n, mut round) = (d.edges.clone(), d.n, 0u64);
+            while edges.len() > 10 {
+                round += 1;
+                let budget = cfg.prim_budget(n.max(2));
+                let r =
+                    prim_contract_round(&mut job, n, &edges, &format!("-r{round}"), budget, round);
+                let (kept, records) = contract_oracle(&edges, &r.root_of);
+
+                // The striped pass alone, under some placement, at every
+                // thread count.
+                let p = cfg.num_machines;
+                let place = |key| partition::machine_of(key, p, round);
+                let mut loads = vec![0; p];
+                for &(key, bytes) in &records {
+                    loads[place(key)] += bytes;
+                }
+                for t in [1, 2, 3, 8] {
+                    let got = contract(&edges, &r.root_of, &place, p, t);
+                    assert_eq!(
+                        got,
+                        (kept.clone(), loads.clone()),
+                        "round {round}, {t} threads"
+                    );
+                }
+
+                // The round's Contract stage reports what the real keyed
+                // shuffle of the oracle's records reports at its index.
+                let stages = job.report().stages.len();
+                let contract_at = stages - 2; // Contract, then Rebuild
+                let mut real = Job::new(cfg);
+                for _ in 0..contract_at {
+                    real.shuffle_balanced("earlier", 8);
+                }
+                real.shuffle_by_key_measured(
+                    &format!("Contract-r{round}"),
+                    records,
+                    |r| r.0,
+                    |r| r.1,
+                );
+                assert_eq!(
+                    shuffle_loads(&job, contract_at),
+                    shuffle_loads(&real, contract_at),
+                    "round {round}, {threads} threads"
+                );
+
+                // The next level is the oracle's kept edges, relabelled.
+                let next = |x: NodeId| r.next_id[x as usize];
+                let relabelled: Vec<ProvEdge> = kept
+                    .iter()
+                    .map(|e| ProvEdge {
+                        u: next(e.u),
+                        v: next(e.v),
+                        ..*e
+                    })
+                    .collect();
+                assert_eq!(r.next_edges, relabelled, "round {round}, {threads} threads");
+                (edges, n) = (r.next_edges, r.next_n);
+            }
+            assert!(round >= 2, "only {round} round(s)");
+        }
     }
 
     /// What a search is held to, then its machine's `ops` and `CommStats`.

@@ -35,13 +35,14 @@ use ampc_trees::UnionFind;
 pub fn ampc_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<WeightedEdge> {
     let cfg = *job.config();
     let mut d = distinctify(g);
-    let internal = dense_msf_loop(job, d.n, std::mem::take(&mut d.edges), &cfg);
-    d.restore(internal)
+    let forest = dense_msf_loop(job, d.n, std::mem::take(&mut d.edges), &cfg);
+    d.restore(forest.iter().map(|e| e.w))
 }
 
-/// The search-and-contract loop over provenance edges; returns the
-/// internal weights of all MSF edges. Exposed for the other MSF entry
-/// points (Algorithm 2's post-ternarization phase, forest
+/// The search-and-contract loop over provenance edges; returns every
+/// MSF edge once, ascending in `w`, as the first level that found it
+/// saw it (`ou` / `ov` name its original endpoints). Exposed for the
+/// other MSF entry points (Algorithm 2's post-ternarization phase,
 /// connectivity). `edges` must be strictly ascending in `w` (see
 /// [`prim_contract_round`]); nothing here re-sorts them.
 pub(crate) fn dense_msf_loop(
@@ -49,8 +50,8 @@ pub(crate) fn dense_msf_loop(
     n: usize,
     mut edges: Vec<ProvEdge>,
     cfg: &AmpcConfig,
-) -> Vec<u64> {
-    let mut msf: Vec<u64> = Vec::new();
+) -> Vec<ProvEdge> {
+    let mut msf: Vec<ProvEdge> = Vec::new();
     let mut cur_n = n;
     let mut round = 0usize;
     while edges.len() > cfg.in_memory_threshold {
@@ -66,7 +67,12 @@ pub(crate) fn dense_msf_loop(
         };
         let budget = cfg.prim_budget(cur_n.max(2));
         let r = prim_contract_round(job, cur_n, &edges, &tag, budget, round as u64);
-        msf.extend(r.msf_internal);
+        // Edges ascend strictly in `w`, so a weight finds its edge.
+        msf.extend(
+            r.msf_internal
+                .iter()
+                .map(|&w| edges[edges.partition_point(|e| e.w < w)]),
+        );
         edges = r.next_edges;
         cur_n = r.next_n;
     }
@@ -79,7 +85,7 @@ pub(crate) fn dense_msf_loop(
             let mut out = Vec::new();
             for e in &edges {
                 if uf.union(e.u, e.v) {
-                    out.push(e.w);
+                    out.push(*e);
                 }
             }
             out
@@ -88,8 +94,8 @@ pub(crate) fn dense_msf_loop(
     }
     // An MSF edge can be rediscovered at a contracted level (its class
     // boundary crossing survives contraction); the union is a set.
-    msf.sort_unstable();
-    msf.dedup();
+    msf.sort_by_key(|e| e.w);
+    msf.dedup_by_key(|e| e.w);
     msf
 }
 

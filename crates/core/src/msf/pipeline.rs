@@ -36,11 +36,11 @@ pub fn ampc_msf_algorithm2_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<We
     job.shuffle_balanced("Ternarize", t.graph.size_bytes() as u64);
 
     let mut d = distinctify(&t.graph);
-    let internal = dense_msf_loop(job, d.n, std::mem::take(&mut d.edges), &cfg);
+    let forest = dense_msf_loop(job, d.n, std::mem::take(&mut d.edges), &cfg);
 
     // Restore to ternarized-graph edges, then map to original ids and
     // drop dummies (both endpoints from the same original vertex).
-    let tern_edges = d.restore(internal);
+    let tern_edges = d.restore(forest.iter().map(|e| e.w));
     let mut edges: Vec<WeightedEdge> = tern_edges
         .into_iter()
         .filter_map(|e| {

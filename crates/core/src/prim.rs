@@ -27,12 +27,16 @@
 //! PermuteGraph store, built once into flat `(offsets, arcs)`.
 //! [`edge_ordered_adjacency`] is its counterpart over an edge list
 //! already in list order (the Prim round's weight-sorted SortGraph
-//! records): a stable fill, no sort at all.
+//! records): a stable fill, no sort at all. [`hash_ranked_edges`] sorts
+//! a graph's edges by a hash with the same shape over hash buckets: a
+//! bucket's place is a prefix sum, and only each bucket is sorted.
 
+use crate::msf::common::ProvEdge;
 use ampc_dht::store::ampc_threads;
 use ampc_graph::stripes::{arc_balanced_stripes, stripe_bounds};
 use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::pool::run_tasks;
+use std::ops::Range;
 
 /// Below this many elements the striped paths fall back to a simple
 /// sequential pass (stripe bookkeeping would dominate).
@@ -468,6 +472,200 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
     }
 }
 
+/// The edges of `g`, each once as [`CsrGraph::edges`] yields it, in
+/// ascending `(hash(u, v), u, v)` order, the `i`-th as the level-0
+/// [`ProvEdge`] of weight `i`: the random edge ranking connectivity
+/// takes its spanning forest under (DESIGN.md §11).
+///
+/// No global sort. A bucket is the top bits of the hash, so bucket
+/// order is hash order and equal hashes share a bucket; each bucket's
+/// place is its prefix sum and its content depends on the graph alone,
+/// so the result is the same for every `threads`, by construction.
+///
+/// 1. Every arc-balanced vertex stripe counts its edges per bucket.
+/// 2. Every stripe writes its edges, packed `u << 32 | v`, into its own
+///    chunk of every bucket of one scratch buffer: a bucket's chunks are
+///    disjoint `split_at_mut` pieces, in stripe order. The output's
+///    first touch runs beside it as one more task.
+/// 3. Every thread takes a contiguous run of buckets, balanced by edge
+///    count. It sorts a bucket in cache (the hash recomputed, a
+///    counting pass on its next byte, then a sort of each small run)
+///    and writes the bucket's edges, ranked, into its window of the
+///    output.
+///
+/// `hash` runs three times per edge and must be pure.
+pub fn hash_ranked_edges(
+    g: &CsrGraph,
+    hash: impl Fn(NodeId, NodeId) -> u64 + Sync,
+    threads: usize,
+) -> Vec<ProvEdge> {
+    let (threads, m) = (threads.max(1), g.num_edges());
+    // 512 to 1023 edges a bucket, at most 2^16 buckets: few enough write
+    // streams for the scatter to stay in cache, and a bucket sorts in L1.
+    let bits = (m >> 9).max(2).ilog2().min(16);
+    let buckets = 1usize << bits;
+    let bucket_of = |h: u64| (h >> (64 - bits)) as usize;
+    let hash = &hash;
+
+    // Pass 1: edges per bucket, per vertex stripe.
+    let stripes = arc_balanced_stripes(g.offsets(), threads);
+    let mut counts = vec![0usize; stripes.len() * buckets];
+    {
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
+            .iter()
+            .zip(counts.chunks_mut(buckets))
+            .map(|(r, count)| {
+                let r = r.clone();
+                Box::new(move || for_each_edge(g, r, |u, v| count[bucket_of(hash(u, v))] += 1))
+                    as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        run_tasks(tasks, threads);
+    }
+    let mut starts = vec![0usize; buckets + 1];
+    for b in 0..buckets {
+        let in_b: usize = counts.iter().skip(b).step_by(buckets).sum();
+        starts[b + 1] = starts[b] + in_b;
+    }
+
+    // Pass 2: every stripe scatters into its chunk of every bucket.
+    let mut packed = vec![0u64; m];
+    let mut out: Vec<ProvEdge> = Vec::with_capacity(m);
+    {
+        let mut chunks: Vec<Vec<&mut [u64]>> = stripes
+            .iter()
+            .map(|_| Vec::with_capacity(buckets))
+            .collect();
+        let mut rest = packed.as_mut_slice();
+        for b in 0..buckets {
+            for (s, mine) in chunks.iter_mut().enumerate() {
+                let (chunk, tail) = rest.split_at_mut(counts[s * buckets + b]);
+                mine.push(chunk);
+                rest = tail;
+            }
+        }
+        // A fresh buffer pays for its pages on first touch (DESIGN.md
+        // §11): the output's are touched here, beside the scatter.
+        let out = &mut out;
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
+            vec![Box::new(move || out.resize(m, ProvEdge::default()))];
+        for (r, mut mine) in stripes.iter().zip(chunks) {
+            let r = r.clone();
+            tasks.push(Box::new(move || {
+                for_each_edge(g, r, |u, v| {
+                    let chunk = &mut mine[bucket_of(hash(u, v))];
+                    let (slot, tail) = std::mem::take(chunk)
+                        .split_first_mut()
+                        .expect("pass 1 counted this edge");
+                    *slot = (u as u64) << 32 | v as u64;
+                    *chunk = tail;
+                })
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+
+    // Pass 3: every owner sorts its buckets and writes them, ranked.
+    {
+        let starts = &starts;
+        let (mut rest, mut rest_out) = (packed.as_slice(), out.as_mut_slice());
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        for owned in arc_balanced_stripes(starts, threads) {
+            let base = starts[owned.start];
+            let len = starts[owned.end] - base;
+            let (win, tail) = rest.split_at(len);
+            rest = tail;
+            let (win_out, tail) = rest_out.split_at_mut(len);
+            rest_out = tail;
+            tasks.push(Box::new(move || {
+                let mut sorter = BucketSorter::new(bits);
+                for b in owned {
+                    let (lo, hi) = (starts[b] - base, starts[b + 1] - base);
+                    let sorted = sorter.sort(&win[lo..hi], hash);
+                    for (i, (slot, &k)) in win_out[lo..hi].iter_mut().zip(sorted).enumerate() {
+                        let (u, v) = ((k >> 32) as NodeId, k as NodeId);
+                        *slot = ProvEdge {
+                            u,
+                            v,
+                            w: (base + lo + i) as u64,
+                            ou: u,
+                            ov: v,
+                        };
+                    }
+                }
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+    out
+}
+
+/// Sorts one bucket of [`hash_ranked_edges`] in two reused buffers: the
+/// records `hash << 64 | u << 32 | v`, whose order as integers is the
+/// `(hash, u, v)` order, then a counting pass on the byte below the
+/// bucket's bits and a sort of each run of equal bytes (a few records).
+struct BucketSorter {
+    keyed: Vec<u128>,
+    sorted: Vec<u128>,
+    /// Shift that brings the byte below the bucket bits down.
+    shift: u32,
+}
+
+impl BucketSorter {
+    fn new(bucket_bits: u32) -> Self {
+        BucketSorter {
+            keyed: Vec::new(),
+            sorted: Vec::new(),
+            shift: 128 - bucket_bits - 8,
+        }
+    }
+
+    /// The bucket's packed edges as sorted records.
+    fn sort(&mut self, packed: &[u64], hash: impl Fn(NodeId, NodeId) -> u64) -> &[u128] {
+        let shift = self.shift;
+        let byte = |k: u128| ((k >> shift) & 0xFF) as usize;
+        self.keyed.clear();
+        self.keyed.extend(
+            packed
+                .iter()
+                .map(|&uv| (hash((uv >> 32) as NodeId, uv as NodeId) as u128) << 64 | uv as u128),
+        );
+        let mut at = [0usize; 257];
+        for &k in &self.keyed {
+            at[byte(k) + 1] += 1;
+        }
+        for d in 0..256 {
+            at[d + 1] += at[d];
+        }
+        self.sorted.clear();
+        self.sorted.resize(self.keyed.len(), 0);
+        let mut from = at;
+        for &k in &self.keyed {
+            self.sorted[from[byte(k)]] = k;
+            from[byte(k)] += 1;
+        }
+        for run in at.windows(2) {
+            self.sorted[run[0]..run[1]].sort_unstable();
+        }
+        &self.sorted
+    }
+}
+
+/// Calls `f(u, v)` for every edge [`CsrGraph::edges`] yields from the
+/// vertices in `range`.
+#[inline]
+fn for_each_edge(g: &CsrGraph, range: Range<usize>, mut f: impl FnMut(NodeId, NodeId)) {
+    let symmetric = g.is_symmetric();
+    for u in range {
+        let u = u as NodeId;
+        for &v in g.neighbors(u) {
+            if !symmetric || u <= v {
+                f(u, v);
+            }
+        }
+    }
+}
+
 /// The per-vertex closure formulation [`ranked_adjacency`] replaced,
 /// kept as the oracle the builder is tested against: filter, collect,
 /// `sort_unstable_by_key` with the rank recomputed per comparison.
@@ -487,6 +685,26 @@ pub(crate) fn ranked_adjacency_oracle<R: Ord>(
                 .collect();
             list.sort_unstable_by_key(|&u| rank(v, u));
             list
+        })
+        .collect()
+}
+
+/// The global sort [`hash_ranked_edges`] replaced, kept as the oracle
+/// it is tested against: collect `(hash, u, v)`, `sort_unstable`, rank.
+#[cfg(test)]
+fn hash_ranked_edges_oracle(g: &CsrGraph, hash: impl Fn(NodeId, NodeId) -> u64) -> Vec<ProvEdge> {
+    let mut keyed: Vec<(u64, NodeId, NodeId)> =
+        g.edges().map(|e| (hash(e.u, e.v), e.u, e.v)).collect();
+    keyed.sort_unstable();
+    keyed
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, u, v))| ProvEdge {
+            u,
+            v,
+            w: i as u64,
+            ou: u,
+            ov: v,
         })
         .collect()
 }
@@ -600,6 +818,59 @@ mod tests {
                     assert_eq!(adj.list(v), pushed[v as usize], "{threads} threads");
                 }
             }
+        }
+    }
+
+    /// The striped ranking against the global sort, at 1 / 2 / 3 / 8
+    /// threads, under a uniform hash and under two that tie often.
+    fn assert_ranking_is_exact(g: &CsrGraph, seed: u64) {
+        let uniform = |u, v| mix64(seed ^ crate::priorities::edge_key(u, v));
+        // Ties within a bucket, and ties across the whole hash.
+        let top_bits = |u, v| uniform(u, v) & (0xFFF << 52);
+        let tiny = |u: NodeId, v: NodeId| (u as u64 + v as u64) % 3;
+        let expect = [
+            hash_ranked_edges_oracle(g, uniform),
+            hash_ranked_edges_oracle(g, top_bits),
+            hash_ranked_edges_oracle(g, tiny),
+        ];
+        for threads in [1, 2, 3, 8] {
+            let got = [
+                hash_ranked_edges(g, uniform, threads),
+                hash_ranked_edges(g, top_bits, threads),
+                hash_ranked_edges(g, tiny, threads),
+            ];
+            assert_eq!(got, expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn ranking_is_exact_on_corner_shapes() {
+        let mut lonely = ampc_graph::GraphBuilder::new(9);
+        lonely.push_edge(3, 7, 0);
+        // A directed graph: every arc is an edge, both directions too.
+        let directed = CsrGraph::from_parts(vec![0, 2, 3, 3], vec![1, 2, 0], false);
+        for g in [
+            lonely.build(),
+            directed,
+            gen::star(300),
+            CsrGraph::empty(5),
+            CsrGraph::empty(0),
+        ] {
+            assert_ranking_is_exact(&g, 0xA3C5);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn ranking_is_exact_on_er_graphs(n in 2usize..300, m in 0usize..3000, seed in 0u64..1000) {
+            assert_ranking_is_exact(&gen::erdos_renyi(n, m, seed), seed);
+        }
+
+        #[test]
+        fn ranking_is_exact_on_skewed_rmat(m in 100usize..12_000, seed in 0u64..1000) {
+            assert_ranking_is_exact(&gen::rmat(10, m, gen::RmatParams::SOCIAL, seed), seed);
         }
     }
 

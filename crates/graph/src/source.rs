@@ -198,7 +198,11 @@ impl GraphSource {
             "er" | "erdos-renyi" => {
                 need_args("er")?;
                 let v = parse_nums::<usize>(args, 2, "er")?;
-                Ok(GraphSource::ErdosRenyi { n: v[0], m: v[1] })
+                let (n, m) = (v[0], v[1]);
+                if n < 2 && m > 0 {
+                    return Err(format!("er: N = {n}, but placing an edge needs 2 vertices"));
+                }
+                Ok(GraphSource::ErdosRenyi { n, m })
             }
             "chung-lu" | "chung_lu" => {
                 need_args("chung-lu")?;
@@ -218,6 +222,16 @@ impl GraphSource {
                         .map_err(|_| format!("chung-lu: bad GAMMA {g:?}"))?,
                     None => 2.5,
                 };
+                if !(gamma.is_finite() && gamma > 2.0) {
+                    return Err(format!(
+                        "chung-lu: GAMMA = {gamma}, but the power law needs a finite GAMMA > 2"
+                    ));
+                }
+                if n < 2 && m > 0 {
+                    return Err(format!(
+                        "chung-lu: N = {n}, but placing an edge needs 2 vertices"
+                    ));
+                }
                 Ok(GraphSource::ChungLu { n, m, gamma })
             }
             "cycle" => {
@@ -429,6 +443,27 @@ mod tests {
             assert!(!err.contains('\n'), "{bad}: {err}");
         }
         for good in ["cycle:3", "pair:3", "rmat:28,10"] {
+            assert!(GraphSource::parse(good).is_ok(), "{good}");
+        }
+    }
+
+    #[test]
+    fn rejects_what_the_random_generators_assert_against() {
+        for bad in [
+            "er:1,5",
+            "er:0,1",
+            "chung-lu:100,300,1.5",
+            "chung-lu:100,300,2",
+            "chung-lu:100,300,-3",
+            "chung-lu:100,300,NaN",
+            "chung-lu:100,300,inf",
+            "chung-lu:1,5",
+            "chung-lu:0,1,3",
+        ] {
+            let err = GraphSource::parse(bad).expect_err(bad);
+            assert!(!err.contains('\n'), "{bad}: {err}");
+        }
+        for good in ["er:1,0", "er:2,5", "chung-lu:1,0", "chung-lu:2,5,2.01"] {
             assert!(GraphSource::parse(good).is_ok(), "{good}");
         }
     }

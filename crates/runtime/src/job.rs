@@ -161,23 +161,26 @@ impl Job {
         buckets
     }
 
-    /// Meters the shuffle [`Self::shuffle_by_key_measured`] would perform
-    /// on records with these `(key, bytes)` pairs — same placement, same
-    /// per-machine loads, same stage — without moving anything: for a
-    /// kernel whose host side needs the loads but not the buckets (the
-    /// Prim round's Contract, DESIGN.md §11). Drawing the pairs is the
-    /// stage's host work and is timed into its `wall_ns`.
+    /// Meters a keyed shuffle from per-machine byte loads the caller sums
+    /// itself — the placement, loads and stage
+    /// [`Self::shuffle_by_key_measured`] would report — without moving
+    /// anything: for a kernel whose host side needs the loads but not the
+    /// buckets (the Prim round's Contract, DESIGN.md §11). `loads` gets
+    /// the placement (key → machine at this stage; `Sync`, so striped
+    /// passes can share it) and returns every machine's load. Running it
+    /// is the stage's host work and is timed into its `wall_ns`.
+    ///
+    /// # Panics
+    /// If `loads` returns other than one load per machine.
     pub fn shuffle_by_key_metered(
         &mut self,
         name: &str,
-        records: impl IntoIterator<Item = (u64, u64)>,
+        loads: impl FnOnce(&(dyn Fn(u64) -> usize + Sync)) -> Vec<u64>,
     ) {
         let wall = stage_clock();
         let (p, salt) = (self.cfg.num_machines, self.shuffle_salt());
-        let mut per_bytes = vec![0u64; p];
-        for (key, bytes) in records {
-            per_bytes[partition::machine_of(key, p, salt)] += bytes;
-        }
+        let per_bytes = loads(&|key| partition::machine_of(key, p, salt));
+        assert_eq!(per_bytes.len(), p, "one load per machine");
         self.push_shuffle_loads(name, &per_bytes, wall);
     }
 
@@ -474,7 +477,14 @@ mod tests {
                 }
             }
             real.shuffle_by_key_measured("s", records.clone(), |r| r.0, |r| r.1);
-            metered.shuffle_by_key_metered("s", records.iter().copied());
+            let p = metered.config().num_machines;
+            metered.shuffle_by_key_metered("s", |machine_of| {
+                let mut loads = vec![0; p];
+                for &(key, bytes) in &records {
+                    loads[machine_of(key)] += bytes;
+                }
+                loads
+            });
             let loads = |job: &Job| {
                 let s = job.report().stages.last().expect("a stage").clone();
                 (
@@ -494,6 +504,12 @@ mod tests {
                 "more than one machine loaded"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one load per machine")]
+    fn metered_keyed_shuffle_wants_every_machines_load() {
+        test_job().shuffle_by_key_metered("s", |_| vec![8]);
     }
 
     #[test]

@@ -254,11 +254,11 @@ fn arb_source() -> impl Strategy<Value = GraphSource> {
                 RmatParams::WEB
             },
         },
-        3 => GraphSource::ErdosRenyi { n: a, m: b },
+        3 => GraphSource::ErdosRenyi { n: a + 1, m: b },
         4 => GraphSource::ChungLu {
-            n: a,
+            n: a + 1,
             m: b,
-            gamma: c as f64 / 2.0 + 1.5,
+            gamma: c as f64 / 2.0 + 2.5,
         },
         5 => GraphSource::Cycle(a + 3),
         6 => GraphSource::CyclePair(a + 3),
