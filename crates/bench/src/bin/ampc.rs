@@ -5,16 +5,12 @@
 //! ```text
 //! ampc list
 //! ampc run <family>[/<variant>] --graph <source> [--model ampc|mpc] [options]
-//! ampc smoke [--scale test|mid|bench]
 //! ampc experiment <name>|all [--scale test|mid|bench] [--out <path>]
 //! ```
 //!
 //! See `README.md` for the option reference, the graph-source grammar
 //! and the JSON report schema. `ampc experiment` regenerates one
-//! reproduced table/figure (or, with `all`, the whole `EXPERIMENTS.md`). `ampc smoke` is the CI entry point: it
-//! runs every registry row on a small instance, validates each output
-//! against the input, checks the AMPC/MPC cross-model equalities, and
-//! syntax-checks every emitted JSON record.
+//! reproduced table/figure (or, with `all`, the whole `EXPERIMENTS.md`).
 
 use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::harness_config;
@@ -40,9 +36,6 @@ USAGE:
                                      walks, dyn-cc) or an AMPC-only variant
                                      (mis/truncated, mm/truncated, mm/loglog,
                                      msf/algorithm2, cc/forest)
-  ampc smoke [--chaos <spec>]        run every registry row on small inputs (CI);
-                                     with --chaos, re-run each family under the
-                                     schedule and assert digests are unchanged
   ampc experiment <name>|all         regenerate one reproduced table/figure
                                      (table1..4, fig3..9, cycle, ablations) as
                                      markdown on stdout, or all of them into
@@ -184,7 +177,6 @@ fn run_cli(args: &[String]) -> Result<(), String> {
     match cli.positional[0].as_str() {
         "list" => cmd_list(),
         "run" => cmd_run(&cli),
-        "smoke" => cmd_smoke(&cli),
         "experiment" => cmd_experiment(&cli),
         other => Err(format!("unknown command {other:?} (see ampc --help)")),
     }
@@ -292,20 +284,21 @@ fn resolve_source(family: &str, s: &str, params: &mut AlgoParams) -> Result<Grap
 }
 
 /// The canonical source description for run records: dynamic families
-/// always describe as a full `dyn:` spec (flag overrides included).
-fn source_desc(family: &str, source: &GraphSource, params: &AlgoParams) -> String {
-    if is_dynamic_family(family) {
-        DynamicSource {
-            base: source.clone(),
-            batches: params.dyn_batches,
-            ops: params.dyn_ops,
-            mix: params.dyn_mix,
-            seed: params.dyn_seed,
-        }
-        .describe()
-    } else {
-        source.describe()
+/// always describe as a full `dyn:` spec (flag overrides included), which
+/// must pass the checks a parsed one does.
+fn source_desc(family: &str, source: &GraphSource, params: &AlgoParams) -> Result<String, String> {
+    if !is_dynamic_family(family) {
+        return Ok(source.describe());
     }
+    let dynamic = DynamicSource {
+        base: source.clone(),
+        batches: params.dyn_batches,
+        ops: params.dyn_ops,
+        mix: params.dyn_mix,
+        seed: params.dyn_seed,
+    };
+    dynamic.check()?;
+    Ok(dynamic.describe())
 }
 
 /// Loaded input graph, owning whichever representation the algorithm
@@ -487,7 +480,7 @@ fn spec_from_cli(cli: &Cli) -> Result<RunSpec, String> {
     if let Some(s) = cli.parse_num("--dyn-seed")? {
         params.dyn_seed = s;
     }
-    let source_desc = source_desc(family, &source, &params);
+    let source_desc = source_desc(family, &source, &params)?;
     Ok(RunSpec {
         family,
         model,
@@ -560,168 +553,6 @@ fn cmd_run(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// The CI smoke matrix: every registry row on a small instance, with
-/// cross-model output equality asserted per family.
-fn cmd_smoke(cli: &Cli) -> Result<(), String> {
-    let scale = match cli.get("--scale") {
-        None => Scale::Test,
-        _ => scale_of(cli)?,
-    };
-    let chaos = match cli.get("--chaos") {
-        None => None,
-        Some(v) => Some(ChaosSpec::parse(v).map_err(|e| format!("--chaos: {e}"))?),
-    };
-    let sources: [(&str, &str); 7] = [
-        ("mis", "rmat:8,1500"),
-        ("mm", "rmat:8,1500"),
-        ("msf", "rmat:8,1500"),
-        ("cc", "er:300,420"),
-        ("one-vs-two", "pair:200"),
-        ("walks", "er:120,400"),
-        ("dyn-cc", "dyn:er:300,420:batches=3:ops=48"),
-    ];
-    let mut rows = Vec::new();
-    let mut failures = 0usize;
-    // Totals across the chaos re-runs: the smoke gate asserts the
-    // schedule actually exercised the machinery (nonzero somewhere).
-    let mut chaos_replays = 0u64;
-    let mut chaos_retries = 0u64;
-    for (family, src) in sources {
-        let mut digests = Vec::new();
-        for model in [Model::Ampc, Model::Mpc] {
-            let mut cfg = harness_config(scale);
-            // Small instances: keep the MPC baselines distributed.
-            cfg.in_memory_threshold = 100;
-            let family = registry::canonical_family(family).unwrap();
-            let mut params = AlgoParams::default();
-            let source = resolve_source(family, src, &mut params)?;
-            let source_desc = source_desc(family, &source, &params);
-            let spec = RunSpec {
-                family,
-                model,
-                source,
-                source_desc,
-                scale,
-                cfg,
-                params,
-            };
-            let (driven, graph) = execute(&spec)?;
-            let (n, m) = (graph.as_input().num_nodes(), graph.as_input().num_edges());
-            let entry = registry::lookup(spec.family, model).unwrap();
-            let valid = entry.validate(&graph.as_input(), &driven.output, &spec.params);
-            let record = run_record(&spec, n, m, &driven, Some(valid.is_ok()));
-            let parses = json::validate_json(&record);
-            let ok = valid.is_ok() && parses.is_ok();
-            if let Err(e) = &valid {
-                eprintln!(
-                    "ampc smoke: {family}/{}: validation failed: {e}",
-                    model.token()
-                );
-            }
-            if let Err(e) = &parses {
-                eprintln!(
-                    "ampc smoke: {family}/{}: JSON does not parse: {e}",
-                    model.token()
-                );
-            }
-            failures += usize::from(!ok);
-            digests.push(driven.output.digest());
-            rows.push(vec![
-                family.to_string(),
-                model.token().to_string(),
-                src.to_string(),
-                format!("{}", driven.report.num_shuffles()),
-                format!("{}", driven.report.num_kv_rounds()),
-                if ok { "ok".into() } else { "FAIL".into() },
-            ]);
-        }
-        // Cross-model equality (DESIGN.md §3): both backends compute the
-        // same answer from the same seeded priorities. The 1-vs-2-cycle
-        // digests are cycle *counts*, identical here too (both find 2).
-        if digests[0] != digests[1] {
-            eprintln!("ampc smoke: {family}: AMPC and MPC outputs differ");
-            failures += 1;
-        }
-        // Chaos invariant: the AMPC run under the fault schedule must
-        // produce a byte-identical output (same digest); only retry and
-        // replay counters (and simulated time) may move.
-        if let Some(spec) = chaos {
-            let family = registry::canonical_family(family).unwrap();
-            let mut cfg = harness_config(scale);
-            cfg.in_memory_threshold = 100;
-            cfg = cfg.with_chaos(spec);
-            let mut params = AlgoParams::default();
-            let source = resolve_source(family, src, &mut params)?;
-            let source_desc = source_desc(family, &source, &params);
-            let spec = RunSpec {
-                family,
-                model: Model::Ampc,
-                source,
-                source_desc,
-                scale,
-                cfg,
-                params,
-            };
-            let (driven, graph) = execute(&spec)?;
-            let (n, m) = (graph.as_input().num_nodes(), graph.as_input().num_edges());
-            let record = run_record(&spec, n, m, &driven, None);
-            let parses = json::validate_json(&record);
-            let kv = driven.report.kv_comm();
-            let same = driven.output.digest() == digests[0];
-            if !same {
-                eprintln!("ampc smoke: {family}: chaos run digest differs from fault-free");
-            }
-            if let Err(e) = &parses {
-                eprintln!("ampc smoke: {family}/chaos: JSON does not parse: {e}");
-            }
-            let ok = same && parses.is_ok();
-            failures += usize::from(!ok);
-            chaos_replays += driven.report.replays;
-            chaos_retries += kv.retries;
-            rows.push(vec![
-                family.to_string(),
-                "chaos".to_string(),
-                src.to_string(),
-                format!("{}", driven.report.replays),
-                format!("{}", kv.retries),
-                if ok { "ok".into() } else { "FAIL".into() },
-            ]);
-        }
-    }
-    if chaos.is_some() && chaos_replays == 0 && chaos_retries == 0 {
-        eprintln!("ampc smoke: chaos schedule injected no faults at all (inert spec?)");
-        failures += 1;
-    }
-    print!(
-        "{}",
-        util::md_table(
-            &[
-                "family",
-                "model",
-                "graph",
-                "shuffles",
-                "kv rounds",
-                "status"
-            ],
-            &rows,
-        )
-    );
-    if failures > 0 {
-        return Err(format!("{failures} smoke failure(s)"));
-    }
-    println!(
-        "smoke: all {} runs validated, JSON records parse",
-        rows.len()
-    );
-    if chaos.is_some() {
-        println!(
-            "smoke: chaos runs byte-identical to fault-free \
-             ({chaos_replays} replays, {chaos_retries} retries charged)"
-        );
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,6 +570,32 @@ mod tests {
                 .err()
                 .expect("zero is rejected");
             assert!(err.starts_with(flag) && !err.contains('\n'), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_holds_schedule_flags_to_the_stream_budget() {
+        assert!(spec("run dyn-cc --graph er:100,300 --batches 512 --ops 512").is_ok());
+        for flags in [
+            "--batches 100000000 --ops 1",
+            "--ops 100000000",
+            "--batches 0",
+        ] {
+            let err = spec(&format!("run dyn-cc --graph er:100,300 {flags}"))
+                .err()
+                .expect("rejected");
+            assert!(err.starts_with("dyn:") && !err.contains('\n'), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_records_are_json() {
+        for row in ["mis", "dyn-cc"] {
+            let spec = spec(&format!("run {row} --graph er:40,80 --scale test")).unwrap();
+            let (driven, graph) = execute(&spec).unwrap();
+            let (n, m) = (graph.as_input().num_nodes(), graph.as_input().num_edges());
+            let record = run_record(&spec, n, m, &driven, Some(true));
+            json::validate_json(&record).unwrap_or_else(|e| panic!("{row}: {e}\n{record}"));
         }
     }
 

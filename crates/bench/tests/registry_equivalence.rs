@@ -1,10 +1,13 @@
 //! What the registry still has to hold against something else, now that
 //! every run goes through it: the socket-backed substrate must be
 //! observationally identical to the flat one on every AMPC row, and the
-//! runtime knobs must reach the kernels. (Cross-model equality lives in
-//! `tests/smoke.rs`, `tests/cross_model.rs` and `records`; Table 3's
-//! shuffle counts in the `records` `shuffles` column and
-//! `tests/rounds.rs`.)
+//! runtime knobs must reach the kernels. The substrate test forces the
+//! store through the process-global `force_store`, so it stays here
+//! rather than as a `records` mode, where it would race the other
+//! suites; the `records` table itself runs over the wire in CI's
+//! `store-socket` column. (Cross-model equality, machine counts and
+//! fault schedules are `records` modes; Table 3's shuffle counts are in
+//! the `records` `shuffles` column and `tests/rounds.rs`.)
 
 use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::harness_config;

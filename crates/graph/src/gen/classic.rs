@@ -26,7 +26,7 @@ pub fn star(n: usize) -> CsrGraph {
 
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::with_capacity(n, n * (n - 1) / 2);
+    let mut b = GraphBuilder::with_capacity(n, n * n.saturating_sub(1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
             b.push_edge(i as NodeId, j as NodeId, 0);
@@ -35,19 +35,18 @@ pub fn complete(n: usize) -> CsrGraph {
     b.build()
 }
 
-/// An `r × c` grid graph (vertices `i * c + j`).
+/// An `r × c` grid graph (vertices `i * c + j`). The walk is over the
+/// vertices, so an empty grid costs nothing however long its other side.
 pub fn grid(r: usize, c: usize) -> CsrGraph {
     let n = r * c;
     let mut b = GraphBuilder::with_capacity(n, 2 * n);
-    let id = |i: usize, j: usize| (i * c + j) as NodeId;
-    for i in 0..r {
-        for j in 0..c {
-            if i + 1 < r {
-                b.push_edge(id(i, j), id(i + 1, j), 0);
-            }
-            if j + 1 < c {
-                b.push_edge(id(i, j), id(i, j + 1), 0);
-            }
+    for v in 0..n {
+        let (i, j) = (v / c, v % c);
+        if i + 1 < r {
+            b.push_edge(v as NodeId, (v + c) as NodeId, 0);
+        }
+        if j + 1 < c {
+            b.push_edge(v as NodeId, (v + 1) as NodeId, 0);
         }
     }
     b.build()
@@ -100,6 +99,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 12);
         assert_eq!(g.num_edges(), 3 * 3 + 2 * 4); // horizontal + vertical
         assert_eq!(g.degree(0), 2); // corner
+        assert_eq!(grid(usize::MAX, 0).num_nodes(), 0);
     }
 
     #[test]
@@ -115,5 +115,7 @@ mod tests {
         assert_eq!(path(1).num_edges(), 0);
         assert_eq!(star(1).num_edges(), 0);
         assert_eq!(random_tree(1, 0).num_edges(), 0);
+        assert_eq!(complete(1).num_edges(), 0);
+        assert_eq!(complete(0).num_nodes(), 0);
     }
 }

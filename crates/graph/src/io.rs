@@ -7,6 +7,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::source::SIZE_BUDGET;
 use crate::weighted::WeightedCsrGraph;
 use crate::{NodeId, Weight};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -68,8 +69,14 @@ fn parse_edges<R: Read>(reader: R) -> Result<ParsedEdges, IoError> {
                 .map_err(|e| IoError::Parse(i + 1, format!("bad weight: {e}")))?,
             None => 0,
         };
-        if u > u32::MAX as u64 || v > u32::MAX as u64 {
-            return Err(IoError::Parse(i + 1, "node id exceeds u32".into()));
+        // `n` is the largest id plus one, so an id at or past the
+        // budget would size the graph past it.
+        if u.max(v) >= SIZE_BUDGET as u64 {
+            let msg = format!(
+                "node id {} is over the size budget of {SIZE_BUDGET}",
+                u.max(v)
+            );
+            return Err(IoError::Parse(i + 1, msg));
         }
         max_id = max_id.max(u).max(v);
         edges.push((u as NodeId, v as NodeId, w));
@@ -176,6 +183,14 @@ mod tests {
         match err {
             IoError::Parse(line, _) => assert_eq!(line, 2),
             other => panic!("unexpected error: {other}"),
+        }
+    }
+
+    #[test]
+    fn rejects_ids_over_the_size_budget() {
+        for (input, line) in [(&b"0 4294967295\n"[..], 1), (b"0 1\n268435456 0\n", 2)] {
+            let err = read_edge_list(input).expect_err("an id over the budget");
+            assert!(matches!(err, IoError::Parse(l, _) if l == line), "{err}");
         }
     }
 

@@ -23,8 +23,8 @@
 //!
 //! Every generated source is checked against [`SIZE_BUDGET`] when it is
 //! parsed, so an oversized argument is a one-line `Err`, not an abort
-//! on a huge allocation. `file:` sources are sized by their contents
-//! and are not checked here.
+//! on a huge allocation. `file:` sources are sized by their contents:
+//! [`io`] rejects a vertex id at or past the budget.
 
 use crate::datasets::{Dataset, Scale};
 use crate::gen::{self, RmatParams};
@@ -110,16 +110,17 @@ impl GraphSource {
         Ok(src)
     }
 
-    /// Rejects a generated source that would build more than
-    /// [`SIZE_BUDGET`] vertices or edges (counted with `checked_*`
-    /// arithmetic, so an overflowing product is rejected too).
-    fn check_size(&self) -> Result<(), String> {
+    /// The vertex and edge counts a generated source builds, each `None`
+    /// when counting it overflows; `None` for a dataset analogue, sized
+    /// by its scale, and for a `file:` source, sized by its contents.
+    /// `two-cycles:K` counts as its unscaled `2 × K`.
+    pub fn size(&self) -> Option<(Option<usize>, Option<usize>)> {
         let twice = |k: usize| k.checked_mul(2);
-        let (nodes, edges) = match *self {
+        Some(match *self {
             GraphSource::Dataset(Dataset::TwoCycles(k)) | GraphSource::CyclePair(k) => {
                 (twice(k), twice(k))
             }
-            GraphSource::Dataset(_) | GraphSource::File(_) => return Ok(()),
+            GraphSource::Dataset(_) | GraphSource::File(_) => return None,
             GraphSource::Rmat { log_n, m, .. } => (1usize.checked_shl(log_n), Some(m)),
             GraphSource::ErdosRenyi { n, m } | GraphSource::ChungLu { n, m, .. } => {
                 (Some(n), Some(m))
@@ -132,6 +133,15 @@ impl GraphSource {
                 (Some(n), n.checked_mul(n.saturating_sub(1)).map(|e| e / 2))
             }
             GraphSource::Grid(r, c) => (r.checked_mul(c), r.checked_mul(c).and_then(twice)),
+        })
+    }
+
+    /// Rejects a generated source that would build more than
+    /// [`SIZE_BUDGET`] vertices or edges (counted with `checked_*`
+    /// arithmetic, so an overflowing product is rejected too).
+    fn check_size(&self) -> Result<(), String> {
+        let Some((nodes, edges)) = self.size() else {
+            return Ok(());
         };
         let within = |x: Option<usize>| x.is_some_and(|x| x <= SIZE_BUDGET);
         if within(nodes) && within(edges) {
@@ -337,7 +347,7 @@ impl GraphSource {
             GraphSource::Grid(r, c) => gen::grid(*r, *c),
             GraphSource::Tree(n) => gen::random_tree(*n, seed),
             GraphSource::File(path) => {
-                io::read_edge_list_file(path).map_err(|e| format!("file:{path}: {e:?}"))?
+                io::read_edge_list_file(path).map_err(|e| format!("file:{path}: {e}"))?
             }
         })
     }

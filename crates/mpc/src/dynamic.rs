@@ -8,10 +8,10 @@
 //! paying the full O(n + m) shuffle pipeline per batch. Both the static
 //! baseline and the maintained AMPC kernel emit canonical min-vertex-id
 //! labels, so the per-epoch labellings are **byte-identical** by
-//! construction — which is what the cross-model equivalence tests and
-//! `records::dyn_cc_mpc_recompute_matches_the_maintained_digest`
-//! pin, and what makes the wall-clock gap between the two a pure measure
-//! of maintenance vs recomputation.
+//! construction — which is what `tests/dynamic.rs` and the `mpc` mode
+//! of the `records` row `dyn-cc/ok-mid` pin, and what makes the
+//! wall-clock gap between the two a pure measure of maintenance vs
+//! recomputation.
 
 use ampc_graph::dynamic::{EdgeSet, UpdateBatch};
 use ampc_graph::{CsrGraph, NodeId};

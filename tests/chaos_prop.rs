@@ -1,7 +1,7 @@
 //! Property tests for the chaos engine (vendored proptest stand-in,
 //! same harness as `crates/lint/tests/prop.rs`).
 //!
-//! Three properties:
+//! Three properties, and two facts about the engine itself:
 //!
 //! * **grammar round-trip** — for arbitrary specs,
 //!   `parse(describe(s)) == s` (DESIGN.md §10's canonical-form
@@ -11,7 +11,13 @@
 //!   kills) leave every kernel family's output digest equal to the
 //!   fault-free run;
 //! * **deterministic accounting** — the same schedule run twice charges
-//!   identical replay/retry counters and simulated time.
+//!   identical replay/retry counters and simulated time;
+//! * two chaos seeds charge different overhead for the same output, and
+//!   a stripe schedule kills whole stripe groups.
+//!
+//! The pinned schedule itself, explicit kills in every KV round and the
+//! kill schedules that once broke a kernel are modes of the `records`
+//! table (`crates/bench/tests/records.rs`).
 
 use ampc::prelude::*;
 use ampc_bench::registry::{self, AlgoParams};
@@ -99,7 +105,7 @@ fn arb_spec_soup() -> impl Strategy<Value = String> {
 }
 
 /// Runs one kernel family's AMPC row under `c`, returning its output
-/// digest and report. Families match the chaos integration suite.
+/// digest and report.
 fn run_family(fam: usize, c: &AmpcConfig) -> (u64, JobReport) {
     let tiny = gen::rmat(8, 1_500, gen::RmatParams::SOCIAL, 42);
     let weighted = gen::random_weights(&tiny, 1_000, 7);
@@ -177,5 +183,34 @@ proptest! {
         prop_assert_eq!(again_kv.wasted_batches, kv.wasted_batches);
         prop_assert_eq!(again_kv.backoff_units, kv.backoff_units);
         prop_assert_eq!(again_report.sim_ns(), chaos_report.sim_ns());
+    }
+}
+
+/// The chaos seed moves what faults cost, never what a kernel outputs.
+#[test]
+fn different_seeds_charge_different_overhead() {
+    let [(d1, r1), (d2, r2)] =
+        [1, 2].map(|seed| run_family(0, &cfg().with_chaos(ChaosSpec::seeded(seed).with_drop(200))));
+    assert_eq!(d1, d2, "outputs are seed-of-chaos independent");
+    let (k1, k2) = (r1.kv_comm(), r2.kv_comm());
+    assert!(
+        (k1.retries, k1.backoff_units, r1.replays) != (k2.retries, k2.backoff_units, r2.replays),
+        "two chaos seeds produced identical accounting (suspicious)"
+    );
+}
+
+/// Correlated stripe-wide failures: when a stripe group fires, every
+/// machine in it dies together, and the output stays byte-identical.
+#[test]
+fn stripe_schedule_stays_byte_identical() {
+    let (clean, _) = run_family(3, &cfg());
+    let spec = ChaosSpec::seeded(0x57).with_rate(300).with_stripe(2);
+    let (digest, report) = run_family(3, &cfg().with_chaos(spec));
+    assert_eq!(digest, clean);
+    assert!(report.replays > 0, "a 300‰ stripe rate must fire");
+    // Each firing stage's replay count is a multiple of its group size
+    // (2 machines per group at stripe=2, P=4).
+    for s in &report.stages {
+        assert_eq!(s.replays % 2, 0, "stage {} killed half a stripe", s.name);
     }
 }

@@ -7,7 +7,7 @@
 //! MM) or 3 (MSF, CC) shuffles per phase over O(log n)-many phases.
 
 use ampc::prelude::*;
-use ampc_bench::registry::run_family;
+use ampc_bench::registry::{run_family, AlgoParams};
 use ampc_graph::datasets::Scale;
 use ampc_runtime::JobReport;
 use AlgoInput::{Unweighted, Weighted};
@@ -78,6 +78,12 @@ fn mpc_baselines_pay_logarithmically_many_shuffles() {
     // Borůvka needs more phases than rootset MIS (Table 3's pattern:
     // 33–84 shuffles vs 8–14).
     assert!(msf > mis, "Boruvka {msf} vs rootset {mis}");
+    // The §5.7 separation: AMPC walks pay one shuffle, MPC one per hop.
+    let walks = [Model::Ampc, Model::Mpc].map(|m| report("walks", m, Unweighted(&g)));
+    assert_eq!(
+        walks.map(|r| r.num_shuffles()),
+        [1, AlgoParams::default().steps]
+    );
 }
 
 #[test]

@@ -5,16 +5,17 @@
 //! substrate and the pool are wall-clock choices: this suite pins that
 //! they are *observationally equivalent* — reads agree with a
 //! `BTreeMap` oracle, kernel outputs, round counts and `CommStats` are
-//! identical inline and pooled and under both substrates — and that
-//! the sealed flat representation is a pure function of what was
-//! written (byte-identical across thread counts).
+//! identical under both substrates — and that the sealed flat
+//! representation is a pure function of what was written
+//! (byte-identical across thread counts). Inline against pooled
+//! execution, replays included, is the thread loop of the `records`
+//! table (`crates/bench/tests/records.rs`).
 
 use ampc::prelude::*;
 use ampc_bench::registry::run_family;
 use ampc_dht::hasher::mix64;
 use ampc_dht::store::{force_store, Generation, GenerationWriter, StoreBackend, StoreKind};
 use ampc_graph::gen;
-use ampc_runtime::chaos::ChaosSpec;
 use ampc_runtime::driver::Driven;
 use std::collections::BTreeMap;
 
@@ -75,42 +76,6 @@ fn flat_get_matches_oracle_on_adversarial_keys() {
     }
 }
 
-/// A full kernel must produce identical outputs, rounds and CommStats
-/// inline and on the pool at every thread count (the substrate half of
-/// the matrix is `socket_substrate_matches_flat_generations_and_kernels`).
-#[test]
-fn kernels_identical_across_layouts_and_executors() {
-    let g = gen::rmat(8, 1_200, gen::RmatParams::SOCIAL, 5);
-    #[derive(PartialEq, Debug)]
-    struct Obs {
-        output: AlgoOutput,
-        kv_rounds: usize,
-        shuffles: usize,
-        queries: u64,
-        kv_bytes: u64,
-        batches: u64,
-        peak_gen: u64,
-    }
-    let observe = |r: Driven<AlgoOutput>| Obs {
-        output: r.output,
-        kv_rounds: r.report.num_kv_rounds(),
-        shuffles: r.report.num_shuffles(),
-        queries: r.report.kv_comm().queries,
-        kv_bytes: r.report.kv_comm().kv_bytes(),
-        batches: r.report.kv_comm().batches,
-        peak_gen: r.report.peak_generation_bytes(),
-    };
-    // Reference: flat store, inline execution.
-    let reference = observe(mis(&g, &cfg().with_threads(1)));
-    for (label, c) in [
-        ("pool-4", cfg().with_threads(4)),
-        ("pool-8", cfg().with_threads(8)),
-    ] {
-        let got = observe(mis(&g, &c));
-        assert_eq!(got, reference, "{label}");
-    }
-}
-
 /// The socket-backed substrate (DESIGN.md §12) is observationally
 /// identical to flat: same layout fingerprints, gets and batched gets
 /// on adversarial keys — with the shards living outside the sealing
@@ -166,21 +131,6 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
         assert_eq!(got, reference, "socket, {threads} threads");
     }
     force_store(None);
-}
-
-/// Fault-injection replays must be byte-identical whether the original
-/// round ran inline or on the pool (the replay path is the same inline
-/// per-machine entry point the pool dispatches).
-#[test]
-fn fault_replay_identical_inline_and_pooled() {
-    let g = gen::rmat(7, 700, gen::RmatParams::SOCIAL, 9);
-    let kill = ChaosSpec::new(0xFA17).with_kill(1, 2);
-    let clean = mis(&g, &cfg()).output;
-    for threads in [1, 4, 8] {
-        let out = mis(&g, &cfg().with_threads(threads).with_chaos(kill));
-        assert_eq!(out.report.replays, 1, "{threads} threads");
-        assert_eq!(out.output, clean, "{threads} threads");
-    }
 }
 
 /// `peak_generation_bytes` reads the seal-time cache and matches an
