@@ -22,9 +22,9 @@
 //!   `s mod P` (up to [`MAX_EXPLICIT_KILLS`] rounds to a run), then the
 //!   kills of [`KILLS`]: the same, with the replays exactly where the
 //!   kills fall;
-//! * **mpc** — the row's MPC twin (a variant's family's), fault-free and
-//!   under [`SCHEDULE`], computes the AMPC digest from the same seeded
-//!   randomness (§5.3);
+//! * **mpc** — the row's MPC twin (a variant's family's), fault-free at
+//!   the same thread counts and under [`SCHEDULE`] at one, computes the
+//!   AMPC digest from the same seeded randomness (§5.3);
 //! * **machines** — the digest at every machine count of [`MACHINES`];
 //! * **validate** — the fault-free output passes the registry validator.
 //!
@@ -42,12 +42,11 @@ use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::{cycle_config, harness_config, load, md_table, GRAPH_SEED};
 use ampc_core::algorithm::{digest_u64s, AlgoInput, AlgoOutput, InputKind, Model};
 use ampc_dht::hasher::mix64;
-use ampc_dht::store::{ampc_threads, Dht, GenerationWriter};
+use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_graph::{gen, CsrGraph, WeightedCsrGraph};
 use ampc_runtime::chaos::MAX_EXPLICIT_KILLS;
 use ampc_runtime::driver::{drive, Driven};
-use ampc_runtime::pool::run_tasks;
 use ampc_runtime::{AmpcConfig, ChaosSpec, Job, JobReport, StageKind, StageReport};
 use AlgoInput::{Unweighted, Weighted};
 
@@ -262,16 +261,15 @@ fn fixed(mut cfg: AmpcConfig, threads: usize) -> AmpcConfig {
     cfg.with_threads(threads)
 }
 
-/// Holds every row to its pin in every mode, the rows side by side on
-/// the executor pool. A mismatch prints each way a row moved, named by
-/// its mode, then the whole table as it is now, ready to paste.
+/// Holds every row to its pin in every mode, one row after another,
+/// so the executor pool's workers are free to run each row's machines
+/// side by side; cargo's test threads run the suites side by side. A
+/// mismatch prints each way a row moved, named by its mode, then the
+/// whole table as it is now, ready to paste.
 fn check(rows: Vec<Row>) {
-    let (pins, mut moved) = (pins(), vec![Vec::new(); rows.len()]);
-    let tasks = rows.iter().zip(&mut moved).map(|(row, moved)| {
-        Box::new(|| *moved = row_moved(row, &pins)) as Box<dyn FnOnce() + Send + '_>
-    });
-    run_tasks(tasks.collect(), ampc_threads());
-    let moved = moved.concat().join("\n");
+    let pins = pins();
+    let moved: Vec<String> = rows.iter().flat_map(|row| row_moved(row, &pins)).collect();
+    let moved = moved.join("\n");
     assert!(moved.is_empty(), "{moved}\nthe table now:\n{}", table_now());
 }
 
@@ -310,6 +308,10 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
         let got = Record::of(&run, &chaos);
         if got != *pin {
             report(format!("at {threads} threads: {:?}", got.0));
+        }
+        mode.set("mpc");
+        if let Some(digest) = twin_moved(row, pin, &cfg) {
+            report(format!("at {threads} threads: digest {digest}"));
         }
         clean.get_or_insert(run);
     }
@@ -358,12 +360,8 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
     }
 
     mode.set("mpc");
-    for c in [cfg, cfg.with_chaos(schedule())] {
-        let twin = row.run(Model::Mpc, &c).map(|run| run.digest);
-        if let Some(digest) = twin.filter(|&d| d != pin.0[DIGEST]) {
-            let faults = c.chaos.map_or("fault-free".into(), |s| s.describe());
-            report(format!("{faults}: digest {digest}"));
-        }
+    if let Some(digest) = twin_moved(row, pin, &cfg.with_chaos(schedule())) {
+        report(format!("{SCHEDULE}: digest {digest}"));
     }
 
     mode.set("machines");
@@ -373,6 +371,12 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
             report(format!("at P={p}: digest {digest}"));
         }
     }
+}
+
+/// The digest of `row`'s MPC twin under `c`, if it is not the pin's.
+fn twin_moved(row: &Row, pin: &Record, c: &AmpcConfig) -> Option<u64> {
+    let digest = row.run(Model::Mpc, c)?.digest;
+    (digest != pin.0[DIGEST]).then_some(digest)
 }
 
 /// Every row of every suite at one thread, recorded once per process

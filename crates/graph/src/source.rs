@@ -114,7 +114,7 @@ impl GraphSource {
     /// when counting it overflows; `None` for a dataset analogue, sized
     /// by its scale, and for a `file:` source, sized by its contents.
     /// `two-cycles:K` counts as its unscaled `2 × K`.
-    pub fn size(&self) -> Option<(Option<usize>, Option<usize>)> {
+    fn size(&self) -> Option<(Option<usize>, Option<usize>)> {
         let twice = |k: usize| k.checked_mul(2);
         Some(match *self {
             GraphSource::Dataset(Dataset::TwoCycles(k)) | GraphSource::CyclePair(k) => {
@@ -368,6 +368,10 @@ impl std::str::FromStr for GraphSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::DynamicSource;
+    use crate::io::read_edge_list;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_named_datasets() {
@@ -568,5 +572,81 @@ mod tests {
             .unwrap()
             .load(Scale::Test, 0)
             .is_err());
+    }
+
+    // ------------------------------------------------------------------
+    // Hostile inputs: arbitrary spec strings and edge-list bytes return
+    // `Ok` or `Err` through parse and load, never a panic or an abort.
+    // ------------------------------------------------------------------
+
+    /// A hostile spec's heads, numbers, separators between numbers and
+    /// `dyn:` options, `|`-separated: small, zero, huge and malformed
+    /// values, wrong separators, and options a static source does not take.
+    const HEADS: &[u8] = b"ok|two-cycles:|rmat:|er:|chung-lu:|cycle:|pair:|path:|star:|complete:|grid:|tree:|file:|dyn:|";
+    const NUMBERS: &[u8] =
+        b"0|1|2|3|17|300|4096|65536|4294967296|18446744073709551616|-1|2.5|nan|inf|social|churn|";
+    const SEPARATORS: &[u8] = b",|,|,|x|:| ";
+    const OPTIONS: &[u8] = b":batches=|:ops=|:seed=|:mix=|:";
+
+    /// Edge-list fragments, `|`-separated: ids around the size budget and
+    /// past u64, weights, comments, bad tokens and bytes that are not UTF-8.
+    const EDGE_FRAGMENTS: &[u8] =
+        b"0|1|7|65535|268435456|4294967295|18446744073709551616|-1|2.5|x| |\t|\n|\r\n|#|\xff|\xc3";
+
+    /// Fragment `i` of a `|`-separated list, counting round.
+    fn pick(list: &'static [u8], i: usize) -> &'static [u8] {
+        let fragments = || list.split(|&b| b == b'|');
+        fragments().nth(i % fragments().count()).expect("in range")
+    }
+
+    /// Picks from two lists, alternating, as many pairs as the strategy draws.
+    fn picks(a: &'static [u8], b: &'static [u8], pairs: usize) -> impl Strategy<Value = Vec<u8>> {
+        vec((0..64usize, 0..64usize), 0..pairs).prop_map(move |p| {
+            p.into_iter()
+                .flat_map(|(i, j)| [pick(a, i), pick(b, j)].concat())
+                .collect()
+        })
+    }
+
+    /// A hostile spec: maybe `dyn:`, a head, up to three numbers joined by
+    /// one separator, and up to two options.
+    fn arb_hostile_spec() -> impl Strategy<Value = String> {
+        let head = (0..3usize, 0..64usize);
+        let head = head.prop_map(|(d, h)| [pick(b"||dyn:", d), pick(HEADS, h)].concat());
+        let numbers = (0..64usize, vec(0..64usize, 0..4)).prop_map(|(s, numbers)| {
+            let numbers: Vec<_> = numbers.into_iter().map(|n| pick(NUMBERS, n)).collect();
+            numbers.join(pick(SEPARATORS, s))
+        });
+        let spec = (head, numbers, picks(OPTIONS, NUMBERS, 3));
+        spec.prop_map(|(h, n, o)| String::from_utf8([h, n, o].concat()).expect("ASCII fragments"))
+    }
+
+    /// Whether a parsed source builds at most 2^16 vertices and edges, so a
+    /// test may load it.
+    fn small(src: &GraphSource) -> bool {
+        matches!(src.size(), Some((Some(n), Some(m))) if n <= 1 << 16 && m <= 1 << 16)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn hostile_specs_parse_and_load_without_panicking(spec in arb_hostile_spec()) {
+            if let Ok(src) = GraphSource::parse(&spec) {
+                if small(&src) {
+                    let _ = src.load(Scale::Test, 1);
+                }
+            }
+            if let Ok(src) = DynamicSource::parse(&spec) {
+                if small(&src.base) {
+                    let _ = src.generate(Scale::Test, 1);
+                }
+            }
+        }
+
+        #[test]
+        fn hostile_edge_lists_read_without_panicking(bytes in picks(EDGE_FRAGMENTS, EDGE_FRAGMENTS, 6)) {
+            let _ = read_edge_list(&bytes[..]);
+        }
     }
 }
