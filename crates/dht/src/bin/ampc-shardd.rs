@@ -8,6 +8,7 @@
 //! exits the process, so no orphan servers outlive their job.
 
 use std::io::Read;
+use std::os::unix::net::UnixListener;
 
 fn main() {
     let mut args = std::env::args_os().skip(1);
@@ -30,7 +31,10 @@ fn main() {
         std::process::exit(0);
     });
 
-    if let Err(e) = ampc_dht::socket::run_server(&path) {
+    // A stale socket file at `path` is removed first.
+    let _ = std::fs::remove_file(&path);
+    let served = UnixListener::bind(&path).and_then(ampc_dht::socket::serve_listener);
+    if let Err(e) = served {
         eprintln!("ampc-shardd: {}: {e}", path.display());
         std::process::exit(1);
     }

@@ -1,67 +1,61 @@
 //! The socket-backed shard transport (DESIGN.md §12).
 //!
 //! Under `AMPC_STORE=socket`, sealed generations offload their values to
-//! **shard servers in separate OS processes**, reached over Unix-domain
-//! sockets with a length-prefixed deterministic wire format. This module
-//! owns the transport half of the substrate: the frame codec, the shard
-//! server loop (run by the `ampc-shardd` binary, or by an in-process
-//! listener thread when the binary is not on disk), and the client-side
-//! [`SocketCluster`] that spawns, supervises and reconnects to the
-//! servers.
+//! **shard servers in separate OS processes** (`ampc-shardd`, or an
+//! in-process listener thread when the binary is not on disk), reached
+//! over Unix-domain sockets. This module owns the frame codec, the
+//! server ([`ShardServer`]) and the client [`SocketCluster`], which
+//! spawns, supervises and reconnects to the servers.
 //!
 //! # Wire format
 //!
-//! Every message is one **frame**: a little-endian `u32` byte length
-//! followed by that many payload bytes. A request payload is
-//! `[op: u8][generation: u64][count: u32][entries…]` with the entry
-//! layout per opcode:
+//! A shard holds each generation as **one region**: its positions'
+//! values back to back and where each ends. The client numbers the
+//! positions (DESIGN.md §12), so the server never sees a key. A frame is
+//! a little-endian `u32` length and that many bytes; a request is
+//! `[op: u8][generation: u64][count: u32][body]`:
 //!
-//! * `LOAD` — `count × (key: u64, len: u32, bytes)`; response `[1]`.
-//! * `GET` — `count × key: u64`; response `count × (present: u8,
-//!   [len: u32, bytes] if present)`, **in request order** (that order
-//!   is what makes the format deterministic: equal batches produce
-//!   byte-identical frames in both directions).
-//! * `DROP_GEN` — no entries; the server frees the generation.
-//! * `PING` / `SHUTDOWN` — health check / orderly exit; response `[1]`.
+//! * `LOAD` — `[first: u32][count × end: u32][bytes]`: positions
+//!   `first..first + count`, each `end` one past its value in `bytes`,
+//!   appended to the generation. Reply `[1]`, or `[0]` unless the server
+//!   holds exactly `first` positions of it.
+//! * `GET` — `count × position: u32`; reply `[1]` and, in request order,
+//!   `count × (len: u32, bytes)`, or `[0]` for an unknown generation.
+//! * `DROP_GEN` (frees the region), `PING`, `SHUTDOWN` — no body; `[1]`.
 //!
-//! A frame whose body is not exactly the entries its `count` promises is
-//! answered with an empty reply and changes nothing on the server. The
-//! client checks replies the same way — `[1]` for `LOAD` and `PING`,
-//! exactly `count` entries and nothing after them for `GET` — and
-//! retries a rejected one like an I/O error.
-//!
-//! Integers are little-endian throughout (the same [`crate::wire`]
-//! codec values use). Blobs are opaque to the server: it never decodes
-//! a value, so one server binary serves every value type.
+//! `[0]` means the server lost the generation (it restarted), and the
+//! caller panics rather than serve an absence. Equal batches make
+//! byte-identical frames both ways. The server checks every count,
+//! offset and position before it allocates or indexes: a frame that is
+//! not exactly what its header promises gets an empty reply and changes
+//! nothing. The client checks replies the same way and resends a
+//! rejected one like a failed one.
 //!
 //! # Supervision and retry
 //!
-//! The cluster spawns one server per shard (`AMPC_SOCKET_SHARDS`) with
-//! its stdin piped — the server exits when the pipe closes, so a
-//! crashed or killed client never leaks orphan processes. A failed
-//! request reconnects under the same capped exponential backoff shape
-//! as the chaos engine's drop retries (`2^k − 1` backoff units,
-//! [`crate::fault::DropPlan::backoff_units`]), respawning the server
-//! process if it died. Transport retries are **real** and therefore
-//! live in the process-global [`WireMetrics`], never in `CommStats` —
-//! the model's accounting stays byte-identical to the in-memory
-//! substrate by construction.
+//! Each server exits when its piped stdin closes, so a crashed client
+//! leaks no processes. A batch writes every shard's request before it
+//! reads any reply, so the servers work in parallel. A failed request is
+//! resent after `2^k − 1` backoff units ([`DropPlan::backoff_units`], the
+//! chaos engine's drop-retry shape), respawning a dead server. Transport
+//! retries are real, so they live in the process-global [`WireMetrics`],
+//! never in `CommStats`.
 
 use crate::fault::DropPlan;
-use crate::hasher::{mix64, FxHashMap};
+use crate::hasher::FxHashMap;
 use crate::wire::Wire;
 use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
 /// Request opcodes (one byte on the wire).
 pub mod op {
-    /// Store a batch of `(key, blob)` pairs for a generation.
+    /// Append a run of positions to a generation's region.
     pub const LOAD: u8 = 1;
-    /// Fetch a batch of keys from a generation, responses in request order.
+    /// Fetch positions of a generation, responses in request order.
     pub const GET: u8 = 2;
     /// Free everything stored for a generation.
     pub const DROP_GEN: u8 = 3;
@@ -71,185 +65,54 @@ pub mod op {
     pub const SHUTDOWN: u8 = 5;
 }
 
-/// Upper bound on a single frame: corrupt length prefixes fail fast
-/// instead of attempting a gigabyte allocation.
-const MAX_FRAME: usize = 1 << 30;
-
-/// `LOAD` batches are split so no single frame exceeds this many bytes
-/// of payload (plus one entry): bounded buffering on both sides.
+/// A `LOAD` frame is closed once its offsets and values reach this many
+/// bytes: bounded buffering on both sides.
 const LOAD_CHUNK_BYTES: usize = 4 << 20;
 
-/// Reconnect attempts before a transport error is fatal. The sleep
-/// before attempt `k` is `DropPlan::backoff_units(k)` backoff units —
-/// the same capped exponential shape `CommStats::backoff_units`
-/// charges for simulated drop retries (DESIGN.md §10).
+/// Resends before a transport error is fatal.
 const RECONNECT_CAP: u32 = 6;
 
 /// One real-time backoff unit for transport retries.
 const BACKOFF_UNIT: std::time::Duration = std::time::Duration::from_millis(2);
 
-/// The shard-server binary name the cluster looks for next to the
-/// current executable (`target/<profile>/ampc-shardd`).
-pub const SHARDD_BIN: &str = "ampc-shardd";
-
-// ---------------------------------------------------------------------
-// Frame codec
-// ---------------------------------------------------------------------
-
 /// Writes one length-prefixed frame.
-fn write_frame(stream: &mut UnixStream, payload: &[u8]) -> std::io::Result<()> {
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(payload)?;
+    w.flush()
 }
 
-/// Reads one length-prefixed frame.
-fn read_frame(stream: &mut UnixStream) -> std::io::Result<Vec<u8>> {
+/// Reads one length-prefixed frame into `buf`, replacing its contents.
+/// The buffer grows only with the bytes that actually arrive: a peer
+/// that announces a huge frame and stops costs no more than it sent.
+fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<()> {
     let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame length exceeds sanity bound",
-        ));
+    r.read_exact(&mut len)?;
+    let len = u64::from(u32::from_le_bytes(len));
+    buf.clear();
+    if r.take(len).read_to_end(buf)? as u64 != len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+    Ok(())
 }
 
 /// Starts a request payload: `[op][generation][count]`.
 fn request_header(opcode: u8, generation: u64, count: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13);
-    out.push(opcode);
+    let mut out = vec![opcode];
     generation.wire_encode(&mut out);
     count.wire_encode(&mut out);
     out
 }
 
-/// Accepts the one-byte acknowledgement `LOAD` and `PING` answer with.
-fn ack(reply: &[u8]) -> Option<()> {
-    (reply == [1]).then_some(())
-}
-
-/// Parses a `GET` reply for `count` keys: exactly `count` entries, each
-/// `0` (absent) or `1, len: u32, bytes`, then the end of the buffer.
-/// `None` for anything else — truncated, a bad tag, an extra entry or
-/// trailing bytes.
-fn parse_get_reply(reply: &[u8], count: usize) -> Option<Vec<Option<Vec<u8>>>> {
-    let mut buf = reply;
-    let blobs = (0..count)
-        .map(|_| match u8::wire_decode(&mut buf)? {
-            0 => Some(None),
-            1 => split_blob(&mut buf).map(|blob| Some(blob.to_vec())),
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    buf.is_empty().then_some(blobs)
-}
-
-// ---------------------------------------------------------------------
-// Server
-// ---------------------------------------------------------------------
-
-/// Binds `path` and serves shard requests until `SHUTDOWN` (the
-/// `ampc-shardd` binary's whole job). A stale socket file at `path` is
-/// removed first.
-pub fn run_server(path: &Path) -> std::io::Result<()> {
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    serve_listener(listener)
-}
-
-/// The shard-server accept loop: one client connection at a time (each
-/// client process holds exactly one connection per shard), requests
-/// answered in arrival order. Returns after a `SHUTDOWN` request.
-///
-/// The blob store is type-agnostic — `generation → key → bytes` — so
-/// one server serves every value type; ordering-sensitive iteration
-/// never happens (all responses follow request order).
-pub fn serve_listener(listener: UnixListener) -> std::io::Result<()> {
-    let mut generations: FxHashMap<u64, FxHashMap<u64, Box<[u8]>>> = FxHashMap::default();
-    loop {
-        let (mut stream, _) = listener.accept()?;
-        // Client closed or reconnecting ends the inner loop: accept anew.
-        while let Ok(frame) = read_frame(&mut stream) {
-            let (reply, shutdown) = handle_request(&frame, &mut generations);
-            if write_frame(&mut stream, &reply).is_err() {
-                break;
-            }
-            if shutdown {
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Decodes and executes one request, returning `(reply, shutdown)`.
-/// A frame whose body is not exactly what its header's `count` promises
-/// — truncated, with trailing bytes, or a `count` on an opcode that
-/// takes no entries — gets an empty reply and changes no state (the
-/// client treats a bad reply as a transport error and retries).
-fn handle_request(
-    frame: &[u8],
-    generations: &mut FxHashMap<u64, FxHashMap<u64, Box<[u8]>>>,
-) -> (Vec<u8>, bool) {
-    let mut buf = frame;
-    let parsed = (|| {
-        let opcode = u8::wire_decode(&mut buf)?;
-        let generation = u64::wire_decode(&mut buf)?;
-        let count = u32::wire_decode(&mut buf)?;
-        Some((opcode, generation, count as usize))
-    })();
-    let Some((opcode, generation, count)) = parsed else {
-        return (Vec::new(), false);
-    };
-    let bare = count == 0 && buf.is_empty();
-    match opcode {
-        op::LOAD if is_load_body(buf, count) => {
-            let store = generations.entry(generation).or_default();
-            while let Some((key, blob)) = split_load_entry(&mut buf) {
-                store.insert(key, blob.into());
-            }
-            (vec![1], false)
-        }
-        op::GET if count.checked_mul(8) == Some(buf.len()) => {
-            let store = generations.get(&generation);
-            let mut reply = Vec::new();
-            while let Some(key) = u64::wire_decode(&mut buf) {
-                match store.and_then(|s| s.get(&key)) {
-                    Some(blob) => {
-                        reply.push(1);
-                        (blob.len() as u32).wire_encode(&mut reply);
-                        reply.extend_from_slice(blob);
-                    }
-                    None => reply.push(0),
-                }
-            }
-            (reply, false)
-        }
-        op::DROP_GEN if bare => {
-            generations.remove(&generation);
-            (vec![1], false)
-        }
-        op::PING if bare => (vec![1], false),
-        op::SHUTDOWN if bare => (vec![1], true),
-        _ => (Vec::new(), false),
-    }
-}
-
-/// Whether `body` is exactly `count` `LOAD` entries: walks the entry
-/// lengths to the end of the frame without copying a blob.
-fn is_load_body(mut body: &[u8], count: usize) -> bool {
-    (0..count).all(|_| split_load_entry(&mut body).is_some()) && body.is_empty()
-}
-
-/// Splits one `LOAD` entry — `key u64, len u32, bytes` — off `buf`.
-fn split_load_entry<'a>(buf: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
-    Some((u64::wire_decode(buf)?, split_blob(buf)?))
+/// The values of a `GET` reply for `count` positions: `[1]`, then
+/// exactly `count` length-prefixed values and nothing after them.
+fn split_get_reply(reply: &[u8], count: usize) -> Option<&[u8]> {
+    let values = reply.strip_prefix(&[1])?;
+    let mut rest = values;
+    let exact = (0..count).all(|_| split_blob(&mut rest).is_some()) && rest.is_empty();
+    exact.then_some(values)
 }
 
 /// Splits one length-prefixed blob — `len u32, bytes` — off `buf`.
@@ -260,9 +123,131 @@ fn split_blob<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
     Some(blob)
 }
 
-// ---------------------------------------------------------------------
-// Wire metrics
-// ---------------------------------------------------------------------
+/// Splits `count` little-endian `u32`s off `buf`.
+fn split_u32s<'a>(
+    buf: &mut &'a [u8],
+    count: usize,
+) -> Option<impl Iterator<Item = usize> + Clone + 'a> {
+    let (raw, rest) = buf.split_at_checked(count.checked_mul(4)?)?;
+    *buf = rest;
+    Some(
+        raw.chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize),
+    )
+}
+
+/// One shard's part of one generation: every value back to back in one
+/// region, `ends[i]` the offset one past value `i`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Region {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Region {
+    /// The value at `position` (in bounds: the caller checked).
+    fn value(&self, position: usize) -> &[u8] {
+        let start = position.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.bytes[start..self.ends[position]]
+    }
+}
+
+/// A shard server's state — one region per generation it holds — and
+/// the handler the accept loop runs on every request. It never decodes
+/// a value, so one server serves every value type.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardServer {
+    generations: FxHashMap<u64, Region>,
+}
+
+impl ShardServer {
+    /// Executes one request, returning `(reply, shutdown)`. A malformed
+    /// frame (see the module docs) gets an empty reply and changes no
+    /// state.
+    pub fn handle_request(&mut self, frame: &[u8]) -> (Vec<u8>, bool) {
+        let mut buf = frame;
+        let parsed = (|| {
+            let opcode = u8::wire_decode(&mut buf)?;
+            let generation = u64::wire_decode(&mut buf)?;
+            Some((opcode, generation, u32::wire_decode(&mut buf)? as usize))
+        })();
+        let Some((opcode, generation, count)) = parsed else {
+            return (Vec::new(), false);
+        };
+        let bare = count == 0 && buf.is_empty();
+        let reply = match opcode {
+            op::LOAD => self.load(generation, count, buf),
+            op::GET => self.get(generation, count, buf),
+            op::DROP_GEN if bare => {
+                self.generations.remove(&generation);
+                Some(vec![1])
+            }
+            op::PING if bare => Some(vec![1]),
+            op::SHUTDOWN if bare => return (vec![1], true),
+            _ => None,
+        };
+        (reply.unwrap_or_default(), false)
+    }
+
+    /// `LOAD`: validates the whole body, then appends it in one copy.
+    fn load(&mut self, generation: u64, count: usize, mut body: &[u8]) -> Option<Vec<u8>> {
+        let first = u32::wire_decode(&mut body)? as usize;
+        let ends = split_u32s(&mut body, count)?;
+        let last = ends.clone().try_fold(0, |a, b| (b >= a).then_some(b));
+        if count == 0 || last != Some(body.len()) {
+            return None;
+        }
+        let held = self.generations.get(&generation).map(|r| r.ends.len());
+        if first != held.unwrap_or(0) {
+            return Some(vec![0]);
+        }
+        let region = self.generations.entry(generation).or_default();
+        let base = region.bytes.len();
+        region.bytes.extend_from_slice(body);
+        region.ends.extend(ends.map(|end| base + end));
+        Some(vec![1])
+    }
+
+    /// `GET`: the values at the requested positions, in request order.
+    fn get(&self, generation: u64, count: usize, mut body: &[u8]) -> Option<Vec<u8>> {
+        let positions = split_u32s(&mut body, count).filter(|_| body.is_empty())?;
+        let Some(region) = self.generations.get(&generation) else {
+            return Some(vec![0]);
+        };
+        if positions.clone().any(|p| p >= region.ends.len()) {
+            return None;
+        }
+        let len: usize = positions.clone().map(|p| 4 + region.value(p).len()).sum();
+        u32::try_from(1 + len).ok()?; // a reply too long to frame is refused
+        let mut reply = Vec::with_capacity(1 + len);
+        reply.push(1);
+        for value in positions.map(|p| region.value(p)) {
+            (value.len() as u32).wire_encode(&mut reply);
+            reply.extend_from_slice(value);
+        }
+        Some(reply)
+    }
+}
+
+/// The shard-server accept loop (the `ampc-shardd` binary's whole job):
+/// one client connection at a time — each client process holds one per
+/// shard — and requests answered in arrival order, until `SHUTDOWN`.
+pub fn serve_listener(listener: UnixListener) -> std::io::Result<()> {
+    let (mut server, mut frame) = (ShardServer::default(), Vec::new());
+    loop {
+        let (mut stream, _) = listener.accept()?;
+        // Client closed or reconnecting ends the inner loop: accept anew.
+        while read_frame(&mut stream, &mut frame).is_ok() {
+            let (reply, shutdown) = server.handle_request(&frame);
+            if write_frame(&mut stream, &reply).is_err() {
+                break;
+            }
+            if shutdown {
+                return Ok(());
+            }
+        }
+    }
+}
 
 static WIRE_REQUESTS: AtomicU64 = AtomicU64::new(0);
 static WIRE_BYTES_SENT: AtomicU64 = AtomicU64::new(0);
@@ -270,20 +255,18 @@ static WIRE_BYTES_RECEIVED: AtomicU64 = AtomicU64::new(0);
 static WIRE_RECONNECTS: AtomicU64 = AtomicU64::new(0);
 static WIRE_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-global transport counters, for the repo benchmark's `wire.*`
-/// rows and the engagement assertions in the equivalence tests. These
-/// are *host-side* measurements of the real transport; the model's
-/// [`crate::metrics::CommStats`] never reads them (and must not — the
-/// §3 contract pins CommStats byte-identical across substrates).
+/// Process-global counters of the real transport, for the benchmark's
+/// `wire.*` rows and the equivalence tests. [`crate::metrics::CommStats`]
+/// never reads them: §3 pins it byte-identical across substrates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireMetrics {
-    /// Request frames sent (one per shard per batch).
+    /// Request frames sent, resends included.
     pub requests: u64,
     /// Request payload bytes written.
     pub bytes_sent: u64,
     /// Response payload bytes read.
     pub bytes_received: u64,
-    /// Reconnect attempts after a transport error.
+    /// Requests resent after a transport error.
     pub reconnects: u64,
     /// Shard servers spawned (initial spawns and respawns).
     pub spawns: u64,
@@ -292,49 +275,36 @@ pub struct WireMetrics {
 /// Snapshot of the process-global wire counters.
 pub fn wire_metrics() -> WireMetrics {
     WireMetrics {
-        requests: WIRE_REQUESTS.load(Ordering::Relaxed),
-        bytes_sent: WIRE_BYTES_SENT.load(Ordering::Relaxed),
-        bytes_received: WIRE_BYTES_RECEIVED.load(Ordering::Relaxed),
-        reconnects: WIRE_RECONNECTS.load(Ordering::Relaxed),
-        spawns: WIRE_SPAWNS.load(Ordering::Relaxed),
+        requests: WIRE_REQUESTS.load(Relaxed),
+        bytes_sent: WIRE_BYTES_SENT.load(Relaxed),
+        bytes_received: WIRE_BYTES_RECEIVED.load(Relaxed),
+        reconnects: WIRE_RECONNECTS.load(Relaxed),
+        spawns: WIRE_SPAWNS.load(Relaxed),
     }
 }
 
-// ---------------------------------------------------------------------
-// Client: shards and the cluster
-// ---------------------------------------------------------------------
+/// One request frame and the shard it is bound for.
+type Request = (usize, Vec<u8>);
 
 /// How a shard server is being run.
 enum ServerHandle {
     /// A separate OS process (the intended mode), held with its stdin
-    /// pipe: dropping the child (or this process dying) closes the
-    /// pipe and the server exits.
+    /// pipe: when the child handle or this process goes, the server exits.
     Process(std::process::Child),
-    /// In-process listener thread fallback, used when the
-    /// `ampc-shardd` binary is not next to the current executable
-    /// (e.g. a downstream crate's test run that never built it). Same
-    /// listener loop, same wire protocol, still real socket traffic.
+    /// The in-process listener thread fallback, when no `ampc-shardd`
+    /// binary lies next to the current executable: same loop and wire.
     Thread,
 }
 
-/// One shard: its socket path, the supervised server, and the single
-/// client connection (requests from concurrent machine threads are
-/// serialized per shard — the server answers in request order).
+/// One shard: its socket path, the supervised server, and the one client
+/// connection, with the buffer its replies are read into.
 struct Shard {
     path: PathBuf,
     server: Mutex<Option<ServerHandle>>,
-    conn: Mutex<Option<UnixStream>>,
+    conn: Mutex<(Option<UnixStream>, Vec<u8>)>,
 }
 
 impl Shard {
-    fn new(path: PathBuf) -> Shard {
-        Shard {
-            path,
-            server: Mutex::new(None),
-            conn: Mutex::new(None),
-        }
-    }
-
     /// Spawns (or respawns) this shard's server, preferring a separate
     /// OS process and falling back to an in-process listener thread.
     fn spawn_server(&self) {
@@ -345,20 +315,20 @@ impl Shard {
             let _ = child.wait();
         }
         let _ = std::fs::remove_file(&self.path);
-        WIRE_SPAWNS.fetch_add(1, Ordering::Relaxed);
+        WIRE_SPAWNS.fetch_add(1, Relaxed);
         if let Some(bin) = find_shardd_binary() {
             let spawned = std::process::Command::new(&bin)
                 .arg(&self.path)
                 .stdin(std::process::Stdio::piped())
                 .spawn();
             if let Ok(child) = spawned {
-                // Wait for the server to bind before first use.
-                for _ in 0..500 {
+                // Wait (up to 1 s) for the server to bind before first use.
+                for _ in 0..5000 {
                     if self.path.exists() {
                         *server = Some(ServerHandle::Process(child));
                         return;
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                 }
                 // Never bound: fall through to the thread fallback.
             }
@@ -375,106 +345,43 @@ impl Shard {
         *server = Some(ServerHandle::Thread);
     }
 
-    /// One request/response exchange over the cached connection.
-    fn try_request_once(&self, payload: &[u8]) -> std::io::Result<Vec<u8>> {
-        let mut conn = self.conn.lock();
-        if conn.is_none() {
-            *conn = Some(UnixStream::connect(&self.path)?);
-        }
-        let stream = conn.as_mut().expect("connection just established");
-        let result = write_frame(stream, payload).and_then(|()| read_frame(stream));
-        if result.is_err() {
-            *conn = None; // poisoned: reconnect on the next attempt
-        }
-        result
-    }
-
-    /// Sends one request and returns `accept`'s parse of the reply,
-    /// reconnecting (and respawning a dead server) under the capped
-    /// exponential backoff described in the module docs. A reply
-    /// `accept` rejects — the server's empty malformed-frame reply, a
-    /// truncated or garbled one — is retried like an I/O error. Panics
-    /// after `RECONNECT_CAP` failed attempts: a shard that stays
-    /// unreachable is a deployment failure, and limping on would
-    /// silently break the determinism contract.
-    fn request<T>(&self, payload: &[u8], accept: impl Fn(&[u8]) -> Option<T>) -> T {
-        WIRE_REQUESTS.fetch_add(1, Ordering::Relaxed);
-        WIRE_BYTES_SENT.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        for attempt in 0..=RECONNECT_CAP {
-            if let Ok(reply) = self.try_request_once(payload) {
-                if let Some(parsed) = accept(&reply) {
-                    WIRE_BYTES_RECEIVED.fetch_add(reply.len() as u64, Ordering::Relaxed);
-                    return parsed;
-                }
-                // The stream may be out of step with the server.
-                *self.conn.lock() = None;
-            }
-            WIRE_RECONNECTS.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(BACKOFF_UNIT * DropPlan::backoff_units(attempt + 1) as u32);
-            self.respawn_if_unreachable();
-        }
-        panic!(
-            "socket substrate: shard at {} unreachable after {} attempts",
-            self.path.display(),
-            RECONNECT_CAP + 1
-        );
-    }
-
     /// Respawns the server if a fresh probe connection cannot be made
     /// (dead process, dropped listener, or stale socket file).
     fn respawn_if_unreachable(&self) {
-        let dead_child = {
-            let mut server = self.server.lock();
-            match server.as_mut() {
-                Some(ServerHandle::Process(child)) => {
-                    matches!(child.try_wait(), Ok(Some(_)) | Err(_))
-                }
-                _ => false,
-            }
+        let dead_child = match self.server.lock().as_mut() {
+            Some(ServerHandle::Process(child)) => matches!(child.try_wait(), Ok(Some(_)) | Err(_)),
+            _ => false,
         };
         if dead_child || UnixStream::connect(&self.path).is_err() {
             self.spawn_server();
         }
     }
-
-    /// Health check; respawns on failure so the next round starts with
-    /// a live server.
-    fn ensure_healthy(&self) {
-        let ping = request_header(op::PING, 0, 0);
-        // `request` already retries + respawns; a healthy shard answers
-        // on the first attempt.
-        self.request(&ping, ack);
-    }
 }
 
-/// The client-side view of the shard-server fleet: one shard handle per
-/// server process. Keys map to shards by `mix64(key) % shards`, the
-/// same splitting rule the lock-striped writer uses.
+/// The client side of the shard-server fleet, one handle per server.
+/// Which positions a shard holds is the caller's choice.
 pub struct SocketCluster {
     shards: Vec<Shard>,
-    /// True for the process-global cluster (never torn down; servers
-    /// exit via the stdin pipe). Standalone clusters shut their
-    /// servers down on drop.
+    /// True for the process-global cluster, whose servers exit with the
+    /// process; standalone clusters shut theirs down on drop.
     global: bool,
 }
 
 impl SocketCluster {
     /// Spawns a standalone cluster of `n` shard servers with fresh
-    /// socket paths. Production code uses the process-global
-    /// [`cluster`]; standalone clusters exist so supervision tests can
-    /// kill and respawn servers without disturbing concurrent tests.
+    /// socket paths, for tests that must not disturb the process-global
+    /// [`cluster`] (supervision tests kill and respawn servers).
     pub fn spawn(n: usize) -> SocketCluster {
         static NEXT_PATH: AtomicU64 = AtomicU64::new(0);
-        let n = n.max(1);
-        let shards = (0..n)
+        let shards = (0..n.max(1))
             .map(|_| {
-                let seq = NEXT_PATH.fetch_add(1, Ordering::Relaxed);
-                let path = std::env::temp_dir().join(format!(
-                    "ampc-shardd-{}-{}.sock",
-                    std::process::id(),
-                    seq
-                ));
-                let shard = Shard::new(path);
+                let seq = NEXT_PATH.fetch_add(1, Relaxed);
+                let name = format!("ampc-shardd-{}-{seq}.sock", std::process::id());
+                let shard = Shard {
+                    path: std::env::temp_dir().join(name),
+                    server: Mutex::new(None),
+                    conn: Mutex::default(),
+                };
                 shard.spawn_server();
                 shard
             })
@@ -490,78 +397,188 @@ impl SocketCluster {
         self.shards.len()
     }
 
-    /// Which shard holds `key`.
-    pub fn shard_of(&self, key: u64) -> usize {
-        (mix64(key) % self.shards.len() as u64) as usize
+    /// Sends every request once — all written before any reply is read,
+    /// so the servers work in parallel — and returns `accept(i, reply)`
+    /// for each request `i`; `None` from a shard's first failure on.
+    fn send_all<T>(
+        &self,
+        requests: &[Request],
+        accept: &mut impl FnMut(usize, &[u8]) -> Option<T>,
+    ) -> Vec<Option<T>> {
+        // Locked in ascending shard order, so concurrent batches never
+        // deadlock.
+        let mut conns: Vec<_> = (self.shards.iter().enumerate())
+            .map(|(s, shard)| requests.iter().any(|r| r.0 == s).then(|| shard.conn.lock()))
+            .collect();
+        let mut ok = vec![true; self.shards.len()];
+        for (s, frame) in requests {
+            WIRE_REQUESTS.fetch_add(1, Relaxed);
+            WIRE_BYTES_SENT.fetch_add(frame.len() as u64, Relaxed);
+            let (stream, _) = &mut **conns[*s].as_mut().expect("locked above");
+            if stream.is_none() {
+                *stream = UnixStream::connect(&self.shards[*s].path).ok();
+            }
+            if ok[*s] {
+                let sent = stream.as_mut().map(|w| write_frame(w, frame));
+                ok[*s] = matches!(sent, Some(Ok(())));
+            }
+        }
+        (requests.iter().enumerate())
+            .map(|(i, &(s, _))| {
+                let (stream, reply) = &mut **conns[s].as_mut().expect("locked above");
+                let read = stream
+                    .as_mut()
+                    .map(|r| ok[s] && read_frame(r, reply).is_ok());
+                let got = (read == Some(true)).then(|| accept(i, reply)).flatten();
+                if got.is_some() {
+                    WIRE_BYTES_RECEIVED.fetch_add(reply.len() as u64, Relaxed);
+                } else {
+                    // The stream may be out of step with the server.
+                    (ok[s], *stream) = (false, None);
+                }
+                got
+            })
+            .collect()
+    }
+
+    /// [`Self::send_all`], resending the failed requests — in order, after
+    /// a backoff, with dead servers respawned — until each is accepted.
+    /// `Err(shard)` names the first shard that answered `[0]`.
+    ///
+    /// # Panics
+    /// After `RECONNECT_CAP` resends: limping on past a shard that stays
+    /// unreachable would silently break the determinism contract.
+    fn exchange<T>(
+        &self,
+        requests: &[Request],
+        mut accept: impl FnMut(usize, &[u8]) -> Option<T>,
+    ) -> Result<Vec<T>, usize> {
+        let mut accept = |i, reply: &[u8]| match reply {
+            [0] => Some(None),
+            _ => accept(i, reply).map(Some),
+        };
+        let mut got = self.send_all(requests, &mut accept);
+        for attempt in 1..=RECONNECT_CAP {
+            let failed: Vec<usize> = (0..got.len()).filter(|&i| got[i].is_none()).collect();
+            if failed.is_empty() {
+                break;
+            }
+            WIRE_RECONNECTS.fetch_add(failed.len() as u64, Relaxed);
+            std::thread::sleep(BACKOFF_UNIT * DropPlan::backoff_units(attempt) as u32);
+            let resend: Vec<Request> = failed.iter().map(|&i| requests[i].clone()).collect();
+            for (s, _) in &resend {
+                self.shards[*s].respawn_if_unreachable();
+            }
+            let again = self.send_all(&resend, &mut |j, reply| accept(failed[j], reply));
+            failed.iter().zip(again).for_each(|(&i, r)| got[i] = r);
+        }
+        (got.into_iter().zip(requests))
+            .map(|(got, &(s, _))| {
+                let path = self.shards[s].path.display();
+                let got =
+                    got.unwrap_or_else(|| panic!("socket substrate: shard at {path} unreachable"));
+                got.ok_or(s)
+            })
+            .collect()
+    }
+
+    /// One `frame` to every shard.
+    fn to_every_shard(&self, frame: Vec<u8>) -> Vec<Request> {
+        (0..self.shards.len()).map(|s| (s, frame.clone())).collect()
     }
 
     /// Pings every shard, respawning any that died — the runtime calls
     /// this at job start and round boundaries when the socket substrate
     /// is active, so a crashed server is replaced before it is needed.
     pub fn ensure_healthy(&self) {
-        for shard in &self.shards {
-            shard.ensure_healthy();
-        }
+        let ping = self.to_every_shard(request_header(op::PING, 0, 0));
+        let pinged = self.exchange(&ping, |_, r| (r == [1]).then_some(()));
+        pinged.expect("a PING is answered with [1]");
     }
 
-    /// Offloads encoded `(key, blob)` pairs of one generation to the
-    /// shard that owns them, in bounded-size `LOAD` frames.
-    pub(crate) fn load(&self, generation: u64, shard: usize, entries: &[(u64, Vec<u8>)]) {
-        let mut i = 0;
-        while i < entries.len() {
-            let mut payload = request_header(op::LOAD, generation, 0);
-            let mut count = 0u32;
-            while i < entries.len() && (count == 0 || payload.len() < LOAD_CHUNK_BYTES) {
-                let (key, blob) = &entries[i];
-                key.wire_encode(&mut payload);
-                (blob.len() as u32).wire_encode(&mut payload);
-                payload.extend_from_slice(blob);
-                count += 1;
-                i += 1;
-            }
-            payload[9..13].copy_from_slice(&count.to_le_bytes());
-            self.shards[shard].request(&payload, ack);
-        }
-    }
-
-    /// Fetches a batch of keys from one shard, blobs returned in
-    /// request order (`None` = the server does not hold the key).
-    pub(crate) fn get_batch(
+    /// Offloads one generation: `regions[s]` holds shard `s`'s values
+    /// back to back and the offset one past each, shipped in `LOAD`
+    /// frames of about [`LOAD_CHUNK_BYTES`]. `Err(shard)` names a shard
+    /// that lost the generation between two of its frames.
+    pub(crate) fn load(
         &self,
         generation: u64,
-        shard: usize,
-        keys: &[u64],
-    ) -> Vec<Option<Vec<u8>>> {
-        let mut payload = request_header(op::GET, generation, keys.len() as u32);
-        for key in keys {
-            key.wire_encode(&mut payload);
+        regions: &[(Vec<u8>, Vec<usize>)],
+    ) -> Result<(), usize> {
+        let mut frames = Vec::new();
+        for (s, (bytes, ends)) in regions.iter().enumerate() {
+            u32::try_from(ends.len()).expect("under 2^32 positions a shard");
+            let (mut first, mut start) = (0, 0);
+            while first < ends.len() {
+                let mut last = first + 1;
+                while last < ends.len()
+                    && 4 * (last - first) + ends[last - 1] - start < LOAD_CHUNK_BYTES
+                {
+                    last += 1;
+                }
+                // Offsets fit a `u32`: a longer frame fails to send.
+                let mut frame = request_header(op::LOAD, generation, (last - first) as u32);
+                (first as u32).wire_encode(&mut frame);
+                for end in &ends[first..last] {
+                    ((end - start) as u32).wire_encode(&mut frame);
+                }
+                frame.extend_from_slice(&bytes[start..ends[last - 1]]);
+                frames.push((s, frame));
+                (first, start) = (last, ends[last - 1]);
+            }
         }
-        self.shards[shard].request(&payload, |reply| parse_get_reply(reply, keys.len()))
+        self.exchange(&frames, |_, r| (r == [1]).then_some(()))?;
+        Ok(())
     }
 
-    /// Frees a generation on every shard (best-effort; called from the
-    /// sealed generation's drop).
+    /// Fetches `positions[s]` from every shard `s` whose list is not
+    /// empty and hands each value's bytes to `f(shard, position, bytes)`
+    /// in request order. `Err(shard)` names a shard that lost the
+    /// generation (its server restarted).
+    pub(crate) fn get(
+        &self,
+        generation: u64,
+        positions: &[Vec<u32>],
+        mut f: impl FnMut(usize, u32, &[u8]),
+    ) -> Result<(), usize> {
+        let requests: Vec<Request> = (positions.iter().enumerate())
+            .filter(|(_, wanted)| !wanted.is_empty())
+            .map(|(s, wanted)| {
+                let mut frame = request_header(op::GET, generation, wanted.len() as u32);
+                wanted.iter().for_each(|p| p.wire_encode(&mut frame));
+                (s, frame)
+            })
+            .collect();
+        self.exchange(&requests, |i, reply| {
+            let s = requests[i].0;
+            let mut values = split_get_reply(reply, positions[s].len())?;
+            for &p in &positions[s] {
+                let value = split_blob(&mut values).expect("checked by split_get_reply");
+                f(s, p, value);
+            }
+            Some(())
+        })?;
+        Ok(())
+    }
+
+    /// Frees a generation on every shard (best-effort: a dead shard has
+    /// already lost it; called from the sealed generation's drop).
     pub(crate) fn drop_gen(&self, generation: u64) {
-        let payload = request_header(op::DROP_GEN, generation, 0);
-        for shard in &self.shards {
-            // Best-effort: a dead shard has already lost the data.
-            let _ = shard.try_request_once(&payload);
-        }
+        let frames = self.to_every_shard(request_header(op::DROP_GEN, generation, 0));
+        self.send_all(&frames, &mut |_, _| Some(()));
     }
 
     /// Sends `SHUTDOWN` to every shard server (standalone clusters and
     /// supervision tests; the global cluster's servers exit with the
     /// process via their stdin pipe).
     pub fn shutdown(&self) {
-        let payload = request_header(op::SHUTDOWN, 0, 0);
+        let frames = self.to_every_shard(request_header(op::SHUTDOWN, 0, 0));
+        self.send_all(&frames, &mut |_, _| Some(()));
         for shard in &self.shards {
-            let _ = shard.try_request_once(&payload);
-            *shard.conn.lock() = None;
-            let mut server = shard.server.lock();
-            if let Some(ServerHandle::Process(child)) = server.as_mut() {
+            shard.conn.lock().0 = None;
+            if let Some(ServerHandle::Process(mut child)) = shard.server.lock().take() {
                 let _ = child.wait();
             }
-            *server = None;
         }
     }
 
@@ -569,19 +586,17 @@ impl SocketCluster {
     /// so supervision tests can exercise respawn. Connections are left
     /// in place so the next request fails like a real partition.
     pub fn kill_servers_for_test(&self) {
-        for shard in &self.shards {
-            let mut server = shard.server.lock();
-            match server.take() {
+        let shutdown = request_header(op::SHUTDOWN, 0, 0);
+        for (s, shard) in self.shards.iter().enumerate() {
+            match shard.server.lock().take() {
                 Some(ServerHandle::Process(mut child)) => {
                     let _ = child.kill();
                     let _ = child.wait();
                 }
                 Some(ServerHandle::Thread) => {
-                    // No process to kill: shut the loop down and drop
-                    // the listener by removing its socket file.
-                    let payload = request_header(op::SHUTDOWN, 0, 0);
-                    let _ = shard.try_request_once(&payload);
-                    *shard.conn.lock() = None;
+                    // No process to kill: shut the loop down instead.
+                    self.send_all(&[(s, shutdown.clone())], &mut |_, _| Some(()));
+                    shard.conn.lock().0 = None;
                 }
                 None => {}
             }
@@ -609,19 +624,19 @@ fn find_shardd_binary() -> Option<PathBuf> {
     exe.ancestors()
         .skip(1)
         .take(3)
-        .map(|dir| dir.join(SHARDD_BIN))
+        .map(|dir| dir.join("ampc-shardd"))
         .find(|candidate| candidate.is_file())
 }
 
 /// The process-global cluster serving every socket-sealed generation,
 /// spawned lazily on first use (`D0` loads can precede any runtime
 /// involvement) and sized by `AMPC_SOCKET_SHARDS`.
-pub fn cluster() -> &'static SocketCluster {
-    static CLUSTER: OnceLock<SocketCluster> = OnceLock::new();
+pub fn cluster() -> &'static Arc<SocketCluster> {
+    static CLUSTER: OnceLock<Arc<SocketCluster>> = OnceLock::new();
     CLUSTER.get_or_init(|| {
         let mut c = SocketCluster::spawn(ampc_knobs::ampc_socket_shards());
         c.global = true;
-        c
+        Arc::new(c)
     })
 }
 
@@ -636,180 +651,193 @@ pub fn ensure_if_active() {
 }
 
 /// Allocates a process-unique generation id for a socket-sealed
-/// generation (ids key the blob namespace on the shard servers).
+/// generation (ids key the region namespace on the shard servers).
 pub(crate) fn next_gen_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    NEXT.fetch_add(1, Relaxed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn blob(bytes: &[u8]) -> Vec<u8> {
-        bytes.to_vec()
+    /// Loads `values` as `shard`'s positions of `generation`.
+    fn load(c: &SocketCluster, generation: u64, shard: usize, values: &[&[u8]]) {
+        let mut regions = vec![(Vec::new(), Vec::new()); c.shard_count()];
+        let (bytes, ends) = &mut regions[shard];
+        for value in values {
+            bytes.extend_from_slice(value);
+            ends.push(bytes.len());
+        }
+        assert_eq!(c.load(generation, &regions), Ok(()));
+    }
+
+    /// The values at `positions` of `shard`, in reply order; `Err` for a
+    /// lost generation.
+    fn fetch(c: &SocketCluster, g: u64, shard: usize, at: &[u32]) -> Result<Vec<Vec<u8>>, usize> {
+        let mut positions = vec![Vec::new(); c.shard_count()];
+        positions[shard] = at.to_vec();
+        let mut got = Vec::new();
+        c.get(g, &positions, |_, _, value| got.push(value.to_vec()))?;
+        Ok(got)
     }
 
     #[test]
     fn load_get_drop_round_trip() {
         let c = SocketCluster::spawn(2);
         let generation = next_gen_id();
-        for shard in 0..2 {
-            let entries: Vec<(u64, Vec<u8>)> = (0..50u64)
-                .map(|k| (k * 2 + shard as u64, blob(&k.to_le_bytes())))
-                .collect();
-            c.load(generation, shard, &entries);
-        }
-        let got = c.get_batch(generation, 0, &[0, 2, 4, 999]);
-        assert_eq!(got[0], Some(blob(&0u64.to_le_bytes())));
-        assert_eq!(got[1], Some(blob(&1u64.to_le_bytes())));
-        assert_eq!(got[2], Some(blob(&2u64.to_le_bytes())));
-        assert_eq!(got[3], None);
+        let bytes: Vec<u8> = (0..50).collect();
+        let values: Vec<&[u8]> = bytes.chunks(1).collect();
+        (0..2).for_each(|shard| load(&c, generation, shard, &values));
+        assert_eq!(
+            fetch(&c, generation, 1, &[0, 49]),
+            Ok(vec![vec![0], vec![49]])
+        );
         c.drop_gen(generation);
-        let gone = c.get_batch(generation, 0, &[0]);
-        assert_eq!(gone, vec![None]);
+        assert_eq!(fetch(&c, generation, 1, &[0]), Err(1), "gone, loudly");
     }
 
     #[test]
     fn generations_are_isolated_namespaces() {
         let c = SocketCluster::spawn(1);
-        let g1 = next_gen_id();
-        let g2 = next_gen_id();
-        c.load(g1, 0, &[(7, blob(b"one"))]);
-        c.load(g2, 0, &[(7, blob(b"two"))]);
-        assert_eq!(c.get_batch(g1, 0, &[7]), vec![Some(blob(b"one"))]);
-        assert_eq!(c.get_batch(g2, 0, &[7]), vec![Some(blob(b"two"))]);
+        let (g1, g2) = (next_gen_id(), next_gen_id());
+        load(&c, g1, 0, &[b"one"]);
+        load(&c, g2, 0, &[b"two"]);
+        assert_eq!(fetch(&c, g1, 0, &[0]), Ok(vec![b"one".to_vec()]));
         c.drop_gen(g1);
-        assert_eq!(c.get_batch(g1, 0, &[7]), vec![None]);
-        assert_eq!(c.get_batch(g2, 0, &[7]), vec![Some(blob(b"two"))]);
+        assert_eq!(fetch(&c, g1, 0, &[0]), Err(0));
+        assert_eq!(fetch(&c, g2, 0, &[0]), Ok(vec![b"two".to_vec()]));
     }
 
     #[test]
     fn get_replies_follow_request_order() {
         let c = SocketCluster::spawn(1);
         let generation = next_gen_id();
-        c.load(generation, 0, &[(1, blob(b"a")), (2, blob(b"bb"))]);
-        let got = c.get_batch(generation, 0, &[2, 99, 1, 2]);
-        assert_eq!(
-            got,
-            vec![Some(blob(b"bb")), None, Some(blob(b"a")), Some(blob(b"bb"))]
-        );
+        load(&c, generation, 0, &[b"a", b"", b"bb"]);
+        let got = fetch(&c, generation, 0, &[2, 1, 0, 2]).expect("held");
+        assert_eq!(got, [&b"bb"[..], b"", b"a", b"bb"]);
     }
 
     #[test]
     fn large_loads_chunk_into_multiple_frames() {
         let c = SocketCluster::spawn(1);
         let generation = next_gen_id();
-        // ~9 MB of blobs: must split into ≥ 3 LOAD frames.
-        let entries: Vec<(u64, Vec<u8>)> = (0..9u64).map(|k| (k, vec![k as u8; 1 << 20])).collect();
+        // ~9 MB of values: must split into ≥ 3 LOAD frames.
+        let values: Vec<Vec<u8>> = (0..9u8).map(|k| vec![k; 1 << 20]).collect();
         let before = wire_metrics().requests;
-        c.load(generation, 0, &entries);
+        load(
+            &c,
+            generation,
+            0,
+            &values.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+        );
         assert!(wire_metrics().requests - before >= 3);
-        let got = c.get_batch(generation, 0, &[8]);
-        assert_eq!(got[0].as_deref(), Some(&vec![8u8; 1 << 20][..]));
+        let got = fetch(&c, generation, 0, &[8, 0]);
+        assert_eq!(got, Ok(vec![values[8].clone(), values[0].clone()]));
     }
 
     #[test]
     fn killed_server_is_respawned_and_new_loads_work() {
         let c = SocketCluster::spawn(1);
-        let g1 = next_gen_id();
-        c.load(g1, 0, &[(1, blob(b"x"))]);
+        let (g1, g2) = (next_gen_id(), next_gen_id());
+        load(&c, g1, 0, &[b"x"]);
         let before = wire_metrics();
         c.kill_servers_for_test();
         // The next request rides the reconnect/respawn path…
-        let g2 = next_gen_id();
-        c.load(g2, 0, &[(2, blob(b"y"))]);
-        assert_eq!(c.get_batch(g2, 0, &[2]), vec![Some(blob(b"y"))]);
+        load(&c, g2, 0, &[b"y"]);
+        assert_eq!(fetch(&c, g2, 0, &[0]), Ok(vec![b"y".to_vec()]));
         let after = wire_metrics();
         assert!(after.reconnects > before.reconnects, "reconnects counted");
         assert!(after.spawns > before.spawns, "server respawned");
-        // …but the crashed server's data is gone, loudly absent.
-        assert_eq!(c.get_batch(g1, 0, &[1]), vec![None]);
+        // …but the crashed server's data is gone, loudly.
+        assert_eq!(fetch(&c, g1, 0, &[0]), Err(0));
     }
 
-    /// A `LOAD` frame holding `entries`.
-    fn load_frame(generation: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
-        let mut frame = request_header(op::LOAD, generation, entries.len() as u32);
-        for (key, blob) in entries {
-            key.wire_encode(&mut frame);
-            (blob.len() as u32).wire_encode(&mut frame);
-            frame.extend_from_slice(blob);
-        }
-        frame
+    /// A frame: `header` then every `u32` of `words`, then `bytes`.
+    fn frame(header: Vec<u8>, words: &[u32], bytes: &[u8]) -> Vec<u8> {
+        let words = words.iter().flat_map(|w| w.to_le_bytes());
+        header
+            .into_iter()
+            .chain(words)
+            .chain(bytes.iter().copied())
+            .collect()
     }
 
     const REJECTED: (Vec<u8>, bool) = (Vec::new(), false);
 
     #[test]
     fn a_load_that_is_not_exactly_count_entries_stores_nothing() {
-        let mut gens = FxHashMap::default();
-        let frame = load_frame(7, &[(1, b"one"), (2, b"two")]);
-        let mut trailing = frame.clone();
-        trailing.push(0);
-        for bad in [&frame[..frame.len() - 1], &trailing] {
-            assert_eq!(handle_request(bad, &mut gens), REJECTED);
-            assert!(!gens.contains_key(&7), "a rejected LOAD left keys behind");
+        let mut server = ShardServer::default();
+        // Positions 0 and 1 of generation 7: "one", "two".
+        let load = frame(request_header(op::LOAD, 7, 2), &[0, 3, 6], b"onetwo");
+        let trailing = [&load[..], &[0]].concat();
+        for bad in [&load[..load.len() - 1], &trailing] {
+            assert_eq!(server.handle_request(bad), REJECTED);
+            assert_eq!(server, ShardServer::default(), "a rejected LOAD left state");
         }
-        assert_eq!(handle_request(&frame, &mut gens), (vec![1], false));
-        assert_eq!(gens[&7].len(), 2);
+        assert_eq!(server.handle_request(&load), (vec![1], false));
+        assert_eq!(server.generations[&7].ends, [3, 6]);
     }
 
     #[test]
     fn a_get_must_carry_exactly_count_keys() {
-        let mut gens = FxHashMap::default();
-        handle_request(&load_frame(3, &[(5, b"v")]), &mut gens);
-        let mut get = request_header(op::GET, 3, 1);
-        5u64.wire_encode(&mut get);
-        let mut junk = get.clone();
-        junk.extend([0; 4]);
-        assert_eq!(handle_request(&junk, &mut gens), REJECTED);
-        assert_eq!(handle_request(&get[..get.len() - 1], &mut gens), REJECTED);
-        let answer = (vec![1, 1, 0, 0, 0, b'v'], false);
-        assert_eq!(handle_request(&get, &mut gens), answer);
+        let mut server = ShardServer::default();
+        server.handle_request(&frame(request_header(op::LOAD, 3, 2), &[0, 1, 1], b"v"));
+        let get = frame(request_header(op::GET, 3, 2), &[0, 1], b"");
+        let held = server.clone();
+        for bad in [&get[..get.len() - 1], &[&get[..], &[0; 4]].concat()] {
+            assert_eq!(server.handle_request(bad), REJECTED);
+        }
+        assert_eq!(server, held, "a rejected GET changed state");
+        let answer = (vec![1, 1, 0, 0, 0, b'v', 0, 0, 0, 0], false);
+        assert_eq!(server.handle_request(&get), answer);
     }
 
     #[test]
     fn entry_free_ops_take_no_count_and_no_body() {
-        let mut gens = FxHashMap::default();
-        handle_request(&load_frame(4, &[(1, b"x")]), &mut gens);
+        let mut server = ShardServer::default();
+        server.handle_request(&frame(request_header(op::LOAD, 4, 1), &[0, 1], b"x"));
+        let held = server.clone();
         for opcode in [op::DROP_GEN, op::PING, op::SHUTDOWN] {
-            let mut trailing = request_header(opcode, 4, 0);
-            trailing.push(0);
+            let trailing = frame(request_header(opcode, 4, 0), &[], &[0]);
             for bad in [request_header(opcode, 4, 1), trailing] {
-                assert_eq!(handle_request(&bad, &mut gens), REJECTED);
+                assert_eq!(server.handle_request(&bad), REJECTED);
             }
         }
-        assert!(
-            gens.contains_key(&4),
-            "a rejected DROP_GEN dropped the generation"
-        );
+        assert_eq!(server, held, "a rejected DROP_GEN dropped the generation");
         let drop = request_header(op::DROP_GEN, 4, 0);
-        assert_eq!(handle_request(&drop, &mut gens), (vec![1], false));
-        assert!(!gens.contains_key(&4));
+        assert_eq!(server.handle_request(&drop), (vec![1], false));
+        assert_eq!(server, ShardServer::default());
         let shutdown = request_header(op::SHUTDOWN, 0, 0);
-        assert_eq!(handle_request(&shutdown, &mut gens), (vec![1], true));
+        assert_eq!(server.handle_request(&shutdown), (vec![1], true));
     }
 
     #[test]
     fn a_get_reply_must_be_exactly_count_entries() {
-        // Two entries: a present "ab", then an absent key.
-        let reply = [1, 2, 0, 0, 0, b'a', b'b', 0];
-        let parsed = vec![Some(blob(b"ab")), None];
-        assert_eq!(parse_get_reply(&reply, 2), Some(parsed));
-        assert_eq!(parse_get_reply(&[], 0), Some(vec![]));
-        let mut trailing = reply.to_vec();
-        trailing.push(7);
-        let bad_tag = [2, 0];
+        // Two values: "ab", then an empty one.
+        let reply = [1, 2, 0, 0, 0, b'a', b'b', 0, 0, 0, 0];
+        assert_eq!(split_get_reply(&reply, 2), Some(&reply[1..]));
+        assert_eq!(split_get_reply(&[1], 0), Some(&[][..]));
+        let trailing = [&reply[..], &[7]].concat();
         for (bad, count) in [
-            (&reply[..reply.len() - 1], 2), // truncated: the second entry is missing
-            (&reply[..4], 1),               // truncated inside the length prefix
-            (&reply[..6], 1),               // truncated inside the blob
-            (&reply[..], 1),                // an extra entry
+            (&reply[..reply.len() - 1], 2), // truncated inside the second length
+            (&reply[..6], 1),               // truncated inside the value
+            (&reply[..], 1),                // an extra value
             (&trailing[..], 2),             // trailing bytes
-            (&bad_tag[..], 2),              // a tag that is neither 0 nor 1
+            (&[2][..], 0),                  // a tag that is not 1
+            (&[][..], 0),                   // the empty malformed-frame reply
         ] {
-            assert_eq!(parse_get_reply(bad, count), None, "{bad:?} for {count}");
+            assert_eq!(split_get_reply(bad, count), None, "{bad:?} for {count}");
         }
+    }
+
+    #[test]
+    fn read_frame_grows_only_with_the_bytes_that_arrive() {
+        let lying = frame(vec![], &[1 << 30], &[1, 2, 3]);
+        let mut buf = Vec::new();
+        let err = read_frame(&mut &lying[..], &mut buf).expect_err("3 of 2^30 bytes");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() < 1 << 20, "capacity {}", buf.capacity());
     }
 
     #[test]

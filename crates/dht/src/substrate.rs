@@ -26,9 +26,9 @@
 //! twice crosses the wire once.
 
 use crate::hasher::mix64;
-use crate::socket;
-use crate::wire::{encode_to_vec, Wire};
-use std::sync::OnceLock;
+use crate::socket::{self, SocketCluster};
+use crate::wire::Wire;
+use std::sync::{Arc, OnceLock};
 
 /// How far ahead the batched lookup loop prefetches. Large enough to
 /// cover a main-memory miss at a few cycles per element, small enough
@@ -315,6 +315,20 @@ impl<T> Layout<T> {
             .chain(open.into_iter().flatten())
     }
 
+    /// Every slot's value in slot order, `None` for an empty slot.
+    fn slot_values(&self) -> impl Iterator<Item = Option<&T>> + '_ {
+        let (dense, open) = match self {
+            Layout::Dense { slots, .. } => (Some(slots.iter().map(Option::as_ref)), None),
+            Layout::Open { slots, .. } => {
+                (None, Some(slots.iter().map(|s| s.as_ref().map(|(_, v)| v))))
+            }
+        };
+        dense
+            .into_iter()
+            .flatten()
+            .chain(open.into_iter().flatten())
+    }
+
     /// Every `(key, value)`, in [`Self::iter_slots`] order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
         self.iter_slots().map(|(_, k, v)| (k, v))
@@ -351,33 +365,50 @@ impl<T> Layout<T> {
 /// wire traffic. Present keys are fetched over the wire in per-shard
 /// batches and memoized into per-slot cells, so references borrow from
 /// the generation with the ordinary lifetime and a re-read is free.
-/// Dropping it tells the servers to free the generation.
+/// Slot `s` lives at position `s / shards` of shard `s % shards`, so a
+/// read needs no per-key bookkeeping and any batch spreads over every
+/// shard. Dropping it tells the servers to free the generation.
 pub(crate) struct Offloaded<V> {
     /// The in-memory layout's slot structure, minus the values.
     index: Layout<()>,
     /// One memoization cell per slot; a racing duplicate fetch decodes
     /// the same bytes, so whichever `set` wins stores an equal value.
     cells: Vec<OnceLock<V>>,
+    cluster: Arc<SocketCluster>,
     gen_id: u64,
 }
 
 impl<V: Wire> Offloaded<V> {
-    /// Splits a sealed layout: its values go to the shard servers, its
-    /// slot structure stays here as the key index.
+    /// Splits a sealed layout: its values go to the process-global
+    /// shard servers, its slot structure stays here as the key index.
     pub(crate) fn new(layout: Layout<V>) -> Self {
+        Self::in_cluster(layout, Arc::clone(socket::cluster()))
+    }
+
+    /// [`Self::new`] on the given cluster: every value is encoded
+    /// straight into its shard's region, an empty slot as a zero-length
+    /// value.
+    ///
+    /// # Panics
+    /// When a shard server restarts between two `LOAD` frames of the
+    /// generation, like a read of a lost generation.
+    fn in_cluster(layout: Layout<V>, cluster: Arc<SocketCluster>) -> Self {
         let gen_id = socket::next_gen_id();
-        let cluster = socket::cluster();
-        let mut by_shard: Vec<Vec<(u64, Vec<u8>)>> =
-            (0..cluster.shard_count()).map(|_| Vec::new()).collect();
-        let index = layout.map(|k, v| by_shard[cluster.shard_of(k)].push((k, encode_to_vec(&v))));
-        for (shard, entries) in by_shard.iter().enumerate() {
-            if !entries.is_empty() {
-                cluster.load(gen_id, shard, entries);
-            }
+        let shards = cluster.shard_count();
+        let mut regions = vec![(Vec::new(), Vec::new()); shards];
+        for (s, value) in layout.slot_values().enumerate() {
+            let (bytes, ends) = &mut regions[s % shards];
+            value.inspect(|v| v.wire_encode(bytes));
+            ends.push(bytes.len());
         }
+        if let Err(shard) = cluster.load(gen_id, &regions) {
+            panic!("socket substrate: generation {gen_id} lost by shard {shard} while loading");
+        }
+        let index = layout.map(|_, _| ());
         Offloaded {
             cells: (0..index.n_slots()).map(|_| OnceLock::new()).collect(),
             index,
+            cluster,
             gen_id,
         }
     }
@@ -388,43 +419,41 @@ impl<V: Wire> Offloaded<V> {
     }
 
     /// Fetches the given `(key, slot)` pairs from their shard servers —
-    /// one wire request per shard — decoding and memoizing each value.
+    /// one wire request per shard — decoding each value straight from
+    /// the reply into its memo cell.
     ///
     /// # Panics
-    /// When a server does not hold a key the index says exists: that
-    /// means the server lost the generation (crash + respawn), and the
-    /// determinism contract forbids quietly serving an absence.
+    /// When a server no longer holds the generation: it lost it (crash +
+    /// respawn), and the determinism contract forbids quietly serving an
+    /// absence.
     fn fetch_slots(&self, wanted: &[(u64, usize)]) {
         if wanted.is_empty() {
             return;
         }
-        let cluster = socket::cluster();
-        let mut by_shard: Vec<Vec<(u64, usize)>> =
-            (0..cluster.shard_count()).map(|_| Vec::new()).collect();
-        for &(k, s) in wanted {
-            by_shard[cluster.shard_of(k)].push((k, s));
+        let shards = self.cluster.shard_count();
+        let mut positions: Vec<Vec<u32>> = vec![Vec::new(); shards];
+        for &(_, s) in wanted {
+            positions[s % shards].push((s / shards) as u32);
         }
-        for (shard, entries) in by_shard.iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-            let blobs = cluster.get_batch(self.gen_id, shard, &keys);
-            for (&(k, s), blob) in entries.iter().zip(blobs) {
-                let Some(blob) = blob else {
-                    panic!(
-                        "socket substrate: generation {} lost key {k} \
-                         (shard server restarted?) — cannot serve a \
-                         schedule-dependent absence",
-                        self.gen_id
-                    );
-                };
-                let mut buf = &blob[..];
-                let v = V::wire_decode(&mut buf)
+        let fetched = self
+            .cluster
+            .get(self.gen_id, &positions, |shard, p, mut bytes| {
+                let v = V::wire_decode(&mut bytes)
                     .expect("socket substrate: shard returned an undecodable value");
-                debug_assert!(buf.is_empty(), "trailing bytes after decoded value");
-                let _ = self.cells[s].set(v);
-            }
+                debug_assert!(bytes.is_empty(), "trailing bytes after decoded value");
+                let _ = self.cells[p as usize * shards + shard].set(v);
+            });
+        if let Err(shard) = fetched {
+            let (k, _) = wanted
+                .iter()
+                .find(|&&(_, s)| s % shards == shard)
+                .expect("a key was asked of that shard");
+            panic!(
+                "socket substrate: generation {} lost key {k} \
+                 (shard server restarted?) — cannot serve a \
+                 schedule-dependent absence",
+                self.gen_id
+            );
         }
     }
 
@@ -481,8 +510,8 @@ impl<V: Wire> Offloaded<V> {
 
 impl<V> Drop for Offloaded<V> {
     fn drop(&mut self) {
-        // Best-effort: free the generation's blobs server-side.
-        socket::cluster().drop_gen(self.gen_id);
+        // Best-effort: free the generation's regions server-side.
+        self.cluster.drop_gen(self.gen_id);
     }
 }
 
@@ -527,5 +556,46 @@ mod tests {
         }
         // Nothing was fetched: a miss never reaches a shard server.
         assert!(socket.cells.iter().all(|c| c.get().is_none()));
+    }
+
+    /// Reads `pairs` back through an offloaded copy on `cluster` — one
+    /// key at a time, batched with a miss beside every key, and iterated
+    /// — against the in-memory layout.
+    fn reads_like_memory<V>(pairs: Vec<(u64, V)>, cluster: &Arc<SocketCluster>)
+    where
+        V: Wire + Clone + PartialEq + std::fmt::Debug,
+    {
+        let memory = Layout::build(pairs.clone());
+        let offload = || Offloaded::in_cluster(Layout::build(pairs.clone()), Arc::clone(cluster));
+        let socket = offload();
+        let what = format!("{} pairs on {} shards", pairs.len(), cluster.shard_count());
+        assert_eq!(socket.index.fingerprint(), memory.fingerprint(), "{what}");
+        let mut probes: Vec<u64> = pairs.iter().flat_map(|&(k, _)| [k ^ 1, k]).collect();
+        probes.extend([0, 1, u64::MAX]);
+        let expected: Vec<Option<&V>> = probes.iter().map(|&k| memory.get(k)).collect();
+        let mut batched = Vec::new();
+        socket.get_many_with(&probes, |_, v| batched.push(v));
+        assert_eq!(batched, expected, "{what}");
+        let fresh = offload();
+        let single: Vec<Option<&V>> = probes.iter().map(|&k| fresh.get(k)).collect();
+        assert_eq!(single, expected, "{what}");
+        assert!(offload().iter().eq(memory.iter()), "{what}");
+    }
+
+    #[test]
+    fn offloaded_reads_like_memory_on_any_shard_count() {
+        for shards in [1, 2, 5] {
+            let cluster = Arc::new(SocketCluster::spawn(shards));
+            reads_like_memory::<u64>(Vec::new(), &cluster);
+            // One slot: fewer slots than shards from 2 shards on.
+            reads_like_memory(vec![(0, 7u64)], &cluster);
+            // Variable-size values, every fourth one an empty `Vec`.
+            let sized = (0..40u64).map(|k| (k, vec![k as u32; (k % 4) as usize]));
+            reads_like_memory(sized.collect(), &cluster);
+            // Sparse keys: the open layout.
+            let sparse: Vec<(u64, u64)> = (1..60u64).map(|k| (k << 40, k)).collect();
+            assert_eq!(Layout::build(sparse.clone()).kind(), ReprKind::Open);
+            reads_like_memory(sparse, &cluster);
+        }
     }
 }

@@ -16,11 +16,9 @@
 //! CommStats accounting) and wireable (for the socket substrate).
 //! Containers are length-prefixed with a `u64`; `Option` is a one-byte
 //! tag plus the payload. The encoded size is *not* required to equal
-//! [`Measured::size_bytes`] — accounting charges the model's simulated
+//! `Measured::size_bytes` — accounting charges the model's simulated
 //! sizes, the wire carries whatever the codec needs — but for the
 //! fixed-size primitives the two coincide.
-
-use crate::measured::Measured;
 
 /// Deterministic byte codec for values crossing the socket substrate.
 ///
@@ -81,31 +79,23 @@ impl_wire_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 
 /// `usize`/`isize` travel as 8 bytes regardless of host width, so the
 /// format does not depend on the machine that sealed the generation.
-impl Wire for usize {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as u64).to_le_bytes());
-    }
+macro_rules! impl_wire_as_64 {
+    ($($t:ty => $wide:ty),*) => {
+        $(impl Wire for $t {
+            #[inline]
+            fn wire_encode(&self, out: &mut Vec<u8>) {
+                (*self as $wide).wire_encode(out);
+            }
 
-    #[inline]
-    fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
-        let v = u64::wire_decode(buf)?;
-        usize::try_from(v).ok()
-    }
+            #[inline]
+            fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
+                <$t>::try_from(<$wide>::wire_decode(buf)?).ok()
+            }
+        })*
+    };
 }
 
-impl Wire for isize {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as i64).to_le_bytes());
-    }
-
-    #[inline]
-    fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
-        let v = i64::wire_decode(buf)?;
-        isize::try_from(v).ok()
-    }
-}
+impl_wire_as_64!(usize => u64, isize => i64);
 
 impl Wire for bool {
     #[inline]
@@ -133,36 +123,25 @@ impl Wire for () {
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.0.wire_encode(out);
-        self.1.wire_encode(out);
-    }
+/// Tuples encode their fields in order.
+macro_rules! impl_wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            #[inline]
+            fn wire_encode(&self, out: &mut Vec<u8>) {
+                $(self.$i.wire_encode(out);)+
+            }
 
-    #[inline]
-    fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
-        Some((A::wire_decode(buf)?, B::wire_decode(buf)?))
-    }
+            #[inline]
+            fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
+                Some(($($t::wire_decode(buf)?,)+))
+            }
+        }
+    };
 }
 
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.0.wire_encode(out);
-        self.1.wire_encode(out);
-        self.2.wire_encode(out);
-    }
-
-    #[inline]
-    fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
-        Some((
-            A::wire_decode(buf)?,
-            B::wire_decode(buf)?,
-            C::wire_decode(buf)?,
-        ))
-    }
-}
+impl_wire_tuple!(A 0, B 1);
+impl_wire_tuple!(A 0, B 1, C 2);
 
 /// Length-prefixed sequence encoding shared by `Vec` and `Box<[T]>`.
 #[inline]
@@ -242,13 +221,6 @@ impl<T: Wire> Wire for std::sync::Arc<T> {
     fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
         T::wire_decode(buf).map(std::sync::Arc::new)
     }
-}
-
-/// Sanity bridge used by debug assertions in the socket substrate: a
-/// decoded value must measure the same as the value that was encoded
-/// (`Measured` is substrate-independent by contract).
-pub fn measures_like<T: Wire + Measured>(a: &T, b: &T) -> bool {
-    a.size_bytes() == b.size_bytes()
 }
 
 #[cfg(test)]
