@@ -9,28 +9,31 @@
 //! * **One epoch per batch.** Each update batch runs as one
 //!   [`Job::epoch`]: an adaptive *classify* KV round that reads the
 //!   endpoints' labels from the previous epoch's sealed DHT generation
-//!   (one batched lookup per machine), local *apply*/*rebuild* stages,
+//!   (one batched lookup per machine), local *apply*/*repair* stages,
 //!   and a *publish* KV-write round whose sealed generation becomes the
 //!   next epoch's read snapshot. The DHT generation sequence `D0, D1, …`
 //!   is therefore exactly the epoch sequence — the §2 fault-tolerance
 //!   story (replay against sealed inputs) carries over unchanged.
-//! * **Work proportional to the affected region.** A spanning forest of
-//!   the current graph is maintained alongside the labels. Inserts
-//!   joining two components and deletes of *forest* edges mark the
-//!   touched components; only the marked components are re-solved
-//!   (union-find over their post-batch adjacency). Non-tree deletes and
-//!   intra-component inserts cost O(1) — the recompute-from-scratch
-//!   baseline (`ampc_mpc::dynamic`) pays O(n + m) for them.
+//! * **Work proportional to what a batch touches.** A spanning forest
+//!   of the current graph is kept beside the labels, as one ascending
+//!   list of tree neighbours per vertex. Non-tree deletes and
+//!   intra-component inserts cost O(1). An insert joining two
+//!   components links them and relabels the one with the larger label.
+//!   A deleted forest edge is repaired by searching both sides of the
+//!   cut in lockstep: the side exhausted first is scanned for a
+//!   replacement edge, so a cut costs what its smaller side costs
+//!   (Durfee et al.'s bound) unless that side held the old minimum and
+//!   the other must be relabelled. The recompute-from-scratch baseline
+//!   (`ampc_mpc::dynamic`) pays O(n + m) per batch.
 //! * **Canonical labels.** Labels are always the minimum vertex id of
 //!   the component — the same canonical form every static connectivity
 //!   implementation in the workspace produces — so maintained labels
 //!   are **byte-identical** to recomputation after every batch, which
 //!   is what the cross-model equivalence suites pin.
 
-use ampc_dht::hasher::FxHashSet;
 use ampc_dht::store::{Dht, GenerationWriter};
-use ampc_graph::dynamic::{EdgeSet, UpdateBatch, UpdateKind};
-use ampc_graph::{CsrGraph, NodeId};
+use ampc_graph::dynamic::{EdgeSet, EdgeUpdate, UpdateBatch, UpdateKind};
+use ampc_graph::{CsrGraph, NodeId, NO_NODE};
 use ampc_runtime::Job;
 
 /// The in-job kernel body: maintains component labels across `batches`,
@@ -42,41 +45,19 @@ pub fn ampc_dynamic_cc_in_job(
     g: &CsrGraph,
     batches: &[UpdateBatch],
 ) -> Vec<Vec<NodeId>> {
-    let n = g.num_nodes();
     let mut out = Vec::with_capacity(batches.len() + 1);
     let mut dht: Dht<u64> = Dht::new();
-
-    // Maintained state: the current adjacency (strictly ascending lists,
-    // so every iteration order — and with it every downstream stat — is
-    // deterministic), the canonical labels, a spanning forest used to
-    // classify deletions (keyed by `forest_key`), and the region index
-    // `rebuild_region` writes.
-    let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut forest: FxHashSet<u64> = FxHashSet::default();
-    let mut index: Vec<u32> = vec![0; n];
 
     // Epoch 0: load the input, solve it, publish generation D1.
     job.epoch("DynInit");
     job.shuffle_balanced("DynLoad", (g.num_arcs() as u64) * 8);
-    let mut adj: Vec<Vec<NodeId>> =
-        job.local("DynInitCC", ((n + g.num_arcs()) as u64 + 1) * 8, || {
-            // `GraphBuilder` output is already sorted and deduplicated, so
-            // this is a copy; `CsrGraph::from_parts` promises neither.
-            let adj: Vec<Vec<NodeId>> = g
-                .nodes()
-                .map(|u| {
-                    let mut list = g.neighbors(u).to_vec();
-                    list.sort_unstable();
-                    list.dedup();
-                    list
-                })
-                .collect();
-            let region: Vec<NodeId> = (0..n as NodeId).collect();
-            rebuild_region(&region, &adj, &mut index, &mut labels, &mut forest);
-            adj
-        });
-    publish(job, &mut dht, "DynPublish-b0", &labels);
-    out.push(labels.clone());
+    let mut state = job.local(
+        "DynInitCC",
+        ((g.num_nodes() + g.num_arcs()) as u64 + 1) * 8,
+        || DynState::build(g),
+    );
+    publish(job, &mut dht, "DynPublish-b0", &state.labels);
+    out.push(state.labels.clone());
 
     for (bi, batch) in batches.iter().enumerate() {
         let b = bi + 1;
@@ -111,75 +92,22 @@ pub fn ampc_dynamic_cc_in_job(
             },
         );
 
-        // Apply the batch in order against the maintained state,
-        // marking the components whose connectivity may have changed:
-        // inserts joining two components and deletes of forest edges.
-        // Intra-component inserts and non-tree deletes are structural
-        // no-ops for connectivity.
-        let mut affected: FxHashSet<NodeId> = FxHashSet::default();
-        job.local(
+        let changes = job.local(
             &format!("DynApply-b{b}"),
             (batch.len() as u64 + 1) * 8,
-            || {
-                for (up, &(lu, lv)) in batch.iter().zip(&pre_labels) {
-                    debug_assert_eq!(lu, labels[up.u as usize], "DHT label drifted from host");
-                    debug_assert_eq!(lv, labels[up.v as usize], "DHT label drifted from host");
-                    // `EdgeUpdate`'s fields are public, so an update may
-                    // arrive reversed or as a self-loop: canonicalise and
-                    // skip loops exactly as `EdgeSet` does, or a reversed
-                    // delete would miss its forest key and a loop insert
-                    // would land twice in one list.
-                    if up.u == up.v {
-                        continue;
-                    }
-                    let (u, v) = (up.u.min(up.v), up.u.max(up.v));
-                    match up.kind {
-                        UpdateKind::Insert => {
-                            if insert_sorted(&mut adj[u as usize], v) {
-                                insert_sorted(&mut adj[v as usize], u);
-                                if lu != lv {
-                                    affected.insert(lu);
-                                    affected.insert(lv);
-                                }
-                            }
-                        }
-                        UpdateKind::Delete => {
-                            if remove_sorted(&mut adj[u as usize], v) {
-                                remove_sorted(&mut adj[v as usize], u);
-                                // A forest edge existed before the batch,
-                                // so both endpoints carry the same
-                                // pre-batch label.
-                                if forest.remove(&forest_key(u, v)) {
-                                    affected.insert(lu);
-                                }
-                            }
-                        }
-                    }
-                }
-            },
+            || state.apply(batch, &pre_labels),
         );
-
-        // Rebuild only the affected components. The affected region is
-        // closed under the post-batch adjacency: a pre-batch edge stays
-        // within one pre-batch component, and a fresh cross-component
-        // insert marked both of its components.
-        if !affected.is_empty() {
-            let region: Vec<NodeId> = (0..n as NodeId)
-                .filter(|&v| affected.contains(&labels[v as usize]))
-                .collect();
-            forest.retain(|&key| !affected.contains(&labels[(key >> 32) as usize]));
-            let induced_arcs: usize = region.iter().map(|&v| adj[v as usize].len()).sum();
-            job.local(
-                &format!("DynRebuild-b{b}"),
-                ((region.len() + induced_arcs) as u64 + 1) * 8,
-                || rebuild_region(&region, &adj, &mut index, &mut labels, &mut forest),
-            );
+        if !changes.is_empty() {
+            job.local_counted(&format!("DynRepair-b{b}"), || {
+                let cost = state.repair(&changes);
+                ((), (cost.touched + 1) * 8)
+            });
         }
 
         // Publish: every machine writes its slice of the labelling; the
         // sealed generation is this epoch's snapshot.
-        publish(job, &mut dht, &format!("DynPublish-b{b}"), &labels);
-        out.push(labels.clone());
+        publish(job, &mut dht, &format!("DynPublish-b{b}"), &state.labels);
+        out.push(state.labels.clone());
     }
     out
 }
@@ -200,6 +128,272 @@ fn publish(job: &mut Job, dht: &mut Dht<u64>, name: &str, labels: &[NodeId]) {
         },
     );
     dht.push(writer.seal());
+}
+
+/// A change to the spanning forest that `DynApply` finds and
+/// `DynRepair` resolves, in batch order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Change {
+    /// A deleted forest edge `u < v`.
+    Cut(NodeId, NodeId),
+    /// An inserted edge `u < v` whose endpoints carried different
+    /// labels before the batch.
+    Join(NodeId, NodeId),
+}
+
+/// What one `DynRepair` did: the vertices and arcs it touched, and how
+/// many cuts put the old minimum on the smaller side, so that the
+/// other side was walked once more for its own minimum.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RepairCost {
+    touched: u64,
+    fallbacks: u64,
+}
+
+/// The host state the kernel maintains between batches.
+struct DynState {
+    /// The current adjacency: strictly ascending lists, so every
+    /// iteration order — and with it every downstream stat — is
+    /// deterministic.
+    adj: Vec<Vec<NodeId>>,
+    /// A spanning forest of `adj`: each vertex's tree neighbours,
+    /// ascending.
+    tree: Vec<Vec<NodeId>>,
+    /// The canonical labels: each forest tree's minimum vertex.
+    labels: Vec<NodeId>,
+}
+
+impl DynState {
+    /// Copies `g`'s lists and solves them from scratch.
+    fn build(g: &CsrGraph) -> DynState {
+        let n = g.num_nodes();
+        // `GraphBuilder` output is already sorted and deduplicated, so
+        // this is a copy; `CsrGraph::from_parts` promises neither.
+        let adj: Vec<Vec<NodeId>> = g
+            .nodes()
+            .map(|u| {
+                let mut list = g.neighbors(u).to_vec();
+                list.sort_unstable();
+                list.dedup();
+                list
+            })
+            .collect();
+        let mut state = DynState {
+            adj,
+            tree: vec![Vec::new(); n],
+            labels: (0..n as NodeId).collect(),
+        };
+        let region: Vec<NodeId> = (0..n as NodeId).collect();
+        rebuild_region(
+            &region,
+            &state.adj,
+            &mut vec![0; n],
+            &mut state.labels,
+            &mut state.tree,
+        );
+        state
+    }
+
+    /// Applies `batch` in order to the adjacency and returns, in order,
+    /// each forest edge it deleted and each insert that joins two
+    /// labels. Neither labels nor forest change here: `pre_labels` (the
+    /// endpoints' labels read from the DHT) equal the host's.
+    fn apply(&mut self, batch: &[EdgeUpdate], pre_labels: &[(NodeId, NodeId)]) -> Vec<Change> {
+        let mut changes = Vec::new();
+        for (up, &(lu, lv)) in batch.iter().zip(pre_labels) {
+            debug_assert_eq!(
+                lu, self.labels[up.u as usize],
+                "DHT label drifted from host"
+            );
+            debug_assert_eq!(
+                lv, self.labels[up.v as usize],
+                "DHT label drifted from host"
+            );
+            // `EdgeUpdate`'s fields are public, so an update may arrive
+            // reversed or as a self-loop: canonicalise and skip loops
+            // exactly as `EdgeSet` does, or a reversed delete would miss
+            // its tree edge and a loop insert would land twice in one
+            // list.
+            if up.u == up.v {
+                continue;
+            }
+            let (u, v) = (up.u.min(up.v), up.u.max(up.v));
+            match up.kind {
+                UpdateKind::Insert => {
+                    if insert_sorted(&mut self.adj[u as usize], v) {
+                        insert_sorted(&mut self.adj[v as usize], u);
+                        if lu != lv {
+                            changes.push(Change::Join(u, v));
+                        }
+                    }
+                }
+                UpdateKind::Delete => {
+                    if remove_sorted(&mut self.adj[u as usize], v) {
+                        remove_sorted(&mut self.adj[v as usize], u);
+                        if self.tree[u as usize].binary_search(&v).is_ok() {
+                            changes.push(Change::Cut(u, v));
+                        }
+                    }
+                }
+            }
+        }
+        changes
+    }
+
+    /// Resolves `changes` in order against the post-batch adjacency.
+    /// Each keeps the forest a forest whose trees carry canonical
+    /// labels, and no edge of the adjacency ever ends up between two
+    /// trees; once all are resolved, the forest spans the graph.
+    fn repair(&mut self, changes: &[Change]) -> RepairCost {
+        let mut cost = RepairCost::default();
+        for &change in changes {
+            match change {
+                Change::Cut(u, v) => self.cut(u, v, &mut cost),
+                Change::Join(u, v) => self.join(u, v, &mut cost),
+            }
+        }
+        cost
+    }
+
+    /// Removes the tree edge `(u, v)` and reconnects or relabels the
+    /// two sides.
+    fn cut(&mut self, u: NodeId, v: NodeId, cost: &mut RepairCost) {
+        // The same edge deleted twice in one batch is cut once.
+        if !remove_sorted(&mut self.tree[u as usize], v) {
+            return;
+        }
+        remove_sorted(&mut self.tree[v as usize], u);
+        let old = self.labels[u as usize];
+
+        // One tree arc from each side in turn, so a hub on the larger
+        // side costs no more than the smaller side does.
+        let (mut a, mut b) = (Walk::new(u), Walk::new(v));
+        let small_is_u = loop {
+            if !a.step(&self.tree) {
+                break true;
+            }
+            if !b.step(&self.tree) {
+                break false;
+            }
+        };
+        cost.touched += a.cost() + b.cost();
+        let (mut side, other) = if small_is_u { (a.seen, v) } else { (b.seen, u) };
+        side.sort_unstable();
+
+        // Every vertex of the split tree is labelled `old`. With the
+        // small side's labels parked at `NO_NODE`, `labels[w] == old`
+        // holds exactly for `w` on the other side; an arc into another
+        // tree belongs to a later `Join`.
+        for &x in &side {
+            self.labels[x as usize] = NO_NODE;
+        }
+        let mut replacement = None;
+        'scan: for &s in &side {
+            for &w in &self.adj[s as usize] {
+                cost.touched += 1;
+                if self.labels[w as usize] == old {
+                    replacement = Some((s, w));
+                    break 'scan;
+                }
+            }
+        }
+        let min = side[0];
+        let label = if replacement.is_some() { old } else { min };
+        for &x in &side {
+            self.labels[x as usize] = label;
+        }
+        match replacement {
+            Some((s, w)) => self.link(s, w),
+            // The old minimum stayed on the small side: the other side
+            // is walked once for its own.
+            None if min == old => {
+                cost.fallbacks += 1;
+                let rest = Walk::whole(other, &self.tree);
+                cost.touched += rest.cost();
+                let min = *rest.seen.iter().min().expect("the walk holds its root");
+                for &x in &rest.seen {
+                    self.labels[x as usize] = min;
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// Links the trees of `u` and `v` if the edge survived the batch
+    /// and they are still apart, relabelling the one with the larger
+    /// label.
+    fn join(&mut self, u: NodeId, v: NodeId, cost: &mut RepairCost) {
+        let (lu, lv) = (self.labels[u as usize], self.labels[v as usize]);
+        cost.touched += 1;
+        if lu == lv || self.adj[u as usize].binary_search(&v).is_err() {
+            return;
+        }
+        let (from, to) = if lu > lv { (u, lv) } else { (v, lu) };
+        let walk = Walk::whole(from, &self.tree);
+        cost.touched += walk.cost();
+        for &x in &walk.seen {
+            self.labels[x as usize] = to;
+        }
+        self.link(u, v);
+    }
+
+    /// Adds the tree edge `(u, v)`.
+    fn link(&mut self, u: NodeId, v: NodeId) {
+        insert_sorted(&mut self.tree[u as usize], v);
+        insert_sorted(&mut self.tree[v as usize], u);
+    }
+}
+
+/// A depth-first walk of one forest tree that examines one tree arc per
+/// [`Walk::step`].
+struct Walk {
+    /// `(vertex, the tree neighbour it was reached from, its next tree
+    /// arc)` down the current path.
+    stack: Vec<(NodeId, NodeId, usize)>,
+    /// Every vertex reached, the root first.
+    seen: Vec<NodeId>,
+    /// Tree arcs examined.
+    arcs: u64,
+}
+
+impl Walk {
+    fn new(root: NodeId) -> Walk {
+        Walk {
+            stack: vec![(root, NO_NODE, 0)],
+            seen: vec![root],
+            arcs: 0,
+        }
+    }
+
+    /// The whole tree of `root`.
+    fn whole(root: NodeId, tree: &[Vec<NodeId>]) -> Walk {
+        let mut walk = Walk::new(root);
+        while walk.step(tree) {}
+        walk
+    }
+
+    /// Examines the next tree arc; `false` once the tree is exhausted.
+    fn step(&mut self, tree: &[Vec<NodeId>]) -> bool {
+        while let Some(top) = self.stack.last_mut() {
+            let (x, from, next) = *top;
+            if let Some(&y) = tree[x as usize].get(next) {
+                top.2 += 1;
+                self.arcs += 1;
+                if y != from {
+                    self.stack.push((y, x, 0));
+                    self.seen.push(y);
+                }
+                return true;
+            }
+            self.stack.pop();
+        }
+        false
+    }
+
+    /// The vertices reached and arcs examined so far.
+    fn cost(&self) -> u64 {
+        self.seen.len() as u64 + self.arcs
+    }
 }
 
 /// Inserts `x` into the ascending `list`; returns whether it was absent.
@@ -224,16 +418,6 @@ fn remove_sorted(list: &mut Vec<NodeId>, x: NodeId) -> bool {
     }
 }
 
-/// The forest's key for the edge `u < v`: `u` high, `v` low. The
-/// multiplicative hasher takes a table slot from the key's low bits,
-/// so those must vary across the set. `rebuild_region` scans `u`
-/// ascending, so a hub `u` adds most of its fan-out while a `v` is
-/// reached from below about once: in the forest of a 16 384-vertex
-/// social rmat graph at most 13 edges share a `v` and 6 245 share a `u`.
-fn forest_key(u: NodeId, v: NodeId) -> u64 {
-    (u64::from(u) << 32) | u64::from(v)
-}
-
 /// Union-find root of `x`, halving the path on the way.
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
@@ -243,23 +427,23 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
-/// Recomputes the components of `region` (sorted ascending, closed
-/// under `adj`) from scratch: union-find over the induced adjacency,
-/// canonical min-id labels written back into `labels`, and a fresh
-/// spanning forest for the region inserted into `forest`. `index` (one
-/// slot per vertex) maps a region vertex to its position; only the
-/// region's slots are written, so any other slot holds a stale value.
+/// Solves the components of `region` (sorted ascending, closed under
+/// `adj`) from scratch: union-find over the induced adjacency, canonical
+/// min-id labels written back into `labels`, and a spanning forest for
+/// the region added to the tree lists `tree`. `index` (one slot per
+/// vertex) maps a region vertex to its position; only the region's
+/// slots are written, so any other slot holds a stale value.
 ///
 /// Edges are united in a fixed order — `u` ascending over `region`,
 /// then `v > u` ascending over `u`'s list — because whether an edge
 /// enters the forest depends only on that order, and the forest
-/// decides every later region.
+/// decides every later repair.
 fn rebuild_region(
     region: &[NodeId],
     adj: &[Vec<NodeId>],
     index: &mut [u32],
     labels: &mut [NodeId],
-    forest: &mut FxHashSet<u64>,
+    tree: &mut [Vec<NodeId>],
 ) {
     for (i, &u) in region.iter().enumerate() {
         index[u as usize] = i as u32;
@@ -282,7 +466,8 @@ fn rebuild_region(
                 // is then always the class's minimum region position.
                 let (lo, hi) = (ru.min(rv), ru.max(rv));
                 parent[hi as usize] = lo;
-                forest.insert(forest_key(u, v));
+                insert_sorted(&mut tree[u as usize], v);
+                insert_sorted(&mut tree[v as usize], u);
             }
         }
     }
@@ -382,8 +567,8 @@ pub fn validate_dynamic_labels(
 mod tests {
     use super::*;
     use ampc_dht::hasher::mix64;
-    use ampc_graph::dynamic::{generate_batches, BatchMix, EdgeUpdate};
-    use ampc_graph::gen;
+    use ampc_graph::dynamic::{generate_batches, BatchMix};
+    use ampc_graph::{gen, GraphBuilder};
     use ampc_runtime::driver::{drive, Driven};
     use ampc_runtime::AmpcConfig;
     use proptest::prelude::*;
@@ -438,12 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn structural_noops_skip_the_rebuild_stage() {
+    fn structural_noops_skip_the_repair_stage() {
         // A cycle built as path 0..30 plus the closing edge (0, 29).
         // The deterministic forest build (sorted vertices, sorted
         // neighbors) reaches (28, 29) last, when both sides are already
         // connected — so deleting it is a non-tree delete and must not
-        // trigger DynRebuild. Neither may a self-loop insert, which
+        // trigger DynRepair. Neither may a self-loop insert, which
         // `EdgeSet` rejects.
         let mut state = EdgeSet::from_graph(&gen::path(30));
         state.insert(0, 29);
@@ -458,8 +643,8 @@ mod tests {
                 !out.report
                     .stages
                     .iter()
-                    .any(|s| s.name.starts_with("DynRebuild")),
-                "{up:?} must not rebuild"
+                    .any(|s| s.name.starts_with("DynRepair")),
+                "{up:?} must not repair"
             );
             assert!(out.output[1].iter().all(|&l| l == 0), "still connected");
             validate_dynamic_labels(&g, &[batch], &out.output).unwrap();
@@ -513,18 +698,18 @@ mod tests {
         let lists: Vec<Vec<NodeId>> = g.nodes().map(|u| g.neighbors(u).to_vec()).collect();
         let mut index: Vec<u32> = stale.clone();
         let mut labels = stale;
-        let mut forest: FxHashSet<u64> = pre.iter().map(|&(u, v)| forest_key(u, v)).collect();
-        rebuild_region(&region, &lists, &mut index, &mut labels, &mut forest);
+        let mut tree: Vec<Vec<NodeId>> = vec![Vec::new(); n as usize];
+        for &(u, v) in &pre {
+            insert_sorted(&mut tree[u as usize], v);
+            insert_sorted(&mut tree[v as usize], u);
+        }
+        rebuild_region(&region, &lists, &mut index, &mut labels, &mut tree);
 
         assert_eq!(labels, want_labels, "labels");
-        let mut got: Vec<(NodeId, NodeId)> = forest
-            .iter()
-            .map(|&key| ((key >> 32) as NodeId, key as NodeId))
-            .collect();
-        got.sort_unstable();
+        assert_tree_symmetric(&tree);
         let mut want: Vec<(NodeId, NodeId)> = want_forest.into_iter().collect();
         want.sort_unstable();
-        assert_eq!(got, want, "forest");
+        assert_eq!(tree_edges(&tree), want, "forest");
     }
 
     #[test]
@@ -554,6 +739,197 @@ mod tests {
         fn rebuild_matches_oracle_on_skewed_rmat(m in 50usize..3000, seed in 0u64..1000) {
             assert_rebuild_matches_oracle(&gen::rmat(9, m, gen::RmatParams::SOCIAL, seed), seed);
         }
+    }
+
+    /// The forest's edges `u < v`, ascending.
+    fn tree_edges(tree: &[Vec<NodeId>]) -> Vec<(NodeId, NodeId)> {
+        (0..tree.len() as NodeId)
+            .flat_map(|u| {
+                tree[u as usize]
+                    .iter()
+                    .filter(move |&&v| u < v)
+                    .map(move |&v| (u, v))
+            })
+            .collect()
+    }
+
+    /// Every tree list is strictly ascending, and `v` is in `u`'s list
+    /// exactly when `u` is in `v`'s.
+    fn assert_tree_symmetric(tree: &[Vec<NodeId>]) {
+        for (u, list) in tree.iter().enumerate() {
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "tree[{u}] ascends");
+            for &v in list {
+                assert!(
+                    tree[v as usize].binary_search(&(u as NodeId)).is_ok(),
+                    "tree edge ({u}, {v}) is one-sided"
+                );
+            }
+        }
+    }
+
+    /// `state` after a batch, against `now`, the graph it should hold:
+    /// canonical labels, symmetric tree lists inside the adjacency, and
+    /// a forest of exactly `n − #components` edges without a cycle.
+    fn assert_state_holds(state: &DynState, now: &CsrGraph) {
+        let comps = ampc_graph::stats::connected_components(now);
+        assert_eq!(state.labels, comps.label, "labels");
+        let lists: Vec<Vec<NodeId>> = now.nodes().map(|u| now.neighbors(u).to_vec()).collect();
+        assert_eq!(state.adj, lists, "adjacency");
+        assert_tree_symmetric(&state.tree);
+        let edges = tree_edges(&state.tree);
+        let mut parent: Vec<u32> = (0..now.num_nodes() as u32).collect();
+        for &(u, v) in &edges {
+            assert!(
+                state.adj[u as usize].binary_search(&v).is_ok(),
+                "tree edge ({u}, {v}) is not in the graph"
+            );
+            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+            assert_ne!(ru, rv, "tree edge ({u}, {v}) closes a cycle");
+            parent[ru.max(rv) as usize] = ru.min(rv);
+        }
+        let components = (0..now.num_nodes())
+            .filter(|&v| comps.label[v] == v as NodeId)
+            .count();
+        assert_eq!(edges.len(), now.num_nodes() - components, "forest size");
+    }
+
+    /// Drives the host state through `batches` the way the kernel does,
+    /// holding it to [`assert_state_holds`] after every batch; returns
+    /// the summed repair cost.
+    fn replay(g: &CsrGraph, batches: &[UpdateBatch]) -> (DynState, RepairCost) {
+        let mut state = DynState::build(g);
+        assert_state_holds(&state, g);
+        let mut edges = EdgeSet::from_graph(g);
+        let mut total = RepairCost::default();
+        for batch in batches {
+            let labels = &state.labels;
+            let pre: Vec<(NodeId, NodeId)> = batch
+                .iter()
+                .map(|up| (labels[up.u as usize], labels[up.v as usize]))
+                .collect();
+            let changes = state.apply(batch, &pre);
+            let cost = state.repair(&changes);
+            total.touched += cost.touched;
+            total.fallbacks += cost.fallbacks;
+            edges.apply(batch);
+            assert_state_holds(&state, &edges.snapshot());
+        }
+        (state, total)
+    }
+
+    fn replay_every_mix(g: &CsrGraph, ops: usize, seed: u64) {
+        for mix in [BatchMix::Churn, BatchMix::InsertOnly, BatchMix::DeleteOnly] {
+            replay(g, &generate_batches(g, 6, ops, mix, seed));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn repair_matches_oracle_on_er_graphs(n in 2usize..200, m in 0usize..400, ops in 1usize..80, seed in 0u64..1000) {
+            replay_every_mix(&gen::erdos_renyi(n, m, seed), ops, seed);
+        }
+
+        #[test]
+        fn repair_matches_oracle_on_skewed_rmat(m in 50usize..2000, ops in 1usize..120, seed in 0u64..1000) {
+            replay_every_mix(&gen::rmat(8, m, gen::RmatParams::SOCIAL, seed), ops, seed);
+        }
+    }
+
+    #[test]
+    fn repair_walks_the_other_side_when_the_old_minimum_is_on_the_small_side() {
+        // Cutting (0, 1) off a path leaves {0}, the old minimum, on the
+        // small side: {1..9} must be walked for its own minimum.
+        let (state, cost) = replay(&gen::path(10), &[vec![update(UpdateKind::Delete, 0, 1)]]);
+        assert_eq!(cost.fallbacks, 1);
+        assert_eq!(state.labels, [0, 1, 1, 1, 1, 1, 1, 1, 1, 1]);
+        // Cutting (8, 9) leaves {9} on the small side, without the
+        // minimum: no second walk.
+        let (_, cost) = replay(&gen::path(10), &[vec![update(UpdateKind::Delete, 8, 9)]]);
+        assert_eq!(cost.fallbacks, 0);
+    }
+
+    #[test]
+    fn repair_finds_a_replacement_inserted_earlier_in_the_batch() {
+        // On a path, (2, 7) is the only edge across the cut (4, 5).
+        let batch = vec![
+            update(UpdateKind::Insert, 7, 2),
+            update(UpdateKind::Delete, 4, 5),
+        ];
+        let (state, cost) = replay(&gen::path(10), &[batch]);
+        assert!(state.labels.iter().all(|&l| l == 0));
+        assert!(state.tree[2].contains(&7), "(2, 7) replaces (4, 5)");
+        assert_eq!(cost.fallbacks, 0);
+    }
+
+    #[test]
+    fn repair_skips_an_edge_inserted_and_deleted_in_one_batch() {
+        // Two paths, {0..4} and {5..9}: a join that does not survive
+        // the batch links nothing.
+        let mut two = EdgeSet::from_graph(&gen::path(10));
+        two.remove(4, 5);
+        let g = two.snapshot();
+        let batch = vec![
+            update(UpdateKind::Insert, 2, 7),
+            update(UpdateKind::Delete, 2, 7),
+        ];
+        let (state, _) = replay(&g, &[batch]);
+        assert_eq!(state.labels, [0, 0, 0, 0, 0, 5, 5, 5, 5, 5]);
+        // A forest edge deleted and reinserted in one batch is cut, and
+        // replaced by itself.
+        let batch = vec![
+            update(UpdateKind::Delete, 1, 2),
+            update(UpdateKind::Insert, 1, 2),
+        ];
+        let (state, _) = replay(&g, &[batch]);
+        assert!(state.tree[1].contains(&2));
+    }
+
+    #[test]
+    fn repair_splits_a_tree_into_two_equal_sides() {
+        // (4, 5) halves a 10-vertex path: the sides tie, the first
+        // endpoint's side is taken as the small one, and it holds the
+        // old minimum.
+        let (state, cost) = replay(&gen::path(10), &[vec![update(UpdateKind::Delete, 5, 4)]]);
+        assert_eq!(state.labels, [0, 0, 0, 0, 0, 5, 5, 5, 5, 5]);
+        assert_eq!(cost.fallbacks, 1);
+    }
+
+    #[test]
+    fn a_cut_tail_charges_for_the_tail_not_the_graph() {
+        // A 2 000-vertex clique whose forest is the star around 0, and
+        // a 40-vertex path hung off vertex 1 999. Cutting the path off
+        // walks the tail; the clique side's hub moves one tree arc per
+        // step, so it costs no more.
+        let (k, tail) = (2000usize, 40usize);
+        let mut b = GraphBuilder::with_capacity(k + tail, k * k / 2 + tail);
+        for u in 0..k {
+            for v in u + 1..k {
+                b.push_edge(u as NodeId, v as NodeId, 0);
+            }
+        }
+        for v in k - 1..k + tail - 1 {
+            b.push_edge(v as NodeId, v as NodeId + 1, 0);
+        }
+        let g = b.build();
+        let cut = vec![update(UpdateKind::Delete, k as NodeId - 1, k as NodeId)];
+        let out = run(&g, std::slice::from_ref(&cut));
+        validate_dynamic_labels(&g, &[cut], &out.output).unwrap();
+        let repair = out
+            .report
+            .stages
+            .iter()
+            .find(|s| s.name == "DynRepair-b1")
+            .expect("a forest cut is repaired");
+        // Per tail vertex: reached, two tree arcs and two adjacency
+        // arcs on its side, and as much again on the other.
+        assert!(
+            repair.ops <= (10 * tail as u64 + 16) * 8,
+            "DynRepair charged {} ops for a {tail}-vertex tail of a {}-arc graph",
+            repair.ops,
+            g.num_arcs()
+        );
     }
 
     #[test]

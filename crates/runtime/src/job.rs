@@ -398,9 +398,15 @@ impl Job {
     /// operations (the "switch to in-memory algorithm" step used by both
     /// the AMPC and MPC implementations once the problem is small).
     pub fn local<R>(&mut self, name: &str, ops: u64, f: impl FnOnce() -> R) -> R {
+        self.local_counted(name, || (f(), ops))
+    }
+
+    /// [`Job::local`] for a step that learns its cost as it runs: `f`
+    /// returns its output and the `ops` to charge.
+    pub fn local_counted<R>(&mut self, name: &str, f: impl FnOnce() -> (R, u64)) -> R {
         let _ = self.next_stage_index();
         let wall = stage_clock();
-        let out = f();
+        let (out, ops) = f();
         self.report.push(StageReport {
             name: name.to_string(),
             kind: StageKind::Local,
