@@ -24,7 +24,7 @@ use ampc_graph::{CsrGraph, GraphSource, WeightedCsrGraph};
 use ampc_runtime::chaos::ChaosSpec;
 use ampc_runtime::driver::{json_string, Driven, RunSummary};
 use ampc_runtime::AmpcConfig;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const USAGE: &str = "\
 ampc — the AMPC workload runner
@@ -93,7 +93,7 @@ fn main() {
 /// `--switch`es.
 struct Cli {
     positional: Vec<String>,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
 }
 
 const VALUE_FLAGS: [&str; 20] = [
@@ -123,7 +123,7 @@ const SWITCHES: [&str; 3] = ["--validate", "--quiet", "--help"];
 impl Cli {
     fn parse(args: &[String]) -> Result<Cli, String> {
         let mut positional = Vec::new();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if VALUE_FLAGS.contains(&a.as_str()) {

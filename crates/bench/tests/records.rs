@@ -24,9 +24,12 @@
 //!   kills fall;
 //! * **mpc** — the row's MPC twin (a variant's family's), fault-free at
 //!   the same thread counts and under [`SCHEDULE`] at one, computes the
-//!   AMPC digest from the same seeded randomness (§5.3);
+//!   AMPC digest from the same seeded randomness (§5.3) without touching
+//!   the DHT, which MPC does not have: no DHT traffic, and its only KV
+//!   rounds are `Job::map_round`s over the empty generation;
 //! * **machines** — the digest at every machine count of [`MACHINES`];
-//! * **validate** — the fault-free output passes the registry validator.
+//! * **validate** — the fault-free output passes the registry validator,
+//!   and a row built to need a second search round ran one.
 //!
 //! Host-side execution strategies (DESIGN.md §11) must move no record;
 //! after an intended change of the *model*, paste the table a failure
@@ -42,6 +45,7 @@ use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::{cycle_config, harness_config, load, md_table, GRAPH_SEED};
 use ampc_core::algorithm::{digest_u64s, AlgoInput, AlgoOutput, InputKind, Model};
 use ampc_dht::hasher::mix64;
+use ampc_dht::metrics::CommStats;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_graph::{gen, CsrGraph, WeightedCsrGraph};
@@ -198,7 +202,8 @@ impl Row {
 
     /// Checks a fault-free run's output with the registry validator.
     /// The rows at the low [`PRIM_THRESHOLDS`] must also have run a
-    /// second distributed round.
+    /// second distributed round, and the rows at [`TRUNCATING_EPSILON`]
+    /// a second search round.
     fn validate(&self, run: &Run) -> Result<(), String> {
         let (Kernel::Family(family, p, graphs), Some(output)) = (&self.kernel, &run.output) else {
             return Ok(());
@@ -206,9 +211,10 @@ impl Row {
         let entry = registry::lookup(family, Model::Ampc).expect("registered");
         entry.validate(&input(entry.input, graphs), output, p)?;
         let second = |s: &StageReport| s.name.ends_with("-r2") || s.name.ends_with("-fc2");
-        let t = self.cfg.in_memory_threshold;
-        if t == PRIM_THRESHOLDS[1] && !run.report.stages.iter().any(second) {
-            return Err(format!("ran one round at threshold {t}"));
+        let (t, e) = (self.cfg.in_memory_threshold, self.cfg.epsilon);
+        let binds = t == PRIM_THRESHOLDS[1] || e == TRUNCATING_EPSILON;
+        if binds && !run.report.stages.iter().any(second) {
+            return Err(format!("ran one round at threshold {t}, epsilon {e}"));
         }
         Ok(())
     }
@@ -310,8 +316,8 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
             report(format!("at {threads} threads: {:?}", got.0));
         }
         mode.set("mpc");
-        if let Some(digest) = twin_moved(row, pin, &cfg) {
-            report(format!("at {threads} threads: digest {digest}"));
+        if let Some(moved) = twin_moved(row, pin, &cfg) {
+            report(format!("at {threads} threads: {moved}"));
         }
         clean.get_or_insert(run);
     }
@@ -360,8 +366,8 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
     }
 
     mode.set("mpc");
-    if let Some(digest) = twin_moved(row, pin, &cfg.with_chaos(schedule())) {
-        report(format!("{SCHEDULE}: digest {digest}"));
+    if let Some(moved) = twin_moved(row, pin, &cfg.with_chaos(schedule())) {
+        report(format!("{SCHEDULE}: {moved}"));
     }
 
     mode.set("machines");
@@ -373,10 +379,15 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
     }
 }
 
-/// The digest of `row`'s MPC twin under `c`, if it is not the pin's.
-fn twin_moved(row: &Row, pin: &Record, c: &AmpcConfig) -> Option<u64> {
-    let digest = row.run(Model::Mpc, c)?.digest;
-    (digest != pin.0[DIGEST]).then_some(digest)
+/// How `row`'s MPC twin under `c` left the pin, if it did: by a digest
+/// that is not the pin's, or by using the DHT — any KV traffic, or a KV
+/// round that reads a generation (a `map_round` reads the empty one).
+fn twin_moved(row: &Row, pin: &Record, c: &AmpcConfig) -> Option<String> {
+    let Run { digest, report, .. } = row.run(Model::Mpc, c)?;
+    let kv = report.kv_comm();
+    let reads = |s: &StageReport| s.kind == StageKind::KvRound && s.gen_bytes > 0;
+    let dht = kv != CommStats::default() || report.stages.iter().any(reads);
+    (digest != pin.0[DIGEST] || dht).then(|| format!("digest {digest}, DHT use {dht}: {kv:?}"))
 }
 
 /// Every row of every suite at one thread, recorded once per process
@@ -414,8 +425,8 @@ suites! {
     algorithm2_outputs_and_charges_are_pinned: small_rows("algorithm2", "msf/algorithm2");
     connectivity_outputs_and_charges_are_pinned: small_rows("cc", "cc");
     forest_cc_outputs_and_charges_are_pinned: small_rows("forest_cc", "cc/forest");
-    truncated_mis_outputs_and_charges_are_pinned: small_rows("mis/truncated", "mis/truncated");
-    truncated_matching_outputs_and_charges_are_pinned: small_rows("mm/truncated", "mm/truncated");
+    truncated_mis_outputs_and_charges_are_pinned: truncated_rows("mis/truncated");
+    truncated_matching_outputs_and_charges_are_pinned: truncated_rows("mm/truncated");
     loglog_matching_outputs_and_charges_are_pinned: small_rows("mm/loglog", "mm/loglog");
     registry_kernels_on_the_ok_mid_analogue_hold_their_pins: ok_mid_rows();
     one_vs_two_cycle_at_p100_holds_its_pin: cycle_rows();
@@ -446,24 +457,32 @@ fn the_pinned_schedule_kills_and_drops() {
 /// every MSF / CC family runs at least two distributed rounds.
 const PRIM_THRESHOLDS: [usize; 2] = [500, 10];
 
-/// Registry row `family` on three small graphs and 4 machines, as rows
-/// named `{name}/{graph}/t{threshold}`: the MIS and matching rows at the
-/// default threshold, the MSF / CC rows at both [`PRIM_THRESHOLDS`].
-fn small_rows(name: &'static str, family: &'static str) -> Vec<Row> {
+/// The three small graphs: tie-heavy weights on the skewed one, random
+/// ones on the other two.
+fn small_graphs() -> Vec<(&'static str, Graphs)> {
     let graphs = [
         ("rmat10", gen::rmat(10, 8_000, gen::RmatParams::SOCIAL, 3)),
         ("er400", gen::erdos_renyi(400, 3_000, 11)),
         ("er900", gen::erdos_renyi(900, 2_500, 12)),
     ];
-    let prim = family.starts_with("msf") || family.starts_with("cc");
-    let mut rows = Vec::new();
-    for (i, (graph, g)) in graphs.into_iter().enumerate() {
-        // Tie-heavy weights on the skewed graph, random ones on the other two.
+    let weigh = |(i, (graph, g)): (usize, (_, CsrGraph))| {
         let w = match i {
             0 => gen::degree_weights(&g),
             _ => gen::random_weights(&g, 1_000, 7 + i as u64),
         };
-        let graphs = Arc::new((g, Some(w)));
+        (graph, Arc::new((g, Some(w))))
+    };
+    graphs.into_iter().enumerate().map(weigh).collect()
+}
+
+/// Registry row `family` on the three [`small_graphs`] and 4 machines,
+/// as rows named `{name}/{graph}/t{threshold}`: the MIS and matching
+/// rows at the default threshold, the MSF / CC rows at both
+/// [`PRIM_THRESHOLDS`].
+fn small_rows(name: &'static str, family: &'static str) -> Vec<Row> {
+    let prim = family.starts_with("msf") || family.starts_with("cc");
+    let mut rows = Vec::new();
+    for (graph, graphs) in small_graphs() {
         for &t in &PRIM_THRESHOLDS[..1 + prim as usize] {
             let mut cfg = AmpcConfig::for_tests();
             cfg.in_memory_threshold = t;
@@ -472,6 +491,30 @@ fn small_rows(name: &'static str, family: &'static str) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// A space exponent at which truncation binds: at the default 0.75 every
+/// truncated search of the small graphs finishes in its first round.
+const TRUNCATING_EPSILON: f64 = 0.3;
+
+/// Truncated family `family`'s [`small_rows`], then the family on
+/// `rmat10` and `er400` under the Test harness config at
+/// [`TRUNCATING_EPSILON`], as rows named `{family}/{graph}/e0.3`.
+fn truncated_rows(family: &'static str) -> Vec<Row> {
+    let mut cfg = harness_config(Scale::Test);
+    cfg.epsilon = TRUNCATING_EPSILON;
+    let truncating = small_graphs().into_iter().take(2).map(|(graph, graphs)| {
+        let kernel = Kernel::Family(family, <_>::default(), graphs);
+        row(
+            format!("{family}/{graph}/e{TRUNCATING_EPSILON}"),
+            cfg,
+            kernel,
+        )
+    });
+    small_rows(family, family)
+        .into_iter()
+        .chain(truncating)
+        .collect()
 }
 
 /// The `ok` Mid analogue, generated once per process.
@@ -653,9 +696,13 @@ const PINS: &str = "
 | mis/truncated/rmat10/t500 | 15953650136978639557 | 17000193307  | 3      | 6697106500637843023  | 2155    | 36136   | 9348        | 1634    | 1024   | 618     | 79332     | 40232   | 89    | 40232    | 2         | 1        | 0       | 0       | 82      | 1715543124890926922  |
 | mis/truncated/er400/t500  | 9711216576291673329  | 17000091165  | 3      | 13872087013967793847 | 1400    | 16620   | 4760        | 958     | 400    | 566     | 35392     | 18220   | 116   | 18220    | 2         | 1        | 0       | 0       | 80      | 2800916074037905915  |
 | mis/truncated/er900/t500  | 18144619370847960462 | 17000107487  | 3      | 12821031241509385093 | 2469    | 20776   | 5320        | 1761    | 900    | 869     | 42204     | 24376   | 153   | 24376    | 2         | 1        | 0       | 0       | 118     | 16894409201589668153 |
+| mis/truncated/rmat10/e0.3 | 853109012907665378   | 20436065500  | 5      | 15473819259221979450 | 3751    | 36136   | 4824        | 1907    | 2042   | 913     | 109200    | 56520   | 43    | 40232    | 4         | 1        | 0       | 3       | 106     | 5990417648279995779  |
+| mis/truncated/er400/e0.3  | 15730876694586890238 | 19608434500  | 5      | 9047324878125945492  | 2340    | 16620   | 2268        | 1207    | 791    | 837     | 38376     | 24476   | 42    | 18220    | 4         | 1        | 0       | 3       | 98      | 7986808801425594837  |
 | mm/truncated/rmat10/t500  | 609034232174119995   | 17000404813  | 3      | 10493892727369676906 | 1807    | 59984   | 15780       | 2185    | 1024   | 1169    | 218312    | 64080   | 2717  | 64080    | 2         | 1        | 0       | 0       | 139     | 8130287716895892408  |
 | mm/truncated/er400/t500   | 7222381998748056742  | 17000210778  | 3      | 3320643073610854677  | 1887    | 28440   | 8072        | 1526    | 400    | 1134    | 116684    | 30040   | 1735  | 30040    | 2         | 1        | 0       | 0       | 139     | 256578341120497010   |
 | mm/truncated/er900/t500   | 6757947392582864843  | 17000223348  | 3      | 10216600198708597355 | 2948    | 30752   | 7912        | 2775    | 900    | 1883    | 110828    | 34352   | 2669  | 34352    | 2         | 1        | 0       | 0       | 204     | 14734282337182571569 |
+| mm/truncated/rmat10/e0.3  | 4417461709355026405  | 21327469500  | 4      | 17310393166303775466 | 3564    | 59984   | 7284        | 3276    | 1024   | 2237    | 430592    | 64080   | 3775  | 64080    | 3         | 1        | 0       | 3       | 243     | 3225309018035151218  |
+| mm/truncated/er400/e0.3   | 11722823132884176240 | 19511761500  | 4      | 13251710121354145203 | 2580    | 28440   | 3824        | 2112    | 400    | 1680    | 163312    | 30040   | 2343  | 30040    | 3         | 1        | 0       | 3       | 188     | 1805362019289608166  |
 | mm/loglog/rmat10/t500     | 609034232174119995   | 62000068568  | 6      | 9100430723819368455  | 4656    | 63912   | 15978       | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 4        | 0       | 0       | 0       | 10076136711747370987 |
 | mm/loglog/er400/t500      | 7222381998748056742  | 31000059104  | 3      | 14275959555535333545 | 11824   | 47280   | 11820       | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 2        | 0       | 0       | 0       | 5401215789763847061  |
 | mm/loglog/er900/t500      | 6757947392582864843  | 31000049884  | 3      | 16624265631577748885 | 9980    | 39904   | 9976        | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 2        | 0       | 0       | 0       | 12195286401089988423 |

@@ -17,7 +17,6 @@ use ampc_trees::UnionFind;
 /// The ForestConnectivity body (registry row `cc/forest`, and the last
 /// step of `cc`): labels the components of a forest, given by its edge
 /// list over `0..n`, in O(1/ε) contraction rounds.
-// ampc-lint: budget(batched-requests = 3)
 pub fn forest_cc_in_job(job: &mut Job, n: usize, forest_edges: &[(NodeId, NodeId)]) -> Vec<NodeId> {
     let cfg = *job.config();
     assert!(

@@ -17,7 +17,6 @@ use ampc_runtime::Job;
 
 /// The kernel body (registry row `cc`): component labels via a spanning
 /// forest from a randomly-weighted MSF, then forest connectivity.
-// ampc-lint: budget(batched-requests = 3)
 pub fn ampc_connected_components_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
     let cfg = *job.config();
     let n = g.num_nodes();

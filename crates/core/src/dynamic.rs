@@ -39,7 +39,6 @@ use ampc_runtime::Job;
 /// The in-job kernel body: maintains component labels across `batches`,
 /// one epoch (= one sealed DHT generation) per batch, returning the
 /// labelling after the initial build and after every batch.
-// ampc-lint: budget(batched-requests = 2)
 pub fn ampc_dynamic_cc_in_job(
     job: &mut Job,
     g: &CsrGraph,

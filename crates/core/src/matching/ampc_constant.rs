@@ -66,7 +66,6 @@ pub fn permute_graph(g: &CsrGraph, seed: u64, threads: usize) -> FlatAdjacency {
 /// let pairs = matching::pairs_from_partners(&out.output);
 /// assert!(validate::is_maximal_matching(&g, &pairs));
 /// ```
-// ampc-lint: budget(batched-requests = 2)
 pub fn ampc_matching_in_job(job: &mut Job, g: &CsrGraph, truncated: bool) -> Vec<NodeId> {
     let cfg = *job.config();
     let caching = cfg.caching;
@@ -295,8 +294,8 @@ impl<'r> Machine<'r> {
         *queries += 1;
         let l = ctx
             .handle
-            // ampc-lint: allow(no-unbatched-get) -- adaptive edge opening (the
-            // edge query process of §4.2): which endpoint is fetched next depends
+            // Adaptive edge opening, not a missed batch (the edge query
+            // process of §4.2): which endpoint is fetched next depends
             // on the verdicts already read; capped by `queries` against the budget.
             .get(v as u64)
             .map(|l| l.as_slice())
@@ -307,7 +306,10 @@ impl<'r> Machine<'r> {
 
     /// The edge query process of Yoshida et al. (§4.2), iterative: edge
     /// `e` is matched iff every incident edge of lower rank is not.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one search's state, threaded through by the caller"
+    )]
     fn edge_process<'a>(
         &mut self,
         a: NodeId,

@@ -23,7 +23,6 @@ use ampc_runtime::Job;
 /// The kernel body of Algorithm 4 (registry row `mm/loglog`): the same
 /// lex-first matching as the other implementations, in O(log log Δ)
 /// phases, returned as the partner array.
-// ampc-lint: budget(batched-requests = 0)
 pub fn ampc_matching_loglog_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
     let n = g.num_nodes();
     let seed = job.config().seed;

@@ -61,7 +61,6 @@ enum Status {
 /// assert!(validate::is_maximal_independent_set(&g, &out.output));
 /// assert_eq!(out.report.num_shuffles(), 1); // Table 3
 /// ```
-// ampc-lint: budget(batched-requests = 3)
 pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, truncated: bool) -> Vec<bool> {
     let cfg = *job.config();
     let n = g.num_nodes();
@@ -198,7 +197,10 @@ pub fn ampc_mis_in_job(job: &mut Job, g: &CsrGraph, truncated: bool) -> Vec<bool
 /// against `budget`, exactly as the inline fetch used to).
 ///
 /// Returns `None` if the evaluation was truncated by `budget`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one search's state, threaded through by the caller"
+)]
 fn evaluate<'a>(
     v: NodeId,
     root: &'a [NodeId],
@@ -286,7 +288,7 @@ fn evaluate<'a>(
             }
             let list = ctx
                 .handle
-                // ampc-lint: allow(no-unbatched-get) -- adaptive truncated search
+                // Adaptive truncated search, not a missed batch
                 // (Algorithm 1): which adjacency list is fetched next depends on the
                 // contents of the previous one; capped by `queries_here >= budget`.
                 .get(u as u64)

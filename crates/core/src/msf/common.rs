@@ -311,7 +311,7 @@ pub fn prim_contract_round(
                             ctx.handle.note_cache_hit();
                             break r;
                         }
-                        // ampc-lint: allow(no-unbatched-get) -- adaptive pointer-chase: each
+                        // Adaptive pointer-chase, not a missed batch: each
                         // parent lookup depends on the value of the previous hop, so there is
                         // no independent batch to issue; this is the model's defining adaptive
                         // query (paper §4), budgeted per round by the handle.
@@ -546,7 +546,8 @@ fn prim_search<'a>(
         if node_rank(seed, t) < rv {
             break;
         }
-        // ampc-lint: allow(no-unbatched-get) -- Prim search frontier: the next adjacency fetched depends on the heap top
+        // Adaptive Prim search frontier, not a missed batch: the next
+        // adjacency fetched depends on the heap top.
         frontier.open(ctx.handle.get(t as u64));
     }
     visited.remove(&v);

@@ -31,7 +31,6 @@ use ampc_trees::UnionFind;
 /// // The unique MSF, identical to Kruskal's:
 /// assert_eq!(out.output, msf::in_memory::kruskal(&g));
 /// ```
-// ampc-lint: budget(batched-requests = 3)
 pub fn ampc_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<WeightedEdge> {
     let cfg = *job.config();
     let mut d = distinctify(g);

@@ -19,7 +19,6 @@ use ampc_runtime::Job;
 
 /// The kernel body of Algorithm 2: ternarize sparse graphs before the
 /// truncated-Prim round; a dense graph runs DenseMSF directly.
-// ampc-lint: budget(batched-requests = 3)
 pub fn ampc_msf_algorithm2_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<WeightedEdge> {
     let cfg = *job.config();
     let n = g.num_nodes();

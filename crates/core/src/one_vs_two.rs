@@ -57,7 +57,6 @@ const SAMPLE_SALT: u64 = 0x1b52_c1c1;
 /// assert_eq!(out.output.0, CycleAnswer::Two);
 /// assert_eq!(out.report.num_shuffles(), 1);
 /// ```
-// ampc-lint: budget(batched-requests = 3)
 pub fn ampc_one_vs_two_in_job(
     job: &mut Job,
     g: &CsrGraph,

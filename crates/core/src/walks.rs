@@ -21,7 +21,6 @@ use ampc_runtime::Job;
 /// independent random walks of `steps` hops each, all inside a single KV
 /// round, returning one vertex sequence per walker. Walks at a dead end
 /// (isolated vertex) stay put. Deterministic given the seed.
-// ampc-lint: budget(batched-requests = 2)
 pub fn ampc_random_walks_in_job(
     job: &mut Job,
     g: &CsrGraph,

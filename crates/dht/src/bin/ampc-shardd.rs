@@ -21,9 +21,11 @@ fn main() {
     // Orphan watchdog: the supervisor holds our stdin pipe open for as
     // long as it lives. EOF means the supervising process is gone, so
     // the accept loop (blocked in `accept`/`read`) must not linger.
-    // ampc-lint: allow(no-raw-spawn) -- this is a standalone server
-    // binary, not runtime machine work; the executor pool does not
-    // exist in this process.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a standalone server binary, not runtime machine work; the executor \
+                  pool does not exist in this process"
+    )]
     std::thread::spawn(|| {
         let mut sink = [0u8; 64];
         let mut stdin = std::io::stdin().lock();

@@ -88,7 +88,7 @@ mod tests {
     fn mix64_distributes_low_bits() {
         // Consecutive keys must land on different shards: check the low
         // 4 bits of mixed consecutive integers are not constant.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..64u64 {
             seen.insert(mix64(i) & 0xF);
         }

@@ -335,10 +335,12 @@ impl Shard {
         }
         let listener =
             UnixListener::bind(&self.path).expect("socket substrate: cannot bind shard listener");
-        // ampc-lint: allow(no-raw-spawn) -- shard-server fallback when the
-        // ampc-shardd binary is absent: a detached listener thread speaking
-        // the same wire protocol; it must outlive any one job, so it cannot
-        // run on the executor pool.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "shard-server fallback when the ampc-shardd binary is absent: a \
+                      detached listener thread speaking the same wire protocol; it must \
+                      outlive any one job, so it cannot run on the executor pool"
+        )]
         std::thread::spawn(move || {
             let _ = serve_listener(listener);
         });

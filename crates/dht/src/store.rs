@@ -32,7 +32,10 @@
 //! seal time and cached, so the per-round report path reads them in
 //! O(1) whatever the backend.
 
-#![allow(unsafe_code)] // disjoint-stripe scatter in the parallel seal; see seal_dense_scatter.
+#![allow(
+    unsafe_code,
+    reason = "disjoint-stripe scatter in the parallel seal; see seal_dense_scatter"
+)]
 
 use crate::hasher::mix64;
 use crate::measured::Measured;
@@ -375,9 +378,12 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
             };
             let shards = &self.shards;
             let parts = &parts;
-            // ampc-lint: allow(no-raw-spawn) -- ampc-dht sits below ampc-runtime
-            // and cannot reach its WorkerPool; the worker count is capped by
-            // `ampc_threads()`, so AMPC_THREADS=1 takes the serial branch.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ampc-dht sits below ampc-runtime and cannot reach its WorkerPool; \
+                          the worker count is capped by `ampc_threads()`, so \
+                          AMPC_THREADS=1 takes the serial branch"
+            )]
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
@@ -715,6 +721,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "racing writer threads are what the test exercises"
+    )]
     fn concurrent_writes() {
         let w: GenerationWriter<u64> = GenerationWriter::new();
         std::thread::scope(|s| {
@@ -923,6 +933,10 @@ mod tests {
     /// layout must also be independent of the seal's worker count
     /// (`AMPC_THREADS` 1 vs 8).
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "racing writer threads are what the test exercises"
+    )]
     fn schedules_seal_identical_generations() {
         fn run(reverse: bool, seal_threads: usize) -> Generation<u64> {
             let w: GenerationWriter<u64> = GenerationWriter::new();
@@ -975,6 +989,10 @@ mod tests {
     /// The parallel seal path (many entries, many workers) must produce
     /// the same canonical layout as the sequential seal.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "racing writer threads are what the test exercises"
+    )]
     fn parallel_seal_is_canonical_above_threshold() {
         let build = || {
             let w: GenerationWriter<u64> = GenerationWriter::new();

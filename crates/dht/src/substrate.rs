@@ -242,7 +242,10 @@ impl<T> Layout<T> {
                     .wrapping_add((mix64(key) & mask) as usize)
                     .cast(),
             };
-            #[allow(unsafe_code)]
+            #[allow(
+                unsafe_code,
+                reason = "a prefetch is a cache hint with no semantic effect"
+            )]
             // SAFETY: the address is in bounds (dense: checked above;
             // open: `mask` is `capacity - 1`), and prefetch dereferences
             // nothing — it is a pure cache hint with no semantic effect.

@@ -4,6 +4,7 @@
 
 use crate::csr::CsrGraph;
 use crate::{NodeId, NO_NODE};
+use ampc_dht::hasher::FxHashMap;
 use std::collections::VecDeque;
 
 /// Connected-component labelling plus summary counts.
@@ -28,7 +29,7 @@ impl ComponentStats {
 
     /// Sizes of all components, indexed by canonical label order.
     pub fn component_sizes(&self) -> Vec<usize> {
-        let mut counts: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
+        let mut counts: FxHashMap<NodeId, usize> = FxHashMap::default();
         for &l in &self.label {
             *counts.entry(l).or_insert(0) += 1;
         }
@@ -79,8 +80,8 @@ pub fn same_partition(a: &[NodeId], b: &[NodeId]) -> bool {
     }
     // Map labels of `a` to labels of `b`, and vice versa; both maps must
     // be consistent functions.
-    let mut fwd: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
-    let mut bwd: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
+    let mut fwd: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+    let mut bwd: FxHashMap<NodeId, NodeId> = FxHashMap::default();
     for (&la, &lb) in a.iter().zip(b.iter()) {
         if *fwd.entry(la).or_insert(lb) != lb {
             return false;

@@ -8,6 +8,7 @@
 use super::components::ComponentStats;
 use crate::csr::CsrGraph;
 use crate::NodeId;
+use ampc_dht::hasher::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -70,7 +71,7 @@ pub fn diameter_estimate(g: &CsrGraph, cc: &ComponentStats, seed: u64) -> Diamet
         };
     }
     // Pick the label of the largest component.
-    let mut counts: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
+    let mut counts: FxHashMap<NodeId, usize> = FxHashMap::default();
     for &l in &cc.label {
         *counts.entry(l).or_insert(0) += 1;
     }

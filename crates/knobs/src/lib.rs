@@ -1,9 +1,8 @@
 //! The `AMPC_*` environment-knob registry.
 //!
 //! Every runtime read of the process environment in this workspace goes
-//! through this crate — the `env-knob-registry` conformance rule
-//! (`ampc-lint` R6, DESIGN.md §9) rejects `std::env::var` anywhere
-//! else. Centralizing the reads buys three things:
+//! through this crate — the root `clippy.toml` (DESIGN.md §9) rejects
+//! `std::env::var` anywhere else. Centralizing the reads buys three things:
 //!
 //! * **discoverability** — [`all`] enumerates every knob with its
 //!   accepted values and default, so docs, `--help` text and the CI
@@ -98,6 +97,10 @@ pub fn all() -> &'static [KnobSpec] {
 /// Raw (unparsed) read of a registered knob. Panics in debug builds if
 /// `name` is not in [`KNOBS`] — unregistered reads are exactly what the
 /// registry exists to prevent.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the registry is the one reader of the environment"
+)]
 pub fn raw(name: &str) -> Option<String> {
     debug_assert!(
         KNOBS.iter().any(|k| k.name == name),

@@ -19,7 +19,6 @@ use ampc_trees::UnionFind;
 
 /// The Borůvka MSF body (registry row `msf`, model `mpc`): the same
 /// (unique) forest as the AMPC pipeline and Kruskal.
-// ampc-lint: budget(batched-requests = 0)
 pub fn mpc_msf_in_job(job: &mut Job, g: &WeightedCsrGraph) -> Vec<WeightedEdge> {
     let cfg = *job.config();
     let d = distinctify(g);

@@ -21,7 +21,6 @@ use ampc_runtime::Job;
 /// applies each batch to the reference [`EdgeSet`] state machine,
 /// rebuilds the graph, and reruns the static MPC connectivity body from
 /// scratch in the same job — one epoch per batch.
-// ampc-lint: budget(batched-requests = 0)
 pub fn mpc_recompute_cc_in_job(
     job: &mut Job,
     g: &CsrGraph,

@@ -19,7 +19,6 @@ use ampc_trees::UnionFind;
 /// The CC-LocalContraction body (registry rows `cc` and `one-vs-two`,
 /// model `mpc`): connected components via iterated local min-hash
 /// contractions, in canonical min-id labels.
-// ampc-lint: budget(batched-requests = 0)
 pub fn mpc_connected_components_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
     let cfg = *job.config();
     let n = g.num_nodes();

@@ -28,7 +28,6 @@ impl Measured for NodeRecord {
 /// The rootset MPC MIS body (registry row `mis`, model `mpc`). Identical
 /// output to [`ampc_core::mis::ampc_mis_in_job`] and
 /// [`ampc_core::mis::greedy_mis`] under the same seed.
-// ampc-lint: budget(batched-requests = 0)
 pub fn mpc_mis_in_job(job: &mut Job, g: &CsrGraph) -> Vec<bool> {
     let cfg = *job.config();
     let n = g.num_nodes();

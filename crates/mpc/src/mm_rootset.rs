@@ -16,7 +16,6 @@ use ampc_runtime::Job;
 /// The rootset MPC matching body (registry row `mm`, model `mpc`).
 /// Identical output to [`ampc_core::matching::ampc_matching_in_job`]
 /// under the same seed.
-// ampc-lint: budget(batched-requests = 0)
 pub fn mpc_matching_in_job(job: &mut Job, g: &CsrGraph) -> Vec<NodeId> {
     let cfg = *job.config();
     let n = g.num_nodes();

@@ -22,7 +22,6 @@ use ampc_runtime::Job;
 /// `walkers_per_node × n` walks of `steps` hops, one shuffle per hop,
 /// walkers regrouped by their current vertex. Identical walks to
 /// [`ampc_core::walks::ampc_random_walks_in_job`] under the same seed.
-// ampc-lint: budget(batched-requests = 0)
 pub fn mpc_random_walks_in_job(
     job: &mut Job,
     g: &CsrGraph,

@@ -2,9 +2,9 @@
 //!
 //! Environment knobs: every `AMPC_*` variable the workspace reads is
 //! registered in the [`knobs`] registry re-exported here — `knobs::all()`
-//! enumerates them with accepted values and defaults. The
-//! `env-knob-registry` conformance rule (`ampc-lint` R6) keeps raw
-//! `std::env::var` calls out of the rest of the tree.
+//! enumerates them with accepted values and defaults. The root
+//! `clippy.toml` keeps raw `std::env::var` calls out of the rest of the
+//! tree.
 
 use crate::chaos::ChaosSpec;
 use ampc_dht::cost::CostConfig;

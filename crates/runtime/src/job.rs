@@ -27,10 +27,12 @@ pub struct Job {
 }
 
 /// Starts a stage's wall clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stage wall time is a reported measurement only, never algorithm input; \
+              no pin compares a wall-clock field"
+)]
 fn stage_clock() -> Instant {
-    // ampc-lint: allow(no-wall-clock-or-ambient-rng) -- stage wall time is a
-    // reported measurement only, never algorithm input; no pin suite
-    // compares a wall-clock field.
     Instant::now()
 }
 

@@ -31,7 +31,10 @@
 //!   worker, recorded in its batch, and re-raised on the submitting
 //!   thread after the batch completes.
 
-#![allow(unsafe_code)] // lifetime erasure for scoped work items; see run_batch.
+#![allow(
+    unsafe_code,
+    reason = "lifetime erasure for scoped work items; see run_batch"
+)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -109,6 +112,10 @@ impl WorkerPool {
     /// are detached; they park on the queue condvar when idle and live
     /// for the life of the process (the intended use is one
     /// process-wide pool — see [`WorkerPool::global`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the executor pool is the one owner of worker threads"
+    )]
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {

@@ -1,5 +1,4 @@
-//! Property tests for the chaos engine (vendored proptest stand-in,
-//! same harness as `crates/lint/tests/prop.rs`).
+//! Property tests for the chaos engine (vendored proptest stand-in).
 //!
 //! Three properties, and two facts about the engine itself:
 //!
