@@ -25,8 +25,7 @@
 //! * **mpc** — the row's MPC twin (a variant's family's), fault-free at
 //!   the same thread counts and under [`SCHEDULE`] at one, computes the
 //!   AMPC digest from the same seeded randomness (§5.3) without touching
-//!   the DHT, which MPC does not have: no DHT traffic, and its only KV
-//!   rounds are `Job::map_round`s over the empty generation;
+//!   the DHT, which MPC does not have: no DHT traffic and no KV round;
 //! * **machines** — the digest at every machine count of [`MACHINES`];
 //! * **validate** — the fault-free output passes the registry validator,
 //!   and a row built to need a second search round ran one.
@@ -380,13 +379,12 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
 }
 
 /// How `row`'s MPC twin under `c` left the pin, if it did: by a digest
-/// that is not the pin's, or by using the DHT — any KV traffic, or a KV
-/// round that reads a generation (a `map_round` reads the empty one).
+/// that is not the pin's, or by using the DHT — any KV traffic, or any
+/// KV round at all.
 fn twin_moved(row: &Row, pin: &Record, c: &AmpcConfig) -> Option<String> {
     let Run { digest, report, .. } = row.run(Model::Mpc, c)?;
     let kv = report.kv_comm();
-    let reads = |s: &StageReport| s.kind == StageKind::KvRound && s.gen_bytes > 0;
-    let dht = kv != CommStats::default() || report.stages.iter().any(reads);
+    let dht = kv != CommStats::default() || report.num_kv_rounds() > 0;
     (digest != pin.0[DIGEST] || dht).then(|| format!("digest {digest}, DHT use {dht}: {kv:?}"))
 }
 

@@ -328,10 +328,10 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
     }
 
     /// Writes many pairs in **one accounted batch** (one round trip,
-    /// per-pair writes and bytes). The writer is an append log, so
-    /// [`GenerationWriter::put_many_from`] is a plain loop of per-pair
-    /// appends: the batch form changes the *accounting* (one round
-    /// trip), not the per-pair semantics or byte counts.
+    /// per-pair writes and bytes). [`GenerationWriter::put_many_from`]
+    /// bins the batch by writer stripe and takes each stripe's lock
+    /// once; the batch form changes the *accounting* (one round trip)
+    /// and the locking, not the per-pair semantics or byte counts.
     ///
     /// # Panics
     /// Panics if the handle was created read-only and the iterator is

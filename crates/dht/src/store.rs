@@ -11,7 +11,7 @@
 //!
 //! # Sealed layout (DESIGN.md §5.4, §12)
 //!
-//! Sealing resolves the writer's stripe logs and **flattens** them into
+//! Sealing resolves the writer's stripe chunks and **flattens** them into
 //! the one sealed layout of [`crate::substrate`]: a zero-hash
 //! direct-index array ([`ReprKind::Dense`]) when the keys are a dense
 //! `0..n` domain — the common case, every kernel keys the DHT by vertex
@@ -32,27 +32,39 @@
 //! seal time and cached, so the per-round report path reads them in
 //! O(1) whatever the backend.
 
-#![allow(
-    unsafe_code,
-    reason = "disjoint-stripe scatter in the parallel seal; see seal_dense_scatter"
-)]
-
-use crate::hasher::mix64;
 use crate::measured::Measured;
 use crate::substrate::{dense_eligible, Layout, Offloaded};
 use crate::wire::Wire;
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 
 pub use crate::substrate::{ReprKind, StoreBackend};
 
 /// Number of lock stripes in a writer. Plenty for the machine counts the
 /// simulator runs (≤ a few hundred).
-const DEFAULT_SHARDS: usize = 64;
+const STRIPES: usize = 64;
 
-/// Sealing drains and resolves the writer's stripes in parallel once a
-/// generation holds at least this many entries; below it, one thread
-/// finishes faster than workers can be handed their stripes.
+/// A stripe owns runs of `1 << BLOCK_BITS` consecutive keys, dealt
+/// round-robin: key `k` lies in block `k >> BLOCK_BITS`, and block `b`
+/// in stripe `b % STRIPES`. A machine writing a range of vertex ids
+/// touches few stripes, and a dense seal resolves each stripe into
+/// whole blocks of slots that no other stripe touches.
+const BLOCK_BITS: u32 = 12;
+
+/// `STRIPES` consecutive blocks (one per stripe) span this many key
+/// bits: key `k` lies in its stripe's `(k >> SPAN_BITS)`-th block.
+const SPAN_BITS: u32 = BLOCK_BITS + STRIPES.trailing_zeros();
+
+/// Sealing resolves the writer's stripes in parallel once a generation
+/// holds at least this many entries; below it, one thread finishes
+/// faster than workers can be handed their stripes.
 const PARALLEL_SEAL_MIN: usize = 1 << 16;
+
+/// The stripe holding `key` (see [`BLOCK_BITS`]).
+#[inline]
+fn stripe_of(key: u64) -> usize {
+    ((key >> BLOCK_BITS) % STRIPES as u64) as usize
+}
 
 /// The `AMPC_THREADS` environment knob (cached after the first read):
 /// the worker count used by parallel seals here and by the runtime's
@@ -132,24 +144,38 @@ pub fn force_store(kind: Option<StoreKind>) {
     STORE_MODE.store(mode, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// One logged write: `(key, writing machine, value)`. Stripes are
-/// append-only until seal; duplicate resolution happens once, at seal
-/// time, instead of per write.
-type LogEntry<V> = (u64, u32, V);
+/// One machine's run of writes to one stripe, in issue order. A stripe
+/// is a list of chunks, append-only until seal; duplicate resolution
+/// happens once, at seal time, instead of per write.
+type Chunk<V> = (u32, Vec<(u64, V)>);
 
-/// The write-conflict rule: whether a write of `value` by `machine`
-/// replaces `held`, written earlier by `holder`. The lowest machine id
-/// wins, and a machine's later write replaces its own earlier one (one
-/// machine's writes are sequential, so its log order is its issue
-/// order). In `strict` mode two machines writing *different* values
-/// trip a `debug_assert`: workspace algorithms only ever race equal
-/// values, so a conflicting duplicate is a kernel bug.
+/// The write-conflict rule of the sparse seal: whether a write of
+/// `value` by `machine` replaces `held`, written earlier in stripe order
+/// by `holder`. The lowest machine id wins, and a machine's later write
+/// replaces its own earlier one (one machine's writes are sequential,
+/// so its chunks keep its issue order). In `strict` mode two machines
+/// writing *different* values trip a `debug_assert` (see
+/// [`assert_no_conflict`]).
 fn replaces<V: PartialEq>(
     strict: bool,
     key: u64,
     (holder, held): (u32, &V),
     (machine, value): (u32, &V),
 ) -> bool {
+    assert_no_conflict(strict, key, (holder, held), (machine, value));
+    machine <= holder
+}
+
+/// The strict conflict check: workspace algorithms only ever race equal
+/// values, so two machines writing *different* values for one key is a
+/// kernel bug.
+#[inline]
+fn assert_no_conflict<V: PartialEq>(
+    strict: bool,
+    key: u64,
+    (holder, held): (u32, &V),
+    (machine, value): (u32, &V),
+) {
     if strict && machine != holder {
         debug_assert!(
             held == value,
@@ -157,55 +183,112 @@ fn replaces<V: PartialEq>(
              {machine}): the §3 determinism contract forbids schedule-dependent values"
         );
     }
-    machine <= holder
 }
 
-/// Resolves one logged write into `slot`, its key's entry in a
-/// key-indexed resolution (held by machine `holder`), keeping `tally` =
-/// (distinct keys, serialized bytes) current.
+/// The machine whose write a resolved dense slot holds. Only debug
+/// builds track it, for [`assert_no_conflict`]; in release builds it is
+/// zero-sized, so the dense seal carries no precedence array.
+#[cfg(debug_assertions)]
+type Holder = u32;
+#[cfg(not(debug_assertions))]
+type Holder = ();
+
+/// Checks a dense overwrite of `slot` (held by `holder`) with `value`
+/// from `machine`, then records `machine` as the holder. A no-op in
+/// release builds.
 #[inline]
-fn place<V: Measured + PartialEq>(
+fn hold<V: PartialEq>(
     strict: bool,
-    slot: &mut Option<V>,
-    holder: &mut u32,
-    (key, machine, value): LogEntry<V>,
-    tally: &mut (usize, usize),
+    key: u64,
+    slot: &Option<V>,
+    holder: &mut Holder,
+    (machine, value): (u32, &V),
 ) {
-    match slot {
-        None => {
-            tally.0 += 1;
-            tally.1 += 8 + value.size_bytes();
-            *holder = machine;
+    #[cfg(debug_assertions)]
+    {
+        if let Some(held) = slot {
+            assert_no_conflict(strict, key, (*holder, held), (machine, value));
+        }
+        *holder = machine;
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (strict, key, slot, holder, machine, value);
+}
+
+/// Deals a key-indexed slot array into its stripes' blocks: entry `s`
+/// lists stripe `s`'s blocks in key order, so key `k` of stripe `s`
+/// sits at `[s][k >> SPAN_BITS][k % block size]`. The blocks are
+/// disjoint borrows, so stripes resolve in parallel without sharing a
+/// slot.
+fn deal<T>(slots: &mut [T]) -> Vec<Vec<&mut [T]>> {
+    let mut stripes: Vec<Vec<&mut [T]>> = (0..STRIPES).map(|_| Vec::new()).collect();
+    for (b, block) in slots.chunks_mut(1 << BLOCK_BITS).enumerate() {
+        stripes[b % STRIPES].push(block);
+    }
+    stripes
+}
+
+/// Resolves one stripe into its blocks of key-indexed `slots` (and the
+/// matching `holders`), returning (distinct keys, serialized bytes).
+/// Chunks are taken highest machine first — a stable sort, so one
+/// machine's chunks keep their issue order — and every write overwrites
+/// its slot: the last write of the lowest machine lands last and wins.
+fn resolve_stripe<V: Measured + PartialEq>(
+    strict: bool,
+    mut chunks: Vec<Chunk<V>>,
+    slots: &mut [&mut [Option<V>]],
+    holders: &mut [&mut [Holder]],
+) -> (usize, usize) {
+    chunks.sort_by_key(|&(machine, _)| Reverse(machine));
+    let mut tally = (0, 0);
+    for (machine, run) in chunks {
+        for (key, value) in run {
+            let (block, at) = (
+                (key >> SPAN_BITS) as usize,
+                key as usize & ((1 << BLOCK_BITS) - 1),
+            );
+            let slot = &mut slots[block][at];
+            hold(
+                strict,
+                key,
+                slot,
+                &mut holders[block][at],
+                (machine, &value),
+            );
+            match slot {
+                None => {
+                    tally.0 += 1;
+                    tally.1 += 8 + value.size_bytes();
+                }
+                Some(held) => tally.1 = tally.1 - held.size_bytes() + value.size_bytes(),
+            }
             *slot = Some(value);
         }
-        Some(held) => {
-            if replaces(strict, key, (*holder, held), (machine, &value)) {
-                tally.1 = tally.1 - held.size_bytes() + value.size_bytes();
-                *holder = machine;
-                *held = value;
-            }
-        }
     }
+    tally
 }
 
 /// A write-only, lock-striped generation under construction.
 ///
-/// Each stripe is an **append log** of `(key, machine, value)` entries;
-/// writes never hash into a map. Duplicate keys are resolved
-/// **deterministically at seal time**: every write carries the id of
-/// the machine that issued it (threaded through
-/// [`crate::MachineHandle::put`]) and the entry from the *lowest*
-/// machine id wins, regardless of thread schedule. Writes from the same
-/// machine are appended sequentially, so among them the last one wins.
-/// This is the §3 determinism contract: a sealed generation is a pure
-/// function of *what* was written, never of *when* the OS scheduled the
-/// writers — within a stripe, one machine's entries keep their issue
-/// order under every interleaving, and "last entry from the lowest
-/// machine" names the same winner in all of them. That is also what
-/// makes fault replay exact.
+/// A stripe owns blocks of 4 096 consecutive keys (block `b` belongs
+/// to stripe `b % 64`) and holds **chunks**: one machine's writes to
+/// that stripe, in issue order; writes never hash into a map. A batch
+/// ([`Self::put_many_from`]) takes each stripe's lock once and adds one
+/// chunk per stripe it touches; a single write ([`Self::put_from`])
+/// extends the stripe's last chunk when that chunk is its machine's.
+/// Duplicate keys are resolved **deterministically at seal time**:
+/// every write carries the id of the machine that issued it (threaded
+/// through [`crate::MachineHandle::put`]) and the entry from the
+/// *lowest* machine id wins, regardless of thread schedule. One
+/// machine's writes are sequential, so its chunks in a stripe keep its
+/// issue order and among them the last write wins. This is the §3
+/// determinism contract: a sealed generation is a pure function of
+/// *what* was written, never of *when* the OS scheduled the writers —
+/// "last write of the lowest machine" names the same winner under every
+/// interleaving of chunks. That is also what makes fault replay exact.
 pub struct GenerationWriter<V> {
-    /// Append logs, lock-striped by `mix64(key) % stripes`.
-    shards: Vec<Mutex<Vec<LogEntry<V>>>>,
+    /// Chunk lists, lock-striped by [`stripe_of`] the key.
+    stripes: Vec<Mutex<Vec<Chunk<V>>>>,
     /// When true (the default), cross-machine writes of *different*
     /// values to the same key trip a `debug_assert` at seal time —
     /// workspace algorithms only ever race equal values (e.g.
@@ -215,12 +298,10 @@ pub struct GenerationWriter<V> {
 }
 
 impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
-    /// New writer with the default shard count.
+    /// New, empty writer.
     pub fn new() -> Self {
         GenerationWriter {
-            shards: (0..DEFAULT_SHARDS)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
             strict: true,
         }
     }
@@ -233,11 +314,6 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
         self
     }
 
-    #[inline]
-    fn shard_of(&self, key: u64) -> usize {
-        (mix64(key) % self.shards.len() as u64) as usize
-    }
-
     /// Inserts a key-value pair on behalf of machine 0 (the
     /// single-threaded load path). See [`Self::put_from`].
     pub fn put(&self, key: u64, value: V) -> usize {
@@ -248,17 +324,21 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// the entry from the lowest machine id wins (ties: the same
     /// machine overwrites its own earlier write — deterministic because
     /// one machine's writes are sequential). Resolution happens at seal
-    /// time; the write itself is one lock and one `Vec` push. Returns
-    /// the serialized size of the pair for the caller's accounting.
+    /// time; the write itself is one lock and one push onto the
+    /// stripe's last chunk (a new chunk when that one is another
+    /// machine's). Returns the serialized size of the pair for the
+    /// caller's accounting.
     ///
     /// # Panics
     /// In debug builds (unless [`Self::relaxed`]), sealing panics when
     /// two *different* machines wrote *different* values for one key.
     pub fn put_from(&self, machine: u32, key: u64, value: V) -> usize {
         let bytes = 8 + value.size_bytes();
-        self.shards[self.shard_of(key)]
-            .lock()
-            .push((key, machine, value));
+        let mut chunks = self.stripes[stripe_of(key)].lock();
+        match chunks.last_mut() {
+            Some((owner, run)) if *owner == machine => run.push((key, value)),
+            _ => chunks.push((machine, vec![(key, value)])),
+        }
         bytes
     }
 
@@ -268,20 +348,40 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// `debug_assert`, and the returned byte total is the sum of the
     /// per-pair sizes. Returns `(pairs_written, total_bytes)`.
     ///
-    /// With append-log stripes there is no per-key map work to batch,
-    /// so the batch form is a plain loop over [`Self::put_from`] —
-    /// each value moves exactly once, out of the iterator and into its
-    /// stripe log, with no intermediate batch buffer.
+    /// The batch is counted per stripe and its pairs moved, in order,
+    /// into one bin of exactly that size per stripe (a batch that falls
+    /// in one stripe is its own bin); each bin becomes one chunk, so a
+    /// stripe's lock is taken once per batch, not once per pair.
     pub fn put_many_from(
         &self,
         machine: u32,
         pairs: impl IntoIterator<Item = (u64, V)>,
     ) -> (u64, usize) {
-        let mut written = 0u64;
+        let pairs: Vec<(u64, V)> = pairs.into_iter().collect();
+        let mut counts = [0usize; STRIPES];
         let mut total_bytes = 0usize;
-        for (k, v) in pairs {
-            total_bytes += self.put_from(machine, k, v);
-            written += 1;
+        for (k, v) in &pairs {
+            counts[stripe_of(*k)] += 1;
+            total_bytes += 8 + v.size_bytes();
+        }
+        let written = pairs.len() as u64;
+        match pairs.first() {
+            None => {}
+            Some(&(k, _)) if counts[stripe_of(k)] == pairs.len() => {
+                self.stripes[stripe_of(k)].lock().push((machine, pairs));
+            }
+            Some(_) => {
+                let mut bins: Vec<Vec<(u64, V)>> =
+                    counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+                for (k, v) in pairs {
+                    bins[stripe_of(k)].push((k, v));
+                }
+                for (stripe, bin) in self.stripes.iter().zip(bins) {
+                    if !bin.is_empty() {
+                        stripe.lock().push((machine, bin));
+                    }
+                }
+            }
         }
         (written, total_bytes)
     }
@@ -305,79 +405,70 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// the store mode — the determinism suites use this to pin the
     /// canonical in-memory layout regardless of `AMPC_STORE`. The
     /// sealed layout is byte-identical for every `threads` value: the
-    /// dense scatter distributes whole stripes over workers, and the
+    /// dense seal distributes whole stripes over workers, and the
     /// physical layout is canonical (see module docs).
     pub fn seal_with_threads(self, threads: usize) -> Generation<V> {
         self.seal_flat(threads)
     }
 
-    /// Flat seal over the stripe logs. Resolution and layout selection
-    /// in one sweep:
+    /// Flat seal over the stripes' chunks. Resolution and layout
+    /// selection in one sweep:
     ///
-    /// 1. A scan over the logs finds the total logged entry count and
+    /// 1. A scan over the chunks finds the total logged entry count and
     ///    the maximum key. The *distinct* key count is not yet known
-    ///    (logs may hold duplicates), so the scan only rules layouts
+    ///    (chunks may hold duplicates), so the scan only rules layouts
     ///    *out*: if even the logged count cannot justify a dense array,
     ///    no subset of it can.
-    /// 2. Dense-eligible logs scatter into a key-indexed array with a
-    ///    `machines` side array carrying write precedence; the true
-    ///    distinct count falls out, and the layout keeps the array or —
-    ///    for a duplicate-heavy log that turns out sparse — compacts it
-    ///    into the open table.
-    /// 3. Sparse logs resolve per stripe by a stable `(key, machine)`
-    ///    sort — "last entry of the lowest-machine run" is exactly the
-    ///    deterministic winner — then build the open table in ascending
-    ///    key order.
-    fn seal_flat(&self, threads: usize) -> Generation<V> {
+    /// 2. Dense-eligible writes resolve straight into a key-indexed
+    ///    array ([`Self::seal_dense`]); the true distinct count falls
+    ///    out, and the layout keeps the array or — for duplicate-heavy
+    ///    writes that turn out sparse — compacts it into the open table.
+    /// 3. Sparse writes resolve per stripe by a stable key sort
+    ///    ([`Self::seal_open_sorted`]), then build the open table in
+    ///    ascending key order.
+    fn seal_flat(self, threads: usize) -> Generation<V> {
+        let strict = self.strict;
+        let stripes: Vec<Vec<Chunk<V>>> = self.stripes.into_iter().map(Mutex::into_inner).collect();
         let mut logged = 0usize;
         let mut max_key = 0u64;
-        for m in &self.shards {
-            let log = m.lock();
-            logged += log.len();
-            for &(k, _, _) in log.iter() {
-                max_key = max_key.max(k);
-            }
+        for (_, run) in stripes.iter().flatten() {
+            logged += run.len();
+            max_key = run.iter().fold(max_key, |m, &(k, _)| m.max(k));
         }
         if logged == 0 {
             Generation::empty()
         } else if dense_eligible(logged, max_key) {
-            self.seal_dense_scatter(max_key as usize + 1, logged, threads)
+            Self::seal_dense(strict, stripes, max_key as usize + 1, logged, threads)
         } else {
-            self.seal_open_sorted(logged)
+            Self::seal_open_sorted(strict, stripes, logged)
         }
     }
 
-    /// Dense-path seal: scatter the logs into `resolved`, indexed by
-    /// key over `0..domain`, resolving duplicates via the `machines`
-    /// precedence array (the write-conflict rule, replayed in log
-    /// order); the layout then adopts the array as its slots. Stripes
-    /// partition the key space, so whole stripes can scatter in
-    /// parallel: an entry is only ever touched by the worker owning its
-    /// key's stripe.
-    fn seal_dense_scatter(&self, domain: usize, logged: usize, threads: usize) -> Generation<V> {
+    /// Dense-path seal: every stripe resolves into its own blocks of
+    /// `resolved`, indexed by key over `0..domain` ([`resolve_stripe`]);
+    /// the layout then adopts the array as its slots. Stripes own
+    /// disjoint blocks of keys, so whole stripes resolve in parallel,
+    /// each worker writing only the blocks of the stripes it was dealt.
+    fn seal_dense(
+        strict: bool,
+        stripes: Vec<Vec<Chunk<V>>>,
+        domain: usize,
+        logged: usize,
+        threads: usize,
+    ) -> Generation<V> {
         let mut resolved: Vec<Option<V>> = vec![None; domain];
-        let mut machines: Vec<u32> = vec![0; domain];
-        let workers = threads.min(self.shards.len()).max(1);
-        let strict = self.strict;
+        let mut holders: Vec<Holder> = vec![Holder::default(); domain];
+        let work = stripes
+            .into_iter()
+            .zip(deal(&mut resolved))
+            .zip(deal(&mut holders));
+        let workers = threads.clamp(1, STRIPES);
         let (len, size_bytes) = if workers > 1 && logged >= PARALLEL_SEAL_MIN {
-            struct RawParts<V> {
-                resolved: *mut Option<V>,
-                machines: *mut u32,
+            // Worker w takes stripes w, w + W, w + 2W, …
+            let mut dealt: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+            for (s, stripe) in work.enumerate() {
+                dealt[s % workers].push(stripe);
             }
-            // SAFETY: `RawParts` is shared across scoped workers, but a
-            // key lives in exactly one stripe (`shard_of` is a pure
-            // function of the key) and each stripe is drained by
-            // exactly one worker, so any key's entries in `resolved`
-            // and `machines` are accessed by at most one thread. Workers
-            // move values into `resolved` and drop replaced ones, hence
-            // `V: Send`.
-            unsafe impl<V: Send> Sync for RawParts<V> {}
-            let parts = RawParts {
-                resolved: resolved.as_mut_ptr(),
-                machines: machines.as_mut_ptr(),
-            };
-            let shards = &self.shards;
-            let parts = &parts;
             #[expect(
                 clippy::disallowed_methods,
                 reason = "ampc-dht sits below ampc-runtime and cannot reach its WorkerPool; \
@@ -385,25 +476,15 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
                           AMPC_THREADS=1 takes the serial branch"
             )]
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
+                let handles: Vec<_> = dealt
+                    .into_iter()
+                    .map(|mine| {
                         scope.spawn(move || {
-                            // Worker w owns stripes w, w+W, w+2W, …; the
-                            // locks are uncontended (writers are done).
-                            let mut tally = (0, 0);
-                            for stripe in shards.iter().skip(w).step_by(workers) {
-                                for entry in stripe.lock().drain(..) {
-                                    let s = entry.0 as usize;
-                                    // SAFETY: key `s` belongs to this
-                                    // stripe, owned by this worker alone
-                                    // (see RawParts above).
-                                    let (slot, holder) = unsafe {
-                                        (&mut *parts.resolved.add(s), &mut *parts.machines.add(s))
-                                    };
-                                    place(strict, slot, holder, entry, &mut tally);
-                                }
-                            }
-                            tally
+                            mine.into_iter()
+                                .map(|((chunks, mut slots), mut held)| {
+                                    resolve_stripe(strict, chunks, &mut slots, &mut held)
+                                })
+                                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
                         })
                     })
                     .collect();
@@ -413,22 +494,12 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
                     .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
             })
         } else {
-            let mut tally = (0, 0);
-            for m in &self.shards {
-                for entry in m.lock().drain(..) {
-                    let s = entry.0 as usize;
-                    place(
-                        strict,
-                        &mut resolved[s],
-                        &mut machines[s],
-                        entry,
-                        &mut tally,
-                    );
-                }
-            }
-            tally
+            work.map(|((chunks, mut slots), mut held)| {
+                resolve_stripe(strict, chunks, &mut slots, &mut held)
+            })
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
         };
-        drop(machines);
+        drop(holders);
         Generation {
             repr: Repr::Memory(Layout::from_key_indexed(resolved, len)),
             len,
@@ -436,22 +507,29 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
         }
     }
 
-    /// Sparse-path seal: resolve each stripe's log with a stable
-    /// `(key, machine)` sort (same-machine entries keep their append
-    /// order, so the last entry of the lowest-machine run is the
-    /// deterministic winner), then build the canonical open table.
-    fn seal_open_sorted(&self, logged: usize) -> Generation<V> {
+    /// Sparse-path seal: each stripe's entries, tagged with their
+    /// machine, are sorted stably by key, so one machine's writes to a
+    /// key keep their issue order; [`replaces`] then keeps, key by key,
+    /// the last write of the lowest machine whatever order the
+    /// machines' chunks came in. The resolved pairs build the canonical
+    /// open table.
+    fn seal_open_sorted(strict: bool, stripes: Vec<Vec<Chunk<V>>>, logged: usize) -> Generation<V> {
         let mut pairs: Vec<(u64, V)> = Vec::with_capacity(logged);
+        let mut log: Vec<(u64, u32, V)> = Vec::new();
         let mut holder = 0u32;
-        for m in &self.shards {
-            let mut log = m.lock();
-            log.sort_by_key(|&(k, mach, _)| (k, mach));
+        for chunks in stripes {
+            log.extend(
+                chunks
+                    .into_iter()
+                    .flat_map(|(machine, run)| run.into_iter().map(move |(k, v)| (k, machine, v))),
+            );
+            log.sort_by_key(|&(k, _, _)| k);
             // A key lives in one stripe, so only this stripe's previous
             // pair can share its key.
             for (k, mach, v) in log.drain(..) {
                 match pairs.last_mut() {
                     Some((held_key, held)) if *held_key == k => {
-                        if replaces(self.strict, k, (holder, held), (mach, &v)) {
+                        if replaces(strict, k, (holder, held), (mach, &v)) {
                             holder = mach;
                             *held = v;
                         }
@@ -533,7 +611,7 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     /// Looks a key up. Returns a reference into the sealed store.
     ///
     /// Dense layout: one bounds check, no hash. Open layout: one
-    /// [`mix64`] and a linear probe. Socket backend: index lookup
+    /// [`mix64`](crate::hasher::mix64) and a linear probe. Socket backend: index lookup
     /// locally, one wire fetch on first touch of a present key
     /// (memoized after).
     #[inline]
@@ -627,9 +705,7 @@ impl<V: Measured + Clone + Wire> Generation<V> {
 impl<V: Measured + Clone + PartialEq + Send + Wire> FromIterator<(u64, V)> for Generation<V> {
     fn from_iter<I: IntoIterator<Item = (u64, V)>>(items: I) -> Self {
         let w = GenerationWriter::new();
-        for (k, v) in items {
-            w.put(k, v);
-        }
+        w.put_many_from(0, items);
         w.seal()
     }
 }
@@ -697,6 +773,7 @@ impl<V: Measured + Clone> Default for Dht<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hasher::mix64;
     use std::collections::BTreeMap;
 
     #[test]
@@ -805,6 +882,168 @@ mod tests {
         let _ = w.seal();
     }
 
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "conflicting cross-machine writes")]
+    fn strict_mode_rejects_conflicts_from_two_batches() {
+        let w: GenerationWriter<u64> = GenerationWriter::new();
+        // Two batches, each one chunk of the same stripe.
+        w.put_many_from(1, [(7, 2), (8, 8)]);
+        w.put_many_from(0, [(9, 9), (7, 1)]);
+        assert_eq!(stripe_of(7), stripe_of(9));
+        let _ = w.seal_with_threads(1);
+    }
+
+    /// One scripted write: the machine, then one `put_from` (`single`)
+    /// or one `put_many_from` batch of these pairs.
+    struct Write {
+        machine: u32,
+        single: bool,
+        pairs: Vec<(u64, Vec<u32>)>,
+    }
+
+    /// A random script of `writes` writes over `keys` from machines
+    /// `0..6`, drawn with replacement so that keys repeat within a
+    /// batch, across one machine's batches and across machines. Strict
+    /// scripts write one value per key; relaxed ones a random value
+    /// (of random size) per write.
+    fn script(seed: u64, keys: &[u64], writes: usize, relaxed: bool) -> Vec<Write> {
+        let mut state = seed;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix64(state) % bound
+        };
+        (0..writes)
+            .map(|_| {
+                let machine = next(6) as u32;
+                let single = next(3) == 0;
+                let len = if single { 1 } else { next(200) };
+                let pairs = (0..len)
+                    .map(|_| {
+                        let k = keys[next(keys.len() as u64) as usize];
+                        let v = if relaxed {
+                            (0..next(4)).map(|_| next(1000) as u32).collect()
+                        } else {
+                            vec![k as u32; (k % 4) as usize]
+                        };
+                        (k, v)
+                    })
+                    .collect();
+                Write {
+                    machine,
+                    single,
+                    pairs,
+                }
+            })
+            .collect()
+    }
+
+    /// Replays `script` into a writer, seals it with 1, 2 and 8
+    /// threads, and checks each seal against a `BTreeMap` oracle of
+    /// "lowest machine id, last write": contents, `len`, `size_bytes`
+    /// and the canonical layout fingerprint of the oracle's pairs.
+    fn assert_resolves_like_oracle(script: &[Write], relaxed: bool) {
+        let mut oracle: BTreeMap<u64, (u32, Vec<u32>)> = BTreeMap::new();
+        for w in script {
+            for (k, v) in &w.pairs {
+                let held = oracle.entry(*k).or_insert((w.machine, v.clone()));
+                if w.machine <= held.0 {
+                    *held = (w.machine, v.clone());
+                }
+            }
+        }
+        let pairs: Vec<(u64, Vec<u32>)> = oracle.into_iter().map(|(k, (_, v))| (k, v)).collect();
+        let size: usize = pairs.iter().map(|(_, v)| 8 + v.size_bytes()).sum();
+        let canonical = Layout::build(pairs.clone());
+        let canonical = (canonical.kind(), canonical.fingerprint());
+        for threads in [1, 2, 8] {
+            let writer = GenerationWriter::new();
+            let writer = if relaxed { writer.relaxed() } else { writer };
+            for w in script {
+                if w.single {
+                    for (k, v) in &w.pairs {
+                        writer.put_from(w.machine, *k, v.clone());
+                    }
+                } else {
+                    writer.put_many_from(w.machine, w.pairs.iter().cloned());
+                }
+            }
+            let g = writer.seal_with_threads(threads);
+            let mut seen: Vec<(u64, Vec<u32>)> = g.iter().map(|(k, v)| (k, v.clone())).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, pairs, "threads {threads}");
+            assert_eq!(g.len(), pairs.len(), "threads {threads}");
+            assert_eq!(g.size_bytes(), size, "threads {threads}");
+            assert_eq!(g.layout_fingerprint(), canonical, "threads {threads}");
+        }
+    }
+
+    /// The key sets the oracle suite writes: `shape` 0 is dense
+    /// (`0..n`), 1 gappy (about two keys in five of `0..n`, so dense or
+    /// — once duplicates are resolved — open), 2 sparse (spread over the
+    /// whole `u64` range).
+    fn key_set(shape: u8, n: u64, seed: u64) -> Vec<u64> {
+        match shape {
+            0 => (0..n).collect(),
+            1 => (0..n).filter(|&k| mix64(k ^ seed) % 5 < 2).collect(),
+            _ => (0..n).map(|k| mix64(k ^ seed)).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn writes_resolve_like_the_oracle(
+            seed in 0u64..1_000_000,
+            shape in 0u8..3,
+            n in 1u64..10_000,
+            writes in 1usize..80,
+            relaxed in 0u8..2,
+        ) {
+            let keys = key_set(shape, n, seed);
+            if !keys.is_empty() {
+                let relaxed = relaxed == 1;
+                assert_resolves_like_oracle(&script(seed, &keys, writes, relaxed), relaxed);
+            }
+        }
+    }
+
+    /// Above the parallel-seal threshold, over a key domain past one
+    /// round of blocks (so a stripe resolves into several blocks): a
+    /// dense seal, a dense resolution compacted into the open table
+    /// (gappy keys, duplicate-heavy), and a sparse seal.
+    #[test]
+    fn large_writes_resolve_like_the_oracle() {
+        let n = (1u64 << SPAN_BITS) + 5_000;
+        for (shape, kind) in [
+            (0, ReprKind::Dense),
+            (1, ReprKind::Open),
+            (2, ReprKind::Open),
+        ] {
+            let keys = key_set(shape, n, 17);
+            let script = script(u64::from(shape), &keys, 4_000, true);
+            let logged: Vec<u64> = script
+                .iter()
+                .flat_map(|w| &w.pairs)
+                .map(|&(k, _)| k)
+                .collect();
+            let max_key = logged.iter().copied().max().unwrap_or(0);
+            assert!(logged.len() >= PARALLEL_SEAL_MIN);
+            assert_eq!(
+                dense_eligible(logged.len(), max_key),
+                shape < 2,
+                "shape {shape}"
+            );
+            let distinct: std::collections::BTreeSet<u64> = logged.into_iter().collect();
+            assert_eq!(
+                Layout::build(distinct.into_iter().map(|k| (k, ())).collect()).kind(),
+                kind
+            );
+            assert_resolves_like_oracle(&script, true);
+        }
+    }
+
     /// Dense 0..n keys must select the direct-index layout; sparse u64
     /// keys must fall back to the single open-addressed table.
     #[test]
@@ -839,13 +1078,13 @@ mod tests {
     /// build of the oracle's pairs wherever the values live.
     #[test]
     fn flat_layouts_match_btreemap_oracle() {
-        // Keys that all land in mix64 bucket 0 of the 64 writer stripes
-        // (one stripe log holds everything) — and stress one probe
-        // neighborhood of the open table.
-        let colliding: Vec<u64> = (0..200_000u64)
-            .filter(|&k| mix64(k).is_multiple_of(64))
-            .take(500)
-            .collect();
+        // Sparse keys that all land in one writer stripe (multiples of
+        // 2^18 are the first key of a block of stripe 0), so one stripe
+        // holds everything.
+        let colliding: Vec<u64> = (1..=500u64).map(|k| k << SPAN_BITS).collect();
+        assert!(colliding
+            .iter()
+            .all(|&k| stripe_of(k) == stripe_of(colliding[0])));
         let sparse: Vec<u64> = (0..500u64)
             .map(|k| k.wrapping_mul(0xDEAD_BEEF_1234_5679) | 1 << 63)
             .collect();

@@ -14,7 +14,6 @@
 //! cross-model validation strategy (DESIGN.md §3).
 
 use ampc_dht::hasher::mix64;
-use ampc_dht::store::Generation;
 use ampc_graph::{CsrGraph, NodeId};
 use ampc_runtime::Job;
 
@@ -44,7 +43,6 @@ pub fn mpc_random_walks_in_job(
         })
         .collect();
 
-    let empty: Generation<u32> = Generation::empty();
     for s in 0..steps {
         // One shuffle: every walker record is routed to the machine
         // owning its current vertex (the per-hop costly round).
@@ -57,10 +55,8 @@ pub fn mpc_random_walks_in_job(
 
         // Advance locally: after the shuffle each machine holds its
         // walkers next to the adjacency of their current vertices.
-        let moved: Vec<(u64, NodeId)> = job.kv_round_chunked(
+        let moved: Vec<(u64, NodeId)> = job.map_round_chunked(
             &format!("Advance{}", s + 1),
-            &empty,
-            None,
             &buckets,
             |ctx, items: &[(u64, u64, NodeId)]| {
                 items

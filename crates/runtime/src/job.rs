@@ -278,6 +278,29 @@ impl Job {
         R: Send,
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
     {
+        let round = (read, write, budget);
+        self.machine_round(name, StageKind::KvRound, round, chunks, body)
+    }
+
+    /// Runs `body` once per machine over `chunks` with a metered handle
+    /// on `read` / `write` and `budget`, replaying chaos victims, and
+    /// records the stage as `kind`: a KV round, or — for a
+    /// [`Self::map_round_chunked`] over the empty generation — a local
+    /// stage.
+    fn machine_round<V, T, R, F>(
+        &mut self,
+        name: &str,
+        kind: StageKind,
+        (read, write, budget): (&Generation<V>, Option<&GenerationWriter<V>>, u64),
+        chunks: &[Vec<T>],
+        body: F,
+    ) -> Vec<R>
+    where
+        V: Measured + Clone + PartialEq + Sync + Send + Wire,
+        T: Sync,
+        R: Send,
+        F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
+    {
         let stage = self.next_stage_index();
         let threads = self.cfg.threads;
         let spec = RoundSpec {
@@ -352,7 +375,7 @@ impl Job {
             .unwrap_or(0);
         self.report.push(StageReport {
             name: name.to_string(),
-            kind: StageKind::KvRound,
+            kind,
             comm,
             shuffle_bytes: 0,
             shuffle_bytes_max_machine: 0,
@@ -375,8 +398,24 @@ impl Job {
         R: Send,
         F: Fn(&mut MachineCtx<'_, u32>, &[T]) -> Vec<R> + Sync,
     {
+        let chunks = partition::chunk(items, self.cfg.num_machines);
+        self.map_round_chunked(name, &chunks, body)
+    }
+
+    /// Like [`Self::map_round`] but with caller-controlled placement
+    /// (e.g. buckets from [`Self::shuffle_by_key`]). The machines run
+    /// as in a KV round — same handles, same charges, same chaos
+    /// replays — over the empty generation with no writer, and the
+    /// stage is recorded as [`StageKind::Local`]: it is not a KV round.
+    pub fn map_round_chunked<T, R, F>(&mut self, name: &str, chunks: &[Vec<T>], body: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&mut MachineCtx<'_, u32>, &[T]) -> Vec<R> + Sync,
+    {
         let empty: Generation<u32> = Generation::empty();
-        self.kv_round(name, &empty, None, items, body)
+        let round = (&empty, None, u64::MAX);
+        self.machine_round(name, StageKind::Local, round, chunks, body)
     }
 
     /// A machine's simulated time this round: compute plus KV traffic,
@@ -532,6 +571,24 @@ mod tests {
         let r = job.report();
         assert_eq!(r.stages[0].comm.queries, 16);
         assert_eq!(r.num_kv_rounds(), 1);
+    }
+
+    /// A map round is charged exactly like a KV round over the empty
+    /// generation, but it is not a KV round.
+    #[test]
+    fn map_round_is_a_local_stage_charged_like_a_kv_round() {
+        let body = |ctx: &mut MachineCtx<'_, u32>, items: &[u64]| {
+            ctx.add_ops(items.len() as u64);
+            items.iter().map(|&i| i * 3).collect::<Vec<_>>()
+        };
+        let (mut mapped, mut kv) = (test_job(), test_job());
+        let a = mapped.map_round("m", (0..50u64).collect(), body);
+        let b = kv.kv_round("m", &Generation::empty(), None, (0..50u64).collect(), body);
+        assert_eq!(a, b);
+        let (m, k) = (&mapped.report().stages[0], &kv.report().stages[0]);
+        assert_eq!((m.kind, k.kind), (StageKind::Local, StageKind::KvRound));
+        assert_eq!((m.ops, m.sim_ns, m.comm), (k.ops, k.sim_ns, k.comm));
+        assert_eq!(mapped.report().num_kv_rounds(), 0);
     }
 
     #[test]

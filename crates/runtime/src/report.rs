@@ -18,8 +18,10 @@ pub enum StageKind {
     /// An AMPC round: machines process their partition while querying
     /// the key-value store.
     KvRound,
-    /// A single-machine in-memory step (the "switch to in-memory"
-    /// finish used by both model's implementations).
+    /// Local computation that touches neither the DHT nor a shuffle:
+    /// a single-machine in-memory step (the "switch to in-memory"
+    /// finish used by both model's implementations), or a map over all
+    /// machines (`Job::map_round`, the MPC baselines' no-shuffle steps).
     Local,
 }
 
