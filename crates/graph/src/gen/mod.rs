@@ -18,8 +18,11 @@ pub use cycles::{single_cycle, two_cycles, CyclePair};
 pub use erdos_renyi::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 
+use crate::stripes::arc_balanced_stripes;
 use crate::weighted::WeightedCsrGraph;
-use crate::{CsrGraph, Weight};
+use crate::{CsrGraph, NodeId, Weight};
+use ampc_knobs::ampc_threads;
+use ampc_runtime::pool::run_tasks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,13 +30,11 @@ use rand::{Rng, SeedableRng};
 /// exactly the weighting rule the paper uses for its MSF inputs (§5.2):
 /// *"the weight of an edge (u, v) is proportional to deg(u) + deg(v)"*.
 pub fn degree_weights(g: &CsrGraph) -> WeightedCsrGraph {
-    let mut weights = Vec::with_capacity(g.num_arcs());
-    for u in g.nodes() {
-        let du = g.degree(u) as Weight;
-        for &v in g.neighbors(u) {
-            weights.push(du + g.degree(v) as Weight);
-        }
-    }
+    degree_weights_with_threads(g, ampc_threads())
+}
+
+fn degree_weights_with_threads(g: &CsrGraph, threads: usize) -> WeightedCsrGraph {
+    let weights = arc_weights(g, threads, |u, v| (g.degree(u) + g.degree(v)) as Weight);
     WeightedCsrGraph::from_parts(g.clone(), weights)
 }
 
@@ -42,17 +43,55 @@ pub fn degree_weights(g: &CsrGraph) -> WeightedCsrGraph {
 /// hash of the canonical endpoint pair and the seed), so the result is a
 /// valid undirected weighted graph.
 pub fn random_weights(g: &CsrGraph, max_weight: Weight, seed: u64) -> WeightedCsrGraph {
-    let mut weights = Vec::with_capacity(g.num_arcs());
-    for u in g.nodes() {
-        for &v in g.neighbors(u) {
-            let (a, b) = if u <= v { (u, v) } else { (v, u) };
-            let mut rng = SmallRng::seed_from_u64(
-                seed ^ ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            weights.push(rng.gen_range(1..=max_weight));
-        }
-    }
+    random_weights_with_threads(g, max_weight, seed, ampc_threads())
+}
+
+fn random_weights_with_threads(
+    g: &CsrGraph,
+    max_weight: Weight,
+    seed: u64,
+    threads: usize,
+) -> WeightedCsrGraph {
+    let weights = arc_weights(g, threads, |u, v| {
+        let (a, b) = if u <= v { (u, v) } else { (v, u) };
+        let mut rng = SmallRng::seed_from_u64(
+            seed ^ ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        rng.gen_range(1..=max_weight)
+    });
     WeightedCsrGraph::from_parts(g.clone(), weights)
+}
+
+/// `weight(u, v)` for every arc `u → v` of `g`, in CSR order. Split
+/// over arc-balanced vertex stripes, each writing its own window, so
+/// the result is the same for every thread count.
+fn arc_weights(
+    g: &CsrGraph,
+    threads: usize,
+    weight: impl Fn(NodeId, NodeId) -> Weight + Sync,
+) -> Vec<Weight> {
+    let offsets = g.offsets();
+    let mut weights = vec![0; g.num_arcs()];
+    {
+        let weight = &weight;
+        let mut rest = weights.as_mut_slice();
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        for r in arc_balanced_stripes(offsets, threads.max(1)) {
+            let (win, tail) = rest.split_at_mut(offsets[r.end] - offsets[r.start]);
+            rest = tail;
+            tasks.push(Box::new(move || {
+                let arcs = r.flat_map(|u| {
+                    let u = u as NodeId;
+                    g.neighbors(u).iter().map(move |&v| (u, v))
+                });
+                for (w, (u, v)) in win.iter_mut().zip(arcs) {
+                    *w = weight(u, v);
+                }
+            }));
+        }
+        run_tasks(tasks, threads);
+    }
+    weights
 }
 
 #[cfg(test)]
@@ -89,6 +128,43 @@ mod tests {
                     .map(|(_, ww)| ww)
                     .unwrap();
                 assert_eq!(back, wt);
+            }
+        }
+    }
+
+    /// The sequential loops the striped helpers replaced.
+    fn sequential_weights(g: &CsrGraph, weight: impl Fn(NodeId, NodeId) -> Weight) -> Vec<Weight> {
+        g.nodes()
+            .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u, v)))
+            .map(|(u, v)| weight(u, v))
+            .collect()
+    }
+
+    #[test]
+    fn striped_weights_equal_the_sequential_loop() {
+        let graphs = [
+            rmat(10, 20_000, RmatParams::SOCIAL, 5),
+            erdos_renyi(300, 900, 2),
+            star(50),
+            GraphBuilder::new(0).build(),
+        ];
+        for g in &graphs {
+            let by_degree = sequential_weights(g, |u, v| (g.degree(u) + g.degree(v)) as Weight);
+            let random = sequential_weights(g, |u, v| {
+                let (a, b) = if u <= v { (u, v) } else { (v, u) };
+                let mut rng = SmallRng::seed_from_u64(
+                    31 ^ ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                rng.gen_range(1..=1000)
+            });
+            let all = |w: &WeightedCsrGraph| -> Vec<Weight> {
+                w.nodes().flat_map(|u| w.weights_of(u)).copied().collect()
+            };
+            for threads in [1, 2, 3, 8] {
+                let w = degree_weights_with_threads(g, threads);
+                assert_eq!(all(&w), by_degree, "{threads} threads");
+                let w = random_weights_with_threads(g, 1000, 31, threads);
+                assert_eq!(all(&w), random, "{threads} threads");
             }
         }
     }

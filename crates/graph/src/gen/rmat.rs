@@ -75,9 +75,10 @@ impl RmatParams {
 /// directed inputs the same way).
 ///
 /// Sampling is striped over `ampc_threads()` contiguous ranges of edge
-/// indices, each starting its generator at its first edge's offset in
-/// the one seeded stream, so the graph is the same for every thread
-/// count (DESIGN.md §1).
+/// indices, each starting at its first edge's offset in the one seeded
+/// stream, so the graph is the same for every thread count (DESIGN.md
+/// §1). A level computes its quadrant draw first and the four noise
+/// draws only when the [`QuadrantTable`] cannot decide it alone.
 pub fn rmat(log_n: u32, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
     rmat_with_threads(log_n, m, params, seed, ampc_threads())
 }
@@ -93,17 +94,30 @@ fn rmat_with_threads(
     params.validate();
     assert!(log_n <= 31, "log_n must fit in u32 node ids");
     let draws_per_edge = DRAWS_PER_LEVEL * log_n as u64;
+    let table = QuadrantTable::new(&params);
     let mut edges = vec![(0, 0, 0); m];
     {
+        let (params, table) = (&params, &table);
         let mut rest = edges.as_mut_slice();
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
         for r in stripe_bounds(m, threads) {
             let (win, tail) = rest.split_at_mut(r.len());
             rest = tail;
             tasks.push(Box::new(move || {
-                let mut rng = stream_at(seed, (r.start as u64).wrapping_mul(draws_per_edge));
+                let mut level = (r.start as u64).wrapping_mul(draws_per_edge);
                 for slot in win {
-                    let (u, v) = sample_edge(log_n, &params, &mut rng);
+                    let (mut u, mut v): (NodeId, NodeId) = (0, 0);
+                    for _ in 0..log_n {
+                        let pick = stream_at(seed, level.wrapping_add(4)).next_u64();
+                        let q = table.certain(pick).unwrap_or_else(|| {
+                            let mut rng = stream_at(seed, level);
+                            let mut noise = || rng.next_u64();
+                            level_quadrant(params, [noise(), noise(), noise(), noise(), pick])
+                        });
+                        u = u << 1 | q >> 1;
+                        v = v << 1 | q & 1;
+                        level = level.wrapping_add(DRAWS_PER_LEVEL);
+                    }
                     *slot = (u, v, 0);
                 }
             }));
@@ -113,41 +127,108 @@ fn rmat_with_threads(
     GraphBuilder::from_edges(1 << log_n, edges).build_with_threads(threads)
 }
 
-/// Generator draws per level of [`sample_edge`]: four noise factors and
-/// the quadrant pick, one `next_u64` each.
+/// Draws per level in the stream layout: four noise factors, then the
+/// quadrant pick. This fixes where each level starts in the one seeded
+/// stream (level `l` of edge `i` at draw `5·(i·log n + l)`), not how
+/// many draws are computed: most levels compute only the pick.
 const DRAWS_PER_LEVEL: u64 = 5;
 
 /// The vendored `SmallRng` (SplitMix64) as it stands after `draws`
 /// draws from `SmallRng::seed_from_u64(seed)`: every draw adds the
 /// same constant γ to the state, so the state after `k` draws is
-/// `seed + k·γ` (wrapping) and any stripe of the stream can start
-/// anywhere.
+/// `seed + k·γ` (wrapping) and any draw of the stream can be computed
+/// without the ones before it.
 fn stream_at(seed: u64, draws: u64) -> SmallRng {
     const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
     SmallRng::seed_from_u64(seed.wrapping_add(draws.wrapping_mul(GAMMA)))
 }
 
-/// One edge: `log_n` levels, each choosing a quadrant with probability
-/// proportional to its noisy weight. Per-level multiplicative noise in
-/// `[0.95, 1.05]` ("smoothing") is the standard fix that avoids exactly
-/// repeating degree patterns. The quadrant is the number of cumulative
-/// weights `r` reaches, `q ∈ 0..4`, whose high bit extends `u` and low
-/// bit `v`; no branch to mispredict.
-fn sample_edge(log_n: u32, p: &RmatParams, rng: &mut SmallRng) -> (NodeId, NodeId) {
-    let mut u: NodeId = 0;
-    let mut v: NodeId = 0;
-    for _ in 0..log_n {
-        let na = p.a * rng.gen_range(0.95..1.05);
-        let nb = p.b * rng.gen_range(0.95..1.05);
-        let nc = p.c * rng.gen_range(0.95..1.05);
-        let nd = p.d * rng.gen_range(0.95..1.05);
-        let total = na + nb + nc + nd;
-        let r: f64 = rng.gen_range(0.0..total);
-        let q = (r >= na) as NodeId + (r >= na + nb) as NodeId + (r >= na + nb + nc) as NodeId;
-        u = u << 1 | q >> 1;
-        v = v << 1 | q & 1;
+/// One level's quadrant from its five draws, the four noise factors
+/// then the pick. Per-level multiplicative noise in `[0.95, 1.05]`
+/// ("smoothing") is the standard fix that avoids exactly repeating
+/// degree patterns. The quadrant is the number of cumulative weights
+/// the pick `r` reaches, `q ∈ 0..4`, whose high bit extends `u` and
+/// low bit `v`.
+fn level_quadrant(p: &RmatParams, draws: [u64; 5]) -> NodeId {
+    let mut rng = Replay(draws.into_iter());
+    let na = p.a * rng.gen_range(0.95..1.05);
+    let nb = p.b * rng.gen_range(0.95..1.05);
+    let nc = p.c * rng.gen_range(0.95..1.05);
+    let nd = p.d * rng.gen_range(0.95..1.05);
+    let total = na + nb + nc + nd;
+    let r: f64 = rng.gen_range(0.0..total);
+    (r >= na) as NodeId + (r >= na + nb) as NodeId + (r >= na + nb + nc) as NodeId
+}
+
+/// Hands out recorded draws, so [`level_quadrant`] maps them to floats
+/// exactly as the generator itself does.
+struct Replay(std::array::IntoIter<u64, 5>);
+
+impl Rng for Replay {
+    fn next_u64(&mut self) -> u64 {
+        self.0.next().expect("a level takes five draws")
     }
-    (u, v)
+}
+
+/// Bits of the quadrant pick that index a [`QuadrantTable`].
+const BUCKET_BITS: u32 = 10;
+
+/// How far a [`QuadrantTable`] widens each noise band on both sides:
+/// ≥ 10⁶ times the few-ulp rounding of [`level_quadrant`]'s float path,
+/// so a bucket clear of a widened band is clear of every ratio that
+/// path can compute.
+const BAND_MARGIN: f64 = 1e-9;
+
+/// [`QuadrantTable`] entry for a bucket the noise can move.
+const UNSURE: u8 = u8::MAX;
+
+/// The quadrant of every level whose pick alone decides it, by the
+/// pick's top [`BUCKET_BITS`] bits. The pick's unit value `x` lies in
+/// its bucket `[b, b + 1) / 1024`, and it passes boundary `k` iff
+/// `x ≥ C_k / total` for the noisy cumulative weight `C_k`. Over all
+/// noise that ratio stays in a band (see [`noise_band`]); a bucket
+/// wholly above or below every band, widened by [`BAND_MARGIN`], has a
+/// quadrant no noise changes, and any other bucket is [`UNSURE`].
+struct QuadrantTable([u8; 1 << BUCKET_BITS]);
+
+impl QuadrantTable {
+    fn new(p: &RmatParams) -> Self {
+        let weights = [p.a, p.b, p.c, p.d];
+        let bands: [(f64, f64); 3] = std::array::from_fn(|k| noise_band(&weights, k + 1));
+        let width = 1.0 / (1u32 << BUCKET_BITS) as f64;
+        QuadrantTable(std::array::from_fn(|b| {
+            let (lo, hi) = (b as f64 * width, (b + 1) as f64 * width);
+            let mut q = 0;
+            for &(band_lo, band_hi) in &bands {
+                if lo > band_hi + BAND_MARGIN {
+                    q += 1;
+                } else if hi >= band_lo - BAND_MARGIN {
+                    return UNSURE;
+                }
+            }
+            q
+        }))
+    }
+
+    /// The quadrant of a level whose quadrant draw is `pick`, or `None`
+    /// when its noise draws could still move it.
+    fn certain(&self, pick: u64) -> Option<NodeId> {
+        let q = self.0[(pick >> (64 - BUCKET_BITS)) as usize];
+        (q != UNSURE).then_some(q as NodeId)
+    }
+}
+
+/// The range `[lo, hi]` of `C_k / total` over every noise factor in
+/// `[0.95, 1.05]`: the ratio grows with the first `k` weights and
+/// shrinks with the rest, so it is lowest with those at 0.95 and the
+/// rest at 1.05, and highest the other way round.
+fn noise_band(weights: &[f64; 4], k: usize) -> (f64, f64) {
+    let below: f64 = weights[..k].iter().sum();
+    let above: f64 = weights[k..].iter().sum();
+    (
+        0.95 * below / (0.95 * below + 1.05 * above),
+        1.05 * below / (1.05 * below + 0.95 * above),
+    )
 }
 
 /// The sequential generator striped sampling replaced, kept as the
@@ -209,6 +290,154 @@ mod tests {
         let mut at = stream_at(7, k);
         at.next_u64();
         assert_eq!(at.next_u64(), stream_at(7, k + 1).next_u64());
+    }
+
+    /// Bucket `b`'s lower edge as a quadrant pick, and one either side
+    /// (for `b = 0`, one below is the top of the last bucket).
+    fn edge_picks(b: u64) -> [u64; 3] {
+        let edge = b << (64 - BUCKET_BITS);
+        [edge.wrapping_sub(1), edge, edge + 1]
+    }
+
+    /// Within this of a band, a bucket must be unsure: far above the
+    /// float path's rounding, far below [`BAND_MARGIN`].
+    const TOUCH: f64 = 1e-11;
+
+    /// Checks `p`'s table against the full computation: every certain
+    /// entry equals [`level_quadrant`] at each bucket edge and ±1, under
+    /// every all-extreme noise (each draw `0` or `u64::MAX`) and under
+    /// `noise`; and every bucket that comes within [`TOUCH`] of a band
+    /// is unsure. The bands here come from the 16 extreme factor
+    /// choices, not from [`noise_band`].
+    fn check_table(p: RmatParams, noise: &[[u64; 4]]) {
+        let table = QuadrantTable::new(&p);
+        let extremes = (0..16u32)
+            .map(|bits| std::array::from_fn(|i| if bits >> i & 1 == 1 { u64::MAX } else { 0 }));
+        let noise: Vec<[u64; 4]> = extremes.chain(noise.iter().copied()).collect();
+        for b in 0..1u64 << BUCKET_BITS {
+            for pick in edge_picks(b) {
+                let Some(q) = table.certain(pick) else {
+                    continue;
+                };
+                for n in &noise {
+                    let full = level_quadrant(&p, [n[0], n[1], n[2], n[3], pick]);
+                    prop_assert_eq!(q, full, "{:?}: pick {:#x}, noise {:?}", p, pick, n);
+                }
+            }
+        }
+
+        let weights = [p.a, p.b, p.c, p.d];
+        let bands: Vec<(f64, f64)> = (1..4)
+            .map(|k| {
+                let ratios = (0..16u32).map(|bits| {
+                    let noisy: Vec<f64> = (0..4)
+                        .map(|i| weights[i] * if bits >> i & 1 == 1 { 1.05 } else { 0.95 })
+                        .collect();
+                    noisy[..k].iter().sum::<f64>() / noisy.iter().sum::<f64>()
+                });
+                ratios.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+                    (lo.min(x), hi.max(x))
+                })
+            })
+            .collect();
+        let buckets = (1u32 << BUCKET_BITS) as f64;
+        for b in 0..1u64 << BUCKET_BITS {
+            let (lo, hi) = (b as f64 / buckets - TOUCH, (b + 1) as f64 / buckets + TOUCH);
+            if bands
+                .iter()
+                .any(|&(band_lo, band_hi)| lo <= band_hi && band_lo <= hi)
+            {
+                prop_assert!(
+                    table.certain(b << (64 - BUCKET_BITS)).is_none(),
+                    "{:?}: bucket {} reaches a band {:?} but is certain",
+                    p,
+                    b,
+                    bands
+                );
+            }
+        }
+    }
+
+    fn params(w: [f64; 4]) -> RmatParams {
+        let s: f64 = w.iter().sum();
+        RmatParams {
+            a: w[0] / s,
+            b: w[1] / s,
+            c: w[2] / s,
+            d: w[3] / s,
+        }
+    }
+
+    #[test]
+    fn quadrant_table_agrees_on_the_named_and_degenerate_params() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let noise: Vec<[u64; 4]> = (0..4).map(|_| [(); 4].map(|()| rng.next_u64())).collect();
+        let named = [RmatParams::SOCIAL, RmatParams::WEB, RmatParams::UNIFORM];
+        let degenerate = [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.3, 0.2, 0.0],
+            [0.0, 0.5, 0.5, 0.0],
+        ];
+        for p in named.into_iter().chain(degenerate.map(params)) {
+            p.validate();
+            check_table(p, &noise);
+        }
+    }
+
+    /// Params with one band edge just clear of bucket edge `j / 1024`,
+    /// by less than [`TOUCH`]: boundary `k`'s cumulative weight `S` is
+    /// solved so that its band's `hi` (`high`) sits below the edge, or
+    /// its `lo` above it; the other weights split the rest by `split`.
+    fn near_edge_params(j: u32, k: usize, high: bool, gap: f64, split: [f64; 2]) -> RmatParams {
+        let x = j as f64 / (1u32 << BUCKET_BITS) as f64 + if high { -gap } else { gap };
+        let (f, g) = if high { (1.05, 0.95) } else { (0.95, 1.05) };
+        // f·S / (f·S + g·(1 − S)) = x
+        let s = g * x / (f * (1.0 - x) + g * x);
+        let (a, b, c, d) = match k {
+            1 => {
+                let b = (1.0 - s) * split[0];
+                let c = (1.0 - s - b) * split[1];
+                (s, b, c, 1.0 - s - b - c)
+            }
+            2 => {
+                let a = s * split[0];
+                let c = (1.0 - s) * split[1];
+                (a, s - a, c, 1.0 - s - c)
+            }
+            _ => {
+                let a = s * split[0];
+                let b = (s - a) * split[1];
+                (a, b, s - a - b, 1.0 - s)
+            }
+        };
+        RmatParams { a, b, c, d }
+    }
+
+    /// A quadrant table draw: any `u64` but the extremes, which
+    /// [`check_table`] adds itself.
+    const DRAW: std::ops::Range<u64> = 1..u64::MAX;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn quadrant_table_agrees_with_the_full_computation(
+            w in (0u32..65, 0u32..65, 0u32..65, 0u32..65),
+            (j, k, high, gap) in (1u32..1 << BUCKET_BITS, 1usize..4, 0u32..2, 1u32..1000),
+            split in (0u32..1000, 0u32..1000),
+            noise in proptest::collection::vec((DRAW, DRAW, DRAW, DRAW), 4..5),
+        ) {
+            let noise: Vec<[u64; 4]> = noise.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect();
+            if w != (0, 0, 0, 0) {
+                check_table(params([w.0, w.1, w.2, w.3].map(f64::from)), &noise);
+            }
+            let gap = TOUCH * f64::from(gap) / 1000.0;
+            let split = [split.0, split.1].map(|x| f64::from(x) / 1000.0);
+            let p = near_edge_params(j, k, high == 1, gap, split);
+            p.validate();
+            check_table(p, &noise);
+        }
     }
 
     proptest! {
