@@ -465,8 +465,8 @@ fn small_graphs() -> Vec<(&'static str, Graphs)> {
     ];
     let weigh = |(i, (graph, g)): (usize, (_, CsrGraph))| {
         let w = match i {
-            0 => gen::degree_weights(&g),
-            _ => gen::random_weights(&g, 1_000, 7 + i as u64),
+            0 => gen::degree_weights(g.clone()),
+            _ => gen::random_weights(g.clone(), 1_000, 7 + i as u64),
         };
         (graph, Arc::new((g, Some(w))))
     };

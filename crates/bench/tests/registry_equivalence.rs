@@ -69,7 +69,7 @@ fn assert_reports_identical(what: &str, a: &JobReport, b: &JobReport) {
 fn socket_substrate_identical_through_registry() {
     use ampc_dht::store::{force_store, StoreKind};
     let g = tiny();
-    let w = gen::degree_weights(&g);
+    let w = gen::degree_weights(g.clone());
     let cycles = gen::two_cycles(200, 11);
     // Walk and dyn-cc shapes; the other rows ignore them.
     let p = AlgoParams {

@@ -356,7 +356,7 @@ mod tests {
             .satisfies(InputKind::CycleUnion)
             .is_ok());
 
-        let w = gen::degree_weights(&g);
+        let w = gen::degree_weights(g);
         let wi = AlgoInput::Weighted(&w);
         assert!(wi.satisfies(InputKind::Weighted).is_ok());
         assert!(wi.satisfies(InputKind::Unweighted).is_ok());

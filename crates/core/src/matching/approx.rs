@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn weighted_matching_is_valid_and_heavy() {
-        let g = gen::degree_weights(&gen::erdos_renyi(60, 180, 5));
+        let g = gen::degree_weights(gen::erdos_renyi(60, 180, 5));
         let m = approx_max_weight_matching(&g, 0.1, &cfg());
         assert!(validate::is_matching(g.structure(), &m));
         // Must be maximal too (greedy over all buckets covers all edges).
@@ -159,7 +159,7 @@ mod tests {
     fn weighted_matching_within_factor_on_tiny_graphs() {
         for seed in 0..10 {
             let base = gen::erdos_renyi(10, 14, seed);
-            let g = gen::random_weights(&base, 100, seed);
+            let g = gen::random_weights(base, 100, seed);
             let approx = approx_max_weight_matching(&g, 0.25, &cfg().with_seed(seed));
             let got = matching_weight(&g, &approx);
             let best = exact_max_weight_matching(&g);
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "eps must be positive")]
     fn rejects_nonpositive_eps() {
-        let g = gen::degree_weights(&gen::path(3));
+        let g = gen::degree_weights(gen::path(3));
         approx_max_weight_matching(&g, 0.0, &cfg());
     }
 }

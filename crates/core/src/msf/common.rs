@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn distinctify_preserves_order_and_restores() {
         // deg(u)+deg(v) weights tie often: the endpoints must break them.
-        let g = gen::degree_weights(&gen::erdos_renyi(40, 120, 1));
+        let g = gen::degree_weights(gen::erdos_renyi(40, 120, 1));
         let d = distinctify(&g);
         assert_eq!(d.edges.len(), g.num_edges());
         // Internal weights are 0..m and strictly ordered like
@@ -661,7 +661,7 @@ mod tests {
     fn one_round_on_path_finds_all_edges() {
         // A path with unbounded budget: the first search covers its
         // whole fragment; all edges are MSF edges.
-        let g = gen::degree_weights(&gen::path(20));
+        let g = gen::degree_weights(gen::path(20));
         let d = distinctify(&g);
         let mut job = Job::new(AmpcConfig::for_tests());
         let r = prim_contract_round(&mut job, d.n, &d.edges, "", u64::MAX, 0);
@@ -673,7 +673,7 @@ mod tests {
 
     #[test]
     fn round_shrinks_vertices() {
-        let g = gen::degree_weights(&gen::erdos_renyi(300, 900, 5));
+        let g = gen::degree_weights(gen::erdos_renyi(300, 900, 5));
         let d = distinctify(&g);
         let mut job = Job::new(AmpcConfig::for_tests());
         let r = prim_contract_round(&mut job, d.n, &d.edges, "", 4, 0);
@@ -695,7 +695,7 @@ mod tests {
 
     #[test]
     fn round_uses_five_shuffles() {
-        let g = gen::degree_weights(&gen::erdos_renyi(100, 300, 2));
+        let g = gen::degree_weights(gen::erdos_renyi(100, 300, 2));
         let d = distinctify(&g);
         let mut job = Job::new(AmpcConfig::for_tests());
         prim_contract_round(&mut job, d.n, &d.edges, "", 8, 0);
@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn roots_point_to_lower_rank() {
-        let g = gen::degree_weights(&gen::erdos_renyi(200, 600, 7));
+        let g = gen::degree_weights(gen::erdos_renyi(200, 600, 7));
         let d = distinctify(&g);
         let mut job = Job::new(AmpcConfig::for_tests());
         let r = prim_contract_round(&mut job, d.n, &d.edges, "", 6, 3);
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn round_rejects_edges_out_of_weight_order() {
-        let g = gen::degree_weights(&gen::erdos_renyi(30, 60, 4));
+        let g = gen::degree_weights(gen::erdos_renyi(30, 60, 4));
         let mut edges = distinctify(&g).edges;
         edges.swap(3, 4);
         let mut job = Job::new(AmpcConfig::for_tests());
@@ -741,7 +741,7 @@ mod tests {
     fn striped_contract_matches_the_one_pass_oracle_over_several_rounds() {
         // Above `PAR_MIN` edges, so round 1's Contract stripes.
         let g = gen::random_weights(
-            &gen::rmat(13, 110_000, gen::RmatParams::SOCIAL, 3),
+            gen::rmat(13, 110_000, gen::RmatParams::SOCIAL, 3),
             1 << 20,
             3,
         );
@@ -878,7 +878,7 @@ mod tests {
     }
 
     /// `g` with tie-heavy degree weights or with random ones.
-    fn weighted(g: &CsrGraph, ties: u8, seed: u64) -> WeightedCsrGraph {
+    fn weighted(g: CsrGraph, ties: u8, seed: u64) -> WeightedCsrGraph {
         if ties == 1 {
             gen::degree_weights(g)
         } else {
@@ -898,12 +898,12 @@ mod tests {
             lonely.push_edge(u, v, 0);
         }
         for g in [lonely.build(), gen::path(33), CsrGraph::empty(3)] {
-            let g = gen::random_weights(&g, 50, 9);
+            let g = gen::random_weights(g, 50, 9);
             assert_search_is_exact(&g, &all_nodes(&g), 0xA3C5);
         }
         // A star: one 10 000-entry list, searched from the hub and from
         // a few leaves (the oracle pushes the whole list per search).
-        let star = gen::random_weights(&gen::star(10_001), 1_000, 2);
+        let star = gen::random_weights(gen::star(10_001), 1_000, 2);
         let origins: Vec<NodeId> = (0..40).chain([5_000, 10_000]).collect();
         for seed in [1, 2, 3] {
             assert_search_is_exact(&star, &origins, seed);
@@ -916,7 +916,7 @@ mod tests {
         // expands a second vertex before the search ends, so the edge
         // between the two sits in both lists and its second copy pops
         // as an already-visited target — an op, not an MSF edge.
-        let g = gen::random_weights(&gen::complete(3), 100, 1);
+        let g = gen::random_weights(gen::complete(3), 100, 1);
         let seed = 7;
         let first = (0..3)
             .min_by_key(|&v| node_rank(seed, v))
@@ -942,13 +942,13 @@ mod tests {
             seed in 0u64..1000,
             ties in 0u8..2,
         ) {
-            let g = weighted(&gen::erdos_renyi(n, m, seed), ties, seed);
+            let g = weighted(gen::erdos_renyi(n, m, seed), ties, seed);
             assert_search_is_exact(&g, &all_nodes(&g), seed ^ 0x51);
         }
 
         #[test]
         fn search_is_exact_on_skewed_rmat(m in 100usize..3000, seed in 0u64..1000, ties in 0u8..2) {
-            let g = weighted(&gen::rmat(8, m, gen::RmatParams::SOCIAL, seed), ties, seed);
+            let g = weighted(gen::rmat(8, m, gen::RmatParams::SOCIAL, seed), ties, seed);
             assert_search_is_exact(&g, &all_nodes(&g), seed);
         }
     }

@@ -26,7 +26,7 @@ use ampc_trees::UnionFind;
 /// use ampc_core::msf;
 /// use ampc_runtime::{driver::drive, AmpcConfig};
 ///
-/// let g = ampc_graph::gen::degree_weights(&ampc_graph::gen::erdos_renyi(60, 150, 1));
+/// let g = ampc_graph::gen::degree_weights(ampc_graph::gen::erdos_renyi(60, 150, 1));
 /// let out = drive(&AmpcConfig::for_tests(), |job| msf::ampc_msf_in_job(job, &g));
 /// // The unique MSF, identical to Kruskal's:
 /// assert_eq!(out.output, msf::in_memory::kruskal(&g));
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn matches_kruskal_on_random_graphs() {
         for seed in 0..6 {
-            let g = gen::random_weights(&gen::erdos_renyi(150, 450, seed), 10_000, seed);
+            let g = gen::random_weights(gen::erdos_renyi(150, 450, seed), 10_000, seed);
             let forest = run(&g, &cfg().with_seed(seed + 3)).output;
             assert_eq!(forest, kruskal(&g), "seed {seed}");
         }
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn matches_kruskal_with_degree_weights_and_ties() {
         // deg(u)+deg(v) weights have many ties: exercises tie-breaking.
-        let g = gen::degree_weights(&gen::rmat(9, 6_000, gen::RmatParams::SOCIAL, 4));
+        let g = gen::degree_weights(gen::rmat(9, 6_000, gen::RmatParams::SOCIAL, 4));
         let forest = run(&g, &cfg()).output;
         let k = kruskal(&g);
         let weight = |f: &[WeightedEdge]| f.iter().map(|e| e.w as u128).sum::<u128>();
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn forces_multiple_distributed_rounds() {
         // Tiny in-memory threshold forces the loop to iterate.
-        let g = gen::random_weights(&gen::erdos_renyi(400, 1600, 9), 100_000, 9);
+        let g = gen::random_weights(gen::erdos_renyi(400, 1600, 9), 100_000, 9);
         let mut c = cfg();
         c.in_memory_threshold = 10;
         let out = run(&g, &c);
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn small_graph_goes_straight_to_memory() {
-        let g = gen::degree_weights(&gen::path(10));
+        let g = gen::degree_weights(gen::path(10));
         let out = run(&g, &cfg());
         assert_eq!(out.output.len(), 9);
         assert_eq!(out.report.num_shuffles(), 0);
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph() {
-        let g = gen::random_weights(&gen::two_cycles(30, 2), 500, 2);
+        let g = gen::random_weights(gen::two_cycles(30, 2), 500, 2);
         let mut c = cfg();
         c.in_memory_threshold = 5;
         let forest = run(&g, &c).output;

@@ -73,14 +73,14 @@ mod tests {
 
     #[test]
     fn kruskal_on_path_takes_all_edges() {
-        let g = gen::degree_weights(&gen::path(5));
+        let g = gen::degree_weights(gen::path(5));
         let msf = kruskal(&g);
         assert_eq!(msf.len(), 4);
     }
 
     #[test]
     fn kruskal_spans_each_component() {
-        let g = gen::degree_weights(&gen::two_cycles(6, 3));
+        let g = gen::degree_weights(gen::two_cycles(6, 3));
         let msf = kruskal(&g);
         // two cycles of 6 -> two trees of 5 edges
         assert_eq!(msf.len(), 10);
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn kruskal_matches_prim_weight() {
         for seed in 0..6 {
-            let g = gen::random_weights(&gen::erdos_renyi(120, 400, seed), 1000, seed);
+            let g = gen::random_weights(gen::erdos_renyi(120, 400, seed), 1000, seed);
             let k: u128 = kruskal(&g).iter().map(|e| e.w as u128).sum();
             assert_eq!(k, prim_total_weight(&g), "seed {seed}");
         }

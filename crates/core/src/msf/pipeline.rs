@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn pipeline_matches_kruskal() {
-        let g = gen::degree_weights(&gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 1));
+        let g = gen::degree_weights(gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 1));
         let forest = drive(&cfg(), |job| ampc_msf_in_job(job, &g)).output;
         assert_eq!(forest, kruskal(&g));
     }
@@ -89,7 +89,7 @@ mod tests {
         let mut c = cfg();
         c.in_memory_threshold = 20;
         for seed in 0..5 {
-            let g = gen::random_weights(&gen::erdos_renyi(200, 380, seed), 1_000, seed);
+            let g = gen::random_weights(gen::erdos_renyi(200, 380, seed), 1_000, seed);
             let out = algorithm2(&g, &c);
             assert_eq!(out.output, kruskal(&g), "seed {seed}");
             // Ternarize stage must be present for sparse inputs.
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn algorithm2_dense_path_skips_ternarization() {
-        let g = gen::degree_weights(&gen::complete(40)); // m = 780 >> n^{1+ε/2}
+        let g = gen::degree_weights(gen::complete(40)); // m = 780 >> n^{1+ε/2}
         let out = algorithm2(&g, &cfg());
         assert!(out.report.stages.iter().all(|s| s.name != "Ternarize"));
         assert_eq!(out.output, kruskal(&g));
@@ -110,7 +110,7 @@ mod tests {
         // A star: ternarization replaces the hub with a big cycle.
         let mut c = cfg();
         c.in_memory_threshold = 5;
-        let g = gen::random_weights(&gen::star(60), 100, 3);
+        let g = gen::random_weights(gen::star(60), 100, 3);
         let forest = algorithm2(&g, &c).output;
         assert_eq!(forest, kruskal(&g));
         assert_eq!(forest.len(), 59);
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn ternarized_path_weights_restore_correctly() {
-        let g = gen::random_weights(&gen::erdos_renyi(100, 180, 7), 50, 7);
+        let g = gen::random_weights(gen::erdos_renyi(100, 180, 7), 50, 7);
         let mut c = cfg();
         c.in_memory_threshold = 10;
         let weight = |f: &[WeightedEdge]| f.iter().map(|e| e.w as u128).sum::<u128>();

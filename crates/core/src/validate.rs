@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn msf_check_accepts_kruskal() {
-        let g = gen::degree_weights(&gen::erdos_renyi(50, 120, 3));
+        let g = gen::degree_weights(gen::erdos_renyi(50, 120, 3));
         let k = crate::msf::in_memory::kruskal(&g);
         assert!(is_min_spanning_forest(&g, &k));
     }

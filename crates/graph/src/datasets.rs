@@ -212,7 +212,7 @@ impl Dataset {
     /// Generates the weighted analogue with `w(u, v) = deg(u) + deg(v)`,
     /// the paper's MSF weighting (§5.2).
     pub fn generate_weighted(&self, scale: Scale, seed: u64) -> WeightedCsrGraph {
-        gen::degree_weights(&self.generate(scale, seed))
+        gen::degree_weights(self.generate(scale, seed))
     }
 }
 

@@ -29,37 +29,39 @@ use rand::{Rng, SeedableRng};
 /// Attaches weights `w(u, v) = deg(u) + deg(v)` to an unweighted graph —
 /// exactly the weighting rule the paper uses for its MSF inputs (§5.2):
 /// *"the weight of an edge (u, v) is proportional to deg(u) + deg(v)"*.
-pub fn degree_weights(g: &CsrGraph) -> WeightedCsrGraph {
+/// Takes the graph by value: it becomes the weighted graph's structure.
+pub fn degree_weights(g: CsrGraph) -> WeightedCsrGraph {
     degree_weights_with_threads(g, ampc_threads())
 }
 
-fn degree_weights_with_threads(g: &CsrGraph, threads: usize) -> WeightedCsrGraph {
-    let weights = arc_weights(g, threads, |u, v| (g.degree(u) + g.degree(v)) as Weight);
-    WeightedCsrGraph::from_parts(g.clone(), weights)
+fn degree_weights_with_threads(g: CsrGraph, threads: usize) -> WeightedCsrGraph {
+    let weights = arc_weights(&g, threads, |u, v| (g.degree(u) + g.degree(v)) as Weight);
+    WeightedCsrGraph::from_parts(g, weights)
 }
 
 /// Attaches independent uniform random weights in `1..=max_weight`.
 /// Both directions of an edge receive the same weight (the weight is a
 /// hash of the canonical endpoint pair and the seed), so the result is a
-/// valid undirected weighted graph.
-pub fn random_weights(g: &CsrGraph, max_weight: Weight, seed: u64) -> WeightedCsrGraph {
+/// valid undirected weighted graph. Takes the graph by value, as
+/// [`degree_weights`] does.
+pub fn random_weights(g: CsrGraph, max_weight: Weight, seed: u64) -> WeightedCsrGraph {
     random_weights_with_threads(g, max_weight, seed, ampc_threads())
 }
 
 fn random_weights_with_threads(
-    g: &CsrGraph,
+    g: CsrGraph,
     max_weight: Weight,
     seed: u64,
     threads: usize,
 ) -> WeightedCsrGraph {
-    let weights = arc_weights(g, threads, |u, v| {
+    let weights = arc_weights(&g, threads, |u, v| {
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
         let mut rng = SmallRng::seed_from_u64(
             seed ^ ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         rng.gen_range(1..=max_weight)
     });
-    WeightedCsrGraph::from_parts(g.clone(), weights)
+    WeightedCsrGraph::from_parts(g, weights)
 }
 
 /// `weight(u, v)` for every arc `u → v` of `g`, in CSR order. Split
@@ -103,7 +105,7 @@ mod tests {
     fn degree_weights_match_rule() {
         // star on 4 nodes: center 0 has degree 3, leaves degree 1.
         let g = star(4);
-        let w = degree_weights(&g);
+        let w = degree_weights(g);
         for e in w.edges() {
             assert_eq!(e.w, 4); // 3 + 1
         }
@@ -117,7 +119,7 @@ mod tests {
             .add_edge(2, 3)
             .add_edge(3, 0)
             .build();
-        let w = random_weights(&g, 100, 42);
+        let w = random_weights(g, 100, 42);
         for u in w.nodes() {
             for (v, wt) in w.weighted_neighbors(u) {
                 assert!((1..=100).contains(&wt));
@@ -161,9 +163,9 @@ mod tests {
                 w.nodes().flat_map(|u| w.weights_of(u)).copied().collect()
             };
             for threads in [1, 2, 3, 8] {
-                let w = degree_weights_with_threads(g, threads);
+                let w = degree_weights_with_threads(g.clone(), threads);
                 assert_eq!(all(&w), by_degree, "{threads} threads");
-                let w = random_weights_with_threads(g, 1000, 31, threads);
+                let w = random_weights_with_threads(g.clone(), 1000, 31, threads);
                 assert_eq!(all(&w), random, "{threads} threads");
             }
         }
@@ -172,8 +174,8 @@ mod tests {
     #[test]
     fn random_weights_deterministic() {
         let g = erdos_renyi(50, 100, 7);
-        let a = random_weights(&g, 1000, 9);
-        let b = random_weights(&g, 1000, 9);
+        let a = random_weights(g.clone(), 1000, 9);
+        let b = random_weights(g, 1000, 9);
         assert_eq!(a.edge_vec(), b.edge_vec());
     }
 }

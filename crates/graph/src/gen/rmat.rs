@@ -78,7 +78,7 @@ impl RmatParams {
 /// indices, each starting at its first edge's offset in the one seeded
 /// stream, so the graph is the same for every thread count (DESIGN.md
 /// §1). A level computes its quadrant draw first and the four noise
-/// draws only when the [`QuadrantTable`] cannot decide it alone.
+/// draws only when the `QuadrantTable` cannot decide it alone.
 pub fn rmat(log_n: u32, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
     rmat_with_threads(log_n, m, params, seed, ampc_threads())
 }

@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn round_trip_weighted() {
-        let g = gen::degree_weights(&gen::erdos_renyi(40, 100, 9));
+        let g = gen::degree_weights(gen::erdos_renyi(40, 100, 9));
         let mut buf = Vec::new();
         write_weighted_edge_list(&g, &mut buf).unwrap();
         let g2 = read_weighted_edge_list(&buf[..]).unwrap();

@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn weighted_keeps_weights() {
-        let g = gen::degree_weights(&gen::path(4));
+        let g = gen::degree_weights(gen::path(4));
         let keep = vec![true, true, true, false];
         let (sub, _) = induced_subgraph_weighted(&g, &keep);
         assert_eq!(sub.num_edges(), 2);

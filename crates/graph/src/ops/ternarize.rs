@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn low_degree_graph_unchanged_structure() {
-        let g = gen::degree_weights(&gen::path(5));
+        let g = gen::degree_weights(gen::path(5));
         let t = ternarize(&g);
         assert_eq!(t.graph.num_nodes(), 5);
         assert_eq!(t.graph.num_edges(), 4);
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn max_degree_bound_on_random_graph() {
-        let g = gen::degree_weights(&gen::erdos_renyi(200, 2000, 3));
+        let g = gen::degree_weights(gen::erdos_renyi(200, 2000, 3));
         let t = ternarize(&g);
         assert!(t.graph.structure().max_degree() <= 3);
         // real edges preserved

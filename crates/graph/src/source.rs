@@ -354,7 +354,7 @@ impl GraphSource {
 
     /// Loads the weighted variant with the paper's §5.2 degree rule.
     pub fn load_weighted(&self, scale: Scale, seed: u64) -> Result<WeightedCsrGraph, String> {
-        Ok(gen::degree_weights(&self.load(scale, seed)?))
+        Ok(gen::degree_weights(self.load(scale, seed)?))
     }
 }
 

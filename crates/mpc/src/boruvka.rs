@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn matches_kruskal() {
         for seed in 0..5 {
-            let g = gen::random_weights(&gen::erdos_renyi(150, 600, seed), 99_999, seed);
+            let g = gen::random_weights(gen::erdos_renyi(150, 600, seed), 99_999, seed);
             let forest = mpc(&g, &cfg().with_seed(seed)).output;
             assert_eq!(forest, kruskal(&g), "seed {seed}");
         }
@@ -204,14 +204,14 @@ mod tests {
 
     #[test]
     fn same_forest_as_ampc_pipeline() {
-        let g = gen::degree_weights(&gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 3));
+        let g = gen::degree_weights(gen::rmat(9, 4_000, gen::RmatParams::SOCIAL, 3));
         let c = cfg();
         assert_eq!(ampc(&g, &c).output, mpc(&g, &c).output);
     }
 
     #[test]
     fn three_shuffles_per_phase_and_more_phases_than_ampc() {
-        let g = gen::degree_weights(&gen::erdos_renyi(400, 2_000, 9));
+        let g = gen::degree_weights(gen::erdos_renyi(400, 2_000, 9));
         let c = cfg();
         let out = mpc(&g, &c);
         assert_eq!(out.report.num_shuffles() % 3, 0);
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn disconnected_inputs() {
-        let g = gen::random_weights(&gen::two_cycles(60, 1), 500, 1);
+        let g = gen::random_weights(gen::two_cycles(60, 1), 500, 1);
         assert_eq!(mpc(&g, &cfg()).output, kruskal(&g));
     }
 }

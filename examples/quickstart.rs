@@ -51,7 +51,7 @@ fn main() {
     );
 
     // ---- Minimum spanning forest (Theorem 1, §5.5 pipeline) -----------
-    let weighted = gen::degree_weights(&graph);
+    let weighted = gen::degree_weights(graph.clone());
     let forest = run("msf", Weighted(&weighted), &cfg);
     let AlgoOutput::Forest(edges) = &forest.output else {
         unreachable!("the msf row returns a forest")

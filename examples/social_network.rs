@@ -58,7 +58,7 @@ fn main() {
         100.0 * cover.len() as f64 / graph.num_nodes() as f64
     );
 
-    let weighted = ampc_graph::gen::degree_weights(&graph);
+    let weighted = ampc_graph::gen::degree_weights(graph);
     let mwm = approx::approx_max_weight_matching(&weighted, 0.1, &cfg);
     println!(
         "2.2-approximate max-weight matching: {} pairs, weight {}",

@@ -111,7 +111,7 @@ fn shuffle_bytes_match_data_actually_moved() {
 
 #[test]
 fn msf_pipeline_reports_all_expected_stages() {
-    let w = gen::degree_weights(&gen::erdos_renyi(500, 3_000, 7));
+    let w = gen::degree_weights(gen::erdos_renyi(500, 3_000, 7));
     let mut c = cfg();
     c.in_memory_threshold = 100;
     let out = run("msf", Weighted(&w), &c);
@@ -173,7 +173,7 @@ fn random_walk_extension_is_metered() {
 #[test]
 fn every_kernel_respects_batches_leq_ops() {
     let g = gen::rmat(10, 10_000, gen::RmatParams::SOCIAL, 12);
-    let w = gen::degree_weights(&g);
+    let w = gen::degree_weights(g.clone());
     let cycles = gen::two_cycles(600, 3);
     for caching in [true, false] {
         let c = cfg().with_caching(caching);

@@ -107,7 +107,7 @@ fn arb_spec_soup() -> impl Strategy<Value = String> {
 /// digest and report.
 fn run_family(fam: usize, c: &AmpcConfig) -> (u64, JobReport) {
     let tiny = gen::rmat(8, 1_500, gen::RmatParams::SOCIAL, 42);
-    let weighted = gen::random_weights(&tiny, 1_000, 7);
+    let weighted = gen::random_weights(tiny.clone(), 1_000, 7);
     let cycles = gen::two_cycles(200, 11);
     let p = AlgoParams::default();
     let (family, input, p) = match fam {

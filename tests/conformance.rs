@@ -233,7 +233,7 @@ fn r8_flags_missing_annotation_and_undercounted_budget() {
 #[test]
 fn r8_passes_matching_budgets_including_zero() {
     let g = gen::rmat(9, 3_000, gen::RmatParams::SOCIAL, 5);
-    let w = gen::degree_weights(&g);
+    let w = gen::degree_weights(g.clone());
     let cfg = AmpcConfig::for_tests();
     for (family, input) in [
         ("mis", AlgoInput::Unweighted(&g)),

@@ -32,7 +32,7 @@ fn sweep(family: &str) {
     let c = cfg();
     for d in Dataset::REAL_WORLD {
         let g = d.generate(Scale::Test, 7);
-        let w = gen::degree_weights(&g);
+        let w = gen::degree_weights(g.clone());
         for e in ENTRIES
             .iter()
             .filter(|e| e.family.split('/').next() == Some(family))

@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn msf_weight_equals_kruskal((n, pairs) in arb_graph(80, 250), seed in 0u64..1000) {
         let g = build(n, &pairs);
-        let w = gen::random_weights(&g, 1_000, seed);
+        let w = gen::random_weights(g, 1_000, seed);
         let c = cfg(seed);
         let forest = output("msf", AlgoInput::Weighted(&w), &c);
         prop_assert_eq!(forest, AlgoOutput::Forest(kruskal(&w)));
@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn algorithm2_equals_kruskal((n, pairs) in arb_graph(70, 200), seed in 0u64..1000) {
         let g = build(n, &pairs);
-        let w = gen::random_weights(&g, 500, seed);
+        let w = gen::random_weights(g, 500, seed);
         let forest = output("msf/algorithm2", AlgoInput::Weighted(&w), &cfg(seed));
         prop_assert_eq!(forest, AlgoOutput::Forest(kruskal(&w)));
     }
@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn ternarize_bounds_degree_and_preserves_msf_weight((n, pairs) in arb_graph(60, 200), seed in 0u64..1000) {
         let g = build(n, &pairs);
-        let w = gen::random_weights(&g, 900, seed);
+        let w = gen::random_weights(g, 900, seed);
         let t = ternarize(&w);
         prop_assert!(t.graph.structure().max_degree() <= 3);
         // MSF weight of the ternarized graph (dummies excluded, weights
@@ -141,7 +141,7 @@ proptest! {
         let g = build(n, &pairs);
         // Contract by an arbitrary forest of the graph: component count
         // must be preserved (drop_isolated=false keeps all classes).
-        let w = gen::random_weights(&g, 100, seed);
+        let w = gen::random_weights(g.clone(), 100, seed);
         let forest = kruskal(&w);
         let mut uf = ampc_trees::UnionFind::new(n);
         for e in &forest {
@@ -159,7 +159,7 @@ proptest! {
         // All-equal weights: the workspace's tie-breaking by canonical
         // endpoints must still make every implementation agree exactly.
         let g = build(n, &pairs);
-        let w = gen::random_weights(&g, 1, seed); // every weight = 1
+        let w = gen::random_weights(g, 1, seed); // every weight = 1
         let c = cfg(seed);
         let k = AlgoOutput::Forest(kruskal(&w));
         for family in ["msf", "msf/algorithm2"] {
