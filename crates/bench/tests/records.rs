@@ -667,30 +667,30 @@ const PINS: &str = "
 | mm/rmat10/t500            | 609034232174119995   | 17000404813  | 3      | 10493892727369676906 | 1807    | 59984   | 15780       | 2185    | 1024   | 1169    | 218312    | 64080   | 2717  | 64080    | 2         | 1        | 0       | 0       | 139     | 8130287716895892408  |
 | mm/er400/t500             | 7222381998748056742  | 17000210778  | 3      | 3320643073610854677  | 1887    | 28440   | 8072        | 1526    | 400    | 1134    | 116684    | 30040   | 1735  | 30040    | 2         | 1        | 0       | 0       | 139     | 256578341120497010   |
 | mm/er900/t500             | 6757947392582864843  | 17000223348  | 3      | 10216600198708597355 | 2948    | 30752   | 7912        | 2775    | 900    | 1883    | 110828    | 34352   | 2669  | 34352    | 2         | 1        | 0       | 0       | 204     | 14734282337182571569 |
-| msf/rmat10/t500           | 15590844293978655294 | 159001445309 | 19     | 8747398068828375342  | 4777    | 362720  | 100932      | 4832    | 2136   | 3788    | 585116    | 191616  | 265   | 159472   | 8         | 10       | 0       | 5       | 375     | 1302907708782850417  |
-| msf/rmat10/t10            | 15590844293978655294 | 238001454925 | 28     | 15182726715222060520 | 4124    | 364388  | 101940      | 4866    | 2154   | 3825    | 587224    | 192732  | 265   | 159472   | 12        | 15       | 0       | 7       | 377     | 6650752823863067647  |
-| msf/er400/t500            | 8689015771376465763  | 80000581993  | 10     | 16438518005632580925 | 8402    | 156744  | 43778       | 1949    | 800    | 1561    | 249632    | 82120   | 144   | 77320    | 4         | 5        | 0       | 3       | 172     | 7404714200682158721  |
-| msf/er400/t10             | 8689015771376465763  | 159000639074 | 19     | 7797196644261133578  | 1923    | 174360  | 49446       | 2067    | 864    | 1659    | 268740    | 92304   | 154   | 77320    | 8         | 10       | 0       | 5       | 178     | 4407087452772777276  |
-| msf/er900/t500            | 5349569618866933287  | 159000727457 | 19     | 6516184465530826572  | 4481    | 180248  | 50616       | 4605    | 1892   | 3683    | 303576    | 101224  | 346   | 74256    | 8         | 10       | 0       | 5       | 370     | 4758533591961824833  |
-| msf/er900/t10             | 5349569618866933287  | 237000732936 | 27     | 7388751561807881838  | 4050    | 180980  | 51006       | 4634    | 1906   | 3716    | 305104    | 101900  | 348   | 74256    | 12        | 15       | 0       | 7       | 371     | 3807233568148160227  |
-| algorithm2/rmat10/t500    | 15590844293978655294 | 174007186335 | 20     | 4118390449769090441  | 66375   | 2027136 | 525380      | 66390   | 24280  | 54274   | 2981160   | 876848  | 5764  | 605544   | 8         | 11       | 0       | 5       | 4658    | 7725008280100033527  |
-| algorithm2/rmat10/t10     | 15590844293978655294 | 253007213160 | 29     | 14604689862555950898 | 64535   | 2031388 | 528120      | 66447   | 24310  | 54328   | 2986660   | 879788  | 5764  | 605544   | 12        | 16       | 0       | 6       | 4660    | 12781746011746167495 |
-| algorithm2/er400/t500     | 8689015771376465763  | 174003547930 | 20     | 15875648220612611523 | 36865   | 1022624 | 264680      | 32303   | 12212  | 26221   | 1451524   | 445000  | 2958  | 307320   | 8         | 11       | 0       | 5       | 2274    | 1015805683154549638  |
-| algorithm2/er400/t10      | 8689015771376465763  | 253003573197 | 29     | 17601591396923068305 | 35108   | 1026772 | 267016      | 32366   | 12242  | 26281   | 1457712   | 447892  | 2962  | 307320   | 12        | 16       | 0       | 6       | 2276    | 5005348184320451309  |
-| algorithm2/er900/t500     | 5349569618866933287  | 174002826459 | 20     | 16536851236661065473 | 34680   | 785112  | 204610      | 26437   | 9856   | 21533   | 1155352   | 347528  | 2030  | 245792   | 8         | 11       | 0       | 5       | 1887    | 6487132688068015374  |
-| algorithm2/er900/t10      | 5349569618866933287  | 253002863384 | 29     | 4433482922263556885  | 31880   | 793396  | 208720      | 26517   | 9898   | 21604   | 1165448   | 352244  | 2034  | 245792   | 12        | 16       | 0       | 6       | 1889    | 14187270397702393179 |
-| cc/rmat10/t500            | 6886428942685241268  | 239003725517 | 29     | 3677226899136404339  | 8866    | 402032  | 117456      | 9210    | 4252   | 7120    | 2250556   | 236552  | 1006  | 159472   | 12        | 15       | 0       | 6       | 654     | 13810191794220324180 |
-| cc/rmat10/t10             | 6886428942685241268  | 318003747417 | 38     | 10853679269521719076 | 8215    | 405200  | 118562      | 9390    | 4352   | 7262    | 2258572   | 239200  | 1028  | 159472   | 16        | 20       | 0       | 8       | 662     | 17786748399821861451 |
-| cc/er400/t500             | 12415529030749286451 | 81000573298  | 11     | 8023269111253241246  | 13409   | 154456  | 44166       | 1949    | 800    | 1561    | 243064    | 82120   | 130   | 77320    | 4         | 5        | 0       | 3       | 172     | 12565626299667612013 |
-| cc/er400/t10              | 12415529030749286451 | 318000775857 | 38     | 1919281574091547082  | 3551    | 196244  | 57492       | 4009    | 1702   | 3206    | 320308    | 112172  | 274   | 77320    | 16        | 20       | 0       | 8       | 305     | 8569806495782237522  |
-| cc/er900/t500             | 8571818490149098678  | 239001064143 | 29     | 15823434365296522338 | 9331    | 244672  | 68648       | 9103    | 3704   | 7287    | 447824    | 147544  | 677   | 74256    | 12        | 15       | 0       | 6       | 677     | 18403784658649027220 |
-| cc/er900/t10              | 8571818490149098678  | 397001081172 | 47     | 1290973088622080272  | 8556    | 249268  | 68944       | 9351    | 3818   | 7501    | 456420    | 150748  | 684   | 74256    | 20        | 25       | 0       | 9       | 676     | 12643002635174199675 |
+| msf/rmat10/t500           | 15590844293978655294 | 159000955229 | 19     | 8747398068828375342  | 4777    | 362720  | 100932      | 4832    | 2136   | 3788    | 294884    | 98700   | 265   | 82540    | 8         | 10       | 0       | 5       | 375     | 234715573599920326   |
+| msf/rmat10/t10            | 15590844293978655294 | 238000962733 | 28     | 15182726715222060520 | 4124    | 364388  | 101940      | 4866    | 2154   | 3825    | 296176    | 99384   | 265   | 82540    | 12        | 15       | 0       | 7       | 377     | 2445768591636451675  |
+| msf/er400/t500            | 8689015771376465763  | 80000471209  | 10     | 16438518005632580925 | 8402    | 156744  | 43778       | 1949    | 800    | 1561    | 171020    | 58528   | 144   | 53728    | 4         | 5        | 0       | 3       | 172     | 5507893270039237115  |
+| msf/er400/t10             | 8689015771376465763  | 159000498866 | 19     | 7797196644261133578  | 1923    | 174360  | 49446       | 2067    | 864    | 1659    | 175452    | 60960   | 154   | 53728    | 8         | 10       | 0       | 5       | 178     | 11440474999976073146 |
+| msf/er900/t500            | 5349569618866933287  | 159000671105 | 19     | 6516184465530826572  | 4481    | 180248  | 50616       | 4605    | 1892   | 3683    | 272448    | 89068   | 346   | 74232    | 8         | 10       | 0       | 5       | 370     | 6816391413946629656  |
+| msf/er900/t10             | 5349569618866933287  | 237000675720 | 27     | 7388751561807881838  | 4050    | 180980  | 51006       | 4634    | 1906   | 3716    | 273628    | 89600   | 348   | 74232    | 12        | 15       | 0       | 7       | 371     | 17712245689719320535 |
+| algorithm2/rmat10/t500    | 15590844293978655294 | 174006798052 | 20     | 4118390449769090441  | 66375   | 2027136 | 525380      | 66390   | 24280  | 54274   | 2740044   | 779588  | 5764  | 605544   | 8         | 11       | 0       | 5       | 4658    | 16051435622896249324 |
+| algorithm2/rmat10/t10     | 15590844293978655294 | 253006814797 | 29     | 14604689862555950898 | 64535   | 2031388 | 528120      | 66447   | 24310  | 54328   | 2742184   | 780728  | 5764  | 605544   | 12        | 16       | 0       | 6       | 4660    | 3354522875474845852  |
+| algorithm2/er400/t500     | 8689015771376465763  | 174003373402 | 20     | 15875648220612611523 | 36865   | 1022624 | 264680      | 32303   | 12212  | 26221   | 1342780   | 402496  | 2958  | 307320   | 8         | 11       | 0       | 5       | 2274    | 12487050050878508454 |
+| algorithm2/er400/t10      | 8689015771376465763  | 253003388733 | 29     | 17601591396923068305 | 35108   | 1026772 | 267016      | 32366   | 12242  | 26281   | 1345200   | 403636  | 2962  | 307320   | 12        | 16       | 0       | 6       | 2276    | 10841210535053966546 |
+| algorithm2/er900/t500     | 5349569618866933287  | 174002710155 | 20     | 16536851236661065473 | 34680   | 785112  | 204610      | 26437   | 9856   | 21533   | 1078660   | 322304  | 2030  | 245792   | 8         | 11       | 0       | 5       | 1887    | 7634334403422971381  |
+| algorithm2/er900/t10      | 5349569618866933287  | 253002732104 | 29     | 4433482922263556885  | 31880   | 793396  | 208720      | 26517   | 9898   | 21604   | 1081844   | 323888  | 2034  | 245792   | 12        | 16       | 0       | 6       | 1889    | 6582555807630233403  |
+| cc/rmat10/t500            | 6886428942685241268  | 239001602107 | 29     | 3677226899136404339  | 8866    | 402032  | 117456      | 9210    | 4252   | 7120    | 659248    | 148148  | 1006  | 82540    | 12        | 15       | 0       | 6       | 654     | 6615636368882098154  |
+| cc/rmat10/t10             | 6886428942685241268  | 318001619783 | 38     | 10853679269521719076 | 8215    | 405200  | 118562      | 9390    | 4352   | 7262    | 665032    | 150508  | 1028  | 82540    | 16        | 20       | 0       | 8       | 662     | 17138856937409408715 |
+| cc/er400/t500             | 12415529030749286451 | 81000465586  | 11     | 8023269111253241246  | 13409   | 154456  | 44166       | 1949    | 800    | 1561    | 166288    | 58528   | 130   | 53728    | 4         | 5        | 0       | 3       | 172     | 7792306096601618105  |
+| cc/er400/t10              | 12415529030749286451 | 318000644817 | 38     | 1919281574091547082  | 3551    | 196244  | 57492       | 4009    | 1702   | 3206    | 232384    | 82604   | 274   | 53728    | 16        | 20       | 0       | 8       | 305     | 7674935655489065803  |
+| cc/er900/t500             | 8571818490149098678  | 239001017823 | 29     | 15823434365296522338 | 9331    | 244672  | 68648       | 9103    | 3704   | 7287    | 423260    | 136240  | 677   | 74232    | 12        | 15       | 0       | 6       | 677     | 5012615870410007800  |
+| cc/er900/t10              | 8571818490149098678  | 397001034468 | 47     | 1290973088622080272  | 8556    | 249268  | 68944       | 9351    | 3818   | 7501    | 431676    | 139372  | 684   | 74232    | 20        | 25       | 0       | 9       | 676     | 1836075929657006722  |
 | forest_cc/rmat10/t500     | 6886428942685241268  | 80000364643  | 10     | 5925663937850295221  | 4688    | 63504   | 16512       | 4635    | 2048   | 3623    | 141548    | 47920   | 269   | 35632    | 4         | 5        | 0       | 3       | 358     | 13171768108016365705 |
-| forest_cc/rmat10/t10      | 6886428942685241268  | 159000383198 | 19     | 10972630406940826478 | 4168    | 66672   | 17780       | 4820    | 2140   | 3774    | 147360    | 50360   | 279   | 35632    | 8         | 10       | 0       | 5       | 370     | 14765215036364623197 |
+| forest_cc/rmat10/t10      | 6886428942685241268  | 159000383198 | 19     | 10972630406940826478 | 4168    | 66672   | 17780       | 4820    | 2140   | 3774    | 147300    | 50348   | 279   | 35632    | 8         | 10       | 0       | 5       | 370     | 8251822723298115429  |
 | forest_cc/er400/t500      | 12415529030749286451 | 1000006400   | 1      | 11117931661787304766 | 6400    | 0       | 0           | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 0        | 0       | 0       | 0       | 14311298597113325927 |
-| forest_cc/er400/t10       | 12415529030749286451 | 159000168269 | 19     | 9557709931069373042  | 1839    | 30352   | 8948        | 2052    | 852    | 1650    | 66772     | 22176   | 145   | 15976    | 8         | 10       | 0       | 5       | 188     | 10801609103239696678 |
+| forest_cc/er400/t10       | 12415529030749286451 | 159000167837 | 19     | 9557709931069373042  | 1839    | 30352   | 8948        | 2052    | 852    | 1650    | 66508     | 22140   | 145   | 15976    | 8         | 10       | 0       | 5       | 188     | 7749741864610681157  |
 | forest_cc/er900/t500      | 8571818490149098678  | 80000339450  | 10     | 16376373030977338921 | 4816    | 64080   | 16504       | 4503    | 1800   | 3615    | 147288    | 46704   | 348   | 35904    | 4         | 5        | 0       | 3       | 354     | 12432564983536985223 |
-| forest_cc/er900/t10       | 8571818490149098678  | 159000358623 | 19     | 10935560119415755567 | 4306    | 67000   | 17698       | 4690    | 1888   | 3770    | 152832    | 48992   | 355   | 35904    | 8         | 10       | 0       | 5       | 367     | 6455031425117387225  |
+| forest_cc/er900/t10       | 8571818490149098678  | 159000358479 | 19     | 10935560119415755567 | 4306    | 67000   | 17698       | 4690    | 1888   | 3770    | 152784    | 48980   | 355   | 35904    | 8         | 10       | 0       | 5       | 367     | 14080743608215695998 |
 | mis/truncated/rmat10/t500 | 15953650136978639557 | 17000193307  | 3      | 6697106500637843023  | 2155    | 36136   | 9348        | 1634    | 1024   | 618     | 79332     | 40232   | 89    | 40232    | 2         | 1        | 0       | 0       | 82      | 1715543124890926922  |
 | mis/truncated/er400/t500  | 9711216576291673329  | 17000091165  | 3      | 13872087013967793847 | 1400    | 16620   | 4760        | 958     | 400    | 566     | 35392     | 18220   | 116   | 18220    | 2         | 1        | 0       | 0       | 80      | 2800916074037905915  |
 | mis/truncated/er900/t500  | 18144619370847960462 | 17000107487  | 3      | 12821031241509385093 | 2469    | 20776   | 5320        | 1761    | 900    | 869     | 42204     | 24376   | 153   | 24376    | 2         | 1        | 0       | 0       | 118     | 16894409201589668153 |
@@ -704,7 +704,7 @@ const PINS: &str = "
 | mm/loglog/rmat10/t500     | 609034232174119995   | 62000068568  | 6      | 9100430723819368455  | 4656    | 63912   | 15978       | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 4        | 0       | 0       | 0       | 10076136711747370987 |
 | mm/loglog/er400/t500      | 7222381998748056742  | 31000059104  | 3      | 14275959555535333545 | 11824   | 47280   | 11820       | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 2        | 0       | 0       | 0       | 5401215789763847061  |
 | mm/loglog/er900/t500      | 6757947392582864843  | 31000049884  | 3      | 16624265631577748885 | 9980    | 39904   | 9976        | 0       | 0      | 0       | 0         | 0       | 0     | 0        | 0         | 2        | 0       | 0       | 0       | 12195286401089988423 |
-| cc/ok-mid                 | 12836948064979459057 | 179855957310 | 20     | 6673416924920222776  | 44727   | 3725112 | 465478      | 12533   | 4352   | 10417   | 20756416  | 1896304 | 792   | 1806080  | 8         | 10       | 0       | 10      | 973     | 195202447752884044   |
+| cc/ok-mid                 | 12836948064979459057 | 164499149310 | 20     | 6673416924920222776  | 44727   | 3725112 | 465478      | 12533   | 4352   | 10417   | 1738732   | 392788  | 792   | 354812   | 8         | 10       | 0       | 10      | 973     | 9450627032310196806  |
 | mis/ok-mid                | 13521415645796549998 | 18485736312  | 3      | 3000479513471479513  | 9439    | 320128  | 36756       | 5857    | 2048   | 3829    | 1400972   | 328320  | 227   | 328320   | 2         | 1        | 0       | 1       | 379     | 16401318458416445601 |
 | mm/ok-mid                 | 5088117128787151530  | 21666520249  | 3      | 6404929982127974896  | 14221   | 615680  | 68900       | 10114   | 2048   | 8086    | 5663652   | 623872  | 18783 | 623872   | 2         | 1        | 0       | 1       | 739     | 9189958588683934921  |
 | mis-uncached/ok-mid       | 13521415645796549998 | 21647804374  | 3      | 14188802294463022770 | 51208   | 320128  | 36756       | 26628   | 2048   | 24600   | 5136128   | 328320  | 0     | 328320   | 2         | 1        | 0       | 1       | 2159    | 12649348413281593314 |

@@ -21,16 +21,19 @@
 //!
 //! **What the host pays for** (DESIGN.md §11). The round takes its edges
 //! strictly ascending in `w` and never sorts. SortGraph's records are one
-//! flat arc table, filled stably so every list is weight-sorted, and
-//! `KV-Write` copies each list out once. A search keeps one cursor per
-//! *expanded* list (`Frontier`) and so pays per arc it pops, not per
-//! arc its vertices own; its pop sequence — and with it every op, query
-//! and byte charged — is that of a heap holding every arc. Contract is
+//! flat arc table, filled stably so every list is weight-sorted and cut
+//! to its `budget` lightest arcs, and `KV-Write` copies each cut list out
+//! once. A search pops at most `budget - 1` arcs of one list, so the cut
+//! loses nothing it could pop; the shuffle is still charged every arc.
+//! A search keeps one cursor per *expanded* list (`Frontier`) and so
+//! pays per arc it pops, not per arc its vertices own; its pop sequence
+//! — and with it every op and query — is that of a heap holding every
+//! arc of the uncut lists, and a `get` returns only the cut. Contract is
 //! a striped pass over the weight-ordered edges: the keyed shuffle is
 //! metered from per-machine loads, nothing is moved, and of a contracted
 //! pair the edge with the smallest index, its lightest, survives.
 
-use crate::prim::{edge_ordered_adjacency, PAR_MIN};
+use crate::prim::{edge_ordered_adjacency, FlatAdjacency, PAR_MIN};
 use crate::priorities::{edge_key, node_rank};
 use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::{FxHashMap, FxHashSet};
@@ -146,6 +149,50 @@ fn adjacency_arcs(e: &ProvEdge) -> [(NodeId, (NodeId, u64)); 2] {
     [(e.u, (e.v, e.w)), (e.v, (e.u, e.w))]
 }
 
+/// SortGraph's records for a search of at most `budget` vertices: every
+/// vertex's `(neighbor, weight)` arcs, lightest first and cut to the
+/// `budget` lightest, beside every vertex's full degree.
+///
+/// The cut is exact. Before the k-th pop from `x`'s list, `x` and the
+/// k − 1 earlier targets of that list are visited, and they are k
+/// distinct vertices when the list names distinct vertices other than
+/// `x`; a search pops only while fewer than `budget` vertices are
+/// visited, so k < `budget`. Every pop of the uncut lists is therefore a
+/// pop of the cut ones. `edges` from a `GraphBuilder` graph or from
+/// Contract have no loops and no parallel edges, but a `from_parts`
+/// multigraph or a directed input may; so the fill checks every cut list
+/// and, if one repeats a vertex or names its owner, the table is built
+/// again uncut.
+fn prim_table(
+    n: usize,
+    edges: &[ProvEdge],
+    budget: u64,
+    threads: usize,
+) -> (FlatAdjacency<(NodeId, u64)>, Vec<usize>) {
+    let cap = usize::try_from(budget).unwrap_or(usize::MAX);
+    let build = |cap| {
+        edge_ordered_adjacency(
+            n,
+            edges,
+            adjacency_arcs,
+            cap,
+            names_distinct_others,
+            threads,
+        )
+    };
+    build(cap)
+        .or_else(|| build(usize::MAX))
+        .expect("an uncut table has no cut list to check")
+}
+
+/// Whether `list` names distinct vertices other than `owner`.
+fn names_distinct_others(owner: NodeId, list: &[(NodeId, u64)]) -> bool {
+    let mut seen: FxHashSet<NodeId> =
+        FxHashSet::with_capacity_and_hasher(list.len() + 1, Default::default());
+    seen.insert(owner);
+    list.iter().all(|&(t, _)| seen.insert(t))
+}
+
 /// Per-search output: discovered MSF edges + visited vertices.
 struct SearchOut {
     origin: NodeId,
@@ -188,15 +235,16 @@ pub fn prim_contract_round(
 
     // ------------------------------------------------ SortGraph shuffle
     // Per vertex: its `(neighbor, weight)` arcs, lightest first — a
-    // stable fill of the weight-ordered edges. Host-side only vertex ids
-    // move; the simulated shuffle redistributes the full record (id +
-    // length-prefixed list of 12-byte arcs).
-    let sorted = edge_ordered_adjacency(n, edges, adjacency_arcs, job.config().threads);
+    // stable fill of the weight-ordered edges, cut to what a search can
+    // pop. Host-side only vertex ids move; the simulated shuffle
+    // redistributes the full record (id + length-prefixed list of every
+    // 12-byte arc): the machine that sorts a list writes its prefix.
+    let (sorted, degrees) = prim_table(n, edges, budget, job.config().threads);
     let buckets = job.shuffle_by_key_measured(
         &format!("SortGraph{tag}"),
         (0..n as NodeId).collect(),
         |&v| v as u64,
-        |&v| 12 + 12 * sorted.list(v).len() as u64,
+        |&v| 12 + 12 * degrees[v as usize] as u64,
     );
 
     // --------------------------------------------------------- KV-Write
@@ -215,7 +263,7 @@ pub fn prim_contract_round(
         },
     );
     // Freed before the seal allocates the generation it was copied into.
-    drop(sorted);
+    drop((sorted, degrees));
     dht.push(writer.seal());
 
     // ------------------------------------------------------- PrimSearch
@@ -628,6 +676,7 @@ fn prim_search_oracle<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc_dht::hasher::mix64;
     use ampc_dht::metrics::CommStats;
     use ampc_dht::store::Generation;
     use ampc_graph::{gen, CsrGraph};
@@ -858,23 +907,47 @@ mod tests {
         )
     }
 
-    /// The cursor merge against the push-all oracle on `g`: equal MSF
-    /// edges (in discovery order), visited sets, per-machine ops and
-    /// per-machine communication, for every budget.
-    fn assert_search_is_exact(g: &WeightedCsrGraph, origins: &[NodeId], seed: u64) {
-        let read = sealed_adjacency(&distinctify(g));
-        let root_n = (g.num_nodes() as f64).sqrt().ceil() as u64;
+    /// Every machine's counts but the bytes a cut list saves: `(ops,
+    /// queries, round trips, cache hits)`.
+    fn counts(machines: &[(u64, CommStats)]) -> Vec<(u64, u64, u64, u64)> {
+        machines
+            .iter()
+            .map(|(ops, c)| (*ops, c.queries, c.batches, c.cache_hits))
+            .collect()
+    }
+
+    /// The cursor merge against the push-all oracle over `edges`, on the
+    /// whole generation: equal MSF edges (in discovery order), visited
+    /// sets, per-machine ops and per-machine communication. Then the
+    /// search on the generation a round stores, cut to `budget` arcs a
+    /// list, against the search on the whole one: equal outputs, ops,
+    /// queries and round trips, and no more bytes. For every budget.
+    fn assert_search_is_exact(n: usize, edges: &[ProvEdge], origins: &[NodeId], seed: u64) {
+        let whole = sealed_adjacency(n, edges, u64::MAX);
+        let root_n = (n as f64).sqrt().ceil() as u64;
         for budget in [1, 2, 4, root_n, u64::MAX] {
-            let merged = run_searches(&read, origins, seed, budget, prim_search);
-            let pushed = run_searches(&read, origins, seed, budget, prim_search_oracle);
+            let merged = run_searches(&whole, origins, seed, budget, prim_search);
+            let pushed = run_searches(&whole, origins, seed, budget, prim_search_oracle);
             assert_eq!(merged, pushed, "budget {budget}");
+            let cut = sealed_adjacency(n, edges, budget);
+            let (found, machines) = run_searches(&cut, origins, seed, budget, prim_search);
+            assert_eq!(found, merged.0, "cut generation, budget {budget}");
+            assert_eq!(counts(&machines), counts(&merged.1), "cut, budget {budget}");
+            let bytes = |m: &[(u64, CommStats)]| m.iter().map(|x| x.1.bytes_read).sum::<u64>();
+            assert!(bytes(&machines) <= bytes(&merged.1), "budget {budget}");
         }
     }
 
-    /// The generation `KV-Write` seals: every vertex's weight-sorted list.
-    fn sealed_adjacency(d: &Distinct) -> Generation<Adj> {
-        let sorted = edge_ordered_adjacency(d.n, &d.edges, adjacency_arcs, 1);
-        Generation::from_iter((0..d.n as NodeId).map(|v| (v as u64, sorted.list(v).to_vec())))
+    /// [`assert_search_is_exact`] over `g`'s strictly ordered edges.
+    fn assert_search_is_exact_on(g: &WeightedCsrGraph, origins: &[NodeId], seed: u64) {
+        let d = distinctify(g);
+        assert_search_is_exact(d.n, &d.edges, origins, seed);
+    }
+
+    /// The generation `KV-Write` seals for searches of `budget` vertices.
+    fn sealed_adjacency(n: usize, edges: &[ProvEdge], budget: u64) -> Generation<Adj> {
+        let (table, _) = prim_table(n, edges, budget, 1);
+        Generation::from_iter((0..n as NodeId).map(|v| (v as u64, table.list(v).to_vec())))
     }
 
     /// `g` with tie-heavy degree weights or with random ones.
@@ -899,14 +972,14 @@ mod tests {
         }
         for g in [lonely.build(), gen::path(33), CsrGraph::empty(3)] {
             let g = gen::random_weights(g, 50, 9);
-            assert_search_is_exact(&g, &all_nodes(&g), 0xA3C5);
+            assert_search_is_exact_on(&g, &all_nodes(&g), 0xA3C5);
         }
         // A star: one 10 000-entry list, searched from the hub and from
         // a few leaves (the oracle pushes the whole list per search).
         let star = gen::random_weights(gen::star(10_001), 1_000, 2);
         let origins: Vec<NodeId> = (0..40).chain([5_000, 10_000]).collect();
         for seed in [1, 2, 3] {
-            assert_search_is_exact(&star, &origins, seed);
+            assert_search_is_exact_on(&star, &origins, seed);
         }
     }
 
@@ -921,8 +994,9 @@ mod tests {
         let first = (0..3)
             .min_by_key(|&v| node_rank(seed, v))
             .expect("three vertices");
-        assert_search_is_exact(&g, &[first], seed);
-        let read = sealed_adjacency(&distinctify(&g));
+        assert_search_is_exact_on(&g, &[first], seed);
+        let d = distinctify(&g);
+        let read = sealed_adjacency(d.n, &d.edges, u64::MAX);
         let (searches, machines) = run_searches(&read, &[first], seed, u64::MAX, prim_search);
         let (_, msf, visited) = &searches[0];
         assert_eq!((msf.len(), visited.len()), (2, 2));
@@ -930,6 +1004,105 @@ mod tests {
         // 6 arcs in the three lists, all of them popped: 2 MSF edges, 4
         // arcs into visited vertices.
         assert_eq!(pops, 6);
+    }
+
+    /// A symmetric `from_parts` graph with every `(u, v, w)` stored as
+    /// two arcs, loops and repeats included.
+    fn multigraph(n: usize, edges: &[(NodeId, NodeId, u64)]) -> WeightedCsrGraph {
+        let mut lists: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); n];
+        for &(u, v, w) in edges {
+            lists[u as usize].push((v, w));
+            lists[v as usize].push((u, w));
+        }
+        let mut offsets = vec![0];
+        offsets.extend(lists.iter().scan(0, |end, l| {
+            *end += l.len();
+            Some(*end)
+        }));
+        let (targets, weights) = lists.into_iter().flatten().unzip();
+        WeightedCsrGraph::from_parts(CsrGraph::from_parts(offsets, targets, true), weights)
+    }
+
+    /// Hub 0 and `leaves` leaves on a path, the hub's lightest arcs a
+    /// loop (twice) and its edge to leaf 1 (twice): a cut list that
+    /// names its owner and repeats a vertex.
+    fn hub_with_loop_and_repeat(leaves: NodeId) -> WeightedCsrGraph {
+        let mut edges = vec![(0, 0, 1), (0, 0, 1), (0, 1, 2), (0, 1, 3)];
+        edges.extend((2..=leaves).map(|x| (0, x, 2 * x as u64 + 5)));
+        edges.extend((1..leaves).map(|x| (x, x + 1, 3 * x as u64)));
+        multigraph(leaves as usize + 1, &edges)
+    }
+
+    /// Every undirected edge of an ER graph as two arcs of a directed
+    /// `from_parts` graph: `cc` reads both as edges, a parallel pair.
+    fn directed_both_ways(n: usize, m: usize, seed: u64) -> CsrGraph {
+        let g = gen::erdos_renyi(n, m, seed);
+        CsrGraph::from_parts(g.offsets().to_vec(), g.targets().to_vec(), false)
+    }
+
+    #[test]
+    fn search_is_exact_on_multigraphs() {
+        let hub = hub_with_loop_and_repeat(60);
+        for seed in [1, 2, 3] {
+            assert_search_is_exact_on(&hub, &all_nodes(&hub), seed);
+        }
+        let directed = directed_both_ways(80, 200, 4);
+        let n = directed.num_nodes();
+        let edges = crate::prim::hash_ranked_edges(&directed, |u, v| mix64(edge_key(u, v)), 1);
+        assert_search_is_exact(n, &edges, &(0..n as NodeId).collect::<Vec<_>>(), 5);
+    }
+
+    /// The first round's PrimSearch stage in `job` against searches over
+    /// `edges`: the ops and queries of the whole generation, the bytes of
+    /// the one the round stores — the whole one, if `falls_back`.
+    fn assert_round_one_is_exact(job: &Job, n: usize, edges: &[ProvEdge], falls_back: bool) {
+        let cfg = job.config();
+        let origins: Vec<NodeId> = (0..n as NodeId).collect();
+        let budget = cfg.prim_budget(n);
+        let search = |read: &Generation<Adj>| {
+            let (_, machines) = run_searches(read, &origins, cfg.seed ^ 1, budget, prim_search);
+            let sum = |f: fn(&(u64, CommStats)) -> u64| machines.iter().map(f).sum::<u64>();
+            (sum(|m| m.0), sum(|m| m.1.queries), sum(|m| m.1.bytes_read))
+        };
+        let whole = search(&sealed_adjacency(n, edges, u64::MAX));
+        let stored = search(&sealed_adjacency(n, edges, budget));
+        let stage = job
+            .report()
+            .stages
+            .iter()
+            .find(|s| s.name == "PrimSearch")
+            .expect("a first round ran");
+        let got = (stage.ops, stage.comm.queries, stage.comm.bytes_read);
+        assert_eq!(got, (whole.0, whole.1, stored.2));
+        assert_eq!(stored == whole, falls_back, "{stored:?} against {whole:?}");
+    }
+
+    #[test]
+    fn multigraphs_through_msf_and_cc() {
+        let cfg = AmpcConfig::for_tests();
+        let hub = hub_with_loop_and_repeat(700);
+        let d = distinctify(&hub);
+        assert!(d.edges.len() > cfg.in_memory_threshold);
+        let mut job = Job::new(cfg);
+        let msf = crate::msf::dense::ampc_msf_in_job(&mut job, &hub);
+        assert!(crate::validate::is_min_spanning_forest(&hub, &msf));
+        // The loop and the repeat are the hub's lightest arcs.
+        assert_round_one_is_exact(&job, d.n, &d.edges, true);
+
+        // A random ranking puts the hub's loop and repeat anywhere in its
+        // list; each arc of the directed graph sits beside its twin.
+        for (g, falls_back) in [
+            (hub.into_unweighted(), false),
+            (directed_both_ways(400, 800, 6), true),
+        ] {
+            let mut job = Job::new(cfg);
+            let label = crate::connectivity::ampc_connected_components_in_job(&mut job, &g);
+            assert!(crate::validate::is_correct_components(&g, &label));
+            let hash = |u, v| mix64(cfg.seed ^ edge_key(u, v));
+            let edges = crate::prim::hash_ranked_edges(&g, hash, 1);
+            assert!(edges.len() > cfg.in_memory_threshold);
+            assert_round_one_is_exact(&job, g.num_nodes(), &edges, falls_back);
+        }
     }
 
     proptest! {
@@ -943,13 +1116,13 @@ mod tests {
             ties in 0u8..2,
         ) {
             let g = weighted(gen::erdos_renyi(n, m, seed), ties, seed);
-            assert_search_is_exact(&g, &all_nodes(&g), seed ^ 0x51);
+            assert_search_is_exact_on(&g, &all_nodes(&g), seed ^ 0x51);
         }
 
         #[test]
         fn search_is_exact_on_skewed_rmat(m in 100usize..3000, seed in 0u64..1000, ties in 0u8..2) {
             let g = weighted(gen::rmat(8, m, gen::RmatParams::SOCIAL, seed), ties, seed);
-            assert_search_is_exact(&g, &all_nodes(&g), seed);
+            assert_search_is_exact_on(&g, &all_nodes(&g), seed);
         }
     }
 }

@@ -27,9 +27,10 @@
 //! PermuteGraph store, built once into flat `(offsets, arcs)`.
 //! [`edge_ordered_adjacency`] is its counterpart over an edge list
 //! already in list order (the Prim round's weight-sorted SortGraph
-//! records): a stable fill, no sort at all. [`hash_ranked_edges`] sorts
-//! a graph's edges by a hash with the same shape over hash buckets: a
-//! bucket's place is a prefix sum, and only each bucket is sorted.
+//! records): a stable fill, no sort at all, each list cut to a cap.
+//! [`hash_ranked_edges`] sorts a graph's edges by a hash with the same
+//! shape over hash buckets: a bucket's place is a prefix sum, and only
+//! each bucket is sorted.
 
 use crate::msf::common::ProvEdge;
 use ampc_dht::store::ampc_threads;
@@ -395,19 +396,24 @@ pub fn ranked_adjacency<K: ArcKey>(
 }
 
 /// Builds per-vertex arc lists from an **edge list**, every list in edge
-/// order: `arcs(e)` names the two `(owner, arc)` pairs edge `e`
-/// contributes, and `list(v)` holds the arcs owned by `v` in the order
-/// their edges appear in `edges`. An edge list sorted by some key
-/// therefore yields lists sorted by that key with no per-list sort —
-/// the weight-ordered adjacency of the §5.5 Prim round (DESIGN.md §11).
+/// order and cut to its first `cap` arcs: `arcs(e)` names the two
+/// `(owner, arc)` pairs edge `e` contributes, and `list(v)` holds the
+/// first `cap` arcs owned by `v` in the order their edges appear in
+/// `edges`. An edge list sorted by some key therefore yields lists sorted
+/// by that key with no per-list sort — the weight-ordered adjacency of
+/// the §5.5 Prim round, which keeps only what a truncated search can pop
+/// (DESIGN.md §11). Returns the lists and every vertex's full arc count,
+/// or `None` if `cut_ok(v, list(v))` fails for a list that lost arcs to
+/// the cap. `cut_ok` runs on no list when `cap` is `usize::MAX`.
 ///
 /// Count → prefix → stable fill. A stable scatter cannot split the
 /// *edges* over threads (one list's slots would interleave across
 /// stripes), so it splits the *vertices*: every stripe streams the
-/// whole edge list and writes only the arcs its contiguous,
-/// arc-balanced vertex range owns, into its own window of the output.
-/// The sequential reads are cheap next to the scattered writes they
-/// divide. The count stays on one thread for the same reason turned
+/// whole edge list, writes only the arcs its contiguous, arc-balanced
+/// vertex range owns into its own window of the output, skips those past
+/// their list's cap, then runs `cut_ok` on its cut lists while they are
+/// in cache. The sequential reads are cheap next to the scattered writes
+/// they divide. The count stays on one thread for the same reason turned
 /// around: its increments land in one small table, the stream is all of
 /// its cost, and every stripe would pay that in full. `arcs` runs once
 /// per edge in the count and once per edge per stripe in the fill, and
@@ -420,41 +426,51 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
     n: usize,
     edges: &[E],
     arcs: impl Fn(&E) -> [(NodeId, A); 2] + Sync,
+    cap: usize,
+    cut_ok: impl Fn(NodeId, &[A]) -> bool + Sync,
     threads: usize,
-) -> FlatAdjacency<A> {
-    let arcs = &arcs;
+) -> Option<(FlatAdjacency<A>, Vec<usize>)> {
+    let (arcs, cut_ok) = (&arcs, &cut_ok);
 
-    // Pass 1: arcs per vertex, then the prefix sum. Both passes unpack
-    // an edge's two arcs by hand: whether LLVM scalarises a `flat_map`
-    // over the `[_; 2]` depends on inlining choices elsewhere in the
-    // crate, and when it does not, the fill keeps the array on the stack
-    // and runs ~1.7x slower (`cc-rmat16`).
-    let mut offsets = vec![0usize; n + 1];
+    // Pass 1: arcs per vertex, then the prefix sum of the kept ones. Both
+    // passes unpack an edge's two arcs by hand: whether LLVM scalarises a
+    // `flat_map` over the `[_; 2]` depends on inlining choices elsewhere
+    // in the crate, and when it does not, the fill keeps the array on the
+    // stack and runs ~1.7x slower (`cc-rmat16`).
+    let mut degrees = vec![0usize; n];
     for e in edges {
         let [(a, _), (b, _)] = arcs(e);
-        offsets[a as usize + 1] += 1;
-        offsets[b as usize + 1] += 1;
+        degrees[a as usize] += 1;
+        degrees[b as usize] += 1;
     }
+    let mut offsets = vec![0usize; n + 1];
     for v in 0..n {
-        offsets[v + 1] += offsets[v];
+        offsets[v + 1] = offsets[v] + degrees[v].min(cap);
     }
 
-    // Pass 2: every stripe fills its vertices' lists, in edge order.
+    // Pass 2: every stripe fills its vertices' lists, in edge order, then
+    // checks the ones it cut.
     let mut table = vec![A::default(); offsets[n]];
+    let stripes = arc_balanced_stripes(&offsets, threads.max(1));
+    let mut cuts_ok = vec![true; stripes.len()];
     {
-        let offsets = &offsets;
+        let (offsets, degrees) = (&offsets, &degrees);
         let mut rest = table.as_mut_slice();
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for r in arc_balanced_stripes(offsets, threads.max(1)) {
+        for (r, ok) in stripes.into_iter().zip(cuts_ok.iter_mut()) {
             let base = offsets[r.start];
             let (win, tail) = rest.split_at_mut(offsets[r.end] - base);
             rest = tail;
             tasks.push(Box::new(move || {
-                let mut next: Vec<usize> = offsets[r.clone()].iter().map(|&o| o - base).collect();
+                let mut free: Vec<Range<usize>> = r
+                    .clone()
+                    .map(|v| offsets[v] - base..offsets[v + 1] - base)
+                    .collect();
                 let mut place = |(v, arc): (NodeId, A)| {
-                    if let Some(slot) = next.get_mut((v as usize).wrapping_sub(r.start)) {
-                        win[*slot] = arc;
-                        *slot += 1;
+                    if let Some(slot) = free.get_mut((v as usize).wrapping_sub(r.start)) {
+                        if let Some(at) = slot.next() {
+                            win[at] = arc;
+                        }
                     }
                 };
                 for e in edges {
@@ -462,14 +478,21 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
                     place(first);
                     place(second);
                 }
+                *ok = r.filter(|&v| degrees[v] > cap).all(|v| {
+                    let list = &win[offsets[v] - base..offsets[v + 1] - base];
+                    cut_ok(v as NodeId, list)
+                });
             }));
         }
         run_tasks(tasks, threads);
     }
-    FlatAdjacency {
-        offsets,
-        arcs: table,
-    }
+    cuts_ok.iter().all(|&ok| ok).then(|| {
+        let lists = FlatAdjacency {
+            offsets,
+            arcs: table,
+        };
+        (lists, degrees)
+    })
 }
 
 /// The edges of `g`, each once as [`CsrGraph::edges`] yields it, in
@@ -499,10 +522,10 @@ pub fn hash_ranked_edges(
     hash: impl Fn(NodeId, NodeId) -> u64 + Sync,
     threads: usize,
 ) -> Vec<ProvEdge> {
-    let (threads, m) = (threads.max(1), g.num_edges());
+    let threads = threads.max(1);
     // 512 to 1023 edges a bucket, at most 2^16 buckets: few enough write
     // streams for the scatter to stay in cache, and a bucket sorts in L1.
-    let bits = (m >> 9).max(2).ilog2().min(16);
+    let bits = (g.num_edges() >> 9).max(2).ilog2().min(16);
     let buckets = 1usize << bits;
     let bucket_of = |h: u64| (h >> (64 - bits)) as usize;
     let hash = &hash;
@@ -527,6 +550,9 @@ pub fn hash_ranked_edges(
         let in_b: usize = counts.iter().skip(b).step_by(buckets).sum();
         starts[b + 1] = starts[b] + in_b;
     }
+    // What pass 1 met, not `num_edges`: a loop stored as two arcs of a
+    // symmetric `from_parts` graph is one edge there and two here.
+    let m = starts[buckets];
 
     // Pass 2: every stripe scatters into its chunk of every bucket.
     let mut packed = vec![0u64; m];
@@ -786,10 +812,30 @@ mod tests {
         assert_eq!(flat.list(3), &[0, 1, 2, 4, 5, 6, 7]);
     }
 
+    /// `k` stars with 1..=`k` leaves side by side, then one isolated
+    /// vertex: lists of every length from 0 to `k`, so every cap below
+    /// `k` meets lists of exactly `cap` and `cap + 1` arcs.
+    fn stars_of_every_size(k: usize) -> CsrGraph {
+        let mut b = ampc_graph::GraphBuilder::new(k * (k + 3) / 2 + 1);
+        let mut next = 0;
+        for leaves in 1..=k as NodeId {
+            let hub = next;
+            for leaf in hub + 1..=hub + leaves {
+                b.push_edge(hub, leaf, 0);
+            }
+            next += leaves + 1;
+        }
+        b.build()
+    }
+
+    /// Every list in edge order and cut to its first `cap` arcs, the full
+    /// degrees beside it, and the check run on exactly the cut lists, at
+    /// 1 / 2 / 3 / 8 threads.
     #[test]
     fn edge_ordered_lists_keep_edge_order_at_every_thread_count() {
         for g in [
             gen::rmat(8, 2_000, gen::RmatParams::SOCIAL, 5),
+            stars_of_every_size(9),
             gen::star(40),
             CsrGraph::empty(7),
             CsrGraph::empty(0),
@@ -807,15 +853,45 @@ mod tests {
                 pushed[u as usize].push((v, i));
                 pushed[v as usize].push((u, i));
             }
-            for threads in [1, 2, 8] {
-                let adj = edge_ordered_adjacency(
-                    g.num_nodes(),
-                    &edges,
-                    |&(u, v, i)| [(u, (v, i)), (v, (u, i))],
-                    threads,
-                );
-                for v in g.nodes() {
-                    assert_eq!(adj.list(v), pushed[v as usize], "{threads} threads");
+            let full: Vec<usize> = pushed.iter().map(Vec::len).collect();
+            for cap in [0, 1, 3, usize::MAX] {
+                let cut: Vec<NodeId> = g.nodes().filter(|&v| full[v as usize] > cap).collect();
+                for threads in [1, 2, 3, 8] {
+                    let checked = std::sync::Mutex::new(Vec::new());
+                    let (adj, degrees) = edge_ordered_adjacency(
+                        g.num_nodes(),
+                        &edges,
+                        |&(u, v, i)| [(u, (v, i)), (v, (u, i))],
+                        cap,
+                        |v, list| {
+                            assert_eq!(list, &pushed[v as usize][..cap], "cut list of {v}");
+                            checked.lock().expect("no panic holds it").push(v);
+                            true
+                        },
+                        threads,
+                    )
+                    .expect("every cut list passes");
+                    let at = format!("cap {cap}, {threads} threads");
+                    assert_eq!(degrees, full, "{at}");
+                    for v in g.nodes() {
+                        let whole = &pushed[v as usize];
+                        assert_eq!(adj.list(v), &whole[..whole.len().min(cap)], "{at}");
+                    }
+                    let mut checked = checked.into_inner().expect("no panic holds it");
+                    checked.sort_unstable();
+                    assert_eq!(checked, cut, "the check runs on every cut list, {at}");
+                    // One failing cut list fails the build.
+                    if let Some(&last) = cut.last() {
+                        let refused = edge_ordered_adjacency(
+                            g.num_nodes(),
+                            &edges,
+                            |&(u, v, i)| [(u, (v, i)), (v, (u, i))],
+                            cap,
+                            |v, _| v != last,
+                            threads,
+                        );
+                        assert!(refused.is_none(), "{at}");
+                    }
                 }
             }
         }
@@ -849,9 +925,12 @@ mod tests {
         lonely.push_edge(3, 7, 0);
         // A directed graph: every arc is an edge, both directions too.
         let directed = CsrGraph::from_parts(vec![0, 2, 3, 3], vec![1, 2, 0], false);
+        // Symmetric, with a loop stored as two arcs and a repeated edge.
+        let multi = CsrGraph::from_parts(vec![0, 5, 7, 8], vec![0, 0, 1, 1, 2, 0, 0, 0], true);
         for g in [
             lonely.build(),
             directed,
+            multi,
             gen::star(300),
             CsrGraph::empty(5),
             CsrGraph::empty(0),
@@ -877,7 +956,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn edge_ordered_rejects_an_owner_out_of_range() {
-        edge_ordered_adjacency(3, &[(1u32, 3u32)], |&(u, v)| [(u, v), (v, u)], 2);
+        let arcs = |&(u, v): &(NodeId, NodeId)| [(u, v), (v, u)];
+        edge_ordered_adjacency(3, &[(1, 3)], arcs, usize::MAX, |_, _| true, 2);
     }
 
     #[test]
