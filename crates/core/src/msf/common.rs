@@ -38,10 +38,10 @@ use crate::priorities::{edge_key, node_rank};
 use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::{FxHashMap, FxHashSet};
 use ampc_dht::measured::Measured;
+use ampc_dht::pool::par_map;
 use ampc_dht::store::{Dht, GenerationWriter};
 use ampc_graph::stripes::stripe_bounds;
 use ampc_graph::{NodeId, Weight, WeightedCsrGraph, WeightedEdge, NO_NODE};
-use ampc_runtime::pool::run_tasks;
 use ampc_runtime::Job;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -456,27 +456,17 @@ fn contract(
     threads: usize,
 ) -> (Vec<ProvEdge>, Vec<u64>) {
     let parts = if edges.len() < PAR_MIN { 1 } else { threads };
-    let stripes = stripe_bounds(edges.len(), parts);
-    let mut found: Vec<PairEdges> = stripes.iter().map(|_| PairEdges::default()).collect();
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
-            .into_iter()
-            .zip(found.iter_mut())
-            .map(|(r, pairs)| {
-                Box::new(move || {
-                    for (i, e) in edges[r.clone()].iter().enumerate() {
-                        let (ru, rv) = (root_of[e.u as usize], root_of[e.v as usize]);
-                        if ru != rv {
-                            let pair = (ru.min(rv), ru.max(rv));
-                            pairs.entry(pair).or_insert((r.start + i, 0)).1 +=
-                                e.size_bytes() as u64;
-                        }
-                    }
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(tasks, threads);
-    }
+    let found = par_map(stripe_bounds(edges.len(), parts), threads, |r| {
+        let mut pairs = PairEdges::default();
+        for (i, e) in edges[r.clone()].iter().enumerate() {
+            let (ru, rv) = (root_of[e.u as usize], root_of[e.v as usize]);
+            if ru != rv {
+                let pair = (ru.min(rv), ru.max(rv));
+                pairs.entry(pair).or_insert((r.start + i, 0)).1 += e.size_bytes() as u64;
+            }
+        }
+        pairs
+    });
     let mut found = found.into_iter();
     let mut pairs = found.next().unwrap_or_default();
     for later in found {

@@ -11,8 +11,8 @@
 //! high-water capacity.
 //!
 //! Above [`PAR_MIN`] elements and with more than one executor thread,
-//! the primitives stripe over the persistent
-//! [`ampc_runtime::pool::WorkerPool`]: pass 1 counts survivors per
+//! the primitives stripe over the process-wide pool, one
+//! [`par_map`] part per stripe: pass 1 counts survivors per
 //! stripe in parallel, pass 2 scatters each stripe into its disjoint,
 //! pre-sized window of the output (safe `split_at_mut` windows — no
 //! aliasing, no locks). Output order equals input order for every
@@ -33,10 +33,10 @@
 //! each bucket is sorted.
 
 use crate::msf::common::ProvEdge;
+use ampc_dht::pool::par_map;
 use ampc_dht::store::ampc_threads;
-use ampc_graph::stripes::{arc_balanced_stripes, stripe_bounds};
+use ampc_graph::stripes::{arc_balanced_stripes, stripe_bounds, windows_mut};
 use ampc_graph::{CsrGraph, NodeId};
-use ampc_runtime::pool::run_tasks;
 use std::ops::Range;
 
 /// Below this many elements the striped paths fall back to a simple
@@ -59,40 +59,14 @@ pub fn pack_range_with_threads(
     threads: usize,
 ) {
     assert!(n <= u32::MAX as usize, "pack_range indexes with u32");
-    out.clear();
-    if threads <= 1 || n < PAR_MIN {
-        out.extend((0..n).filter(|&i| pred(i)).map(|i| i as u32));
-        return;
-    }
-    let stripes = stripe_bounds(n, threads);
-    let mut counts = vec![0usize; stripes.len()];
     let pred = &pred;
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
-            .iter()
-            .zip(counts.iter_mut())
-            .map(|(r, c)| {
-                let r = r.clone();
-                Box::new(move || *c = r.filter(|&i| pred(i)).count()) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(tasks, threads);
-    }
-    let total: usize = counts.iter().sum();
-    out.resize(total, 0);
-    let mut rest = out.as_mut_slice();
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
-    for (r, &c) in stripes.iter().zip(&counts) {
-        let (win, tail) = rest.split_at_mut(c);
-        rest = tail;
-        let r = r.clone();
-        tasks.push(Box::new(move || {
-            for (slot, i) in win.iter_mut().zip(r.filter(|&i| pred(i))) {
-                *slot = i as u32;
-            }
-        }));
-    }
-    run_tasks(tasks, threads);
+    pack(
+        n,
+        |r| r.filter(move |&i| pred(i)).map(|i| i as u32),
+        0,
+        out,
+        threads,
+    );
 }
 
 /// Fills `out` with copies of the elements of `src` satisfying `pred`,
@@ -114,119 +88,46 @@ pub fn filter_into_with_threads<T>(
 ) where
     T: Copy + Send + Sync,
 {
-    out.clear();
-    if threads <= 1 || src.len() < PAR_MIN {
-        out.extend(src.iter().copied().filter(pred));
-        return;
-    }
-    let stripes = stripe_bounds(src.len(), threads);
-    let mut counts = vec![0usize; stripes.len()];
+    let Some(&blank) = src.first() else {
+        return out.clear();
+    };
     let pred = &pred;
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
-            .iter()
-            .zip(counts.iter_mut())
-            .map(|(r, c)| {
-                let seg = &src[r.clone()];
-                Box::new(move || *c = seg.iter().filter(|t| pred(t)).count())
-                    as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(tasks, threads);
-    }
-    let total: usize = counts.iter().sum();
-    out.resize(total, src[0]);
-    let mut rest = out.as_mut_slice();
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
-    for (r, &c) in stripes.iter().zip(&counts) {
-        let (win, tail) = rest.split_at_mut(c);
-        rest = tail;
-        let seg = &src[r.clone()];
-        tasks.push(Box::new(move || {
-            for (slot, v) in win.iter_mut().zip(seg.iter().filter(|t| pred(t))) {
-                *slot = *v;
-            }
-        }));
-    }
-    run_tasks(tasks, threads);
+    let survivors = |r: Range<usize>| src[r].iter().filter(move |t| pred(t)).copied();
+    pack(src.len(), survivors, blank, out, threads);
 }
 
-/// Splits `src` into `yes` (elements satisfying `pred`) and `no` (the
-/// rest), both in input order, reusing both buffers' capacity.
-pub fn partition_into<T>(
-    src: &[T],
-    pred: impl Fn(&T) -> bool + Sync,
-    yes: &mut Vec<T>,
-    no: &mut Vec<T>,
-) where
-    T: Copy + Send + Sync,
-{
-    partition_into_with_threads(src, pred, yes, no, ampc_threads());
-}
-
-/// [`partition_into`] with an explicit thread count (test hook; results
-/// are identical for every value).
-pub fn partition_into_with_threads<T>(
-    src: &[T],
-    pred: impl Fn(&T) -> bool + Sync,
-    yes: &mut Vec<T>,
-    no: &mut Vec<T>,
+/// The body of [`pack_range`] and [`filter_into`]: `out` becomes the
+/// concatenation of `survivors(r)` over the stripes of `0..n`. Count →
+/// prefix → fill: every stripe counts its survivors, `out` is resized
+/// (with `blank`) to their sum, and every stripe fills its own window.
+fn pack<T, I>(
+    n: usize,
+    survivors: impl Fn(Range<usize>) -> I + Sync,
+    blank: T,
+    out: &mut Vec<T>,
     threads: usize,
 ) where
     T: Copy + Send + Sync,
+    I: Iterator<Item = T>,
 {
-    yes.clear();
-    no.clear();
-    if threads <= 1 || src.len() < PAR_MIN {
-        for v in src {
-            if pred(v) {
-                yes.push(*v)
-            } else {
-                no.push(*v)
-            }
-        }
+    out.clear();
+    if threads <= 1 || n < PAR_MIN {
+        out.extend(survivors(0..n));
         return;
     }
-    let stripes = stripe_bounds(src.len(), threads);
-    let mut counts = vec![0usize; stripes.len()];
-    let pred = &pred;
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
-            .iter()
-            .zip(counts.iter_mut())
-            .map(|(r, c)| {
-                let seg = &src[r.clone()];
-                Box::new(move || *c = seg.iter().filter(|t| pred(t)).count())
-                    as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(tasks, threads);
-    }
-    let total_yes: usize = counts.iter().sum();
-    yes.resize(total_yes, src[0]);
-    no.resize(src.len() - total_yes, src[0]);
-    let (mut rest_yes, mut rest_no) = (yes.as_mut_slice(), no.as_mut_slice());
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
-    for (r, &c) in stripes.iter().zip(&counts) {
-        let (win_yes, tail) = rest_yes.split_at_mut(c);
-        rest_yes = tail;
-        let (win_no, tail) = rest_no.split_at_mut(r.len() - c);
-        rest_no = tail;
-        let seg = &src[r.clone()];
-        tasks.push(Box::new(move || {
-            let (mut iy, mut ino) = (0, 0);
-            for v in seg {
-                if pred(v) {
-                    win_yes[iy] = *v;
-                    iy += 1;
-                } else {
-                    win_no[ino] = *v;
-                    ino += 1;
-                }
+    let stripes = stripe_bounds(n, threads);
+    let counts = par_map(stripes.clone(), threads, |r| survivors(r).count());
+    out.resize(counts.iter().sum(), blank);
+    let wins = windows_mut(out, counts);
+    par_map(
+        stripes.into_iter().zip(wins).collect(),
+        threads,
+        |(r, win)| {
+            for (slot, v) in win.iter_mut().zip(survivors(r)) {
+                *slot = v;
             }
-        }));
-    }
-    run_tasks(tasks, threads);
+        },
+    );
 }
 
 /// Stable counting sort of `src` by a small integer key (`key(t) <
@@ -335,63 +236,57 @@ pub fn ranked_adjacency<K: ArcKey>(
 ) -> FlatAdjacency {
     let n = g.num_nodes();
     let stripes = arc_balanced_stripes(g.offsets(), threads.max(1));
-    let key = &key;
 
     // Pass 1: kept arcs per vertex, then the prefix sum.
     let mut offsets = vec![0usize; n + 1];
-    {
-        let mut rest = &mut offsets[1..];
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
-        for r in &stripes {
-            let (win, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            let r = r.clone();
-            tasks.push(Box::new(move || {
-                for (slot, v) in win.iter_mut().zip(r) {
-                    let v = v as NodeId;
-                    let kept = g.neighbors(v).iter().filter(|&&u| key(v, u).is_some());
-                    *slot = kept.count();
-                }
-            }));
-        }
-        run_tasks(tasks, threads);
-    }
+    let wins = windows_mut(&mut offsets[1..], stripes.iter().map(|r| r.len()));
+    par_map(
+        stripes.iter().cloned().zip(wins).collect(),
+        threads,
+        |(r, win)| {
+            for (slot, v) in win.iter_mut().zip(r) {
+                let v = v as NodeId;
+                *slot = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| key(v, u).is_some())
+                    .count();
+            }
+        },
+    );
     for v in 0..n {
         offsets[v + 1] += offsets[v];
     }
 
     // Pass 2: every stripe sorts its vertices' lists into its window.
     let mut arcs = vec![0 as NodeId; offsets[n]];
-    {
-        let offsets = &offsets;
-        let mut rest = arcs.as_mut_slice();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(stripes.len());
-        for r in &stripes {
-            let (mut win, tail) = rest.split_at_mut(offsets[r.end] - offsets[r.start]);
-            rest = tail;
-            let r = r.clone();
-            tasks.push(Box::new(move || {
-                let mut packed: Vec<K::Packed> = Vec::new();
-                for v in r {
-                    let (list, tail) = win.split_at_mut(offsets[v + 1] - offsets[v]);
-                    win = tail;
-                    let v = v as NodeId;
-                    packed.clear();
-                    packed.extend(
-                        g.neighbors(v)
-                            .iter()
-                            .filter_map(|&u| key(v, u).map(|k| k.pack(u))),
-                    );
-                    packed.sort_unstable();
-                    assert_eq!(packed.len(), list.len(), "key({v}, _) is not pure");
-                    for (slot, &p) in list.iter_mut().zip(&packed) {
-                        *slot = K::id(p);
-                    }
+    let wins = windows_mut(
+        &mut arcs,
+        stripes.iter().map(|r| offsets[r.end] - offsets[r.start]),
+    );
+    par_map(
+        stripes.into_iter().zip(wins).collect(),
+        threads,
+        |(r, mut win)| {
+            let mut packed: Vec<K::Packed> = Vec::new();
+            for v in r {
+                let (list, tail) = win.split_at_mut(offsets[v + 1] - offsets[v]);
+                win = tail;
+                let v = v as NodeId;
+                packed.clear();
+                packed.extend(
+                    g.neighbors(v)
+                        .iter()
+                        .filter_map(|&u| key(v, u).map(|k| k.pack(u))),
+                );
+                packed.sort_unstable();
+                assert_eq!(packed.len(), list.len(), "key({v}, _) is not pure");
+                for (slot, &p) in list.iter_mut().zip(&packed) {
+                    *slot = K::id(p);
                 }
-            }));
-        }
-        run_tasks(tasks, threads);
-    }
+            }
+        },
+    );
     FlatAdjacency { offsets, arcs }
 }
 
@@ -430,8 +325,6 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
     cut_ok: impl Fn(NodeId, &[A]) -> bool + Sync,
     threads: usize,
 ) -> Option<(FlatAdjacency<A>, Vec<usize>)> {
-    let (arcs, cut_ok) = (&arcs, &cut_ok);
-
     // Pass 1: arcs per vertex, then the prefix sum of the kept ones. Both
     // passes unpack an edge's two arcs by hand: whether LLVM scalarises a
     // `flat_map` over the `[_; 2]` depends on inlining choices elsewhere
@@ -452,41 +345,38 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
     // checks the ones it cut.
     let mut table = vec![A::default(); offsets[n]];
     let stripes = arc_balanced_stripes(&offsets, threads.max(1));
-    let mut cuts_ok = vec![true; stripes.len()];
-    {
-        let (offsets, degrees) = (&offsets, &degrees);
-        let mut rest = table.as_mut_slice();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for (r, ok) in stripes.into_iter().zip(cuts_ok.iter_mut()) {
+    let wins = windows_mut(
+        &mut table,
+        stripes.iter().map(|r| offsets[r.end] - offsets[r.start]),
+    );
+    let cuts_ok = par_map(
+        stripes.into_iter().zip(wins).collect(),
+        threads,
+        |(r, win)| {
             let base = offsets[r.start];
-            let (win, tail) = rest.split_at_mut(offsets[r.end] - base);
-            rest = tail;
-            tasks.push(Box::new(move || {
-                let mut free: Vec<Range<usize>> = r
-                    .clone()
-                    .map(|v| offsets[v] - base..offsets[v + 1] - base)
-                    .collect();
-                let mut place = |(v, arc): (NodeId, A)| {
-                    if let Some(slot) = free.get_mut((v as usize).wrapping_sub(r.start)) {
-                        if let Some(at) = slot.next() {
-                            win[at] = arc;
-                        }
+            let mut free: Vec<Range<usize>> = r
+                .clone()
+                .map(|v| offsets[v] - base..offsets[v + 1] - base)
+                .collect();
+            let mut place = |(v, arc): (NodeId, A)| {
+                if let Some(slot) = free.get_mut((v as usize).wrapping_sub(r.start)) {
+                    if let Some(at) = slot.next() {
+                        win[at] = arc;
                     }
-                };
-                for e in edges {
-                    let [first, second] = arcs(e);
-                    place(first);
-                    place(second);
                 }
-                *ok = r.filter(|&v| degrees[v] > cap).all(|v| {
-                    let list = &win[offsets[v] - base..offsets[v + 1] - base];
-                    cut_ok(v as NodeId, list)
-                });
-            }));
-        }
-        run_tasks(tasks, threads);
-    }
-    cuts_ok.iter().all(|&ok| ok).then(|| {
+            };
+            for e in edges {
+                let [first, second] = arcs(e);
+                place(first);
+                place(second);
+            }
+            r.filter(|&v| degrees[v] > cap).all(|v| {
+                let list = &win[offsets[v] - base..offsets[v + 1] - base];
+                cut_ok(v as NodeId, list)
+            })
+        },
+    );
+    cuts_ok.into_iter().all(|ok| ok).then(|| {
         let lists = FlatAdjacency {
             offsets,
             arcs: table,
@@ -509,7 +399,7 @@ pub fn edge_ordered_adjacency<E: Sync, A: Copy + Default + Send>(
 /// 2. Every stripe writes its edges, packed `u << 32 | v`, into its own
 ///    chunk of every bucket of one scratch buffer: a bucket's chunks are
 ///    disjoint `split_at_mut` pieces, in stripe order. The output's
-///    first touch runs beside it as one more task.
+///    first touch runs beside it as one more part.
 /// 3. Every thread takes a contiguous run of buckets, balanced by edge
 ///    count. It sorts a bucket in cache (the hash recomputed, a
 ///    counting pass on its next byte, then a sort of each small run)
@@ -533,18 +423,14 @@ pub fn hash_ranked_edges(
     // Pass 1: edges per bucket, per vertex stripe.
     let stripes = arc_balanced_stripes(g.offsets(), threads);
     let mut counts = vec![0usize; stripes.len() * buckets];
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = stripes
-            .iter()
-            .zip(counts.chunks_mut(buckets))
-            .map(|(r, count)| {
-                let r = r.clone();
-                Box::new(move || for_each_edge(g, r, |u, v| count[bucket_of(hash(u, v))] += 1))
-                    as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(tasks, threads);
-    }
+    let parts = stripes
+        .iter()
+        .cloned()
+        .zip(counts.chunks_mut(buckets))
+        .collect();
+    par_map(parts, threads, |(r, count)| {
+        for_each_edge(g, r, |u, v| count[bucket_of(hash(u, v))] += 1)
+    });
     let mut starts = vec![0usize; buckets + 1];
     for b in 0..buckets {
         let in_b: usize = counts.iter().skip(b).step_by(buckets).sum();
@@ -570,59 +456,62 @@ pub fn hash_ranked_edges(
                 rest = tail;
             }
         }
+        /// A part of the scatter: the output's first touch, or a stripe.
+        enum Part<'a> {
+            Touch(&'a mut Vec<ProvEdge>),
+            Scatter(Range<usize>, Vec<&'a mut [u64]>),
+        }
         // A fresh buffer pays for its pages on first touch (DESIGN.md
         // §11): the output's are touched here, beside the scatter.
-        let out = &mut out;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-            vec![Box::new(move || out.resize(m, ProvEdge::default()))];
-        for (r, mut mine) in stripes.iter().zip(chunks) {
-            let r = r.clone();
-            tasks.push(Box::new(move || {
-                for_each_edge(g, r, |u, v| {
-                    let chunk = &mut mine[bucket_of(hash(u, v))];
-                    let (slot, tail) = std::mem::take(chunk)
-                        .split_first_mut()
-                        .expect("pass 1 counted this edge");
-                    *slot = (u as u64) << 32 | v as u64;
-                    *chunk = tail;
-                })
-            }));
-        }
-        run_tasks(tasks, threads);
+        let scatter = stripes
+            .into_iter()
+            .zip(chunks)
+            .map(|(r, mine)| Part::Scatter(r, mine));
+        let parts = std::iter::once(Part::Touch(&mut out))
+            .chain(scatter)
+            .collect();
+        par_map(parts, threads, |part| match part {
+            Part::Touch(out) => out.resize(m, ProvEdge::default()),
+            Part::Scatter(r, mut mine) => for_each_edge(g, r, |u, v| {
+                let chunk = &mut mine[bucket_of(hash(u, v))];
+                let (slot, tail) = std::mem::take(chunk)
+                    .split_first_mut()
+                    .expect("pass 1 counted this edge");
+                *slot = (u as u64) << 32 | v as u64;
+                *chunk = tail;
+            }),
+        });
     }
 
     // Pass 3: every owner sorts its buckets and writes them, ranked.
-    {
-        let starts = &starts;
-        let (mut rest, mut rest_out) = (packed.as_slice(), out.as_mut_slice());
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for owned in arc_balanced_stripes(starts, threads) {
+    let owners = arc_balanced_stripes(&starts, threads);
+    let wins = windows_mut(
+        &mut out,
+        owners.iter().map(|b| starts[b.end] - starts[b.start]),
+    );
+    par_map(
+        owners.into_iter().zip(wins).collect(),
+        threads,
+        |(owned, win_out)| {
             let base = starts[owned.start];
-            let len = starts[owned.end] - base;
-            let (win, tail) = rest.split_at(len);
-            rest = tail;
-            let (win_out, tail) = rest_out.split_at_mut(len);
-            rest_out = tail;
-            tasks.push(Box::new(move || {
-                let mut sorter = BucketSorter::new(bits);
-                for b in owned {
-                    let (lo, hi) = (starts[b] - base, starts[b + 1] - base);
-                    let sorted = sorter.sort(&win[lo..hi], hash);
-                    for (i, (slot, &k)) in win_out[lo..hi].iter_mut().zip(sorted).enumerate() {
-                        let (u, v) = ((k >> 32) as NodeId, k as NodeId);
-                        *slot = ProvEdge {
-                            u,
-                            v,
-                            w: (base + lo + i) as u64,
-                            ou: u,
-                            ov: v,
-                        };
-                    }
+            let win = &packed[base..starts[owned.end]];
+            let mut sorter = BucketSorter::new(bits);
+            for b in owned {
+                let (lo, hi) = (starts[b] - base, starts[b + 1] - base);
+                let sorted = sorter.sort(&win[lo..hi], hash);
+                for (i, (slot, &k)) in win_out[lo..hi].iter_mut().zip(sorted).enumerate() {
+                    let (u, v) = ((k >> 32) as NodeId, k as NodeId);
+                    *slot = ProvEdge {
+                        u,
+                        v,
+                        w: (base + lo + i) as u64,
+                        ou: u,
+                        ov: v,
+                    };
                 }
-            }));
-        }
-        run_tasks(tasks, threads);
-    }
+            }
+        },
+    );
     out
 }
 
@@ -985,20 +874,6 @@ mod tests {
         let cap = out.capacity();
         filter_into_with_threads(&src, pred, &mut out, 2);
         assert_eq!(out.capacity(), cap, "steady state must not reallocate");
-    }
-
-    #[test]
-    fn partition_preserves_order_and_covers() {
-        let src: Vec<u64> = (0..PAR_MIN as u64 + 7).map(mix64).collect();
-        let pred = |v: &u64| v % 5 < 2;
-        let (mut yes, mut no) = (Vec::new(), Vec::new());
-        let naive_yes: Vec<u64> = src.iter().copied().filter(pred).collect();
-        let naive_no: Vec<u64> = src.iter().copied().filter(|v| !pred(v)).collect();
-        for threads in [1, 4] {
-            partition_into_with_threads(&src, pred, &mut yes, &mut no, threads);
-            assert_eq!(yes, naive_yes, "threads = {threads}");
-            assert_eq!(no, naive_no, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -17,8 +17,14 @@
 //!   ([`store::ReprKind`]) — with `len`/`size_bytes` cached at seal;
 //!   under `AMPC_STORE=socket` the values then move to shard-server
 //!   processes ([`socket`]) and only the layout's key index stays.
-//!   `AMPC_THREADS` ([`store::ampc_threads`]) bounds seal-time
-//!   parallelism.
+//!   A large dense seal resolves its stripes in parallel on the pool.
+//! * [`pool`] — the process-wide worker pool and [`pool::par_map`], the
+//!   one fork-join entry point of the workspace. One pool runs the
+//!   runtime's simulated machines, every striped host pass (the graph
+//!   generators and CSR builder, `ampc_core::prim`) and the dense seal;
+//!   it lives here because the seal is the lowest layer that needs it.
+//!   `AMPC_THREADS` ([`store::ampc_threads`]) sizes it, and a call runs
+//!   inline on its caller at one thread or one part.
 //! * [`handle::MachineHandle`] — the per-machine access path. All reads
 //!   and writes are metered: the handle counts queries, writes, batched
 //!   round trips and bytes ([`metrics::CommStats`]), **enforces** the
@@ -54,6 +60,7 @@ pub mod handle;
 pub mod hasher;
 pub mod measured;
 pub mod metrics;
+pub mod pool;
 pub mod socket;
 pub mod store;
 pub mod substrate;

@@ -33,6 +33,7 @@
 //! O(1) whatever the backend.
 
 use crate::measured::Measured;
+use crate::pool::par_map;
 use crate::substrate::{dense_eligible, Layout, Offloaded};
 use crate::wire::Wire;
 use parking_lot::Mutex;
@@ -67,8 +68,8 @@ fn stripe_of(key: u64) -> usize {
 }
 
 /// The `AMPC_THREADS` environment knob (cached after the first read):
-/// the worker count used by parallel seals here and by the runtime's
-/// persistent executor pool. The read itself lives in the
+/// the size of the process-wide [pool](crate::pool) that runs parallel
+/// seals, machines and striped passes. The read itself lives in the
 /// [`ampc_knobs`] registry; this re-export keeps the historical entry
 /// point callers already use.
 pub use ampc_knobs::ampc_threads;
@@ -447,8 +448,8 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     /// Dense-path seal: every stripe resolves into its own blocks of
     /// `resolved`, indexed by key over `0..domain` ([`resolve_stripe`]);
     /// the layout then adopts the array as its slots. Stripes own
-    /// disjoint blocks of keys, so whole stripes resolve in parallel,
-    /// each worker writing only the blocks of the stripes it was dealt.
+    /// disjoint blocks of keys, so the stripes are the parts of one
+    /// [`par_map`], each writing only its own blocks.
     fn seal_dense(
         strict: bool,
         stripes: Vec<Vec<Chunk<V>>>,
@@ -458,47 +459,21 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     ) -> Generation<V> {
         let mut resolved: Vec<Option<V>> = vec![None; domain];
         let mut holders: Vec<Holder> = vec![Holder::default(); domain];
-        let work = stripes
+        let work: Vec<_> = stripes
             .into_iter()
             .zip(deal(&mut resolved))
-            .zip(deal(&mut holders));
-        let workers = threads.clamp(1, STRIPES);
-        let (len, size_bytes) = if workers > 1 && logged >= PARALLEL_SEAL_MIN {
-            // Worker w takes stripes w, w + W, w + 2W, …
-            let mut dealt: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (s, stripe) in work.enumerate() {
-                dealt[s % workers].push(stripe);
-            }
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "ampc-dht sits below ampc-runtime and cannot reach its WorkerPool; \
-                          the worker count is capped by `ampc_threads()`, so \
-                          AMPC_THREADS=1 takes the serial branch"
-            )]
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = dealt
-                    .into_iter()
-                    .map(|mine| {
-                        scope.spawn(move || {
-                            mine.into_iter()
-                                .map(|((chunks, mut slots), mut held)| {
-                                    resolve_stripe(strict, chunks, &mut slots, &mut held)
-                                })
-                                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("seal worker panicked"))
-                    .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-            })
+            .zip(deal(&mut holders))
+            .collect();
+        let threads = if logged >= PARALLEL_SEAL_MIN {
+            threads
         } else {
-            work.map(|((chunks, mut slots), mut held)| {
-                resolve_stripe(strict, chunks, &mut slots, &mut held)
-            })
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+            1
         };
+        let (len, size_bytes) = par_map(work, threads, |((chunks, mut slots), mut held)| {
+            resolve_stripe(strict, chunks, &mut slots, &mut held)
+        })
+        .into_iter()
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
         drop(holders);
         Generation {
             repr: Repr::Memory(Layout::from_key_indexed(resolved, len)),
@@ -746,11 +721,6 @@ impl<V: Measured + Clone> Dht<V> {
     /// Seals `next` as the newest generation (the round boundary).
     pub fn push(&mut self, next: Generation<V>) {
         self.generations.push(next);
-    }
-
-    /// Number of sealed generations (including `D0`).
-    pub fn num_generations(&self) -> usize {
-        self.generations.len()
     }
 
     /// Size in bytes of the largest generation sealed so far (each

@@ -13,11 +13,11 @@
 //! alone, so the graph is the same for every thread count.
 
 use crate::csr::CsrGraph;
-use crate::stripes::arc_balanced_stripes;
+use crate::stripes::{arc_balanced_stripes, windows_mut};
 use crate::weighted::WeightedCsrGraph;
 use crate::{NodeId, Weight};
+use ampc_dht::pool::par_map;
 use ampc_knobs::ampc_threads;
-use ampc_runtime::pool::run_tasks;
 
 /// Accumulates edges and finalizes into [`CsrGraph`] /
 /// [`WeightedCsrGraph`].
@@ -180,40 +180,35 @@ impl GraphBuilder {
         // arena of their own.
         let mut table = vec![A::default(); offsets[n]];
         let mut ends = offsets[..n].to_vec();
-        {
-            let offsets = &offsets;
-            let (mut rest, mut ends_rest) = (table.as_mut_slice(), ends.as_mut_slice());
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            for r in arc_balanced_stripes(offsets, threads.max(1)) {
-                let base = offsets[r.start];
-                let (win, tail) = rest.split_at_mut(offsets[r.end] - base);
-                rest = tail;
-                let (ends, tail) = ends_rest.split_at_mut(r.len());
-                ends_rest = tail;
-                tasks.push(Box::new(move || {
-                    let mut place = |owner: NodeId, target: NodeId, w: Weight| {
-                        if let Some(end) = ends.get_mut((owner as usize).wrapping_sub(r.start)) {
-                            win[*end - base] = A::new(target, w);
-                            *end += 1;
-                        }
-                    };
-                    for &(u, v, w) in edges {
-                        if u != v {
-                            place(u, v, w);
-                            if !directed {
-                                place(v, u, w);
-                            }
-                        }
+        let stripes = arc_balanced_stripes(&offsets, threads.max(1));
+        let wins = windows_mut(
+            &mut table,
+            stripes.iter().map(|r| offsets[r.end] - offsets[r.start]),
+        );
+        let ends_wins = windows_mut(&mut ends, stripes.iter().map(|r| r.len()));
+        let parts = stripes.into_iter().zip(wins).zip(ends_wins).collect();
+        par_map(parts, threads, |((r, win), ends)| {
+            let base = offsets[r.start];
+            let mut place = |owner: NodeId, target: NodeId, w: Weight| {
+                if let Some(end) = ends.get_mut((owner as usize).wrapping_sub(r.start)) {
+                    win[*end - base] = A::new(target, w);
+                    *end += 1;
+                }
+            };
+            for &(u, v, w) in edges {
+                if u != v {
+                    place(u, v, w);
+                    if !directed {
+                        place(v, u, w);
                     }
-                    for (end, &start) in ends.iter_mut().zip(&offsets[r]) {
-                        let list = &mut win[start - base..*end - base];
-                        list.sort_unstable();
-                        *end = start + dedup_targets(list);
-                    }
-                }));
+                }
             }
-            run_tasks(tasks, threads);
-        }
+            for (end, &start) in ends.iter_mut().zip(&offsets[r]) {
+                let list = &mut win[start - base..*end - base];
+                list.sort_unstable();
+                *end = start + dedup_targets(list);
+            }
+        });
 
         // Compact: slide every deduplicated list down over the dropped
         // copies before it, in place.

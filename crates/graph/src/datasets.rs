@@ -24,7 +24,6 @@
 //! can print paper-vs-ours tables.
 
 use crate::gen::{self, RmatParams};
-use crate::stats::DiameterEstimate;
 use crate::weighted::WeightedCsrGraph;
 use crate::CsrGraph;
 use serde::{Deserialize, Serialize};
@@ -232,12 +231,6 @@ pub fn human(x: f64) -> String {
     } else {
         format!("{x:.0}")
     }
-}
-
-/// Formats a [`DiameterEstimate`]-style value with paper comparison.
-pub fn versus_diameter(ours: DiameterEstimate, paper: usize, paper_exact: bool) -> String {
-    let star = if paper_exact { "" } else { "*" };
-    format!("{ours} (paper: {paper}{star})")
 }
 
 #[cfg(test)]

@@ -18,11 +18,11 @@ pub use cycles::{single_cycle, two_cycles, CyclePair};
 pub use erdos_renyi::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 
-use crate::stripes::arc_balanced_stripes;
+use crate::stripes::{arc_balanced_stripes, windows_mut};
 use crate::weighted::WeightedCsrGraph;
 use crate::{CsrGraph, NodeId, Weight};
+use ampc_dht::pool::par_map;
 use ampc_knobs::ampc_threads;
-use ampc_runtime::pool::run_tasks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,25 +74,24 @@ fn arc_weights(
 ) -> Vec<Weight> {
     let offsets = g.offsets();
     let mut weights = vec![0; g.num_arcs()];
-    {
-        let weight = &weight;
-        let mut rest = weights.as_mut_slice();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for r in arc_balanced_stripes(offsets, threads.max(1)) {
-            let (win, tail) = rest.split_at_mut(offsets[r.end] - offsets[r.start]);
-            rest = tail;
-            tasks.push(Box::new(move || {
-                let arcs = r.flat_map(|u| {
-                    let u = u as NodeId;
-                    g.neighbors(u).iter().map(move |&v| (u, v))
-                });
-                for (w, (u, v)) in win.iter_mut().zip(arcs) {
-                    *w = weight(u, v);
-                }
-            }));
-        }
-        run_tasks(tasks, threads);
-    }
+    let stripes = arc_balanced_stripes(offsets, threads.max(1));
+    let wins = windows_mut(
+        &mut weights,
+        stripes.iter().map(|r| offsets[r.end] - offsets[r.start]),
+    );
+    par_map(
+        stripes.into_iter().zip(wins).collect(),
+        threads,
+        |(r, win)| {
+            let arcs = r.flat_map(|u| {
+                let u = u as NodeId;
+                g.neighbors(u).iter().map(move |&v| (u, v))
+            });
+            for (w, (u, v)) in win.iter_mut().zip(arcs) {
+                *w = weight(u, v);
+            }
+        },
+    );
     weights
 }
 

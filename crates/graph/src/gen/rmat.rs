@@ -7,11 +7,11 @@
 //! [`crate::datasets`].
 
 use crate::builder::GraphBuilder;
-use crate::stripes::stripe_bounds;
+use crate::stripes::{stripe_bounds, windows_mut};
 use crate::CsrGraph;
 use crate::NodeId;
+use ampc_dht::pool::par_map;
 use ampc_knobs::ampc_threads;
-use ampc_runtime::pool::run_tasks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,34 +96,30 @@ fn rmat_with_threads(
     let draws_per_edge = DRAWS_PER_LEVEL * log_n as u64;
     let table = QuadrantTable::new(&params);
     let mut edges = vec![(0, 0, 0); m];
-    {
-        let (params, table) = (&params, &table);
-        let mut rest = edges.as_mut_slice();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for r in stripe_bounds(m, threads) {
-            let (win, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            tasks.push(Box::new(move || {
-                let mut level = (r.start as u64).wrapping_mul(draws_per_edge);
-                for slot in win {
-                    let (mut u, mut v): (NodeId, NodeId) = (0, 0);
-                    for _ in 0..log_n {
-                        let pick = stream_at(seed, level.wrapping_add(4)).next_u64();
-                        let q = table.certain(pick).unwrap_or_else(|| {
-                            let mut rng = stream_at(seed, level);
-                            let mut noise = || rng.next_u64();
-                            level_quadrant(params, [noise(), noise(), noise(), noise(), pick])
-                        });
-                        u = u << 1 | q >> 1;
-                        v = v << 1 | q & 1;
-                        level = level.wrapping_add(DRAWS_PER_LEVEL);
-                    }
-                    *slot = (u, v, 0);
+    let stripes = stripe_bounds(m, threads);
+    let wins = windows_mut(&mut edges, stripes.iter().map(|r| r.len()));
+    par_map(
+        stripes.into_iter().zip(wins).collect(),
+        threads,
+        |(r, win)| {
+            let mut level = (r.start as u64).wrapping_mul(draws_per_edge);
+            for slot in win {
+                let (mut u, mut v): (NodeId, NodeId) = (0, 0);
+                for _ in 0..log_n {
+                    let pick = stream_at(seed, level.wrapping_add(4)).next_u64();
+                    let q = table.certain(pick).unwrap_or_else(|| {
+                        let mut rng = stream_at(seed, level);
+                        let mut noise = || rng.next_u64();
+                        level_quadrant(&params, [noise(), noise(), noise(), noise(), pick])
+                    });
+                    u = u << 1 | q >> 1;
+                    v = v << 1 | q & 1;
+                    level = level.wrapping_add(DRAWS_PER_LEVEL);
                 }
-            }));
-        }
-        run_tasks(tasks, threads);
-    }
+                *slot = (u, v, 0);
+            }
+        },
+    );
     GraphBuilder::from_edges(1 << log_n, edges).build_with_threads(threads)
 }
 

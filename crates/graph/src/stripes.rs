@@ -1,11 +1,13 @@
 //! Contiguous work stripes for the striped builders (DESIGN.md §11).
 //!
-//! Every parallel pass in the workspace outside the executor — the
-//! RMAT sampler, [`crate::GraphBuilder`], and `ampc_core::prim`'s
-//! packs and adjacency builders — splits its input into contiguous
-//! ranges, one task each, run by `ampc_runtime::pool::run_tasks`. Each
-//! task writes only its own `split_at_mut` window of a buffer the
-//! caller sized, so the output is the same for every thread count.
+//! Every striped pass in the workspace — the RMAT sampler and weight
+//! generators, [`crate::GraphBuilder`], and `ampc_core::prim`'s packs
+//! and adjacency builders — splits its input into contiguous ranges,
+//! one part each of an [`ampc_dht::pool::par_map`]: the process-wide
+//! pool that also runs the executor's machines and the dense seal,
+//! inline at one thread. A part carries its range and its own
+//! [`windows_mut`] window of a buffer the caller sized, and writes only
+//! there, so the output is the same for every thread count.
 
 use std::ops::Range;
 
@@ -42,6 +44,21 @@ pub fn arc_balanced_stripes(offsets: &[usize], parts: usize) -> Vec<Range<usize>
         }
     }
     stripes
+}
+
+/// Cuts `buf` into consecutive windows of the given lengths, in order:
+/// the disjoint `&mut` pieces a striped pass hands its parts.
+///
+/// # Panics
+/// If the lengths add up to more than `buf.len()`.
+pub fn windows_mut<T>(mut buf: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (win, rest) = std::mem::take(&mut buf).split_at_mut(len);
+            buf = rest;
+            win
+        })
+        .collect()
 }
 
 #[cfg(test)]

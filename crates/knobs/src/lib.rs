@@ -82,8 +82,9 @@ pub const KNOBS: &[KnobSpec] = &[
         name: "AMPC_THREADS",
         accepts: "a positive integer",
         default: "the machine's available parallelism",
-        doc: "Executor concurrency: how many machine bodies may run at \
-              once (1 = fully inline). A wall-clock knob only — \
+        doc: "Size of the one worker pool: how many machines, striped \
+              host passes or seal stripes may run at once (1 = fully \
+              inline). A wall-clock knob only — \
               outputs, round counts and CommStats are identical for \
               every value.",
     },
@@ -159,11 +160,13 @@ pub fn ampc_socket_shards() -> usize {
         .unwrap_or(4)
 }
 
-/// `AMPC_THREADS`: the worker count used by parallel seals and the
-/// runtime's persistent executor pool, cached after the first read (the
-/// pool is process-global, so later changes could not take effect
-/// anyway). Unset or malformed values fall back to the machine's
-/// available parallelism; `1` disables worker threads entirely.
+/// `AMPC_THREADS`: the size of the process-wide worker pool
+/// (`ampc_dht::pool`) that runs the executor's machines, the striped
+/// host passes and the dense seal, and the thread count each of them
+/// asks for by default. Cached after the first read (the pool is
+/// process-global, so later changes could not take effect anyway).
+/// Unset or malformed values fall back to the machine's available
+/// parallelism; `1` runs every `par_map` inline on its caller.
 pub fn ampc_threads() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| {

@@ -33,8 +33,8 @@ pub struct AmpcConfig {
     /// Concurrency of the simulation itself: how many machine bodies
     /// may execute at once. `1` (the forced value under
     /// `AMPC_THREADS=1`) runs every machine inline on the caller
-    /// thread; higher values dispatch machines as work items to the
-    /// persistent executor pool ([`crate::pool::WorkerPool`]). Purely a
+    /// thread; higher values run them on the process-wide pool
+    /// ([`ampc_dht::pool::par_map`]). Purely a
     /// wall-clock knob: outputs, round counts and `CommStats` are
     /// identical for every value. Defaults to `AMPC_THREADS`, falling
     /// back to the machine's available parallelism.
@@ -107,12 +107,6 @@ impl AmpcConfig {
         self
     }
 
-    /// Sets the cost model.
-    pub fn with_cost(mut self, cost: CostConfig) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Enables/disables the caching optimization.
     pub fn with_caching(mut self, caching: bool) -> Self {
         self.caching = caching;
@@ -156,14 +150,6 @@ impl AmpcConfig {
     /// Algorithm 1's exploration budget `n^{epsilon/2}` per Prim search.
     pub fn prim_budget(&self, n: usize) -> u64 {
         ((n.max(2) as f64).powf(self.epsilon / 2.0).ceil() as u64).max(4)
-    }
-
-    /// Per-machine, per-round query budget. The model allows `O(S)`
-    /// communication per machine per round; the constant here is
-    /// generous (×8) because our machines also absorb the skew that a
-    /// production scheduler would rebalance.
-    pub fn query_budget(&self, n: usize) -> u64 {
-        8 * self.space_per_machine(n)
     }
 }
 

@@ -1,21 +1,21 @@
 //! Parallel execution of machine bodies.
 //!
-//! Machines are **work items** executed on the persistent
-//! [`crate::pool::WorkerPool`] that the process creates once and reuses
-//! across all rounds of all jobs. With `AMPC_THREADS=1` (or a single
-//! machine) the round runs inline on the caller thread through the
-//! exact same per-machine entry point that fault injection replays
-//! ([`run_one_machine`]), so replays are byte-identical whether the
-//! original round ran inline or on the pool. Each machine gets a
+//! A round's machines are the parts of one [`par_map`] on the
+//! process-wide pool that the process creates once and reuses across
+//! all rounds of all jobs. Every machine, inline (`AMPC_THREADS=1` or a
+//! single machine) or pooled, runs through the exact same per-machine
+//! entry point that fault injection replays ([`run_one_machine`]), so
+//! replays are byte-identical whether the original round ran inline or
+//! on the pool. Each machine gets a
 //! metered [`MachineHandle`] onto the DHT plus a local operation
 //! counter; the round's outcome carries per-machine statistics so the
 //! cost model can charge the *bottleneck* machine.
 
-use crate::pool::WorkerPool;
 use ampc_dht::fault::DropPlan;
 use ampc_dht::handle::MachineHandle;
 use ampc_dht::measured::Measured;
 use ampc_dht::metrics::CommStats;
+use ampc_dht::pool::par_map;
 use ampc_dht::store::{Generation, GenerationWriter};
 use ampc_dht::wire::Wire;
 
@@ -151,12 +151,11 @@ pub struct RoundOutcome<R> {
 impl<R> RoundOutcome<R> {
     /// Assembles the final outcome from per-machine results in machine
     /// order (identical for every thread count).
-    fn collect(results: Vec<Option<(Vec<R>, MachineRoundStats)>>) -> Self {
+    fn collect(results: Vec<(Vec<R>, MachineRoundStats)>) -> Self {
         let mut outputs = Vec::new();
         let mut per_machine = Vec::with_capacity(results.len());
         let mut output_lens = Vec::with_capacity(results.len());
-        for r in results {
-            let (out, stats) = r.expect("machine result missing");
+        for (out, stats) in results {
             output_lens.push(out.len());
             outputs.extend(out);
             per_machine.push(stats);
@@ -174,12 +173,10 @@ impl<R> RoundOutcome<R> {
 /// provided) go into the next generation under construction.
 ///
 /// `spec` carries the per-round execution parameters (query budget,
-/// chaos drops); `threads` bounds how many machines
-/// execute at once — with one machine or one thread the round runs
-/// inline on the caller thread, otherwise machines are
-/// dispatched to the persistent pool (the submitting thread plus up to
-/// `threads - 1` pool workers — see [`WorkerPool::run_batch`]);
-/// `scratch` lends each machine its persistent buffer arena. Outputs,
+/// chaos drops); `threads` bounds how many machines execute at once —
+/// the machines are the parts of one [`par_map`], so with one machine
+/// or one thread the round runs inline on the caller thread; `scratch`
+/// lends each machine its persistent buffer arena. Outputs,
 /// per-machine statistics and the sealed result of `write` are
 /// identical for every `threads` value — it is a wall-clock knob, never
 /// a semantic one.
@@ -198,48 +195,18 @@ where
     R: Send,
     F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
 {
-    let p = chunks.len();
-    let mut results: Vec<Option<(Vec<R>, MachineRoundStats)>> = (0..p).map(|_| None).collect();
-    let arenas = scratch.for_machines(p);
-
-    if p <= 1 || threads <= 1 {
-        // Single machine or single thread: no dispatch at all — run on
-        // the caller thread through the replay entry point.
-        for (machine_id, ((chunk, slot), arena)) in chunks
-            .iter()
-            .zip(results.iter_mut())
-            .zip(arenas.iter_mut())
-            .enumerate()
-        {
-            *slot = Some(run_one_machine(
-                machine_id, read, write, chunk, spec, arena, &body,
-            ));
-        }
-    } else {
-        // Machines become work items on the persistent pool. Each task
-        // owns disjoint `&mut` slices of the results and arenas.
-        let body = &body;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .iter()
-            .zip(results.iter_mut())
-            .zip(arenas.iter_mut())
-            .enumerate()
-            .map(|(machine_id, ((chunk, slot), arena))| {
-                Box::new(move || {
-                    *slot = Some(run_one_machine(
-                        machine_id, read, write, chunk, spec, arena, body,
-                    ));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        WorkerPool::global(threads).run_batch(tasks, threads);
-    }
-
+    let machines = chunks.iter().zip(scratch.for_machines(chunks.len()));
+    let results = par_map(
+        machines.enumerate().collect(),
+        threads,
+        |(id, (chunk, arena))| run_one_machine(id, read, write, chunk, spec, arena, &body),
+    );
     RoundOutcome::collect(results)
 }
 
-/// Runs a single machine's share of a round. This is both the inline
-/// execution path and the replay path used by fault injection —
+/// Runs a single machine's share of a round. This is both the body of
+/// every machine [`run_machines`] runs and the replay path used by
+/// fault injection —
 /// replaying against the same sealed generation necessarily reproduces
 /// the same result, whether the original round ran inline or pooled.
 pub fn run_one_machine<V, T, R, F>(

@@ -13,11 +13,12 @@
 //!   the DHT), and [`report::StageKind::Local`] (the "switch to an
 //!   in-memory algorithm on one machine" step both the AMPC and MPC
 //!   implementations use).
-//! * The **executor** ([`executor`]) runs machine bodies as work items
-//!   on a **persistent worker pool** ([`pool::WorkerPool`]) created
-//!   once per process and reused across all rounds of all jobs (sized
-//!   by `AMPC_THREADS`; `AMPC_THREADS=1` — and any single-machine round
-//!   — runs inline on the caller thread with no dispatch at all). Each
+//! * The **executor** ([`executor`]) runs a round's machine bodies as
+//!   the parts of one [`ampc_dht::pool::par_map`] on the process-wide
+//!   pool that also runs the striped host passes and the dense seal
+//!   (sized by `AMPC_THREADS`; `AMPC_THREADS=1` — and any
+//!   single-machine round — runs inline on the caller thread with no
+//!   dispatch at all). Each
 //!   machine's DHT traffic is metered through an
 //!   [`ampc_dht::MachineHandle`] that carries the machine's id (for
 //!   deterministic duplicate-write resolution), its enforced `O(S)`
@@ -60,7 +61,6 @@ pub mod driver;
 pub mod executor;
 pub mod job;
 pub mod partition;
-pub mod pool;
 pub mod report;
 
 pub use chaos::{ChaosSpec, FaultSchedule};
