@@ -378,12 +378,7 @@ fn run_record(
         spec.cfg
             .chaos
             .map_or("null".to_string(), |c| json_string(&c.describe())),
-        json_string(
-            spec.cfg
-                .store
-                .unwrap_or_else(ampc_dht::store::store_kind)
-                .as_str()
-        ),
+        json_string(spec.cfg.store.as_str()),
         spec.params.walkers_per_node,
         spec.params.steps,
         spec.params.sample_inv,

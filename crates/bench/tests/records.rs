@@ -9,11 +9,14 @@
 //! schedule [`SCHEDULE`] charges: replays, retries and a digest of the
 //! wasted batches, backoff units and `sim_ns`.
 //!
-//! [`check`] holds every row of a suite to its pin in six modes:
+//! [`check`] holds every row of a suite to its pin in seven modes:
 //!
 //! * **pin** — the record at 1, 2 and 8 executor threads, with every
 //!   ambient knob but the store fixed, so the CI `store-socket` column
 //!   holds the same table over the wire;
+//! * **socket** — the record at 2 threads with the job's store set to
+//!   the socket shard servers: the same pin, and the shard servers
+//!   served values while the row ran;
 //! * **chaos** — under [`SCHEDULE`] at the same thread counts, the run
 //!   equals the fault-free pin bar `sim_ns`, which must grow wherever the
 //!   schedule fired: a replayed machine is indistinguishable from one
@@ -38,14 +41,15 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::iter::once;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ampc_bench::registry::{self, AlgoParams};
 use ampc_bench::util::{cycle_config, harness_config, load, md_table, GRAPH_SEED};
 use ampc_core::algorithm::{digest_u64s, AlgoInput, AlgoOutput, InputKind, Model};
 use ampc_dht::hasher::mix64;
 use ampc_dht::metrics::CommStats;
-use ampc_dht::store::{Dht, GenerationWriter};
+use ampc_dht::store::{Dht, GenerationWriter, StoreKind};
+use ampc_dht::wire_metrics;
 use ampc_graph::datasets::{Dataset, Scale};
 use ampc_graph::{gen, CsrGraph, WeightedCsrGraph};
 use ampc_runtime::chaos::MAX_EXPLICIT_KILLS;
@@ -62,9 +66,13 @@ const HEADER: &str = "row digest sim_ns stages stage_digest ops shuffle shuffle_
 /// the run under [`SCHEDULE`] fills.
 const RUN: usize = 17;
 
-/// Two of the run columns the modes read.
+/// Three of the run columns the modes read.
 const DIGEST: usize = 0;
 const SIM_NS: usize = 1;
+const BYTES_READ: usize = 10;
+
+/// Held by the row in the **socket** mode.
+static WIRE: Mutex<()> = Mutex::new(());
 
 /// What a row is held to, in [`HEADER`] order.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -262,7 +270,7 @@ const KILLS: [Kills; 6] = [
 /// `cfg` at `threads` executor threads, with every other environment-derived
 /// field but the store overwritten.
 fn fixed(mut cfg: AmpcConfig, threads: usize) -> AmpcConfig {
-    (cfg.chaos, cfg.store) = (None, None);
+    cfg.chaos = None;
     cfg.with_threads(threads)
 }
 
@@ -317,6 +325,29 @@ fn hold(row: &Row, pin: &Record, mode: &Cell<&str>, report: &mut impl FnMut(Stri
         mode.set("mpc");
         if let Some(moved) = twin_moved(row, pin, &cfg) {
             report(format!("at {threads} threads: {moved}"));
+        }
+        if threads == 2 {
+            mode.set("socket");
+            let socket = cfg.with_store(StoreKind::Socket);
+            // The wire counters are process-global: rows take turns, so
+            // the counters move with this row's traffic alone.
+            let _turn = WIRE.lock().unwrap_or_else(PoisonError::into_inner);
+            let before = wire_metrics();
+            let clean = row.ampc(&socket);
+            let got = Record::of(&clean, &row.ampc(&socket.with_chaos(schedule())));
+            let after = wire_metrics();
+            // Every reply but a GET's is one byte, and a job pings the
+            // fleet at every round: only values read back make the
+            // reply bytes outgrow the requests. A row that reads no
+            // value has none to fetch.
+            let requests = after.requests - before.requests;
+            let served = after.bytes_received - before.bytes_received > requests;
+            if got != *pin || !served && pin.0[BYTES_READ] > 0 {
+                report(format!(
+                    "{requests} wire requests, values served {served}: {:?}",
+                    got.0
+                ));
+            }
         }
         clean.get_or_insert(run);
     }

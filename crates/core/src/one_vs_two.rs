@@ -76,7 +76,7 @@ pub fn ampc_one_vs_two_in_job(
     let cutoff = u64::MAX / rate_inv;
     let is_sampled = |v: NodeId| mix64(cfg.seed ^ SAMPLE_SALT ^ v as u64) <= cutoff;
     let mut samples: Vec<NodeId> = Vec::new();
-    crate::prim::pack_range(n, |v| is_sampled(v as NodeId), &mut samples);
+    crate::prim::pack_range(n, |v| is_sampled(v as NodeId), &mut samples, cfg.threads);
 
     // ------------------------------------------------ WriteGraph shuffle
     // (§5.6: "a single shuffle used to write the graph to the key-value

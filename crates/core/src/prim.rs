@@ -34,9 +34,9 @@
 
 use crate::msf::common::ProvEdge;
 use ampc_dht::pool::par_map;
-use ampc_dht::store::ampc_threads;
 use ampc_graph::stripes::{arc_balanced_stripes, stripe_bounds, windows_mut};
 use ampc_graph::{CsrGraph, NodeId};
+use ampc_runtime::config::knobs::ampc_threads;
 use std::ops::Range;
 
 /// Below this many elements the striped paths fall back to a simple
@@ -44,15 +44,10 @@ use std::ops::Range;
 pub const PAR_MIN: usize = 1 << 16;
 
 /// Fills `out` with the indices `i` in `0..n` where `pred(i)` holds, in
-/// ascending order, reusing `out`'s capacity. The striped replacement
+/// ascending order, reusing `out`'s capacity, striped over `threads`
+/// (results are identical for every value). The striped replacement
 /// for `(0..n).filter(pred).collect()` in sampling loops.
-pub fn pack_range(n: usize, pred: impl Fn(usize) -> bool + Sync, out: &mut Vec<u32>) {
-    pack_range_with_threads(n, pred, out, ampc_threads());
-}
-
-/// [`pack_range`] with an explicit thread count (test hook; results are
-/// identical for every value).
-pub fn pack_range_with_threads(
+pub fn pack_range(
     n: usize,
     pred: impl Fn(usize) -> bool + Sync,
     out: &mut Vec<u32>,
@@ -856,7 +851,7 @@ mod tests {
         let naive: Vec<u32> = (0..n).filter(|&i| pred(i)).map(|i| i as u32).collect();
         let mut out = Vec::new();
         for threads in [1, 2, 3, 8] {
-            pack_range_with_threads(n, pred, &mut out, threads);
+            pack_range(n, pred, &mut out, threads);
             assert_eq!(out, naive, "threads = {threads}");
         }
     }
@@ -879,7 +874,7 @@ mod tests {
     #[test]
     fn small_inputs_take_the_sequential_path() {
         let mut out = Vec::new();
-        pack_range(10, |i| i % 2 == 0, &mut out);
+        pack_range(10, |i| i % 2 == 0, &mut out, 2);
         assert_eq!(out, vec![0, 2, 4, 6, 8]);
         let mut f = Vec::new();
         filter_into(&[1u64, 2, 3, 4], |v| *v > 2, &mut f);
@@ -903,7 +898,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let mut out = Vec::new();
-        pack_range(0, |_| true, &mut out);
+        pack_range(0, |_| true, &mut out, 2);
         assert!(out.is_empty());
         let mut counts = Vec::new();
         let mut sorted: Vec<u64> = Vec::new();

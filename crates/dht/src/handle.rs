@@ -360,7 +360,7 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Generation;
+    use crate::store::{Generation, StoreKind};
 
     fn gen3() -> Generation<u64> {
         Generation::from_iter([(1, 10u64), (2, 20), (3, 30)])
@@ -572,7 +572,7 @@ mod tests {
     /// read-through clones each present miss exactly once (the cache
     /// insert); every other read — `get`, `get_many_with`,
     /// `get_many_into`, the cacheless read-through — clones nothing.
-    /// The generation is sealed in memory whatever `AMPC_STORE` says:
+    /// The generation is sealed in memory (`seal_on(StoreKind::Flat, 1)`):
     /// a value decoded off the wire starts a fresh tally, so the probe
     /// could not see clones made on socket-backed values.
     #[test]
@@ -583,7 +583,7 @@ mod tests {
         for k in 0..8u64 {
             w.put(k, CloneCounter(k, std::sync::Arc::clone(&clones)));
         }
-        let g = w.seal_with_threads(1);
+        let g = w.seal_on(StoreKind::Flat, 1);
         clones.store(0, Relaxed);
 
         // 4 distinct present keys, one repeat, one absent key.

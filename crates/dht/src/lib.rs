@@ -15,15 +15,19 @@
 //!   layout of [`substrate`] — a zero-hash direct-index array for dense
 //!   `0..n` key domains, a single-hash open-addressed table otherwise
 //!   ([`store::ReprKind`]) — with `len`/`size_bytes` cached at seal;
-//!   under `AMPC_STORE=socket` the values then move to shard-server
+//!   on the socket store the values then move to shard-server
 //!   processes ([`socket`]) and only the layout's key index stays.
-//!   A large dense seal resolves its stripes in parallel on the pool.
+//!   The store is set per job: a job records its config's
+//!   [`store::StoreKind`] and `threads` on each writer it writes into,
+//!   and the writer's `seal()` seals on that store at that thread
+//!   count. A large dense seal resolves its stripes in parallel on the
+//!   pool.
 //! * [`pool`] — the process-wide worker pool and [`pool::par_map`], the
 //!   one fork-join entry point of the workspace. One pool runs the
 //!   runtime's simulated machines, every striped host pass (the graph
 //!   generators and CSR builder, `ampc_core::prim`) and the dense seal;
 //!   it lives here because the seal is the lowest layer that needs it.
-//!   `AMPC_THREADS` ([`store::ampc_threads`]) sizes it, and a call runs
+//!   `AMPC_THREADS` ([`ampc_knobs::ampc_threads`]) sizes it, and a call runs
 //!   inline on its caller at one thread or one part.
 //! * [`handle::MachineHandle`] — the per-machine access path. All reads
 //!   and writes are metered: the handle counts queries, writes, batched
@@ -73,8 +77,5 @@ pub use handle::{BudgetExhausted, MachineHandle};
 pub use measured::Measured;
 pub use metrics::CommStats;
 pub use socket::{wire_metrics, SocketCluster, WireMetrics};
-pub use store::{
-    ampc_threads, force_store, store_kind, Dht, Generation, GenerationWriter, ReprKind, StoreKind,
-};
-pub use substrate::StoreBackend;
+pub use store::{Dht, Generation, GenerationWriter, ReprKind, StoreKind};
 pub use wire::Wire;

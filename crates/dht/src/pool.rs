@@ -7,7 +7,7 @@
 //! the dense seal of a large generation ([`crate::store`]). The pool
 //! lives in `ampc-dht` because the seal is the lowest layer that needs
 //! it. It is created once per process, sized by `AMPC_THREADS`
-//! ([`crate::store::ampc_threads`]), and reused by every call: spawning
+//! ([`ampc_knobs::ampc_threads`]), and reused by every call: spawning
 //! threads per round would be pure simulation overhead that the paper's
 //! wall-clock claims (§5, "Theory meets Practice") never pay.
 //!
@@ -173,11 +173,7 @@ impl WorkerPool {
     /// correctness — excess parts simply wait for a runner.
     fn global(requested: usize) -> &'static WorkerPool {
         GLOBAL.get_or_init(|| {
-            WorkerPool::new(
-                requested
-                    .max(crate::store::ampc_threads())
-                    .saturating_sub(1),
-            )
+            WorkerPool::new(requested.max(ampc_knobs::ampc_threads()).saturating_sub(1))
         })
     }
 

@@ -1,6 +1,6 @@
 //! The socket-backed shard transport (DESIGN.md §12).
 //!
-//! Under `AMPC_STORE=socket`, sealed generations offload their values to
+//! On the socket store, sealed generations offload their values to
 //! **shard servers in separate OS processes** (`ampc-shardd`, or an
 //! in-process listener thread when the binary is not on disk), reached
 //! over Unix-domain sockets. This module owns the frame codec, the
@@ -640,16 +640,6 @@ pub fn cluster() -> &'static Arc<SocketCluster> {
         c.global = true;
         Arc::new(c)
     })
-}
-
-/// Runtime lifecycle hook: when the socket substrate is the active
-/// store, make sure every shard server is alive (respawning crashed
-/// ones). A no-op under the in-memory substrates, so the executor can
-/// call it unconditionally at round boundaries.
-pub fn ensure_if_active() {
-    if crate::store::store_kind() == crate::store::StoreKind::Socket {
-        cluster().ensure_healthy();
-    }
 }
 
 /// Allocates a process-unique generation id for a socket-sealed

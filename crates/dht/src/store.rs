@@ -23,14 +23,20 @@
 //! that feeds the layout, [`Generation`] and [`Dht`]; it never touches
 //! a slot vector, bitmap or mask itself.
 //!
-//! Under `AMPC_STORE=socket` ([`StoreKind::Socket`]) the same layout is
-//! sealed and then split: the values go to shard-server processes over
-//! Unix-domain sockets ([`crate::socket`]) and only the key index stays
-//! in this process. A socket generation reports the same [`ReprKind`]
-//! and layout fingerprint as the in-memory one; [`Generation::backend`]
-//! tells the two apart. `len()` and `size_bytes()` are computed once at
-//! seal time and cached, so the per-round report path reads them in
-//! O(1) whatever the backend.
+//! The store is a job setting. A job records its config's
+//! [`StoreKind`] and thread count on every writer it writes into
+//! ([`GenerationWriter::set_seal`]), and [`GenerationWriter::seal`]
+//! seals with that pair; a writer no job wrote into seals with the
+//! `AMPC_STORE` and `AMPC_THREADS` defaults, and
+//! [`GenerationWriter::seal_on`] names both explicitly. On
+//! [`StoreKind::Socket`] the same layout is sealed and then split: the
+//! values go to shard-server processes over Unix-domain sockets
+//! ([`crate::socket`]) and only the key index stays in this process. A
+//! socket generation reports the same [`ReprKind`] and layout
+//! fingerprint as the in-memory one; [`Generation::backend`] tells the
+//! two apart. `len()` and `size_bytes()` are computed once at seal time
+//! and cached, so the per-round report path reads them in O(1) whatever
+//! the backend.
 
 use crate::measured::Measured;
 use crate::pool::par_map;
@@ -39,7 +45,7 @@ use crate::wire::Wire;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 
-pub use crate::substrate::{ReprKind, StoreBackend};
+pub use crate::substrate::ReprKind;
 
 /// Number of lock stripes in a writer. Plenty for the machine counts the
 /// simulator runs (≤ a few hundred).
@@ -67,23 +73,9 @@ fn stripe_of(key: u64) -> usize {
     ((key >> BLOCK_BITS) % STRIPES as u64) as usize
 }
 
-/// The `AMPC_THREADS` environment knob (cached after the first read):
-/// the size of the process-wide [pool](crate::pool) that runs parallel
-/// seals, machines and striped passes. The read itself lives in the
-/// [`ampc_knobs`] registry; this re-export keeps the historical entry
-/// point callers already use.
-pub use ampc_knobs::ampc_threads;
-
-/// Store mode: resolved once from `AMPC_STORE`, overridable at runtime
-/// by [`force_store`] (an atomic, so the hot write path never touches
-/// the process environment lock).
-const MODE_ENV: u8 = 0;
-const MODE_FLAT: u8 = 1;
-const MODE_SOCKET: u8 = 2;
-static STORE_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(MODE_ENV);
-
-/// Which substrate [`GenerationWriter::seal`] produces — the
-/// `AMPC_STORE` knob as a type (DESIGN.md §12).
+/// Which substrate a [`GenerationWriter`] seals on (DESIGN.md §12):
+/// a job's `AmpcConfig::store`, recorded on every writer the job writes
+/// into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreKind {
     /// The flat in-memory layouts (dense or open) — the default.
@@ -112,37 +104,17 @@ impl StoreKind {
             StoreKind::Socket => "socket",
         }
     }
-}
 
-/// The store kind currently in force: a [`force_store`] override if one
-/// is set, else `AMPC_STORE` (resolved once and cached).
-pub fn store_kind() -> StoreKind {
-    use std::sync::atomic::Ordering;
-    match STORE_MODE.load(Ordering::Relaxed) {
-        MODE_FLAT => StoreKind::Flat,
-        MODE_SOCKET => StoreKind::Socket,
-        _ => {
-            let kind = StoreKind::parse(ampc_knobs::ampc_store()).unwrap_or(StoreKind::Flat);
-            force_store(Some(kind));
-            kind
-        }
+    /// The `AMPC_STORE` knob: the default of `AmpcConfig::store`, and
+    /// the store of a writer no job wrote into.
+    pub fn from_env() -> StoreKind {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one resolver of the knob's default; jobs read AmpcConfig::store"
+        )]
+        let token = ampc_knobs::ampc_store();
+        StoreKind::parse(token).unwrap_or(StoreKind::Flat)
     }
-}
-
-/// Overrides the substrate choice at runtime, as `AMPC_STORE` would,
-/// without mutating the process environment: `Some(kind)` forces that
-/// substrate for subsequent seals, `None` re-reads `AMPC_STORE` on next
-/// use. Process-global — intended for the runtime's `--store` flag and
-/// the substrate-equivalence tests, not for concurrent use under live jobs
-/// (the substrates are observationally equivalent, so a racing seal
-/// merely picks either one).
-pub fn force_store(kind: Option<StoreKind>) {
-    let mode = match kind {
-        Some(StoreKind::Flat) => MODE_FLAT,
-        Some(StoreKind::Socket) => MODE_SOCKET,
-        None => MODE_ENV,
-    };
-    STORE_MODE.store(mode, std::sync::atomic::Ordering::Relaxed);
 }
 
 /// One machine's run of writes to one stripe, in issue order. A stripe
@@ -296,6 +268,10 @@ pub struct GenerationWriter<V> {
     /// idempotent status markers), so a conflicting duplicate is a
     /// kernel bug.
     strict: bool,
+    /// The store and thread count [`Self::seal`] seals with, recorded by
+    /// the job that writes into this writer; `None` seals with the
+    /// `AMPC_STORE` and `AMPC_THREADS` defaults.
+    seal_as: Mutex<Option<(StoreKind, usize)>>,
 }
 
 impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
@@ -304,6 +280,7 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
         GenerationWriter {
             stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
             strict: true,
+            seal_as: Mutex::new(None),
         }
     }
 
@@ -313,6 +290,14 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     pub fn relaxed(mut self) -> Self {
         self.strict = false;
         self
+    }
+
+    /// Makes [`Self::seal`] seal on `store` with `threads` workers. A
+    /// job records its config's `store` and `threads` here on every
+    /// writer it writes into, so its generations seal the way its
+    /// config says whoever calls `seal`.
+    pub fn set_seal(&self, store: StoreKind, threads: usize) {
+        *self.seal_as.lock() = Some((store, threads));
     }
 
     /// Inserts a key-value pair on behalf of machine 0 (the
@@ -387,29 +372,32 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
         (written, total_bytes)
     }
 
-    /// Seals the writer into an immutable generation on the substrate
-    /// [`store_kind`] currently selects (see the module docs for the
-    /// in-memory layout selection rule; large flat seals parallelize
-    /// across the writer's stripes with [`ampc_threads`] workers).
-    /// Under `AMPC_STORE=socket` the flat seal runs first — same
-    /// canonical layout, byte for byte — and the values are then
-    /// offloaded to the shard servers.
-    pub fn seal(self) -> Generation<V> {
-        match store_kind() {
-            StoreKind::Flat => self.seal_flat(ampc_threads()),
-            StoreKind::Socket => self.seal_flat(ampc_threads()).offload_to_socket(),
-        }
+    /// Seals the writer into an immutable generation with the store and
+    /// threads of the job that wrote into it ([`Self::set_seal`]), or
+    /// with the `AMPC_STORE` and `AMPC_THREADS` defaults if no job did.
+    /// See [`Self::seal_on`].
+    pub fn seal(mut self) -> Generation<V> {
+        let seal_as = *self.seal_as.get_mut();
+        let (store, threads) =
+            seal_as.unwrap_or_else(|| (StoreKind::from_env(), ampc_knobs::ampc_threads()));
+        self.seal_on(store, threads)
     }
 
-    /// Seals into the flat layout with an explicit worker count
-    /// (`threads = 1` seals entirely on the calling thread), ignoring
-    /// the store mode — the determinism suites use this to pin the
-    /// canonical in-memory layout regardless of `AMPC_STORE`. The
-    /// sealed layout is byte-identical for every `threads` value: the
-    /// dense seal distributes whole stripes over workers, and the
-    /// physical layout is canonical (see module docs).
-    pub fn seal_with_threads(self, threads: usize) -> Generation<V> {
-        self.seal_flat(threads)
+    /// Seals the writer on `store`, resolving the writer's stripes with
+    /// up to `threads` workers once the generation is large (`1` seals
+    /// entirely on the calling thread; see the module docs for the
+    /// layout selection rule). The sealed layout is byte-identical for
+    /// every `threads` value: the dense seal distributes whole stripes
+    /// over workers, and the physical layout is canonical. On
+    /// [`StoreKind::Socket`] the flat seal runs first — the same layout,
+    /// byte for byte — and the values are then offloaded to the shard
+    /// servers.
+    pub fn seal_on(self, store: StoreKind, threads: usize) -> Generation<V> {
+        let flat = self.seal_flat(threads);
+        match store {
+            StoreKind::Flat => flat,
+            StoreKind::Socket => flat.offload_to_socket(),
+        }
     }
 
     /// Flat seal over the stripes' chunks. Resolution and layout
@@ -575,7 +563,7 @@ impl<V> Generation<V> {
     /// Total serialized size of all pairs (cached at seal time — the
     /// per-round report path reads this in O(1)). Backend-independent
     /// by construction: the socket offload keeps the in-memory seal's
-    /// figure, so simulated accounting never depends on `AMPC_STORE`.
+    /// figure, so simulated accounting never depends on the store.
     #[inline]
     pub fn size_bytes(&self) -> usize {
         self.size_bytes
@@ -621,11 +609,13 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     }
 
     /// Where this generation's values physically live: in this
-    /// process's memory, or in shard-server processes (DESIGN.md §12).
-    pub fn backend(&self) -> StoreBackend {
+    /// process's memory ([`StoreKind::Flat`]), or in shard-server
+    /// processes (DESIGN.md §12). An empty generation sealed on the
+    /// socket stays in memory: it has nothing to serve.
+    pub fn backend(&self) -> StoreKind {
         match &self.repr {
-            Repr::Memory(_) => StoreBackend::InMemory,
-            Repr::Socket(_) => StoreBackend::Socket,
+            Repr::Memory(_) => StoreKind::Flat,
+            Repr::Socket(_) => StoreKind::Socket,
         }
     }
 
@@ -861,7 +851,7 @@ mod tests {
         w.put_many_from(1, [(7, 2), (8, 8)]);
         w.put_many_from(0, [(9, 9), (7, 1)]);
         assert_eq!(stripe_of(7), stripe_of(9));
-        let _ = w.seal_with_threads(1);
+        let _ = w.seal_on(StoreKind::Flat, 1);
     }
 
     /// One scripted write: the machine, then one `put_from` (`single`)
@@ -938,7 +928,7 @@ mod tests {
                     writer.put_many_from(w.machine, w.pairs.iter().cloned());
                 }
             }
-            let g = writer.seal_with_threads(threads);
+            let g = writer.seal_on(StoreKind::Flat, threads);
             let mut seen: Vec<(u64, Vec<u32>)> = g.iter().map(|(k, v)| (k, v.clone())).collect();
             seen.sort_unstable();
             assert_eq!(seen, pairs, "threads {threads}");
@@ -1073,17 +1063,12 @@ mod tests {
                 .flat_map(|&k| [k, k ^ 1, k.wrapping_add(64), !k])
                 .collect();
             let expected: Vec<Option<&u64>> = probes.iter().map(|k| oracle.get(k)).collect();
-            let seal = || {
+            for backend in [StoreKind::Flat, StoreKind::Socket] {
                 let w = GenerationWriter::new();
                 for &k in &keys {
                     w.put(k, mix64(k));
                 }
-                w.seal_with_threads(1)
-            };
-            for (g, backend) in [
-                (seal(), StoreBackend::InMemory),
-                (seal().offload_to_socket(), StoreBackend::Socket),
-            ] {
+                let g = w.seal_on(backend, 1);
                 assert_eq!(g.backend(), backend);
                 assert_eq!(g.layout_fingerprint(), canonical, "{backend:?}");
                 assert_eq!(g.len(), oracle.len());
@@ -1172,7 +1157,7 @@ mod tests {
                     });
                 }
             });
-            w.seal_with_threads(seal_threads)
+            w.seal_on(StoreKind::Flat, seal_threads)
         }
         let a = run(false, 1);
         let pairs =
@@ -1217,8 +1202,8 @@ mod tests {
             });
             w
         };
-        let seq = build().seal_with_threads(1);
-        let par = build().seal_with_threads(8);
+        let seq = build().seal_on(StoreKind::Flat, 1);
+        let par = build().seal_on(StoreKind::Flat, 8);
         assert_eq!(seq.layout_fingerprint(), par.layout_fingerprint());
         assert_eq!(seq.len(), par.len());
         assert_eq!(seq.size_bytes(), par.size_bytes());

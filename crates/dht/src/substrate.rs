@@ -17,8 +17,8 @@
 //! iteration; nothing outside this module touches a slot vector, a
 //! bitmap or a mask.
 //!
-//! In memory, a sealed generation *is* a `Layout<V>`. Under
-//! `AMPC_STORE=socket` ([`crate::socket`]) the layout is split once at
+//! In memory, a sealed generation *is* a `Layout<V>`. On the socket
+//! store ([`crate::socket`]) the layout is split once at
 //! seal: the values go to shard-server processes and an `Offloaded`
 //! generation keeps the same slot structure as a `Layout<()>` key
 //! index — so its kind and fingerprint equal the in-memory layout's by
@@ -57,19 +57,6 @@ pub enum ReprKind {
     Dense,
     /// Single open-addressed table; one hash per read.
     Open,
-}
-
-/// Where a generation's *values* physically live. Orthogonal to
-/// [`ReprKind`]: a socket-backed generation still reports the dense or
-/// open layout of its key index (that is what makes the fingerprint
-/// suites run unchanged), so tests that must prove the wire is actually
-/// engaged check the backend instead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreBackend {
-    /// Values held in this process's memory.
-    InMemory,
-    /// Values held by shard-server processes behind Unix-domain sockets.
-    Socket,
 }
 
 /// Iterator over the set bits of one bitmap word.
@@ -362,7 +349,7 @@ impl<T> Layout<T> {
 }
 
 /// A sealed generation whose values live in shard-server processes
-/// ([`crate::socket`]), selected by `AMPC_STORE=socket`.
+/// ([`crate::socket`]): what a seal on `StoreKind::Socket` produces.
 ///
 /// Locally absent keys are answered from the key index with **zero**
 /// wire traffic. Present keys are fetched over the wire in per-shard

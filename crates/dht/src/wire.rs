@@ -1,6 +1,6 @@
 //! The deterministic wire codec for the socket substrate (DESIGN.md §12).
 //!
-//! When shards live in separate OS processes (`AMPC_STORE=socket`),
+//! When shards live in separate OS processes (the socket store),
 //! values cross a Unix-domain socket as bytes. [`Wire`] is the codec
 //! contract: a **deterministic, little-endian, length-prefixed**
 //! encoding whose decode is the exact inverse (`decode ∘ encode = id`,

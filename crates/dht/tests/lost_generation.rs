@@ -8,7 +8,7 @@
 //! shard fleet, which no other test may share.
 
 use ampc_dht::socket::cluster;
-use ampc_dht::store::{force_store, Generation, GenerationWriter, StoreBackend, StoreKind};
+use ampc_dht::store::{Generation, GenerationWriter, StoreKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A socket generation holding `k ↦ 3k` for `k < n`.
@@ -17,14 +17,13 @@ fn seal(n: u64) -> Generation<u64> {
     for k in 0..n {
         w.put(k, 3 * k);
     }
-    let g = w.seal();
-    assert_eq!(g.backend(), StoreBackend::Socket);
+    let g = w.seal_on(StoreKind::Socket, 1);
+    assert_eq!(g.backend(), StoreKind::Socket);
     g
 }
 
 #[test]
 fn a_generation_lost_to_a_respawn_panics_and_later_ones_read_back() {
-    force_store(Some(StoreKind::Socket));
     let lost = seal(64);
     assert_eq!(lost.get(5), Some(&15), "read back before the crash");
     cluster().kill_servers_for_test();
@@ -39,5 +38,4 @@ fn a_generation_lost_to_a_respawn_panics_and_later_ones_read_back() {
     let mut got = Vec::new();
     fresh.get_many_with(&(0..64).collect::<Vec<u64>>(), |_, v| got.push(*v.unwrap()));
     assert_eq!(got, (0..64).map(|k| 3 * k).collect::<Vec<u64>>());
-    force_store(None);
 }

@@ -64,19 +64,22 @@ pub const KNOBS: &[KnobSpec] = &[
         accepts: "a positive integer",
         default: "4",
         doc: "How many shard-server processes the socket substrate \
-              spawns (DESIGN.md §12). Only read when `AMPC_STORE=socket` \
-              brings the substrate up; a layout knob only — outputs and \
+              spawns (DESIGN.md §12). Only read when the socket store is \
+              first used; a layout knob only — outputs and \
               CommStats are identical for every value.",
     },
     KnobSpec {
         name: "AMPC_STORE",
         accepts: "flat | socket",
         default: "flat",
-        doc: "Sealed-generation storage substrate (DESIGN.md §5.4, §12): \
-              the flat dense/open-addressed in-memory layout, or the \
-              same layout with its values served by shard-server \
-              processes behind Unix-domain sockets. Observationally \
-              identical outputs in both modes.",
+        doc: "Default sealed-generation storage substrate (DESIGN.md \
+              §5.4, §12): the flat dense/open-addressed in-memory \
+              layout, or the same layout with its values served by \
+              shard-server processes behind Unix-domain sockets. The \
+              store is set per job (`AmpcConfig::store`, `--store`) and \
+              reaches each seal through the job's writers; this knob \
+              is its default, and the store of a writer no job wrote \
+              into. Observationally identical outputs in both modes.",
     },
     KnobSpec {
         name: "AMPC_THREADS",
@@ -136,12 +139,11 @@ fn scale_token(value: Option<&str>) -> &'static str {
     }
 }
 
-/// `AMPC_STORE`: the requested storage substrate, normalized to
+/// `AMPC_STORE`: the default storage substrate, normalized to
 /// `"flat"` or `"socket"` (unset or unrecognized values default to
-/// `"flat"`). The store module caches the resolved mode in
-/// an atomic (and offers a runtime override); this is only the
-/// environment half. Callers map the token onto their own enum so this
-/// crate stays dependency-free.
+/// `"flat"`). Its one caller is `ampc_dht::store::StoreKind::from_env`,
+/// which maps the token onto the store enum (this crate stays
+/// dependency-free); a job reads its store from `AmpcConfig::store`.
 pub fn ampc_store() -> &'static str {
     match raw("AMPC_STORE").map(|v| v.to_ascii_lowercase()).as_deref() {
         Some("socket") => "socket",
@@ -209,6 +211,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the registry's own check of the AMPC_STORE parse"
+    )]
     fn defaults_are_sane_when_unset() {
         // CI may set these; only assert the unset-or-valid contract.
         assert!(ampc_threads() >= 1);

@@ -36,20 +36,21 @@ pub struct AmpcConfig {
     /// thread; higher values run them on the process-wide pool
     /// ([`ampc_dht::pool::par_map`]). Purely a
     /// wall-clock knob: outputs, round counts and `CommStats` are
-    /// identical for every value. Defaults to `AMPC_THREADS`, falling
-    /// back to the machine's available parallelism.
+    /// identical for every value. It is also the worker count of the
+    /// job's seals. Defaults to `AMPC_THREADS`, falling back to the
+    /// machine's available parallelism.
     pub threads: usize,
     /// Seed for all algorithm randomness (vertex/edge priorities,
     /// sampling). Two runs with equal seeds produce identical outputs.
     pub seed: u64,
-    /// Sealed-generation storage substrate override (DESIGN.md §12).
-    /// `None` — the default — leaves the ambient mode in force (the
-    /// `AMPC_STORE` knob, or whatever a suite forced programmatically);
-    /// `Some(kind)` makes [`crate::driver::drive`] force that substrate
-    /// before the job starts. Like the layout itself, purely an
-    /// execution-strategy knob: outputs, round counts and `CommStats`
-    /// are identical for every value.
-    pub store: Option<StoreKind>,
+    /// The store this job's generations seal on (DESIGN.md §12).
+    /// Defaults to the `AMPC_STORE` knob ([`StoreKind::from_env`]).
+    /// The job records it, with [`Self::threads`], on every writer it
+    /// writes into, so the writer's `seal()` seals on this store at the
+    /// job's thread count, whatever other jobs run beside it. Like the
+    /// layout itself, purely an execution-strategy setting: outputs,
+    /// round counts and `CommStats` are identical for every value.
+    pub store: StoreKind,
     /// The "switch to in-memory" threshold used by the paper's MPC
     /// implementations: once a (sub)problem has at most this many edges
     /// it is solved on a single machine (§5.4: `s = 5 × 10⁷`, scaled
@@ -74,8 +75,8 @@ impl Default for AmpcConfig {
             epsilon: 0.75,
             cost: CostConfig::default(),
             caching: true,
-            threads: ampc_dht::store::ampc_threads(),
-            store: None,
+            threads: ampc_knobs::ampc_threads(),
+            store: StoreKind::from_env(),
             seed: 0xA3C5,
             // Paper uses 5e7 on billion-edge graphs (~1/1000 of the
             // largest input); our bench analogues are ~1000x smaller.
@@ -121,10 +122,10 @@ impl AmpcConfig {
         self
     }
 
-    /// Forces a sealed-storage substrate for jobs driven under this
-    /// configuration (see [`Self::store`]).
+    /// Sets the store this configuration's jobs seal on (see
+    /// [`Self::store`]).
     pub fn with_store(mut self, kind: StoreKind) -> Self {
-        self.store = Some(kind);
+        self.store = kind;
         self
     }
 

@@ -41,13 +41,10 @@ pub struct Driven<R> {
 /// `ampc` CLI use so that every algorithm shares one code path from
 /// configuration to report.
 pub fn drive<R>(cfg: &AmpcConfig, body: impl FnOnce(&mut Job) -> R) -> Driven<R> {
-    if cfg.store.is_some() {
-        ampc_dht::store::force_store(cfg.store);
-    }
-    // Shard-process lifecycle, job-start edge: under the socket
-    // substrate, every shard server must be alive before the first
-    // seal (a no-op otherwise — DESIGN.md §12).
-    ampc_dht::socket::ensure_if_active();
+    // Shard-process lifecycle, job-start edge: on the socket store,
+    // every shard server must be alive before the first seal
+    // (DESIGN.md §12).
+    crate::job::ping_fleet(cfg);
     #[expect(
         clippy::disallowed_methods,
         reason = "wall_ns is a reported measurement only: it never feeds algorithm \

@@ -243,6 +243,7 @@ where
 mod tests {
     use super::*;
     use crate::partition;
+    use ampc_dht::store::StoreKind;
 
     /// Thread counts a round must behave identically under: inline
     /// and pooled.
@@ -357,7 +358,7 @@ mod tests {
                     Vec::<()>::new()
                 },
             );
-            writer.seal_with_threads(1)
+            writer.seal_on(StoreKind::Flat, 1)
         };
         let pooled = run(4);
         let inline = run(1);

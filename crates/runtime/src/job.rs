@@ -1,13 +1,13 @@
 //! Job orchestration: stages, cost charging, fault replay.
 
-use crate::chaos::{ChaosSpec, FaultSchedule};
+use crate::chaos::FaultSchedule;
 use crate::config::AmpcConfig;
 use crate::executor::{self, MachineCtx, MachineRoundStats, RoundScratch, RoundSpec};
 use crate::partition;
 use crate::report::{JobReport, StageKind, StageReport};
 use ampc_dht::measured::Measured;
 use ampc_dht::metrics::CommStats;
-use ampc_dht::store::{Generation, GenerationWriter};
+use ampc_dht::store::{Generation, GenerationWriter, StoreKind};
 use ampc_dht::wire::Wire;
 use std::time::Instant;
 
@@ -24,6 +24,14 @@ pub struct Job {
     /// Per-machine buffer arenas, lent to every round so kernel hot
     /// loops reuse capacity across rounds and epochs (DESIGN.md §11).
     scratch: RoundScratch,
+}
+
+/// On the socket store, makes sure every shard server is alive,
+/// respawning crashed ones; nothing on the flat store.
+pub(crate) fn ping_fleet(cfg: &AmpcConfig) {
+    if cfg.store == StoreKind::Socket {
+        ampc_dht::socket::cluster().ensure_healthy();
+    }
 }
 
 /// Starts a stage's wall clock.
@@ -50,12 +58,6 @@ impl Job {
             epoch_kv_pending: false,
             scratch: RoundScratch::new(),
         }
-    }
-
-    /// Arms a chaos schedule (see [`crate::chaos`]).
-    pub fn with_chaos(mut self, spec: ChaosSpec) -> Self {
-        self.chaos = Some(FaultSchedule::new(spec));
-        self
     }
 
     /// The configuration.
@@ -318,8 +320,12 @@ impl Job {
         // Shard-process lifecycle, round edge: a socket shard server
         // that died mid-job is respawned (and the surviving generations
         // it lost will fail loudly rather than silently read stale
-        // data). No-op under the in-memory substrates (DESIGN.md §12).
-        ampc_dht::socket::ensure_if_active();
+        // data). The writer seals on this job's store and threads,
+        // whoever seals it (DESIGN.md §12).
+        ping_fleet(&self.cfg);
+        if let Some(writer) = write {
+            writer.set_seal(self.cfg.store, threads);
+        }
         let wall = stage_clock();
         // Lend the job's persistent arenas to the round (taken out of
         // `self` so replay below can borrow both `self` and the arenas).
@@ -467,6 +473,7 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosSpec;
 
     fn test_job() -> Job {
         Job::new(AmpcConfig::for_tests())
@@ -605,10 +612,8 @@ mod tests {
     fn fault_replay_produces_same_outputs() {
         let read: Generation<u64> = Generation::from_iter((0..64u64).map(|k| (k, k * 7)));
         let run = |kill: Option<ChaosSpec>| -> (Vec<u64>, u64) {
-            let mut job = Job::new(AmpcConfig::for_tests());
-            if let Some(k) = kill {
-                job = job.with_chaos(k);
-            }
+            let cfg = AmpcConfig::for_tests();
+            let mut job = Job::new(kill.map_or(cfg, |k| cfg.with_chaos(k)));
             let out = job.kv_round("r", &read, None, (0..64u64).collect(), |ctx, items| {
                 items
                     .iter()
@@ -631,10 +636,9 @@ mod tests {
     fn replay_splices_variable_arity_outputs() {
         let read: Generation<u64> = Generation::from_iter((0..40u64).map(|k| (k, k * 7)));
         let run = |kill: Option<(u32, u32)>| -> Vec<u64> {
-            let mut job = Job::new(AmpcConfig::for_tests());
-            if let Some((stage, machine)) = kill {
-                job = job.with_chaos(ChaosSpec::new(1).with_kill(stage, machine));
-            }
+            let cfg = AmpcConfig::for_tests();
+            let kill = kill.map(|(stage, machine)| ChaosSpec::new(1).with_kill(stage, machine));
+            let mut job = Job::new(kill.map_or(cfg, |k| cfg.with_chaos(k)));
             // Two outputs per multiple of three, none otherwise: the
             // four machines emit 8, 6, 6 and 8 outputs.
             job.kv_round("r", &read, None, (0..40u64).collect(), |ctx, items| {
@@ -665,7 +669,7 @@ mod tests {
         let mut clean = Job::new(AmpcConfig::for_tests());
         clean.kv_round("r", &read, None, (0..64u64).collect(), body);
         let mut faulty =
-            Job::new(AmpcConfig::for_tests()).with_chaos(ChaosSpec::new(1).with_kill(0, 1));
+            Job::new(AmpcConfig::for_tests().with_chaos(ChaosSpec::new(1).with_kill(0, 1)));
         faulty.kv_round("r", &read, None, (0..64u64).collect(), body);
         assert!(faulty.report().sim_ns() > clean.report().sim_ns());
     }

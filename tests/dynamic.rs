@@ -8,7 +8,7 @@
 
 use ampc::prelude::*;
 use ampc_core::dynamic::{ampc_dynamic_cc_in_job, validate_dynamic_labels};
-use ampc_dht::store::{force_store, StoreKind};
+use ampc_dht::store::StoreKind;
 use ampc_graph::dynamic::{
     generate_batches, BatchMix, DynamicSource, EdgeUpdate, UpdateBatch, UpdateKind,
 };
@@ -77,21 +77,17 @@ fn maintained_equals_recompute_on_every_batch_and_schedule() {
     }
 }
 
-/// Both storage substrates, in one test so the process-global store
-/// override is never racing another store-sensitive assertion: the
-/// maintained kernel must produce identical labels *and* identical
-/// round structure / communication with every epoch's generation held
-/// in memory and held by the socket shard servers, on every schedule.
+/// Both storage substrates: the maintained kernel must produce
+/// identical labels *and* identical round structure / communication
+/// with every epoch's generation held in memory and held by the socket
+/// shard servers, on every schedule.
 #[test]
 fn both_storage_layouts_agree_per_batch() {
     let g = gen::erdos_renyi(250, 380, 7);
     let c = cfg(0xD11B);
     for (name, batches) in schedules(&g) {
-        force_store(Some(StoreKind::Flat));
-        let flat = maintained(&g, &batches, &c);
-        force_store(Some(StoreKind::Socket));
-        let socket = maintained(&g, &batches, &c);
-        force_store(None);
+        let flat = maintained(&g, &batches, &c.with_store(StoreKind::Flat));
+        let socket = maintained(&g, &batches, &c.with_store(StoreKind::Socket));
         assert_eq!(
             flat.output, socket.output,
             "{name}: labels differ across substrates"
@@ -112,7 +108,7 @@ fn both_storage_layouts_agree_per_batch() {
             "{name}"
         );
         // And the socket-served labels still match the recompute
-        // baseline (run under the ambient store).
+        // baseline (run under the default store).
         let recomputed = recomputed(&g, &batches, &c);
         assert_eq!(socket.output, recomputed, "{name}: socket vs recompute");
     }

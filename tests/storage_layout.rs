@@ -14,10 +14,11 @@
 use ampc::prelude::*;
 use ampc_bench::registry::run_family;
 use ampc_dht::hasher::mix64;
-use ampc_dht::store::{force_store, Generation, GenerationWriter, StoreBackend, StoreKind};
+use ampc_dht::store::{Dht, Generation, GenerationWriter, StoreKind};
 use ampc_graph::gen;
-use ampc_runtime::driver::Driven;
+use ampc_runtime::driver::{drive, Driven};
 use std::collections::BTreeMap;
+use std::sync::Barrier;
 
 fn cfg() -> AmpcConfig {
     AmpcConfig {
@@ -58,7 +59,7 @@ fn flat_get_matches_oracle_on_adversarial_keys() {
             for &k in &keys {
                 w.put(k, value(k));
             }
-            w.seal_with_threads(2)
+            w.seal_on(StoreKind::Flat, 2)
         };
         let oracle: BTreeMap<u64, Vec<u32>> = keys.iter().map(|&k| (k, value(k))).collect();
         assert_eq!(flat.len(), oracle.len(), "{name}");
@@ -80,8 +81,7 @@ fn flat_get_matches_oracle_on_adversarial_keys() {
 /// identical to flat: same layout fingerprints, gets and batched gets
 /// on adversarial keys — with the shards living outside the sealing
 /// thread — and a full kernel produces identical outputs, rounds and
-/// CommStats across 1/2/8 threads. Generation- and kernel-level checks
-/// share one test because the store override is process-global.
+/// CommStats across 1/2/8 threads.
 #[test]
 fn socket_substrate_matches_flat_generations_and_kernels() {
     let keys: Vec<u64> = (1..1_200u64)
@@ -94,11 +94,10 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
         }
         w
     };
-    let flat = build().seal_with_threads(2);
-    force_store(Some(StoreKind::Socket));
-    let socket = build().seal();
-    assert_eq!(socket.backend(), StoreBackend::Socket);
-    assert_eq!(flat.backend(), StoreBackend::InMemory);
+    let flat = build().seal_on(StoreKind::Flat, 2);
+    let socket = build().seal_on(StoreKind::Socket, 2);
+    assert_eq!(socket.backend(), StoreKind::Socket);
+    assert_eq!(flat.backend(), StoreKind::Flat);
     assert_eq!(socket.layout_fingerprint(), flat.layout_fingerprint());
     assert_eq!(socket.len(), flat.len());
     assert_eq!(socket.size_bytes(), flat.size_bytes());
@@ -123,14 +122,71 @@ fn socket_substrate_matches_flat_generations_and_kernels() {
         )
     };
     let g = gen::rmat(8, 1_200, gen::RmatParams::SOCIAL, 5);
-    force_store(Some(StoreKind::Flat));
-    let reference = observe(mis(&g, &cfg().with_threads(1)));
-    force_store(Some(StoreKind::Socket));
+    let reference = observe(mis(&g, &cfg().with_threads(1).with_store(StoreKind::Flat)));
     for threads in [1usize, 2, 8] {
-        let got = observe(mis(&g, &cfg().with_threads(threads)));
-        assert_eq!(got, reference, "socket, {threads} threads");
+        let c = cfg().with_threads(threads).with_store(StoreKind::Socket);
+        assert_eq!(observe(mis(&g, &c)), reference, "socket, {threads} threads");
     }
-    force_store(None);
+}
+
+/// Two jobs in one process seal on their own stores. A flat job
+/// starts, then a socket job starts, and only then does each write,
+/// seal and read back one generation: the second job's store must not
+/// reach the first job's seal.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "two jobs running side by side are what the test exercises"
+)]
+fn concurrent_jobs_seal_on_their_own_stores() {
+    let (flat_started, both_started) = (Barrier::new(2), Barrier::new(2));
+    let run = |store: StoreKind| {
+        drive(&cfg().with_store(store), |job| {
+            if store == StoreKind::Flat {
+                flat_started.wait();
+            }
+            both_started.wait();
+            let mut dht: Dht<u64> = Dht::new();
+            let writer = GenerationWriter::new();
+            job.kv_round(
+                "Write",
+                dht.current(),
+                Some(&writer),
+                (0..1_000u64).collect(),
+                |ctx, keys| {
+                    ctx.handle.put_many(keys.iter().map(|&k| (k, 3 * k)));
+                    Vec::<()>::new()
+                },
+            );
+            dht.push(writer.seal());
+            assert_eq!(dht.current().backend(), store);
+            let read = job.kv_round(
+                "Read",
+                dht.current(),
+                None,
+                (0..1_000u64).collect(),
+                |ctx, keys| {
+                    let mut got = Vec::new();
+                    ctx.handle.get_many_with(keys, |_, v| got.push(v.copied()));
+                    got
+                },
+            );
+            assert_eq!(
+                read,
+                (0..1_000u64).map(|k| Some(3 * k)).collect::<Vec<_>>(),
+                "{store:?}"
+            );
+        })
+    };
+    std::thread::scope(|s| {
+        let flat = s.spawn(|| run(StoreKind::Flat));
+        flat_started.wait();
+        let socket = s.spawn(|| run(StoreKind::Socket));
+        for (job, store) in [(flat, "flat"), (socket, "socket")] {
+            job.join()
+                .unwrap_or_else(|_| panic!("the {store} job failed"));
+        }
+    });
 }
 
 /// `peak_generation_bytes` reads the seal-time cache and matches an
