@@ -12,8 +12,12 @@
 //!   (one batched lookup per machine), local *apply*/*repair* stages,
 //!   and a *publish* KV-write round whose sealed generation becomes the
 //!   next epoch's read snapshot. The DHT generation sequence `D0, D1, …`
-//!   is therefore exactly the epoch sequence — the §2 fault-tolerance
-//!   story (replay against sealed inputs) carries over unchanged.
+//!   is therefore exactly the epoch sequence, of which only the newest
+//!   generation is live: publishing drops the previous epoch's, so the
+//!   store holds one batch's labels however long the stream. The §2
+//!   fault-tolerance story (replay against sealed inputs) carries over
+//!   unchanged, because a replayed machine reruns inside its round,
+//!   against the generation that round was handed.
 //! * **Work proportional to what a batch touches.** A spanning forest
 //!   of the current graph is kept beside the labels, as one ascending
 //!   list of tree neighbours per vertex. Non-tree deletes and

@@ -81,22 +81,6 @@ impl<T: Clone> DenseCache<T> {
         Self::new(0, 0)
     }
 
-    /// Whether caching is enabled at all.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Number of backing slots actually allocated — `O(capacity)` in
-    /// sparse mode, `key_space` in dense mode. Exposed so tests can
-    /// assert the `O(S)` memory bound.
-    pub fn allocated_slots(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { slots, .. } => slots.len(),
-            Repr::Sparse(map) => map.capacity(),
-        }
-    }
-
     /// Looks up `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&T> {
@@ -172,6 +156,15 @@ impl<T: Clone> DenseCache<T> {
 mod tests {
     use super::*;
 
+    /// Backing slots actually allocated: `O(capacity)` in sparse mode,
+    /// `key_space` in dense mode.
+    fn allocated_slots<T>(c: &DenseCache<T>) -> usize {
+        match &c.repr {
+            Repr::Dense { slots, .. } => slots.len(),
+            Repr::Sparse(map) => map.capacity(),
+        }
+    }
+
     #[test]
     fn basic_get_put() {
         let mut c: DenseCache<u8> = DenseCache::unbounded(10);
@@ -213,7 +206,6 @@ mod tests {
         let mut c: DenseCache<u8> = DenseCache::disabled();
         c.put(0, 1);
         assert_eq!(c.get(0), None);
-        assert!(!c.is_enabled());
         assert!(c.is_empty());
     }
 
@@ -248,9 +240,9 @@ mod tests {
     fn sparse_mode_respects_memory_bound() {
         let c: DenseCache<u64> = DenseCache::new(1 << 40, 64);
         assert!(
-            c.allocated_slots() <= 64 * DENSITY_FACTOR,
+            allocated_slots(&c) <= 64 * DENSITY_FACTOR,
             "allocated {} slots for capacity 64",
-            c.allocated_slots()
+            allocated_slots(&c)
         );
         let mut c = c;
         for k in 0..64u64 {
@@ -268,7 +260,7 @@ mod tests {
     #[test]
     fn dense_mode_clear_is_occupancy_proportional() {
         let mut c: DenseCache<u32> = DenseCache::new(1000, 1000);
-        assert_eq!(c.allocated_slots(), 1000);
+        assert_eq!(allocated_slots(&c), 1000);
         for k in 0..10u64 {
             c.put(k, 1);
         }

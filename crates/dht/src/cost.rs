@@ -92,7 +92,7 @@ impl Default for CostConfig {
 impl CostConfig {
     /// Effective latency of one lookup after latency hiding.
     #[inline]
-    pub fn effective_lookup_latency_ns(&self) -> f64 {
+    fn effective_lookup_latency_ns(&self) -> f64 {
         let base = match self.network {
             Network::Rdma => self.rdma_latency_ns,
             Network::Tcp => self.tcp_latency_ns,

@@ -5,18 +5,21 @@
 //! machine can read data from D_{i−1} and write to D_i"*. This crate
 //! provides that object for the simulated runtime:
 //!
-//! * [`store::Dht`] — a sequence of **generations**. A generation is
-//!   written through a lock-striped [`store::GenerationWriter`]
-//!   and then **sealed** into an immutable [`store::Generation`] that
-//!   subsequent rounds read without locks. Sealing is exactly the model's
-//!   round boundary, and immutability of past generations is what makes
-//!   the fault-tolerance story work (a re-executed machine re-reads the
-//!   same values). Sealing flattens the stripes into the one sealed
-//!   layout of [`substrate`] — a zero-hash direct-index array for dense
-//!   `0..n` key domains, a single-hash open-addressed table otherwise
-//!   ([`store::ReprKind`]) — with `len`/`size_bytes` cached at seal;
-//!   on the socket store the values then move to shard-server
-//!   processes ([`socket`]) and only the layout's key index stays.
+//! * [`store::Dht`] — the live end of a sequence of **generations**. A
+//!   generation is written through a lock-striped
+//!   [`store::GenerationWriter`] and then **sealed** into an immutable
+//!   [`store::Generation`] that the next round reads without locks.
+//!   Sealing is exactly the model's round boundary; a `Dht` holds only
+//!   the newest sealed generation and drops its predecessor on `push`.
+//!   Immutability of the generation a round reads is what makes the
+//!   fault-tolerance story work (a re-executed machine re-reads the
+//!   same values within that round). Sealing flattens the stripes into
+//!   the one sealed layout of [`substrate`] — a zero-hash direct-index
+//!   array for dense `0..n` key domains, a single-hash open-addressed
+//!   table otherwise ([`store::ReprKind`]) — with `len`/`size_bytes`
+//!   cached at seal; on the socket store the values then move to
+//!   shard-server processes ([`socket`]) and only the layout's key
+//!   index stays.
 //!   The store is set per job: a job records its config's
 //!   [`store::StoreKind`] and `threads` on each writer it writes into,
 //!   and the writer's `seal()` seals on that store at that thread

@@ -2,12 +2,16 @@
 //!
 //! The model (§2): *"At the start of the computation, the input data is
 //! stored in D0 … In the i-th round, each machine can read data from
-//! D_{i−1} and write to D_i."* A [`Dht`] is the sequence `D0, D1, …`;
-//! each generation is written concurrently through a lock-striped
-//! [`GenerationWriter`], then **sealed** into an immutable [`Generation`]
-//! that later rounds read lock-free. Past generations are never mutated
-//! — which is exactly why a preempted machine can replay its round
-//! against the same inputs (the fault-tolerance property of §2).
+//! D_{i−1} and write to D_i."* Each generation is written concurrently
+//! through a lock-striped [`GenerationWriter`], then **sealed** into an
+//! immutable [`Generation`] that the next round reads lock-free. A
+//! [`Dht`] walks the sequence `D0, D1, …` but holds only its newest
+//! generation: round `i` reads `D_{i−1}` alone, so pushing the sealed
+//! `D_i` drops `D_{i−1}` (on the socket store, its shard regions too).
+//! Replay stays exact because a preempted machine reruns *inside* its
+//! round, against the sealed generation that round was handed and that
+//! nothing mutates (the fault-tolerance property of §2); the borrow
+//! checker keeps that generation alive until the round returns.
 //!
 //! # Sealed layout (DESIGN.md §5.4, §12)
 //!
@@ -675,52 +679,42 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> FromIterator<(u64, V)> for G
     }
 }
 
-/// The collection `D0, D1, D2, …` of hash-table generations.
+/// The live end of the generation sequence `D0, D1, D2, …`: the one
+/// sealed generation the next round reads, plus the size of the largest
+/// generation ever pushed. [`Dht::push`] drops the predecessor at once
+/// (on [`StoreKind::Socket`] that sends its `DROP_GEN`); a round's
+/// borrow of [`Dht::current`] cannot outlive a `push`, so no round or
+/// replay reads a dropped generation (see the module docs).
 pub struct Dht<V> {
-    generations: Vec<Generation<V>>,
+    current: Generation<V>,
+    peak_bytes: usize,
 }
 
 impl<V: Measured + Clone> Dht<V> {
-    /// A DHT whose `D0` holds the given input data.
-    pub fn with_input(d0: Generation<V>) -> Self {
-        Dht {
-            generations: vec![d0],
-        }
-    }
-
     /// A DHT with an empty `D0`.
     pub fn new() -> Self {
-        Self::with_input(Generation::empty())
-    }
-
-    /// Index of the newest sealed generation.
-    pub fn current_index(&self) -> usize {
-        self.generations.len() - 1
+        Dht {
+            current: Generation::empty(),
+            peak_bytes: 0,
+        }
     }
 
     /// The newest sealed generation (what the next round reads).
     pub fn current(&self) -> &Generation<V> {
-        self.generations.last().unwrap()
+        &self.current
     }
 
-    /// A specific sealed generation.
-    pub fn generation(&self, i: usize) -> &Generation<V> {
-        &self.generations[i]
-    }
-
-    /// Seals `next` as the newest generation (the round boundary).
+    /// Seals `next` as the newest generation (the round boundary) and
+    /// drops the one it replaces.
     pub fn push(&mut self, next: Generation<V>) {
-        self.generations.push(next);
+        self.peak_bytes = self.peak_bytes.max(next.size_bytes());
+        self.current = next;
     }
 
-    /// Size in bytes of the largest generation sealed so far (each
-    /// generation's size is cached at seal, so this is O(generations)).
+    /// Size in bytes of the largest generation pushed so far, dropped
+    /// ones included (each size is cached at seal, so this is O(1)).
     pub fn peak_generation_bytes(&self) -> usize {
-        self.generations
-            .iter()
-            .map(Generation::size_bytes)
-            .max()
-            .unwrap_or(0)
+        self.peak_bytes
     }
 }
 
@@ -735,6 +729,7 @@ mod tests {
     use super::*;
     use crate::hasher::mix64;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     #[test]
     fn writer_seal_roundtrip() {
@@ -778,16 +773,48 @@ mod tests {
         assert_eq!(g.len(), 8000);
     }
 
+    /// A value sharing its generation's token: the token's strong count
+    /// is one plus the number of that generation's values still alive.
+    #[derive(Clone, PartialEq, Debug)]
+    struct Token(Arc<usize>);
+
+    impl Measured for Token {
+        fn size_bytes(&self) -> usize {
+            4
+        }
+    }
+
+    impl Wire for Token {
+        fn wire_encode(&self, out: &mut Vec<u8>) {
+            (*self.0 as u32).wire_encode(out);
+        }
+        fn wire_decode(_: &mut &[u8]) -> Option<Self> {
+            None
+        }
+    }
+
     #[test]
-    fn dht_generations_advance() {
-        let mut dht: Dht<u32> = Dht::new();
-        assert_eq!(dht.current_index(), 0);
-        let w = GenerationWriter::new();
-        w.put(7, 7u32);
-        dht.push(w.seal());
-        assert_eq!(dht.current_index(), 1);
-        assert_eq!(dht.current().get(7), Some(&7));
-        assert_eq!(dht.generation(0).get(7), None);
+    fn dht_holds_only_the_newest_generation_and_keeps_the_peak() {
+        let sizes = [3u64, 40, 7, 25, 1];
+        let tokens: Vec<Arc<usize>> = (0..sizes.len()).map(Arc::new).collect();
+        let mut dht: Dht<Token> = Dht::new();
+        assert_eq!(dht.peak_generation_bytes(), 0);
+        for (i, &n) in sizes.iter().enumerate() {
+            let w = GenerationWriter::new();
+            w.put_many_from(0, (0..n).map(|k| (k, Token(tokens[i].clone()))));
+            dht.push(w.seal_on(StoreKind::Flat, 1));
+            assert_eq!(dht.current().len(), n as usize);
+            assert_eq!(dht.current().get(0), Some(&Token(tokens[i].clone())));
+            assert_eq!(Arc::strong_count(&tokens[i]), 1 + n as usize);
+            // The push dropped every value of the generation it replaced.
+            if i > 0 {
+                assert_eq!(Arc::strong_count(&tokens[i - 1]), 1);
+            }
+        }
+        // 8 key bytes and 4 value bytes a pair; the 40-pair generation
+        // was dropped three pushes ago and still sets the peak.
+        assert_eq!(dht.current().size_bytes(), 12);
+        assert_eq!(dht.peak_generation_bytes(), 40 * 12);
     }
 
     #[test]

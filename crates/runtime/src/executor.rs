@@ -87,7 +87,7 @@ impl RoundScratch {
     }
 
     /// The arenas for `p` machines, growing the set if needed.
-    pub fn for_machines(&mut self, p: usize) -> &mut [ScratchBuffers] {
+    fn for_machines(&mut self, p: usize) -> &mut [ScratchBuffers] {
         if self.per_machine.len() < p {
             self.per_machine.resize_with(p, ScratchBuffers::default);
         }

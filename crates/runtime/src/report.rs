@@ -169,15 +169,6 @@ impl JobReport {
             .collect()
     }
 
-    /// Simulated time of all stages whose name matches `name`.
-    pub fn stage_sim_ns(&self, name: &str) -> u64 {
-        self.stages
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.sim_ns)
-            .sum()
-    }
-
     /// Appends a stage.
     pub fn push(&mut self, stage: StageReport) {
         self.stages.push(stage);
@@ -254,7 +245,6 @@ mod tests {
         assert_eq!(r.sim_ns(), 60);
         assert_eq!(r.shuffle_bytes(), 200);
         assert_eq!(r.breakdown()[1], ("b".into(), 20));
-        assert_eq!(r.stage_sim_ns("c"), 30);
         assert_eq!(r.peak_generation_bytes(), 40);
     }
 

@@ -39,9 +39,15 @@ fn recomputed(g: &CsrGraph, batches: &[UpdateBatch], c: &AmpcConfig) -> Vec<Vec<
 }
 
 /// The schedules the contract is pinned on: different mixes, batch
-/// counts, batch sizes and seeds.
+/// counts, batch sizes and seeds. The long stream of small batches
+/// makes a `Dht` drop hundreds of generations, one per publish (on the
+/// socket store, a `DROP_GEN` to every shard at every batch).
 fn schedules(g: &CsrGraph) -> Vec<(String, Vec<UpdateBatch>)> {
     vec![
+        (
+            "churn 512x16".into(),
+            generate_batches(g, 512, 16, BatchMix::Churn, 55),
+        ),
         (
             "churn 6x50".into(),
             generate_batches(g, 6, 50, BatchMix::Churn, 11),
