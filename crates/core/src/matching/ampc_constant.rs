@@ -48,7 +48,7 @@ enum VState {
 /// `edge_key(v, u)` grows with `u`, so the builder's tie-break by
 /// neighbor id is the rank pair's tie-break by edge key.
 pub fn permute_graph(g: &CsrGraph, seed: u64, threads: usize) -> FlatAdjacency {
-    ranked_adjacency(g, |v, u| Some(edge_rank(seed, v, u).0), threads)
+    ranked_adjacency(g, |v, u| edge_rank(seed, v, u).0, threads)
 }
 
 /// The kernel body: AMPC maximal matching inside a caller-provided

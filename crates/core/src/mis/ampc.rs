@@ -19,7 +19,7 @@
 //! as the paper observes, the practical configuration resolves everything
 //! in a single round.
 
-use crate::prim::{ranked_adjacency, FlatAdjacency};
+use crate::prim::{earlier_adjacency, FlatAdjacency};
 use crate::priorities::NodePerm;
 use ampc_dht::cache::DenseCache;
 use ampc_dht::hasher::FxHashMap;
@@ -30,14 +30,11 @@ use ampc_runtime::executor::MachineCtx;
 use ampc_runtime::Job;
 
 /// DirectGraph's host-side work: every vertex's earlier-in-π neighbors
-/// (those that can block it), sorted by rank.
+/// (those that can block it), sorted by rank. Built in rank space by
+/// [`earlier_adjacency`]: the kept ranks are compacted without a branch,
+/// radix-sorted when the list is long, and mapped back to ids.
 pub fn direct_graph(g: &CsrGraph, seed: u64, threads: usize) -> FlatAdjacency {
-    let perm = NodePerm::new(seed, g.num_nodes());
-    ranked_adjacency(
-        g,
-        |v, u| Some(perm.pos(u)).filter(|&pu| pu < perm.pos(v)),
-        threads,
-    )
+    earlier_adjacency(g, &NodePerm::new(seed, g.num_nodes()), threads)
 }
 
 /// Per-vertex status in the machine cache (absent = not yet known).

@@ -22,10 +22,14 @@
 //! two-pass pack and is far cheaper than the per-hop `Vec` growth it
 //! replaces.
 //!
-//! [`ranked_adjacency`] is the same count → prefix → fill shape over a
-//! graph: the per-vertex rank-sorted neighbor lists DirectGraph and
-//! PermuteGraph store, built once into flat `(offsets, arcs)`.
-//! [`edge_ordered_adjacency`] is its counterpart over an edge list
+//! [`earlier_adjacency`] is the same count → prefix → fill shape over a
+//! graph: DirectGraph's per-vertex lists of earlier-in-π neighbors, built
+//! once into flat `(offsets, arcs)`. It sorts in rank space, so it needs
+//! no comparison sort for a long list: π's ranks are the integers below
+//! `n`, which an LSD radix sort orders in two or three passes up to
+//! 2^22 vertices. [`ranked_adjacency`] builds PermuteGraph's lists, every arc
+//! kept, each sorted as packed `(hash, id)` integers.
+//! [`edge_ordered_adjacency`] is their counterpart over an edge list
 //! already in list order (the Prim round's weight-sorted SortGraph
 //! records): a stable fill, no sort at all, each list cut to a cap.
 //! [`hash_ranked_edges`] sorts a graph's edges by a hash with the same
@@ -33,6 +37,7 @@
 //! each bucket is sorted.
 
 use crate::msf::common::ProvEdge;
+use crate::priorities::NodePerm;
 use ampc_dht::pool::par_map;
 use ampc_graph::stripes::{arc_balanced_stripes, stripe_bounds, windows_mut};
 use ampc_graph::{CsrGraph, NodeId};
@@ -176,59 +181,92 @@ impl<A> FlatAdjacency<A> {
     }
 }
 
-/// A per-arc sort key that packs with the neighbor id into one
-/// primitive whose order is `(key, id)`: a list then sorts as plain
-/// integers, half the width of the `(key, id)` tuple for a `u32` key.
-pub trait ArcKey: Copy {
-    /// The packed `(key, id)` primitive.
-    type Packed: Ord + Copy;
-    /// Packs `self` above the neighbor id `u`.
-    fn pack(self, u: NodeId) -> Self::Packed;
-    /// The neighbor id of a packed pair.
-    fn id(packed: Self::Packed) -> NodeId;
-}
-
-impl ArcKey for u32 {
-    type Packed = u64;
-    #[inline]
-    fn pack(self, u: NodeId) -> u64 {
-        (self as u64) << 32 | u as u64
-    }
-    #[inline]
-    fn id(packed: u64) -> NodeId {
-        packed as NodeId
-    }
-}
-
-impl ArcKey for u64 {
-    type Packed = u128;
-    #[inline]
-    fn pack(self, u: NodeId) -> u128 {
-        (self as u128) << 32 | u as u128
-    }
-    #[inline]
-    fn id(packed: u128) -> NodeId {
-        packed as NodeId
-    }
-}
-
-/// Builds the ranked adjacency the query-process kernels store in the
-/// DHT (DirectGraph / PermuteGraph, DESIGN.md §11): for every vertex `v`
-/// the neighbors `u` with `key(v, u) = Some(k)`, sorted by `(k, u)`;
-/// neighbors with `key(v, u) = None` are dropped.
+/// Builds the adjacency PermuteGraph stores in the DHT (DESIGN.md §11):
+/// for every vertex `v` all its neighbors `u`, sorted by `(key(v, u), u)`.
 ///
-/// `key` runs twice per arc (count, then fill) and must be a pure
-/// function of `(v, u)`. Per vertex the fill [packs](ArcKey) `(k, u)`
-/// into a stripe-local buffer, sorts the primitives and strips the ids
-/// out, so no key is recomputed per comparison. Stripes are contiguous
-/// vertex ranges balanced by arc count, one per thread, each filling
-/// its own disjoint window of the output; the result is therefore the
-/// same for every `threads`, by construction.
-pub fn ranked_adjacency<K: ArcKey>(
+/// Per vertex the fill packs `key << 32 | u` into a stripe-local buffer,
+/// sorts the integers and strips the ids out, so no key is recomputed per
+/// comparison. `key` runs once per arc and must be a pure function of
+/// `(v, u)`. Every list keeps all its arcs, so the lists share `g`'s
+/// offsets; stripes are contiguous vertex ranges balanced by arc count,
+/// one per thread, each filling its own disjoint window of the output,
+/// and the result is the same for every `threads`, by construction.
+pub fn ranked_adjacency(
     g: &CsrGraph,
-    key: impl Fn(NodeId, NodeId) -> Option<K> + Sync,
+    key: impl Fn(NodeId, NodeId) -> u64 + Sync,
     threads: usize,
 ) -> FlatAdjacency {
+    let offsets = g.offsets().to_vec();
+    let stripes = arc_balanced_stripes(&offsets, threads.max(1));
+    let mut arcs = vec![0 as NodeId; g.num_arcs()];
+    let wins = windows_mut(
+        &mut arcs,
+        stripes.iter().map(|r| offsets[r.end] - offsets[r.start]),
+    );
+    par_map(
+        stripes.into_iter().zip(wins).collect(),
+        threads,
+        |(r, mut win)| {
+            let mut packed: Vec<u128> = Vec::new();
+            for v in r {
+                let (list, tail) = win.split_at_mut(offsets[v + 1] - offsets[v]);
+                win = tail;
+                let v = v as NodeId;
+                packed.clear();
+                packed.extend(
+                    g.neighbors(v)
+                        .iter()
+                        .map(|&u| (key(v, u) as u128) << 32 | u as u128),
+                );
+                packed.sort_unstable();
+                for (slot, &p) in list.iter_mut().zip(&packed) {
+                    *slot = p as NodeId;
+                }
+            }
+        },
+    );
+    FlatAdjacency { offsets, arcs }
+}
+
+/// Rank bits one LSD pass of [`earlier_adjacency`] sorts at most: up to
+/// 2^22 vertices a list of 2 048 ranks or more sorts in two passes.
+const DIGIT_BITS_MAX: u32 = 11;
+
+/// The shortest list [`earlier_adjacency`] radix-sorts; shorter lists
+/// take `sort_unstable`. A list's digits are at most `log₂` of its length
+/// wide, so no list is shorter than a digit's bucket count. Measured on
+/// `tw` (17-bit ranks): from 256 arcs on, three 6-bit digits cost
+/// ≈ 7 ns an arc and two 9-bit digits (from 512 on) ≈ 5 ns, against
+/// 12–19 ns for `sort_unstable`; below 128 neither wins clearly.
+const RADIX_MIN: usize = 256;
+
+/// Builds DirectGraph's lists (DESIGN.md §11): for every vertex `v` the
+/// neighbors earlier in the permutation `perm`, in π order.
+///
+/// The build runs in **rank space**. π is a permutation, so the rank
+/// order `(hash(u), u)` is the order of the integers `perm.pos(u)`, all
+/// below `n`: a list is sorted as ranks and mapped back to ids through
+/// [`NodePerm::order`], and no comparison ever sees an id or a hash.
+/// Count → prefix → fill over contiguous vertex stripes balanced by arc
+/// count, one per thread: every stripe counts its kept arcs
+/// (`pos(u) < pos(v)`, summed as `0`/`1`), and after the prefix sum fills
+/// its own disjoint window of the output, so the result is the same for
+/// every `threads`, by construction. Per list the fill
+///
+/// 1. compacts the ranks without a branch: every neighbor's rank is
+///    written to the stripe's scratch, and the cursor moves past it only
+///    if it is kept;
+/// 2. sorts the kept ranks: `sort_unstable` for a list shorter than
+///    [`RADIX_MIN`], an LSD radix sort of the `⌈log₂ n⌉`-bit ranks for a
+///    longer one, in digits at most `log₂` of its length wide, whose last
+///    scatter writes the ids into the list's window.
+///
+/// A repeated neighbor is kept as often as it is stored. On the `tw`
+/// analogue (`n` = 2^17, 11.85 M arcs, 5.93 M kept, the longest kept
+/// list 27 741) 65 % of the kept arcs sit in lists of 256 or more, so
+/// the radix sort (three 6-bit digits from 256 arcs, two 9-bit digits
+/// from 512) does most of the sorting.
+pub fn earlier_adjacency(g: &CsrGraph, perm: &NodePerm, threads: usize) -> FlatAdjacency {
     let n = g.num_nodes();
     let stripes = arc_balanced_stripes(g.offsets(), threads.max(1));
 
@@ -240,12 +278,12 @@ pub fn ranked_adjacency<K: ArcKey>(
         threads,
         |(r, win)| {
             for (slot, v) in win.iter_mut().zip(r) {
-                let v = v as NodeId;
+                let pv = perm.pos(v as NodeId);
                 *slot = g
-                    .neighbors(v)
+                    .neighbors(v as NodeId)
                     .iter()
-                    .filter(|&&u| key(v, u).is_some())
-                    .count();
+                    .map(|&u| (perm.pos(u) < pv) as usize)
+                    .sum();
             }
         },
     );
@@ -254,6 +292,7 @@ pub fn ranked_adjacency<K: ArcKey>(
     }
 
     // Pass 2: every stripe sorts its vertices' lists into its window.
+    let order = perm.order();
     let mut arcs = vec![0 as NodeId; offsets[n]];
     let wins = windows_mut(
         &mut arcs,
@@ -263,26 +302,108 @@ pub fn ranked_adjacency<K: ArcKey>(
         stripes.into_iter().zip(wins).collect(),
         threads,
         |(r, mut win)| {
-            let mut packed: Vec<K::Packed> = Vec::new();
+            let mut sorter = RankSorter::new(perm, &order);
             for v in r {
                 let (list, tail) = win.split_at_mut(offsets[v + 1] - offsets[v]);
                 win = tail;
                 let v = v as NodeId;
-                packed.clear();
-                packed.extend(
-                    g.neighbors(v)
-                        .iter()
-                        .filter_map(|&u| key(v, u).map(|k| k.pack(u))),
-                );
-                packed.sort_unstable();
-                assert_eq!(packed.len(), list.len(), "key({v}, _) is not pure");
-                for (slot, &p) in list.iter_mut().zip(&packed) {
-                    *slot = K::id(p);
-                }
+                sorter.fill(g.neighbors(v), perm.pos(v), list);
             }
         },
     );
     FlatAdjacency { offsets, arcs }
+}
+
+/// The per-stripe scratch of [`earlier_adjacency`]: the compacted ranks,
+/// the radix sort's second buffer and one digit's counters, beside π and
+/// its inverse.
+struct RankSorter<'a> {
+    perm: &'a NodePerm,
+    order: &'a [NodeId],
+    ranks: Vec<u32>,
+    swap: Vec<u32>,
+    counts: Vec<u32>,
+    /// Bits of the ranks: `⌈log₂ n⌉`, at least 1.
+    bits: u32,
+}
+
+impl<'a> RankSorter<'a> {
+    /// The sorter for `perm`, whose inverse table is `order`.
+    fn new(perm: &'a NodePerm, order: &'a [NodeId]) -> Self {
+        let n = order.len();
+        RankSorter {
+            perm,
+            order,
+            ranks: Vec::new(),
+            swap: Vec::new(),
+            counts: Vec::new(),
+            bits: (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1),
+        }
+    }
+
+    /// Writes into `list` the ids of the neighbors in `nbrs` whose rank is
+    /// below `pv`, in rank order; `list` holds exactly that many slots.
+    fn fill(&mut self, nbrs: &[NodeId], pv: u32, list: &mut [NodeId]) {
+        if self.ranks.len() < nbrs.len() {
+            self.ranks.resize(nbrs.len(), 0);
+        }
+        let mut at = 0;
+        for &u in nbrs {
+            let pu = self.perm.pos(u);
+            self.ranks[at] = pu;
+            at += (pu < pv) as usize;
+        }
+        assert_eq!(at, list.len(), "the count and the fill disagree");
+        if at < RADIX_MIN {
+            let ranks = &mut self.ranks[..at];
+            ranks.sort_unstable();
+            for (slot, &p) in list.iter_mut().zip(ranks.iter()) {
+                *slot = self.order[p as usize];
+            }
+        } else {
+            // No digit has more buckets than the list has ranks.
+            self.radix_sort(at, at.ilog2().min(DIGIT_BITS_MAX), list);
+        }
+    }
+
+    /// LSD radix sort of `ranks[..len]` in the fewest digits of at most
+    /// `bits_max` bits, all of one width: one counting pass and one stable
+    /// scatter per digit, the last scatter writing ids into `list`.
+    fn radix_sort(&mut self, len: usize, bits_max: u32, list: &mut [NodeId]) {
+        let passes = self.bits.div_ceil(bits_max);
+        let digit_bits = self.bits.div_ceil(passes);
+        if self.swap.len() < len {
+            self.swap.resize(len, 0);
+        }
+        if self.counts.len() < 1 << digit_bits {
+            self.counts.resize(1 << digit_bits, 0);
+        }
+        let counts = &mut self.counts[..1 << digit_bits];
+        let mask = (1 << digit_bits) - 1;
+        let (mut src, mut dst) = (&mut self.ranks[..len], &mut self.swap[..len]);
+        for d in 0..passes {
+            let shift = d * digit_bits;
+            let digit = |p: u32| (p >> shift & mask) as usize;
+            counts.fill(0);
+            for &p in src.iter() {
+                counts[digit(p)] += 1;
+            }
+            let mut sum = 0;
+            for c in counts.iter_mut() {
+                (*c, sum) = (sum, sum + *c);
+            }
+            for &p in src.iter() {
+                let at = &mut counts[digit(p)];
+                if d + 1 == passes {
+                    list[*at as usize] = self.order[p as usize];
+                } else {
+                    dst[*at as usize] = p;
+                }
+                *at += 1;
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+    }
 }
 
 /// Builds per-vertex arc lists from an **edge list**, every list in edge
@@ -682,18 +803,112 @@ mod tests {
     fn builder_breaks_key_ties_by_neighbor_id() {
         // Forced hash ties: vertices 0..8 share two hashes, so π orders
         // them by id within a hash and the directed lists follow.
-        let perm = NodePerm::from_hashes([5, 1, 5, 1, 5, 1, 5, 1].into_iter());
+        let perm = NodePerm::from_hashes(&[5, 1, 5, 1, 5, 1, 5, 1]);
         let g = gen::complete(8);
-        let adj = ranked_adjacency(
-            &g,
-            |v, u| Some(perm.pos(u)).filter(|&pu| pu < perm.pos(v)),
-            2,
-        );
+        let adj = earlier_adjacency(&g, &perm, 2);
         assert_eq!(adj.list(6), &[1, 3, 5, 7, 0, 2, 4]);
         assert_eq!(adj.list(1), &[] as &[NodeId]);
         // Equal keys outright: the neighbor id alone decides.
-        let flat = ranked_adjacency(&g, |_, _| Some(0u64), 2);
+        let flat = ranked_adjacency(&g, |_, _| 0, 2);
         assert_eq!(flat.list(3), &[0, 1, 2, 4, 5, 6, 7]);
+    }
+
+    /// A clique on the first `k` of `n` vertices: π orders its members, so
+    /// their kept lists have every length from 0 to `k − 1`.
+    fn clique_among(n: usize, k: usize) -> CsrGraph {
+        let mut b = ampc_graph::GraphBuilder::new(n);
+        for u in 0..k as NodeId {
+            for v in u + 1..k as NodeId {
+                b.push_edge(u, v, 0);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn builder_is_exact_around_the_radix_switch_over() {
+        // Lists of every length up to one past the switch-over, whose
+        // 12-bit ranks sort in two 6-bit digits.
+        let n = 3000;
+        assert_builder_is_exact(&clique_among(n, RADIX_MIN + 2), 0x5EED);
+        // A star among `n` vertices whose hub comes last in π keeps every
+        // leaf.
+        let mut hashes = vec![0; n];
+        hashes[0] = u64::MAX;
+        let perm = NodePerm::from_hashes(&hashes);
+        for leaves in [RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1] {
+            let mut b = ampc_graph::GraphBuilder::new(n);
+            for leaf in 1..=leaves as NodeId {
+                b.push_edge(0, leaf, 0);
+            }
+            let adj = earlier_adjacency(&b.build(), &perm, 2);
+            let expect: Vec<NodeId> = (1..=leaves as NodeId).collect();
+            assert_eq!(adj.list(0), expect, "{leaves} leaves");
+        }
+    }
+
+    #[test]
+    fn builder_keeps_repeated_neighbors_on_long_lists() {
+        // Every pair of 0..8 stored 40 times over, and a loop stored as
+        // two arcs at every vertex: lists of 282 arcs, the last in π
+        // keeping 280. With 8 vertices the radix sort takes one pass,
+        // with 3000 two.
+        for n in [8, 3000] {
+            let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            for u in 0..8 {
+                for v in u + 1..8 {
+                    for _ in 0..40 {
+                        lists[u as usize].push(v);
+                        lists[v as usize].push(u);
+                    }
+                }
+                lists[u as usize].extend([u, u]);
+            }
+            let mut offsets = vec![0];
+            offsets.extend(lists.iter().scan(0, |end, l| {
+                *end += l.len();
+                Some(*end)
+            }));
+            let g = CsrGraph::from_parts(offsets, lists.concat(), true);
+            for seed in [1, 2, 3] {
+                assert_builder_is_exact(&g, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn builder_breaks_forced_ties_on_long_lists() {
+        // Five hash values over 3000 vertices: π is mostly id order within
+        // a hash, and the clique's long lists mix every hash.
+        let n = 3000;
+        let hashes: Vec<u64> = (0..n as u64).map(|v| mix64(v) % 5).collect();
+        let perm = NodePerm::from_hashes(&hashes);
+        let rank = |u: NodeId| (hashes[u as usize], u);
+        let g = clique_among(n, RADIX_MIN + 200);
+        let expect = ranked_adjacency_oracle(&g, |v, u| rank(u) < rank(v), |_, u| rank(u));
+        for threads in [1, 2, 8] {
+            let adj = earlier_adjacency(&g, &perm, threads);
+            assert_eq!(lists(&g, &adj), expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn radix_sort_agrees_with_sort_unstable_at_every_pass_count() {
+        let n = 5000;
+        let perm = NodePerm::new(9, n);
+        let order = perm.order();
+        let ranks: Vec<u32> = (0..3001).map(|i| (mix64(i) % n as u64) as u32).collect();
+        let mut sorted = ranks.clone();
+        sorted.sort_unstable();
+        let expect: Vec<NodeId> = sorted.iter().map(|&p| order[p as usize]).collect();
+        // Digits of 1 to 13 bits: 13 passes down to one.
+        for bits_max in 1..=13 {
+            let mut sorter = RankSorter::new(&perm, &order);
+            sorter.ranks.clone_from(&ranks);
+            let mut list = vec![0; ranks.len()];
+            sorter.radix_sort(ranks.len(), bits_max, &mut list);
+            assert_eq!(list, expect, "digits of at most {bits_max} bits");
+        }
     }
 
     /// `k` stars with 1..=`k` leaves side by side, then one isolated

@@ -38,8 +38,8 @@ fn node_hash(seed: u64, v: NodeId) -> u64 {
 ///
 /// `perm.pos(u) < perm.pos(v)` is exactly `node_rank(seed, u) <
 /// node_rank(seed, v)`, hash ties included, so a kernel that compares
-/// ranks per arc builds the table once (`n` hashes, one sort) and then
-/// pays one `u32` load per comparison instead of two hashes.
+/// ranks per arc builds the table once (`n` hashes, one bucketed sort)
+/// and then pays one `u32` load per comparison instead of two hashes.
 #[derive(Clone, Debug)]
 pub struct NodePerm {
     pos: Vec<u32>,
@@ -48,16 +48,40 @@ pub struct NodePerm {
 impl NodePerm {
     /// Tabulates π for the vertices `0..n`.
     pub fn new(seed: u64, n: usize) -> Self {
-        Self::from_hashes((0..n as NodeId).map(|v| node_hash(seed, v)))
+        let hashes: Vec<u64> = (0..n as NodeId).map(|v| node_hash(seed, v)).collect();
+        Self::from_hashes(&hashes)
     }
 
     /// The permutation ordering vertex `v` by `(hashes[v], v)` — the
     /// rank order for an arbitrary hash column (tests force ties
     /// through it).
-    pub(crate) fn from_hashes(hashes: impl Iterator<Item = u64>) -> Self {
-        let mut ranked: Vec<(u64, NodeId)> = hashes.zip(0..).collect();
-        ranked.sort_unstable();
-        let mut pos = vec![0u32; ranked.len()];
+    ///
+    /// No global sort: a counting pass places every vertex in the bucket
+    /// of its hash's top bits (about four vertices a bucket), so bucket
+    /// order is hash order and equal hashes share a bucket; then each
+    /// bucket is sorted by `(hash, id)`.
+    pub(crate) fn from_hashes(hashes: &[u64]) -> Self {
+        let n = hashes.len();
+        let bits = (n / 4).max(1).ilog2();
+        let bucket = |h: u64| (h >> (63 - bits) >> 1) as usize;
+        let mut starts = vec![0usize; (1 << bits) + 1];
+        for &h in hashes {
+            starts[bucket(h) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut ranked = vec![(0u64, 0 as NodeId); n];
+        let mut next = starts.clone();
+        for (v, &h) in (0..).zip(hashes) {
+            let at = &mut next[bucket(h)];
+            ranked[*at] = (h, v);
+            *at += 1;
+        }
+        for run in starts.windows(2) {
+            ranked[run[0]..run[1]].sort_unstable();
+        }
+        let mut pos = vec![0u32; n];
         for (i, &(_, v)) in ranked.iter().enumerate() {
             pos[v as usize] = i as u32;
         }
@@ -130,9 +154,24 @@ mod tests {
     #[test]
     fn node_perm_breaks_hash_ties_by_id() {
         // Equal hashes order by id, as the `(hash, id)` rank pair does.
-        let perm = NodePerm::from_hashes([9, 3, 9, 3, 3].into_iter());
+        let perm = NodePerm::from_hashes(&[9, 3, 9, 3, 3]);
         assert_eq!(perm.order(), vec![1, 3, 4, 0, 2]);
         assert!(perm.pos(1) < perm.pos(3) && perm.pos(0) < perm.pos(2));
+    }
+
+    #[test]
+    fn node_perm_is_the_sorted_order_on_large_inputs() {
+        let n = (1 << 16) + 77;
+        let mut by_rank: Vec<NodeId> = (0..n as NodeId).collect();
+        by_rank.sort_unstable_by_key(|&v| node_rank(20, v));
+        assert_eq!(NodePerm::new(20, n).order(), by_rank);
+        // Seven hash values, spread over the top bits: long runs of ties,
+        // each in a bucket of its own.
+        let tied: Vec<u64> = (0..n as NodeId)
+            .map(|v| (node_hash(20, v) % 7) << 61)
+            .collect();
+        by_rank.sort_unstable_by_key(|&v| (tied[v as usize], v));
+        assert_eq!(NodePerm::from_hashes(&tied).order(), by_rank);
     }
 
     #[test]
