@@ -257,7 +257,7 @@ const RADIX_MIN: usize = 256;
 ///    written to the stripe's scratch, and the cursor moves past it only
 ///    if it is kept;
 /// 2. sorts the kept ranks: `sort_unstable` for a list shorter than
-///    [`RADIX_MIN`], an LSD radix sort of the `⌈log₂ n⌉`-bit ranks for a
+///    `RADIX_MIN`, an LSD radix sort of the `⌈log₂ n⌉`-bit ranks for a
 ///    longer one, in digits at most `log₂` of its length wide, whose last
 ///    scatter writes the ids into the list's window.
 ///

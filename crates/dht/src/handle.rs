@@ -76,7 +76,7 @@ pub struct MachineHandle<'a, V> {
     batch_ordinal: u64,
 }
 
-impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
+impl<'a, V: Measured + Clone + Default + PartialEq + Send + Wire> MachineHandle<'a, V> {
     /// A handle reading `read` and writing to `write`.
     pub fn new(read: &'a Generation<V>, write: Option<&'a GenerationWriter<V>>) -> Self {
         MachineHandle {
@@ -138,7 +138,7 @@ impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineHandle<'a, V> {
 
     /// True if at least one more query is allowed.
     #[inline]
-    pub fn can_query(&self) -> bool {
+    fn can_query(&self) -> bool {
         self.stats.queries < self.budget
     }
 
@@ -530,7 +530,7 @@ mod tests {
 
     /// A value that counts how often it is cloned, for pinning the
     /// read-through paths' clone budget.
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     struct CloneCounter(u64, std::sync::Arc<std::sync::atomic::AtomicUsize>);
 
     impl Clone for CloneCounter {

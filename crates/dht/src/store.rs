@@ -25,7 +25,8 @@
 //! the sealed key-value set, never of thread schedule or seal
 //! parallelism. This module keeps the writer, the seal-time resolution
 //! that feeds the layout, [`Generation`] and [`Dht`]; it never touches
-//! a slot vector, bitmap or mask itself.
+//! a slot vector, bitmap or mask itself — the dense seal resolves into
+//! block views the substrate hands out.
 //!
 //! The store is a job setting. A job records its config's
 //! [`StoreKind`] and thread count on every writer it writes into
@@ -44,7 +45,7 @@
 
 use crate::measured::Measured;
 use crate::pool::par_map;
-use crate::substrate::{dense_eligible, Layout, Offloaded};
+use crate::substrate::{dense_eligible, DenseBlock, KeyIndexed, Layout, Offloaded};
 use crate::wire::Wire;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -170,50 +171,53 @@ type Holder = u32;
 #[cfg(not(debug_assertions))]
 type Holder = ();
 
-/// Checks a dense overwrite of `slot` (held by `holder`) with `value`
-/// from `machine`, then records `machine` as the holder. A no-op in
-/// release builds.
+/// Checks a dense overwrite of a slot that holds `held` (written by
+/// `holder`; `None` when its occupancy bit is clear) with `value` from
+/// `machine`, then records `machine` as the holder. A no-op in release
+/// builds.
 #[inline]
 fn hold<V: PartialEq>(
     strict: bool,
     key: u64,
-    slot: &Option<V>,
+    held: Option<&V>,
     holder: &mut Holder,
     (machine, value): (u32, &V),
 ) {
     #[cfg(debug_assertions)]
     {
-        if let Some(held) = slot {
+        if let Some(held) = held {
             assert_no_conflict(strict, key, (*holder, held), (machine, value));
         }
         *holder = machine;
     }
     #[cfg(not(debug_assertions))]
-    let _ = (strict, key, slot, holder, machine, value);
+    let _ = (strict, key, held, holder, machine, value);
 }
 
-/// Deals a key-indexed slot array into its stripes' blocks: entry `s`
-/// lists stripe `s`'s blocks in key order, so key `k` of stripe `s`
-/// sits at `[s][k >> SPAN_BITS][k % block size]`. The blocks are
-/// disjoint borrows, so stripes resolve in parallel without sharing a
-/// slot.
-fn deal<T>(slots: &mut [T]) -> Vec<Vec<&mut [T]>> {
-    let mut stripes: Vec<Vec<&mut [T]>> = (0..STRIPES).map(|_| Vec::new()).collect();
-    for (b, block) in slots.chunks_mut(1 << BLOCK_BITS).enumerate() {
+/// Deals a key-indexed array's blocks of `1 << BLOCK_BITS` keys, given
+/// in key order, to their stripes: entry `s` lists stripe `s`'s blocks
+/// in key order, so key `k` of stripe `s` sits at
+/// `[s][k >> SPAN_BITS][k % block size]`. The blocks are disjoint
+/// borrows, so stripes resolve in parallel without sharing a slot.
+fn deal<B>(blocks: impl Iterator<Item = B>) -> Vec<Vec<B>> {
+    let mut stripes: Vec<Vec<B>> = (0..STRIPES).map(|_| Vec::new()).collect();
+    for (b, block) in blocks.enumerate() {
         stripes[b % STRIPES].push(block);
     }
     stripes
 }
 
-/// Resolves one stripe into its blocks of key-indexed `slots` (and the
-/// matching `holders`), returning (distinct keys, serialized bytes).
-/// Chunks are taken highest machine first — a stable sort, so one
-/// machine's chunks keep their issue order — and every write overwrites
-/// its slot: the last write of the lowest machine lands last and wins.
+/// Resolves one stripe into its blocks of the key-indexed array (and
+/// the matching `holders`), returning (distinct keys, serialized
+/// bytes). Chunks are taken highest machine first — a stable sort, so
+/// one machine's chunks keep their issue order — and every write
+/// overwrites its slot: the last write of the lowest machine lands last
+/// and wins. A write counts as a new key exactly when its slot's
+/// occupancy bit was clear.
 fn resolve_stripe<V: Measured + PartialEq>(
     strict: bool,
     mut chunks: Vec<Chunk<V>>,
-    slots: &mut [&mut [Option<V>]],
+    blocks: &mut [DenseBlock<'_, V>],
     holders: &mut [&mut [Holder]],
 ) -> (usize, usize) {
     chunks.sort_by_key(|&(machine, _)| Reverse(machine));
@@ -224,22 +228,22 @@ fn resolve_stripe<V: Measured + PartialEq>(
                 (key >> SPAN_BITS) as usize,
                 key as usize & ((1 << BLOCK_BITS) - 1),
             );
-            let slot = &mut slots[block][at];
+            let slots = &mut blocks[block];
             hold(
                 strict,
                 key,
-                slot,
+                slots.get(at),
                 &mut holders[block][at],
                 (machine, &value),
             );
-            match slot {
+            let bytes = value.size_bytes();
+            match slots.put(at, value) {
                 None => {
                     tally.0 += 1;
-                    tally.1 += 8 + value.size_bytes();
+                    tally.1 += 8 + bytes;
                 }
-                Some(held) => tally.1 = tally.1 - held.size_bytes() + value.size_bytes(),
+                Some(held) => tally.1 = tally.1 - held.size_bytes() + bytes,
             }
-            *slot = Some(value);
         }
     }
     tally
@@ -278,7 +282,7 @@ pub struct GenerationWriter<V> {
     seal_as: Mutex<Option<(StoreKind, usize)>>,
 }
 
-impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
+impl<V: Measured + Clone + Default + PartialEq + Send + Wire> GenerationWriter<V> {
     /// New, empty writer.
     pub fn new() -> Self {
         GenerationWriter {
@@ -438,10 +442,13 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     }
 
     /// Dense-path seal: every stripe resolves into its own blocks of
-    /// `resolved`, indexed by key over `0..domain` ([`resolve_stripe`]);
-    /// the layout then adopts the array as its slots. Stripes own
-    /// disjoint blocks of keys, so the stripes are the parts of one
-    /// [`par_map`], each writing only its own blocks.
+    /// `resolved`, indexed by key over `0..domain` ([`resolve_stripe`]),
+    /// writing each value into its slot and setting its occupancy bit;
+    /// the layout then adopts the slots and the bitmap as they are.
+    /// Stripes own disjoint blocks of keys and of bitmap words, so the
+    /// stripes are the parts of one [`par_map`], each writing only its
+    /// own blocks — which is also where an integer array's zeroed pages
+    /// first fault in.
     fn seal_dense(
         strict: bool,
         stripes: Vec<Vec<Chunk<V>>>,
@@ -449,20 +456,20 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
         logged: usize,
         threads: usize,
     ) -> Generation<V> {
-        let mut resolved: Vec<Option<V>> = vec![None; domain];
+        let mut resolved: KeyIndexed<V> = KeyIndexed::new(domain);
         let mut holders: Vec<Holder> = vec![Holder::default(); domain];
         let work: Vec<_> = stripes
             .into_iter()
-            .zip(deal(&mut resolved))
-            .zip(deal(&mut holders))
+            .zip(deal(resolved.blocks(1 << BLOCK_BITS)))
+            .zip(deal(holders.chunks_mut(1 << BLOCK_BITS)))
             .collect();
         let threads = if logged >= PARALLEL_SEAL_MIN {
             threads
         } else {
             1
         };
-        let (len, size_bytes) = par_map(work, threads, |((chunks, mut slots), mut held)| {
-            resolve_stripe(strict, chunks, &mut slots, &mut held)
+        let (len, size_bytes) = par_map(work, threads, |((chunks, mut blocks), mut held)| {
+            resolve_stripe(strict, chunks, &mut blocks, &mut held)
         })
         .into_iter()
         .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
@@ -519,7 +526,7 @@ impl<V: Measured + Clone + PartialEq + Send + Wire> GenerationWriter<V> {
     }
 }
 
-impl<V: Measured + Clone + PartialEq + Send + Wire> Default for GenerationWriter<V> {
+impl<V: Measured + Clone + Default + PartialEq + Send + Wire> Default for GenerationWriter<V> {
     fn default() -> Self {
         Self::new()
     }
@@ -546,7 +553,7 @@ impl<V> Generation<V> {
     /// An empty generation.
     pub fn empty() -> Self {
         Generation {
-            repr: Repr::Memory(Layout::build(Vec::new())),
+            repr: Repr::Memory(Layout::empty()),
             len: 0,
             size_bytes: 0,
         }
@@ -605,7 +612,7 @@ impl<V: Measured + Clone + Wire> Generation<V> {
     /// Which physical layout this generation sealed into. A
     /// socket-backed generation reports the layout of its local key
     /// index; see [`Self::backend`].
-    pub fn repr_kind(&self) -> ReprKind {
+    fn repr_kind(&self) -> ReprKind {
         match &self.repr {
             Repr::Memory(layout) => layout.kind(),
             Repr::Socket(offloaded) => offloaded.index().kind(),
@@ -671,7 +678,9 @@ impl<V: Measured + Clone + Wire> Generation<V> {
 
 /// Builds a generation directly from an iterator (single-threaded load
 /// path for `D0`).
-impl<V: Measured + Clone + PartialEq + Send + Wire> FromIterator<(u64, V)> for Generation<V> {
+impl<V: Measured + Clone + Default + PartialEq + Send + Wire> FromIterator<(u64, V)>
+    for Generation<V>
+{
     fn from_iter<I: IntoIterator<Item = (u64, V)>>(items: I) -> Self {
         let w = GenerationWriter::new();
         w.put_many_from(0, items);
@@ -775,7 +784,7 @@ mod tests {
 
     /// A value sharing its generation's token: the token's strong count
     /// is one plus the number of that generation's values still alive.
-    #[derive(Clone, PartialEq, Debug)]
+    #[derive(Clone, Default, PartialEq, Debug)]
     struct Token(Arc<usize>);
 
     impl Measured for Token {
@@ -879,6 +888,21 @@ mod tests {
         w.put_many_from(0, [(9, 9), (7, 1)]);
         assert_eq!(stripe_of(7), stripe_of(9));
         let _ = w.seal_on(StoreKind::Flat, 1);
+    }
+
+    /// The pooled seal keeps the check: above the parallel-seal
+    /// threshold, at 2 seal threads, machine 1's write of `0` — the
+    /// value an empty dense slot holds — is still seen as held when
+    /// machine 0 writes another value for the key.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "conflicting cross-machine writes")]
+    fn strict_mode_rejects_conflicts_in_the_pooled_seal() {
+        let n = 2 * PARALLEL_SEAL_MIN as u64;
+        let w: GenerationWriter<u64> = GenerationWriter::new();
+        w.put_many_from(0, (1..n).map(|k| (k, k)));
+        w.put_from(1, n - 7, 0);
+        let _ = w.seal_on(StoreKind::Flat, 2);
     }
 
     /// One scripted write: the machine, then one `put_from` (`single`)
@@ -1113,6 +1137,70 @@ mod tests {
                 assert_eq!(seen, pairs, "{backend:?}");
             }
         }
+    }
+
+    /// Writes every key of `0..n` but every third (`k % 3 == 1`), key
+    /// `k % 3 == 0` with `V::default()` — the value an empty dense slot
+    /// holds — and the rest with `value(k)`, from three machines. Above
+    /// the parallel-seal threshold, at 1 and 2 seal threads, in memory
+    /// and offloaded, every read, the counts and the slot layout agree
+    /// with a `BTreeMap` oracle: only the occupancy bitmap tells a
+    /// written default from a hole.
+    fn assert_default_holes_stay_absent<V>(value: impl Fn(u64) -> V)
+    where
+        V: Measured + Clone + Default + PartialEq + Send + Wire + std::fmt::Debug,
+    {
+        let n = 2 * PARALLEL_SEAL_MIN as u64 + 1;
+        let oracle: BTreeMap<u64, V> = (0..n)
+            .filter(|k| k % 3 != 1)
+            .map(|k| (k, if k % 3 == 0 { V::default() } else { value(k) }))
+            .collect();
+        let domain = oracle.keys().last().map_or(0, |&k| k + 1);
+        let pairs: Vec<(u64, V)> = oracle.iter().map(|(&k, v)| (k, v.clone())).collect();
+        let size: usize = pairs.iter().map(|(_, v)| 8 + v.size_bytes()).sum();
+        let slots: Vec<Option<&V>> = (0..domain).map(|k| oracle.get(&k)).collect();
+        let fingerprint = (
+            ReprKind::Dense,
+            (0..domain)
+                .map(|k| if oracle.contains_key(&k) { k } else { u64::MAX })
+                .collect::<Vec<u64>>(),
+        );
+        let probes: Vec<u64> = (0..domain + 70).chain([u64::MAX]).collect();
+        let expected: Vec<Option<&V>> = probes.iter().map(|k| oracle.get(k)).collect();
+        for store in [StoreKind::Flat, StoreKind::Socket] {
+            for threads in [1, 2] {
+                let what = format!("{store:?}, {threads} seal threads");
+                let w = GenerationWriter::new();
+                for (i, batch) in pairs.chunks(5_000).enumerate() {
+                    w.put_many_from(i as u32 % 3, batch.iter().cloned());
+                }
+                let g = w.seal_on(store, threads);
+                assert_eq!(g.backend(), store, "{what}");
+                assert_eq!(g.len(), oracle.len(), "{what}");
+                assert_eq!(g.size_bytes(), size, "{what}");
+                assert_eq!(g.layout_fingerprint(), fingerprint, "{what}");
+                if let Repr::Memory(layout) = &g.repr {
+                    assert!(layout.slot_values().eq(slots.iter().copied()), "{what}");
+                }
+                let mut batched = Vec::new();
+                g.get_many_with(&probes, |_, v| batched.push(v));
+                assert_eq!(batched, expected, "{what}");
+                let single: Vec<Option<&V>> = probes.iter().map(|&k| g.get(k)).collect();
+                assert_eq!(single, expected, "{what}");
+                let seen: Vec<(u64, &V)> = g.iter().collect();
+                assert_eq!(
+                    seen,
+                    pairs.iter().map(|(k, v)| (*k, v)).collect::<Vec<_>>(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn default_valued_holes_stay_absent() {
+        assert_default_holes_stay_absent::<u64>(|k| k);
+        assert_default_holes_stay_absent::<Vec<u32>>(|k| vec![k as u32; 1 + (k % 3) as usize]);
     }
 
     #[test]

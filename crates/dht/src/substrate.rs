@@ -4,8 +4,10 @@
 //! `Layout<T>` is the one flat layout a seal produces, in one of two
 //! shapes chosen from the key set alone by `dense_eligible`:
 //!
-//! * **Dense** — a direct-index array `slots[k]` with an occupancy
-//!   bitmap; `get` is one bounds check and one slot read, zero hashes.
+//! * **Dense** — a direct-index array `slots[k]` of plain values with
+//!   an occupancy bitmap, which alone marks presence: an empty slot
+//!   holds `T::default()`. `get` is one bit test and one slot read,
+//!   zero hashes.
 //! * **Open** — one open-addressed table with linear probing at ≤ 50%
 //!   load; `get` hashes once ([`mix64`]) and probes flat memory.
 //!
@@ -13,9 +15,15 @@
 //! the resolved key set (dense puts key `k` in slot `k`; open inserts in
 //! ascending key order), which is what the layout-fingerprint suites
 //! compare. The layout owns the selection rule, the canonical build,
+//! the block views a parallel dense seal resolves into (`KeyIndexed`),
 //! slot lookup, prefetch, the batched read, the fingerprint and
 //! iteration; nothing outside this module touches a slot vector, a
 //! bitmap or a mask.
+//!
+//! The `T: Default` bound the dense builds carry is what an empty slot
+//! costs: it is chosen over `MaybeUninit` slots because a default value
+//! needs no `unsafe` — a hole drops like any value, and every read path
+//! tests the bit in safe code.
 //!
 //! In memory, a sealed generation *is* a `Layout<V>`. On the socket
 //! store ([`crate::socket`]) the layout is split once at
@@ -79,15 +87,20 @@ impl Iterator for BitIter {
     }
 }
 
+/// Whether bit `s` of an occupancy bitmap is set (word `s / 64`, bit
+/// `s % 64`); a bit past the bitmap's end reads as clear.
+#[inline]
+fn is_set(occupied: &[u64], s: usize) -> bool {
+    occupied.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 != 0)
+}
+
 /// The flat sealed layout (see module docs).
 pub(crate) enum Layout<T> {
     /// `slots[k]` holds key `k`'s value; `occupied` is the bitmap over
-    /// slot indices (word `i`, bit `j` ⇒ slot `64 i + j`), letting
-    /// iteration skip empty runs 64 slots at a time.
-    Dense {
-        slots: Vec<Option<T>>,
-        occupied: Vec<u64>,
-    },
+    /// slot indices (word `i`, bit `j` ⇒ slot `64 i + j`), the only
+    /// record of which keys are present — an empty slot holds
+    /// `T::default()`. Iteration skips empty runs 64 slots at a time.
+    Dense { slots: Vec<T>, occupied: Vec<u64> },
     /// Power-of-two capacity; a key probes from `mix64(key) & mask`.
     Open {
         slots: Vec<Option<(u64, T)>>,
@@ -95,7 +108,71 @@ pub(crate) enum Layout<T> {
     },
 }
 
-impl<T> Layout<T> {
+/// A dense layout under construction: `domain` key-indexed slots, all
+/// `T::default()`, and a clear bitmap. A seal hands its blocks out
+/// ([`Self::blocks`]) to resolve in parallel, then turns it into the
+/// sealed layout ([`Layout::from_key_indexed`]).
+pub(crate) struct KeyIndexed<T> {
+    slots: Vec<T>,
+    occupied: Vec<u64>,
+}
+
+impl<T: Default + Clone> KeyIndexed<T> {
+    /// `domain` empty slots. For a type whose default is all-zero bytes
+    /// (the integers) both arrays are zeroed allocations, so their
+    /// pages fault in where the blocks are first written, not here.
+    pub(crate) fn new(domain: usize) -> Self {
+        KeyIndexed {
+            slots: vec![T::default(); domain],
+            occupied: vec![0; domain.div_ceil(64)],
+        }
+    }
+}
+
+impl<T> KeyIndexed<T> {
+    /// The slots split into consecutive blocks of `len` (a multiple of
+    /// 64) in key order, each with its own bitmap words: disjoint
+    /// borrows, so blocks resolve in parallel without sharing a word.
+    pub(crate) fn blocks(&mut self, len: usize) -> impl Iterator<Item = DenseBlock<'_, T>> {
+        debug_assert!(
+            len > 0 && len.is_multiple_of(64),
+            "a block must own whole bitmap words"
+        );
+        self.slots
+            .chunks_mut(len)
+            .zip(self.occupied.chunks_mut(len / 64))
+            .map(|(slots, occupied)| DenseBlock { slots, occupied })
+    }
+}
+
+/// One block of a [`KeyIndexed`] array: its slots and the bitmap words
+/// over them, indexed from the block's first key.
+pub(crate) struct DenseBlock<'a, T> {
+    slots: &'a mut [T],
+    occupied: &'a mut [u64],
+}
+
+impl<T> DenseBlock<'_, T> {
+    /// The value at slot `at`, if one was put there.
+    #[inline]
+    pub(crate) fn get(&self, at: usize) -> Option<&T> {
+        is_set(self.occupied, at).then(|| &self.slots[at])
+    }
+
+    /// Stores `value` at slot `at`, returning the value it replaces if
+    /// the slot was occupied.
+    #[inline]
+    pub(crate) fn put(&mut self, at: usize, value: T) -> Option<T> {
+        let held = std::mem::replace(&mut self.slots[at], value);
+        let word = &mut self.occupied[at / 64];
+        let bit = 1 << (at % 64);
+        let was_set = *word & bit != 0;
+        *word |= bit;
+        was_set.then_some(held)
+    }
+}
+
+impl<T: Default> Layout<T> {
     /// The canonical build from resolved `(key, value)` pairs in
     /// strictly ascending key order (duplicates already resolved by the
     /// writer). No pairs build the empty dense layout.
@@ -108,45 +185,46 @@ impl<T> Layout<T> {
             Some(&(max_key, _)) if !dense_eligible(pairs.len(), max_key) => Self::open(pairs),
             last => {
                 let n_slots = last.map_or(0, |&(k, _)| k as usize + 1);
-                let mut slots: Vec<Option<T>> = (0..n_slots).map(|_| None).collect();
+                let mut slots: Vec<T> = std::iter::repeat_with(T::default).take(n_slots).collect();
+                let mut occupied = vec![0u64; n_slots.div_ceil(64)];
                 for (k, v) in pairs {
-                    slots[k as usize] = Some(v);
+                    let s = k as usize;
+                    slots[s] = v;
+                    occupied[s / 64] |= 1 << (s % 64);
                 }
-                Self::dense(slots)
+                Layout::Dense { slots, occupied }
             }
         }
     }
 
-    /// The build from a key-indexed resolution (`slots[k]` holds key
-    /// `k`'s resolved value, `len` slots are occupied, the last slot
-    /// is): kept as the dense array when the rule allows, else — a
-    /// duplicate-heavy log whose distinct keys turned out sparse —
-    /// compacted into the open table, walking keys in ascending order.
-    pub(crate) fn from_key_indexed(slots: Vec<Option<T>>, len: usize) -> Self {
+    /// The build from a key-indexed resolution holding `len` keys, the
+    /// last slot among them: kept as the dense array when the rule
+    /// allows, else — a duplicate-heavy log whose distinct keys turned
+    /// out sparse — compacted into the open table, walking the bitmap
+    /// in ascending key order.
+    pub(crate) fn from_key_indexed(indexed: KeyIndexed<T>, len: usize) -> Self {
+        let KeyIndexed { slots, occupied } = indexed;
         match slots.len().checked_sub(1) {
             Some(max_key) if !dense_eligible(len, max_key as u64) => Self::open(
                 slots
                     .into_iter()
                     .enumerate()
-                    .filter_map(|(k, s)| s.map(|v| (k as u64, v)))
+                    .filter(|&(k, _)| is_set(&occupied, k))
+                    .map(|(k, v)| (k as u64, v))
                     .collect(),
             ),
-            _ => Self::dense(slots),
+            _ => Layout::Dense { slots, occupied },
         }
     }
+}
 
-    /// Wraps key-indexed slots with their occupancy bitmap.
-    fn dense(slots: Vec<Option<T>>) -> Self {
-        let occupied = slots
-            .chunks(64)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |bits, (j, s)| bits | u64::from(s.is_some()) << j)
-            })
-            .collect();
-        Layout::Dense { slots, occupied }
+impl<T> Layout<T> {
+    /// The empty layout: dense over no slots.
+    pub(crate) fn empty() -> Self {
+        Layout::Dense {
+            slots: Vec::new(),
+            occupied: Vec::new(),
+        }
     }
 
     /// Inserts ascending pairs into a table of capacity ≥ 2 × len.
@@ -184,9 +262,9 @@ impl<T> Layout<T> {
     #[inline]
     fn lookup(&self, key: u64) -> Option<(usize, &T)> {
         match self {
-            Layout::Dense { slots, .. } => {
+            Layout::Dense { slots, occupied } => {
                 let s = key as usize;
-                slots.get(s)?.as_ref().map(|v| (s, v))
+                is_set(occupied, s).then(|| (s, &slots[s]))
             }
             Layout::Open { slots, mask } => {
                 let mut i = (mix64(key) & mask) as usize;
@@ -264,10 +342,14 @@ impl<T> Layout<T> {
     /// slot). See [`crate::Generation::layout_fingerprint`].
     pub(crate) fn fingerprint(&self) -> Vec<u64> {
         match self {
-            Layout::Dense { slots, .. } => slots
-                .iter()
-                .enumerate()
-                .map(|(k, s)| if s.is_some() { k as u64 } else { u64::MAX })
+            Layout::Dense { slots, occupied } => (0..slots.len())
+                .map(|s| {
+                    if is_set(occupied, s) {
+                        s as u64
+                    } else {
+                        u64::MAX
+                    }
+                })
                 .collect(),
             Layout::Open { slots, .. } => slots
                 .iter()
@@ -285,10 +367,7 @@ impl<T> Layout<T> {
                     bits,
                     base: w as u64 * 64,
                 });
-                let pairs = keys.map(|k| {
-                    let v = slots[k as usize].as_ref().expect("bitmap/slot agree");
-                    (k as usize, k, v)
-                });
+                let pairs = keys.map(|k| (k as usize, k, &slots[k as usize]));
                 (Some(pairs), None)
             }
             Layout::Open { slots, .. } => {
@@ -306,9 +385,15 @@ impl<T> Layout<T> {
     }
 
     /// Every slot's value in slot order, `None` for an empty slot.
-    fn slot_values(&self) -> impl Iterator<Item = Option<&T>> + '_ {
+    pub(crate) fn slot_values(&self) -> impl Iterator<Item = Option<&T>> + '_ {
         let (dense, open) = match self {
-            Layout::Dense { slots, .. } => (Some(slots.iter().map(Option::as_ref)), None),
+            Layout::Dense { slots, occupied } => {
+                let values = slots.iter().enumerate();
+                (
+                    Some(values.map(|(s, v)| is_set(occupied, s).then_some(v))),
+                    None,
+                )
+            }
             Layout::Open { slots, .. } => {
                 (None, Some(slots.iter().map(|s| s.as_ref().map(|(_, v)| v))))
             }
@@ -327,13 +412,19 @@ impl<T> Layout<T> {
     /// Consumes the layout, handing each `(key, value)` to `f` in
     /// [`Self::iter_slots`] order and keeping `f`'s result in the same
     /// slot: the slot structure — kind and fingerprint — is unchanged.
-    fn map<U>(self, mut f: impl FnMut(u64, T) -> U) -> Layout<U> {
+    fn map<U: Default>(self, mut f: impl FnMut(u64, T) -> U) -> Layout<U> {
         match self {
             Layout::Dense { slots, occupied } => Layout::Dense {
                 slots: slots
                     .into_iter()
                     .enumerate()
-                    .map(|(k, s)| s.map(|v| f(k as u64, v)))
+                    .map(|(k, v)| {
+                        if is_set(&occupied, k) {
+                            f(k as u64, v)
+                        } else {
+                            U::default()
+                        }
+                    })
                     .collect(),
                 occupied,
             },
@@ -553,7 +644,7 @@ mod tests {
     /// — against the in-memory layout.
     fn reads_like_memory<V>(pairs: Vec<(u64, V)>, cluster: &Arc<SocketCluster>)
     where
-        V: Wire + Clone + PartialEq + std::fmt::Debug,
+        V: Wire + Clone + Default + PartialEq + std::fmt::Debug,
     {
         let memory = Layout::build(pairs.clone());
         let offload = || Offloaded::in_cluster(Layout::build(pairs.clone()), Arc::clone(cluster));

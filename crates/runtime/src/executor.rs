@@ -111,7 +111,7 @@ pub struct MachineCtx<'a, V> {
     ops: u64,
 }
 
-impl<'a, V: Measured + Clone + PartialEq + Send + Wire> MachineCtx<'a, V> {
+impl<'a, V: Measured + Clone + Default + PartialEq + Send + Wire> MachineCtx<'a, V> {
     /// Records `n` units of local computation (charged by the cost
     /// model at `compute_ns_per_op` each).
     #[inline]
@@ -190,7 +190,7 @@ pub fn run_machines<V, T, R, F>(
     body: F,
 ) -> RoundOutcome<R>
 where
-    V: Measured + Clone + PartialEq + Sync + Send + Wire,
+    V: Measured + Clone + Default + PartialEq + Sync + Send + Wire,
     T: Sync,
     R: Send,
     F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
@@ -219,7 +219,7 @@ pub fn run_one_machine<V, T, R, F>(
     body: &F,
 ) -> (Vec<R>, MachineRoundStats)
 where
-    V: Measured + Clone + PartialEq + Send + Wire,
+    V: Measured + Clone + Default + PartialEq + Send + Wire,
     F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R>,
 {
     let mut ctx = MachineCtx {

@@ -212,7 +212,7 @@ impl Job {
         body: F,
     ) -> Vec<R>
     where
-        V: Measured + Clone + PartialEq + Sync + Send + Wire,
+        V: Measured + Clone + Default + PartialEq + Sync + Send + Wire,
         T: Sync + Send,
         R: Send,
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
@@ -235,7 +235,7 @@ impl Job {
         body: F,
     ) -> Vec<R>
     where
-        V: Measured + Clone + PartialEq + Sync + Send + Wire,
+        V: Measured + Clone + Default + PartialEq + Sync + Send + Wire,
         T: Sync + Send,
         R: Send,
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
@@ -255,7 +255,7 @@ impl Job {
         body: F,
     ) -> Vec<R>
     where
-        V: Measured + Clone + PartialEq + Sync + Send + Wire,
+        V: Measured + Clone + Default + PartialEq + Sync + Send + Wire,
         T: Sync,
         R: Send,
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
@@ -275,7 +275,7 @@ impl Job {
         body: F,
     ) -> Vec<R>
     where
-        V: Measured + Clone + PartialEq + Sync + Send + Wire,
+        V: Measured + Clone + Default + PartialEq + Sync + Send + Wire,
         T: Sync,
         R: Send,
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
@@ -298,7 +298,7 @@ impl Job {
         body: F,
     ) -> Vec<R>
     where
-        V: Measured + Clone + PartialEq + Sync + Send + Wire,
+        V: Measured + Clone + Default + PartialEq + Sync + Send + Wire,
         T: Sync,
         R: Send,
         F: Fn(&mut MachineCtx<'_, V>, &[T]) -> Vec<R> + Sync,
